@@ -23,12 +23,10 @@ from .bottom_structure import (
     standard_instances,
 )
 from .density_criteria import (
-    KdeResult,
     RankReport,
     RankStatsTable,
     RegularCaseReport,
     ScanResult,
-    kde_density,
     monte_carlo_rank_stats,
     rank_diagnostic,
     regular_case_check,
@@ -61,7 +59,6 @@ from .lent_particle import (
     gamma_linear,
     gamma_rho_mc,
     linear_functional,
-    sharp_linear,
     sharp_sample,
 )
 from .poisson_measure import (
@@ -99,12 +96,8 @@ from .scenarios import (
 from .sde_engine import (
     CoefficientSet,
     Trajectory,
-    affine_solution,
     read_trajectory_csv,
-    solve_flow_derivative,
-    solve_inverse_flow,
     solve_sde,
-    solve_with_flows,
     validate_coefficients,
     write_trajectory_csv,
 )

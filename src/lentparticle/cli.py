@@ -3,8 +3,8 @@
 Subcommands::
 
     lentparticle simulate   --config run.ini --out dir [--seed N]
-    lentparticle gamma      --config run.ini --out dir [--seed N] [--threads N]
-    lentparticle rank-stats --config run.ini --out dir [--seed N] [--threads N]
+    lentparticle gamma      --config run.ini --out dir [--seed N]
+    lentparticle rank-stats --config run.ini --out dir [--seed N]
     lentparticle example NAME --out dir --seed N [--config run.ini]
 
 The config file is INI-style with typed sections ([run], [model], [numeric],
@@ -68,7 +68,7 @@ _GAMMA_TAGS = ("theorem9", "remark3", "generic", "rho_mc")
 
 # section -> keys accepted there (xi_N / c_N handled by prefix)
 _KNOWN_KEYS = {
-    "run": {"scenario", "seed", "threads"},
+    "run": {"scenario", "seed"},
     "model": {
         "kind", "truncation", "alpha", "bound", "asymmetry",
         "angular_coefficient", "halfwidth", "intensity",
@@ -208,22 +208,18 @@ def _get_float_list(cfg, section, key):
 
 def _resolve_seed(args, cfg) -> int:
     if args.seed is not None:
-        return int(args.seed)
-    raw = _get(cfg, "run", "seed")
-    if raw is None:
-        raise ConfigFileError("run.seed: required (pass --seed or set it in the config)")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigFileError(f"run.seed: not an integer: {raw!r}") from None
-
-
-def _resolve_threads(args, cfg) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigFileError("threads: must be >= 1")
-        return int(args.threads)
-    return _get_int(cfg, "run", "threads", default=1, minimum=1)
+        seed, source = int(args.seed), "--seed"
+    else:
+        raw = _get(cfg, "run", "seed")
+        if raw is None:
+            raise ConfigFileError("run.seed: required (pass --seed or set it in the config)")
+        try:
+            seed, source = int(raw), "run.seed"
+        except ValueError:
+            raise ConfigFileError(f"run.seed: not an integer: {raw!r}") from None
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigFileError(f"{source}: must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +382,26 @@ def _retruncate(cfg, eps: float) -> TruncatedLevyModel:
     return _custom_model(sub)
 
 
-def _scenario_from_config(cfg) -> Scenario:
-    name = _get(cfg, "run", "scenario")
+def _scenario_from_config(cfg, name: str | None = None) -> Scenario:
+    """Build scenario ``name``, by default the one ``run.scenario`` names."""
+    name = name or _get(cfg, "run", "scenario")
     if name is None:
         raise ConfigFileError("run.scenario: required")
     if name == "custom":
-        return _custom_scenario(cfg)
-    if name in _SCENARIO_MODEL_KEYS:
-        return _named_scenario(name, cfg)
-    raise ConfigFileError(
-        "run.scenario: unknown scenario "
-        f"{name!r}; available: {', '.join(sorted(_SCENARIO_MODEL_KEYS))}, custom"
-    )
+        scenario = _custom_scenario(cfg)
+    elif name in _SCENARIO_MODEL_KEYS:
+        scenario = _named_scenario(name, cfg)
+    else:
+        raise ConfigFileError(
+            "run.scenario: unknown scenario "
+            f"{name!r}; available: {', '.join(sorted(_SCENARIO_MODEL_KEYS))}, custom"
+        )
+    if scenario.eval_time > scenario.horizon:
+        raise ConfigFileError(
+            f"numeric.eval_time: must be <= the horizon {scenario.horizon:g}, "
+            f"got {scenario.eval_time:g}"
+        )
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -418,22 +422,19 @@ def _write_samples_csv(path: Path, header: list[str], rows) -> None:
             w.writerow([format(float(v), ".17g") for v in row])
 
 
-def _manifest(out_dir: Path, command: str, cfg, seed: int, threads: int,
-              outputs: list[str]) -> None:
-    # the echo carries the *resolved* seed and thread count so that feeding
-    # the manifest back via --config reproduces the run even when those were
-    # originally given on the command line
+def _manifest(out_dir: Path, command: str, cfg, seed: int, outputs: list[str]) -> None:
+    # the echo carries the *resolved* seed so that feeding the manifest back
+    # via --config reproduces the run even when the seed was originally given
+    # on the command line
     echo = {sec: dict(keys) for sec, keys in cfg.items()}
     run = dict(echo.get("run", {}))
     run["seed"] = str(int(seed))
-    run["threads"] = str(int(threads))
     echo["run"] = run
     doc = {
         "command": command,
         "config": echo,
         "outputs": sorted(outputs),
         "seed": int(seed),
-        "threads": int(threads),
         "version": __version__,
     }
     _write_json(out_dir / "manifest.json", doc)
@@ -458,14 +459,13 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     _check_known_keys(cfg)
     seed = _resolve_seed(args, cfg)
-    threads = _resolve_threads(args, cfg)
     scenario = _scenario_from_config(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = scenario.simulate(seed=seed)
     _, _, traj = scenario.pipeline(config, t=scenario.horizon)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
-    _manifest(out_dir, "simulate", cfg, seed, threads, ["trajectory.csv"])
+    _manifest(out_dir, "simulate", cfg, seed, ["trajectory.csv"])
     print(f"wrote {out_dir / 'trajectory.csv'} ({config.n_atoms} jumps)")
     return 0
 
@@ -474,7 +474,6 @@ def cmd_gamma(args) -> int:
     cfg = _load_config(args.config)
     _check_known_keys(cfg)
     seed = _resolve_seed(args, cfg)
-    threads = _resolve_threads(args, cfg)
     tag = _get(cfg, "gamma", "formula", "theorem9")
     if tag not in _GAMMA_TAGS:
         raise ConfigFileError(
@@ -515,8 +514,7 @@ def cmd_gamma(args) -> int:
             gm = gamma_generic(functional, config, scenario.bottom)
             check = _cross_check("theorem9", flow.matrix, gm.matrix, fd_tol)
         else:
-            gm = gamma_rho_mc(functional, config, scenario.bottom, draws, seed,
-                              threads=threads)
+            gm = gamma_rho_mc(functional, config, scenario.bottom, draws, seed)
             se = float(np.max(gm.standard_errors)) if gm.standard_errors is not None else 0.0
             check = _cross_check("theorem9", flow.matrix, gm.matrix,
                                  max(4.0 * se, fd_tol))
@@ -528,7 +526,7 @@ def cmd_gamma(args) -> int:
         "rank": rank.to_json_dict(),
     }
     _write_json(out_dir / "gamma.json", doc)
-    _manifest(out_dir, "gamma", cfg, seed, threads, ["gamma.json"])
+    _manifest(out_dir, "gamma", cfg, seed, ["gamma.json"])
     print(
         f"gamma[{tag}] at t={t:g}: rank {rank.rank}/{gm.matrix.shape[0]}, "
         f"cross-check diff {check['max_abs_difference']:.3g}"
@@ -540,7 +538,6 @@ def cmd_rank_stats(args) -> int:
     cfg = _load_config(args.config)
     _check_known_keys(cfg)
     seed = _resolve_seed(args, cfg)
-    threads = _resolve_threads(args, cfg)
     scenario = _scenario_from_config(cfg)
     epsilons = _get_float_list(cfg, "numeric", "epsilons")
     if not epsilons:
@@ -550,22 +547,20 @@ def cmd_rank_stats(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    table = monte_carlo_rank_stats(scenario, n_paths, epsilons, seed,
-                                   rel_tol=rel_tol, threads=threads)
+    table = monte_carlo_rank_stats(scenario, n_paths, epsilons, seed, rel_tol=rel_tol)
     table.to_csv(out_dir / "rank_stats.csv")
     summary = table.to_json_dict()
     summary["scenario"] = scenario.name
     summary["seed"] = int(seed)
     _write_json(out_dir / "summary.json", summary)
-    _manifest(out_dir, "rank-stats", cfg, seed, threads,
-              ["rank_stats.csv", "summary.json"])
+    _manifest(out_dir, "rank-stats", cfg, seed, ["rank_stats.csv", "summary.json"])
     frac = ", ".join(f"{row.full_rank_fraction:.3f}" for row in table.rows)
     print(f"full-rank fractions over eps {epsilons}: {frac}")
     return 0
 
 
-def _example_scenario_gamma(name: str, cfg, seed: int, out_dir: Path) -> list[str]:
-    scenario = _named_scenario(name, cfg)
+def _example_scenario_gamma(scenario: Scenario, seed: int, out_dir: Path) -> list[str]:
+    name = scenario.name
     config = scenario.simulate(seed=seed)
     model = scenario.model()
     if name == "doleans":
@@ -686,19 +681,21 @@ def cmd_example(args) -> int:
     cfg = _load_config(args.config)
     _check_known_keys(cfg)
     seed = _resolve_seed(args, cfg)
-    threads = _resolve_threads(args, cfg)
+    name = args.name
+    scenario = None
+    if name in ("doleans", "levy-area-1", "levy-area-2"):
+        scenario = _scenario_from_config(cfg, name)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = args.name
-    if name in ("doleans", "levy-area-1", "levy-area-2"):
-        outputs = _example_scenario_gamma(name, cfg, seed, out_dir)
+    if scenario is not None:
+        outputs = _example_scenario_gamma(scenario, seed, out_dir)
     elif name == "mckean":
         outputs = _example_mckean(cfg, seed, out_dir)
     elif name == "stable-like":
         outputs = _example_stable_like(cfg, seed, out_dir)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigFileError(f"unknown example {name!r}")
-    _manifest(out_dir, f"example {name}", cfg, seed, threads, outputs)
+    _manifest(out_dir, f"example {name}", cfg, seed, outputs)
     return 0
 
 
@@ -721,8 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (created if missing)")
         p.add_argument("--seed", metavar="N", type=int, default=None,
                        help="root seed (overrides the config)")
-        p.add_argument("--threads", metavar="N", type=int, default=None,
-                       help="worker threads for path/draw loops")
 
     p = sub.add_parser("simulate", help="integrate one trajectory with its flows")
     common(p)

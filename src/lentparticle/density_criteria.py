@@ -19,17 +19,13 @@ Provided checks:
 * ``span_dimension`` -- numerical rank of a vector family;
 * ``monte_carlo_rank_stats`` -- full-rank frequencies across simulated
   paths as the truncation shrinks, coupled by superposition so the
-  frequency is monotone by construction;
-* ``kde_density`` -- Gaussian kernel density estimate of sample tables (a
-  visual companion, not a criterion).
+  frequency is monotone by construction.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,8 +48,6 @@ __all__ = [
     "RankStatsRow",
     "RankStatsTable",
     "monte_carlo_rank_stats",
-    "KdeResult",
-    "kde_density",
 ]
 
 DEFAULT_RANK_TOL = 1e-8
@@ -384,7 +378,6 @@ def monte_carlo_rank_stats(
     epsilons: Sequence[float],
     seed: int,
     rel_tol: float = DEFAULT_RANK_TOL,
-    threads: int = 1,
 ) -> RankStatsTable:
     """Full-rank frequency of Gamma across paths, per truncation level.
 
@@ -422,13 +415,7 @@ def monte_carlo_rank_stats(
             stats[j] = (1.0 if rep.full_rank else 0.0, rep.min_eigenvalue)
         return stats
 
-    indices = list(range(n_paths))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_path = list(pool.map(one_path, indices))
-    else:
-        per_path = [one_path(p) for p in indices]
-    stacked = np.stack(per_path)  # (n_paths, n_eps, 2)
+    stacked = np.stack([one_path(p) for p in range(n_paths)])  # (n_paths, n_eps, 2)
 
     rows = [
         RankStatsRow(
@@ -443,82 +430,3 @@ def monte_carlo_rank_stats(
     fractions = [r.full_rank_fraction for r in by_desc_eps]
     monotone = all(b >= a - 1e-15 for a, b in zip(fractions, fractions[1:]))
     return RankStatsTable(rows=rows, monotone_nondecreasing=monotone, rel_tol=rel_tol)
-
-
-# ---------------------------------------------------------------------------
-# kernel density estimate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KdeResult:
-    grid: np.ndarray
-    density: np.ndarray
-    bandwidth: np.ndarray
-    mass: float | None
-
-    def to_csv(self, path) -> None:
-        grid = np.atleast_2d(self.grid.T).T
-        d = grid.shape[1]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"x_{j + 1}" for j in range(d)] + ["density"])
-            for i in range(grid.shape[0]):
-                w.writerow([format(float(v), ".17g") for v in grid[i]]
-                           + [format(float(self.density[i]), ".17g")])
-
-
-def kde_density(samples, bandwidth="auto", grid=None, min_samples: int = 30) -> KdeResult:
-    """Gaussian product-kernel density estimate on a grid.
-
-    ``bandwidth`` is a positive scalar applied to every coordinate or
-    ``"auto"`` for the Scott rule ``std * n^(-1/(d+4))`` per coordinate,
-    with a narrow fixed width substituted for zero-variance coordinates so
-    degenerate samples still yield a (sharply peaked) density.  For 1-d
-    grids the trapezoid mass over the grid is reported.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    n, d = samples.shape
-    if n < min_samples:
-        raise InputError(f"need at least {min_samples} samples, got {n}")
-    if not np.all(np.isfinite(samples)):
-        raise InputError("samples contain non-finite entries")
-
-    if isinstance(bandwidth, str):
-        if bandwidth != "auto":
-            raise InputError(f"bandwidth must be positive or 'auto', got {bandwidth!r}")
-        sd = samples.std(axis=0, ddof=1)
-        h = sd * n ** (-1.0 / (d + 4))
-        for j in range(d):
-            if h[j] <= 0.0:
-                h[j] = 1e-3 * max(1.0, abs(float(samples[:, j].mean())))
-    else:
-        h = float(bandwidth) * np.ones(d)
-    if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
-        raise InputError(f"degenerate bandwidth {h}")
-
-    if grid is None:
-        if d != 1:
-            raise InputError("an explicit grid is required for d > 1")
-        lo = samples.min() - 4.0 * h[0]
-        hi = samples.max() + 4.0 * h[0]
-        grid = np.linspace(lo, hi, 256)
-    grid = np.asarray(grid, dtype=float)
-    pts = grid[:, None] if grid.ndim == 1 else grid
-    if pts.shape[1] != d:
-        raise InputError(f"grid has dimension {pts.shape[1]}, samples have {d}")
-
-    # (n_grid, n_samples) product of per-coordinate Gaussian kernels
-    log_norm = -0.5 * d * math.log(2.0 * math.pi) - float(np.sum(np.log(h)))
-    z2 = np.zeros((pts.shape[0], n))
-    for j in range(d):
-        z = (pts[:, j][:, None] - samples[:, j][None, :]) / h[j]
-        z2 += z * z
-    dens = np.exp(log_norm - 0.5 * z2).mean(axis=1)
-
-    mass = None
-    if grid.ndim == 1 or d == 1:
-        x = grid if grid.ndim == 1 else grid[:, 0]
-        mass = float(np.trapezoid(dens, x))
-    return KdeResult(grid=grid, density=dens, bandwidth=h, mass=mass)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["compile_scalar", "compile_mark_scalar", "compile_mark_matrix", "compile_coefficient"]
+__all__ = ["compile_scalar", "compile_mark_scalar", "compile_coefficient"]
 
 _ALLOWED_CALLS = {"abs", "min", "ind"}
 
@@ -90,18 +90,6 @@ def compile_mark_scalar(src: str, r: int) -> Callable[[np.ndarray], float]:
         env = {name: float(u[j]) for j, name in enumerate(names)}
         env["_norm"] = float(np.linalg.norm(u))
         return f(env)
-
-    return evaluate
-
-
-def compile_mark_matrix(entries: Sequence[Sequence[str]], r: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile an ``(r, r)`` matrix of mark expressions (for ``xi``)."""
-    if len(entries) != r or any(len(row) != r for row in entries):
-        raise InputError(f"matrix expression must be {r} x {r}")
-    fns = [[compile_mark_scalar(src, r) for src in row] for row in entries]
-
-    def evaluate(u: np.ndarray) -> np.ndarray:
-        return np.array([[fns[i][j](u) for j in range(r)] for i in range(r)])
 
     return evaluate
 

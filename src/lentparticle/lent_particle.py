@@ -29,6 +29,7 @@ linear / rho_mc`` to label which rendering produced a matrix.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -59,7 +60,6 @@ __all__ = [
     "gamma_generic",
     "gamma_linear",
     "sharp_sample",
-    "sharp_linear",
     "gamma_rho_mc",
 ]
 
@@ -489,33 +489,24 @@ def sharp_sample(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructu
     return out
 
 
-def sharp_linear(h: MarkFunction, config: JumpConfiguration, bs: BottomStructure,
-                 rho_seed: int, t: float | None = None,
-                 draw_index: int = 0) -> np.ndarray:
-    """Randomized gradient of ``N~(h)`` up to time ``t``.
-
-    Draw rows are indexed by atom position in the full configuration, so
-    shrinking ``t`` never re-randomizes the atoms that remain.
-    """
-    t = config.horizon if t is None else float(t)
-    rho = _rho_draws(rho_seed, draw_index, config.n_atoms, config.mark_dimension)
-    out = np.zeros(h.dim)
-    for i in range(config.n_atoms):
-        ti, u = config.atom(i)
-        if ti > t:
-            continue
-        out = out + np.atleast_1d(gradient_flat(h.jac(ti, u), u, rho[i], bs))
-    return out
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def gamma_rho_mc(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructure,
-                 M: int, seed: int, threads: int = 1) -> GammaMatrix:
+                 M: int, seed: int) -> GammaMatrix:
     """Monte Carlo Gamma[F] as the empirical second moment of ``F-sharp``.
 
     Uses ``M`` independent draw sets on the fixed configuration; reports
     entrywise standard errors.  Draw set ``m`` is addressed by its index,
     so enlarging ``M`` extends the estimate without perturbing earlier
-    draws; batches are reduced in fixed index order for reproducibility.
+    draws.  Blocks of draw sets run on one thread per usable CPU and are
+    reduced in fixed index order, so the result does not depend on the
+    CPU count.
     """
     if M < 2:
         raise InputError(f"M must be >= 2, got {M}")
@@ -540,8 +531,9 @@ def gamma_rho_mc(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructu
         outer = sharps[:, :, None] * sharps[:, None, :]
         return outer.sum(axis=0), (outer * outer).sum(axis=0)
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = _usable_cpus()
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_chunk, starts))
     else:
         partials = [run_chunk(s) for s in starts]

@@ -51,7 +51,7 @@ from .poisson_measure import (
     simulate_configuration,
 )
 from .rng import DOMAIN_ATOMS, DOMAIN_PARTICLE, stream
-from .sde_engine import CoefficientSet, Trajectory, solve_with_flows
+from .sde_engine import CoefficientSet, Trajectory, _rk4_interval, solve_sde
 
 __all__ = [
     "power_law_model",
@@ -459,7 +459,7 @@ def doleans_dade(
         config = simulate_configuration(model, max(t, 1e-12), seed)
     m1 = first_moment if first_moment is not None else mark_integral(lambda u: float(u[0]), model)
     coeffs = doleans_coefficients(m1, float(model.bounding_box[0, 1]))
-    traj = solve_with_flows(coeffs, model, config, np.array([0.0, 1.0]), step, horizon=t)
+    traj = solve_sde(coeffs, model, config, np.array([0.0, 1.0]), step, horizon=t, flows=True)
     g_pipe = gamma_flow(traj, coeffs, bs, t)
     y_t, e_t = doleans_exponential(config, m1, t)
     g_closed = doleans_closed_gamma(config, m1, bs, t)
@@ -618,7 +618,7 @@ def levy_area(
             mark_integral(lambda u: float(u[1]), model),
         ])
     coeffs = area_coefficients(m1)
-    traj = solve_with_flows(coeffs, model, config, np.zeros(3), step, horizon=t)
+    traj = solve_sde(coeffs, model, config, np.zeros(3), step, horizon=t, flows=True)
     g_pipe = gamma_flow(traj, coeffs, bs, t)
     g_closed, v, span = area_closed_gamma(config, m1, bs, t)
     return LevyAreaResult(
@@ -670,7 +670,7 @@ class Scenario:
         model = self.model(truncation)
         coeffs = self.make_coeffs(model)
         t = self.eval_time if t is None else t
-        traj = solve_with_flows(coeffs, model, config, self.x0, self.step, horizon=t)
+        traj = solve_sde(coeffs, model, config, self.x0, self.step, horizon=t, flows=True)
         return model, coeffs, traj
 
     def run(self, config: JumpConfiguration, truncation: float | None = None,
@@ -940,12 +940,7 @@ def mckean_vlasov(
 
         for k in range(1, m):
             t0, t1 = float(grid[k - 1]), float(grid[k])
-            h = t1 - t0
-            k1 = drift(t0, p)
-            k2 = drift(t0 + 0.5 * h, p + 0.5 * h * k1)
-            k3 = drift(t0 + 0.5 * h, p + 0.5 * h * k2)
-            k4 = drift(t1, p + h * k3)
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            p = _rk4_interval(drift, t0, t1, p)
             left[k] = p
             if jumper[k] >= 0:
                 i = jumper[k]
@@ -1003,7 +998,7 @@ def mckean_vlasov(
         dim=1, c=c, dx_c=dx_c, du_c=du_c,
         compensator=comp, dx_compensator=dcomp, name="mean-field-frozen",
     )
-    traj = solve_with_flows(coeffs, model, configs[0], np.array([x0]), step, horizon=t)
+    traj = solve_sde(coeffs, model, configs[0], np.array([x0]), step, horizon=t, flows=True)
     gamma = gamma_flow(traj, coeffs, bs, t)
     a0 = float(sigma(x0, np.full(particles, x0, dtype=float)))
     return McKeanResult(

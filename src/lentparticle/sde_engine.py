@@ -21,11 +21,8 @@ Alongside X the module integrates the first-variation flow ``K_t``
     Kbar: jump factor (I + Dx_c)^{-1},  drift  -Kbar A(t)
 
 with ``A = Dx_b - integral Dx_c k du``.  They are integrated jointly with X
-on the same grid so the three stay mutually consistent.
-
-``affine_solution`` solves the companion affine equation
-``S_t = R_t + int_0^t dSigma_s S_{s-}`` by variation of constants using the
-stored flows, where ``Sigma`` is the driver of K.
+on the same grid so the three stay mutually consistent.  ``solve_sde`` is
+the one entry point; ``flows=True`` adds K and Kbar to the same pass.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +41,6 @@ from .errors import (
     InputError,
     ModelError,
     NumericError,
-    StateError,
 )
 from .poisson_measure import JumpConfiguration, TruncatedLevyModel, mark_integral
 
@@ -53,10 +49,6 @@ __all__ = [
     "Trajectory",
     "validate_coefficients",
     "solve_sde",
-    "solve_flow_derivative",
-    "solve_inverse_flow",
-    "solve_with_flows",
-    "affine_solution",
     "write_trajectory_csv",
     "read_trajectory_csv",
 ]
@@ -197,9 +189,6 @@ class Trajectory:
     states_left: np.ndarray
     config: JumpConfiguration
     coeffs: CoefficientSet | None
-    model: TruncatedLevyModel | None
-    step: float
-    x0: np.ndarray
     flow: np.ndarray | None = None
     flow_left: np.ndarray | None = None
     inverse_flow: np.ndarray | None = None
@@ -261,14 +250,15 @@ def _integrate(
     x0: np.ndarray,
     step: float,
     horizon: float,
-    with_flow: bool,
-    with_inverse: bool,
+    flows: bool,
     validate: bool,
 ):
-    """One pass over the grid computing X and whichever flows are requested.
+    """One pass over the grid computing X and, with ``flows``, K and Kbar.
 
-    X, K and Kbar are advanced through the same integrator stages, so a
-    later pass that adds a flow reproduces the earlier X values bit for bit.
+    The integrated vector is X alone, or X, K and Kbar stacked row-major.
+    The X entries of every stage never read the flow entries, so X is the
+    same bit for bit with and without flows.  Returns the grid and the
+    stacked right and left limits, one row per grid point.
     """
     d = coeffs.dim
     x0 = np.asarray(x0, dtype=float)
@@ -284,60 +274,25 @@ def _integrate(
         x = y[:d]
         out = np.empty_like(y)
         out[:d] = velocity(t, x)
-        if with_flow or with_inverse:
+        if flows:
             a = vel_jac(t, x)
-            pos = d
-            if with_flow:
-                k = y[pos:pos + dd].reshape(d, d)
-                out[pos:pos + dd] = (a @ k).ravel()
-                pos += dd
-            if with_inverse:
-                kb = y[pos:pos + dd].reshape(d, d)
-                out[pos:pos + dd] = -(kb @ a).ravel()
+            out[d:d + dd] = (a @ y[d:d + dd].reshape(d, d)).ravel()
+            out[d + dd:] = -(y[d + dd:].reshape(d, d) @ a).ravel()
         return out
 
-    states = np.empty((m, d))
-    states_left = np.empty((m, d))
-    flow = np.empty((m, d, d)) if with_flow else None
-    flow_left = np.empty((m, d, d)) if with_flow else None
-    inv_flow = np.empty((m, d, d)) if with_inverse else None
-    inv_flow_left = np.empty((m, d, d)) if with_inverse else None
-
-    y = np.concatenate([x0] + ([np.eye(d).ravel()] if with_flow else [])
-                       + ([np.eye(d).ravel()] if with_inverse else []))
-
-    def unpack(yv):
-        pos = d
-        out = [yv[:d]]
-        if with_flow:
-            out.append(yv[pos:pos + dd].reshape(d, d))
-            pos += dd
-        if with_inverse:
-            out.append(yv[pos:pos + dd].reshape(d, d))
-        return out
-
-    def store(i, left_vals, right_vals):
-        states_left[i] = left_vals[0]
-        states[i] = right_vals[0]
-        pos = 1
-        if with_flow:
-            flow_left[i] = left_vals[pos]
-            flow[i] = right_vals[pos]
-            pos += 1
-        if with_inverse:
-            inv_flow_left[i] = left_vals[pos]
-            inv_flow[i] = right_vals[pos]
-
-    store(0, unpack(y), unpack(y))
+    y = np.concatenate([x0, np.eye(d).ravel(), np.eye(d).ravel()]) if flows else x0.copy()
+    rows = np.empty((m, y.shape[0]))
+    rows_left = np.empty((m, y.shape[0]))
+    rows[0] = rows_left[0] = y
     for i in range(1, m):
         y = _rk4_interval(rhs, times[i - 1], times[i], y)
         if not np.all(np.isfinite(y)):
             raise NumericError(f"integration produced non-finite state at t = {times[i]}")
-        left = [np.array(v) for v in unpack(y)]
+        rows_left[i] = y
         if is_jump[i]:
             t = float(times[i])
             u = config.marks[atom_index[i]]
-            x_left = left[0]
+            x_left = y[:d]
             if validate:
                 jump_matrix = _check_r_conditions(coeffs, t, x_left, u)
             else:
@@ -345,24 +300,20 @@ def _integrate(
             x_right = x_left + np.asarray(coeffs.c(t, x_left, u), dtype=float)
             if not np.all(np.isfinite(x_right)):
                 raise NumericError(f"jump update produced non-finite state at t = {t}")
-            right = [x_right]
-            if with_flow:
-                right.append(jump_matrix @ left[1])
-            if with_inverse:
-                kb_left = left[-1]
+            if flows:
+                k_right = jump_matrix @ y[d:d + dd].reshape(d, d)
                 try:
-                    kb_right = np.linalg.solve(jump_matrix.T, kb_left.T).T
+                    kb_right = np.linalg.solve(jump_matrix.T, y[d + dd:].reshape(d, d).T).T
                 except np.linalg.LinAlgError:
                     raise ModelError(
                         f"jump update I + dx_c singular at (t={t}, u={u})"
                     ) from None
-                right.append(kb_right)
-            y = np.concatenate([v.ravel() for v in right])
-            store(i, left, right)
-        else:
-            store(i, left, left)
+                y = np.concatenate([x_right, k_right.ravel(), kb_right.ravel()])
+            else:
+                y = x_right
+        rows[i] = y
 
-    return times, is_jump, atom_index, states, states_left, flow, flow_left, inv_flow, inv_flow_left
+    return times, is_jump, atom_index, rows, rows_left
 
 
 def solve_sde(
@@ -373,212 +324,42 @@ def solve_sde(
     step: float,
     horizon: float | None = None,
     validate: bool = True,
+    flows: bool = False,
 ) -> Trajectory:
     """Solve the jump SDE pathwise on the given configuration.
 
     The returned trajectory stores X at every regular grid point and jump
-    time, with left limits at jumps.  With ``validate`` the coefficient
-    assumptions are spot-checked at every jump actually taken.
+    time, with left limits at jumps.  With ``flows`` it also stores K and
+    Kbar from the same pass, and warns with :class:`ConditioningWarning`
+    when ``K Kbar`` strays from the identity by more than 1e-9.  With
+    ``validate`` the coefficient assumptions are spot-checked at every jump
+    actually taken.
     """
     horizon = config.horizon if horizon is None else float(horizon)
-    times, is_jump, atom_index, states, states_left, *_ = _integrate(
-        coeffs, model, config, x0, step, horizon,
-        with_flow=False, with_inverse=False, validate=validate,
+    times, is_jump, atom_index, rows, rows_left = _integrate(
+        coeffs, model, config, x0, step, horizon, flows=flows, validate=validate,
     )
-    return Trajectory(
-        times=times, is_jump=is_jump, atom_index=atom_index,
-        states=states, states_left=states_left,
-        config=config, coeffs=coeffs, model=model, step=step,
-        x0=np.asarray(x0, dtype=float),
-    )
-
-
-def _require_engine_fields(traj: Trajectory):
-    if traj.coeffs is None or traj.model is None:
-        raise StateError("trajectory lacks coefficient/model references")
-
-
-def solve_flow_derivative(traj: Trajectory, coeffs: CoefficientSet | None = None) -> Trajectory:
-    """Fill the first-variation flow K on an existing trajectory.
-
-    K starts at the identity, picks up the factor ``I + dx_c`` at each atom
-    and follows ``dK/dt = A(t) K`` in between.  X is re-integrated jointly
-    (identical stages, identical values) so K is consistent with the stored
-    path.
-    """
-    coeffs = coeffs or traj.coeffs
-    if coeffs is None:
-        raise StateError("no coefficient set available")
-    _require_engine_fields(traj)
-    _, _, _, states, _, flow, flow_left, _, _ = _integrate(
-        coeffs, traj.model, traj.config, traj.x0, traj.step, traj.horizon,
-        with_flow=True, with_inverse=False, validate=False,
-    )
-    if not np.allclose(states, traj.states, rtol=1e-10, atol=1e-12):
-        raise NumericError("flow pass diverged from the stored path")
-    traj.flow = flow
-    traj.flow_left = flow_left
-    return traj
-
-
-def solve_inverse_flow(
-    traj: Trajectory,
-    coeffs: CoefficientSet | None = None,
-    method: str = "direct_sde",
-) -> Trajectory:
-    """Fill the inverse flow Kbar.
-
-    ``direct_sde`` integrates Kbar's own equation (jump factor
-    ``(I + dx_c)^{-1}``, drift ``-Kbar A``); ``per_step_inverse`` inverts
-    the stored K row by row.  Both fill the same fields; their agreement is
-    a consistency check on the linear algebra.
-    """
-    coeffs = coeffs or traj.coeffs
-    if coeffs is None:
-        raise StateError("no coefficient set available")
-    if method == "direct_sde":
-        _require_engine_fields(traj)
-        _, _, _, states, _, _, _, inv_flow, inv_flow_left = _integrate(
-            coeffs, traj.model, traj.config, traj.x0, traj.step, traj.horizon,
-            with_flow=False, with_inverse=True, validate=False,
-        )
-        if not np.allclose(states, traj.states, rtol=1e-10, atol=1e-12):
-            raise NumericError("inverse-flow pass diverged from the stored path")
-        traj.inverse_flow = inv_flow
-        traj.inverse_flow_left = inv_flow_left
-    elif method == "per_step_inverse":
-        if traj.flow is None:
-            raise StateError("per_step_inverse requires the flow K to be filled first")
-        inv_flow = np.linalg.inv(traj.flow)
-        inv_flow_left = np.linalg.inv(traj.flow_left)
-        traj.inverse_flow = inv_flow
-        traj.inverse_flow_left = inv_flow_left
-    else:
-        raise InputError(f"unknown inverse-flow method {method!r}")
-
-    if traj.flow is not None:
-        resid = np.abs(np.einsum("tij,tjk->tik", traj.flow, traj.inverse_flow)
-                       - np.eye(traj.dim)).max()
-        if resid > 1e-9:
-            warnings.warn(
-                f"K Kbar deviates from identity by {resid:.3g}; consider a smaller step",
-                ConditioningWarning, stacklevel=2,
-            )
-        conds = np.linalg.cond(traj.flow)
-        worst = float(np.max(conds))
-        if worst > 1e12:
-            warnings.warn(
-                f"flow condition number reaches {worst:.3g}; inverse flow may be inaccurate",
-                ConditioningWarning, stacklevel=2,
-            )
-    return traj
-
-
-def solve_with_flows(
-    coeffs: CoefficientSet,
-    model: TruncatedLevyModel,
-    config: JumpConfiguration,
-    x0: np.ndarray,
-    step: float,
-    horizon: float | None = None,
-    validate: bool = True,
-) -> Trajectory:
-    """Solve the SDE and fill both flows in one pass over the grid."""
-    horizon = config.horizon if horizon is None else float(horizon)
-    times, is_jump, atom_index, states, states_left, flow, flow_left, inv_flow, inv_flow_left = _integrate(
-        coeffs, model, config, x0, step, horizon,
-        with_flow=True, with_inverse=True, validate=validate,
-    )
+    d = coeffs.dim
     traj = Trajectory(
         times=times, is_jump=is_jump, atom_index=atom_index,
-        states=states, states_left=states_left,
-        config=config, coeffs=coeffs, model=model, step=step,
-        x0=np.asarray(x0, dtype=float),
-        flow=flow, flow_left=flow_left,
-        inverse_flow=inv_flow, inverse_flow_left=inv_flow_left,
+        states=np.ascontiguousarray(rows[:, :d]),
+        states_left=np.ascontiguousarray(rows_left[:, :d]),
+        config=config, coeffs=coeffs,
     )
-    resid = np.abs(np.einsum("tij,tjk->tik", flow, inv_flow) - np.eye(coeffs.dim)).max()
+    if not flows:
+        return traj
+    m, dd = times.shape[0], d * d
+    matrices = lambda a, lo: np.ascontiguousarray(a[:, lo:lo + dd]).reshape(m, d, d)
+    traj.flow, traj.flow_left = matrices(rows, d), matrices(rows_left, d)
+    traj.inverse_flow = matrices(rows, d + dd)
+    traj.inverse_flow_left = matrices(rows_left, d + dd)
+    resid = np.abs(np.einsum("tij,tjk->tik", traj.flow, traj.inverse_flow) - np.eye(d)).max()
     if resid > 1e-9:
         warnings.warn(
             f"K Kbar deviates from identity by {resid:.3g}; consider a smaller step",
             ConditioningWarning, stacklevel=2,
         )
     return traj
-
-
-# ---------------------------------------------------------------------------
-# affine companion equation
-# ---------------------------------------------------------------------------
-
-def affine_solution(
-    traj: Trajectory,
-    r_values: np.ndarray,
-    r_left: np.ndarray | None = None,
-    check: bool = True,
-    check_tol: float = 1e-8,
-) -> np.ndarray:
-    """Solve ``S_t = R_t + int_0^t dSigma_s S_{s-}`` along the trajectory.
-
-    ``Sigma`` is the driver of the stored flow K (atom factors ``dx_c``,
-    continuous part ``A dt``).  ``r_values`` gives R at the stored times
-    (right limits); ``r_left`` its left limits, defaulting to the previous
-    right limit (pure-jump R).  The driver has no continuous-martingale
-    part, so the bracket correction of the general variation-of-constants
-    formula vanishes and
-
-        S_t = K_t [ R_0 + sum_{s<=t} Kbar_s (R_s - R_{s-})
-                          + sum_intervals Kbar_{start} (R_{end-} - R_{start}) ]
-
-    where the jump weight ``Kbar_s = Kbar_{s-} (I + dx_c)^{-1}`` already
-    contains the ``(I + Delta Sigma)^{-1}`` correction of the formula.  With
-    ``check`` the result is verified against the one-step recursion of the
-    defining equation and a :class:`NumericError` is raised on disagreement.
-    """
-    if not traj.has_flows():
-        raise StateError("affine_solution requires K and Kbar filled")
-    if traj.coeffs is None:
-        raise StateError("trajectory lacks coefficient references")
-    m, d = traj.states.shape
-    r_values = np.asarray(r_values, dtype=float)
-    if r_values.shape != (m, d):
-        raise InputError(f"r_values must have shape ({m}, {d}), got {r_values.shape}")
-    if r_left is None:
-        r_left = np.empty_like(r_values)
-        r_left[0] = r_values[0]
-        r_left[1:] = r_values[:-1]
-    else:
-        r_left = np.asarray(r_left, dtype=float)
-        if r_left.shape != (m, d):
-            raise InputError(f"r_left must have shape ({m}, {d}), got {r_left.shape}")
-
-    out = np.empty((m, d))
-    acc = r_values[0].copy()
-    out[0] = traj.flow[0] @ acc
-    for i in range(1, m):
-        acc = acc + traj.inverse_flow[i - 1] @ (r_left[i] - r_values[i - 1])
-        acc = acc + traj.inverse_flow[i] @ (r_values[i] - r_left[i])
-        out[i] = traj.flow[i] @ acc
-
-    if check:
-        scale = max(1.0, float(np.abs(out).max()), float(np.abs(r_values).max()))
-        worst = 0.0
-        for i in range(1, m):
-            s_left = traj.flow_left[i] @ (traj.inverse_flow[i - 1]
-                                          @ (out[i - 1] + (r_left[i] - r_values[i - 1])))
-            if traj.is_jump[i]:
-                t = float(traj.times[i])
-                u = traj.config.marks[traj.atom_index[i]]
-                dxc = np.asarray(traj.coeffs.dx_c(t, traj.states_left[i], u), dtype=float)
-                s_right = s_left + dxc @ s_left + (r_values[i] - r_left[i])
-            else:
-                s_right = s_left + (r_values[i] - r_left[i])
-            worst = max(worst, float(np.abs(s_right - out[i]).max()))
-        if worst > check_tol * scale:
-            raise NumericError(
-                "affine solution failed its defining-equation residual check",
-                residual=worst,
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from lentparticle.scenarios import (
     stable_like_pushforward_check,
     zeta,
 )
-from lentparticle.sde_engine import CoefficientSet, solve_sde, solve_with_flows
+from lentparticle.sde_engine import CoefficientSet, solve_sde
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -107,7 +107,7 @@ def test_criterion_2_flow_renderings_agree():
         coeffs = _random_linear_coeffs(rng, d, m1)
         cfg = simulate_configuration(model, horizon=0.7, seed=k)
         x0 = rng.uniform(-1.0, 1.0, d)
-        traj = solve_with_flows(coeffs, model, cfg, x0=x0, step=0.005)
+        traj = solve_sde(coeffs, model, cfg, x0=x0, step=0.005, flows=True)
         a = gamma_flow(traj, coeffs, bs).matrix
         b = gamma_flow_left(traj, coeffs, bs).matrix
         scale = max(float(np.abs(a).max()), 1e-30)
@@ -149,7 +149,7 @@ def test_criterion_3_flow_identities():
     worst_order = np.inf
     for seed in (0, 1, 2):
         cfg = simulate_configuration(model, horizon=1.0, seed=seed)
-        traj = solve_with_flows(coeffs, model, cfg, x0=x0, step=0.002)
+        traj = solve_sde(coeffs, model, cfg, x0=x0, step=0.002, flows=True)
         for i in range(traj.times.shape[0]):
             for k, kb in ((traj.flow[i], traj.inverse_flow[i]),
                           (traj.flow_left[i], traj.inverse_flow_left[i])):

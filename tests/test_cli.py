@@ -79,6 +79,39 @@ def test_missing_seed_is_config_error(tmp_path, capsys):
     assert "run.seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag_seed, ini_seed", [
+    ("-1", None),
+    (str(2 ** 64), None),
+    (None, "-1"),
+])
+def test_seed_out_of_range_is_config_error(tmp_path, capsys, flag_seed, ini_seed):
+    ini = "[run]\nscenario = doleans\n"
+    if ini_seed is not None:
+        ini += f"seed = {ini_seed}\n"
+    argv = ["simulate", "--config", write_config(tmp_path, ini), "--out", str(tmp_path / "o")]
+    if flag_seed is not None:
+        argv += ["--seed", flag_seed]
+    assert run_cli(*argv) == 2
+    assert "[0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_largest_seed_accepted(tmp_path):
+    cfg = write_config(tmp_path, DOLEANS_INI)
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", cfg, "--seed", str(2 ** 64 - 1), "--out", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("command", [["gamma"], ["example", "doleans"]],
+                         ids=["gamma", "example-doleans"])
+def test_eval_time_beyond_horizon_is_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, DOLEANS_INI + "eval_time = 2.0\n")
+    assert run_cli(*command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "numeric.eval_time" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_step_names_offending_key(tmp_path, capsys):
     cfg = write_config(tmp_path, "[run]\nscenario = doleans\nseed = 1\n\n[numeric]\nstep = 0\n")
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 2

@@ -3,7 +3,6 @@ import pytest
 
 from lentparticle.bottom_structure import intro_1d, isotropic
 from lentparticle.density_criteria import (
-    kde_density,
     monte_carlo_rank_stats,
     rank_diagnostic,
     regular_case_check,
@@ -125,14 +124,6 @@ def test_rank_stats_input_validation():
         monte_carlo_rank_stats("doleans", n_paths=5, epsilons=[-0.1], seed=1)
 
 
-def test_rank_stats_threads_match_serial():
-    a = monte_carlo_rank_stats("doleans", n_paths=6, epsilons=[0.06, 0.03], seed=2)
-    b = monte_carlo_rank_stats("doleans", n_paths=6, epsilons=[0.06, 0.03], seed=2, threads=3)
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra.full_rank_fraction == rb.full_rank_fraction
-        assert ra.median_min_eig == rb.median_min_eig
-
-
 def test_rank_stats_csv(tmp_path):
     table = monte_carlo_rank_stats("doleans", n_paths=4, epsilons=[0.06], seed=5)
     path = tmp_path / "stats.csv"
@@ -208,33 +199,3 @@ def test_regular_case_flags_diverging_mass_at_origin():
         coeffs1, intro_1d(), x=np.zeros(1), u0=np.zeros(1), radius=0.2
     )
     assert not flat.mass_diverging
-
-
-def test_kde_mass_and_accuracy():
-    g = np.random.default_rng(12)
-    samples = g.standard_normal(40_000)
-    res = kde_density(samples, grid=np.linspace(-4, 4, 201))
-    assert res.mass == pytest.approx(1.0, abs=2e-3)
-    target = np.exp(-res.grid ** 2 / 2) / np.sqrt(2 * np.pi)
-    assert np.max(np.abs(res.density - target)) < 0.01
-
-
-def test_kde_min_samples():
-    with pytest.raises(InputError):
-        kde_density(np.zeros(5))
-
-
-def test_kde_input_validation():
-    g = np.random.default_rng(3)
-    with pytest.raises(InputError):
-        kde_density(g.standard_normal(100), bandwidth=-1.0)
-    with pytest.raises(InputError):
-        kde_density(g.standard_normal((100, 2)))  # grid required for d > 1
-    with pytest.raises(InputError):
-        kde_density(np.array([np.inf] + [0.0] * 99))
-
-
-def test_kde_degenerate_samples_peak():
-    res = kde_density(np.zeros(100), grid=np.linspace(-1, 1, 101))
-    assert res.density[50] == np.max(res.density)
-    assert res.density[50] > 10.0

@@ -4,7 +4,6 @@ import pytest
 from lentparticle.errors import InputError
 from lentparticle.expressions import (
     compile_coefficient,
-    compile_mark_matrix,
     compile_mark_scalar,
     compile_scalar,
 )
@@ -36,12 +35,6 @@ def test_coefficient_sees_time_state_mark():
     c = compile_coefficient(["u1", "x2 * u1 + t"], 2, 1)
     out = c(0.5, np.array([0.0, 2.0]), np.array([0.3]))
     assert np.allclose(out, [0.3, 1.1])
-
-
-def test_matrix_compilation():
-    m = compile_mark_matrix([["u1^2", "0"], ["0", "u2^2"]], 2)
-    got = m(np.array([2.0, 3.0]))
-    assert np.allclose(got, np.diag([4.0, 9.0]))
 
 
 @pytest.mark.parametrize("bad", [

@@ -2,6 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import lentparticle.lent_particle as lent_particle
 
 from lentparticle.bottom_structure import intro_1d, isotropic
 from lentparticle.lent_particle import (
@@ -14,12 +18,11 @@ from lentparticle.lent_particle import (
     gamma_linear,
     gamma_rho_mc,
     linear_functional,
-    sharp_linear,
     sharp_sample,
 )
 from lentparticle.poisson_measure import JumpConfiguration, simulate_configuration
 from lentparticle.scenarios import doleans_coefficients, power_law_first_moment, power_law_model
-from lentparticle.sde_engine import solve_with_flows
+from lentparticle.sde_engine import solve_sde
 
 
 def _config(times, marks, horizon=1.0):
@@ -94,7 +97,7 @@ def _doleans_setup(seed=5):
     m1 = power_law_first_moment(eps)
     coeffs = doleans_coefficients(m1, 0.5)
     cfg = simulate_configuration(model, horizon=1.0, seed=seed)
-    traj = solve_with_flows(coeffs, model, cfg, x0=np.array([0.0, 1.0]), step=0.0025)
+    traj = solve_sde(coeffs, model, cfg, x0=np.array([0.0, 1.0]), step=0.0025, flows=True)
     return model, coeffs, cfg, traj
 
 
@@ -196,18 +199,6 @@ def test_sharp_of_constant_is_zero():
     assert gamma_generic(One(), cfg, bs).matrix[0, 0] == 0.0
 
 
-def test_sharp_linear_matches_generic_sharp():
-    cfg = _config([0.1, 0.6], [0.3, -0.2])
-    bs = intro_1d()
-    h = _square_h()
-    model = power_law_model(truncation=0.05)
-    F = linear_functional(h, model)
-    for draw in range(3):
-        a = sharp_linear(h, cfg, bs, rho_seed=14, draw_index=draw)
-        b = sharp_sample(F, cfg, bs, rho_seed=14, draw_index=draw)
-        assert np.allclose(a, b, rtol=1e-9, atol=1e-13)
-
-
 def test_rho_mc_determinism_and_average():
     cfg = _config([0.1, 0.3, 0.8], [0.2, -0.35, 0.15])
     bs = intro_1d()
@@ -240,13 +231,26 @@ def test_rho_mc_within_error_bars():
     assert np.all(np.abs(est.matrix - target) <= 4.0 * est.standard_errors + 1e-12)
 
 
-def test_rho_mc_threads_match_serial():
-    cfg = _config([0.1, 0.3, 0.8], [0.2, -0.35, 0.15])
+@settings(max_examples=20, deadline=None)
+@example(marks=[0.2, -0.35, 0.15], M=500, seed=6)
+@example(marks=[0.2, -0.35, 0.15], M=3 * 4096 + 7, seed=6)
+@given(
+    marks=st.lists(st.floats(0.05, 0.5) | st.floats(-0.5, -0.05), max_size=5),
+    M=st.integers(2, 4 * 4096),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_rho_mc_threads_match_serial(marks, M, seed):
+    # blocks of 4096 draw sets go to a thread pool sized by the usable CPUs
+    cfg = JumpConfiguration(np.linspace(0.1, 0.9, len(marks)), np.reshape(marks, (-1, 1)), 1.0)
     bs = intro_1d()
     F = linear_functional(_square_h(), power_law_model(truncation=0.05))
-    a = gamma_rho_mc(F, cfg, bs, M=500, seed=6, threads=1)
-    b = gamma_rho_mc(F, cfg, bs, M=500, seed=6, threads=4)
-    assert np.array_equal(a.matrix, b.matrix)
+    runs = []
+    for cpus in (1, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lent_particle, "_usable_cpus", lambda: cpus)
+            runs.append(gamma_rho_mc(F, cfg, bs, M=M, seed=seed))
+    assert np.array_equal(runs[0].matrix, runs[1].matrix)
+    assert np.array_equal(runs[0].standard_errors, runs[1].standard_errors)
 
 
 def test_multidim_gamma_matches_isotropic_weight():

@@ -33,7 +33,7 @@ from lentparticle.scenarios import (
     stable_like_pushforward_check,
     zeta,
 )
-from lentparticle.sde_engine import solve_with_flows
+from lentparticle.sde_engine import solve_sde
 
 
 # ---------------------------------------------------------------- exponential
@@ -253,7 +253,7 @@ def test_mckean_constant_sigma_reduces_to_plain_sde():
     )
     coeffs = doleans_like_constant_coeffs(0.8, m1)
     cfg = res.trajectory.config
-    traj = solve_with_flows(coeffs, model, cfg, x0=np.array([0.4]), step=0.01)
+    traj = solve_sde(coeffs, model, cfg, x0=np.array([0.4]), step=0.01, flows=True)
     assert np.allclose(res.trajectory.states, traj.states, rtol=1e-9, atol=1e-12)
     plain_gamma = gamma_flow(traj, coeffs, intro_1d())
     assert np.allclose(res.gamma.matrix, plain_gamma.matrix, rtol=1e-8, atol=1e-12)

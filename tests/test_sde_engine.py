@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lentparticle.errors import InputError, ModelError, NumericError, StateError
+from lentparticle.errors import InputError, ModelError
 from lentparticle.poisson_measure import JumpConfiguration, simulate_configuration as simulate
 from lentparticle.scenarios import power_law_first_moment, power_law_model, uniform_box_model
 from lentparticle.sde_engine import (
     CoefficientSet,
-    affine_solution,
     read_trajectory_csv,
-    solve_flow_derivative,
-    solve_inverse_flow,
     solve_sde,
-    solve_with_flows,
     validate_coefficients,
 )
 
@@ -60,6 +58,19 @@ def nonlinear_2d():
     )
 
 
+@st.composite
+def small_paths(draw):
+    """Coefficients, a configuration of up to six atoms, x0 and a step."""
+    coeffs = draw(st.sampled_from([nonlinear_2d(), linear_1d(rate=0.7, compensate=0.0)]))
+    times = sorted(draw(st.sets(st.floats(0.001, 1.0), max_size=6)))
+    mark = st.floats(0.1, 0.6) | st.floats(-0.6, -0.1)
+    marks = draw(st.lists(mark, min_size=len(times), max_size=len(times)))
+    x0 = draw(st.lists(st.floats(-1.0, 1.0), min_size=coeffs.dim, max_size=coeffs.dim))
+    step = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    cfg = JumpConfiguration(np.array(times), np.array(marks).reshape(-1, 1), horizon=1.0)
+    return coeffs, cfg, np.array(x0), step
+
+
 def test_pure_jump_linear_closed_form():
     model = _uniform_model()
     cfg = simulate(model, horizon=1.0, seed=3)
@@ -106,14 +117,17 @@ def test_left_limits_at_jumps():
         assert traj.states[row, 0] == pytest.approx(left * (1.0 + u), rel=1e-13)
 
 
-def test_flow_times_inverse_is_identity():
-    model = _uniform_model()
-    cfg = simulate(model, horizon=1.0, seed=21)
-    traj = solve_with_flows(nonlinear_2d(), model, cfg, x0=np.array([0.4, -0.2]), step=0.005)
+@settings(max_examples=30, deadline=None)
+@example((nonlinear_2d(), simulate(_uniform_model(), horizon=1.0, seed=21),
+          np.array([0.4, -0.2]), 0.005))
+@given(small_paths())
+def test_flow_times_inverse_is_identity(path):
+    coeffs, cfg, x0, step = path
+    traj = solve_sde(coeffs, _uniform_model(), cfg, x0=x0, step=step, flows=True)
     assert traj.has_flows()
-    for i in range(traj.times.shape[0]):
-        assert np.allclose(traj.flow[i] @ traj.inverse_flow[i], np.eye(2), atol=1e-9)
-        assert np.allclose(traj.flow_left[i] @ traj.inverse_flow_left[i], np.eye(2), atol=1e-9)
+    eye = np.eye(coeffs.dim)
+    assert np.abs(traj.flow @ traj.inverse_flow - eye).max() <= 1e-9
+    assert np.abs(traj.flow_left @ traj.inverse_flow_left - eye).max() <= 1e-9
 
 
 def test_flow_matches_finite_difference():
@@ -121,7 +135,7 @@ def test_flow_matches_finite_difference():
     cfg = simulate(model, horizon=1.0, seed=7)
     coeffs = nonlinear_2d()
     x0 = np.array([0.4, -0.2])
-    traj = solve_with_flows(coeffs, model, cfg, x0=x0, step=0.002)
+    traj = solve_sde(coeffs, model, cfg, x0=x0, step=0.002, flows=True)
     t = 1.0
     delta = 1e-6
     fd = np.empty((2, 2))
@@ -135,64 +149,18 @@ def test_flow_matches_finite_difference():
     assert np.allclose(fd, k, rtol=1e-5, atol=1e-8)
 
 
-def test_solve_with_flows_reproduces_states():
+@settings(max_examples=30, deadline=None)
+@example((nonlinear_2d(), simulate(_uniform_model(), horizon=1.0, seed=30),
+          np.array([0.1, 0.3]), 0.01))
+@given(small_paths())
+def test_solve_with_flows_reproduces_states(path):
+    coeffs, cfg, x0, step = path
     model = _uniform_model()
-    cfg = simulate(model, horizon=1.0, seed=30)
-    coeffs = nonlinear_2d()
-    x0 = np.array([0.1, 0.3])
-    a = solve_sde(coeffs, model, cfg, x0=x0, step=0.01)
-    b = solve_with_flows(coeffs, model, cfg, x0=x0, step=0.01)
-    assert np.array_equal(a.states, b.states)
+    a = solve_sde(coeffs, model, cfg, x0=x0, step=step)
+    b = solve_sde(coeffs, model, cfg, x0=x0, step=step, flows=True)
     assert np.array_equal(a.times, b.times)
-
-
-def test_affine_solution_pure_jump_recursion():
-    # independent forward recursion for S_t = R_t + sum of Sigma jumps acting
-    # on S_{s-}; with no drift the flow is constant between jump rows
-    model = _uniform_model()
-    cfg = simulate(model, horizon=1.0, seed=17)
-    assert cfg.n_atoms >= 2
-    coeffs = linear_1d(compensate=0.0)
-    traj = solve_with_flows(coeffs, model, cfg, x0=np.array([1.0]), step=0.01)
-    m = traj.times.shape[0]
-    rng = np.random.default_rng(55)
-    r = np.cumsum(rng.standard_normal((m, 1)) * traj.is_jump[:, None], axis=0) + 1.0
-
-    expected = np.empty((m, 1))
-    s = r[0].copy()
-    expected[0] = s
-    for i in range(1, m):
-        s_left = s + (r[i - 1] - r[i - 1])  # R is pure jump: left limit = prev value
-        if traj.is_jump[i]:
-            u = cfg.marks[traj.atom_index[i]]
-            dxc = coeffs.dx_c(traj.times[i], traj.states_left[i], u)
-            s = s_left + dxc @ s_left + (r[i] - r[i - 1])
-        else:
-            s = s_left
-        expected[i] = s
-
-    got = affine_solution(traj, r)
-    assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
-
-
-def test_affine_solution_constant_r_is_flow_action():
-    model = _uniform_model()
-    cfg = simulate(model, horizon=1.0, seed=18)
-    coeffs = nonlinear_2d()
-    traj = solve_with_flows(coeffs, model, cfg, x0=np.array([0.4, -0.2]), step=0.005)
-    r0 = np.array([0.7, -1.2])
-    r = np.tile(r0, (traj.times.shape[0], 1))
-    got = affine_solution(traj, r)
-    expect = np.einsum("tij,j->ti", traj.flow, r0)
-    assert np.allclose(got, expect, rtol=1e-9, atol=1e-12)
-
-
-def test_affine_solution_requires_flows():
-    model = _uniform_model()
-    cfg = simulate(model, horizon=1.0, seed=2)
-    traj = solve_sde(linear_1d(compensate=0.0), model, cfg, x0=np.array([1.0]), step=0.01)
-    with pytest.raises(StateError):
-        affine_solution(traj, np.zeros((traj.times.shape[0], 1)))
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.states_left, b.states_left)
 
 
 def test_singular_jump_update_rejected():
@@ -209,7 +177,7 @@ def test_singular_jump_update_rejected():
         dx_compensator=lambda t, x: np.zeros((1, 1)),
     )
     with pytest.raises(ModelError):
-        solve_with_flows(coeffs, model, cfg, x0=np.array([1.0]), step=0.01)
+        solve_sde(coeffs, model, cfg, x0=np.array([1.0]), step=0.01, flows=True)
 
 
 def test_domination_bound_enforced():
@@ -249,7 +217,7 @@ def test_trajectory_csv_round_trip(tmp_path):
 
     model = _uniform_model()
     cfg = simulate(model, horizon=1.0, seed=40)
-    traj = solve_with_flows(nonlinear_2d(), model, cfg, x0=np.array([0.4, -0.2]), step=0.01)
+    traj = solve_sde(nonlinear_2d(), model, cfg, x0=np.array([0.4, -0.2]), step=0.01, flows=True)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     back = read_trajectory_csv(path)
@@ -268,28 +236,6 @@ def test_value_at_outside_range():
 
     with pytest.raises(DomainError):
         traj.value_at(2.0)
-
-
-def test_inverse_flow_methods_agree():
-    model = _uniform_model()
-    cfg = simulate(model, horizon=1.0, seed=14)
-    coeffs = nonlinear_2d()
-    traj = solve_sde(coeffs, model, cfg, x0=np.array([0.5, -0.1]), step=0.005)
-    solve_flow_derivative(traj)
-    solve_inverse_flow(traj, method="direct_sde")
-    by_sde = traj.inverse_flow.copy()
-    by_sde_left = traj.inverse_flow_left.copy()
-    solve_inverse_flow(traj, method="per_step_inverse")
-    assert np.abs(traj.inverse_flow - by_sde).max() <= 1e-8
-    assert np.abs(traj.inverse_flow_left - by_sde_left).max() <= 1e-8
-
-
-def test_inverse_flow_unknown_method():
-    model = _uniform_model()
-    cfg = simulate(model, horizon=1.0, seed=14)
-    traj = solve_sde(nonlinear_2d(), model, cfg, x0=np.array([0.5, -0.1]), step=0.01)
-    with pytest.raises(InputError):
-        solve_inverse_flow(traj, method="schulz")
 
 
 def test_ode_self_convergence_fourth_order():
