@@ -75,15 +75,11 @@ from .poisson_measure import (
 from .rng import path_seed, stream
 from .scenarios import (
     DoleansPairFunctional,
-    DoleansResult,
     GeneratorCheckReport,
-    LevyAreaResult,
     McKeanResult,
     Scenario,
-    doleans_dade,
     get_scenario,
     graph_levy_model,
-    levy_area,
     mckean_vlasov,
     polar_levy_model,
     power_law_model,

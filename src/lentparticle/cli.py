@@ -13,43 +13,53 @@ command can be passed back as ``--config``: it carries the full config echo,
 so reruns are byte-identical.  No command reads the clock; all randomness
 descends from the seed.
 
-Exit codes: 0 success, 1 runtime or numeric failure, 2 configuration error.
+Named scenarios take as ``[model]`` keys the keyword parameters of their
+builder in :mod:`lentparticle.scenarios`; ``example doleans|levy-area-*``
+runs the ``gamma`` (theorem9) pipeline and adds closed-form terminal values.
+Every command reads its whole config and computes its results before it
+creates ``--out``.
+
+Exit codes: 0 success, 1 runtime or numeric failure, 2 configuration error
+or work above an admission limit.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._serialise import json_default, write_csv
 from .bottom_structure import (
     BottomStructure,
     from_expressions,
     standard_instances,
 )
-from .density_criteria import monte_carlo_rank_stats, rank_diagnostic
+from .density_criteria import monte_carlo_rank_stats, rank_diagnostic, span_dimension
 from .errors import ConfigFileError, InputError, LentParticleError
 from .expressions import compile_coefficient
 from .lent_particle import (
-    GammaMatrix,
     SdeFunctional,
     gamma_flow,
     gamma_flow_left,
     gamma_generic,
     gamma_rho_mc,
 )
-from .poisson_measure import TruncatedLevyModel, simulate_configuration
+from .poisson_measure import TruncatedLevyModel
 from .scenarios import (
+    SCENARIO_NAMES,
     DoleansPairFunctional,
     Scenario,
-    doleans_dade,
+    area_closed_gamma,
+    doleans_exponential,
     get_scenario,
-    levy_area,
     mckean_vlasov,
     power_law_first_moment,
     power_law_model,
@@ -80,14 +90,6 @@ _KNOWN_KEYS = {
     "gamma": {"formula", "include_terms"},
     "structure": {"name", "k", "psi"},
     "coefficients": {"state_dim", "x0"},
-}
-
-# which [model] keys each named scenario understands
-_SCENARIO_MODEL_KEYS = {
-    "doleans": {"truncation", "alpha", "bound", "asymmetry"},
-    "levy-area-1": {"truncation", "angular_coefficient"},
-    "levy-area-2": {"truncation", "alpha", "bound", "asymmetry"},
-    "null": {"truncation"},
 }
 
 
@@ -206,6 +208,13 @@ def _get_float_list(cfg, section, key):
     return out
 
 
+def _load_run(args) -> tuple[dict, int]:
+    """The checked ``--config`` and the seed the run descends from."""
+    cfg = _load_config(args.config)
+    _check_known_keys(cfg)
+    return cfg, _resolve_seed(args, cfg)
+
+
 def _resolve_seed(args, cfg) -> int:
     if args.seed is not None:
         seed, source = int(args.seed), "--seed"
@@ -227,35 +236,27 @@ def _resolve_seed(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 
 def _numeric_overrides(cfg) -> dict:
-    out = {}
-    step = _get(cfg, "numeric", "step")
-    if step is not None:
-        out["step"] = _get_float(cfg, "numeric", "step", positive=True)
-    horizon = _get(cfg, "numeric", "horizon")
-    if horizon is not None:
-        out["horizon"] = _get_float(cfg, "numeric", "horizon", positive=True)
-    ev = _get(cfg, "numeric", "eval_time")
-    if ev is not None:
-        out["eval_time"] = _get_float(cfg, "numeric", "eval_time", positive=True)
-    return out
+    return {
+        key: _get_float(cfg, "numeric", key, positive=True)
+        for key in ("step", "horizon", "eval_time")
+        if _get(cfg, "numeric", key) is not None
+    }
 
 
 def _named_scenario(name: str, cfg) -> Scenario:
-    allowed = _SCENARIO_MODEL_KEYS[name]
     overrides: dict = {}
-    for key, raw in cfg.get("model", {}).items():
+    for key in cfg.get("model", {}):
         if key == "kind":
             raise ConfigFileError("model.kind: only meaningful for scenario = custom")
-        if key not in allowed:
-            raise ConfigFileError(f"model.{key}: not accepted by scenario {name!r}")
         overrides[key] = _get_float(cfg, "model", key)
-    overrides.update(_numeric_overrides(cfg))
     if "truncation" in overrides and overrides["truncation"] <= 0:
         raise ConfigFileError("model.truncation: must be > 0")
     try:
-        return get_scenario(name, **overrides)
+        return get_scenario(name, **overrides, **_numeric_overrides(cfg))
     except InputError as exc:
-        raise ConfigFileError(str(exc)) from exc
+        # every builder takes the [numeric] keys, so what get_scenario
+        # refuses is a [model] key, and its message starts with that key
+        raise ConfigFileError(f"model.{exc}") from exc
 
 
 def _custom_model(cfg) -> TruncatedLevyModel:
@@ -389,12 +390,12 @@ def _scenario_from_config(cfg, name: str | None = None) -> Scenario:
         raise ConfigFileError("run.scenario: required")
     if name == "custom":
         scenario = _custom_scenario(cfg)
-    elif name in _SCENARIO_MODEL_KEYS:
+    elif name in SCENARIO_NAMES:
         scenario = _named_scenario(name, cfg)
     else:
         raise ConfigFileError(
             "run.scenario: unknown scenario "
-            f"{name!r}; available: {', '.join(sorted(_SCENARIO_MODEL_KEYS))}, custom"
+            f"{name!r}; available: {', '.join(SCENARIO_NAMES)}, custom"
         )
     if scenario.eval_time > scenario.horizon:
         raise ConfigFileError(
@@ -409,35 +410,33 @@ def _scenario_from_config(cfg, name: str | None = None) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(obj, sort_keys=True, indent=2, default=json_default)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_samples_csv(path: Path, header: list[str], rows) -> None:
-    import csv
+def _write_run(args, command: str, cfg, seed: int, outputs: dict) -> Path:
+    """Create ``--out``, call each ``outputs[name](path)``, then write the manifest.
 
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([format(float(v), ".17g") for v in row])
-
-
-def _manifest(out_dir: Path, command: str, cfg, seed: int, outputs: list[str]) -> None:
+    Commands call this last, once every input is read and every result is
+    computed, so a failed run leaves no output directory behind.
+    """
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write in outputs.items():
+        write(out_dir / name)
     # the echo carries the *resolved* seed so that feeding the manifest back
     # via --config reproduces the run even when the seed was originally given
     # on the command line
     echo = {sec: dict(keys) for sec, keys in cfg.items()}
-    run = dict(echo.get("run", {}))
-    run["seed"] = str(int(seed))
-    echo["run"] = run
-    doc = {
+    echo["run"] = {**echo.get("run", {}), "seed": str(int(seed))}
+    _write_json(out_dir / "manifest.json", {
         "command": command,
         "config": echo,
         "outputs": sorted(outputs),
         "seed": int(seed),
         "version": __version__,
-    }
-    _write_json(out_dir / "manifest.json", doc)
+    })
+    return out_dir
 
 
 def _cross_check(reference_tag: str, reference: np.ndarray, candidate: np.ndarray,
@@ -456,24 +455,18 @@ def _cross_check(reference_tag: str, reference: np.ndarray, candidate: np.ndarra
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    _check_known_keys(cfg)
-    seed = _resolve_seed(args, cfg)
+    cfg, seed = _load_run(args)
     scenario = _scenario_from_config(cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = scenario.simulate(seed=seed)
     _, _, traj = scenario.pipeline(config, t=scenario.horizon)
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
-    _manifest(out_dir, "simulate", cfg, seed, ["trajectory.csv"])
+    out_dir = _write_run(args, "simulate", cfg, seed,
+                         {"trajectory.csv": partial(write_trajectory_csv, traj)})
     print(f"wrote {out_dir / 'trajectory.csv'} ({config.n_atoms} jumps)")
     return 0
 
 
 def cmd_gamma(args) -> int:
-    cfg = _load_config(args.config)
-    _check_known_keys(cfg)
-    seed = _resolve_seed(args, cfg)
+    cfg, seed = _load_run(args)
     tag = _get(cfg, "gamma", "formula", "theorem9")
     if tag not in _GAMMA_TAGS:
         raise ConfigFileError(
@@ -482,8 +475,6 @@ def cmd_gamma(args) -> int:
     include_terms = _get_bool(cfg, "gamma", "include_terms", False)
     draws = _get_int(cfg, "numeric", "draws", default=10000, minimum=2)
     scenario = _scenario_from_config(cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     config = scenario.simulate(seed=seed)
     model, coeffs, traj = scenario.pipeline(config)
@@ -499,12 +490,8 @@ def cmd_gamma(args) -> int:
         check = _cross_check("theorem9", flow.matrix, flow_left.matrix, 1e-10)
     else:
         if scenario.name == "doleans":
-            m1 = power_law_first_moment(
-                model.truncation,
-                alpha=_get_float(cfg, "model", "alpha", 1.0),
-                bound=_get_float(cfg, "model", "bound", 0.5),
-                asymmetry=_get_float(cfg, "model", "asymmetry", 0.5),
-            )
+            # the compensator at the origin is (m1, 0)
+            m1 = coeffs.compensator(0.0, np.zeros(2))[0]
             functional = DoleansPairFunctional(m1, t)
             fd_tol = 1e-8 * (1.0 + float(np.max(np.abs(flow.matrix))))
         else:
@@ -523,10 +510,9 @@ def cmd_gamma(args) -> int:
     doc = {
         "cross_check": check,
         "gamma": gm.to_json_dict(include_terms=include_terms),
-        "rank": rank.to_json_dict(),
+        "rank": rank,
     }
-    _write_json(out_dir / "gamma.json", doc)
-    _manifest(out_dir, "gamma", cfg, seed, ["gamma.json"])
+    _write_run(args, "gamma", cfg, seed, {"gamma.json": partial(_write_json, obj=doc)})
     print(
         f"gamma[{tag}] at t={t:g}: rank {rank.rank}/{gm.matrix.shape[0]}, "
         f"cross-check diff {check['max_abs_difference']:.3g}"
@@ -535,112 +521,96 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_rank_stats(args) -> int:
-    cfg = _load_config(args.config)
-    _check_known_keys(cfg)
-    seed = _resolve_seed(args, cfg)
+    cfg, seed = _load_run(args)
     scenario = _scenario_from_config(cfg)
     epsilons = _get_float_list(cfg, "numeric", "epsilons")
     if not epsilons:
         raise ConfigFileError("numeric.epsilons: at least one truncation level required")
     n_paths = _get_int(cfg, "numeric", "n_paths", default=100, minimum=1)
     rel_tol = _get_float(cfg, "numeric", "rank_tolerance", default=1e-8, positive=True)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     table = monte_carlo_rank_stats(scenario, n_paths, epsilons, seed, rel_tol=rel_tol)
-    table.to_csv(out_dir / "rank_stats.csv")
-    summary = table.to_json_dict()
-    summary["scenario"] = scenario.name
-    summary["seed"] = int(seed)
-    _write_json(out_dir / "summary.json", summary)
-    _manifest(out_dir, "rank-stats", cfg, seed, ["rank_stats.csv", "summary.json"])
+    summary = {**dataclasses.asdict(table), "scenario": scenario.name, "seed": int(seed)}
+    _write_run(args, "rank-stats", cfg, seed, {
+        "rank_stats.csv": table.to_csv,
+        "summary.json": partial(_write_json, obj=summary),
+    })
     frac = ", ".join(f"{row.full_rank_fraction:.3f}" for row in table.rows)
     print(f"full-rank fractions over eps {epsilons}: {frac}")
     return 0
 
 
-def _example_scenario_gamma(scenario: Scenario, seed: int, out_dir: Path) -> list[str]:
-    name = scenario.name
+def _example_scenario_gamma(scenario: Scenario, seed: int) -> dict:
+    """``gamma`` (theorem9) plus the closed form's own terminal values."""
     config = scenario.simulate(seed=seed)
-    model = scenario.model()
-    if name == "doleans":
-        res = doleans_dade(model, scenario.eval_time, seed, step=scenario.step,
-                           bottom=scenario.bottom, config=config,
-                           first_moment=None)
-        pipe, closed = res.gamma_pipeline, res.gamma_closed
-        extra = {"terminal": {"exponential": res.exponential, "y": res.y_t}}
-        traj = res.trajectory
+    _, coeffs, traj = scenario.pipeline(config)
+    t = scenario.eval_time
+    pipe = gamma_flow(traj, coeffs, scenario.bottom, t)
+    closed = scenario.gamma_of(config)
+    # the compensator at the origin starts with the first moment of the marks
+    m1 = coeffs.compensator(0.0, np.zeros(scenario.dim))
+    if scenario.name == "doleans":
+        y_t, e_t = doleans_exponential(config, m1[0], t)
+        extra = {"terminal": {"exponential": e_t, "y": y_t}}
     else:
-        case = "isotropic_case1" if name == "levy-area-1" else "graph_case2"
-        coeffs = scenario.make_coeffs(model)
-        m1 = coeffs.compensator(0.0, np.zeros(3))[:2]
-        res = levy_area(model, scenario.eval_time, seed, case=case,
-                        step=scenario.step, bottom=scenario.bottom,
-                        config=config, first_moment=m1)
-        pipe, closed = res.gamma_pipeline, res.gamma_closed
+        _, v, span = area_closed_gamma(config, m1[:2], scenario.bottom, t)
         extra = {
-            "span_dimension": int(res.span_dim),
-            "terminal": {"area": float(res.v[2]), "x1": float(res.v[0]), "x2": float(res.v[1])},
+            "span_dimension": span_dimension(span),
+            "terminal": {"area": v[2], "x1": v[0], "x2": v[1]},
         }
-        traj = res.trajectory
     scale = 1.0 + float(np.linalg.norm(closed))
     check = _cross_check("closed_form", closed, pipe.matrix, 1e-9 * scale)
     doc = {
         "cross_check": check,
         "gamma": pipe.to_json_dict(),
-        "rank": rank_diagnostic(pipe).to_json_dict(),
+        "rank": rank_diagnostic(pipe),
+        **extra,
     }
-    doc.update(extra)
-    _write_json(out_dir / "gamma.json", doc)
-    write_trajectory_csv(traj, out_dir / "samples.csv")
     print(
-        f"{name}: closed-form vs pipeline max diff "
+        f"{scenario.name}: closed-form vs pipeline max diff "
         f"{check['max_abs_difference']:.3g} over {config.n_atoms} jumps"
     )
-    return ["gamma.json", "samples.csv"]
+    return {
+        "gamma.json": partial(_write_json, obj=doc),
+        "samples.csv": partial(write_trajectory_csv, traj),
+    }
 
 
-def _example_mckean(cfg, seed: int, out_dir: Path) -> list[str]:
-    model = power_law_model(
-        _get_float(cfg, "model", "truncation", 0.05, positive=True),
-        alpha=_get_float(cfg, "model", "alpha", 1.0),
-        bound=_get_float(cfg, "model", "bound", 0.5),
-        asymmetry=_get_float(cfg, "model", "asymmetry", 0.5),
-    )
+def _example_mckean(cfg, seed: int) -> dict:
+    truncation = _get_float(cfg, "model", "truncation", 0.05, positive=True)
+    alpha = _get_float(cfg, "model", "alpha", 1.0)
+    bound = _get_float(cfg, "model", "bound", 0.5)
+    asymmetry = _get_float(cfg, "model", "asymmetry", 0.5)
+    horizon = _get_float(cfg, "numeric", "horizon", 1.0, positive=True)
+    step = _get_float(cfg, "numeric", "step", 0.01, positive=True)
+    model = power_law_model(truncation, alpha=alpha, bound=bound, asymmetry=asymmetry)
 
     def sigma(x: float, law: np.ndarray) -> float:
         return 0.6 + 0.2 * math.tanh(x) + 0.2 * math.tanh(float(np.mean(law)))
 
     res = mckean_vlasov(
-        sigma, particles=24, picard_iters=3, model=model,
-        t=_get_float(cfg, "numeric", "horizon", 1.0, positive=True),
-        seed=seed,
-        step=_get_float(cfg, "numeric", "step", 0.01, positive=True),
-        first_moment=power_law_first_moment(
-            model.truncation,
-            _get_float(cfg, "model", "alpha", 1.0),
-            _get_float(cfg, "model", "bound", 0.5),
-            _get_float(cfg, "model", "asymmetry", 0.5),
-        ),
+        sigma, particles=24, picard_iters=3, model=model, t=horizon, seed=seed, step=step,
+        first_moment=power_law_first_moment(truncation, alpha, bound, asymmetry),
     )
     doc = {
         "aa_invertible": res.aa_invertible,
         "aa_value": res.aa_value,
         "gamma": res.gamma.to_json_dict(),
-        "picard_residuals": [float(r) for r in res.picard_residuals],
-        "rank": rank_diagnostic(res.gamma).to_json_dict(),
+        "picard_residuals": res.picard_residuals,
+        "rank": rank_diagnostic(res.gamma),
     }
-    _write_json(out_dir / "gamma.json", doc)
-    _write_samples_csv(out_dir / "samples.csv", ["particle", "x_t"],
-                       [(i, v) for i, v in enumerate(res.samples)])
     print(
         f"mckean: picard residuals {['%.3g' % r for r in res.picard_residuals]}, "
         f"gamma = {res.gamma.matrix[0, 0]:.6g}"
     )
-    return ["gamma.json", "samples.csv"]
+    return {
+        "gamma.json": partial(_write_json, obj=doc),
+        "samples.csv": partial(write_csv, header=["particle", "x_t"],
+                               rows=enumerate(res.samples)),
+    }
 
 
-def _example_stable_like(cfg, seed: int, out_dir: Path) -> list[str]:
+def _example_stable_like(cfg, seed: int) -> dict:
     u0 = 1.0
     x = 0.3
     band = (0.9, 1.7)
@@ -655,47 +625,38 @@ def _example_stable_like(cfg, seed: int, out_dir: Path) -> list[str]:
         alpha_fn, u0, x, math.cos, h, draws, seed, band=band,
     )
     doc = {
-        "generator_check": gen.to_json_dict(),
-        "pushforward_max_relative_error": float(push),
+        "generator_check": gen,
+        "pushforward_max_relative_error": push,
         "zeta": {"0.5": zeta(0.5), "1.0": zeta(1.0), "1.5": zeta(1.5)},
     }
-    _write_json(out_dir / "diagnostics.json", doc)
-    zs = np.linspace(0.0, 20.0, 201)
     e1 = np.ones(1)
     rows = [
-        (z, float(np.linalg.norm(
+        (z, np.linalg.norm(
             stable_like_coefficient(alpha_fn, u0, np.array([x]), float(z), e1, band)
-        )))
-        for z in zs
+        ))
+        for z in np.linspace(0.0, 20.0, 201)
     ]
-    _write_samples_csv(out_dir / "samples.csv", ["z", "jump_magnitude"], rows)
     print(
         f"stable-like: pushforward residual {push:.3g}, generator residual "
         f"{gen.residual:.3g} (threshold {gen.threshold:.3g}, "
         f"{'pass' if gen.passed else 'FAIL'})"
     )
-    return ["diagnostics.json", "samples.csv"]
+    return {
+        "diagnostics.json": partial(_write_json, obj=doc),
+        "samples.csv": partial(write_csv, header=["z", "jump_magnitude"], rows=rows),
+    }
 
 
 def cmd_example(args) -> int:
-    cfg = _load_config(args.config)
-    _check_known_keys(cfg)
-    seed = _resolve_seed(args, cfg)
+    cfg, seed = _load_run(args)
     name = args.name
-    scenario = None
-    if name in ("doleans", "levy-area-1", "levy-area-2"):
-        scenario = _scenario_from_config(cfg, name)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if scenario is not None:
-        outputs = _example_scenario_gamma(scenario, seed, out_dir)
-    elif name == "mckean":
-        outputs = _example_mckean(cfg, seed, out_dir)
+    if name == "mckean":
+        outputs = _example_mckean(cfg, seed)
     elif name == "stable-like":
-        outputs = _example_stable_like(cfg, seed, out_dir)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigFileError(f"unknown example {name!r}")
-    _manifest(out_dir, f"example {name}", cfg, seed, outputs)
+        outputs = _example_stable_like(cfg, seed)
+    else:
+        outputs = _example_scenario_gamma(_scenario_from_config(cfg, name), seed)
+    _write_run(args, f"example {name}", cfg, seed, outputs)
     return 0
 
 

@@ -24,13 +24,13 @@ Provided checks:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
 
+from ._serialise import write_csv
 from .bottom_structure import BottomStructure, gamma_matrix
 from .errors import DomainError, InputError, NumericError
 from .lent_particle import GammaMatrix, gamma_flow
@@ -67,18 +67,6 @@ class RankReport:
     threshold: float             # absolute cut = tolerance * sigma_max
     gap: float                   # distance from the cut to the nearest side
     indeterminate: bool          # gap < 10 * threshold
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": int(self.rank),
-            "singular_values": [float(v) for v in self.singular_values],
-            "min_eigenvalue": float(self.min_eigenvalue),
-            "full_rank": bool(self.full_rank),
-            "tolerance": float(self.tolerance),
-            "threshold": float(self.threshold),
-            "gap": float(self.gap),
-            "indeterminate": bool(self.indeterminate),
-        }
 
 
 def _as_symmetric(g) -> np.ndarray:
@@ -133,13 +121,6 @@ class ScanResult:
     witness: int | None          # atom index of the first full-rank summand
     term_ranks: list[int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "satisfied": bool(self.satisfied),
-            "witness": None if self.witness is None else int(self.witness),
-            "term_ranks": [int(v) for v in self.term_ranks],
-        }
-
 
 def sufficient_condition_scan(
     traj: Trajectory,
@@ -184,18 +165,6 @@ class RegularCaseReport:
     mass_radii: np.ndarray
     annulus_masses: np.ndarray
     mass_diverging: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "gamma_center": [[float(v) for v in row] for row in self.gamma_center],
-            "min_eigenvalue": float(self.min_eigenvalue),
-            "continuity_max_rel_variation": float(self.continuity_max_rel_variation),
-            "probes_used": int(self.probes_used),
-            "mass_radii": [float(v) for v in self.mass_radii],
-            "annulus_masses": [float(v) for v in self.annulus_masses],
-            "mass_diverging": bool(self.mass_diverging),
-        }
 
 
 def _ball_annulus_mass(bs: BottomStructure, u0: np.ndarray, r_in: float, r_out: float) -> float:
@@ -343,33 +312,13 @@ class RankStatsRow:
 class RankStatsTable:
     rows: list[RankStatsRow]
     monotone_nondecreasing: bool
-    rel_tol: float
+    rank_tolerance: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epsilon", "n_paths", "full_rank_fraction", "median_min_eig"])
-            for row in self.rows:
-                w.writerow([
-                    format(row.epsilon, ".17g"), str(row.n_paths),
-                    format(row.full_rank_fraction, ".17g"),
-                    format(row.median_min_eig, ".17g"),
-                ])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "epsilon": float(r.epsilon),
-                    "n_paths": int(r.n_paths),
-                    "full_rank_fraction": float(r.full_rank_fraction),
-                    "median_min_eig": float(r.median_min_eig),
-                }
-                for r in self.rows
-            ],
-            "monotone_nondecreasing": bool(self.monotone_nondecreasing),
-            "rank_tolerance": float(self.rel_tol),
-        }
+        write_csv(
+            path, ["epsilon", "n_paths", "full_rank_fraction", "median_min_eig"],
+            ([r.epsilon, r.n_paths, r.full_rank_fraction, r.median_min_eig] for r in self.rows),
+        )
 
 
 def monte_carlo_rank_stats(
@@ -429,4 +378,4 @@ def monte_carlo_rank_stats(
     by_desc_eps = sorted(rows, key=lambda r: -r.epsilon)
     fractions = [r.full_rank_fraction for r in by_desc_eps]
     monotone = all(b >= a - 1e-15 for a, b in zip(fractions, fractions[1:]))
-    return RankStatsTable(rows=rows, monotone_nondecreasing=monotone, rel_tol=rel_tol)
+    return RankStatsTable(rows=rows, monotone_nondecreasing=monotone, rank_tolerance=rel_tol)

@@ -28,7 +28,6 @@ linear / rho_mc`` to label which rendering produced a matrix.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -144,9 +143,6 @@ class GammaMatrix:
         if self.standard_errors is not None:
             out["standard_errors"] = [[float(v) for v in row] for row in self.standard_errors]
         return out
-
-    def to_json(self, include_terms: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_terms), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate
 
+from ._serialise import write_csv
 from .errors import ConfigurationError, DomainError, InputError, ModelError, NumericError
 from .rng import DOMAIN_ATOMS, stream
 
@@ -34,6 +35,10 @@ __all__ = [
     "write_configuration_csv",
     "read_configuration_csv",
 ]
+
+# Admission limit on the Poisson mean ``mass * horizon``: a simulation whose
+# expected atom count exceeds it is refused before any draw.
+MAX_EXPECTED_ATOMS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +204,14 @@ def simulate_configuration(model: TruncatedLevyModel, horizon: float, seed: int)
     """
     if not np.isfinite(horizon) or horizon <= 0:
         raise DomainError(f"horizon must be finite and > 0, got {horizon}")
+    mean = model.mass * horizon
+    if not mean <= MAX_EXPECTED_ATOMS:
+        raise InputError(
+            f"expected atom count {mean:.3g} (mass {model.mass:.3g} x horizon {horizon:g}) "
+            f"exceeds the limit of {MAX_EXPECTED_ATOMS}; raise the truncation"
+        )
     g = stream(seed, DOMAIN_ATOMS)
-    n = int(g.poisson(model.mass * horizon))
+    n = int(g.poisson(mean))
     r = model.mark_dimension
     if n == 0:
         return JumpConfiguration(np.empty(0), np.empty((0, r)), horizon)
@@ -442,18 +453,10 @@ def compensated_integral(
 # CSV round-trip
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_configuration_csv(config: JumpConfiguration, path) -> None:
     """Write atoms as RFC-4180 CSV with columns ``time, mark_1..mark_r``."""
-    r = config.mark_dimension
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time"] + [f"mark_{j + 1}" for j in range(r)])
-        for i in range(config.n_atoms):
-            w.writerow([_fmt(config.times[i])] + [_fmt(v) for v in config.marks[i]])
+    header = ["time"] + [f"mark_{j + 1}" for j in range(config.mark_dimension)]
+    write_csv(path, header, np.column_stack([config.times, config.marks]).tolist())
 
 
 def read_configuration_csv(path, horizon: float) -> JumpConfiguration:

@@ -15,9 +15,17 @@ Shipped scenarios:
   from a polar-factorised intensity, isotropic mark structure;
 * ``levy-area-2``  -- same functional with marks carried by the parabola
   ``x2 = x1^2`` and a rank-one tangential structure along it;
-* ``null``         -- zero jump coefficient (every Gamma vanishes);
+* ``null``         -- zero jump coefficient (every Gamma vanishes).
 
-plus two scenario families exposed as functions rather than Scenario
+``get_scenario(name, **overrides)`` builds one; the keyword parameters of
+its builder are the overrides it accepts, and any other key raises
+:class:`InputError`.  ``Scenario.simulate`` draws a configuration,
+``Scenario.run`` integrates it with its flows and assembles Gamma, and
+``Scenario.gamma_of`` returns the closed form where one exists.  A builder
+also refuses parameters its closed form cannot take: the ``doleans``
+exponential needs ``bound < 1``, so that no mark reaches -1.
+
+There are two scenario families exposed as functions rather than Scenario
 records: an interacting-particle mean-field model solved by law-freezing
 fixed-point iteration (``mckean_vlasov``), and the variable-order
 stable-like coefficient construction with its normalisation constant,
@@ -26,6 +34,7 @@ pushforward and generator checks (``zeta``, ``stable_like_*``).
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,7 +44,6 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from .bottom_structure import BottomStructure, intro_1d, isotropic, psi_over_k
-from .density_criteria import span_dimension
 from .errors import (
     ConvergenceWarning,
     DomainError,
@@ -51,7 +59,7 @@ from .poisson_measure import (
     simulate_configuration,
 )
 from .rng import DOMAIN_ATOMS, DOMAIN_PARTICLE, stream
-from .sde_engine import CoefficientSet, Trajectory, _rk4_interval, solve_sde
+from .sde_engine import CoefficientSet, Trajectory, _regular_grid, _rk4_interval, solve_sde
 
 __all__ = [
     "power_law_model",
@@ -63,12 +71,8 @@ __all__ = [
     "Scenario",
     "get_scenario",
     "SCENARIO_NAMES",
-    "DoleansResult",
-    "doleans_dade",
     "doleans_exponential",
     "DoleansPairFunctional",
-    "LevyAreaResult",
-    "levy_area",
     "McKeanResult",
     "mckean_vlasov",
     "zeta",
@@ -358,8 +362,11 @@ def doleans_exponential(config: JumpConfiguration, first_moment: float,
 
 
 def doleans_coefficients(first_moment: float, bound: float) -> CoefficientSet:
-    """Pair SDE for (Y, E): both components jump proportionally to the mark."""
-    eta_base = max(1.0, 1.0 / (1.0 - bound)) if bound < 1.0 else None
+    """Pair SDE for (Y, E): both components jump proportionally to the mark.
+
+    Marks lie in ``(-bound, bound)`` with ``bound < 1``, so ``1 + u > 0``.
+    """
+    eta_base = max(1.0, 1.0 / (1.0 - bound))
 
     def c(t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.array([u[0], x[1] * u[0]])
@@ -372,9 +379,7 @@ def doleans_coefficients(first_moment: float, bound: float) -> CoefficientSet:
 
     comp = lambda t, x: np.array([first_moment, x[1] * first_moment])
     dcomp = lambda t, x: np.array([[0.0, 0.0], [0.0, first_moment]])
-    eta = None
-    if eta_base is not None:
-        eta = lambda u: eta_base + abs(float(u[0]))
+    eta = lambda u: eta_base + abs(float(u[0]))
     return CoefficientSet(
         dim=2, c=c, dx_c=dx_c, du_c=du_c,
         compensator=comp, dx_compensator=dcomp, eta=eta, name="doleans-pair",
@@ -425,48 +430,6 @@ class DoleansPairFunctional(MarkFunctional):
             return np.zeros((2, 1))
         _, e_t = doleans_exponential(config, self.first_moment, t)
         return np.array([[1.0], [e_t / (1.0 + float(u[0]))]])
-
-
-@dataclass(frozen=True)
-class DoleansResult:
-    y_t: float
-    exponential: float
-    gamma_closed: np.ndarray
-    gamma_pipeline: GammaMatrix
-    trajectory: Trajectory
-    config: JumpConfiguration
-
-
-def doleans_dade(
-    model: TruncatedLevyModel,
-    t: float,
-    seed: int,
-    step: float = 0.0025,
-    bottom: BottomStructure | None = None,
-    config: JumpConfiguration | None = None,
-    first_moment: float | None = None,
-) -> DoleansResult:
-    """Run the exponential-pair scenario on one simulated path.
-
-    Returns the closed-form terminal pair, the closed-form 2x2 matrix, and
-    the pipeline matrix assembled by the flow machinery on the 2-d SDE
-    ``d(Y, E) = (1, E_-) dY`` -- two independent routes to the same object.
-    """
-    if float(model.bounding_box[0, 0]) <= -1.0:
-        raise ModelError("model admits marks u <= -1; the exponential degenerates")
-    bs = bottom if bottom is not None else intro_1d()
-    if config is None:
-        config = simulate_configuration(model, max(t, 1e-12), seed)
-    m1 = first_moment if first_moment is not None else mark_integral(lambda u: float(u[0]), model)
-    coeffs = doleans_coefficients(m1, float(model.bounding_box[0, 1]))
-    traj = solve_sde(coeffs, model, config, np.array([0.0, 1.0]), step, horizon=t, flows=True)
-    g_pipe = gamma_flow(traj, coeffs, bs, t)
-    y_t, e_t = doleans_exponential(config, m1, t)
-    g_closed = doleans_closed_gamma(config, m1, bs, t)
-    return DoleansResult(
-        y_t=y_t, exponential=e_t, gamma_closed=g_closed,
-        gamma_pipeline=g_pipe, trajectory=traj, config=config,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,63 +533,6 @@ def area_closed_gamma(config: JumpConfiguration, m1: np.ndarray,
     return 0.5 * (out + out.T), v, span
 
 
-@dataclass(frozen=True)
-class LevyAreaResult:
-    v: np.ndarray
-    gamma_closed: np.ndarray
-    gamma_pipeline: GammaMatrix
-    span_dim: int
-    trajectory: Trajectory
-    config: JumpConfiguration
-
-
-def levy_area(
-    model: TruncatedLevyModel,
-    t: float,
-    seed: int,
-    case: str = "isotropic_case1",
-    step: float = 0.0025,
-    bottom: BottomStructure | None = None,
-    config: JumpConfiguration | None = None,
-    first_moment: np.ndarray | None = None,
-) -> LevyAreaResult:
-    """Run the stochastic-area scenario on one simulated path.
-
-    ``isotropic_case1`` uses a full-rank isotropic mark structure (every
-    atom contributes two directions); ``graph_case2`` a rank-one structure
-    tangent to the parabola carrying the marks (one direction per atom,
-    slope evaluated on the curve -- off-curve marks raise
-    :class:`DomainError`).
-    """
-    if case == "isotropic_case1":
-        bs = bottom if bottom is not None else isotropic(2)
-    elif case == "graph_case2":
-        bs = bottom if bottom is not None else graph_structure()
-    else:
-        raise InputError(f"unknown case {case!r}")
-    if config is None:
-        config = simulate_configuration(model, max(t, 1e-12), seed)
-    if first_moment is not None:
-        m1 = np.asarray(first_moment, dtype=float)
-    elif model.name == "graph":
-        raise InputError(
-            "graph models need an explicit first_moment (singular 2-d intensity)"
-        )
-    else:
-        m1 = np.array([
-            mark_integral(lambda u: float(u[0]), model),
-            mark_integral(lambda u: float(u[1]), model),
-        ])
-    coeffs = area_coefficients(m1)
-    traj = solve_sde(coeffs, model, config, np.zeros(3), step, horizon=t, flows=True)
-    g_pipe = gamma_flow(traj, coeffs, bs, t)
-    g_closed, v, span = area_closed_gamma(config, m1, bs, t)
-    return LevyAreaResult(
-        v=v, gamma_closed=g_closed, gamma_pipeline=g_pipe,
-        span_dim=span_dimension(span), trajectory=traj, config=config,
-    )
-
-
 # ---------------------------------------------------------------------------
 # scenario registry
 # ---------------------------------------------------------------------------
@@ -648,7 +554,6 @@ class Scenario:
     make_coeffs: Callable[[TruncatedLevyModel], CoefficientSet]
     closed_form_gamma: Callable[[JumpConfiguration, TruncatedLevyModel, float], np.ndarray] | None = None
     restrict_mask: Callable[[np.ndarray, float], np.ndarray] | None = None
-    supports_rank_stats: bool = True
     notes: str = ""
 
     def model(self, truncation: float | None = None) -> TruncatedLevyModel:
@@ -696,6 +601,10 @@ def _doleans_scenario(
     eval_time: float | None = None,
     step: float = 0.0025,
 ) -> Scenario:
+    if bound >= 1.0:
+        raise InputError(
+            f"bound: must be < 1, got {bound}; marks u <= -1 degenerate the exponential"
+        )
     bs = intro_1d()
 
     def make_model(eps: float) -> TruncatedLevyModel:
@@ -833,13 +742,21 @@ SCENARIO_NAMES = tuple(_SCENARIO_BUILDERS)
 
 
 def get_scenario(name: str, **overrides) -> Scenario:
-    """Build a shipped scenario by name; keyword overrides reach the builder."""
+    """Build a shipped scenario by name; keyword overrides reach the builder.
+
+    Its keyword parameters are the accepted overrides: any other key raises
+    :class:`InputError`, whose message starts with that key.
+    """
     try:
         builder = _SCENARIO_BUILDERS[name]
     except KeyError:
         raise InputError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         ) from None
+    accepted = inspect.signature(builder).parameters
+    for key in overrides:
+        if key not in accepted:
+            raise InputError(f"{key}: not accepted by scenario {name!r}")
     return builder(**overrides)
 
 
@@ -916,8 +833,7 @@ def mckean_vlasov(
         for i in range(particles)
     ]
     jump_times = np.unique(np.concatenate([c.times for c in configs]))
-    n_reg = max(1, int(math.ceil(t / step - 1e-12)))
-    grid = np.union1d(np.linspace(0.0, t, n_reg + 1), jump_times)
+    grid = np.union1d(_regular_grid(t, step), jump_times)
     m = grid.shape[0]
     # which particle jumps at each node (at most one, times are distinct)
     jumper = np.full(m, -1, dtype=int)
@@ -1140,18 +1056,6 @@ class GeneratorCheckReport:
     passed: bool
     n_paths: int
     step: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mc_estimate": float(self.mc_estimate),
-            "quadrature_value": float(self.quadrature_value),
-            "residual": float(self.residual),
-            "standard_error": float(self.standard_error),
-            "threshold": float(self.threshold),
-            "passed": bool(self.passed),
-            "n_paths": int(self.n_paths),
-            "step": float(self.step),
-        }
 
 
 def stable_like_generator_check(

@@ -35,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._serialise import write_csv
 from .errors import (
     ConditioningWarning,
     DomainError,
@@ -54,6 +55,10 @@ __all__ = [
 ]
 
 _ETA_SLACK = 1.0 + 1e-9
+
+# Admission limit on the regular grid: a solve with flows stores X, K and
+# Kbar on every row, so larger grids are refused before allocation.
+MAX_GRID_ROWS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -218,13 +223,23 @@ class Trajectory:
         return self.flow is not None and self.inverse_flow is not None
 
 
-def _build_grid(config: JumpConfiguration, horizon: float, step: float):
+def _regular_grid(horizon: float, step: float) -> np.ndarray:
+    """Equispaced nodes on ``[0, horizon]`` at most ``step`` apart, counted
+    against :data:`MAX_GRID_ROWS` before anything is allocated."""
     if not (np.isfinite(step) and step > 0):
         raise InputError(f"step must be finite and > 0, got {step}")
+    if not horizon / step < MAX_GRID_ROWS:
+        raise InputError(
+            f"step {step:g} on horizon {horizon:g} needs more than {MAX_GRID_ROWS} grid rows"
+        )
+    n_reg = max(1, int(math.ceil(horizon / step - 1e-12)))
+    return np.linspace(0.0, horizon, n_reg + 1)
+
+
+def _build_grid(config: JumpConfiguration, horizon: float, step: float):
     if not (np.isfinite(horizon) and 0 < horizon <= config.horizon):
         raise DomainError(f"horizon must lie in (0, {config.horizon}], got {horizon}")
-    n_reg = max(1, int(math.ceil(horizon / step - 1e-12)))
-    regular = np.linspace(0.0, horizon, n_reg + 1)
+    regular = _regular_grid(horizon, step)
     jump_times = config.times[config.times <= horizon]
     times = np.union1d(regular, jump_times)
     is_jump = np.isin(times, jump_times)
@@ -366,10 +381,6 @@ def solve_sde(
 # CSV export
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``time, is_jump, X_1..X_d[, K_11..K_dd[, Kbar_11..Kbar_dd]]``.
 
@@ -378,21 +389,17 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """
     d = traj.dim
     header = ["time", "is_jump"] + [f"X_{i + 1}" for i in range(d)]
+    blocks = [traj.times[:, None], traj.states]
     if traj.flow is not None:
         header += [f"K_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
+        blocks.append(traj.flow.reshape(-1, d * d))
     if traj.inverse_flow is not None:
         header += [f"Kbar_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(traj.times.shape[0]):
-            row = [_fmt(traj.times[i]), str(int(traj.is_jump[i]))]
-            row += [_fmt(v) for v in traj.states[i]]
-            if traj.flow is not None:
-                row += [_fmt(v) for v in traj.flow[i].ravel()]
-            if traj.inverse_flow is not None:
-                row += [_fmt(v) for v in traj.inverse_flow[i].ravel()]
-            w.writerow(row)
+        blocks.append(traj.inverse_flow.reshape(-1, d * d))
+    values = np.hstack(blocks).tolist()
+    write_csv(path, header, (
+        [row[0], int(jump)] + row[1:] for row, jump in zip(values, traj.is_jump)
+    ))
 
 
 def read_trajectory_csv(path) -> dict:

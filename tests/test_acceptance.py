@@ -26,15 +26,10 @@ from lentparticle.lent_particle import (
 from lentparticle.poisson_measure import JumpConfiguration, simulate_configuration
 from lentparticle.scenarios import (
     DoleansPairFunctional,
-    doleans_dade,
     get_scenario,
-    graph_levy_model,
-    levy_area,
-    polar_levy_model,
     power_law_first_moment,
     power_law_mass,
     power_law_model,
-    power_law_second_moment,
     stable_like_generator_check,
     stable_like_pushforward_check,
     zeta,
@@ -58,13 +53,14 @@ def _rel_frobenius(a: np.ndarray, b: np.ndarray) -> float:
 def test_criterion_1_doleans_closed_form():
     eps = 1.0 / 17.0
     assert power_law_mass(eps) == pytest.approx(30.0, abs=1e-12)
-    model = power_law_model(truncation=eps)
+    scenario = get_scenario("doleans", truncation=eps)
     worst = 0.0
     counts = []
     for seed in range(100):
-        res = doleans_dade(model, t=1.0, seed=seed)
-        counts.append(res.config.n_atoms)
-        worst = max(worst, _rel_frobenius(res.gamma_pipeline.matrix, res.gamma_closed))
+        cfg = scenario.simulate(seed=seed)
+        counts.append(cfg.n_atoms)
+        _, pipeline = scenario.run(cfg)
+        worst = max(worst, _rel_frobenius(pipeline.matrix, scenario.gamma_of(cfg)))
     mean_count = float(np.mean(counts))
     ok = worst <= 1e-9 and 27.0 <= mean_count <= 33.0
     _report(
@@ -226,19 +222,17 @@ def test_criterion_4_rho_mc_estimator():
 
 def test_criterion_5_levy_area():
     # (a) closed form vs pipeline on every path, both mark geometries
-    worst1 = worst2 = 0.0
-    model1 = polar_levy_model(0.008)
-    eps2 = 1.0 / 17.0
-    model2 = graph_levy_model(eps2)
-    m1_graph = np.array([
-        power_law_first_moment(eps2), power_law_second_moment(eps2),
-    ])
+    worst = [0.0, 0.0]
+    area_scenarios = [
+        get_scenario("levy-area-1", truncation=0.008),
+        get_scenario("levy-area-2", truncation=1.0 / 17.0),
+    ]
     for seed in range(30):
-        r1 = levy_area(model1, t=1.0, seed=seed)
-        worst1 = max(worst1, _rel_frobenius(r1.gamma_pipeline.matrix, r1.gamma_closed))
-        r2 = levy_area(model2, t=1.0, seed=seed, case="graph_case2",
-                       first_moment=m1_graph)
-        worst2 = max(worst2, _rel_frobenius(r2.gamma_pipeline.matrix, r2.gamma_closed))
+        for k, sc in enumerate(area_scenarios):
+            cfg = sc.simulate(seed=seed)
+            _, pipeline = sc.run(cfg)
+            worst[k] = max(worst[k], _rel_frobenius(pipeline.matrix, sc.gamma_of(cfg)))
+    worst1, worst2 = worst
     paths_ok = worst1 <= 1e-9 and worst2 <= 1e-9
 
     # (b) full-rank fraction at lambda >= 30, coupled over truncation levels

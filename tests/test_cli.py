@@ -268,6 +268,54 @@ def test_example_stable_like(tmp_path):
     assert doc["zeta"]["1.0"] == pytest.approx(1.0 / 3.141592653589793, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["doleans", "levy-area-1", "levy-area-2"])
+def test_example_matches_gamma_theorem9(tmp_path, name):
+    cfg = write_config(tmp_path, f"[run]\nscenario = {name}\n\n[gamma]\nformula = theorem9\n")
+    ex, gm = tmp_path / "ex", tmp_path / "gm"
+    assert run_cli("example", name, "--seed", "4", "--out", str(ex)) == 0
+    assert run_cli("gamma", "--config", cfg, "--seed", "4", "--out", str(gm)) == 0
+    example = json.loads((ex / "gamma.json").read_text())["gamma"]
+    gamma = json.loads((gm / "gamma.json").read_text())["gamma"]
+    assert example["matrix"] == gamma["matrix"]
+
+
+def test_model_key_not_taken_by_scenario(tmp_path, capsys):
+    cfg = write_config(tmp_path, DOLEANS_INI + "\n[model]\nhalfwidth = 0.6\n")
+    assert run_cli("gamma", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "model.halfwidth" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["gamma"], ["example", "doleans"]],
+                         ids=["gamma", "example-doleans"])
+def test_doleans_bound_below_one_required(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, DOLEANS_INI + "\n[model]\nbound = 1.5\n")
+    assert run_cli(*command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "model.bound" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["mckean", "stable-like"])
+def test_example_config_error_leaves_no_directory(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, "[numeric]\nstep = 0\n")
+    out = tmp_path / "o"
+    assert run_cli("example", name, "--config", cfg, "--seed", "1", "--out", str(out)) == 2
+    assert "numeric.step" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("[model]\ntruncation = 1e-9\n", "expected atom count"),
+    ("[numeric]\nstep = 1e-9\n", "grid rows"),
+], ids=["atoms", "grid"])
+def test_admission_limits_exit_2(tmp_path, capsys, extra, message):
+    ini = "[run]\nscenario = doleans\nseed = 1\n\n" + extra
+    cfg = write_config(tmp_path, ini)
+    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_console_entry_point():
     res = subprocess.run(
         [sys.executable, "-m", "lentparticle.cli", "--version"],

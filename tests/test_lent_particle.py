@@ -273,7 +273,7 @@ def test_multidim_gamma_matches_isotropic_weight():
 def test_gamma_json_round_trip():
     cfg = _config([0.2], [0.3])
     g = gamma_linear(_square_h(), cfg, intro_1d())
-    blob = json.loads(g.to_json())
+    blob = json.loads(json.dumps(g.to_json_dict()))
     assert blob["formula_tag"] == "linear"
     assert blob["t"] == 1.0
     assert np.allclose(np.array(blob["matrix"]), g.matrix)

@@ -5,6 +5,7 @@ from scipy import stats
 from lentparticle.errors import (
     ConfigurationError,
     DomainError,
+    InputError,
     ModelError,
 )
 from lentparticle.poisson_measure import (
@@ -35,6 +36,18 @@ def _small_config():
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
+
+def test_expected_atom_count_checked_before_drawing(monkeypatch):
+    import lentparticle.poisson_measure as pm
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the random stream was opened")
+
+    model = power_law_model(1e-9)  # mass about 2e9
+    monkeypatch.setattr(pm, "stream", no_draws)
+    with pytest.raises(InputError, match="expected atom count"):
+        simulate_configuration(model, horizon=1.0, seed=0)
+
 
 def test_simulate_deterministic():
     model = power_law_model(0.05)

@@ -16,14 +16,14 @@ from lentparticle.lent_particle import gamma_flow
 from lentparticle.poisson_measure import JumpConfiguration, simulate_configuration
 from lentparticle.scenarios import (
     SCENARIO_NAMES,
+    area_closed_gamma,
     doleans_coefficients,
-    doleans_dade,
     doleans_exponential,
     get_scenario,
     graph_levy_model,
     graph_slope,
-    levy_area,
     mckean_vlasov,
+    polar_first_moment,
     polar_levy_model,
     power_law_first_moment,
     power_law_model,
@@ -53,119 +53,99 @@ def test_doleans_exponential_matches_product():
 
 def test_doleans_pipeline_matches_closed_form():
     eps = 1.0 / 17.0
-    model = power_law_model(truncation=eps)
+    scenario = get_scenario("doleans", truncation=eps)
+    m1 = power_law_first_moment(eps)
     for seed in (0, 7, 23):
-        res = doleans_dade(model, t=1.0, seed=seed)
-        scale = np.linalg.norm(res.gamma_closed)
-        err = np.linalg.norm(res.gamma_pipeline.matrix - res.gamma_closed)
+        cfg = scenario.simulate(seed=seed)
+        traj, pipeline = scenario.run(cfg)
+        closed = scenario.gamma_of(cfg)
+        scale = np.linalg.norm(closed)
+        err = np.linalg.norm(pipeline.matrix - closed)
         assert err <= 1e-9 * max(scale, 1e-30)
         # terminal state of the 2-d system's second coordinate is the exponential
-        assert res.trajectory.value_at(1.0)[1] == pytest.approx(res.exponential, rel=1e-9)
+        _, exponential = doleans_exponential(cfg, m1, 1.0)
+        assert traj.value_at(1.0)[1] == pytest.approx(exponential, rel=1e-9)
 
 
 def test_doleans_rejects_marks_below_minus_one():
-    model = power_law_model(truncation=0.05, bound=1.5)
-    with pytest.raises(ModelError):
-        doleans_dade(model, t=1.0, seed=0)
+    with pytest.raises(InputError, match="^bound"):
+        get_scenario("doleans", truncation=0.05, bound=1.5)
 
 
 def test_doleans_reuses_supplied_config():
     eps = 0.06
     model = power_law_model(truncation=eps)
     cfg = simulate_configuration(model, horizon=1.0, seed=3)
-    res = doleans_dade(model, t=1.0, seed=999, config=cfg)
-    assert np.array_equal(res.config.times, cfg.times)
+    traj, _ = get_scenario("doleans", truncation=eps).run(cfg)
+    assert np.array_equal(traj.times[traj.is_jump], cfg.times)
 
 
 def test_doleans_no_jumps_gamma_zero():
-    model = power_law_model(truncation=0.06)
+    scenario = get_scenario("doleans", truncation=0.06)
     empty = JumpConfiguration(times=np.zeros(0), marks=np.zeros((0, 1)), horizon=1.0)
-    res = doleans_dade(model, t=1.0, seed=0, config=empty)
-    assert np.array_equal(res.gamma_closed, np.zeros((2, 2)))
-    assert np.allclose(res.gamma_pipeline.matrix, 0.0, atol=1e-15)
+    assert np.array_equal(scenario.gamma_of(empty), np.zeros((2, 2)))
+    assert np.allclose(scenario.run(empty)[1].matrix, 0.0, atol=1e-15)
 
 
 def test_doleans_single_jump_matrix():
     # one atom y: the matrix is y^2 [[1, w], [w, w^2]] with w = E/(1+y),
     # where E is the terminal exponential evaluated by brute force
     eps = 0.06
-    model = power_law_model(truncation=eps, asymmetry=0.7)
+    scenario = get_scenario("doleans", truncation=eps, asymmetry=0.7)
     m1 = power_law_first_moment(eps, asymmetry=0.7)
     y, t = 0.3, 1.0
     cfg = JumpConfiguration(times=np.array([0.4]), marks=np.array([[y]]), horizon=t)
-    res = doleans_dade(model, t=t, seed=0, config=cfg, first_moment=m1)
     e_brute = math.exp((y - m1 * t)) * (1.0 + y) * math.exp(-y)
-    assert res.exponential == pytest.approx(e_brute, rel=1e-12)
+    assert doleans_exponential(cfg, m1, t)[1] == pytest.approx(e_brute, rel=1e-12)
     w = e_brute / (1.0 + y)
     expected = y * y * np.array([[1.0, w], [w, w * w]])
-    assert np.allclose(res.gamma_closed, expected, rtol=1e-12, atol=0.0)
-    err = np.linalg.norm(res.gamma_pipeline.matrix - expected)
+    closed = scenario.gamma_of(cfg)
+    assert np.allclose(closed, expected, rtol=1e-12, atol=0.0)
+    err = np.linalg.norm(scenario.run(cfg)[1].matrix - expected)
     assert err <= 1e-9 * np.linalg.norm(expected)
-    assert np.linalg.matrix_rank(res.gamma_closed) == 1
+    assert np.linalg.matrix_rank(closed) == 1
 
 
 def test_doleans_rank_two_needs_two_jumps():
-    eps = 0.06
-    model = power_law_model(truncation=eps, asymmetry=0.7)
-    m1 = power_law_first_moment(eps, asymmetry=0.7)
+    scenario = get_scenario("doleans", truncation=0.06, asymmetry=0.7)
     cfg = JumpConfiguration(
         times=np.array([0.3, 0.6]), marks=np.array([[0.2], [-0.3]]), horizon=1.0
     )
-    res = doleans_dade(model, t=1.0, seed=0, config=cfg, first_moment=m1)
-    assert np.linalg.matrix_rank(res.gamma_closed) == 2
+    assert np.linalg.matrix_rank(scenario.gamma_of(cfg)) == 2
 
 
 # ------------------------------------------------------------------ Levy area
 
 
 def test_levy_area_case1_matches_closed_form():
-    model = None
+    scenario = get_scenario("levy-area-1", truncation=0.02)
+    m1 = polar_first_moment(0.02, 0.5)
     for seed in (1, 5, 12):
-        res = levy_area(polar_levy_model(0.02), t=1.0, seed=seed)
-        scale = np.linalg.norm(res.gamma_closed)
-        err = np.linalg.norm(res.gamma_pipeline.matrix - res.gamma_closed)
+        cfg = scenario.simulate(seed=seed)
+        traj, pipeline = scenario.run(cfg)
+        closed, v, _ = area_closed_gamma(cfg, m1, scenario.bottom, 1.0)
+        scale = np.linalg.norm(closed)
+        err = np.linalg.norm(pipeline.matrix - closed)
         assert err <= 1e-9 * max(scale, 1e-30)
-        assert res.v.shape == (3,)
+        # the closed-form path ends where the integrated one does
+        assert np.allclose(traj.value_at(1.0), v, rtol=1e-9, atol=1e-12)
 
 
 def test_levy_area_case2_matches_closed_form():
-    eps = 0.03
-    model = graph_levy_model(eps)
-    m1 = np.array([
-        power_law_first_moment(eps),
-        power_law_second_moment_helper(eps),
-    ])
+    scenario = get_scenario("levy-area-2", truncation=0.03)
     for seed in (2, 9):
-        res = levy_area(model, t=1.0, seed=seed, case="graph_case2", first_moment=m1)
-        scale = np.linalg.norm(res.gamma_closed)
-        err = np.linalg.norm(res.gamma_pipeline.matrix - res.gamma_closed)
+        cfg = scenario.simulate(seed=seed)
+        closed = scenario.gamma_of(cfg)
+        scale = np.linalg.norm(closed)
+        err = np.linalg.norm(scenario.run(cfg)[1].matrix - closed)
         assert err <= 1e-9 * max(scale, 1e-30)
 
 
-def power_law_second_moment_helper(eps):
-    # first moment of the second mark coordinate z^2 under the graph model:
-    # integral z^2 (1 + 0.5 sign z) |z|^-2 dz over eps < |z| < 1/2
-    from lentparticle.scenarios import power_law_second_moment
-
-    return power_law_second_moment(eps)
-
-
-def test_levy_area_case2_requires_first_moment():
-    with pytest.raises(InputError):
-        levy_area(graph_levy_model(0.03), t=1.0, seed=0, case="graph_case2")
-
-
-def test_levy_area_unknown_case():
-    with pytest.raises(InputError):
-        levy_area(polar_levy_model(0.02), t=1.0, seed=0, case="nope")
-
-
 def test_levy_area_no_jumps_gamma_zero():
-    model = polar_levy_model(0.02)
+    scenario = get_scenario("levy-area-1", truncation=0.02)
     empty = JumpConfiguration(times=np.zeros(0), marks=np.zeros((0, 2)), horizon=1.0)
-    res = levy_area(model, t=1.0, seed=0, config=empty)
-    assert np.array_equal(res.gamma_closed, np.zeros((3, 3)))
-    assert np.allclose(res.gamma_pipeline.matrix, 0.0, atol=1e-15)
+    assert np.array_equal(scenario.gamma_of(empty), np.zeros((3, 3)))
+    assert np.allclose(scenario.run(empty)[1].matrix, 0.0, atol=1e-15)
 
 
 def test_levy_area_single_jump_rank_two():
@@ -173,12 +153,10 @@ def test_levy_area_single_jump_rank_two():
     # cannot have full rank 3
     from lentparticle.density_criteria import rank_diagnostic
 
-    model = polar_levy_model(0.02)
     cfg = JumpConfiguration(
         times=np.array([0.4]), marks=np.array([[0.3, 0.2]]), horizon=1.0
     )
-    res = levy_area(model, t=1.0, seed=0, config=cfg)
-    rep = rank_diagnostic(res.gamma_closed)
+    rep = rank_diagnostic(get_scenario("levy-area-1", truncation=0.02).gamma_of(cfg))
     assert rep.rank <= 2
 
 
@@ -213,6 +191,8 @@ def test_scenario_registry():
     assert set(SCENARIO_NAMES) == {"doleans", "levy-area-1", "levy-area-2", "null"}
     with pytest.raises(InputError):
         get_scenario("unknown-name")
+    with pytest.raises(InputError, match="^halfwidth"):
+        get_scenario("doleans", halfwidth=0.6)
 
 
 def test_scenario_closed_form_agrees_with_pipeline():
@@ -289,6 +269,18 @@ def test_mckean_picard_residuals_decrease():
     assert len(r) == 4
     assert r[-1] < r[0]
     assert res.aa_invertible == (abs(res.aa_value) > 0)
+
+
+def test_mckean_grid_row_limit(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(InputError, match="grid rows"):
+        mckean_vlasov(
+            sigma=lambda x, law: 0.8, particles=10, picard_iters=1,
+            model=power_law_model(truncation=0.05), t=1.0, seed=0, step=1e-9,
+        )
 
 
 def test_mckean_warns_when_not_converged():

@@ -212,6 +212,18 @@ def test_step_must_be_positive():
         solve_sde(linear_1d(compensate=0.0), model, cfg, x0=np.array([1.0]), step=0.0)
 
 
+def test_grid_row_limit_checked_before_allocation(monkeypatch):
+    model = _uniform_model()
+    cfg = simulate(model, horizon=1.0, seed=3)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(InputError, match="grid rows"):
+        solve_sde(linear_1d(compensate=0.0), model, cfg, x0=np.array([1.0]), step=1e-9)
+
+
 def test_trajectory_csv_round_trip(tmp_path):
     from lentparticle.sde_engine import write_trajectory_csv
 
