@@ -44,7 +44,7 @@ from .bottom_structure import (
 )
 from .density_criteria import monte_carlo_rank_stats, rank_diagnostic, span_dimension
 from .errors import ConfigFileError, InputError, LentParticleError
-from .expressions import compile_coefficient
+from .expressions import compile_coefficient, compile_jacobians
 from .lent_particle import (
     SdeFunctional,
     gamma_flow,
@@ -69,12 +69,18 @@ from .scenarios import (
     uniform_box_model,
     zeta,
 )
-from .sde_engine import CoefficientSet, write_trajectory_csv
+from .sde_engine import CoefficientSet, quadrature_compensator, write_trajectory_csv
 
 __all__ = ["main", "build_parser"]
 
 _EXAMPLE_NAMES = ("doleans", "levy-area-1", "levy-area-2", "mckean", "stable-like")
 _GAMMA_TAGS = ("theorem9", "remark3", "generic", "rho_mc")
+
+# [model] keys each custom model kind reads; example mckean reads the power-law ones
+_CUSTOM_MODEL_KEYS = {
+    "uniform": {"halfwidth", "truncation", "intensity"},
+    "power-law": {"truncation", "alpha", "bound", "asymmetry"},
+}
 
 # section -> keys accepted there (xi_N / c_N handled by prefix)
 _KNOWN_KEYS = {
@@ -259,8 +265,18 @@ def _named_scenario(name: str, cfg) -> Scenario:
         raise ConfigFileError(f"model.{exc}") from exc
 
 
+def _refuse_unread_model_keys(cfg, read: set, reader: str) -> None:
+    """Refuse a ``[model]`` key that ``reader`` would silently ignore."""
+    for key in cfg.get("model", {}):
+        if key not in read:
+            raise ConfigFileError(f"model.{key}: not read by {reader}")
+
+
 def _custom_model(cfg) -> TruncatedLevyModel:
     kind = _get(cfg, "model", "kind", "uniform")
+    if kind in _CUSTOM_MODEL_KEYS:
+        _refuse_unread_model_keys(cfg, _CUSTOM_MODEL_KEYS[kind] | {"kind"},
+                                  f"model.kind = {kind}")
     if kind == "uniform":
         return uniform_box_model(
             1,
@@ -307,34 +323,6 @@ def _custom_structure(cfg, r: int) -> BottomStructure:
     return standard_instances()["PSI_OVER_K"] if r == 1 else standard_instances()["ISOTROPIC_RD"]
 
 
-def _fd_jacobian_x(cfun, d):
-    def dx(t, x, u):
-        out = np.empty((d, d))
-        for j in range(d):
-            h = 1e-6 * (1.0 + abs(float(x[j])))
-            xp = np.array(x, dtype=float)
-            xm = np.array(x, dtype=float)
-            xp[j] += h
-            xm[j] -= h
-            out[:, j] = (cfun(t, xp, u) - cfun(t, xm, u)) / (2.0 * h)
-        return out
-    return dx
-
-
-def _fd_jacobian_u(cfun, d, r):
-    def du(t, x, u):
-        out = np.empty((d, r))
-        for j in range(r):
-            h = 1e-6 * (1.0 + abs(float(u[j])))
-            up = np.array(u, dtype=float)
-            um = np.array(u, dtype=float)
-            up[j] += h
-            um[j] -= h
-            out[:, j] = (cfun(t, x, up) - cfun(t, x, um)) / (2.0 * h)
-        return out
-    return du
-
-
 def _custom_scenario(cfg) -> Scenario:
     sec = cfg.get("coefficients")
     if not sec:
@@ -353,14 +341,17 @@ def _custom_scenario(cfg) -> Scenario:
         sources.append(src)
     try:
         cfun = compile_coefficient(sources, d, r)
+        dx_c, du_c = compile_jacobians(sources, d, r)
     except InputError as exc:
         raise ConfigFileError(f"coefficients: {exc}") from exc
-    coeffs = CoefficientSet(
-        dim=d, c=cfun,
-        dx_c=_fd_jacobian_x(cfun, d),
-        du_c=_fd_jacobian_u(cfun, d, r),
-        name="custom",
-    )
+
+    def coefficients(m: TruncatedLevyModel) -> CoefficientSet:
+        compensator, dx_compensator = quadrature_compensator(m, cfun, dx_c)
+        return CoefficientSet(
+            dim=d, c=cfun, dx_c=dx_c, du_c=du_c,
+            compensator=compensator, dx_compensator=dx_compensator, name="custom",
+        )
+
     bs = _custom_structure(cfg, r)
     num = _numeric_overrides(cfg)
     horizon = num.get("horizon", 1.0)
@@ -372,7 +363,7 @@ def _custom_scenario(cfg) -> Scenario:
         default_truncation=model.truncation,
         bottom=bs,
         make_model=lambda eps: model if eps == model.truncation else _retruncate(cfg, eps),
-        make_coeffs=lambda m: coeffs,
+        make_coeffs=coefficients,
         notes="user-supplied coefficient expressions",
     )
 
@@ -577,6 +568,7 @@ def _example_scenario_gamma(scenario: Scenario, seed: int) -> dict:
 
 
 def _example_mckean(cfg, seed: int) -> dict:
+    _refuse_unread_model_keys(cfg, _CUSTOM_MODEL_KEYS["power-law"], "example mckean")
     truncation = _get_float(cfg, "model", "truncation", 0.05, positive=True)
     alpha = _get_float(cfg, "model", "alpha", 1.0)
     bound = _get_float(cfg, "model", "bound", 0.5)
@@ -611,6 +603,7 @@ def _example_mckean(cfg, seed: int) -> dict:
 
 
 def _example_stable_like(cfg, seed: int) -> dict:
+    _refuse_unread_model_keys(cfg, set(), "example stable-like")
     u0 = 1.0
     x = 0.3
     band = (0.9, 1.7)

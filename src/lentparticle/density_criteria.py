@@ -25,14 +25,14 @@ Provided checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
 
 from ._serialise import write_csv
 from .bottom_structure import BottomStructure, gamma_matrix
-from .errors import DomainError, InputError, NumericError
+from .errors import DomainError, InputError
 from .lent_particle import GammaMatrix, gamma_flow
 from .rng import DOMAIN_PROBE, path_seed, stream
 from .sde_engine import CoefficientSet, Trajectory

@@ -14,8 +14,8 @@ integral h k du dt`` and quadrature over the truncated mark space.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -32,6 +32,7 @@ __all__ = [
     "remove_particle",
     "compensated_integral",
     "mark_integral",
+    "MarkQuadrature",
     "write_configuration_csv",
     "read_configuration_csv",
 ]
@@ -101,13 +102,6 @@ class TruncatedLevyModel:
         if not np.isfinite(mass) or mass < 0:
             raise ConfigurationError(f"total truncated mass must be finite and >= 0, got {mass}")
         object.__setattr__(self, "mass", float(mass))
-
-    def contains(self, u: np.ndarray) -> bool:
-        """True when ``u`` lies in the truncated support."""
-        u = np.asarray(u, dtype=float)
-        if float(np.linalg.norm(u)) <= self.truncation:
-            return False
-        return bool(self.support(u))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +299,47 @@ def _ray_box_exit(box: np.ndarray, direction: np.ndarray) -> float:
     return t_hi
 
 
+def _line_pieces(box: np.ndarray, lo_rad: float, upper_radius: float | None) -> list:
+    """The intervals of the real line inside ``box`` with ``lo_rad < |u| <= upper_radius``."""
+    lo, hi = box[0]
+    pieces = []
+    # right of the truncation ball
+    a = max(lo_rad, lo)
+    b = hi if upper_radius is None else min(hi, upper_radius)
+    if b > a:
+        pieces.append((a, b))
+    # left of it
+    a = lo if upper_radius is None else max(lo, -upper_radius)
+    b = min(-lo_rad, hi)
+    if b > a:
+        pieces.append((a, b))
+    return pieces
+
+
+def _inscribed_radius(box: np.ndarray) -> float:
+    return float(min(np.min(-box[:, 0]), np.min(box[:, 1])))
+
+
+def _ray_pieces(box: np.ndarray, theta: float, lo_rad: float,
+                upper_radius: float | None, r_inscribed: float):
+    """Unit direction at angle ``theta`` and the radial intervals to integrate on it.
+
+    The ray runs from the truncation radius to where it leaves the box,
+    split at the box's inscribed-circle radius, where disc-shaped supports
+    typically end.
+    """
+    e = np.array([np.cos(theta), np.sin(theta)])
+    hi_t = _ray_box_exit(box, e)
+    if upper_radius is not None:
+        hi_t = min(hi_t, upper_radius)
+    lo_t = min(lo_rad, hi_t)
+    cuts = [lo_t]
+    if lo_t < r_inscribed < hi_t:
+        cuts.append(r_inscribed)
+    cuts.append(hi_t)
+    return e, [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+
+
 def mark_integral(
     f: Callable[[np.ndarray], float],
     model: TruncatedLevyModel,
@@ -334,20 +369,8 @@ def mark_integral(
         return float(f(u)) * float(model.density(u))
 
     if r == 1:
-        lo, hi = box[0]
-        pieces = []
-        # right of the truncation ball
-        a = max(lo_rad, lo)
-        b = hi if upper_radius is None else min(hi, upper_radius)
-        if b > a:
-            pieces.append((a, b))
-        # left of it
-        a = lo if upper_radius is None else max(lo, -upper_radius)
-        b = min(-lo_rad, hi)
-        if b > a:
-            pieces.append((a, b))
         total, err = 0.0, 0.0
-        for a, b in pieces:
+        for a, b in _line_pieces(box, lo_rad, upper_radius):
             val, e = integrate.quad(
                 lambda x: masked(np.array([x])), a, b, epsabs=epsabs, epsrel=epsrel, limit=200
             )
@@ -355,31 +378,14 @@ def mark_integral(
             err += e
     elif r == 2:
         # polar parametrisation: the radial truncation becomes an exact
-        # integration limit instead of a discontinuous indicator.  The
-        # radial axis is additionally split at the box's inscribed-circle
-        # radius, where disc-shaped supports typically end.
-        r_inscribed = float(min(np.min(-box[:, 0]), np.min(box[:, 1])))
+        # integration limit instead of a discontinuous indicator.
+        r_inscribed = _inscribed_radius(box)
         inner_err = [0.0]
 
-        def rad_hi(theta: float) -> float:
-            e = np.array([np.cos(theta), np.sin(theta)])
-            t_exit = _ray_box_exit(box, e)
-            if upper_radius is not None:
-                t_exit = min(t_exit, upper_radius)
-            return t_exit
-
         def radial(theta: float) -> float:
-            e = np.array([np.cos(theta), np.sin(theta)])
-            hi_t = rad_hi(theta)
-            lo_t = min(lo_rad, hi_t)
-            cuts = [lo_t]
-            if lo_t < r_inscribed < hi_t:
-                cuts.append(r_inscribed)
-            cuts.append(hi_t)
+            e, pieces = _ray_pieces(box, theta, lo_rad, upper_radius, r_inscribed)
             tot = 0.0
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                if b <= a:
-                    continue
+            for a, b in pieces:
                 val, e2 = integrate.quad(
                     lambda rad: rad * masked(rad * e), a, b,
                     epsabs=epsabs, epsrel=epsrel, limit=200,
@@ -399,6 +405,209 @@ def mark_integral(
     if err > max(atol, rtol * abs(total)):
         raise NumericError("mark-space quadrature did not converge", residual=err)
     return float(total)
+
+
+# QUADPACK's qk21: the 21-point Kronrod extension of the 10-point Gauss rule
+# on [-1, 1].  Nodes x_k (the odd-numbered ones are the Gauss nodes), the
+# Kronrod weights and the Gauss weights, positive half, descending.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525231600, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_QK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_QK_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_QK_GAUSS = np.zeros(21)
+_QK_GAUSS[1:10:2] = _WG
+_QK_GAUSS[11:20:2] = _WG[::-1]
+_EPMACH = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
+# mark_integral's defaults: quad's target for each 1-d integral, the bound
+# the final error estimate must meet, and quad's subinterval limit
+_EPSABS = _EPSREL = 1e-12
+_RTOL, _ATOL = 1e-8, 1e-10
+_PANEL_LIMIT = 200
+# panels whose masked density MarkQuadrature keeps
+_WEIGHT_CACHE_SIZE = 4096
+
+
+def _qk_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 21 nodes of each panel ``[a_i, b_i]``, shape ``(len(a), 21)``."""
+    return (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _QK_NODES
+
+
+def _qk21(values: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """qk21 on panels: ``values`` ``(P, 21, m)`` at :func:`_qk_nodes`.
+
+    Returns the Kronrod estimates, qk21's error estimates and their rounding
+    floor ``50 eps |f|``, each ``(P, m)``.
+    """
+    half = 0.5 * (b - a)
+    h = np.abs(half)[:, None]
+    # a non-finite integrand yields a non-finite estimate, refused by the caller
+    with np.errstate(all="ignore"):
+        resk = _QK_KRONROD @ values
+        err = np.abs(resk - _QK_GAUSS @ values) * h
+        resabs = (_QK_KRONROD @ np.abs(values)) * h
+        resasc = (_QK_KRONROD @ np.abs(values - 0.5 * resk[:, None, :])) * h
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+        floor = 50.0 * _EPMACH * resabs
+        err = np.where(resabs > _UFLOW / (50.0 * _EPMACH), np.maximum(floor, err), err)
+        return resk * half[:, None], err, floor
+
+
+def _adaptive_qk21(evaluate, lo, hi):
+    """Integrate the problems ``[lo_i, hi_i]`` together, refining each on its own.
+
+    ``evaluate(owner, a, b)`` returns the integrand of problem ``owner[p]`` at
+    the :func:`_qk_nodes` of each panel ``[a_p, b_p]``, shape ``(P, 21, m)``.
+    A problem is done when every component's error estimate is at most
+    ``max(_EPSABS, _EPSREL |value|)``.  Until then each pass bisects its panels
+    whose error exceeds their share (tolerance / panel count) and their
+    rounding floor, all problems' new panels in one ``evaluate`` call; a
+    problem stops refining at :data:`_PANEL_LIMIT` panels.  Returns the
+    values and error estimates, ``(n_problems, m)`` each.
+    """
+    n = len(lo)
+    owner = np.arange(n)
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    res, err, floor = _qk21(evaluate(owner, a, b), a, b)
+    while True:
+        total = np.zeros((n, res.shape[1]))
+        np.add.at(total, owner, res)
+        error = np.zeros_like(total)
+        np.add.at(error, owner, err)
+        tol = np.maximum(_EPSABS, _EPSREL * np.abs(total))
+        count = np.bincount(owner, minlength=n)
+        open_ = np.any(error > tol, axis=1) & (count < _PANEL_LIMIT)
+        mid = 0.5 * (a + b)
+        share = tol[owner] / count[owner, None]
+        refine = (open_[owner] & np.any((err > share) & (err > floor), axis=1)
+                  & (a < mid) & (mid < b))
+        if not refine.any():
+            return total, error
+        keep = ~refine
+        new_a = np.concatenate([a[refine], mid[refine]])
+        new_b = np.concatenate([mid[refine], b[refine]])
+        new_owner = np.tile(owner[refine], 2)
+        r2, e2, f2 = _qk21(evaluate(new_owner, new_a, new_b), new_a, new_b)
+        owner = np.concatenate([owner[keep], new_owner])
+        a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
+        res, err = np.concatenate([res[keep], r2]), np.concatenate([err[keep], e2])
+        floor = np.concatenate([floor[keep], f2])
+
+
+class MarkQuadrature:
+    """Batched adaptive quadrature of vector integrands against ``k(u) du``.
+
+    ``integrate(f)`` returns ``integral f(u) k(u) du`` over the truncated
+    support of ``model`` for ``f(U) -> (n, m)``, which takes a batch ``U`` of
+    marks of shape ``(n, r)``.  It integrates on the same 1-d pieces and the
+    same 2-d polar split as :func:`mark_integral`, to the same tolerances,
+    and raises :class:`NumericError` in the same way.  The rule is
+    QUADPACK's 21-point Gauss-Kronrod pair with qk21's error estimate, so a
+    smooth integrand is done after one pass on the nodes ``quad`` starts
+    with; otherwise only the panels that fail are bisected
+    (:func:`_adaptive_qk21`).  ``f`` is called once per pass with every new
+    node of that pass.
+
+    The masked density ``k(u) 1_support(u)`` at the nodes of every panel
+    visited is kept on the instance, so repeated integrals (one per
+    integrator stage) evaluate the model's per-point callables once per node.
+    """
+
+    def __init__(self, model: TruncatedLevyModel):
+        if model.mark_dimension > 2:
+            raise DomainError(
+                "adaptive mark quadrature supports mark dimension <= 2, "
+                f"got {model.mark_dimension}; supply a closed-form value instead"
+            )
+        self.model = model
+        self._weights: dict[tuple, np.ndarray] = {}
+
+    def _panel_weights(self, keys: list, marks: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """``scale * k * 1_support`` at ``marks`` ``(P, 21, r)``, cached by panel key."""
+        model, cache = self.model, self._weights
+        if len(cache) > _WEIGHT_CACHE_SIZE:
+            cache.clear()
+        out = np.empty(scale.shape)
+        for p, key in enumerate(keys):
+            w = cache.get(key)
+            if w is None:
+                w = cache[key] = scale[p] * np.array([
+                    float(model.density(u)) if model.support(u) else 0.0 for u in marks[p]
+                ])
+            out[p] = w
+        return out
+
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        model = self.model
+        box = model.bounding_box
+        lo_rad = model.truncation
+
+        def on_panels(keys, marks, scale):
+            n_panels, n_nodes, r = marks.shape
+            values = np.asarray(f(marks.reshape(-1, r)), dtype=float)
+            values = values.reshape(n_panels, n_nodes, values.shape[-1])
+            return values * self._panel_weights(keys, marks, scale)[:, :, None]
+
+        if model.mark_dimension == 1:
+            def evaluate(owner, a, b):
+                x = _qk_nodes(a, b)
+                return on_panels(list(zip(a.tolist(), b.tolist())), x[:, :, None],
+                                 np.ones_like(x))
+
+            pieces = _line_pieces(box, lo_rad, None)
+            values, errors = _adaptive_qk21(evaluate, [p[0] for p in pieces],
+                                            [p[1] for p in pieces])
+            total, err = values.sum(axis=0), errors.sum(axis=0)
+        else:
+            r_inscribed = _inscribed_radius(box)
+            inner_err = [0.0]
+
+            def radial(owner, a, b):
+                theta = _qk_nodes(a, b).ravel()
+                rays = [_ray_pieces(box, th, lo_rad, None, r_inscribed) for th in theta]
+                directions = np.array([e for e, _ in rays])
+                on_ray = [(k, lo, hi) for k, (_, pieces) in enumerate(rays) for lo, hi in pieces]
+                ray = np.array([k for k, _, _ in on_ray], dtype=int)
+
+                def evaluate(owner, a, b):
+                    rho = _qk_nodes(a, b)
+                    marks = rho[:, :, None] * directions[ray[owner]][:, None, :]
+                    keys = list(zip(theta[ray[owner]].tolist(), a.tolist(), b.tolist()))
+                    return on_panels(keys, marks, rho)
+
+                values, errors = _adaptive_qk21(evaluate, [p[1] for p in on_ray],
+                                                [p[2] for p in on_ray])
+                inner_err[0] = np.maximum(inner_err[0], errors.max(axis=0, initial=0.0))
+                per_theta = np.zeros((theta.shape[0], values.shape[1]))
+                np.add.at(per_theta, ray, values)
+                return per_theta.reshape(len(a), 21, -1)
+
+            values, errors = _adaptive_qk21(radial, [0.0], [2.0 * np.pi])
+            total, err = values[0], errors[0] + 2.0 * np.pi * inner_err[0]
+        if not np.all(err <= np.maximum(_ATOL, _RTOL * np.abs(total))):
+            raise NumericError("mark-space quadrature did not converge",
+                               residual=float(np.max(err)))
+        return total
 
 
 def compensated_integral(

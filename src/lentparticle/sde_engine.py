@@ -43,12 +43,13 @@ from .errors import (
     ModelError,
     NumericError,
 )
-from .poisson_measure import JumpConfiguration, TruncatedLevyModel, mark_integral
+from .poisson_measure import JumpConfiguration, MarkQuadrature, TruncatedLevyModel
 
 __all__ = [
     "CoefficientSet",
     "Trajectory",
     "validate_coefficients",
+    "quadrature_compensator",
     "solve_sde",
     "write_trajectory_csv",
     "read_trajectory_csv",
@@ -93,26 +94,51 @@ class CoefficientSet:
             raise InputError("drift and dx_drift must be supplied together")
 
 
+def quadrature_compensator(model: TruncatedLevyModel, c, dx_c):
+    """``compensator`` and ``dx_compensator`` of ``c`` by batched mark quadrature.
+
+    ``c(t, x, U)`` and ``dx_c(t, x, U)`` evaluate a batch of marks ``U`` of
+    shape ``(n, r)``, giving ``(n, d)`` and ``(n, d, d)``.  The returned
+    ``compensator(t, x) = integral c(t, x, u) k(u) du`` and its x-Jacobian
+    come from one vector-valued :class:`MarkQuadrature` integral per
+    ``(t, x)``, shared by the two: an integrator stage asks for both at the
+    same point.
+    """
+    quadrature = MarkQuadrature(model)
+    # the last point and its integrals, replaced as one tuple so that
+    # threads sharing the coefficients never see a torn pair
+    last = [(None, None)]
+
+    def integrals(t: float, x: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        key = (t, x.tobytes())
+        last_key, value = last[0]
+        if last_key != key:
+            d = x.shape[0]
+
+            def integrand(marks: np.ndarray) -> np.ndarray:
+                n = marks.shape[0]
+                return np.concatenate([np.reshape(c(t, x, marks), (n, d)),
+                                       np.reshape(dx_c(t, x, marks), (n, d * d))], axis=1)
+
+            flat = quadrature.integrate(integrand)
+            value = flat[:d], flat[d:].reshape(d, d)
+            last[0] = key, value
+        return value
+
+    return (lambda t, x: integrals(t, x)[0].copy()), (lambda t, x: integrals(t, x)[1].copy())
+
+
 def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel):
     """Between-jump velocity b - integral c k du and its x-Jacobian."""
-    d = coeffs.dim
-    comp = coeffs.compensator
-    if comp is None:
-        def comp(t: float, x: np.ndarray) -> np.ndarray:  # quadrature fallback
-            return np.array([
-                mark_integral(lambda u, i=i: float(coeffs.c(t, x, u)[i]), model)
-                for i in range(d)
-            ])
-    comp_dx = coeffs.dx_compensator
-    if comp_dx is None:
-        def comp_dx(t: float, x: np.ndarray) -> np.ndarray:
-            out = np.empty((d, d))
-            for i in range(d):
-                for j in range(d):
-                    out[i, j] = mark_integral(
-                        lambda u, i=i, j=j: float(coeffs.dx_c(t, x, u)[i, j]), model
-                    )
-            return out
+    comp, comp_dx = coeffs.compensator, coeffs.dx_compensator
+    if comp is None or comp_dx is None:  # quadrature fallback, one mark at a time
+        def batched(per_mark):
+            return lambda t, x, marks: np.array([per_mark(t, x, u) for u in marks])
+
+        by_quadrature = quadrature_compensator(model, batched(coeffs.c), batched(coeffs.dx_c))
+        comp = comp or by_quadrature[0]
+        comp_dx = comp_dx or by_quadrature[1]
 
     if coeffs.drift is None:
         velocity = lambda t, x: -np.asarray(comp(t, x), dtype=float)

@@ -1,10 +1,12 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lentparticle.cli import main
+from lentparticle.cli import _GAMMA_TAGS, main
 
 
 def run_cli(*argv):
@@ -186,10 +188,7 @@ def test_rank_stats_missing_epsilons(tmp_path, capsys):
     assert "numeric.epsilons" in capsys.readouterr().err
 
 
-def test_custom_scenario_expressions(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        """
+CUSTOM_INI = """
 [run]
 scenario = custom
 seed = 3
@@ -213,12 +212,32 @@ c_2 = x1 * u1
 k = 1
 psi = 1
 xi_1 = u1^2
-""",
-    )
+"""
+
+
+def test_custom_scenario_expressions(tmp_path):
+    cfg = write_config(tmp_path, CUSTOM_INI)
     out = tmp_path / "cs"
     assert run_cli("gamma", "--config", cfg, "--out", str(out)) == 0
     doc = json.loads((out / "gamma.json").read_text())
     assert doc["cross_check"]["within_tolerance"]
+
+
+def test_custom_generic_gamma_matches_theorem9(tmp_path):
+    # exact coefficient Jacobians leave only the re-solves' difference error
+    cfg = write_config(tmp_path, CUSTOM_INI + "\n[gamma]\nformula = generic\n")
+    out = tmp_path / "cs"
+    assert run_cli("gamma", "--config", cfg, "--out", str(out)) == 0
+    check = json.loads((out / "gamma.json").read_text())["cross_check"]
+    assert check["within_tolerance"]
+    assert check["max_abs_difference"] <= 1e-8
+
+
+def test_custom_model_refuses_key_its_kind_does_not_read(tmp_path, capsys):
+    cfg = write_config(tmp_path, CUSTOM_INI.replace("intensity = 4.0", "alpha = 1.5"))
+    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "model.alpha" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_custom_scenario_requires_coefficients(tmp_path, capsys):
@@ -302,6 +321,21 @@ def test_example_config_error_leaves_no_directory(tmp_path, capsys, name):
     assert run_cli("example", name, "--config", cfg, "--seed", "1", "--out", str(out)) == 2
     assert "numeric.step" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, key", [("mckean", "halfwidth"), ("stable-like", "truncation")])
+def test_example_refuses_unread_model_key(tmp_path, capsys, name, key):
+    cfg = write_config(tmp_path, f"[model]\n{key} = 0.3\n")
+    out = tmp_path / "o"
+    assert run_cli("example", name, "--config", cfg, "--seed", "1", "--out", str(out)) == 2
+    assert f"model.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_lists_the_gamma_tags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"formula = ([\w| ]+)`", readme).group(1)
+    assert tuple(tag.strip() for tag in listed.split("|")) == _GAMMA_TAGS
 
 
 @pytest.mark.parametrize("extra, message", [

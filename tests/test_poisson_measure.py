@@ -7,9 +7,12 @@ from lentparticle.errors import (
     DomainError,
     InputError,
     ModelError,
+    NumericError,
 )
+from lentparticle.expressions import compile_coefficient, compile_mark_scalar
 from lentparticle.poisson_measure import (
     JumpConfiguration,
+    MarkQuadrature,
     add_particle,
     compensated_integral,
     mark_integral,
@@ -182,6 +185,60 @@ def test_mark_integral_radial_shell():
     model = uniform_box_model(1, halfwidth=1.0, truncation=0.0, intensity=1.0)
     got = mark_integral(lambda u: 1.0, model, lower_radius=0.25, upper_radius=0.5)
     assert got == pytest.approx(2.0 * 0.25, rel=1e-10)
+
+
+_QUADRATURE_MODELS = {
+    "uniform-1d": lambda: uniform_box_model(1, halfwidth=0.6, truncation=0.1, intensity=4.0),
+    "uniform-2d": lambda: uniform_box_model(2, halfwidth=0.6, truncation=0.1, intensity=4.0),
+    "power-law": lambda: power_law_model(0.05, alpha=1.5, bound=0.5, asymmetry=-0.3),
+    "polar": lambda: polar_levy_model(0.05, angular_coefficient=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUADRATURE_MODELS))
+def test_batched_quadrature_matches_mark_integral_moments(name):
+    model = _QUADRATURE_MODELS[name]()
+    r = model.mark_dimension
+    moments = [lambda u: 1.0]
+    moments += [lambda u, j=j: float(u[j]) for j in range(r)]
+    moments += [lambda u, j=j: float(u[j]) ** 2 for j in range(r)]
+    got = MarkQuadrature(model).integrate(
+        lambda marks: np.column_stack([np.ones(len(marks)), marks, marks ** 2]))
+    want = [mark_integral(f, model) for f in moments]
+    # first moments that vanish by symmetry are compared on the mass's scale
+    assert got.tolist() == pytest.approx(want, rel=1e-10, abs=1e-10 * want[0])
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_batched_quadrature_matches_mark_integral_across_indicator(r):
+    model = uniform_box_model(r, halfwidth=0.6, truncation=0.1, intensity=4.0)
+    c = compile_coefficient(["u1^2 * ind(0.3)"], 1, r)
+    got = MarkQuadrature(model).integrate(lambda marks: c(0.0, np.zeros(1), marks))
+    want = mark_integral(compile_mark_scalar("u1^2 * ind(0.3)", r), model)
+    assert got[0] == pytest.approx(want, rel=1e-10)
+
+
+def test_batched_quadrature_smooth_integrand_takes_one_pass():
+    model = uniform_box_model(1, halfwidth=0.6, truncation=0.1, intensity=4.0)
+    batches = []
+
+    def f(marks):
+        batches.append(len(marks))
+        return np.column_stack([marks[:, 0] ** 3, np.ones(len(marks))])
+
+    got = MarkQuadrature(model).integrate(f)
+    assert batches == [42]  # quad's first pass: 21 nodes on each side of the ball
+    assert got.tolist() == pytest.approx([0.0, 4.0], abs=1e-14)
+
+
+@pytest.mark.parametrize("f", [
+    lambda marks: np.sin(1.0 / (marks - 0.3501)),  # bounded: refined up to the panel cap
+    lambda marks: 1.0 / (marks - 0.35) ** 2,       # not integrable: overflows
+], ids=["oscillating", "singular"])
+def test_batched_quadrature_unresolved_integrand_raises(f):
+    model = uniform_box_model(1, halfwidth=0.6, truncation=0.1, intensity=4.0)
+    with pytest.raises(NumericError, match="did not converge"), np.errstate(divide="ignore"):
+        MarkQuadrature(model).integrate(f)
 
 
 # ---------------------------------------------------------------------------

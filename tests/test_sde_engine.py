@@ -8,6 +8,7 @@ from lentparticle.poisson_measure import JumpConfiguration, simulate_configurati
 from lentparticle.scenarios import power_law_first_moment, power_law_model, uniform_box_model
 from lentparticle.sde_engine import (
     CoefficientSet,
+    quadrature_compensator,
     read_trajectory_csv,
     solve_sde,
     validate_coefficients,
@@ -103,6 +104,31 @@ def test_quadrature_compensator_matches_closed_form():
     t_closed = solve_sde(closed, model, cfg, x0=x0, step=0.005)
     t_quad = solve_sde(fallback, model, cfg, x0=x0, step=0.005)
     assert t_quad.value_at(0.5)[0] == pytest.approx(t_closed.value_at(0.5)[0], rel=1e-9)
+
+
+def test_quadrature_compensator_shares_one_integral_per_point():
+    # c = (x1 u, x1 x2 u^2): integral c k du = (0, x1 x2 m2) on symmetric marks
+    model = _uniform_model()
+    m2 = 2.0 * 3.0 * (0.6 ** 3 - 0.1 ** 3) / 3.0
+    batches = []
+
+    def c(t, x, marks):
+        batches.append(len(marks))
+        u = marks[:, 0]
+        return np.column_stack([x[0] * u, x[0] * x[1] * u ** 2])
+
+    def dx_c(t, x, marks):
+        u = marks[:, 0]
+        zero = np.zeros_like(u)
+        return np.stack([np.column_stack([u, zero]),
+                         np.column_stack([x[1] * u ** 2, x[0] * u ** 2])], axis=1)
+
+    comp, dx_comp = quadrature_compensator(model, c, dx_c)
+    x = np.array([0.7, -1.3])
+    value, jac = comp(0.2, x), dx_comp(0.2, x)
+    assert batches == [42]
+    np.testing.assert_allclose(value, [0.0, x[0] * x[1] * m2], rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(jac, [[0.0, 0.0], [x[1] * m2, x[0] * m2]], rtol=1e-13, atol=1e-15)
 
 
 def test_left_limits_at_jumps():
