@@ -482,12 +482,12 @@ def cmd_gamma(args) -> int:
     else:
         if scenario.name == "doleans":
             # the compensator at the origin is (m1, 0)
-            m1 = coeffs.compensator(0.0, np.zeros(2))[0]
+            m1 = coeffs.compensator(np.zeros(1), np.zeros((1, 2)))[0, 0]
             functional = DoleansPairFunctional(m1, t)
             fd_tol = 1e-8 * (1.0 + float(np.max(np.abs(flow.matrix))))
         else:
             functional = SdeFunctional(coeffs, model, scenario.x0, scenario.step, t)
-            fd_tol = 1e-4 * (1.0 + float(np.max(np.abs(flow.matrix))))
+            fd_tol = 1e-6 * (1.0 + float(np.max(np.abs(flow.matrix))))
         if tag == "generic":
             gm = gamma_generic(functional, config, scenario.bottom)
             check = _cross_check("theorem9", flow.matrix, gm.matrix, fd_tol)
@@ -539,7 +539,7 @@ def _example_scenario_gamma(scenario: Scenario, seed: int) -> dict:
     pipe = gamma_flow(traj, coeffs, scenario.bottom, t)
     closed = scenario.gamma_of(config)
     # the compensator at the origin starts with the first moment of the marks
-    m1 = coeffs.compensator(0.0, np.zeros(scenario.dim))
+    m1 = coeffs.compensator(np.zeros(1), np.zeros((1, scenario.dim)))[0]
     if scenario.name == "doleans":
         y_t, e_t = doleans_exponential(config, m1[0], t)
         extra = {"terminal": {"exponential": e_t, "y": y_t}}

@@ -232,28 +232,29 @@ def regular_case_check(
     if not in_closure:
         raise DomainError(f"u0 = {u0} is not in the closure of the support")
 
-    def gamma_at(s: float, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        jac = np.asarray(coeffs.du_c(s, y, u), dtype=float)
-        return gamma_matrix(jac, u, bs)
+    # the distinguished point, then the probes that land in the support
+    points = [(0.0, np.atleast_1d(x), u0)]
+    for _ in range(probes):
+        s = float(g.uniform(0.0, radius))
+        y = x + radius * g.standard_normal(x.shape[0] if x.ndim else 1)
+        u = u0 + radius * g.standard_normal(r)
+        if bs.support(u):
+            points.append((s, np.atleast_1d(y), u))
+    jacs = np.asarray(coeffs.du_c(np.array([p[0] for p in points]),
+                                  np.array([p[1] for p in points]),
+                                  np.array([p[2] for p in points])), dtype=float)
+    gammas = [gamma_matrix(jac, p[2], bs) for jac, p in zip(jacs, points)]
 
-    g_center = gamma_at(0.0, x, u0)
+    g_center = gammas[0]
     rep = rank_diagnostic(g_center) if g_center.any() else None
     min_eig = float(np.linalg.eigvalsh(g_center)[0])
     passed = bool(rep is not None and rep.full_rank and not rep.indeterminate)
 
     center_norm = float(np.linalg.norm(g_center))
-    max_var = 0.0
-    used = 0
-    for _ in range(probes):
-        s = float(g.uniform(0.0, radius))
-        y = x + radius * g.standard_normal(x.shape[0] if x.ndim else 1)
-        u = u0 + radius * g.standard_normal(r)
-        if not bs.support(u):
-            continue
-        used += 1
-        gp = gamma_at(s, np.atleast_1d(y), u)
-        denom = center_norm if center_norm > 0 else 1.0
-        max_var = max(max_var, float(np.linalg.norm(gp - g_center)) / denom)
+    denom = center_norm if center_norm > 0 else 1.0
+    max_var = max((float(np.linalg.norm(gp - g_center)) / denom for gp in gammas[1:]),
+                  default=0.0)
+    used = len(gammas) - 1
 
     radii = radius * 0.5 ** np.arange(9)
     masses = np.array([
@@ -306,6 +307,7 @@ class RankStatsRow:
     n_paths: int
     full_rank_fraction: float
     median_min_eig: float
+    indeterminate_fraction: float  # paths whose rank verdict is flagged indeterminate
 
 
 @dataclass(frozen=True)
@@ -316,8 +318,10 @@ class RankStatsTable:
 
     def to_csv(self, path) -> None:
         write_csv(
-            path, ["epsilon", "n_paths", "full_rank_fraction", "median_min_eig"],
-            ([r.epsilon, r.n_paths, r.full_rank_fraction, r.median_min_eig] for r in self.rows),
+            path, ["epsilon", "n_paths", "full_rank_fraction", "median_min_eig",
+                   "indeterminate_fraction"],
+            ([r.epsilon, r.n_paths, r.full_rank_fraction, r.median_min_eig,
+              r.indeterminate_fraction] for r in self.rows),
         )
 
 
@@ -335,7 +339,10 @@ def monte_carlo_rank_stats(
     simulated once at the smallest level and coarser levels keep the subset
     of atoms above their cutoff.   Dropping atoms removes PSD summands, so
     under this coupling the full-rank fraction is non-decreasing as the
-    truncation shrinks; the table reports whether that held.
+    truncation shrinks; the table reports whether that held.  Every path is
+    drawn first; each level then takes one ``gammas`` call over all paths,
+    which a scenario without a closed form solves as one batch.  Each row
+    also reports the fraction of paths whose rank verdict is indeterminate.
     """
     if isinstance(setup, str):
         from . import scenarios
@@ -347,24 +354,17 @@ def monte_carlo_rank_stats(
         raise InputError("every epsilon must be finite and > 0")
     if n_paths < 1:
         raise InputError(f"n_paths must be >= 1, got {n_paths}")
-    order = np.argsort(epsilons)  # ascending; simulate at the smallest
-    eps_min = epsilons[int(order[0])]
+    eps_min = min(epsilons)  # simulate at the smallest level
+    configs = [setup.simulate(eps_min, path_seed(seed, p)) for p in range(n_paths)]
 
-    def one_path(p: int) -> np.ndarray:
-        sub_seed = path_seed(seed, p)
-        stats = np.empty((len(epsilons), 2))
-        config = setup.simulate(eps_min, sub_seed)
-        for j, eps in enumerate(epsilons):
-            sub = setup.restrict(config, eps)
-            mat = setup.gamma_of(sub, eps)
-            if not np.any(mat):
-                stats[j] = (0.0, 0.0)
-                continue
-            rep = rank_diagnostic(mat, rel_tol)
-            stats[j] = (1.0 if rep.full_rank else 0.0, rep.min_eigenvalue)
-        return stats
-
-    stacked = np.stack([one_path(p) for p in range(n_paths)])  # (n_paths, n_eps, 2)
+    # (path, level) -> full rank, min eigenvalue, indeterminate; a zero matrix is (0, 0, 0)
+    stacked = np.zeros((n_paths, len(epsilons), 3))
+    for j, eps in enumerate(epsilons):
+        mats = setup.gammas([setup.restrict(config, eps) for config in configs], eps)
+        for p, mat in enumerate(mats):
+            if np.any(mat):
+                rep = rank_diagnostic(mat, rel_tol)
+                stacked[p, j] = (rep.full_rank, rep.min_eigenvalue, rep.indeterminate)
 
     rows = [
         RankStatsRow(
@@ -372,6 +372,7 @@ def monte_carlo_rank_stats(
             n_paths=n_paths,
             full_rank_fraction=float(np.mean(stacked[:, j, 0])),
             median_min_eig=float(np.median(stacked[:, j, 1])),
+            indeterminate_fraction=float(np.mean(stacked[:, j, 2])),
         )
         for j, eps in enumerate(epsilons)
     ]

@@ -9,7 +9,8 @@ Expressions are parsed with :mod:`ast`, checked against a node whitelist
 (no attribute access, no subscripts, no arbitrary calls) and compiled once.
 :func:`compile_scalar` evaluates one point with Python floats.
 :func:`compile_coefficient` and :func:`compile_jacobians` compile to numpy
-code that evaluates a whole batch of marks per call; the Jacobians are
+code that evaluates a whole batch of points per call, with the variables
+bound to the batch's columns; the Jacobians are
 derived from the syntax tree, with the conventions ``d abs(e) = sign(e) de``
 (0 at a kink), ``d min(e1, ...)`` = the derivative of the first minimal
 argument, ``d ind(a) = 0``, and the power rule for ``e^p`` with ``p`` free
@@ -88,9 +89,15 @@ def compile_scalar(src: str, variables: Sequence[str]) -> Callable[..., float]:
         local["min"] = min
         local["ind"] = (lambda a: 1.0 if (norm is not None and norm < a) else 0.0)
         try:
-            return float(eval(code, {"__builtins__": {}}, local))
+            value = eval(code, {"__builtins__": {}}, local)
         except ZeroDivisionError:
             raise InputError(f"expression {src!r}: division by zero") from None
+        except (OverflowError, ValueError) as exc:
+            raise InputError(f"expression {src!r}: {exc}") from None
+        if isinstance(value, complex):
+            # a fractional power of a negative number
+            raise InputError(f"expression {src!r}: complex result {value}")
+        return float(value)
 
     return evaluate
 
@@ -146,9 +153,9 @@ class _BindNorm(ast.NodeTransformer):
 def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str, d: int, r: int):
     """Compile expression bodies (``None`` meaning 0) into ``f(t, x, u)``.
 
-    ``x`` is one state of length ``d``; ``u`` is one mark ``(r,)`` or a batch
-    ``(n, r)``, giving an array of ``shape`` or ``(n, *shape)``.  A single
-    mark is evaluated as a batch of one, so both give the same bits.
+    ``t`` ``(P,)``, ``x`` ``(P, d)`` and ``u`` ``(P, r)`` are paired by row;
+    ``x1..xd`` and ``u1..ur`` are bound to their columns, and the result is
+    ``(P, *shape)``.
     """
     body = ast.Tuple([ast.Constant(0.0) if b is None else copy.deepcopy(b) for b in bodies],
                      ast.Load())
@@ -156,15 +163,14 @@ def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str,
     code = compile(body, "<expression>", "eval")
     uses_norm = any(isinstance(n, ast.Name) and n.id == "_norm" for n in ast.walk(body))
     size = int(np.prod(shape))
+    x_names = [f"x{i + 1}" for i in range(d)]
+    u_names = [f"u{j + 1}" for j in range(r)]
 
-    def evaluate(t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        marks = u.reshape(-1, r)
-        columns = np.ascontiguousarray(marks.T)
-        local = {"t": float(t)}
-        local.update({f"x{i + 1}": float(x[i]) for i in range(d)})
-        local.update({f"u{j + 1}": columns[j] for j in range(r)})
+    def evaluate(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        marks = np.asarray(u, dtype=float)
+        local = {"t": np.asarray(t, dtype=float)}
+        local.update(zip(x_names, np.asarray(x, dtype=float).T))
+        local.update(zip(u_names, np.ascontiguousarray(marks.T)))
         if uses_norm:
             local["_norm"] = np.sqrt(np.sum(marks * marks, axis=1))
         try:
@@ -175,7 +181,7 @@ def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str,
         out = np.empty((marks.shape[0], size))
         for k, value in enumerate(values):
             out[:, k] = value
-        return out.reshape(shape) if u.ndim == 1 else out.reshape((-1, *shape))
+        return out.reshape((-1, *shape))
 
     return evaluate
 
@@ -190,8 +196,9 @@ def _coefficient_trees(sources: Sequence[str], d: int, r: int) -> list[ast.AST]:
 def compile_coefficient(sources: Sequence[str], d: int, r: int) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
     """Compile a jump coefficient ``c(t, x, u) -> R^d`` from ``d`` expressions.
 
-    Variables are ``t``, ``x1 .. xd`` and ``u1 .. ur``.  ``u`` may be one
-    mark ``(r,)``, giving ``(d,)``, or a batch ``(n, r)``, giving ``(n, d)``.
+    Variables are ``t``, ``x1 .. xd`` and ``u1 .. ur``.  ``c`` evaluates a
+    batch of points paired by row, ``t`` ``(P,)``, ``x`` ``(P, d)`` and ``u``
+    ``(P, r)``, giving ``(P, d)``.
     """
     trees = _coefficient_trees(sources, d, r)
     return _batch_evaluator(trees, (d,), "; ".join(sources), d, r)
@@ -200,9 +207,9 @@ def compile_coefficient(sources: Sequence[str], d: int, r: int) -> Callable[[flo
 def compile_jacobians(sources: Sequence[str], d: int, r: int):
     """Exact Jacobians ``(dx_c, du_c)`` of :func:`compile_coefficient`'s ``c``.
 
-    ``dx_c(t, x, u)`` is ``(d, d)`` and ``du_c(t, x, u)`` is ``(d, r)`` for one
-    mark, with a leading batch axis for a batch of marks.  They are derived
-    from the syntax tree; see the module notes for the conventions at kinks.
+    On the same batches as ``c``, ``dx_c(t, x, u)`` is ``(P, d, d)`` and
+    ``du_c(t, x, u)`` is ``(P, d, r)``.  They are derived from the syntax
+    tree; see the module notes for the conventions at kinks.
     """
     trees = _coefficient_trees(sources, d, r)
     label = "; ".join(sources)

@@ -45,7 +45,7 @@ from .poisson_measure import (
     remove_particle,
 )
 from .rng import DOMAIN_RHO, stream
-from .sde_engine import CoefficientSet, Trajectory, solve_sde
+from .sde_engine import CoefficientSet, Trajectory, _solve_chunks
 
 __all__ = [
     "FORMULA_TAGS",
@@ -152,11 +152,13 @@ class GammaMatrix:
 class MarkFunctional:
     """A configuration functional with a mark-derivative oracle.
 
-    Subclasses must implement :meth:`value`; :meth:`mark_jacobian` falls
-    back to central finite differences built from the particle operators
-    (remove the atom, re-add it with a perturbed mark), with step
-    ``1e-6 * (1 + |u|)``.  Set ``exact_jacobian = True`` when overriding
-    with a closed form.
+    Subclasses must implement :meth:`value`, and may override
+    :meth:`values` to evaluate many configurations at once.
+    :meth:`mark_jacobian` falls back to central finite differences built
+    from the particle operators (remove the atom, re-add it with a
+    perturbed mark), with step ``1e-6 * (1 + |u|)``.  Set
+    ``exact_jacobian = True`` when overriding with a closed form.
+    :meth:`mark_jacobians` gives every atom's Jacobian.
     """
 
     dim: int = 1
@@ -165,39 +167,60 @@ class MarkFunctional:
     def value(self, config: JumpConfiguration) -> np.ndarray:
         raise NotImplementedError
 
-    def _value(self, config: JumpConfiguration) -> np.ndarray:
+    def values(self, configs: list[JumpConfiguration]) -> list[np.ndarray]:
+        """:meth:`value` of each configuration, in order."""
+        return [self.value(config) for config in configs]
+
+    def _values(self, configs: list[JumpConfiguration]) -> list[np.ndarray]:
         try:
-            val = np.atleast_1d(np.asarray(self.value(config), dtype=float))
+            vals = [np.atleast_1d(np.asarray(v, dtype=float)) for v in self.values(configs)]
         except Exception as exc:
             raise FunctionalError(f"functional evaluation failed: {exc}") from exc
-        if val.shape != (self.dim,) or not np.all(np.isfinite(val)):
-            raise FunctionalError(
-                f"functional must return a finite length-{self.dim} vector"
-            )
-        return val
+        for val in vals:
+            if val.shape != (self.dim,) or not np.all(np.isfinite(val)):
+                raise FunctionalError(
+                    f"functional must return a finite length-{self.dim} vector"
+                )
+        return vals
+
+    def _fd_jacobians(self, config: JumpConfiguration, atoms) -> list[np.ndarray]:
+        """Central-difference mark Jacobians of the listed atoms, with every
+        probe configuration evaluated in one :meth:`values` call."""
+        r = config.mark_dimension
+        probes: list[JumpConfiguration] = []
+        steps = []
+        for atom_index in atoms:
+            t, u = config.atom(atom_index)
+            base = remove_particle(config, t, u)
+            step = _FD_SCALE * (1.0 + float(np.linalg.norm(u)))
+            steps.append(step)
+            for j in range(r):
+                bump = np.zeros(r)
+                bump[j] = step
+                try:
+                    probes += [add_particle(base, t, u + bump), add_particle(base, t, u - bump)]
+                except Exception as exc:
+                    raise FunctionalError(
+                        f"finite-difference probe failed at atom {atom_index}: {exc}"
+                    ) from exc
+        vals = iter(self._values(probes))
+        jacobians = []
+        for atom_index, step in zip(atoms, steps):
+            out = np.empty((self.dim, r))
+            for j in range(r):
+                hi, lo = next(vals), next(vals)
+                out[:, j] = (hi - lo) / (2.0 * step)
+            if not np.all(np.isfinite(out)):
+                raise FunctionalError(f"non-finite mark Jacobian at atom {atom_index}")
+            jacobians.append(out)
+        return jacobians
 
     def mark_jacobian(self, config: JumpConfiguration, atom_index: int) -> np.ndarray:
-        t, u = config.atom(atom_index)
-        r = config.mark_dimension
-        base = remove_particle(config, t, u)
-        out = np.empty((self.dim, r))
-        step = _FD_SCALE * (1.0 + float(np.linalg.norm(u)))
-        for j in range(r):
-            bump = np.zeros(r)
-            bump[j] = step
-            try:
-                hi = self._value(add_particle(base, t, u + bump))
-                lo = self._value(add_particle(base, t, u - bump))
-            except FunctionalError:
-                raise
-            except Exception as exc:
-                raise FunctionalError(
-                    f"finite-difference probe failed at atom {atom_index}: {exc}"
-                ) from exc
-            out[:, j] = (hi - lo) / (2.0 * step)
-        if not np.all(np.isfinite(out)):
-            raise FunctionalError(f"non-finite mark Jacobian at atom {atom_index}")
-        return out
+        return self._fd_jacobians(config, [atom_index])[0]
+
+    def mark_jacobians(self, config: JumpConfiguration) -> list[np.ndarray]:
+        """:meth:`mark_jacobian` of every atom, in atom order."""
+        return [self.mark_jacobian(config, i) for i in range(config.n_atoms)]
 
 
 @dataclass(frozen=True)
@@ -274,7 +297,8 @@ class SdeFunctional(MarkFunctional):
 
     The value re-solves the SDE from scratch, so the finite-difference
     mark Jacobian inherited from :class:`MarkFunctional` is a genuinely
-    independent (if slow) oracle against the flow-based renderings.
+    independent oracle against the flow-based renderings.  The probe
+    configurations of all atoms are solved as one batch.
     """
 
     def __init__(self, coeffs: CoefficientSet, model: TruncatedLevyModel,
@@ -288,10 +312,20 @@ class SdeFunctional(MarkFunctional):
         self.exact_jacobian = False
 
     def value(self, config: JumpConfiguration) -> np.ndarray:
-        t = config.horizon if self.t is None else self.t
-        traj = solve_sde(self.coeffs, self.model, config, self.x0, self.step,
-                         validate=False)
-        return traj.value_at(t)
+        return self.values([config])[0]
+
+    def values(self, configs: list[JumpConfiguration]) -> list[np.ndarray]:
+        # one batched solve, each chunk of paths reduced to its values
+        # before the next is solved
+        out = []
+        for chunk in _solve_chunks(self.coeffs, self.model, configs, self.x0, self.step,
+                                   None, validate=False, flows=False):
+            out += [traj.value_at(traj.config.horizon if self.t is None else self.t).copy()
+                    for traj in chunk]
+        return out
+
+    def mark_jacobians(self, config: JumpConfiguration) -> list[np.ndarray]:
+        return self._fd_jacobians(config, range(config.n_atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +340,11 @@ def _flow_prep(traj: Trajectory, coeffs: CoefficientSet | None, t: float | None)
         raise StateError("flow and inverse flow must be filled first")
     t = traj.horizon if t is None else float(t)
     row = traj.row_at(t)
-    rows = [i for i in traj.jump_rows() if traj.times[i] <= t]
-    return coeffs, t, row, rows
+    rows = traj.jump_rows()
+    rows = rows[traj.times[rows] <= t]
+    # the jump rows' times, left limits and marks: one batch for the coefficients
+    points = traj.times[rows], traj.states_left[rows], traj.config.marks[traj.atom_index[rows]]
+    return coeffs, t, row, rows, points
 
 
 def gamma_flow(
@@ -322,15 +359,14 @@ def gamma_flow(
     with the post-jump (right-limit) inverse flow, and the sum is
     conjugated by ``K_t``.
     """
-    coeffs, t, row, rows = _flow_prep(traj, coeffs, t)
+    coeffs, t, row, rows, points = _flow_prep(traj, coeffs, t)
     d = coeffs.dim
     inner = np.zeros((d, d))
     terms: list[tuple[int, np.ndarray]] = []
-    for i in rows:
-        s = float(traj.times[i])
-        u = traj.config.marks[traj.atom_index[i]]
-        jac = np.asarray(coeffs.du_c(s, traj.states_left[i], u), dtype=float)
-        g = gamma_matrix(jac, u, bs)
+    jacs = np.asarray(coeffs.du_c(*points), dtype=float) if rows.size else []
+    for k, i in enumerate(rows):
+        u = points[2][k]
+        g = gamma_matrix(jacs[k], u, bs)
         kb = traj.inverse_flow[i]
         term = kb @ g @ kb.T
         term = 0.5 * (term + term.T)
@@ -356,23 +392,22 @@ def gamma_flow_left(
     to the post-jump weight of :func:`gamma_flow`, so the two renderings
     must agree -- kept separate as a standing consistency check.
     """
-    coeffs, t, row, rows = _flow_prep(traj, coeffs, t)
+    coeffs, t, row, rows, points = _flow_prep(traj, coeffs, t)
     if traj.inverse_flow_left is None:
         raise StateError("left-limit inverse flow missing")
     d = coeffs.dim
     inner = np.zeros((d, d))
     terms: list[tuple[int, np.ndarray]] = []
-    for i in rows:
-        s = float(traj.times[i])
-        u = traj.config.marks[traj.atom_index[i]]
-        x_left = traj.states_left[i]
-        jac = np.asarray(coeffs.du_c(s, x_left, u), dtype=float)
-        g = gamma_matrix(jac, u, bs)
-        m = np.eye(d) + np.asarray(coeffs.dx_c(s, x_left, u), dtype=float)
+    if rows.size:
+        jacs = np.asarray(coeffs.du_c(*points), dtype=float)
+        jump_matrices = np.eye(d) + np.asarray(coeffs.dx_c(*points), dtype=float)
+    for k, i in enumerate(rows):
+        u = points[2][k]
+        g = gamma_matrix(jacs[k], u, bs)
         try:
-            weight = np.linalg.solve(m.T, traj.inverse_flow_left[i].T).T
+            weight = np.linalg.solve(jump_matrices[k].T, traj.inverse_flow_left[i].T).T
         except np.linalg.LinAlgError:
-            raise ModelError(f"jump update I + dx_c singular at t = {s}") from None
+            raise ModelError(f"jump update I + dx_c singular at t = {points[0][k]}") from None
         term = weight @ g @ weight.T
         term = 0.5 * (term + term.T)
         terms.append((int(traj.atom_index[i]), term))
@@ -392,8 +427,8 @@ def gamma_flow_left(
 def _atom_jacobians(F: MarkFunctional, config: JumpConfiguration) -> list[np.ndarray]:
     jacs = []
     r = config.mark_dimension
-    for i in range(config.n_atoms):
-        jac = np.asarray(F.mark_jacobian(config, i), dtype=float)
+    for i, jac in enumerate(F.mark_jacobians(config)):
+        jac = np.asarray(jac, dtype=float)
         if jac.shape != (F.dim, r) or not np.all(np.isfinite(jac)):
             raise FunctionalError(
                 f"mark Jacobian at atom {i} must be finite with shape ({F.dim}, {r})"

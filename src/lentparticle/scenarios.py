@@ -21,7 +21,9 @@ Shipped scenarios:
 its builder are the overrides it accepts, and any other key raises
 :class:`InputError`.  ``Scenario.simulate`` draws a configuration,
 ``Scenario.run`` integrates it with its flows and assembles Gamma, and
-``Scenario.gamma_of`` returns the closed form where one exists.  A builder
+``Scenario.gamma_of`` returns the closed form where one exists;
+``Scenario.gammas`` does so for a list of configurations, which it solves as
+one batch where there is no closed form.  A builder
 also refuses parameters its closed form cannot take: the ``doleans``
 exponential needs ``bound < 1``, so that no mark reaches -1.
 
@@ -38,7 +40,7 @@ import inspect
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -59,7 +61,14 @@ from .poisson_measure import (
     simulate_configuration,
 )
 from .rng import DOMAIN_ATOMS, DOMAIN_PARTICLE, stream
-from .sde_engine import CoefficientSet, Trajectory, _regular_grid, _rk4_interval, solve_sde
+from .sde_engine import (
+    CoefficientSet,
+    Trajectory,
+    _regular_grid,
+    _rk4_step,
+    _solve_chunks,
+    solve_sde,
+)
 
 __all__ = [
     "power_law_model",
@@ -368,18 +377,36 @@ def doleans_coefficients(first_moment: float, bound: float) -> CoefficientSet:
     """
     eta_base = max(1.0, 1.0 / (1.0 - bound))
 
-    def c(t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array([u[0], x[1] * u[0]])
+    # each callable fills a preallocated output: on batches this small, stacking
+    # columns costs more than the arithmetic, and these run in every RK4 stage
+    def c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        out = np.empty((u.shape[0], 2))
+        out[:, 0] = u[:, 0]
+        out[:, 1] = x[:, 1] * u[:, 0]
+        return out
 
-    def dx_c(t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array([[0.0, 0.0], [0.0, u[0]]])
+    def dx_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        out = np.zeros((u.shape[0], 2, 2))
+        out[:, 1, 1] = u[:, 0]
+        return out
 
-    def du_c(t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array([[1.0], [x[1]]])
+    def du_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        out = np.ones((x.shape[0], 2, 1))
+        out[:, 1, 0] = x[:, 1]
+        return out
 
-    comp = lambda t, x: np.array([first_moment, x[1] * first_moment])
-    dcomp = lambda t, x: np.array([[0.0, 0.0], [0.0, first_moment]])
-    eta = lambda u: eta_base + abs(float(u[0]))
+    def comp(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        out = np.empty((x.shape[0], 2))
+        out[:, 0] = first_moment
+        out[:, 1] = x[:, 1] * first_moment
+        return out
+
+    def dcomp(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((x.shape[0], 2, 2))
+        out[:, 1, 1] = first_moment
+        return out
+
+    eta = lambda u: eta_base + np.abs(u[:, 0])
     return CoefficientSet(
         dim=2, c=c, dx_c=dx_c, du_c=du_c,
         compensator=comp, dx_compensator=dcomp, eta=eta, name="doleans-pair",
@@ -440,30 +467,36 @@ def area_coefficients(first_moment: np.ndarray) -> CoefficientSet:
     """3-d SDE for (X1, X2, area): the area jumps by ``x1 u2 - x2 u1``."""
     m1 = np.asarray(first_moment, dtype=float)
 
-    def c(t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array([u[0], u[1], x[0] * u[1] - x[1] * u[0]])
+    # preallocated outputs, as in doleans_coefficients
+    def c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        out = np.empty((u.shape[0], 3))
+        out[:, :2] = u
+        out[:, 2] = x[:, 0] * u[:, 1] - x[:, 1] * u[:, 0]
+        return out
 
-    def dx_c(t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array([
-            [0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0],
-            [u[1], -u[0], 0.0],
-        ])
+    def dx_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        out = np.zeros((u.shape[0], 3, 3))
+        out[:, 2, 0], out[:, 2, 1] = u[:, 1], -u[:, 0]
+        return out
 
-    def du_c(t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array([
-            [1.0, 0.0],
-            [0.0, 1.0],
-            [-x[1], x[0]],
-        ])
+    def du_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        out = np.zeros((x.shape[0], 3, 2))
+        out[:, 0, 0] = out[:, 1, 1] = 1.0
+        out[:, 2, 0], out[:, 2, 1] = -x[:, 1], x[:, 0]
+        return out
 
-    comp = lambda t, x: np.array([m1[0], m1[1], x[0] * m1[1] - x[1] * m1[0]])
-    dcomp = lambda t, x: np.array([
-        [0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0],
-        [m1[1], -m1[0], 0.0],
-    ])
-    eta = lambda u: 1.0 + float(np.linalg.norm(u))
+    def comp(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        out = np.empty((x.shape[0], 3))
+        out[:, :2] = m1
+        out[:, 2] = x[:, 0] * m1[1] - x[:, 1] * m1[0]
+        return out
+
+    def dcomp(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((x.shape[0], 3, 3))
+        out[:, 2, 0], out[:, 2, 1] = m1[1], -m1[0]
+        return out
+
+    eta = lambda u: 1.0 + np.linalg.norm(u, axis=1)
     return CoefficientSet(
         dim=3, c=c, dx_c=dx_c, du_c=du_c,
         compensator=comp, dx_compensator=dcomp, eta=eta, name="levy-area",
@@ -591,6 +624,26 @@ class Scenario:
             return self.closed_form_gamma(config, self.model(truncation), t)
         return self.run(config, truncation, t)[1].matrix
 
+    def gammas(self, configs: Sequence[JumpConfiguration], truncation: float | None = None,
+               t: float | None = None) -> list[np.ndarray]:
+        """:meth:`gamma_of` of each configuration, in order.
+
+        Without a closed form the configurations are solved as one batch,
+        and each chunk of paths is reduced to its matrices before the next
+        is solved, so memory does not grow with the number of paths.
+        """
+        t = self.eval_time if t is None else t
+        if self.closed_form_gamma is not None:
+            return [self.gamma_of(config, truncation, t) for config in configs]
+        model = self.model(truncation)
+        coeffs = self.make_coeffs(model)
+        matrices = []
+        for chunk in _solve_chunks(coeffs, model, configs, self.x0, self.step, t,
+                                   validate=True, flows=True):
+            matrices += [gamma_flow(traj, coeffs, self.bottom, t).matrix for traj in chunk]
+            del chunk  # the next chunk is solved without this one's arrays
+        return matrices
+
 
 def _doleans_scenario(
     truncation: float = 1.0 / 17.0,
@@ -709,12 +762,11 @@ def _null_scenario(
         return uniform_box_model(1, halfwidth=1.0, truncation=eps, intensity=2.0)
 
     def make_coeffs(model: TruncatedLevyModel) -> CoefficientSet:
-        zero_v = lambda t, x, u: np.zeros(1)
-        zero_m = lambda t, x, u: np.zeros((1, 1))
+        zero_v = lambda t, x: np.zeros((x.shape[0], 1))
+        zero_m = lambda t, x: np.zeros((x.shape[0], 1, 1))
         return CoefficientSet(
-            dim=1, c=zero_v, dx_c=zero_m, du_c=zero_m,
-            compensator=lambda t, x: np.zeros(1),
-            dx_compensator=lambda t, x: np.zeros((1, 1)),
+            dim=1, c=lambda t, x, u: zero_v(t, x), dx_c=lambda t, x, u: zero_m(t, x),
+            du_c=lambda t, x, u: zero_m(t, x), compensator=zero_v, dx_compensator=zero_m,
             name="null",
         )
 
@@ -856,7 +908,8 @@ def mckean_vlasov(
 
         for k in range(1, m):
             t0, t1 = float(grid[k - 1]), float(grid[k])
-            p = _rk4_interval(drift, t0, t1, p)
+            h = t1 - t0
+            p = _rk4_step(drift, t0, t0 + 0.5 * h, t1, h, p)
             left[k] = p
             if jumper[k] >= 0:
                 i = jumper[k]
@@ -886,29 +939,30 @@ def mckean_vlasov(
 
     lookup = _law_lookup(grid, law_right)
 
-    def a_fn(x: float, s: float) -> float:
-        return float(sigma(x, lookup(s)))
+    def amplitude(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # sigma is a per-point callable: one call per row of the batch
+        return np.array([float(sigma(xp, lookup(sp))) for sp, xp in zip(s.tolist(), x.tolist())])
 
     dx_step = 1e-6
 
-    def c(s: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array([a_fn(float(x[0]), s) * float(u[0])])
+    def slope(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        h = dx_step * (1.0 + np.abs(x))
+        return (amplitude(s, x + h) - amplitude(s, x - h)) / (2.0 * h)
 
-    def dx_c(s: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        h = dx_step * (1.0 + abs(float(x[0])))
-        da = (a_fn(float(x[0]) + h, s) - a_fn(float(x[0]) - h, s)) / (2.0 * h)
-        return np.array([[da * float(u[0])]])
+    def c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return (amplitude(s, x[:, 0]) * u[:, 0])[:, None]
 
-    def du_c(s: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array([[a_fn(float(x[0]), s)]])
+    def dx_c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return (slope(s, x[:, 0]) * u[:, 0])[:, None, None]
 
-    def comp(s: float, x: np.ndarray) -> np.ndarray:
-        return np.array([a_fn(float(x[0]), s) * m1])
+    def du_c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return amplitude(s, x[:, 0])[:, None, None]
 
-    def dcomp(s: float, x: np.ndarray) -> np.ndarray:
-        h = dx_step * (1.0 + abs(float(x[0])))
-        da = (a_fn(float(x[0]) + h, s) - a_fn(float(x[0]) - h, s)) / (2.0 * h)
-        return np.array([[da * m1]])
+    def comp(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return (amplitude(s, x[:, 0]) * m1)[:, None]
+
+    def dcomp(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return (slope(s, x[:, 0]) * m1)[:, None, None]
 
     coeffs = CoefficientSet(
         dim=1, c=c, dx_c=dx_c, du_c=du_c,

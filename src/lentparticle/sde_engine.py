@@ -22,7 +22,10 @@ Alongside X the module integrates the first-variation flow ``K_t``
 
 with ``A = Dx_b - integral Dx_c k du``.  They are integrated jointly with X
 on the same grid so the three stay mutually consistent.  ``solve_sde`` is
-the one entry point; ``flows=True`` adds K and Kbar to the same pass.
+the one entry point; ``flows=True`` adds K and Kbar to the same pass.  It
+solves one configuration or a sequence of them, advancing every path of a
+sequence in one loop over batched arrays; the coefficients evaluate batches
+of points (see :class:`CoefficientSet`).
 """
 
 from __future__ import annotations
@@ -61,30 +64,48 @@ _ETA_SLACK = 1.0 + 1e-9
 # Kbar on every row, so larger grids are refused before allocation.
 MAX_GRID_ROWS = 10 ** 6
 
+# A solve of many configurations runs in consecutive chunks of paths.  The
+# right and left limits of a chunk (paths x its longest grid x the values of
+# one row) hold at most this many floats, 4 MB, about 27 levy-area paths
+# with flows; a longer path is a chunk of its own.  On rank-stats over 100
+# levy-area paths this keeps peak RSS within 5 MB of solving one path at a
+# time; twice the bound adds 11 MB and saves a third of the time.
+_CHUNK_VALUES = 2 ** 19
+
 
 @dataclass(frozen=True)
 class CoefficientSet:
     """Coefficients of the jump SDE with their x-derivatives.
 
-    ``c(t, x, u)`` is the jump amplitude, ``dx_c`` / ``du_c`` its Jacobians
-    in the state and in the mark.  ``drift`` is the deterministic driver
-    part (the only driver component supported; see module notes), and
-    ``compensator(t, x) = integral c(t, x, u) k(u) du`` may be supplied in
-    closed form -- strongly recommended, since the quadrature fallback runs
-    inside every integrator stage.  ``eta`` is the dominating function used
-    by the assumption validators; when absent only invertibility of
-    ``I + dx_c`` is enforced.
+    Every callable evaluates a batch of points paired by row: with ``t`` of
+    shape ``(P,)``, ``x`` of shape ``(P, d)`` and ``u`` of shape ``(P, r)``,
+    row ``p`` is the point ``(t[p], x[p], u[p])``, and one point is a batch
+    with ``P = 1``.
+
+    * ``c(t, x, u)`` is the jump amplitude, ``(P, d)``; ``dx_c`` and ``du_c``
+      are its Jacobians in the state and in the mark, ``(P, d, d)`` and
+      ``(P, d, r)``.
+    * ``drift(t, x)`` is the deterministic drift, ``(P, d)``, the only part
+      of the dynamics besides the jumps (see module notes); ``dx_drift`` is
+      ``(P, d, d)``.
+    * ``compensator(t, x) = integral c(t, x, u) k(u) du``, ``(P, d)``, and
+      ``dx_compensator``, ``(P, d, d)``, may be supplied in closed form --
+      strongly recommended, since the quadrature fallback
+      (:func:`quadrature_compensator`) runs inside every integrator stage.
+    * ``eta(u)``, ``(P,)``, is the dominating function used by the
+      assumption validators; when absent only invertibility of ``I + dx_c``
+      is enforced.
     """
 
     dim: int
-    c: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    dx_c: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    du_c: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    drift: Callable[[float, np.ndarray], np.ndarray] | None = None
-    dx_drift: Callable[[float, np.ndarray], np.ndarray] | None = None
-    compensator: Callable[[float, np.ndarray], np.ndarray] | None = None
-    dx_compensator: Callable[[float, np.ndarray], np.ndarray] | None = None
-    eta: Callable[[np.ndarray], float] | None = None
+    c: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    dx_c: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    du_c: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    drift: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    dx_drift: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    compensator: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    dx_compensator: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    eta: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -97,32 +118,39 @@ class CoefficientSet:
 def quadrature_compensator(model: TruncatedLevyModel, c, dx_c):
     """``compensator`` and ``dx_compensator`` of ``c`` by batched mark quadrature.
 
-    ``c(t, x, U)`` and ``dx_c(t, x, U)`` evaluate a batch of marks ``U`` of
-    shape ``(n, r)``, giving ``(n, d)`` and ``(n, d, d)``.  The returned
-    ``compensator(t, x) = integral c(t, x, u) k(u) du`` and its x-Jacobian
-    come from one vector-valued :class:`MarkQuadrature` integral per
-    ``(t, x)``, shared by the two: an integrator stage asks for both at the
-    same point.
+    ``c`` and ``dx_c`` follow the :class:`CoefficientSet` contract.  For each
+    row ``(t[p], x[p])`` of a batch, the returned ``compensator(t, x)``,
+    ``(P, d)``, and ``dx_compensator(t, x)``, ``(P, d, d)``, come from one
+    vector-valued :class:`MarkQuadrature` integral over the marks, shared by
+    the two: an integrator stage asks for both at the same points.
     """
     quadrature = MarkQuadrature(model)
-    # the last point and its integrals, replaced as one tuple so that
+    # the last batch and its integrals, replaced as one tuple so that
     # threads sharing the coefficients never see a torn pair
     last = [(None, None)]
 
-    def integrals(t: float, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        key = (t, x.tobytes())
+    def integral(t: float, x: np.ndarray) -> np.ndarray:
+        d = x.shape[0]
+
+        def integrand(marks: np.ndarray) -> np.ndarray:
+            n = marks.shape[0]
+            t_rows, x_rows = np.empty(n), np.empty((n, d))
+            t_rows.fill(t)
+            x_rows[:] = x
+            return np.concatenate([np.reshape(c(t_rows, x_rows, marks), (n, d)),
+                                   np.reshape(dx_c(t_rows, x_rows, marks), (n, d * d))], axis=1)
+
+        return quadrature.integrate(integrand)
+
+    def integrals(t: np.ndarray, x: np.ndarray):
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        key = (t.tobytes(), x.tobytes())
         last_key, value = last[0]
         if last_key != key:
-            d = x.shape[0]
-
-            def integrand(marks: np.ndarray) -> np.ndarray:
-                n = marks.shape[0]
-                return np.concatenate([np.reshape(c(t, x, marks), (n, d)),
-                                       np.reshape(dx_c(t, x, marks), (n, d * d))], axis=1)
-
-            flat = quadrature.integrate(integrand)
-            value = flat[:d], flat[d:].reshape(d, d)
+            d = x.shape[1]
+            flat = np.array([integral(tp, xp) for tp, xp in zip(t.tolist(), x)])
+            flat = flat.reshape(x.shape[0], d + d * d)
+            value = flat[:, :d], flat[:, d:].reshape(-1, d, d)
             last[0] = key, value
         return value
 
@@ -132,56 +160,84 @@ def quadrature_compensator(model: TruncatedLevyModel, c, dx_c):
 def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel):
     """Between-jump velocity b - integral c k du and its x-Jacobian."""
     comp, comp_dx = coeffs.compensator, coeffs.dx_compensator
-    if comp is None or comp_dx is None:  # quadrature fallback, one mark at a time
-        def batched(per_mark):
-            return lambda t, x, marks: np.array([per_mark(t, x, u) for u in marks])
-
-        by_quadrature = quadrature_compensator(model, batched(coeffs.c), batched(coeffs.dx_c))
+    if comp is None or comp_dx is None:
+        by_quadrature = quadrature_compensator(model, coeffs.c, coeffs.dx_c)
         comp = comp or by_quadrature[0]
         comp_dx = comp_dx or by_quadrature[1]
 
     if coeffs.drift is None:
-        velocity = lambda t, x: -np.asarray(comp(t, x), dtype=float)
-        jacobian = lambda t, x: -np.asarray(comp_dx(t, x), dtype=float)
-    else:
-        velocity = lambda t, x: np.asarray(coeffs.drift(t, x), dtype=float) - np.asarray(comp(t, x), dtype=float)
-        jacobian = lambda t, x: np.asarray(coeffs.dx_drift(t, x), dtype=float) - np.asarray(comp_dx(t, x), dtype=float)
-    return velocity, jacobian
+        return (lambda t, x: np.negative(comp(t, x))), (lambda t, x: np.negative(comp_dx(t, x)))
+    drift, drift_dx = coeffs.drift, coeffs.dx_drift
+    return ((lambda t, x: np.subtract(drift(t, x), comp(t, x))),
+            (lambda t, x: np.subtract(drift_dx(t, x), comp_dx(t, x))))
 
 
-def _check_r_conditions(coeffs: CoefficientSet, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Spot-check the standing coefficient assumptions at one point.
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry, or ``None``."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
-    Returns ``I + dx_c`` for reuse.  Raises :class:`ModelError` naming the
-    violated condition.
+
+def _first_singular(matrices: np.ndarray) -> int:
+    """Index of the first matrix of a stack that LAPACK finds singular."""
+    for k, matrix in enumerate(matrices):
+        try:
+            np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:
+            return k
+    return 0
+
+
+def _check_r_conditions(coeffs: CoefficientSet, t: np.ndarray, x: np.ndarray,
+                        u: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
+    """Spot-check the standing coefficient assumptions at a batch of points.
+
+    Returns ``I + dx_c``, ``(n, d, d)``, for reuse.  Raises
+    :class:`ModelError` naming the violated condition and, through
+    ``where(k)``, the path or point of the first offending row ``k``.
     """
-    d = coeffs.dim
+    d, n = coeffs.dim, t.shape[0]
     dxc = np.asarray(coeffs.dx_c(t, x, u), dtype=float)
-    if dxc.shape != (d, d) or not np.all(np.isfinite(dxc)):
-        raise ModelError(f"dx_c at (t={t}) must be a finite ({d}, {d}) matrix")
+    if dxc.shape != (n, d, d):
+        raise ModelError(f"dx_c must return shape ({n}, {d}, {d}) for {n} points, got {dxc.shape}")
+    k = _first(~np.isfinite(dxc).all(axis=(1, 2)))
+    if k is not None:
+        raise ModelError(f"dx_c at (t={t[k]}) must be a finite ({d}, {d}) matrix {where(k)}")
     m = np.eye(d) + dxc
-    eta_val = None
+    eta = None
     if coeffs.eta is not None:
-        eta_val = float(coeffs.eta(u))
-        if np.linalg.norm(dxc, 2) > eta_val * _ETA_SLACK:
+        eta = np.asarray(coeffs.eta(u), dtype=float)
+        if eta.shape != (n,):
+            raise ModelError(f"eta must return shape ({n},) for {n} marks, got {eta.shape}")
+        norms = np.linalg.norm(dxc, 2, axis=(1, 2))
+        k = _first(norms > eta * _ETA_SLACK)
+        if k is not None:
             raise ModelError(
-                f"jump x-Jacobian norm {np.linalg.norm(dxc, 2):.4g} exceeds eta({u}) = {eta_val:.4g}"
+                f"jump x-Jacobian norm {norms[k]:.4g} exceeds eta({u[k]}) = {eta[k]:.4g} {where(k)}"
             )
-        c0 = np.asarray(coeffs.c(t, np.zeros(d), u), dtype=float)
-        if np.linalg.norm(c0) > eta_val * _ETA_SLACK:
+        norms = np.linalg.norm(np.asarray(coeffs.c(t, np.zeros((n, d)), u), dtype=float), axis=1)
+        k = _first(norms > eta * _ETA_SLACK)
+        if k is not None:
             raise ModelError(
-                f"jump size at x = 0 norm {np.linalg.norm(c0):.4g} exceeds eta({u}) = {eta_val:.4g}"
+                f"jump size at x = 0 norm {norms[k]:.4g} exceeds eta({u[k]}) = {eta[k]:.4g} {where(k)}"
             )
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        raise ModelError(f"jump update I + dx_c singular at (t={t}, u={u})") from None
-    if not np.all(np.isfinite(inv)):
-        raise ModelError(f"jump update I + dx_c numerically singular at (t={t}, u={u})")
-    if eta_val is not None and np.linalg.norm(inv, 2) > eta_val * _ETA_SLACK:
+        k = _first_singular(m)
+        raise ModelError(f"jump update I + dx_c singular at (t={t[k]}, u={u[k]}) {where(k)}") from None
+    k = _first(~np.isfinite(inv).all(axis=(1, 2)))
+    if k is not None:
         raise ModelError(
-            f"inverse jump update norm {np.linalg.norm(inv, 2):.4g} exceeds eta({u}) = {eta_val:.4g}"
+            f"jump update I + dx_c numerically singular at (t={t[k]}, u={u[k]}) {where(k)}"
         )
+    if eta is not None:
+        norms = np.linalg.norm(inv, 2, axis=(1, 2))
+        k = _first(norms > eta * _ETA_SLACK)
+        if k is not None:
+            raise ModelError(
+                f"inverse jump update norm {norms[k]:.4g} exceeds eta({u[k]}) = {eta[k]:.4g} {where(k)}"
+            )
     return m
 
 
@@ -190,14 +246,25 @@ def validate_coefficients(
     model: TruncatedLevyModel,
     points: Sequence[tuple[float, np.ndarray, np.ndarray]],
 ) -> None:
-    """Spot-check the coefficient assumptions at the given (t, x, u) points."""
-    for t, x, u in points:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        val = np.asarray(coeffs.c(t, x, u), dtype=float)
-        if val.shape != (coeffs.dim,) or not np.all(np.isfinite(val)):
-            raise ModelError(f"c at (t={t}) must be a finite length-{coeffs.dim} vector")
-        _check_r_conditions(coeffs, t, x, u)
+    """Spot-check the coefficient assumptions at the given (t, x, u) points.
+
+    The points are evaluated as one batch.
+    """
+    if not points:
+        return
+    n, d = len(points), coeffs.dim
+    states = [np.asarray(p[1], dtype=float) for p in points]
+    marks = [np.atleast_1d(np.asarray(p[2], dtype=float)) for p in points]
+    if any(s.shape != (d,) for s in states) or len({m.shape for m in marks}) != 1:
+        raise InputError(f"points need states of shape ({d},) and marks of one shape")
+    t, x, u = np.array([float(p[0]) for p in points]), np.array(states), np.array(marks)
+    val = np.asarray(coeffs.c(t, x, u), dtype=float)
+    if val.shape != (n, d):
+        raise ModelError(f"c must return shape ({n}, {d}) for {n} points, got {val.shape}")
+    k = _first(~np.isfinite(val).all(axis=1))
+    if k is not None:
+        raise ModelError(f"c at (t={t[k]}) must be a finite length-{d} vector at point {k}")
+    _check_r_conditions(coeffs, t, x, u, lambda k: f"at point {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +278,8 @@ class Trajectory:
     Row ``i`` holds the right limit at ``times[i]``; ``*_left`` arrays hold
     the left limits, which differ only on jump rows.  ``atom_index[i]`` is
     the index into ``config`` of the atom at a jump row, ``-1`` elsewhere.
+    The arrays of the trajectories one :func:`solve_sde` call returns are
+    views into the arrays of the batch that solved them.
     """
 
     times: np.ndarray
@@ -275,132 +344,245 @@ def _build_grid(config: JumpConfiguration, horizon: float, step: float):
     return times, is_jump, atom_index
 
 
-def _rk4_interval(rhs, t0: float, t1: float, y: np.ndarray) -> np.ndarray:
-    h = t1 - t0
+def _rk4_step(rhs, t0, half, t1, h, y: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of ``y`` from ``t0`` over ``half = t0 + h/2``
+    to ``t1 = t0 + h``; ``h`` is a scalar or broadcasts against ``y``."""
     k1 = rhs(t0, y)
-    k2 = rhs(t0 + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t0 + 0.5 * h, y + 0.5 * h * k2)
+    k2 = rhs(half, y + 0.5 * h * k1)
+    k3 = rhs(half, y + 0.5 * h * k2)
     k4 = rhs(t1, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate(
-    coeffs: CoefficientSet,
-    model: TruncatedLevyModel,
-    config: JumpConfiguration,
-    x0: np.ndarray,
-    step: float,
-    horizon: float,
-    flows: bool,
-    validate: bool,
-):
-    """One pass over the grid computing X and, with ``flows``, K and Kbar.
+def _chunks(configs: list[JumpConfiguration], horizon: float | None, step: float,
+            row_values: int):
+    """Consecutive chunks of paths as ``(start, configs, grids)``: each
+    padded batch (paths x longest grid x ``row_values``) holds at most
+    :data:`_CHUNK_VALUES` floats, and a path longer than that is a chunk of
+    its own.  A grid is built when its chunk is reached."""
+    start, grids, longest = 0, [], 0
+    for i, config in enumerate(configs):
+        grid = _build_grid(config, config.horizon if horizon is None else float(horizon), step)
+        m = grid[0].shape[0]
+        if grids and (len(grids) + 1) * max(longest, m) * row_values > _CHUNK_VALUES:
+            yield start, configs[start:i], grids
+            start, grids, longest = i, [], 0
+        grids.append(grid)
+        longest = max(longest, m)
+    if grids:
+        yield start, configs[start:], grids
 
-    The integrated vector is X alone, or X, K and Kbar stacked row-major.
-    The X entries of every stage never read the flow entries, so X is the
-    same bit for bit with and without flows.  Returns the grid and the
-    stacked right and left limits, one row per grid point.
+
+def _stack_grids(configs: Sequence[JumpConfiguration], grids: list):
+    """One chunk's grids as batch arrays, longest grid first.
+
+    Returns ``order`` (batch row ``b`` holds path ``order[b]`` of the chunk),
+    the grid sizes in chunk order, ``times``, ``is_jump`` and ``atom_index``
+    of shape ``(P, m_max)``, each grid padded with its last time, and
+    ``marks``, ``(P, m_max, r)``, holding the mark of every jump row.
     """
+    sizes = np.array([grid[0].shape[0] for grid in grids])
+    order = np.argsort(-sizes, kind="stable")
+    n_paths, m_max = len(configs), int(sizes.max())
+    r = max(config.mark_dimension for config in configs)
+    times = np.empty((n_paths, m_max))
+    is_jump = np.zeros((n_paths, m_max), dtype=bool)
+    atom_index = np.full((n_paths, m_max), -1, dtype=int)
+    marks = np.zeros((n_paths, m_max, r))
+    for b, p in enumerate(order):
+        grid_times, jumps, atoms = grids[p]
+        m = grid_times.shape[0]
+        times[b, :m], times[b, m:] = grid_times, grid_times[-1]
+        is_jump[b, :m], atom_index[b, :m] = jumps, atoms
+        marks[b, :m][jumps] = configs[p].marks[atoms[jumps]]
+    return order, sizes, times, is_jump, atom_index, marks
+
+
+def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
+               flows: bool, validate: bool, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance every path of one chunk through one RK4 loop over grid rows.
+
+    ``stacked`` comes from :func:`_stack_grids`.  A path's state is a
+    ``(1, d)`` block holding X, or with ``flows`` a ``(1 + 2d, d)`` block
+    holding X, the rows of K and the rows of Kbar; the batch stacks one block
+    per path.  A path drops out of the batch after its last row, so row ``i``
+    advances the prefix of paths that have one, each between its own grid
+    times.  The jump update, its validation and the finite-state checks run
+    on the paths that jump at row ``i``.  The X entries of every stage never
+    read the flow entries, so X is the same bit for bit with and without
+    flows, and every operation acts on each path alone, so a path's rows do
+    not depend on the rest of the batch.  ``first`` is the index of the
+    chunk's first path in the caller's list.  Returns the right and left
+    limits, ``(P, m_max, 1 [+ 2d], d)``, in batch order.
+    """
+    velocity, vel_jac = drift
+    d = coeffs.dim
+    order, sizes, times, is_jump, _, marks = stacked
+    n_paths, m_max = times.shape
+    # row i advances the paths with more than i rows: a prefix of the batch
+    active = (n_paths - np.searchsorted(np.sort(sizes), np.arange(m_max), side="right")).tolist()
+    # per row, the start, midpoint and end time and the step of every path
+    by_row = np.ascontiguousarray(times.T)
+    steps = by_row[1:] - by_row[:-1]
+    halves = by_row[:-1] + 0.5 * steps
+    step_columns = steps[:, :, None, None]
+    event_rows, event_paths = np.nonzero(is_jump.T)
+    rows_with_jumps, starts = np.unique(event_rows, return_index=True)
+    jumpers = dict(zip(rows_with_jumps.tolist(), np.split(event_paths, starts[1:])))
+    k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
+
+    def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = y[:, 0]
+        if not flows:
+            return velocity(t, x)[:, None]
+        a = vel_jac(t, x)
+        out = np.empty_like(y)
+        out[:, 0] = velocity(t, x)
+        out[:, k_rows] = a @ y[:, k_rows]
+        out[:, kb_rows] = -(y[:, kb_rows] @ a)
+        return out
+
+    def jump(i: int, batch: np.ndarray, y: np.ndarray) -> np.ndarray:
+        t, u, x_left = times[batch, i], marks[batch, i], y[batch, 0]
+        where = lambda k: f"on path {first + order[batch[k]]}"
+        if validate:
+            jump_matrix = _check_r_conditions(coeffs, t, x_left, u, where)
+        else:
+            jump_matrix = np.eye(d) + np.asarray(coeffs.dx_c(t, x_left, u), dtype=float)
+        block = np.empty((batch.shape[0], y.shape[1], d))
+        block[:, 0] = x_left + np.asarray(coeffs.c(t, x_left, u), dtype=float)
+        k = _first(~np.isfinite(block[:, 0]).all(axis=1))
+        if k is not None:
+            raise NumericError(f"jump update produced non-finite state at t = {t[k]} {where(k)}")
+        if flows:
+            block[:, k_rows] = jump_matrix @ y[batch, k_rows]
+            try:
+                kb_transposed = np.linalg.solve(jump_matrix.transpose(0, 2, 1),
+                                                y[batch, kb_rows].transpose(0, 2, 1))
+            except np.linalg.LinAlgError:
+                k = _first_singular(jump_matrix)
+                raise ModelError(
+                    f"jump update I + dx_c singular at (t={t[k]}, u={u[k]}) {where(k)}"
+                ) from None
+            block[:, kb_rows] = kb_transposed.transpose(0, 2, 1)
+        return block
+
+    y = np.zeros((n_paths, 1 + 2 * d if flows else 1, d))
+    y[:, 0] = x0
+    if flows:
+        y[:, k_rows] = y[:, kb_rows] = np.eye(d)
+    right = np.empty((n_paths, m_max) + y.shape[1:])
+    left = np.empty_like(right)
+    right[:, 0] = left[:, 0] = y
+    for i in range(1, m_max):
+        n = active[i]
+        # one path steps with a scalar: numpy combines it with y faster than
+        # a broadcast column, and to the same bits
+        h = steps[i - 1, 0] if n == 1 else step_columns[i - 1, :n]
+        y = _rk4_step(rhs, by_row[i - 1, :n], halves[i - 1, :n], by_row[i, :n], h, y[:n])
+        if not np.isfinite(y).all():
+            k = _first(~np.isfinite(y).all(axis=(1, 2)))
+            raise NumericError(
+                f"integration produced non-finite state at t = {times[k, i]} "
+                f"on path {first + order[k]}"
+            )
+        left[:n, i] = y
+        batch = jumpers.get(i)
+        if batch is not None:
+            y[batch] = jump(i, batch, y)
+        right[:n, i] = y
+    return right, left
+
+
+def _trajectories(coeffs: CoefficientSet, configs: Sequence[JumpConfiguration],
+                  stacked: tuple, right: np.ndarray, left: np.ndarray,
+                  flows: bool) -> list[Trajectory]:
+    """Each path's :class:`Trajectory`, in chunk order, as views into the batch."""
+    order, sizes, times, is_jump, atom_index, _ = stacked
+    d = coeffs.dim
+    k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
+    out: list = [None] * len(configs)
+    for b, p in enumerate(order):
+        m = sizes[p]
+        traj = Trajectory(
+            times=times[b, :m], is_jump=is_jump[b, :m], atom_index=atom_index[b, :m],
+            states=right[b, :m, 0], states_left=left[b, :m, 0],
+            config=configs[p], coeffs=coeffs,
+        )
+        if flows:
+            traj.flow, traj.flow_left = right[b, :m, k_rows], left[b, :m, k_rows]
+            traj.inverse_flow = right[b, :m, kb_rows]
+            traj.inverse_flow_left = left[b, :m, kb_rows]
+        out[p] = traj
+    return out
+
+
+def _solve_chunks(coeffs: CoefficientSet, model: TruncatedLevyModel,
+                  configs: Sequence[JumpConfiguration], x0: np.ndarray, step: float,
+                  horizon: float | None, validate: bool, flows: bool):
+    """:func:`solve_sde` of a sequence, yielding the trajectories of one chunk
+    at a time, so that a caller that drops each chunk before the next holds
+    one chunk's arrays; warns as :func:`solve_sde` after the last chunk, at
+    the caller of the function that consumes the chunks."""
+    configs = list(configs)
     d = coeffs.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
         raise InputError(f"x0 must have shape ({d},), got {x0.shape}")
-    times, is_jump, atom_index = _build_grid(config, horizon, step)
-    m = times.shape[0]
-    dd = d * d
-
-    velocity, vel_jac = _effective_drift(coeffs, model)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x = y[:d]
-        out = np.empty_like(y)
-        out[:d] = velocity(t, x)
+    drift = _effective_drift(coeffs, model)
+    row_values = 2 * d * (1 + 2 * d if flows else 1)
+    resid = 0.0
+    for start, part, grids in _chunks(configs, horizon, step, row_values):
+        stacked = _stack_grids(part, grids)
+        right, left = _integrate(coeffs, drift, stacked, x0, flows, validate, start)
+        chunk = _trajectories(coeffs, part, stacked, right, left, flows)
+        del stacked, right, left
         if flows:
-            a = vel_jac(t, x)
-            out[d:d + dd] = (a @ y[d:d + dd].reshape(d, d)).ravel()
-            out[d + dd:] = -(y[d + dd:].reshape(d, d) @ a).ravel()
-        return out
-
-    y = np.concatenate([x0, np.eye(d).ravel(), np.eye(d).ravel()]) if flows else x0.copy()
-    rows = np.empty((m, y.shape[0]))
-    rows_left = np.empty((m, y.shape[0]))
-    rows[0] = rows_left[0] = y
-    for i in range(1, m):
-        y = _rk4_interval(rhs, times[i - 1], times[i], y)
-        if not np.all(np.isfinite(y)):
-            raise NumericError(f"integration produced non-finite state at t = {times[i]}")
-        rows_left[i] = y
-        if is_jump[i]:
-            t = float(times[i])
-            u = config.marks[atom_index[i]]
-            x_left = y[:d]
-            if validate:
-                jump_matrix = _check_r_conditions(coeffs, t, x_left, u)
-            else:
-                jump_matrix = np.eye(d) + np.asarray(coeffs.dx_c(t, x_left, u), dtype=float)
-            x_right = x_left + np.asarray(coeffs.c(t, x_left, u), dtype=float)
-            if not np.all(np.isfinite(x_right)):
-                raise NumericError(f"jump update produced non-finite state at t = {t}")
-            if flows:
-                k_right = jump_matrix @ y[d:d + dd].reshape(d, d)
-                try:
-                    kb_right = np.linalg.solve(jump_matrix.T, y[d + dd:].reshape(d, d).T).T
-                except np.linalg.LinAlgError:
-                    raise ModelError(
-                        f"jump update I + dx_c singular at (t={t}, u={u})"
-                    ) from None
-                y = np.concatenate([x_right, k_right.ravel(), kb_right.ravel()])
-            else:
-                y = x_right
-        rows[i] = y
-
-    return times, is_jump, atom_index, rows, rows_left
+            resid = max([resid] + [
+                float(np.abs(np.einsum("tij,tjk->tik", traj.flow, traj.inverse_flow)
+                             - np.eye(d)).max())
+                for traj in chunk
+            ])
+        yield chunk
+        del chunk
+    if resid > 1e-9:
+        warnings.warn(
+            f"K Kbar deviates from identity by {resid:.3g}; consider a smaller step",
+            ConditioningWarning, stacklevel=3,
+        )
 
 
 def solve_sde(
     coeffs: CoefficientSet,
     model: TruncatedLevyModel,
-    config: JumpConfiguration,
+    configs: JumpConfiguration | Sequence[JumpConfiguration],
     x0: np.ndarray,
     step: float,
     horizon: float | None = None,
     validate: bool = True,
     flows: bool = False,
-) -> Trajectory:
-    """Solve the jump SDE pathwise on the given configuration.
+) -> Trajectory | list[Trajectory]:
+    """Solve the jump SDE pathwise on one configuration or on a sequence.
 
-    The returned trajectory stores X at every regular grid point and jump
-    time, with left limits at jumps.  With ``flows`` it also stores K and
-    Kbar from the same pass, and warns with :class:`ConditioningWarning`
-    when ``K Kbar`` strays from the identity by more than 1e-9.  With
-    ``validate`` the coefficient assumptions are spot-checked at every jump
-    actually taken.
+    A sequence is solved as a batch, advancing every path in one RK4 loop,
+    in consecutive chunks of paths whose stored limits hold at most
+    :data:`_CHUNK_VALUES` floats; one configuration is a batch of one.  Each
+    path is the same bit for bit as when solved alone.  Returns a
+    :class:`Trajectory`, or a list of them in the order of ``configs``; each
+    stores X at every regular grid point and jump time up to ``horizon`` (by
+    default the configuration's own), with left limits at jumps.  With
+    ``flows`` it also stores K and Kbar from the same pass, and warns once
+    with :class:`ConditioningWarning` when ``K Kbar`` strays from the
+    identity by more than 1e-9 on some path.  With ``validate`` the
+    coefficient assumptions are spot-checked at every jump actually taken;
+    errors name the path's index in ``configs``.
     """
-    horizon = config.horizon if horizon is None else float(horizon)
-    times, is_jump, atom_index, rows, rows_left = _integrate(
-        coeffs, model, config, x0, step, horizon, flows=flows, validate=validate,
-    )
-    d = coeffs.dim
-    traj = Trajectory(
-        times=times, is_jump=is_jump, atom_index=atom_index,
-        states=np.ascontiguousarray(rows[:, :d]),
-        states_left=np.ascontiguousarray(rows_left[:, :d]),
-        config=config, coeffs=coeffs,
-    )
-    if not flows:
-        return traj
-    m, dd = times.shape[0], d * d
-    matrices = lambda a, lo: np.ascontiguousarray(a[:, lo:lo + dd]).reshape(m, d, d)
-    traj.flow, traj.flow_left = matrices(rows, d), matrices(rows_left, d)
-    traj.inverse_flow = matrices(rows, d + dd)
-    traj.inverse_flow_left = matrices(rows_left, d + dd)
-    resid = np.abs(np.einsum("tij,tjk->tik", traj.flow, traj.inverse_flow) - np.eye(d)).max()
-    if resid > 1e-9:
-        warnings.warn(
-            f"K Kbar deviates from identity by {resid:.3g}; consider a smaller step",
-            ConditioningWarning, stacklevel=2,
-        )
-    return traj
+    single = isinstance(configs, JumpConfiguration)
+    trajectories: list[Trajectory] = []
+    for chunk in _solve_chunks(coeffs, model, [configs] if single else configs,
+                               x0, step, horizon, validate, flows):
+        trajectories += chunk
+    return trajectories[0] if single else trajectories
 
 
 # ---------------------------------------------------------------------------

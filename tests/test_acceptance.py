@@ -78,16 +78,17 @@ def _random_linear_coeffs(rng, d: int, m1: float) -> CoefficientSet:
     mat = 0.5 * raw / np.linalg.norm(raw, 2)
     vec = rng.uniform(-1.0, 1.0, d)
 
+    # batched: t (P,), x (P, d), u (P, 1); row p of each is one point
     def c(t, x, u):
-        return u[0] * (mat @ x + vec)
+        return u[:, :1] * (x @ mat.T + vec)
 
     return CoefficientSet(
         dim=d,
         c=c,
-        dx_c=lambda t, x, u: u[0] * mat,
-        du_c=lambda t, x, u: (mat @ x + vec)[:, None],
-        compensator=lambda t, x: m1 * (mat @ x + vec),
-        dx_compensator=lambda t, x: m1 * mat,
+        dx_c=lambda t, x, u: u[:, 0, None, None] * mat,
+        du_c=lambda t, x, u: (x @ mat.T + vec)[:, :, None],
+        compensator=lambda t, x: m1 * (x @ mat.T + vec),
+        dx_compensator=lambda t, x: np.broadcast_to(m1 * mat, (x.shape[0], d, d)),
     )
 
 
@@ -120,18 +121,24 @@ def test_criterion_2_flow_renderings_agree():
 
 
 def _smooth_coeffs(m1: float) -> CoefficientSet:
-    def c(t, x, u):
-        return u[0] * np.array([np.sin(x[1]), x[0]])
+    # batched: t (P,), x (P, 2), u (P, 1); row p of each is one point
+    def amplitude(x):
+        return np.column_stack([np.sin(x[:, 1]), x[:, 0]])
+
+    def amplitude_dx(x):
+        out = np.zeros((x.shape[0], 2, 2))
+        out[:, 0, 1], out[:, 1, 0] = np.cos(x[:, 1]), 1.0
+        return out
 
     return CoefficientSet(
         dim=2,
-        c=c,
-        dx_c=lambda t, x, u: u[0] * np.array([[0.0, np.cos(x[1])], [1.0, 0.0]]),
-        du_c=lambda t, x, u: np.array([[np.sin(x[1])], [x[0]]]),
-        drift=lambda t, x: np.array([-0.3 * x[0], 0.2 * x[1]]),
-        dx_drift=lambda t, x: np.array([[-0.3, 0.0], [0.0, 0.2]]),
-        compensator=lambda t, x: m1 * np.array([np.sin(x[1]), x[0]]),
-        dx_compensator=lambda t, x: m1 * np.array([[0.0, np.cos(x[1])], [1.0, 0.0]]),
+        c=lambda t, x, u: u[:, :1] * amplitude(x),
+        dx_c=lambda t, x, u: u[:, 0, None, None] * amplitude_dx(x),
+        du_c=lambda t, x, u: amplitude(x)[:, :, None],
+        drift=lambda t, x: x * np.array([-0.3, 0.2]),
+        dx_drift=lambda t, x: np.broadcast_to(np.diag([-0.3, 0.2]), (x.shape[0], 2, 2)),
+        compensator=lambda t, x: m1 * amplitude(x),
+        dx_compensator=lambda t, x: m1 * amplitude_dx(x),
     )
 
 

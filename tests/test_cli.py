@@ -233,6 +233,16 @@ def test_custom_generic_gamma_matches_theorem9(tmp_path):
     assert check["max_abs_difference"] <= 1e-8
 
 
+def test_custom_structure_with_complex_value_exits_2(tmp_path, capsys):
+    # u1^0.5 of a negative mark is complex in Python floats
+    text = CUSTOM_INI.replace("k = 1\npsi = 1", "k = 1 + u1^0.5\npsi = 1 + u1^0.5")
+    cfg = write_config(tmp_path, text)
+    assert run_cli("gamma", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "1 + u1^0.5" in err and "complex" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_custom_model_refuses_key_its_kind_does_not_read(tmp_path, capsys):
     cfg = write_config(tmp_path, CUSTOM_INI.replace("intensity = 4.0", "alpha = 1.5"))
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 2

@@ -11,6 +11,7 @@ from lentparticle.density_criteria import (
 )
 from lentparticle.errors import DomainError, InputError
 from lentparticle.lent_particle import gamma_flow
+from lentparticle.rng import path_seed
 from lentparticle.scenarios import get_scenario
 from lentparticle.sde_engine import CoefficientSet
 
@@ -129,16 +130,84 @@ def test_rank_stats_csv(tmp_path):
     path = tmp_path / "stats.csv"
     table.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epsilon,n_paths,full_rank_fraction,median_min_eig"
+    assert lines[0] == "epsilon,n_paths,full_rank_fraction,median_min_eig,indeterminate_fraction"
     assert len(lines) == 2
+
+
+_EPSILONS = (0.05, 0.02, 0.008)
+
+
+def _pipeline_levy_area():
+    """levy-area-1 with its closed form removed, so Gamma runs the batched solve."""
+    import dataclasses
+
+    return dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
+
+
+def _assert_tables_agree(got, want, rel=0.0):
+    assert len(got.rows) == len(want.rows)
+    for a, b in zip(got.rows, want.rows):
+        assert (a.epsilon, a.n_paths) == (b.epsilon, b.n_paths)
+        assert a.full_rank_fraction == b.full_rank_fraction
+        assert a.indeterminate_fraction == b.indeterminate_fraction
+        assert abs(a.median_min_eig - b.median_min_eig) <= rel * abs(b.median_min_eig)
+    assert got.monotone_nondecreasing == want.monotone_nondecreasing
+
+
+def test_rank_stats_pipeline_matches_closed_form():
+    # RK4 integrates the area's polynomial drift exactly, so the batched
+    # pipeline reproduces the closed-form table
+    closed = monte_carlo_rank_stats("levy-area-1", 8, _EPSILONS, seed=12)
+    piped = monte_carlo_rank_stats(_pipeline_levy_area(), 8, _EPSILONS, seed=12)
+    _assert_tables_agree(piped, closed, rel=1e-9)
+
+
+def test_rank_stats_pipeline_same_in_chunks(monkeypatch):
+    import lentparticle.sde_engine as engine
+
+    scenario = _pipeline_levy_area()
+    whole = monte_carlo_rank_stats(scenario, 8, _EPSILONS, seed=12)
+    chunks = []
+    stack = engine._stack_grids
+
+    def counted(configs, grids):
+        chunks.append(len(configs))
+        return stack(configs, grids)
+
+    # 401 regular rows plus the atoms, 42 stored values per row: at most
+    # three paths per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 1500 * 42)
+    monkeypatch.setattr(engine, "_stack_grids", counted)
+    chunked = monte_carlo_rank_stats(scenario, 8, _EPSILONS, seed=12)
+    assert max(chunks) <= 3 and len(chunks) >= 3 * len(_EPSILONS)
+    _assert_tables_agree(chunked, whole)
+
+
+def test_rank_stats_reports_indeterminate_fraction():
+    # at rel_tol = 0.01 some verdicts sit within a factor 10 of the cut
+    scenario = get_scenario("levy-area-1")
+    table = monte_carlo_rank_stats(scenario, 6, [0.05], seed=4, rel_tol=0.01)
+    configs = [scenario.simulate(0.05, path_seed(4, p)) for p in range(6)]
+    flags = [rank_diagnostic(scenario.gamma_of(c, 0.05), 0.01).indeterminate for c in configs]
+    assert 0.0 < table.rows[0].indeterminate_fraction == np.mean(flags) < 1.0
+    firm = monte_carlo_rank_stats(scenario, 6, [0.05], seed=4)
+    assert firm.rows[0].indeterminate_fraction == 0.0
+
+
+# Coefficients evaluate batches paired by row: t (P,), x (P, d), u (P, r).
+
+def _constant(matrix):
+    """A batched callable returning ``matrix`` at every point."""
+    matrix = np.asarray(matrix, dtype=float)
+    return lambda t, x, u: np.broadcast_to(matrix, (x.shape[0], *matrix.shape))
 
 
 def _linear_coeffs():
     return CoefficientSet(
         dim=2,
-        c=lambda t, x, u: np.array([u[0], u[1]]),
-        dx_c=lambda t, x, u: np.zeros((2, 2)),
-        du_c=lambda t, x, u: np.eye(2),
+        c=lambda t, x, u: u[:, :2],
+        dx_c=_constant(np.zeros((2, 2))),
+        du_c=_constant(np.eye(2)),
     )
 
 
@@ -156,9 +225,9 @@ def test_regular_case_passes_for_invertible_jacobian():
 def test_regular_case_fails_for_degenerate_jacobian():
     coeffs = CoefficientSet(
         dim=2,
-        c=lambda t, x, u: np.array([u[0], u[0]]),
-        dx_c=lambda t, x, u: np.zeros((2, 2)),
-        du_c=lambda t, x, u: np.array([[1.0, 0.0], [1.0, 0.0]]),
+        c=lambda t, x, u: u[:, [0, 0]],
+        dx_c=_constant(np.zeros((2, 2))),
+        du_c=_constant([[1.0, 0.0], [1.0, 0.0]]),
     )
     rep = regular_case_check(
         coeffs, isotropic(2), x=np.zeros(2), u0=np.array([0.3, 0.0]), radius=0.05
@@ -169,9 +238,9 @@ def test_regular_case_fails_for_degenerate_jacobian():
 def test_regular_case_outside_support_raises():
     coeffs1 = CoefficientSet(
         dim=1,
-        c=lambda t, x, u: np.array([u[0]]),
-        dx_c=lambda t, x, u: np.zeros((1, 1)),
-        du_c=lambda t, x, u: np.eye(1),
+        c=lambda t, x, u: u[:, :1],
+        dx_c=_constant(np.zeros((1, 1))),
+        du_c=_constant(np.eye(1)),
     )
     # intro_1d carrier is 0 < |u| < 1/2; u0 = 5 is not even in its closure
     with pytest.raises(DomainError):
@@ -188,9 +257,9 @@ def test_regular_case_flags_diverging_mass_at_origin():
     bs = psi_over_k(density=lambda u: float(u @ u) ** -1.0, r=1)
     coeffs1 = CoefficientSet(
         dim=1,
-        c=lambda t, x, u: np.array([u[0]]),
-        dx_c=lambda t, x, u: np.zeros((1, 1)),
-        du_c=lambda t, x, u: np.eye(1),
+        c=lambda t, x, u: u[:, :1],
+        dx_c=_constant(np.zeros((1, 1))),
+        du_c=_constant(np.eye(1)),
     )
     rep = regular_case_check(coeffs1, bs, x=np.zeros(1), u0=np.zeros(1), radius=0.2)
     assert rep.mass_diverging

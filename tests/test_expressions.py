@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -35,10 +37,15 @@ def test_indicator_uses_mark_norm():
     assert g(np.array([0.8, 0.8])) == 0.0  # norm ~ 1.13 >= 1
 
 
+def _at_point(f, t, x, u):
+    """Evaluate a batched coefficient at one point, as a batch of one."""
+    return f(np.array([t]), np.asarray(x, dtype=float)[None], np.asarray(u, dtype=float)[None])[0]
+
+
 def test_coefficient_sees_time_state_mark():
     c = compile_coefficient(["u1", "x2 * u1 + t"], 2, 1)
-    out = c(0.5, np.array([0.0, 2.0]), np.array([0.3]))
-    assert np.allclose(out, [0.3, 1.1])
+    out = c(np.array([0.5, 1.0]), np.array([[0.0, 2.0], [0.0, 1.0]]), np.array([[0.3], [0.2]]))
+    assert np.allclose(out, [[0.3, 1.1], [0.2, 1.2]])
 
 
 @pytest.mark.parametrize("bad", [
@@ -65,6 +72,17 @@ def test_syntax_error():
         compile_mark_scalar("u1 +", 1)
 
 
+@pytest.mark.parametrize("src, value, message", [
+    ("1 + a^0.5", -1.0, "complex"),
+    ("10.0^a", 400.0, "out of range"),
+])
+def test_scalar_evaluator_errors_name_the_expression(src, value, message):
+    f = compile_scalar(src, ["a"])
+    with pytest.raises(InputError, match=message) as info:
+        f({"a": value})
+    assert repr(src) in str(info.value)
+
+
 def test_scalar_with_named_variables():
     f = compile_scalar("a*b - 2", ["a", "b"])
     assert f({"a": 3.0, "b": 4.0}) == pytest.approx(10.0)
@@ -79,18 +97,26 @@ _COEFFICIENTS = [
 _finite = st.floats(-2.0, 2.0, allow_nan=False)
 
 
+@st.composite
+def _batches(draw):
+    """Row-paired points: t (n,), x (n, 2), u (n, 2)."""
+    n = draw(st.integers(1, 12))
+    return (draw(arrays(float, n, elements=_finite)),
+            draw(arrays(float, (n, 2), elements=_finite)),
+            draw(arrays(float, (n, 2), elements=_finite)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(sources=st.sampled_from(_COEFFICIENTS), t=_finite,
-       x=arrays(float, 2, elements=_finite),
-       marks=st.integers(1, 12).flatmap(lambda n: arrays(float, (n, 2), elements=_finite)))
-def test_batched_coefficient_equals_per_point(sources, t, x, marks):
+@given(sources=st.sampled_from(_COEFFICIENTS), batch=_batches())
+def test_batched_coefficient_equals_per_point(sources, batch):
+    t, x, marks = batch
     c = compile_coefficient(sources, 2, 2)
     dx_c, du_c = compile_jacobians(sources, 2, 2)
     for f, shape in ((c, (2,)), (dx_c, (2, 2)), (du_c, (2, 2))):
-        batch = f(t, x, marks)
-        assert batch.shape == (marks.shape[0], *shape)
-        for u, row in zip(marks, batch):
-            point = f(t, x, u)
+        rows = f(t, x, marks)
+        assert rows.shape == (marks.shape[0], *shape)
+        for p, row in enumerate(rows):
+            point = _at_point(f, t[p], x[p], marks[p])
             assert point.shape == shape
             assert point.tobytes() == row.tobytes()
 
@@ -100,7 +126,7 @@ def test_coefficient_point_matches_scalar_evaluator():
     t, x, u = 0.25, np.array([0.5, -1.5]), np.array([0.3, -0.4])
     env = {"t": t, "x1": x[0], "x2": x[1], "u1": u[0], "u2": u[1], "_norm": 0.5}
     for sources in _COEFFICIENTS:
-        got = compile_coefficient(sources, 2, 2)(t, x, u)
+        got = _at_point(compile_coefficient(sources, 2, 2), t, x, u)
         want = [compile_scalar(src, names)(env) for src in sources]
         assert got.tolist() == want
 
@@ -118,24 +144,24 @@ def test_jacobians_match_central_differences(t, x1, x2, u1):
     c = compile_coefficient(_KINKED, 2, 1)
     dx_c, du_c = compile_jacobians(_KINKED, 2, 1)
     x, u, h = np.array([x1, x2]), np.array([u1]), 1e-6
-    fd_x = np.column_stack([(c(t, x + h * e, u) - c(t, x - h * e, u)) / (2 * h)
+    c = partial(_at_point, c, t)
+    fd_x = np.column_stack([(c(x + h * e, u) - c(x - h * e, u)) / (2 * h)
                             for e in np.eye(2)])
-    fd_u = ((c(t, x, u + h) - c(t, x, u - h)) / (2 * h))[:, None]
-    np.testing.assert_allclose(dx_c(t, x, u), fd_x, rtol=1e-6, atol=1e-6)
-    np.testing.assert_allclose(du_c(t, x, u), fd_u, rtol=1e-6, atol=1e-6)
+    fd_u = ((c(x, u + h) - c(x, u - h)) / (2 * h))[:, None]
+    np.testing.assert_allclose(_at_point(dx_c, t, x, u), fd_x, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(_at_point(du_c, t, x, u), fd_u, rtol=1e-6, atol=1e-6)
 
 
 def test_jacobian_conventions_at_kinks():
     sources = ["abs(u1)", "min(u1, 0.5)", "min(0.5, u1)", "u1 * ind(0.3)"]
-    _, du_c = compile_jacobians(sources, 4, 1)
-    x = np.zeros(4)
+    du_c = partial(_at_point, compile_jacobians(sources, 4, 1)[1], 0.0, np.zeros(4))
     # sign(0) = 0; min follows its first minimal argument on a tie; ind is flat
-    assert du_c(0.0, x, np.array([0.0]))[0, 0] == 0.0
-    assert du_c(0.0, x, np.array([0.5]))[1:3, 0].tolist() == [1.0, 0.0]
-    assert du_c(0.0, x, np.array([0.3]))[3, 0] == 0.0
-    assert du_c(0.0, x, np.array([0.2]))[3, 0] == 1.0
+    assert du_c([0.0])[0, 0] == 0.0
+    assert du_c([0.5])[1:3, 0].tolist() == [1.0, 0.0]
+    assert du_c([0.3])[3, 0] == 0.0
+    assert du_c([0.2])[3, 0] == 1.0
     dx_c, _ = compile_jacobians(["x1^3", "2^x2"], 2, 1)
-    np.testing.assert_allclose(dx_c(0.0, np.array([2.0, 2.0]), np.array([0.1])),
+    np.testing.assert_allclose(_at_point(dx_c, 0.0, [2.0, 2.0], [0.1]),
                                [[12.0, 0.0], [0.0, 4.0 * np.log(2.0)]], rtol=1e-15)
 
 
@@ -143,9 +169,9 @@ def test_jacobian_conventions_at_kinks():
     ("1 / u1", 0.0, "divide by zero"),
     ("u1^0.5", -1.0, "invalid value"),
     ("10^u1^9", 2.0, "overflow"),
-    ("10^x1^9 * u1", 1.0, "out of range"),  # Python floats: t and x are scalars
+    ("10^x1^9 * u1", 1.0, "overflow"),  # the state is a batch column too
 ])
 def test_coefficient_floating_point_error_is_input_error(src, u, message):
     c = compile_coefficient([src], 1, 1)
     with pytest.raises(InputError, match=message):
-        c(0.0, np.full(1, 2.0), np.array([[0.5], [u]]))
+        c(np.zeros(2), np.full((2, 1), 2.0), np.array([[0.5], [u]]))

@@ -101,6 +101,36 @@ def _doleans_setup(seed=5):
     return model, coeffs, cfg, traj
 
 
+def test_sde_functional_batched_probes_equal_single_solves(monkeypatch):
+    # gamma_generic solves every finite-difference probe in one batch; each
+    # probe solved on its own gives the same bits
+    import lentparticle.sde_engine as engine
+    from lentparticle.bottom_structure import gamma_matrix
+    from lentparticle.poisson_measure import add_particle, remove_particle
+
+    # about 430 rows of 4 stored values per probe: two probes per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 4000)
+    model, coeffs, cfg, _ = _doleans_setup(seed=3)
+    bs, x0, step = intro_1d(), np.array([0.0, 1.0]), 0.0025
+    F = SdeFunctional(coeffs, model, x0, step=step)
+    generic = gamma_generic(F, cfg, bs)
+
+    def alone(config):
+        return solve_sde(coeffs, model, config, x0=x0, step=step, validate=False).value_at(1.0)
+
+    total = np.zeros((2, 2))
+    for i in range(cfg.n_atoms):
+        t, u = cfg.atom(i)
+        base = remove_particle(cfg, t, u)
+        h = 1e-6 * (1.0 + float(np.linalg.norm(u)))
+        jac = ((alone(add_particle(base, t, u + h)) - alone(add_particle(base, t, u - h)))
+               / (2.0 * h))[:, None]
+        term = gamma_matrix(jac, u, bs)
+        assert generic.per_jump_terms[i][1].tobytes() == term.tobytes()
+        total = total + term
+    assert generic.matrix.tobytes() == (0.5 * (total + total.T)).tobytes()
+
+
 def test_flow_renderings_agree():
     _, coeffs, _, traj = _doleans_setup()
     bs = intro_1d()

@@ -213,7 +213,8 @@ def test_batched_quadrature_matches_mark_integral_moments(name):
 def test_batched_quadrature_matches_mark_integral_across_indicator(r):
     model = uniform_box_model(r, halfwidth=0.6, truncation=0.1, intensity=4.0)
     c = compile_coefficient(["u1^2 * ind(0.3)"], 1, r)
-    got = MarkQuadrature(model).integrate(lambda marks: c(0.0, np.zeros(1), marks))
+    got = MarkQuadrature(model).integrate(
+        lambda marks: c(np.zeros(len(marks)), np.zeros((len(marks), 1)), marks))
     want = mark_integral(compile_mark_scalar("u1^2 * ind(0.3)", r), model)
     assert got[0] == pytest.approx(want, rel=1e-10)
 

@@ -160,6 +160,33 @@ def test_levy_area_single_jump_rank_two():
     assert rep.rank <= 2
 
 
+def test_gammas_frees_each_chunk_before_the_next(monkeypatch):
+    import dataclasses
+    import weakref
+
+    import lentparticle.sde_engine as engine
+
+    scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
+    configs = [scenario.simulate(seed=s) for s in range(5)]
+    solved = []
+    integrate = engine._integrate
+
+    def tracked(*args):
+        # every earlier chunk's stored limits are gone before this one is solved
+        assert all(ref() is None for ref in solved)
+        right, left = integrate(*args)
+        solved.extend([weakref.ref(right), weakref.ref(left)])
+        return right, left
+
+    # about 460 rows of 42 stored values per path: two paths per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 2 * 500 * 42)
+    monkeypatch.setattr(engine, "_integrate", tracked)
+    matrices = scenario.gammas(configs)
+    assert len(solved) == 2 * 3
+    for config, matrix in zip(configs, matrices, strict=True):
+        assert np.array_equal(matrix, scenario.gamma_of(config))
+
+
 # -------------------------------------------------------------- mark geometry
 
 
@@ -242,13 +269,14 @@ def test_mckean_constant_sigma_reduces_to_plain_sde():
 def doleans_like_constant_coeffs(s, m1):
     from lentparticle.sde_engine import CoefficientSet
 
+    # batched: t (P,), x (P, 1), u (P, 1); row p of each is one point
     return CoefficientSet(
         dim=1,
-        c=lambda t, x, u: np.array([s * u[0]]),
-        dx_c=lambda t, x, u: np.zeros((1, 1)),
-        du_c=lambda t, x, u: np.array([[s]]),
-        compensator=lambda t, x: np.array([s * m1]),
-        dx_compensator=lambda t, x: np.zeros((1, 1)),
+        c=lambda t, x, u: s * u[:, :1],
+        dx_c=lambda t, x, u: np.zeros((x.shape[0], 1, 1)),
+        du_c=lambda t, x, u: np.full((x.shape[0], 1, 1), s),
+        compensator=lambda t, x: np.full((x.shape[0], 1), s * m1),
+        dx_compensator=lambda t, x: np.zeros((x.shape[0], 1, 1)),
     )
 
 
