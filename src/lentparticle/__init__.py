@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 
 from .bottom_structure import (
     BottomStructure,
-    check_ellipticity,
     from_expressions,
     gamma_matrix,
-    gamma_scalar,
     gradient_flat,
     intro_1d,
     isotropic,
@@ -54,7 +52,6 @@ from .lent_particle import (
     MarkFunctional,
     SdeFunctional,
     gamma_flow,
-    gamma_flow_left,
     gamma_generic,
     gamma_linear,
     gamma_rho_mc,

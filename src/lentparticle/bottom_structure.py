@@ -10,9 +10,18 @@ with the convention ``0/0 = 0`` off the support of ``k``.  Everything the
 library computes from a structure factors through the weight matrix
 ``W(u) = xi(u) * psi(u) / k(u)`` and its Cholesky-type square root ``L(u)``:
 
-* ``gamma_scalar`` / ``gamma_matrix``  -- the quadratic form itself,
-* ``gradient_flat`` -- the randomised gradient ``grad f . L(u) rho`` whose
+* ``gamma_matrix`` -- the quadratic form ``J W(u) J^T`` of a mark Jacobian,
+* ``gradient_flat`` -- the randomised gradient ``J L(u) rho`` whose
   second moment over a standard normal ``rho`` reproduces ``gamma``.
+
+Every callable works on a batch of marks ``U`` of shape ``(n, r)``, one mark
+per row.  A structure's ``support`` gives ``(n,)`` booleans, ``density`` and
+``psi`` give ``(n,)`` values and ``xi`` gives ``(n, r, r)`` matrices.  ``psi``
+is evaluated only on the marks in ``O``, and ``density`` and ``xi`` only where
+``psi`` is nonzero, so no callable sees a mark that the 0/0 = 0 convention
+discards.  ``weight`` and ``factor`` return ``(n, r, r)`` stacks and run the
+structure's checks (``psi <= k``, symmetric ``xi``) once per batch; an error
+names the row of the first offending mark.
 
 The chain rule for ``gradient_flat`` holds exactly per draw, not only in
 distribution, which is what makes pathwise gradient assembly possible.
@@ -24,12 +33,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InputError, StructureError
+from .expressions import compile_mark_functions, float_pow
 
 __all__ = [
     "BottomStructure",
-    "gamma_scalar",
     "gamma_matrix",
     "gradient_flat",
     "intro_1d",
@@ -37,140 +47,157 @@ __all__ = [
     "psi_over_k",
     "standard_instances",
     "from_expressions",
-    "check_ellipticity",
 ]
 
 # slack used when spot-checking psi <= k and positive semi-definiteness
 _PSD_SLACK = 1e-10
 
 
+def _per_mark(values, n: int, what: str, dtype=float) -> np.ndarray:
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != (n,):
+        raise StructureError(f"{what} must give shape ({n},) on {n} marks, got {values.shape}")
+    return values
+
+
 @dataclass(frozen=True)
 class BottomStructure:
-    """Mark-space carre du champ ``(O, xi, psi, k)``.
+    """Mark-space carre du champ ``(O, xi, psi, k)`` on batches of marks.
 
-    ``support`` is the predicate for ``O``; ``density``, ``psi`` map a
-    length-``r`` vector to a scalar; ``xi`` maps it to a symmetric
-    ``(r, r)`` matrix (for ``r = 1`` a scalar is accepted).
+    ``support`` is the predicate for ``O``; ``density`` and ``psi`` map
+    ``(n, r)`` marks to ``(n,)`` values and ``xi`` maps them to ``(n, r, r)``
+    symmetric matrices.
     """
 
     mark_dimension: int
-    support: Callable[[np.ndarray], bool]
-    density: Callable[[np.ndarray], float]
-    psi: Callable[[np.ndarray], float]
+    support: Callable[[np.ndarray], np.ndarray]
+    density: Callable[[np.ndarray], np.ndarray]
+    psi: Callable[[np.ndarray], np.ndarray]
     xi: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
 
-    def weight(self, u: np.ndarray) -> np.ndarray:
-        """Weight matrix ``W(u) = xi psi / k`` with the 0/0 = 0 convention."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+    def weight(self, marks: np.ndarray) -> np.ndarray:
+        """Weights ``W(u) = xi psi / k`` of ``(n, r)`` marks, ``(n, r, r)``.
+
+        A mark outside ``O`` or where ``psi`` vanishes weighs 0 (the 0/0 = 0
+        convention).
+        """
+        marks = np.asarray(marks, dtype=float)
         r = self.mark_dimension
-        if u.shape != (r,):
-            raise InputError(f"mark must have shape ({r},), got {u.shape}")
-        if not self.support(u):
-            return np.zeros((r, r))
-        p = float(self.psi(u))
-        if p == 0.0:
-            return np.zeros((r, r))
-        k = float(self.density(u))
-        if k == 0.0:
+        if marks.ndim != 2 or marks.shape[1] != r:
+            raise InputError(f"marks must have shape (n, {r}), got {marks.shape}")
+        out = np.zeros((marks.shape[0], r, r))
+        rows = np.flatnonzero(_per_mark(self.support(marks), marks.shape[0], "support", bool))
+        p = _per_mark(self.psi(marks[rows]), rows.size, "psi")
+        rows, p = rows[p != 0.0], p[p != 0.0]
+        if not rows.size:
+            return out
+        k = _per_mark(self.density(marks[rows]), rows.size, "density")
+        bad = np.flatnonzero(k == 0.0)
+        if bad.size:
             # psi <= k forces psi = 0 here; a nonzero psi is a broken structure
-            raise StructureError(f"psi(u) = {p} > 0 where k(u) = 0 (requires psi <= k)")
-        if p > k * (1.0 + 1e-12):
-            raise StructureError(f"psi(u) = {p} exceeds k(u) = {k}")
-        xi = np.atleast_2d(np.asarray(self.xi(u), dtype=float))
-        if xi.shape != (r, r):
-            raise StructureError(f"xi(u) must have shape ({r}, {r}), got {xi.shape}")
-        if not np.allclose(xi, xi.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(xi).max())):
-            raise StructureError("xi(u) must be symmetric")
-        w = xi * (p / k)
-        return 0.5 * (w + w.T)
+            i = bad[0]
+            raise StructureError(
+                f"psi(u) = {p[i]} > 0 where k(u) = 0 (requires psi <= k) at mark {rows[i]}"
+            )
+        bad = np.flatnonzero(p > k * (1.0 + 1e-12))
+        if bad.size:
+            i = bad[0]
+            raise StructureError(f"psi(u) = {p[i]} exceeds k(u) = {k[i]} at mark {rows[i]}")
+        xi = np.asarray(self.xi(marks[rows]), dtype=float)
+        if xi.shape != (rows.size, r, r):
+            raise StructureError(
+                f"xi(u) must have shape ({r}, {r}), got {xi.shape[1:]} at mark {rows[0]}"
+            )
+        xi_t = xi.transpose(0, 2, 1)
+        # np.allclose(xi, xi.T, rtol=0, atol=tol) for each mark
+        tol = 1e-12 * np.maximum(1.0, np.abs(xi).max(axis=(1, 2)))
+        close = (np.abs(xi - xi_t) <= tol[:, None, None]) | (xi == xi_t)
+        bad = np.flatnonzero(~close.all(axis=(1, 2)))
+        if bad.size:
+            raise StructureError(f"xi(u) must be symmetric at mark {rows[bad[0]]}")
+        w = xi * (p / k)[:, None, None]
+        out[rows] = 0.5 * (w + w.transpose(0, 2, 1))
+        return out
 
-    def factor(self, u: np.ndarray) -> np.ndarray:
-        """Square root ``L(u)`` with ``L L^T = W(u)``.
+    def factor(self, marks: np.ndarray) -> np.ndarray:
+        """Square roots ``L(u)`` with ``L L^T = W(u)``, ``(n, r, r)``.
 
-        Uses the Cholesky factor when the weight is positive definite and an
-        eigenvalue square root when it is only positive semi-definite (for
+        Uses the Cholesky factor where the weight is positive definite and an
+        eigenvalue square root where it is only positive semi-definite (for
         instance rank-one tangential structures).
         """
-        w = self.weight(u)
-        if not w.any():
-            return np.zeros_like(w)
+        w = self.weight(marks)
+        out = np.zeros_like(w)
+        rows = np.flatnonzero(w.any(axis=(1, 2)))
+        w = w[rows]
         if self.mark_dimension == 1:
-            val = w[0, 0]
-            if val < -_PSD_SLACK * max(1.0, abs(val)):
-                raise StructureError(f"negative weight {val} at u = {u}")
-            return np.array([[np.sqrt(max(val, 0.0))]])
-        try:
-            return np.linalg.cholesky(w)
-        except np.linalg.LinAlgError:
+            val = w[:, 0, 0]
+            bad = np.flatnonzero(val < -_PSD_SLACK * np.maximum(1.0, np.abs(val)))
+            if bad.size:
+                raise StructureError(f"negative weight {val[bad[0]]} at mark {rows[bad[0]]}")
+            out[rows, 0, 0] = np.sqrt(np.maximum(val, 0.0))
+            return out
+        # np.linalg.cholesky raises when any weight of the stack is not positive
+        # definite; its kernel fills those factors with NaN instead
+        with np.errstate(invalid="ignore"):
+            out[rows] = _umath_linalg.cholesky_lo(w, signature="d->d")
+        semi = np.isnan(out[rows]).any(axis=(1, 2))
+        if semi.any():
+            rows, w = rows[semi], w[semi]
             vals, vecs = np.linalg.eigh(w)
-            scale = max(vals[-1], 1.0)
-            if vals[0] < -_PSD_SLACK * scale:
+            bad = np.flatnonzero(vals[:, 0] < -_PSD_SLACK * np.maximum(vals[:, -1], 1.0))
+            if bad.size:
                 raise StructureError(
-                    f"weight matrix has negative eigenvalue {vals[0]} at u = {u}"
-                ) from None
-            return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+                    f"weight matrix has negative eigenvalue {vals[bad[0], 0]} at mark {rows[bad[0]]}"
+                )
+            roots = np.sqrt(np.clip(vals, 0.0, None))
+            out[rows] = vecs @ (roots[:, :, None] * np.eye(self.mark_dimension))
+        return out
 
 
-def _check_gradient(grad: np.ndarray, r: int, what: str) -> np.ndarray:
-    grad = np.asarray(grad, dtype=float)
-    if grad.ndim == 1:
-        if grad.shape != (r,):
-            raise InputError(f"{what} must have shape ({r},), got {grad.shape}")
-    elif grad.ndim == 2:
-        if grad.shape[1] != r:
-            raise InputError(f"{what} must have {r} columns, got shape {grad.shape}")
-    else:
-        raise InputError(f"{what} must be 1- or 2-dimensional")
-    if not np.all(np.isfinite(grad)):
-        raise InputError(f"{what} contains non-finite entries")
-    return grad
+def _check_jacobians(jac: np.ndarray, marks: np.ndarray, r: int) -> np.ndarray:
+    jac = np.asarray(jac, dtype=float)
+    n = np.shape(marks)[0]
+    if jac.ndim != 3 or jac.shape[0] != n or jac.shape[2] != r:
+        raise InputError(f"jacobians must have shape ({n}, d, {r}), got {jac.shape}")
+    bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))
+    if bad.size:
+        raise InputError(f"jacobian contains non-finite entries at mark {bad[0]}")
+    return jac
 
 
-def gamma_scalar(grad: np.ndarray, u: np.ndarray, structure: BottomStructure) -> float:
-    """Quadratic form ``grad . W(u) grad`` for a scalar function's gradient."""
-    grad = _check_gradient(grad, structure.mark_dimension, "gradient")
-    if grad.ndim != 1:
-        raise InputError("gamma_scalar expects a single gradient vector")
-    val = float(grad @ structure.weight(u) @ grad)
-    if val < 0.0:
-        if val < -_PSD_SLACK * max(1.0, float(grad @ grad)):
-            raise StructureError(f"carre du champ came out negative ({val})")
-        val = 0.0
-    return val
+def gamma_matrix(jac: np.ndarray, marks: np.ndarray, structure: BottomStructure) -> np.ndarray:
+    """Matrix forms ``J W(u) J^T`` of ``(n, d, r)`` mark Jacobians, ``(n, d, d)``."""
+    jac = _check_jacobians(jac, marks, structure.mark_dimension)
+    out = jac @ structure.weight(marks) @ jac.transpose(0, 2, 1)
+    return 0.5 * (out + out.transpose(0, 2, 1))
 
 
-def gamma_matrix(jac: np.ndarray, u: np.ndarray, structure: BottomStructure) -> np.ndarray:
-    """Matrix form ``J W(u) J^T`` for a vector function's mark Jacobian ``J``."""
-    jac = _check_gradient(jac, structure.mark_dimension, "jacobian")
-    jac = np.atleast_2d(jac)
-    out = jac @ structure.weight(u) @ jac.T
-    return 0.5 * (out + out.T)
+def gradient_flat(jac: np.ndarray, marks: np.ndarray, rho: np.ndarray,
+                  structure: BottomStructure) -> np.ndarray:
+    """Randomised gradients ``J L(u) rho`` of ``(n, d, r)`` Jacobians, ``(n, d)``.
 
-
-def gradient_flat(grad: np.ndarray, u: np.ndarray, rho: np.ndarray,
-                  structure: BottomStructure) -> float | np.ndarray:
-    """Randomised gradient ``grad . L(u) rho``.
-
-    ``rho`` is a length-``r`` auxiliary vector (standard normal in the
-    calculus; any vector is accepted here).  For a ``(d, r)`` Jacobian the
-    result is the length-``d`` vector of per-component values — the lift is
-    linear, so components share one draw.
+    ``rho`` holds one length-``r`` auxiliary vector per mark (standard normal
+    in the calculus; any vectors are accepted here).  The lift is linear, so
+    the ``d`` components of a mark share its draw.
     """
     r = structure.mark_dimension
-    grad = _check_gradient(grad, r, "gradient")
+    jac = _check_jacobians(jac, marks, r)
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != (r,):
-        raise InputError(f"rho must have shape ({r},), got {rho.shape}")
-    pushed = structure.factor(u) @ rho
-    if grad.ndim == 1:
-        return float(grad @ pushed)
-    return np.atleast_2d(grad) @ pushed
+    if rho.shape != (jac.shape[0], r):
+        raise InputError(f"rho must have shape ({jac.shape[0]}, {r}), got {rho.shape}")
+    return (jac @ (structure.factor(marks) @ rho[:, :, None]))[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
 # named instances
 # ---------------------------------------------------------------------------
+
+def _square_norms(marks: np.ndarray) -> np.ndarray:
+    """``u @ u`` of every row of ``(n, r)`` marks, rounded as the product of one mark is."""
+    return (marks[:, None, :] @ marks[:, :, None])[:, 0, 0]
+
 
 def intro_1d() -> BottomStructure:
     """Scalar structure with weight ``u^2`` on ``0 < |u| < 1/2``.
@@ -178,14 +205,13 @@ def intro_1d() -> BottomStructure:
     ``gamma[f](u) = u^2 f'(u)^2`` inside the window and zero outside; the
     psi/k ratio is one on the support, so the weight is ``xi = u^2`` alone.
     """
-    return BottomStructure(
-        mark_dimension=1,
-        support=lambda u: 0.0 < abs(float(u[0])) < 0.5,
-        density=lambda u: 1.0,
-        psi=lambda u: 1.0,
-        xi=lambda u: np.array([[float(u[0]) ** 2]]),
-        name="INTRO_1D",
-    )
+
+    def support(marks: np.ndarray) -> np.ndarray:
+        size = np.abs(marks[:, 0])
+        return (0.0 < size) & (size < 0.5)
+
+    return psi_over_k(xi=lambda marks: float_pow(marks[:, 0], 2)[:, None, None],
+                      support=support, name="INTRO_1D")
 
 
 def isotropic(r: int = 2, cap: float = 1.0) -> BottomStructure:
@@ -199,42 +225,34 @@ def isotropic(r: int = 2, cap: float = 1.0) -> BottomStructure:
     if not (np.isfinite(cap) and cap > 0):
         raise InputError("cap must be finite and > 0")
 
-    def xi(u: np.ndarray) -> np.ndarray:
-        return min(float(u @ u), cap) * np.eye(r)
+    def xi(marks: np.ndarray) -> np.ndarray:
+        return np.minimum(_square_norms(marks), cap)[:, None, None] * np.eye(r)
 
-    return BottomStructure(
-        mark_dimension=r,
-        support=lambda u: bool(u @ u > 0.0),
-        density=lambda u: 1.0,
-        psi=lambda u: 1.0,
-        xi=xi,
-        name="ISOTROPIC_RD",
-    )
+    return psi_over_k(r=r, xi=xi, name="ISOTROPIC_RD")
 
 
 def psi_over_k(
-    density: Callable[[np.ndarray], float] | None = None,
-    psi: Callable[[np.ndarray], float] | None = None,
+    density: Callable[[np.ndarray], np.ndarray] | None = None,
+    psi: Callable[[np.ndarray], np.ndarray] | None = None,
     r: int = 1,
     xi: Callable[[np.ndarray], np.ndarray] | None = None,
-    support: Callable[[np.ndarray], bool] | None = None,
+    support: Callable[[np.ndarray], np.ndarray] | None = None,
     name: str = "PSI_OVER_K",
 ) -> BottomStructure:
     """General ratio structure; defaults give weight ``|u|^2 I`` with psi = k.
 
-    Pass ``density`` and ``psi`` to weight the default ``xi = |u|^2 I`` by a
-    nontrivial ratio, or override ``xi`` entirely.
+    Pass batched ``density`` and ``psi`` to weight the default
+    ``xi = |u|^2 I`` by a nontrivial ratio, or override ``xi`` entirely.
+    The default support is every nonzero mark.
     """
-    if density is None:
-        density = lambda u: 1.0
-    if psi is None:
-        psi = lambda u: float(density(u))
-    if xi is None:
-        xi = lambda u: float(u @ u) * np.eye(r)
-    if support is None:
-        support = lambda u: bool(u @ u > 0.0)
+    density = density or (lambda marks: np.ones(len(marks)))
     return BottomStructure(
-        mark_dimension=r, support=support, density=density, psi=psi, xi=xi, name=name,
+        mark_dimension=r,
+        support=support or (lambda marks: _square_norms(marks) > 0.0),
+        density=density,
+        psi=psi or density,
+        xi=xi or (lambda marks: _square_norms(marks)[:, None, None] * np.eye(r)),
+        name=name,
     )
 
 
@@ -259,53 +277,21 @@ def from_expressions(
     The expressions see the mark components as ``u1 .. ur`` and support the
     operators ``+ - * / ^``, ``abs``, ``min`` and ``ind(a)`` (indicator of
     ``|u| < a``).  ``xi`` is diagonal with one expression per component.
+    Each is compiled once to numpy code that evaluates a batch of marks.
     """
-    from .expressions import compile_mark_scalar
-
     r = len(xi_diagonal) if mark_dimension is None else mark_dimension
     if len(xi_diagonal) != r:
         raise InputError(
             f"need {r} diagonal xi expressions, got {len(xi_diagonal)}"
         )
-    k_fn = compile_mark_scalar(k, r)
-    psi_fn = compile_mark_scalar(psi, r)
-    diag_fns = [compile_mark_scalar(src, r) for src in xi_diagonal]
+    k_fn = compile_mark_functions([k], r)
+    psi_fn = compile_mark_functions([psi], r)
+    diag_fn = compile_mark_functions(xi_diagonal, r)
 
-    def xi(u: np.ndarray) -> np.ndarray:
-        return np.diag([float(f(u)) for f in diag_fns])
+    def xi(marks: np.ndarray) -> np.ndarray:
+        out = np.zeros((marks.shape[0], r, r))
+        out[:, np.arange(r), np.arange(r)] = diag_fn(marks)
+        return out
 
-    return BottomStructure(
-        mark_dimension=r,
-        support=lambda u: bool(u @ u > 0.0),
-        density=lambda u: float(k_fn(u)),
-        psi=lambda u: float(psi_fn(u)),
-        xi=xi,
-        name=name,
-    )
-
-
-def check_ellipticity(structure: BottomStructure, points: np.ndarray) -> tuple[float, float]:
-    """Spot-check two-sided ellipticity of ``xi`` at sample points.
-
-    Returns the smallest and largest eigenvalue of ``xi`` encountered over
-    the given ``(n, r)`` points inside the support, raising
-    :class:`StructureError` if the lower bound is not strictly positive.
-    Only meaningful for structures meant to be locally elliptic; tangential
-    (rank-deficient) structures fail by design.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    lo, hi = np.inf, -np.inf
-    seen = 0
-    for u in points:
-        if not structure.support(u):
-            continue
-        seen += 1
-        xi = np.atleast_2d(np.asarray(structure.xi(u), dtype=float))
-        vals = np.linalg.eigvalsh(0.5 * (xi + xi.T))
-        lo = min(lo, float(vals[0]))
-        hi = max(hi, float(vals[-1]))
-    if seen == 0:
-        raise InputError("no sample point fell inside the support")
-    if lo <= 0.0:
-        raise StructureError(f"xi not elliptic on the sample: min eigenvalue {lo}")
-    return lo, hi
+    return psi_over_k(density=lambda marks: k_fn(marks)[:, 0],
+                      psi=lambda marks: psi_fn(marks)[:, 0], r=r, xi=xi, name=name)

@@ -48,7 +48,6 @@ from .expressions import compile_coefficient, compile_jacobians
 from .lent_particle import (
     SdeFunctional,
     gamma_flow,
-    gamma_flow_left,
     gamma_generic,
     gamma_rho_mc,
 )
@@ -471,14 +470,12 @@ def cmd_gamma(args) -> int:
     model, coeffs, traj = scenario.pipeline(config)
     t = scenario.eval_time
     flow = gamma_flow(traj, coeffs, scenario.bottom, t)
-    flow_left = gamma_flow_left(traj, coeffs, scenario.bottom, t)
 
-    if tag == "theorem9":
-        gm = flow
-        check = _cross_check("remark3", flow_left.matrix, flow.matrix, 1e-10)
-    elif tag == "remark3":
-        gm = flow_left
-        check = _cross_check("theorem9", flow.matrix, flow_left.matrix, 1e-10)
+    if tag in ("theorem9", "remark3"):
+        # each flow rendering is checked against the other
+        left = gamma_flow(traj, coeffs, scenario.bottom, t, rendering="remark3")
+        gm, ref = (flow, left) if tag == "theorem9" else (left, flow)
+        check = _cross_check(ref.formula_tag, ref.matrix, gm.matrix, 1e-10)
     else:
         if scenario.name == "doleans":
             # the compensator at the origin is (m1, 0)

@@ -172,7 +172,9 @@ def _ball_annulus_mass(bs: BottomStructure, u0: np.ndarray, r_in: float, r_out: 
     r = bs.mark_dimension
 
     def k_masked(u: np.ndarray) -> float:
-        return float(bs.density(u)) if bs.support(u) else 0.0
+        # scipy's quadrature asks for one point at a time: a batch of one
+        marks = u[None]
+        return float(bs.density(marks)[0]) if bs.support(marks)[0] else 0.0
 
     if r == 1:
         c = float(u0[0])
@@ -220,30 +222,27 @@ def regular_case_check(
     # closure membership, numerically: u0 itself or a shrinking perturbation
     # of it must lie in the support.
     g = stream(seed, DOMAIN_PROBE)
-    in_closure = bs.support(u0)
-    if not in_closure:
-        for scale in (1e-3, 1e-6, 1e-9):
-            for _ in range(16):
-                if bs.support(u0 + scale * radius * g.standard_normal(r)):
-                    in_closure = True
-                    break
+    # the perturbations are drawn only until one lands in the support, so
+    # that the probes below see the same stream
+    in_closure = bool(bs.support(u0[None])[0])
+    for scale in (1e-3, 1e-6, 1e-9):
+        for _ in range(16):
             if in_closure:
                 break
+            in_closure = bool(bs.support((u0 + scale * radius * g.standard_normal(r))[None])[0])
     if not in_closure:
         raise DomainError(f"u0 = {u0} is not in the closure of the support")
 
     # the distinguished point, then the probes that land in the support
-    points = [(0.0, np.atleast_1d(x), u0)]
-    for _ in range(probes):
-        s = float(g.uniform(0.0, radius))
-        y = x + radius * g.standard_normal(x.shape[0] if x.ndim else 1)
-        u = u0 + radius * g.standard_normal(r)
-        if bs.support(u):
-            points.append((s, np.atleast_1d(y), u))
-    jacs = np.asarray(coeffs.du_c(np.array([p[0] for p in points]),
-                                  np.array([p[1] for p in points]),
-                                  np.array([p[2] for p in points])), dtype=float)
-    gammas = [gamma_matrix(jac, p[2], bs) for jac, p in zip(jacs, points)]
+    draws = [(float(g.uniform(0.0, radius)),
+              x + radius * g.standard_normal(x.shape[0] if x.ndim else 1),
+              u0 + radius * g.standard_normal(r)) for _ in range(probes)]
+    times = np.array([0.0] + [s for s, _, _ in draws])
+    states = np.array([np.atleast_1d(x)] + [np.atleast_1d(y) for _, y, _ in draws])
+    marks = np.array([u0] + [u for _, _, u in draws]).reshape(probes + 1, r)
+    keep = np.concatenate([[True], np.asarray(bs.support(marks[1:]), dtype=bool)])
+    times, states, marks = times[keep], states[keep], marks[keep]
+    gammas = gamma_matrix(coeffs.du_c(times, states, marks), marks, bs)
 
     g_center = gammas[0]
     rep = rank_diagnostic(g_center) if g_center.any() else None

@@ -6,12 +6,12 @@ radial indicator ``ind(a)`` which evaluates to 1 when the current mark
 vector satisfies ``|u| < a`` and 0 otherwise.
 
 Expressions are parsed with :mod:`ast`, checked against a node whitelist
-(no attribute access, no subscripts, no arbitrary calls) and compiled once.
-:func:`compile_scalar` evaluates one point with Python floats.
-:func:`compile_coefficient` and :func:`compile_jacobians` compile to numpy
-code that evaluates a whole batch of points per call, with the variables
-bound to the batch's columns; the Jacobians are
-derived from the syntax tree, with the conventions ``d abs(e) = sign(e) de``
+(no attribute access, no subscripts, no arbitrary calls) and compiled once
+to numpy code that evaluates a whole batch of points per call, with the
+variables bound to the batch's columns: :func:`compile_coefficient` and
+:func:`compile_jacobians` for jump coefficients, :func:`compile_mark_functions`
+for functions of the mark alone.  The Jacobians are derived from the syntax
+tree, with the conventions ``d abs(e) = sign(e) de``
 (0 at a kink), ``d min(e1, ...)`` = the derivative of the first minimal
 argument, ``d ind(a) = 0``, and the power rule for ``e^p`` with ``p`` free
 of the differentiation variable.
@@ -22,13 +22,14 @@ from __future__ import annotations
 import ast
 import copy
 import functools
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InputError
 
-__all__ = ["compile_scalar", "compile_mark_scalar", "compile_coefficient", "compile_jacobians"]
+__all__ = ["compile_coefficient", "compile_jacobians", "compile_mark_functions", "float_pow"]
 
 # call name -> required argument count (None: two or more)
 _ALLOWED_CALLS = {"abs": 1, "min": None, "ind": 1}
@@ -73,49 +74,6 @@ def _parse(src: str, variables: Sequence[str]) -> ast.Expression:
     return tree
 
 
-def compile_scalar(src: str, variables: Sequence[str]) -> Callable[..., float]:
-    """Compile ``src`` into ``f(env) -> float`` over the given variable names.
-
-    ``env`` must supply every variable plus ``_norm`` (the mark norm) when
-    ``ind`` is used.
-    """
-    tree = _parse(src, variables)
-    code = compile(tree, "<expression>", "eval")
-
-    def evaluate(env: dict) -> float:
-        local = dict(env)
-        norm = local.pop("_norm", None)
-        local["abs"] = abs
-        local["min"] = min
-        local["ind"] = (lambda a: 1.0 if (norm is not None and norm < a) else 0.0)
-        try:
-            value = eval(code, {"__builtins__": {}}, local)
-        except ZeroDivisionError:
-            raise InputError(f"expression {src!r}: division by zero") from None
-        except (OverflowError, ValueError) as exc:
-            raise InputError(f"expression {src!r}: {exc}") from None
-        if isinstance(value, complex):
-            # a fractional power of a negative number
-            raise InputError(f"expression {src!r}: complex result {value}")
-        return float(value)
-
-    return evaluate
-
-
-def compile_mark_scalar(src: str, r: int) -> Callable[[np.ndarray], float]:
-    """Compile a function of a mark vector; variables are ``u1 .. ur``."""
-    names = [f"u{j + 1}" for j in range(r)]
-    f = compile_scalar(src, names)
-
-    def evaluate(u: np.ndarray) -> float:
-        u = np.asarray(u, dtype=float)
-        env = {name: float(u[j]) for j, name in enumerate(names)}
-        env["_norm"] = float(np.linalg.norm(u))
-        return f(env)
-
-    return evaluate
-
-
 # ---------------------------------------------------------------------------
 # numpy evaluation over a batch of marks
 # ---------------------------------------------------------------------------
@@ -128,6 +86,24 @@ def _select_min(values: tuple, derivatives: tuple) -> np.ndarray:
     return np.take_along_axis(np.stack(arrays[k:]), pick[None], axis=0)[0]
 
 
+_python_pow = np.frompyfunc(operator.pow, 2, 1)
+
+
+def float_pow(base, exponent) -> np.ndarray:
+    """Elementwise ``base ** exponent`` in Python floats (the C library's ``pow``).
+
+    numpy's ``power`` (``x * x`` for a square, vector code otherwise) differs
+    from it in the last bit on about one value in a thousand.  Raises
+    ``ZeroDivisionError`` for zero to a negative power, ``OverflowError``
+    when a result overflows and ``ValueError`` for a complex result (a
+    fractional power of a negative number).
+    """
+    try:
+        return np.asarray(_python_pow(base, exponent), dtype=float)
+    except TypeError:
+        raise ValueError("complex result") from None
+
+
 _NUMPY_NAMESPACE = {
     "__builtins__": {},
     "abs": np.abs,
@@ -136,11 +112,22 @@ _NUMPY_NAMESPACE = {
     "_sign": np.sign,
     "_log": np.log,
     "_select_min": _select_min,
+    "_float_pow": float_pow,
 }
 
 
 class _BindNorm(ast.NodeTransformer):
-    """Rewrite ``ind(a)`` as ``_ind(_norm, a)`` so the mark norms are an argument."""
+    """Rewrite ``ind(a)`` as ``_ind(_norm, a)`` so the mark norms are an argument,
+    and with ``float_pow`` every ``a ** b`` as ``_float_pow(a, b)``."""
+
+    def __init__(self, float_pow: bool = False):
+        self.float_pow = float_pow
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if self.float_pow and isinstance(node.op, ast.Pow):
+            return ast.Call(ast.Name("_float_pow", ast.Load()), [node.left, node.right], [])
+        return node
 
     def visit_Call(self, node: ast.Call) -> ast.AST:
         self.generic_visit(node)
@@ -150,16 +137,17 @@ class _BindNorm(ast.NodeTransformer):
         return node
 
 
-def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str, d: int, r: int):
+def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str, d: int, r: int,
+                     float_pow: bool = False):
     """Compile expression bodies (``None`` meaning 0) into ``f(t, x, u)``.
 
     ``t`` ``(P,)``, ``x`` ``(P, d)`` and ``u`` ``(P, r)`` are paired by row;
     ``x1..xd`` and ``u1..ur`` are bound to their columns, and the result is
-    ``(P, *shape)``.
+    ``(P, *shape)``.  With ``float_pow`` powers go through :func:`float_pow`.
     """
     body = ast.Tuple([ast.Constant(0.0) if b is None else copy.deepcopy(b) for b in bodies],
                      ast.Load())
-    body = ast.fix_missing_locations(_BindNorm().visit(ast.Expression(body)))
+    body = ast.fix_missing_locations(_BindNorm(float_pow).visit(ast.Expression(body)))
     code = compile(body, "<expression>", "eval")
     uses_norm = any(isinstance(n, ast.Name) and n.id == "_norm" for n in ast.walk(body))
     size = int(np.prod(shape))
@@ -176,7 +164,7 @@ def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str,
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 values = eval(code, _NUMPY_NAMESPACE, local)
-        except (ZeroDivisionError, OverflowError, FloatingPointError) as exc:
+        except (ZeroDivisionError, OverflowError, FloatingPointError, ValueError) as exc:
             raise InputError(f"expression {label!r}: {exc}") from None
         out = np.empty((marks.shape[0], size))
         for k, value in enumerate(values):
@@ -202,6 +190,19 @@ def compile_coefficient(sources: Sequence[str], d: int, r: int) -> Callable[[flo
     """
     trees = _coefficient_trees(sources, d, r)
     return _batch_evaluator(trees, (d,), "; ".join(sources), d, r)
+
+
+def compile_mark_functions(sources: Sequence[str], r: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile functions of the mark, variables ``u1 .. ur``, into ``f(U)``.
+
+    ``f`` evaluates a batch of marks ``U`` ``(n, r)`` and gives ``(n, len(sources))``,
+    one column per expression.  Powers are taken by :func:`float_pow`, so
+    they round as the same expression in Python floats does.
+    """
+    names = [f"u{j + 1}" for j in range(r)]
+    trees = [_parse(src, names).body for src in sources]
+    f = _batch_evaluator(trees, (len(trees),), "; ".join(sources), 0, r, float_pow=True)
+    return lambda marks: f(np.zeros(len(marks)), np.zeros((len(marks), 0)), marks)
 
 
 def compile_jacobians(sources: Sequence[str], d: int, r: int):

@@ -8,11 +8,11 @@ that atom with respect to the mark, push the derivative through the
 mark-space carre du champ, and sum over atoms.  Four renderings are
 provided:
 
-* ``gamma_flow`` / ``gamma_flow_left`` -- closed-form assembly for SDE
-  solutions using the stored flow K and inverse flow Kbar; the two differ
-  only in whether the inverse flow enters through its post-jump value or
-  its left limit composed with ``(I + dx_c)^{-1}``, which are equal
-  matrices, so their agreement is a standing consistency check.
+* ``gamma_flow`` -- closed-form assembly for SDE solutions using the stored
+  flow K and inverse flow Kbar, with a ``rendering`` switch: ``theorem9``
+  weighs each atom with the post-jump inverse flow, ``remark3`` with its
+  left limit composed with ``(I + dx_c)^{-1}``.  These are equal matrices,
+  so the agreement of the two renderings is a standing consistency check.
 * ``gamma_generic`` -- the direct procedure for arbitrary functionals with
   a mark-Jacobian oracle (closed form or finite differences).
 * ``gamma_linear`` -- compensated-integral functionals ``N~(h)``, where the
@@ -21,6 +21,10 @@ provided:
   randomized gradient: the second moment of ``F-sharp`` over auxiliary
   normal draws equals Gamma[F] exactly, giving an independent oracle that
   converges at the M^(-1/2) rate.
+
+Each rendering stacks the atoms' mark Jacobians and weighs every atom of
+the configuration in one ``BottomStructure.weight`` (or ``factor``) call;
+the atom terms are summed in atom order.
 
 JSON export uses the frozen tag vocabulary ``theorem9 / remark3 / generic /
 linear / rho_mc`` to label which rendering produced a matrix.
@@ -35,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bottom_structure import BottomStructure, gamma_matrix, gradient_flat
+from .bottom_structure import BottomStructure, gamma_matrix
 from .errors import FunctionalError, InputError, ModelError, StateError
 from .poisson_measure import (
     JumpConfiguration,
@@ -55,7 +59,6 @@ __all__ = [
     "SdeFunctional",
     "linear_functional",
     "gamma_flow",
-    "gamma_flow_left",
     "gamma_generic",
     "gamma_linear",
     "sharp_sample",
@@ -332,19 +335,19 @@ class SdeFunctional(MarkFunctional):
 # flow renderings for SDE solutions
 # ---------------------------------------------------------------------------
 
-def _flow_prep(traj: Trajectory, coeffs: CoefficientSet | None, t: float | None):
-    coeffs = coeffs or traj.coeffs
-    if coeffs is None:
-        raise StateError("no coefficient set available")
-    if traj.flow is None or traj.inverse_flow is None:
-        raise StateError("flow and inverse flow must be filled first")
-    t = traj.horizon if t is None else float(t)
-    row = traj.row_at(t)
-    rows = traj.jump_rows()
-    rows = rows[traj.times[rows] <= t]
-    # the jump rows' times, left limits and marks: one batch for the coefficients
-    points = traj.times[rows], traj.states_left[rows], traj.config.marks[traj.atom_index[rows]]
-    return coeffs, t, row, rows, points
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """Sum of ``(n, d, d)`` atom terms, rounded as ``((0 + t_0) + t_1) + ...``.
+
+    ``np.sum`` adds a stack of 1 x 1 terms pairwise; ``accumulate`` keeps atom
+    order, and the zero start keeps a sum of negative zeros at +0.
+    """
+    if not len(terms):
+        return np.zeros(terms.shape[1:])
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
+
+
+def _symmetric(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def gamma_flow(
@@ -352,88 +355,79 @@ def gamma_flow(
     coeffs: CoefficientSet | None,
     bs: BottomStructure,
     t: float | None = None,
+    rendering: str = "theorem9",
 ) -> GammaMatrix:
-    """Gamma[X_t] assembled from the flows (tag ``theorem9``).
+    """Gamma[X_t] assembled from the flows (tag ``theorem9`` or ``remark3``).
 
-    Each atom contributes ``Kbar_a gamma[c(a, X_{a-}, .)](u_a) Kbar_a^T``
-    with the post-jump (right-limit) inverse flow, and the sum is
-    conjugated by ``K_t``.
+    Each atom contributes ``V_a gamma[c(a, X_{a-}, .)](u_a) V_a^T`` and the
+    sum is conjugated by ``K_t``.  ``rendering="theorem9"`` takes for ``V_a``
+    the post-jump (right-limit) inverse flow ``Kbar_a``; ``"remark3"`` takes
+    the left limit composed with the jump, ``Kbar_{a-} (I + dx_c)^{-1}``.  The
+    two are equal matrices, so their agreement is a standing consistency
+    check.  All atoms' terms come from stacked products: one ``du_c`` call,
+    one ``weight`` call and, for remark3, one ``dx_c`` call and one solve.
     """
-    coeffs, t, row, rows, points = _flow_prep(traj, coeffs, t)
-    d = coeffs.dim
-    inner = np.zeros((d, d))
-    terms: list[tuple[int, np.ndarray]] = []
-    jacs = np.asarray(coeffs.du_c(*points), dtype=float) if rows.size else []
-    for k, i in enumerate(rows):
-        u = points[2][k]
-        g = gamma_matrix(jacs[k], u, bs)
-        kb = traj.inverse_flow[i]
-        term = kb @ g @ kb.T
-        term = 0.5 * (term + term.T)
-        terms.append((int(traj.atom_index[i]), term))
-        inner = inner + term
-    k_t = traj.flow[row]
-    mat = k_t @ inner @ k_t.T
-    return GammaMatrix(
-        matrix=0.5 * (mat + mat.T), formula_tag="theorem9", t=t,
-        per_jump_terms=terms, outer_factor=k_t.copy(),
-    )
-
-
-def gamma_flow_left(
-    traj: Trajectory,
-    coeffs: CoefficientSet | None,
-    bs: BottomStructure,
-    t: float | None = None,
-) -> GammaMatrix:
-    """Gamma[X_t] using left-limit inverse flows (tag ``remark3``).
-
-    The atom weight is ``Kbar_{a-} (I + dx_c)^{-1}``; algebraically equal
-    to the post-jump weight of :func:`gamma_flow`, so the two renderings
-    must agree -- kept separate as a standing consistency check.
-    """
-    coeffs, t, row, rows, points = _flow_prep(traj, coeffs, t)
-    if traj.inverse_flow_left is None:
+    if rendering not in ("theorem9", "remark3"):
+        raise InputError(f"rendering must be 'theorem9' or 'remark3', got {rendering!r}")
+    coeffs = coeffs or traj.coeffs
+    if coeffs is None:
+        raise StateError("no coefficient set available")
+    if traj.flow is None or traj.inverse_flow is None:
+        raise StateError("flow and inverse flow must be filled first")
+    if rendering == "remark3" and traj.inverse_flow_left is None:
         raise StateError("left-limit inverse flow missing")
+    t = traj.horizon if t is None else float(t)
+    k_t = traj.flow[traj.row_at(t)]
+    rows = traj.jump_rows()
+    rows = rows[traj.times[rows] <= t]
     d = coeffs.dim
-    inner = np.zeros((d, d))
-    terms: list[tuple[int, np.ndarray]] = []
+    terms = np.zeros((0, d, d))
     if rows.size:
-        jacs = np.asarray(coeffs.du_c(*points), dtype=float)
-        jump_matrices = np.eye(d) + np.asarray(coeffs.dx_c(*points), dtype=float)
-    for k, i in enumerate(rows):
-        u = points[2][k]
-        g = gamma_matrix(jacs[k], u, bs)
-        try:
-            weight = np.linalg.solve(jump_matrices[k].T, traj.inverse_flow_left[i].T).T
-        except np.linalg.LinAlgError:
-            raise ModelError(f"jump update I + dx_c singular at t = {points[0][k]}") from None
-        term = weight @ g @ weight.T
-        term = 0.5 * (term + term.T)
-        terms.append((int(traj.atom_index[i]), term))
-        inner = inner + term
-    k_t = traj.flow[row]
-    mat = k_t @ inner @ k_t.T
+        # the jump rows' times, left limits and marks: one batch for the coefficients
+        points = traj.times[rows], traj.states_left[rows], traj.config.marks[traj.atom_index[rows]]
+        g = gamma_matrix(coeffs.du_c(*points), points[2], bs)
+        if rendering == "theorem9":
+            v = traj.inverse_flow[rows]
+        else:
+            jump = np.eye(d) + np.asarray(coeffs.dx_c(*points), dtype=float)
+            v = _solve_right(traj.inverse_flow_left[rows], jump, points[0])
+        terms = _symmetric(v @ g @ v.transpose(0, 2, 1))
+    mat = k_t @ _sum_terms(terms) @ k_t.T
     return GammaMatrix(
-        matrix=0.5 * (mat + mat.T), formula_tag="remark3", t=t,
-        per_jump_terms=terms, outer_factor=k_t.copy(),
+        matrix=_symmetric(mat), formula_tag=rendering, t=t,
+        per_jump_terms=list(zip(traj.atom_index[rows].tolist(), terms)),
+        outer_factor=k_t.copy(),
     )
+
+
+def _solve_right(b: np.ndarray, a: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``b_k a_k^{-1}`` for stacks of square matrices."""
+    try:
+        return np.linalg.solve(a.transpose(0, 2, 1), b.transpose(0, 2, 1)).transpose(0, 2, 1)
+    except np.linalg.LinAlgError:
+        for k in range(len(a)):  # name the first singular jump
+            try:
+                np.linalg.solve(a[k].T, b[k].T)
+            except np.linalg.LinAlgError:
+                raise ModelError(f"jump update I + dx_c singular at t = {times[k]}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
 # generic and linear renderings
 # ---------------------------------------------------------------------------
 
-def _atom_jacobians(F: MarkFunctional, config: JumpConfiguration) -> list[np.ndarray]:
-    jacs = []
+def _atom_jacobians(F: MarkFunctional, config: JumpConfiguration) -> np.ndarray:
+    """Every atom's mark Jacobian, stacked ``(n, dim, r)``."""
     r = config.mark_dimension
+    jacs = np.zeros((config.n_atoms, F.dim, r))
     for i, jac in enumerate(F.mark_jacobians(config)):
         jac = np.asarray(jac, dtype=float)
         if jac.shape != (F.dim, r) or not np.all(np.isfinite(jac)):
             raise FunctionalError(
                 f"mark Jacobian at atom {i} must be finite with shape ({F.dim}, {r})"
             )
-        jacs.append(jac)
+        jacs[i] = jac
     return jacs
 
 
@@ -446,16 +440,10 @@ def gamma_generic(F: MarkFunctional, config: JumpConfiguration,
     and re-adding an existing atom is the identity), pushed through the
     mark carre du champ, and the terms are summed.
     """
-    d = F.dim
-    total = np.zeros((d, d))
-    terms: list[tuple[int, np.ndarray]] = []
-    for i, jac in enumerate(_atom_jacobians(F, config)):
-        g = gamma_matrix(jac, config.marks[i], bs)
-        terms.append((i, g))
-        total = total + g
+    terms = gamma_matrix(_atom_jacobians(F, config), config.marks, bs)
     return GammaMatrix(
-        matrix=0.5 * (total + total.T), formula_tag="generic", t=config.horizon,
-        per_jump_terms=terms, jacobian_exact=F.exact_jacobian,
+        matrix=_symmetric(_sum_terms(terms)), formula_tag="generic", t=config.horizon,
+        per_jump_terms=list(enumerate(terms)), jacobian_exact=F.exact_jacobian,
     )
 
 
@@ -463,19 +451,14 @@ def gamma_linear(h: MarkFunction, config: JumpConfiguration, bs: BottomStructure
                  t: float | None = None) -> GammaMatrix:
     """Gamma[N~(h)] -- atom terms with no flow conjugation (tag ``linear``)."""
     t = config.horizon if t is None else float(t)
-    d = h.dim
-    total = np.zeros((d, d))
-    terms: list[tuple[int, np.ndarray]] = []
-    for i in range(config.n_atoms):
-        ti, u = config.atom(i)
-        if ti > t:
-            continue
-        g = gamma_matrix(h.jac(ti, u), u, bs)
-        terms.append((i, g))
-        total = total + g
+    atoms = np.flatnonzero(config.times <= t)
+    jacs = np.zeros((atoms.size, h.dim, config.mark_dimension))
+    for k, i in enumerate(atoms):
+        jacs[k] = h.jac(*config.atom(i))
+    terms = gamma_matrix(jacs, config.marks[atoms], bs)
     return GammaMatrix(
-        matrix=0.5 * (total + total.T), formula_tag="linear", t=t,
-        per_jump_terms=terms, jacobian_exact=h.jacobian is not None,
+        matrix=_symmetric(_sum_terms(terms)), formula_tag="linear", t=t,
+        per_jump_terms=list(zip(atoms.tolist(), terms)), jacobian_exact=h.jacobian is not None,
     )
 
 
@@ -486,38 +469,39 @@ def gamma_linear(h: MarkFunction, config: JumpConfiguration, bs: BottomStructure
 _RHO_BLOCK = 4096
 
 
-def _rho_block(rho_seed: int, block_index: int, n: int, r: int) -> np.ndarray:
-    """Normal draws for one block of draw sets, shape (block, n, r).
+def _rho_block(rho_seed: int, block_index: int, n: int, r: int, draws: int) -> np.ndarray:
+    """The first ``draws`` normal draw sets of one block, shape (draws, n, r).
 
     Block ``b`` owns a counter-addressed stream, so its content never
     depends on how many draw sets are consumed overall; draw set ``m``
-    always lives at offset ``m % block`` of block ``m // block``.
+    always lives at offset ``m % block`` of block ``m // block``.  The
+    stream fills in order, so a prefix of a block has the bits of the whole
+    block's first rows.
     """
     if n == 0:
-        return np.empty((_RHO_BLOCK, 0, r))
-    return stream(rho_seed, DOMAIN_RHO, block_index).standard_normal((_RHO_BLOCK, n, r))
+        return np.empty((draws, 0, r))
+    return stream(rho_seed, DOMAIN_RHO, block_index).standard_normal((draws, n, r))
 
 
-def _rho_draws(rho_seed: int, draw_index: int, n: int, r: int) -> np.ndarray:
-    """Auxiliary normal draws for one draw set; row i belongs to atom i."""
-    block = _rho_block(rho_seed, draw_index // _RHO_BLOCK, n, r)
-    return block[draw_index % _RHO_BLOCK]
+def _sharp_factors(F: MarkFunctional, config: JumpConfiguration,
+                   bs: BottomStructure) -> np.ndarray:
+    """Per-atom pushforward factors ``J_i L(u_i)``: sharp(m) = sum_i G_i rho[m, i]."""
+    return _atom_jacobians(F, config) @ bs.factor(config.marks)
 
 
 def sharp_sample(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructure,
                  rho_seed: int, draw_index: int = 0) -> np.ndarray:
     """One sample of the randomized gradient ``F-sharp``.
 
-    Sums ``gradient_flat`` of the atom Jacobians against one independent
-    normal draw per atom; linear in the draws with mean zero, and its
-    second moment over draws is Gamma[F].
+    Contracts the atoms' pushforward factors with one independent normal
+    draw per atom: draw set ``draw_index`` of :func:`gamma_rho_mc`'s stream.
+    Linear in the draws with mean zero, and its second moment over draws is
+    Gamma[F].
     """
-    jacs = _atom_jacobians(F, config)
-    rho = _rho_draws(rho_seed, draw_index, config.n_atoms, config.mark_dimension)
-    out = np.zeros(F.dim)
-    for i, jac in enumerate(jacs):
-        out = out + np.atleast_1d(gradient_flat(jac, config.marks[i], rho[i], bs))
-    return out
+    offset = draw_index % _RHO_BLOCK
+    rho = _rho_block(rho_seed, draw_index // _RHO_BLOCK, config.n_atoms,
+                     config.mark_dimension, offset + 1)
+    return np.einsum("idr,mir->md", _sharp_factors(F, config, bs), rho[offset:])[0]
 
 
 def _usable_cpus() -> int:
@@ -544,18 +528,14 @@ def gamma_rho_mc(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructu
     d = F.dim
     n = config.n_atoms
     r = config.mark_dimension
-    jacs = _atom_jacobians(F, config)
-    # per-atom pushforward factors: sharp(m) = sum_i G_i rho[m, i]
-    factors = np.zeros((n, d, r))
-    for i, jac in enumerate(jacs):
-        factors[i] = np.atleast_2d(jac) @ bs.factor(config.marks[i])
+    factors = _sharp_factors(F, config, bs)
 
     starts = list(range(0, M, _RHO_BLOCK))
 
     def run_chunk(start: int):
         stop = min(start + _RHO_BLOCK, M)
         if n:
-            rho = _rho_block(seed, start // _RHO_BLOCK, n, r)[: stop - start]
+            rho = _rho_block(seed, start // _RHO_BLOCK, n, r, stop - start)
             sharps = np.einsum("idr,mir->md", factors, rho)
         else:
             sharps = np.zeros((stop - start, d))

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .bottom_structure import BottomStructure, intro_1d, isotropic, psi_over_k
+from .bottom_structure import BottomStructure, _square_norms, intro_1d, isotropic, psi_over_k
 from .errors import (
     ConvergenceWarning,
     DomainError,
@@ -53,7 +53,7 @@ from .errors import (
     ModelError,
     NumericError,
 )
-from .lent_particle import GammaMatrix, MarkFunctional, gamma_flow
+from .lent_particle import GammaMatrix, MarkFunctional, _sum_terms, gamma_flow
 from .poisson_measure import (
     JumpConfiguration,
     TruncatedLevyModel,
@@ -273,15 +273,20 @@ def polar_first_moment(truncation: float, angular_coefficient: float) -> np.ndar
 _CURVE_TOL = 1e-9
 
 
-def graph_slope(u: np.ndarray) -> float:
-    """Tangent slope ``dx2/dx1`` of the parabola carrying the marks.
+def graph_slope(u: np.ndarray) -> np.ndarray:
+    """Tangent slopes ``dx2/dx1`` of the parabola carrying the marks.
 
-    Raises :class:`DomainError` when the point is off the curve
+    Takes one mark ``(2,)`` or a batch ``(n, 2)`` and gives one slope per
+    mark.  Raises :class:`DomainError` when a mark is off the curve
     ``x2 = x1^2`` beyond a tight tolerance.
     """
-    z = float(u[0])
-    if abs(float(u[1]) - z * z) > _CURVE_TOL * (1.0 + float(np.linalg.norm(u))):
-        raise DomainError(f"mark {u} is not on the curve x2 = x1^2")
+    u = np.asarray(u, dtype=float)
+    z = u[..., 0]
+    off = np.abs(u[..., 1] - z * z) > _CURVE_TOL * (1.0 + np.linalg.norm(u, axis=-1))
+    if np.any(off):
+        raise DomainError(
+            f"mark {np.atleast_2d(u)[np.flatnonzero(off)[0]]} is not on the curve x2 = x1^2"
+        )
     return 2.0 * z
 
 
@@ -333,19 +338,12 @@ def graph_structure(cap: float = 1.0) -> BottomStructure:
     carries no noise, mirroring a mark measure concentrated on the curve.
     """
 
-    def xi(u: np.ndarray) -> np.ndarray:
-        lam = graph_slope(u)
-        v = np.array([1.0, lam])
-        return min(float(u @ u), cap) * np.outer(v, v)
+    def xi(marks: np.ndarray) -> np.ndarray:
+        v = np.column_stack([np.ones(len(marks)), graph_slope(marks)])
+        scale = np.minimum(_square_norms(marks), cap)
+        return scale[:, None, None] * (v[:, :, None] * v[:, None, :])
 
-    return BottomStructure(
-        mark_dimension=2,
-        support=lambda u: bool(u @ u > 0.0),
-        density=lambda u: 1.0,
-        psi=lambda u: 1.0,
-        xi=xi,
-        name="GRAPH_TANGENT",
-    )
+    return psi_over_k(r=2, xi=xi, name="GRAPH_TANGENT")
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +419,11 @@ def doleans_closed_gamma(config: JumpConfiguration, first_moment: float,
     where E is the terminal exponential and w the structure weight.
     """
     _, e_t = doleans_exponential(config, first_moment, t)
-    out = np.zeros((2, 2))
-    keep = config.times <= t
-    for u in config.marks[keep]:
-        w = float(bs.weight(u)[0, 0])
-        if w == 0.0:
-            continue
-        v = np.array([1.0, e_t / (1.0 + float(u[0]))])
-        out += w * np.outer(v, v)
-    return out
+    marks = config.marks[config.times <= t]
+    w = bs.weight(marks)[:, 0, 0]
+    w, u = w[w != 0.0], marks[w != 0.0, 0]
+    v = np.column_stack([np.ones(u.size), e_t / (1.0 + u)])
+    return _sum_terms(w[:, None, None] * (v[:, :, None] * v[:, None, :]))
 
 
 class DoleansPairFunctional(MarkFunctional):
@@ -543,26 +537,27 @@ def area_closed_gamma(config: JumpConfiguration, m1: np.ndarray,
     ``A~ = X2(t) - dX2 - 2 X2-`` and ``B~ = X1(t) - dX1 - 2 X1-`` give the
     mark Jacobian rows (1, 0, A~), (0, 1, -B~); conjugating the structure
     weight by that Jacobian yields the displayed per-jump summand.  The
-    span family feeds the rank-3 density condition.
+    span family, one vector per row, feeds the rank-3 density condition.
     """
-    v, times, marks, lefts = _area_closed_path(config, m1, t)
-    out = np.zeros((3, 3))
-    span: list[np.ndarray] = []
-    for i in range(times.shape[0]):
-        u = marks[i]
-        w = bs.weight(u)
-        if not w.any():
-            continue
-        a_t = v[1] - u[1] - 2.0 * lefts[i, 1]
-        b_t = v[0] - u[0] - 2.0 * lefts[i, 0]
-        jac = np.array([[1.0, 0.0], [0.0, 1.0], [a_t, -b_t]])
-        out += jac @ w @ jac.T
-        if bs.name == "GRAPH_TANGENT":
-            lam = graph_slope(u)
-            span.append(np.array([1.0, lam, a_t - lam * b_t]))
-        else:
-            span.append(np.array([1.0, 0.0, a_t]))
-            span.append(np.array([0.0, 1.0, -b_t]))
+    v, _, marks, lefts = _area_closed_path(config, m1, t)
+    w = bs.weight(marks)
+    live = w.any(axis=(1, 2))
+    w, u, lefts = w[live], marks[live], lefts[live]
+    a_t = v[1] - u[:, 1] - 2.0 * lefts[:, 1]
+    b_t = v[0] - u[:, 0] - 2.0 * lefts[:, 0]
+    n = a_t.size
+    jac = np.zeros((n, 3, 2))
+    jac[:, 0, 0] = jac[:, 1, 1] = 1.0
+    jac[:, 2, 0], jac[:, 2, 1] = a_t, -b_t
+    out = _sum_terms(jac @ w @ jac.transpose(0, 2, 1))
+    if bs.name == "GRAPH_TANGENT":
+        lam = graph_slope(u)
+        span = np.column_stack([np.ones(n), lam, a_t - lam * b_t])
+    else:
+        # two directions per atom, in atom order
+        span = np.zeros((2 * n, 3))
+        span[0::2, 0] = span[1::2, 1] = 1.0
+        span[0::2, 2], span[1::2, 2] = a_t, -b_t
     return 0.5 * (out + out.T), v, span
 
 

@@ -16,7 +16,6 @@ from lentparticle.lent_particle import (
     MarkFunction,
     MarkFunctional,
     gamma_flow,
-    gamma_flow_left,
     gamma_generic,
     gamma_linear,
     gamma_rho_mc,
@@ -106,7 +105,7 @@ def test_criterion_2_flow_renderings_agree():
         x0 = rng.uniform(-1.0, 1.0, d)
         traj = solve_sde(coeffs, model, cfg, x0=x0, step=0.005, flows=True)
         a = gamma_flow(traj, coeffs, bs).matrix
-        b = gamma_flow_left(traj, coeffs, bs).matrix
+        b = gamma_flow(traj, coeffs, bs, rendering="remark3").matrix
         scale = max(float(np.abs(a).max()), 1e-30)
         worst = max(worst, float(np.abs(a - b).max()) / scale)
     ok = worst <= 1e-10

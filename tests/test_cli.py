@@ -243,6 +243,21 @@ def test_custom_structure_with_complex_value_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line, expression, message", [
+    ("psi = 1 / (u1 - u1)", "1 / (u1 - u1)", "divide by zero"),
+    ("xi_1 = 10.0^(400 + u1)", "10.0^(400 + u1)", "out of range"),
+], ids=["division-by-zero", "overflow"])
+def test_custom_structure_floating_point_error_exits_2(tmp_path, capsys, line, expression,
+                                                       message):
+    key = line.split(" = ")[0]
+    text = re.sub(rf"^{key} = .*$", line, CUSTOM_INI, flags=re.M)
+    cfg = write_config(tmp_path, text)
+    assert run_cli("gamma", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert expression in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_custom_model_refuses_key_its_kind_does_not_read(tmp_path, capsys):
     cfg = write_config(tmp_path, CUSTOM_INI.replace("intensity = 4.0", "alpha = 1.5"))
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 2

@@ -254,7 +254,7 @@ def test_regular_case_flags_diverging_mass_at_origin():
     # masses around u0 = 0 stay flat instead of decaying geometrically
     from lentparticle.bottom_structure import psi_over_k
 
-    bs = psi_over_k(density=lambda u: float(u @ u) ** -1.0, r=1)
+    bs = psi_over_k(density=lambda marks: (marks[:, 0] * marks[:, 0]) ** -1.0, r=1)
     coeffs1 = CoefficientSet(
         dim=1,
         c=lambda t, x, u: u[:, :1],

@@ -2,27 +2,28 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lentparticle.lent_particle as lent_particle
 
-from lentparticle.bottom_structure import intro_1d, isotropic
+from lentparticle.bottom_structure import gamma_matrix, intro_1d, isotropic
 from lentparticle.lent_particle import (
     MarkFunction,
     MarkFunctional,
     SdeFunctional,
     gamma_flow,
-    gamma_flow_left,
     gamma_generic,
     gamma_linear,
     gamma_rho_mc,
     linear_functional,
     sharp_sample,
 )
+from lentparticle.errors import InputError
 from lentparticle.poisson_measure import JumpConfiguration, simulate_configuration
+from lentparticle.rng import DOMAIN_RHO, stream
 from lentparticle.scenarios import doleans_coefficients, power_law_first_moment, power_law_model
-from lentparticle.sde_engine import solve_sde
+from lentparticle.sde_engine import CoefficientSet, solve_sde
 
 
 def _config(times, marks, horizon=1.0):
@@ -105,7 +106,6 @@ def test_sde_functional_batched_probes_equal_single_solves(monkeypatch):
     # gamma_generic solves every finite-difference probe in one batch; each
     # probe solved on its own gives the same bits
     import lentparticle.sde_engine as engine
-    from lentparticle.bottom_structure import gamma_matrix
     from lentparticle.poisson_measure import add_particle, remove_particle
 
     # about 430 rows of 4 stored values per probe: two probes per chunk
@@ -125,7 +125,7 @@ def test_sde_functional_batched_probes_equal_single_solves(monkeypatch):
         h = 1e-6 * (1.0 + float(np.linalg.norm(u)))
         jac = ((alone(add_particle(base, t, u + h)) - alone(add_particle(base, t, u - h)))
                / (2.0 * h))[:, None]
-        term = gamma_matrix(jac, u, bs)
+        term = gamma_matrix(jac[None], u[None], bs)[0]
         assert generic.per_jump_terms[i][1].tobytes() == term.tobytes()
         total = total + term
     assert generic.matrix.tobytes() == (0.5 * (total + total.T)).tobytes()
@@ -135,7 +135,7 @@ def test_flow_renderings_agree():
     _, coeffs, _, traj = _doleans_setup()
     bs = intro_1d()
     a = gamma_flow(traj, coeffs, bs)
-    b = gamma_flow_left(traj, coeffs, bs)
+    b = gamma_flow(traj, coeffs, bs, rendering="remark3")
     assert a.formula_tag == "theorem9"
     assert b.formula_tag == "remark3"
     scale = max(1.0, np.abs(a.matrix).max())
@@ -158,7 +158,7 @@ def test_per_jump_decomposition_consistent():
     bs = intro_1d()
     for g in (
         gamma_flow(traj, coeffs, bs),
-        gamma_flow_left(traj, coeffs, bs),
+        gamma_flow(traj, coeffs, bs, rendering="remark3"),
         gamma_linear(_square_h(), cfg, bs),
     ):
         assert g.consistency_residual() <= 1e-12
@@ -308,3 +308,109 @@ def test_gamma_json_round_trip():
     assert blob["t"] == 1.0
     assert np.allclose(np.array(blob["matrix"]), g.matrix)
     assert blob["eigenvalues"][0] == pytest.approx(float(g.eigenvalues()[0]))
+
+
+def test_flow_rendering_switch_rejects_unknown_names():
+    _, coeffs, _, traj = _doleans_setup()
+    with pytest.raises(InputError, match="rendering"):
+        gamma_flow(traj, coeffs, intro_1d(), rendering="left")
+
+
+def test_sharp_sample_draws_only_a_prefix_of_its_block():
+    # draw set 4101 is row 5 of block 1; drawing the block's first six rows
+    # gives that row the bits of the whole 4096-row block
+    cfg = _config([0.1, 0.3, 0.8], [0.2, -0.35, 0.15])
+    bs = intro_1d()
+    F = linear_functional(_square_h(), power_law_model(truncation=0.05))
+    block = stream(9, DOMAIN_RHO, 1).standard_normal((4096, cfg.n_atoms, 1))
+    factors = np.array([[[2.0 * u * abs(u)]] for u in cfg.marks[:, 0]])  # h'(u) sqrt(w(u))
+    want = np.einsum("idr,mir->md", factors, block[5:6])[0]
+    got = sharp_sample(F, cfg, bs, rho_seed=9, draw_index=4096 + 5)
+    assert got.tobytes() == want.tobytes()
+
+
+# small configurations for the property tests: distinct times, marks inside
+# the doleans model's support (0.06 <= |u| < 0.5)
+_atom = st.tuples(st.floats(0.01, 1.0), st.floats(0.06, 0.45) | st.floats(-0.45, -0.06))
+_atoms = st.lists(_atom, max_size=4, unique_by=lambda a: a[0]).map(sorted)
+
+
+def _from_atoms(atoms):
+    return JumpConfiguration(np.array([t for t, _ in atoms]),
+                             np.array([u for _, u in atoms]).reshape(len(atoms), 1), 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(atoms=_atoms)
+def test_flow_renderings_agree_on_small_configurations(atoms):
+    model, coeffs = power_law_model(truncation=0.05), doleans_coefficients(0.1, 0.5)
+    traj = solve_sde(coeffs, model, _from_atoms(atoms), x0=np.array([0.0, 1.0]),
+                     step=0.01, flows=True)
+    a = gamma_flow(traj, coeffs, intro_1d())
+    b = gamma_flow(traj, coeffs, intro_1d(), rendering="remark3")
+    assert (a.formula_tag, b.formula_tag) == ("theorem9", "remark3")
+    assert [i for i, _ in a.per_jump_terms] == [i for i, _ in b.per_jump_terms]
+    assert len(a.per_jump_terms) == len(atoms)
+    assert np.abs(a.matrix - b.matrix).max() <= 1e-10 * np.abs(a.matrix).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(atoms=_atoms, new=st.tuples(st.floats(0.01, 1.0), st.floats(-0.6, 0.6)))
+def test_creation_annihilation(atoms, new):
+    from lentparticle.poisson_measure import add_particle, remove_particle
+
+    t, u = new
+    cfg = _from_atoms(atoms)
+    assume(abs(u) > 1e-6 and t not in cfg.times)
+    grown = add_particle(cfg, t, [u])
+    back = remove_particle(grown, t, [u])
+    assert back.times.tobytes() == cfg.times.tobytes()
+    assert back.marks.tobytes() == cfg.marks.tobytes()
+
+    # Gamma[N~(h)] grows by exactly the added atom's term
+    h, bs = _square_h(), intro_1d()
+    before, after = gamma_linear(h, cfg, bs), gamma_linear(h, grown, bs)
+    pos = int(np.searchsorted(grown.times, t))
+    added = gamma_matrix(h.jac(t, np.array([u]))[None], np.array([[u]]), bs)[0]
+    assert after.per_jump_terms[pos][1].tobytes() == added.tobytes()
+    kept = [term.tobytes() for i, term in after.per_jump_terms if i != pos]
+    assert kept == [term.tobytes() for _, term in before.per_jump_terms]
+    assert np.allclose(after.matrix, before.matrix + added, rtol=1e-13, atol=0.0)
+
+
+def _flow_loop(traj, coeffs, bs, rendering):
+    """Gamma[X_T] atom by atom, summed in a running loop: the reference."""
+    d = coeffs.dim
+    total = np.zeros((d, d))
+    for i in traj.jump_rows():
+        point = traj.times[i:i + 1], traj.states_left[i:i + 1], traj.config.marks[traj.atom_index[i:i + 1]]
+        g = gamma_matrix(coeffs.du_c(*point), point[2], bs)[0]
+        if rendering == "theorem9":
+            v = traj.inverse_flow[i]
+        else:
+            jump = np.eye(d) + coeffs.dx_c(*point)[0]
+            v = np.linalg.solve(jump.T, traj.inverse_flow_left[i].T).T
+        term = v @ g @ v.T
+        total = total + 0.5 * (term + term.T)
+    k_t = traj.flow[-1]
+    mat = k_t @ total @ k_t.T
+    return 0.5 * (mat + mat.T)
+
+
+@pytest.mark.parametrize("rendering", ["theorem9", "remark3"])
+def test_flow_assembly_has_the_bits_of_the_atom_loop(rendering):
+    # the stacked products and the in-order sum round as a per-atom loop does,
+    # for a 2-d state and for 1 x 1 terms (which np.sum would add pairwise)
+    model = power_law_model(truncation=0.05)
+    m1 = power_law_first_moment(0.05)
+    scalar = CoefficientSet(
+        dim=1, c=lambda t, x, u: x * u, dx_c=lambda t, x, u: u[:, :, None],
+        du_c=lambda t, x, u: x[:, :, None], compensator=lambda t, x: m1 * x,
+        dx_compensator=lambda t, x: np.full((len(x), 1, 1), m1),
+    )
+    cfg = simulate_configuration(model, horizon=1.0, seed=0)
+    assert cfg.n_atoms > 16
+    for coeffs, x0 in ((doleans_coefficients(m1, 0.5), [0.0, 1.0]), (scalar, [1.0])):
+        traj = solve_sde(coeffs, model, cfg, x0=np.array(x0), step=0.01, flows=True)
+        got = gamma_flow(traj, coeffs, intro_1d(), rendering=rendering).matrix
+        assert got.tobytes() == _flow_loop(traj, coeffs, intro_1d(), rendering).tobytes()

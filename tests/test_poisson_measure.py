@@ -9,7 +9,7 @@ from lentparticle.errors import (
     ModelError,
     NumericError,
 )
-from lentparticle.expressions import compile_coefficient, compile_mark_scalar
+from lentparticle.expressions import compile_coefficient
 from lentparticle.poisson_measure import (
     JumpConfiguration,
     MarkQuadrature,
@@ -215,7 +215,7 @@ def test_batched_quadrature_matches_mark_integral_across_indicator(r):
     c = compile_coefficient(["u1^2 * ind(0.3)"], 1, r)
     got = MarkQuadrature(model).integrate(
         lambda marks: c(np.zeros(len(marks)), np.zeros((len(marks), 1)), marks))
-    want = mark_integral(compile_mark_scalar("u1^2 * ind(0.3)", r), model)
+    want = mark_integral(lambda u: float(u[0]) ** 2 * float(np.linalg.norm(u) < 0.3), model)
     assert got[0] == pytest.approx(want, rel=1e-10)
 
 
