@@ -73,6 +73,18 @@ def test_syntax_error():
         compile_mark_functions(["u1 +"], 1)
 
 
+@pytest.mark.parametrize("src, value, message", [
+    ("1 + a^0.5", -1.0, "complex"),
+    ("10.0^a", 400.0, "out of range"),
+])
+def test_scalar_evaluator_errors_name_the_expression(src, value, message):
+    # `a` is the mark u1; powers are Python floats', so these are not numpy's errors
+    src = src.replace("a", "u1")
+    with pytest.raises(InputError, match=message) as info:
+        _mark_value(src, [value])
+    assert repr(src) in str(info.value)
+
+
 # the expressions above, as coefficients in t, x1, x2, u1, u2
 _COEFFICIENTS = [
     ["u1^2 + 2*u1 - 1/2", "-u1 * (u2 + 1)"],
