@@ -89,7 +89,6 @@ from .scenarios import (
 from .sde_engine import (
     CoefficientSet,
     Trajectory,
-    read_trajectory_csv,
     solve_sde,
     validate_coefficients,
     write_trajectory_csv,

@@ -374,7 +374,7 @@ def gamma_flow(
         raise StateError("no coefficient set available")
     if traj.flow is None or traj.inverse_flow is None:
         raise StateError("flow and inverse flow must be filled first")
-    if rendering == "remark3" and traj.inverse_flow_left is None:
+    if rendering == "remark3" and traj.jump_inverse_flow_left is None:
         raise StateError("left-limit inverse flow missing")
     t = traj.horizon if t is None else float(t)
     k_t = traj.flow[traj.row_at(t)]
@@ -383,14 +383,18 @@ def gamma_flow(
     d = coeffs.dim
     terms = np.zeros((0, d, d))
     if rows.size:
-        # the jump rows' times, left limits and marks: one batch for the coefficients
-        points = traj.times[rows], traj.states_left[rows], traj.config.marks[traj.atom_index[rows]]
+        # the jump rows' times, left limits and marks: one batch for the
+        # coefficients.  The left limits of the jumps up to t are a prefix,
+        # copied because numpy may take other kernels on strided views
+        taken = slice(rows.size)
+        points = (traj.times[rows], traj.jump_states_left[taken].copy(),
+                  traj.config.marks[traj.atom_index[rows]])
         g = gamma_matrix(coeffs.du_c(*points), points[2], bs)
         if rendering == "theorem9":
             v = traj.inverse_flow[rows]
         else:
             jump = np.eye(d) + np.asarray(coeffs.dx_c(*points), dtype=float)
-            v = _solve_right(traj.inverse_flow_left[rows], jump, points[0])
+            v = _solve_right(traj.jump_inverse_flow_left[taken].copy(), jump, points[0])
         terms = _symmetric(v @ g @ v.transpose(0, 2, 1))
     mat = k_t @ _sum_terms(terms) @ k_t.T
     return GammaMatrix(

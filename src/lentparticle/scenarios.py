@@ -613,10 +613,13 @@ class Scenario:
         return traj, gamma_flow(traj, coeffs, self.bottom, t)
 
     def gamma_of(self, config: JumpConfiguration, truncation: float | None = None,
-                 t: float | None = None) -> np.ndarray:
+                 t: float | None = None, model: TruncatedLevyModel | None = None) -> np.ndarray:
+        """Gamma[X_t] of one configuration; ``model``, when given, is
+        ``self.model(truncation)`` built once by the caller."""
         t = self.eval_time if t is None else t
         if self.closed_form_gamma is not None:
-            return self.closed_form_gamma(config, self.model(truncation), t)
+            model = self.model(truncation) if model is None else model
+            return self.closed_form_gamma(config, model, t)
         return self.run(config, truncation, t)[1].matrix
 
     def gammas(self, configs: Sequence[JumpConfiguration], truncation: float | None = None,
@@ -628,9 +631,9 @@ class Scenario:
         is solved, so memory does not grow with the number of paths.
         """
         t = self.eval_time if t is None else t
-        if self.closed_form_gamma is not None:
-            return [self.gamma_of(config, truncation, t) for config in configs]
         model = self.model(truncation)
+        if self.closed_form_gamma is not None:
+            return [self.gamma_of(config, truncation, t, model) for config in configs]
         coeffs = self.make_coeffs(model)
         matrices = []
         for chunk in _solve_chunks(coeffs, model, configs, self.x0, self.step, t,

@@ -25,18 +25,21 @@ on the same grid so the three stay mutually consistent.  ``solve_sde`` is
 the one entry point; ``flows=True`` adds K and Kbar to the same pass.  It
 solves one configuration or a sequence of them, advancing every path of a
 sequence in one loop over batched arrays; the coefficients evaluate batches
-of points (see :class:`CoefficientSet`).
+of points (see :class:`CoefficientSet`).  Right limits are stored on every
+grid row, left limits only on jump rows, where they differ.  The standing
+assumptions on ``c`` are checked once per chunk of paths, over all the
+jumps it took, from the stored left limits.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._serialise import write_csv
 from .errors import (
@@ -55,7 +58,6 @@ __all__ = [
     "quadrature_compensator",
     "solve_sde",
     "write_trajectory_csv",
-    "read_trajectory_csv",
 ]
 
 _ETA_SLACK = 1.0 + 1e-9
@@ -65,11 +67,12 @@ _ETA_SLACK = 1.0 + 1e-9
 MAX_GRID_ROWS = 10 ** 6
 
 # A solve of many configurations runs in consecutive chunks of paths.  The
-# right and left limits of a chunk (paths x its longest grid x the values of
-# one row) hold at most this many floats, 4 MB, about 27 levy-area paths
-# with flows; a longer path is a chunk of its own.  On rank-stats over 100
-# levy-area paths this keeps peak RSS within 5 MB of solving one path at a
-# time; twice the bound adds 11 MB and saves a third of the time.
+# right limits of a chunk (paths x its longest grid x the values of one row)
+# and its left limits (jumps x the values of one row) hold at most this many
+# floats, 4 MB, about 50 levy-area paths with flows; a longer path is a chunk
+# of its own.  On rank-stats over 100 levy-area paths this keeps peak RSS
+# within 5 MB of solving one path at a time; twice the bound adds 6 MB and
+# saves about a sixth of the time.
 _CHUNK_VALUES = 2 ** 19
 
 
@@ -188,57 +191,63 @@ def _first_singular(matrices: np.ndarray) -> int:
     return 0
 
 
+def _spectral_norms(matrices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """2-norms of the ``rows`` of a stack, NaN elsewhere: one SVD call."""
+    norms = np.full(matrices.shape[0], np.nan)
+    norms[rows] = np.linalg.norm(matrices[rows], 2, axis=(1, 2))
+    return norms
+
+
 def _check_r_conditions(coeffs: CoefficientSet, t: np.ndarray, x: np.ndarray,
-                        u: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
+                        u: np.ndarray, where: Callable[[int], str]) -> None:
     """Spot-check the standing coefficient assumptions at a batch of points.
 
-    Returns ``I + dx_c``, ``(n, d, d)``, for reuse.  Raises
-    :class:`ModelError` naming the violated condition and, through
-    ``where(k)``, the path or point of the first offending row ``k``.
+    Every condition is evaluated over the whole batch.  Raises
+    :class:`ModelError` at the first offending row ``k``, naming the first
+    condition it violates in the order ``dx_c`` finite, ``|dx_c| <= eta``,
+    ``|c(t, 0, u)| <= eta``, ``I + dx_c`` invertible, ``|(I + dx_c)^{-1}| <=
+    eta``, and through ``where(k)`` its path or point.
     """
     d, n = coeffs.dim, t.shape[0]
     dxc = np.asarray(coeffs.dx_c(t, x, u), dtype=float)
     if dxc.shape != (n, d, d):
         raise ModelError(f"dx_c must return shape ({n}, {d}, {d}) for {n} points, got {dxc.shape}")
-    k = _first(~np.isfinite(dxc).all(axis=(1, 2)))
-    if k is not None:
-        raise ModelError(f"dx_c at (t={t[k]}) must be a finite ({d}, {d}) matrix {where(k)}")
-    m = np.eye(d) + dxc
-    eta = None
-    if coeffs.eta is not None:
-        eta = np.asarray(coeffs.eta(u), dtype=float)
-        if eta.shape != (n,):
-            raise ModelError(f"eta must return shape ({n},) for {n} marks, got {eta.shape}")
-        norms = np.linalg.norm(dxc, 2, axis=(1, 2))
-        k = _first(norms > eta * _ETA_SLACK)
-        if k is not None:
-            raise ModelError(
-                f"jump x-Jacobian norm {norms[k]:.4g} exceeds eta({u[k]}) = {eta[k]:.4g} {where(k)}"
-            )
-        norms = np.linalg.norm(np.asarray(coeffs.c(t, np.zeros((n, d)), u), dtype=float), axis=1)
-        k = _first(norms > eta * _ETA_SLACK)
-        if k is not None:
-            raise ModelError(
-                f"jump size at x = 0 norm {norms[k]:.4g} exceeds eta({u[k]}) = {eta[k]:.4g} {where(k)}"
-            )
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        k = _first_singular(m)
-        raise ModelError(f"jump update I + dx_c singular at (t={t[k]}, u={u[k]}) {where(k)}") from None
-    k = _first(~np.isfinite(inv).all(axis=(1, 2)))
-    if k is not None:
-        raise ModelError(
-            f"jump update I + dx_c numerically singular at (t={t[k]}, u={u[k]}) {where(k)}"
-        )
+    finite = np.isfinite(dxc).all(axis=(1, 2))
+    m = np.eye(d) + np.where(finite[:, None, None], dxc, 0.0)
+    # np.linalg.inv raises when any matrix of the stack is singular; its
+    # kernel fills those inverses with NaN instead
+    with np.errstate(all="ignore"):
+        inv = _umath_linalg.inv(m, signature="d->d")
+    invertible = np.isfinite(inv).all(axis=(1, 2))
+
+    eta = None if coeffs.eta is None else np.asarray(coeffs.eta(u), dtype=float)
+    if eta is not None and eta.shape != (n,):
+        raise ModelError(f"eta must return shape ({n},) for {n} marks, got {eta.shape}")
+
+    def exceeds(norms: np.ndarray, what: str):
+        return (norms > eta * _ETA_SLACK,
+                lambda k: f"{what} norm {norms[k]:.4g} exceeds eta({u[k]}) = {eta[k]:.4g}")
+
+    def singular(k: int) -> str:
+        try:
+            np.linalg.inv(m[k])
+            kind = "numerically singular"
+        except np.linalg.LinAlgError:
+            kind = "singular"
+        return f"jump update I + dx_c {kind} at (t={t[k]}, u={u[k]})"
+
+    checks = [(~finite, lambda k: f"dx_c at (t={t[k]}) must be a finite ({d}, {d}) matrix")]
     if eta is not None:
-        norms = np.linalg.norm(inv, 2, axis=(1, 2))
-        k = _first(norms > eta * _ETA_SLACK)
-        if k is not None:
-            raise ModelError(
-                f"inverse jump update norm {norms[k]:.4g} exceeds eta({u[k]}) = {eta[k]:.4g} {where(k)}"
-            )
-    return m
+        size = np.asarray(coeffs.c(t, np.zeros((n, d)), u), dtype=float)
+        checks += [exceeds(_spectral_norms(dxc, finite), "jump x-Jacobian"),
+                   exceeds(np.linalg.norm(size, axis=1), "jump size at x = 0")]
+    checks.append((finite & ~invertible, singular))
+    if eta is not None:
+        checks.append(exceeds(_spectral_norms(inv, finite & invertible), "inverse jump update"))
+    k = _first(np.logical_or.reduce([mask for mask, _ in checks]))
+    if k is not None:
+        message = next(text for mask, text in checks if mask[k])
+        raise ModelError(f"{message(k)} {where(k)}")
 
 
 def validate_coefficients(
@@ -248,7 +257,8 @@ def validate_coefficients(
 ) -> None:
     """Spot-check the coefficient assumptions at the given (t, x, u) points.
 
-    The points are evaluated as one batch.
+    The points are evaluated as one batch; an error names the first
+    offending point and the first condition it violates.
     """
     if not points:
         return
@@ -275,24 +285,47 @@ def validate_coefficients(
 class Trajectory:
     """Path of X (and optionally the flows) on the merged event/output grid.
 
-    Row ``i`` holds the right limit at ``times[i]``; ``*_left`` arrays hold
-    the left limits, which differ only on jump rows.  ``atom_index[i]`` is
-    the index into ``config`` of the atom at a jump row, ``-1`` elsewhere.
-    The arrays of the trajectories one :func:`solve_sde` call returns are
-    views into the arrays of the batch that solved them.
+    Row ``i`` holds the right limit at ``times[i]``.  Left limits differ from
+    right limits only on jump rows, so only those are stored:
+    ``jump_states_left`` (and with flows ``jump_flow_left`` and
+    ``jump_inverse_flow_left``) holds one entry per jump row, in row order.
+    ``states_left``, ``flow_left`` and ``inverse_flow_left`` build the
+    full-length arrays from them on each access.  ``atom_index[i]`` is the
+    index into ``config`` of the atom at a jump row, ``-1`` elsewhere.  The
+    arrays of the trajectories one :func:`solve_sde` call returns are views
+    into the arrays of the batch that solved them.
     """
 
     times: np.ndarray
     is_jump: np.ndarray
     atom_index: np.ndarray
     states: np.ndarray
-    states_left: np.ndarray
+    jump_states_left: np.ndarray
     config: JumpConfiguration
     coeffs: CoefficientSet | None
     flow: np.ndarray | None = None
-    flow_left: np.ndarray | None = None
+    jump_flow_left: np.ndarray | None = None
     inverse_flow: np.ndarray | None = None
-    inverse_flow_left: np.ndarray | None = None
+    jump_inverse_flow_left: np.ndarray | None = None
+
+    def _left(self, right: np.ndarray | None, at_jumps: np.ndarray | None) -> np.ndarray | None:
+        if right is None or at_jumps is None:
+            return None
+        out = right.copy()
+        out[self.is_jump] = at_jumps
+        return out
+
+    @property
+    def states_left(self) -> np.ndarray:
+        return self._left(self.states, self.jump_states_left)
+
+    @property
+    def flow_left(self) -> np.ndarray | None:
+        return self._left(self.flow, self.jump_flow_left)
+
+    @property
+    def inverse_flow_left(self) -> np.ndarray | None:
+        return self._left(self.inverse_flow, self.jump_inverse_flow_left)
 
     @property
     def dim(self) -> int:
@@ -355,20 +388,21 @@ def _rk4_step(rhs, t0, half, t1, h, y: np.ndarray) -> np.ndarray:
 
 
 def _chunks(configs: list[JumpConfiguration], horizon: float | None, step: float,
-            row_values: int):
+            block: int):
     """Consecutive chunks of paths as ``(start, configs, grids)``: each
-    padded batch (paths x longest grid x ``row_values``) holds at most
-    :data:`_CHUNK_VALUES` floats, and a path longer than that is a chunk of
-    its own.  A grid is built when its chunk is reached."""
-    start, grids, longest = 0, [], 0
+    padded batch of right limits (paths x longest grid x ``block`` values)
+    together with the left limits at its jumps (jumps x ``block``) holds at
+    most :data:`_CHUNK_VALUES` floats, and a path longer than that is a chunk
+    of its own.  A grid is built when its chunk is reached."""
+    start, grids, longest, jumps = 0, [], 0, 0
     for i, config in enumerate(configs):
         grid = _build_grid(config, config.horizon if horizon is None else float(horizon), step)
-        m = grid[0].shape[0]
-        if grids and (len(grids) + 1) * max(longest, m) * row_values > _CHUNK_VALUES:
+        m, j = grid[0].shape[0], int(np.count_nonzero(grid[1]))
+        if grids and ((len(grids) + 1) * max(longest, m) + jumps + j) * block > _CHUNK_VALUES:
             yield start, configs[start:i], grids
-            start, grids, longest = i, [], 0
+            start, grids, longest, jumps = i, [], 0, 0
         grids.append(grid)
-        longest = max(longest, m)
+        longest, jumps = max(longest, m), jumps + j
     if grids:
         yield start, configs[start:], grids
 
@@ -379,7 +413,8 @@ def _stack_grids(configs: Sequence[JumpConfiguration], grids: list):
     Returns ``order`` (batch row ``b`` holds path ``order[b]`` of the chunk),
     the grid sizes in chunk order, ``times``, ``is_jump`` and ``atom_index``
     of shape ``(P, m_max)``, each grid padded with its last time, and
-    ``marks``, ``(P, m_max, r)``, holding the mark of every jump row.
+    ``marks``, ``(J, r)``, holding the mark of every jump row in the order of
+    ``np.nonzero(is_jump)``: by batch row, then by grid row.
     """
     sizes = np.array([grid[0].shape[0] for grid in grids])
     order = np.argsort(-sizes, kind="stable")
@@ -388,13 +423,15 @@ def _stack_grids(configs: Sequence[JumpConfiguration], grids: list):
     times = np.empty((n_paths, m_max))
     is_jump = np.zeros((n_paths, m_max), dtype=bool)
     atom_index = np.full((n_paths, m_max), -1, dtype=int)
-    marks = np.zeros((n_paths, m_max, r))
+    marks = np.zeros((sum(int(np.count_nonzero(grid[1])) for grid in grids), r))
+    start = 0
     for b, p in enumerate(order):
         grid_times, jumps, atoms = grids[p]
-        m = grid_times.shape[0]
+        m, stop = grid_times.shape[0], start + int(np.count_nonzero(jumps))
         times[b, :m], times[b, m:] = grid_times, grid_times[-1]
         is_jump[b, :m], atom_index[b, :m] = jumps, atoms
-        marks[b, :m][jumps] = configs[p].marks[atoms[jumps]]
+        marks[start:stop] = configs[p].marks[atoms[jumps]]
+        start = stop
     return order, sizes, times, is_jump, atom_index, marks
 
 
@@ -407,13 +444,17 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     holding X, the rows of K and the rows of Kbar; the batch stacks one block
     per path.  A path drops out of the batch after its last row, so row ``i``
     advances the prefix of paths that have one, each between its own grid
-    times.  The jump update, its validation and the finite-state checks run
-    on the paths that jump at row ``i``.  The X entries of every stage never
-    read the flow entries, so X is the same bit for bit with and without
-    flows, and every operation acts on each path alone, so a path's rows do
-    not depend on the rest of the batch.  ``first`` is the index of the
-    chunk's first path in the caller's list.  Returns the right and left
-    limits, ``(P, m_max, 1 [+ 2d], d)``, in batch order.
+    times.  The jump update and the finite-state checks run on the paths that
+    jump at row ``i``; with ``validate``, the coefficient assumptions are
+    checked once over every jump of the chunk, from the stored left limits,
+    after the loop or, when the loop raises, over the jumps taken so far
+    before the error propagates.  The X entries of every stage never read the
+    flow entries, so X is the same bit for bit with and without flows, and
+    every operation acts on each path alone, so a path's rows do not depend
+    on the rest of the batch.  ``first`` is the index of the chunk's first
+    path in the caller's list.  Returns the right limits, ``(P, m_max, 1
+    [+ 2d], d)``, and the left limits at the jumps, ``(J, 1 [+ 2d], d)``, both
+    in batch order; the jumps of a path are consecutive, in row order.
     """
     velocity, vel_jac = drift
     d = coeffs.dim
@@ -426,9 +467,15 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     steps = by_row[1:] - by_row[:-1]
     halves = by_row[:-1] + 0.5 * steps
     step_columns = steps[:, :, None, None]
-    event_rows, event_paths = np.nonzero(is_jump.T)
+    # the jumps are stored (marks, left limits) by path, then row; the loop
+    # and the checks take them by row, then path
+    jump_paths, jump_rows = np.nonzero(is_jump)
+    event_slots = np.lexsort((jump_paths, jump_rows))
+    event_paths, event_rows = jump_paths[event_slots], jump_rows[event_slots]
     rows_with_jumps, starts = np.unique(event_rows, return_index=True)
-    jumpers = dict(zip(rows_with_jumps.tolist(), np.split(event_paths, starts[1:])))
+    ends = np.append(starts[1:], event_rows.shape[0])
+    jumpers = {row: (event_paths[a:b], event_slots[a:b], b)
+               for row, a, b in zip(rows_with_jumps.tolist(), starts.tolist(), ends.tolist())}
     k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
 
     def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -442,12 +489,10 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
         out[:, kb_rows] = -(y[:, kb_rows] @ a)
         return out
 
-    def jump(i: int, batch: np.ndarray, y: np.ndarray) -> np.ndarray:
-        t, u, x_left = times[batch, i], marks[batch, i], y[batch, 0]
+    def jump(i: int, batch: np.ndarray, slots: np.ndarray, y: np.ndarray) -> np.ndarray:
+        t, u, x_left = times[batch, i], marks[slots], y[batch, 0]
         where = lambda k: f"on path {first + order[batch[k]]}"
-        if validate:
-            jump_matrix = _check_r_conditions(coeffs, t, x_left, u, where)
-        else:
+        if flows:
             jump_matrix = np.eye(d) + np.asarray(coeffs.dx_c(t, x_left, u), dtype=float)
         block = np.empty((batch.shape[0], y.shape[1], d))
         block[:, 0] = x_left + np.asarray(coeffs.c(t, x_left, u), dtype=float)
@@ -467,30 +512,46 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
             block[:, kb_rows] = kb_transposed.transpose(0, 2, 1)
         return block
 
+    def check(taken: int) -> None:
+        """The coefficient assumptions at the first ``taken`` jumps."""
+        rows, paths, slots = event_rows[:taken], event_paths[:taken], event_slots[:taken]
+        _check_r_conditions(coeffs, times[paths, rows], left[slots, 0], marks[slots],
+                            lambda k: f"on path {first + order[paths[k]]}")
+
     y = np.zeros((n_paths, 1 + 2 * d if flows else 1, d))
     y[:, 0] = x0
     if flows:
         y[:, k_rows] = y[:, kb_rows] = np.eye(d)
     right = np.empty((n_paths, m_max) + y.shape[1:])
-    left = np.empty_like(right)
-    right[:, 0] = left[:, 0] = y
-    for i in range(1, m_max):
-        n = active[i]
-        # one path steps with a scalar: numpy combines it with y faster than
-        # a broadcast column, and to the same bits
-        h = steps[i - 1, 0] if n == 1 else step_columns[i - 1, :n]
-        y = _rk4_step(rhs, by_row[i - 1, :n], halves[i - 1, :n], by_row[i, :n], h, y[:n])
-        if not np.isfinite(y).all():
-            k = _first(~np.isfinite(y).all(axis=(1, 2)))
-            raise NumericError(
-                f"integration produced non-finite state at t = {times[k, i]} "
-                f"on path {first + order[k]}"
-            )
-        left[:n, i] = y
-        batch = jumpers.get(i)
-        if batch is not None:
-            y[batch] = jump(i, batch, y)
-        right[:n, i] = y
+    left = np.empty((event_rows.shape[0],) + y.shape[1:])
+    right[:, 0] = y
+    taken, error = 0, None  # jumps reached by the loop, in (row, path) order
+    try:
+        for i in range(1, m_max):
+            n = active[i]
+            # one path steps with a scalar: numpy combines it with y faster
+            # than a broadcast column, and to the same bits
+            h = steps[i - 1, 0] if n == 1 else step_columns[i - 1, :n]
+            y = _rk4_step(rhs, by_row[i - 1, :n], halves[i - 1, :n], by_row[i, :n], h, y[:n])
+            if not np.isfinite(y).all():
+                k = _first(~np.isfinite(y).all(axis=(1, 2)))
+                raise NumericError(
+                    f"integration produced non-finite state at t = {times[k, i]} "
+                    f"on path {first + order[k]}"
+                )
+            event = jumpers.get(i)
+            if event is not None:
+                batch, slots, taken = event
+                left[slots] = y[batch]
+                y[batch] = jump(i, batch, slots, y)
+            right[:n, i] = y
+    except Exception as caught:
+        error = caught
+    # an assumption violated at a jump already taken wins over a later error
+    if validate and taken:
+        check(taken)
+    if error is not None:
+        raise error
     return right, left
 
 
@@ -501,18 +562,20 @@ def _trajectories(coeffs: CoefficientSet, configs: Sequence[JumpConfiguration],
     order, sizes, times, is_jump, atom_index, _ = stacked
     d = coeffs.dim
     k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
+    # the left limits of batch row b are jumps bounds[b] to bounds[b + 1]
+    bounds = np.concatenate([[0], np.cumsum(np.count_nonzero(is_jump, axis=1))])
     out: list = [None] * len(configs)
     for b, p in enumerate(order):
-        m = sizes[p]
+        m, jumps = sizes[p], slice(bounds[b], bounds[b + 1])
         traj = Trajectory(
             times=times[b, :m], is_jump=is_jump[b, :m], atom_index=atom_index[b, :m],
-            states=right[b, :m, 0], states_left=left[b, :m, 0],
+            states=right[b, :m, 0], jump_states_left=left[jumps, 0],
             config=configs[p], coeffs=coeffs,
         )
         if flows:
-            traj.flow, traj.flow_left = right[b, :m, k_rows], left[b, :m, k_rows]
+            traj.flow, traj.jump_flow_left = right[b, :m, k_rows], left[jumps, k_rows]
             traj.inverse_flow = right[b, :m, kb_rows]
-            traj.inverse_flow_left = left[b, :m, kb_rows]
+            traj.jump_inverse_flow_left = left[jumps, kb_rows]
         out[p] = traj
     return out
 
@@ -530,9 +593,9 @@ def _solve_chunks(coeffs: CoefficientSet, model: TruncatedLevyModel,
     if x0.shape != (d,):
         raise InputError(f"x0 must have shape ({d},), got {x0.shape}")
     drift = _effective_drift(coeffs, model)
-    row_values = 2 * d * (1 + 2 * d if flows else 1)
+    block = d * (1 + 2 * d if flows else 1)
     resid = 0.0
-    for start, part, grids in _chunks(configs, horizon, step, row_values):
+    for start, part, grids in _chunks(configs, horizon, step, block):
         stacked = _stack_grids(part, grids)
         right, left = _integrate(coeffs, drift, stacked, x0, flows, validate, start)
         chunk = _trajectories(coeffs, part, stacked, right, left, flows)
@@ -608,38 +671,3 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     write_csv(path, header, (
         [row[0], int(jump)] + row[1:] for row, jump in zip(values, traj.is_jump)
     ))
-
-
-def read_trajectory_csv(path) -> dict:
-    """Read a trajectory CSV back into arrays.
-
-    Returns a dict with keys ``times``, ``is_jump``, ``states`` and, when
-    present in the file, ``flow`` / ``inverse_flow``.  Left limits are not
-    stored in the export format.
-    """
-    with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise InputError(f"{path}: empty file")
-    header = rows[0]
-    if header[:2] != ["time", "is_jump"]:
-        raise InputError(f"{path}: unexpected header {header[:2]!r}")
-    d = sum(1 for name in header if name.startswith("X_"))
-    if d == 0:
-        raise InputError(f"{path}: no state columns found")
-    n_k = sum(1 for name in header if name.startswith("K_"))
-    n_kb = sum(1 for name in header if name.startswith("Kbar_"))
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
-    data = data.reshape(len(rows) - 1, len(header))
-    out = {
-        "times": data[:, 0],
-        "is_jump": data[:, 1].astype(bool),
-        "states": data[:, 2:2 + d],
-    }
-    pos = 2 + d
-    if n_k:
-        out["flow"] = data[:, pos:pos + n_k].reshape(-1, d, d)
-        pos += n_k
-    if n_kb:
-        out["inverse_flow"] = data[:, pos:pos + n_kb].reshape(-1, d, d)
-    return out

@@ -178,8 +178,9 @@ def test_gammas_frees_each_chunk_before_the_next(monkeypatch):
         solved.extend([weakref.ref(right), weakref.ref(left)])
         return right, left
 
-    # about 460 rows of 42 stored values per path: two paths per chunk
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", 2 * 500 * 42)
+    # about 460 rows of 21 stored values per path, plus 21 per atom for the
+    # left limits: two paths per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 2 * 500 * 21)
     monkeypatch.setattr(engine, "_integrate", tracked)
     matrices = scenario.gammas(configs)
     assert len(solved) == 2 * 3

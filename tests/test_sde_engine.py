@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -6,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lentparticle.errors import ConditioningWarning, InputError, ModelError
+from lentparticle.errors import ConditioningWarning, InputError, ModelError, NumericError
 from lentparticle.poisson_measure import JumpConfiguration, simulate_configuration as simulate
 from lentparticle.scenarios import power_law_first_moment, power_law_model, uniform_box_model
 from lentparticle.sde_engine import (
     CoefficientSet,
     quadrature_compensator,
-    read_trajectory_csv,
     solve_sde,
     validate_coefficients,
 )
@@ -140,10 +140,15 @@ def test_batch_trajectories_are_views_of_one_batch():
     configs = [simulate(model, horizon=1.0, seed=s) for s in (1, 2, 3)]
     trajs = solve_sde(nonlinear_2d(), model, configs, x0=np.array([0.4, -0.2]), step=0.01,
                       flows=True)
-    # right limits share one array, left limits another
+    # right limits share one array, the left limits at the jumps another
     right = {id(t.states.base) for t in trajs} | {id(t.inverse_flow.base) for t in trajs}
-    left = {id(t.states_left.base) for t in trajs} | {id(t.flow_left.base) for t in trajs}
+    left = {id(t.jump_states_left.base) for t in trajs} | {id(t.jump_flow_left.base) for t in trajs}
     assert len(right) == len(left) == 1 and right != left
+    # one entry per jump row, and the full-length left limits built from them
+    for traj in trajs:
+        assert traj.jump_states_left.shape == (traj.config.n_atoms, 2)
+        assert np.array_equal(traj.states_left[traj.is_jump], traj.jump_states_left)
+        assert np.array_equal(traj.flow_left[~traj.is_jump], traj.flow[~traj.is_jump])
 
 
 def test_batch_runs_in_chunks(monkeypatch):
@@ -153,9 +158,10 @@ def test_batch_runs_in_chunks(monkeypatch):
     configs = [simulate(model, horizon=1.0, seed=s) for s in range(7)]
     x0 = np.array([0.4, -0.2])
     whole = solve_sde(nonlinear_2d(), model, configs, x0=x0, step=0.01, flows=True)
-    # 101 regular rows plus a few atoms per path, 20 stored values per row
-    # (right and left limits of X, K and Kbar): at most two paths per chunk
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", 5000)
+    # 101 regular rows plus a few atoms per path, 10 stored values per row
+    # (right limits of X, K and Kbar) and per atom (left limits): at most two
+    # paths per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 2500)
     chunked = solve_sde(nonlinear_2d(), model, configs, x0=x0, step=0.01, flows=True)
     assert len({id(t.states.base) for t in chunked}) == 4
     for a, b in zip(whole, chunked):
@@ -378,22 +384,6 @@ def test_grid_row_limit_checked_before_allocation(monkeypatch):
         solve_sde(linear_1d(compensate=0.0), model, cfg, x0=np.array([1.0]), step=1e-9)
 
 
-def test_trajectory_csv_round_trip(tmp_path):
-    from lentparticle.sde_engine import write_trajectory_csv
-
-    model = _uniform_model()
-    cfg = simulate(model, horizon=1.0, seed=40)
-    traj = solve_sde(nonlinear_2d(), model, cfg, x0=np.array([0.4, -0.2]), step=0.01, flows=True)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    back = read_trajectory_csv(path)
-    assert np.array_equal(back["times"], traj.times)
-    assert np.array_equal(back["is_jump"], traj.is_jump.astype(bool))
-    assert np.array_equal(back["states"], traj.states)
-    assert np.array_equal(back["flow"], traj.flow)
-    assert np.array_equal(back["inverse_flow"], traj.inverse_flow)
-
-
 def test_value_at_outside_range():
     model = _uniform_model()
     cfg = simulate(model, horizon=1.0, seed=3)
@@ -428,3 +418,141 @@ def test_ode_self_convergence_fourth_order():
     assert np.all(errs[:-1] / errs[1:] >= 12.0)
     order = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert order >= 3.5
+
+
+# ------------------------------------------------------- assumption checks
+
+
+def _banded(eta=3.0):
+    """dX = X u dN in one dimension, whose assumptions fail in bands of the
+    mark: (0.50, 0.52] non-finite dx_c, (0.52, 0.54] |dx_c| > eta, (0.54,
+    0.56] |c(t, 0, u)| > eta, (0.56, 0.58] singular I + dx_c and (0.58, 0.60]
+    |(I + dx_c)^{-1}| > eta.  Every other mark in [-0.6, 0.6] satisfies them."""
+    def band(u, lo):
+        return (u[:, 0] > lo) & (u[:, 0] <= lo + 0.02)
+
+    def dx_c(t, x, u):
+        out = u[:, :1].copy()
+        out[band(u, 0.50)] = np.nan
+        out[band(u, 0.52)] = 5.0
+        out[band(u, 0.56)] = -1.0
+        out[band(u, 0.58)] = -0.9
+        return out[:, :, None]
+
+    return CoefficientSet(
+        dim=1,
+        c=lambda t, x, u: x * u[:, :1] + np.where(band(u, 0.54), 10.0, 0.0)[:, None],
+        dx_c=dx_c,
+        du_c=lambda t, x, u: x[:, :, None],
+        compensator=_constant(np.zeros(1)),
+        dx_compensator=_constant(np.zeros((1, 1))),
+        eta=lambda u: np.full(u.shape[0], eta),
+    )
+
+
+_VIOLATIONS = {
+    "non-finite dx_c": (0.51, r"^dx_c at \(t=0\.35\) must be a finite \(1, 1\) matrix"),
+    "eta on dx_c": (0.53, r"^jump x-Jacobian norm 5 exceeds eta\(\[0\.53\]\) = 3"),
+    "eta on the jump size": (0.55, r"^jump size at x = 0 norm 10 exceeds eta\(\[0\.55\]\) = 3"),
+    "singular": (0.57, r"^jump update I \+ dx_c singular at \(t=0\.35, u=\[0\.57\]\)"),
+    "eta on the inverse": (0.59, r"^inverse jump update norm 10 exceeds eta\(\[0\.59\]\) = 3"),
+}
+
+
+def _model_error(coeffs, configs, flows=True, error=ModelError):
+    with pytest.raises(error) as info:
+        solve_sde(coeffs, _uniform_model(), configs, x0=np.array([1.0]), step=0.01, flows=flows)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("flows", [False, True])
+@pytest.mark.parametrize("case", list(_VIOLATIONS))
+def test_batch_assumption_error_is_the_path_alone(case, flows):
+    mark, pattern = _VIOLATIONS[case]
+    later = 0.59 if mark != 0.59 else 0.51
+    configs = [
+        _config([0.2, 0.6, 0.7, 0.75], [0.3, -0.2, 0.4, -0.6]),  # longest grid: first in the batch
+        _config([0.5, 0.8], [0.4, later]),  # another violation, at a later row
+        _config([0.1, 0.35, 0.9], [-0.3, mark, 0.2]),  # the first violation in row order
+        _config([], []),
+    ]
+    message = _model_error(_banded(), configs, flows)
+    assert re.match(pattern + " on path 2$", message), message
+    assert _model_error(_banded(), configs[2], flows) == message.replace("path 2", "path 0")
+
+
+def test_same_row_violations_name_the_first_path_with_its_first_condition():
+    # both paths jump at the same row; path 0 fails only the inverse bound,
+    # path 1 already the finiteness of dx_c
+    configs = [_config([0.35], [0.59]), _config([0.35], [0.51])]
+    message = _model_error(_banded(), configs)
+    assert re.match(_VIOLATIONS["eta on the inverse"][1] + " on path 0$", message), message
+    assert _model_error(_banded(), configs[1]) \
+        == "dx_c at (t=0.35) must be a finite (1, 1) matrix on path 0"
+
+
+@pytest.mark.parametrize("later", ["jump state", "integration", "coefficient"])
+def test_earlier_violation_wins_over_a_later_error(later):
+    # marks in (-0.56, -0.54] break the loop at the second path's jump at
+    # 0.6; c(t, 0, u), which the checks evaluate, stays finite
+    def broken(x, u):
+        return (u[:, 0] > -0.56) & (u[:, 0] <= -0.54) & (x[:, 0] != 0.0)
+
+    banded = _banded()
+    if later == "jump state":
+        c = lambda t, x, u: np.where(broken(x, u)[:, None], np.inf, banded.c(t, x, u))
+        coeffs, error, text = dataclasses.replace(banded, c=c), NumericError, "jump update"
+    elif later == "integration":
+        comp = lambda t, x: np.where(t[:, None] > 0.6, np.inf, np.zeros_like(x))
+        coeffs = dataclasses.replace(banded, compensator=comp)
+        error, text = NumericError, "integration produced"
+    else:
+        def c(t, x, u):
+            if broken(x, u).any():
+                raise ZeroDivisionError("coefficient failed")
+            return banded.c(t, x, u)
+
+        coeffs, error, text = dataclasses.replace(banded, c=c), ZeroDivisionError, "coefficient"
+    for flows in (False, True):
+        clean = [_config([0.3], [0.2]), _config([0.6], [-0.55])]
+        assert text in _model_error(coeffs, clean, flows, error)
+        violated = [_config([0.3], [0.59]), _config([0.6], [-0.55])]
+        message = _model_error(coeffs, violated, flows)
+        assert message.startswith("inverse jump update norm") and message.endswith("on path 0")
+
+
+def test_validate_coefficients_names_the_first_offending_point():
+    # point 0 fails only the inverse bound, point 1 already the finiteness of dx_c
+    points = [(0.35, np.array([1.0]), np.array([0.59])), (0.35, np.array([1.0]), np.array([0.51]))]
+    with pytest.raises(ModelError, match=_VIOLATIONS["eta on the inverse"][1] + " at point 0$"):
+        validate_coefficients(_banded(), _uniform_model(), points)
+
+
+def test_jump_rows_without_flows_make_no_dx_c_call():
+    calls = []
+    linear = linear_1d(compensate=0.0)
+
+    def dx_c(t, x, u):
+        calls.append(len(t))
+        return linear.dx_c(t, x, u)
+
+    coeffs = dataclasses.replace(linear, dx_c=dx_c)
+    model = _uniform_model()
+    configs = [simulate(model, horizon=1.0, seed=s) for s in range(3)]
+    solve_sde(coeffs, model, configs, x0=np.array([1.0]), step=0.01, validate=False)
+    assert calls == []
+    # validation checks every jump of the chunk in one call
+    solve_sde(coeffs, model, configs, x0=np.array([1.0]), step=0.01)
+    assert calls == [sum(config.n_atoms for config in configs)]
+
+
+def test_levy_area_paths_with_flows_fit_one_chunk():
+    from lentparticle.density_criteria import path_seed
+    from lentparticle.scenarios import get_scenario
+
+    scenario = get_scenario("levy-area-1")
+    assert scenario.step == 0.0025
+    configs = [scenario.simulate(seed=path_seed(12345, p)) for p in range(32)]
+    coeffs = scenario.make_coeffs(scenario.model())
+    trajs = solve_sde(coeffs, scenario.model(), configs, scenario.x0, scenario.step, flows=True)
+    assert len({id(t.states.base) for t in trajs}) == 1
