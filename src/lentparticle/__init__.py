@@ -64,7 +64,6 @@ from .poisson_measure import (
     add_particle,
     compensated_integral,
     mark_integral,
-    read_configuration_csv,
     remove_particle,
     simulate_configuration,
     write_configuration_csv,

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from ._serialise import write_csv
 from .bottom_structure import BottomStructure, gamma_matrix
@@ -169,6 +168,8 @@ class RegularCaseReport:
 
 def _ball_annulus_mass(bs: BottomStructure, u0: np.ndarray, r_in: float, r_out: float) -> float:
     """Intensity mass of ``r_in < |u - u0| <= r_out`` (untruncated density)."""
+    from scipy import integrate
+
     r = bs.mark_dimension
 
     def k_masked(u: np.ndarray) -> float:

@@ -33,7 +33,6 @@ linear / rho_mc`` to label which rendering produced a matrix.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -118,18 +117,6 @@ class GammaMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order (matrix is symmetric)."""
         return np.linalg.eigvalsh(self.matrix)
-
-    def consistency_residual(self) -> float:
-        """Max-norm gap between the matrix and its per-jump decomposition."""
-        if self.per_jump_terms is None:
-            return 0.0
-        d = self.dim
-        total = np.zeros((d, d))
-        for _, term in self.per_jump_terms:
-            total = total + term
-        if self.outer_factor is not None:
-            total = self.outer_factor @ total @ self.outer_factor.T
-        return float(np.abs(total - self.matrix).max())
 
     def to_json_dict(self, include_terms: bool = False) -> dict:
         out = {
@@ -548,6 +535,8 @@ def gamma_rho_mc(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructu
 
     workers = _usable_cpus()
     if workers > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_chunk, starts))
     else:

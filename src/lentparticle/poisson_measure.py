@@ -13,12 +13,10 @@ integral h k du dt`` and quadrature over the truncated mark space.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from ._serialise import write_csv
 from .errors import ConfigurationError, DomainError, InputError, ModelError, NumericError
@@ -34,7 +32,6 @@ __all__ = [
     "mark_integral",
     "MarkQuadrature",
     "write_configuration_csv",
-    "read_configuration_csv",
 ]
 
 # Admission limit on the Poisson mean ``mass * horizon``: a simulation whose
@@ -149,6 +146,22 @@ class JumpConfiguration:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "horizon", float(self.horizon))
+
+    def _subset(self, keep) -> JumpConfiguration:
+        """The atoms that ``keep`` (a boolean mask) selects, in order.
+
+        A subset of a validated configuration is still sorted, finite,
+        nonzero and inside ``(0, horizon]``, so it is not validated again.
+        """
+        times = self.times[keep]
+        marks = self.marks[keep]
+        times.flags.writeable = False
+        marks.flags.writeable = False
+        sub = object.__new__(JumpConfiguration)
+        object.__setattr__(sub, "times", times)
+        object.__setattr__(sub, "marks", marks)
+        object.__setattr__(sub, "horizon", self.horizon)
+        return sub
 
     @property
     def n_atoms(self) -> int:
@@ -271,9 +284,9 @@ def remove_particle(config: JumpConfiguration, t: float, u: np.ndarray) -> JumpC
     idx = config.index_of(float(t), u)
     if idx is None:
         return config
-    times = np.delete(config.times, idx)
-    marks = np.delete(config.marks, idx, axis=0)
-    return JumpConfiguration(times, marks, config.horizon)
+    keep = np.ones(config.n_atoms, dtype=bool)
+    keep[idx] = False
+    return config._subset(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +372,8 @@ def mark_integral(
     :class:`NumericError` when the quadrature error estimate exceeds
     ``max(atol, rtol * |value|)``.
     """
+    from scipy import integrate
+
     r = model.mark_dimension
     lo_rad = max(model.truncation, lower_radius if lower_radius is not None else 0.0)
     box = model.bounding_box
@@ -642,6 +657,8 @@ def compensated_integral(
     if callable(quadrature):
         comp = float(quadrature(h, model, t))
     elif quadrature == "adaptive":
+        from scipy import integrate
+
         def time_sliced(s: float) -> float:
             return mark_integral(
                 lambda u: h(s, u), model,
@@ -659,40 +676,10 @@ def compensated_integral(
 
 
 # ---------------------------------------------------------------------------
-# CSV round-trip
+# CSV export
 # ---------------------------------------------------------------------------
 
 def write_configuration_csv(config: JumpConfiguration, path) -> None:
     """Write atoms as RFC-4180 CSV with columns ``time, mark_1..mark_r``."""
     header = ["time"] + [f"mark_{j + 1}" for j in range(config.mark_dimension)]
     write_csv(path, header, np.column_stack([config.times, config.marks]).tolist())
-
-
-def read_configuration_csv(path, horizon: float) -> JumpConfiguration:
-    """Read a configuration written by :func:`write_configuration_csv`.
-
-    The horizon is not stored in the file and must be supplied.
-    """
-    with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise InputError(f"{path}: empty file, expected a header row")
-    header = rows[0]
-    if header[0] != "time" or any(
-        name != f"mark_{j + 1}" for j, name in enumerate(header[1:])
-    ):
-        raise InputError(f"{path}: unexpected header {header!r}")
-    r = len(header) - 1
-    if r < 1:
-        raise InputError(f"{path}: header has no mark columns")
-    times, marks = [], []
-    for row in rows[1:]:
-        if len(row) != r + 1:
-            raise InputError(f"{path}: row {row!r} has {len(row)} fields, expected {r + 1}")
-        times.append(float(row[0]))
-        marks.append([float(v) for v in row[1:]])
-    return JumpConfiguration(
-        np.asarray(times, dtype=float),
-        np.asarray(marks, dtype=float).reshape(len(times), r),
-        horizon,
-    )

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .bottom_structure import BottomStructure, _square_norms, intro_1d, isotropic, psi_over_k
 from .errors import (
@@ -86,7 +85,6 @@ __all__ = [
     "mckean_vlasov",
     "zeta",
     "stable_like_coefficient",
-    "stable_like_inverse",
     "stable_like_pushforward_check",
     "GeneratorCheckReport",
     "stable_like_generator_check",
@@ -596,7 +594,7 @@ class Scenario:
             mask = self.restrict_mask(config.marks, truncation)
         else:
             mask = np.linalg.norm(config.marks, axis=1) > truncation
-        return JumpConfiguration(config.times[mask], config.marks[mask], config.horizon)
+        return config._subset(mask)
 
     def pipeline(self, config: JumpConfiguration, truncation: float | None = None,
                  t: float | None = None) -> tuple[TruncatedLevyModel, CoefficientSet, Trajectory]:
@@ -987,6 +985,8 @@ def zeta(beta: float, d: int = 1) -> float:
     evaluated as ``sin(pi beta / 2) G(1+beta) G((d+beta)/2) /
     (pi^((d+1)/2) G((1+beta)/2))`` with ``G`` the Euler gamma function.
     """
+    from scipy import special
+
     if not (0.0 < beta < 2.0):
         raise DomainError(f"beta must be in (0, 2), got {beta}")
     if d < 1 or int(d) != d:
@@ -1035,7 +1035,7 @@ def stable_like_coefficient(
     return mag * sigma_dir
 
 
-def stable_like_inverse(
+def _stable_like_inverse(
     alpha_fn: Callable[[np.ndarray], float],
     u0: float,
     x: np.ndarray,
@@ -1049,6 +1049,8 @@ def stable_like_inverse(
     than by the algebraic inverse, so the pushforward check downstream does
     not reuse the algebra it is validating.
     """
+    from scipy import optimize
+
     if not (0.0 < r < u0):
         raise DomainError(f"r must be in (0, u0), got {r}")
     a = _alpha_at(alpha_fn, x, band)
@@ -1091,7 +1093,7 @@ def stable_like_pushforward_check(
         if pts[0] <= 0 or pts[-1] >= u0:
             h = 0.25 * min(r, u0 - r)
             pts = [r - 2 * h, r - h, r + h, r + 2 * h]
-        z = [stable_like_inverse(alpha_fn, u0, x, p, band) for p in pts]
+        z = [_stable_like_inverse(alpha_fn, u0, x, p, band) for p in pts]
         dzdr = (z[0] - 8.0 * z[1] + 8.0 * z[2] - z[3]) / (12.0 * h)
         target = zv * r ** (-1.0 - a)
         worst = max(worst, abs(abs(dzdr) - target) / target)
@@ -1132,6 +1134,8 @@ def stable_like_generator_check(
     ``(0, u0)``.  Pass criterion: ``residual <= 3 SE + threshold_slope * h``,
     the second term covering the O(h) state-freezing and truncation bias.
     """
+    from scipy import integrate
+
     if h <= 0 or n_paths < 2:
         raise InputError("need h > 0 and n_paths >= 2")
     xv = np.atleast_1d(np.asarray(float(x), dtype=float))
@@ -1163,7 +1167,7 @@ def stable_like_generator_check(
     # Monte Carlo side: z-truncation at the level whose jump magnitude is
     # min_jump_fraction * u0 (the cut tail contributes O(r_min^(2-alpha))).
     r_min = min_jump_fraction * u0
-    z_max = stable_like_inverse(alpha_fn, u0, xv, r_min, band)
+    z_max = _stable_like_inverse(alpha_fn, u0, xv, r_min, band)
     lam = 2.0 * z_max  # both directions carry dz
     g = stream(seed, DOMAIN_ATOMS)
     counts = g.poisson(lam * h, n_paths)

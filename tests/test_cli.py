@@ -382,3 +382,20 @@ def test_console_entry_point():
     )
     assert res.returncode == 0
     assert res.stdout.strip()
+
+
+def test_cold_import_loads_no_scipy():
+    # scipy is imported only inside the functions that call it; this test
+    # process has imported scipy already, so the check needs a fresh one
+    import os
+
+    import lentparticle
+
+    env = dict(os.environ)
+    package_root = str(Path(lentparticle.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = ("import sys, lentparticle, lentparticle.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

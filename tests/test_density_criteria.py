@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lentparticle.bottom_structure import intro_1d, isotropic
 from lentparticle.density_criteria import (
@@ -114,6 +116,22 @@ def test_rank_stats_coupled_monotone():
     by_desc = sorted(table.rows, key=lambda r: -r.epsilon)
     fr = [r.full_rank_fraction for r in by_desc]
     assert fr == sorted(fr)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n_paths=st.integers(1, 6),
+    epsilons=st.lists(st.floats(0.005, 0.5), min_size=2, max_size=4, unique=True),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_rank_stats_full_rank_fraction_grows_as_epsilon_shrinks(n_paths, epsilons, seed):
+    # every level keeps a subset of one path's atoms, so a finer level only
+    # adds PSD summands and never loses rank
+    table = monte_carlo_rank_stats("levy-area-1", n_paths, epsilons, seed)
+    by_desc = sorted(table.rows, key=lambda r: -r.epsilon)
+    fr = [r.full_rank_fraction for r in by_desc]
+    assert fr == sorted(fr)
+    assert table.monotone_nondecreasing
 
 
 def test_rank_stats_input_validation():
@@ -268,3 +286,23 @@ def test_regular_case_flags_diverging_mass_at_origin():
         coeffs1, intro_1d(), x=np.zeros(1), u0=np.zeros(1), radius=0.2
     )
     assert not flat.mass_diverging
+
+
+def test_regular_case_annulus_masses_match_closed_forms():
+    # unit density: annulus masses are 2 (r_out - r_in) on the line (quad)
+    # and pi (r_out^2 - r_in^2) in the plane (dblquad)
+    coeffs1 = CoefficientSet(
+        dim=1,
+        c=lambda t, x, u: u[:, :1],
+        dx_c=_constant(np.zeros((1, 1))),
+        du_c=_constant(np.eye(1)),
+    )
+    line = regular_case_check(coeffs1, intro_1d(), x=np.zeros(1), u0=np.array([0.25]),
+                              radius=0.2)
+    plane = regular_case_check(_linear_coeffs(), isotropic(2), x=np.zeros(2),
+                               u0=np.array([0.3, 0.0]), radius=0.05)
+    for rep, mass in ((line, lambda a, b: 2.0 * (b - a)),
+                      (plane, lambda a, b: np.pi * (b * b - a * a))):
+        outer = rep.mass_radii
+        want = mass(0.5 * outer, outer)
+        assert np.allclose(rep.annulus_masses, want, rtol=1e-8, atol=0.0)

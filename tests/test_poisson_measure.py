@@ -16,7 +16,6 @@ from lentparticle.poisson_measure import (
     add_particle,
     compensated_integral,
     mark_integral,
-    read_configuration_csv,
     remove_particle,
     simulate_configuration,
     write_configuration_csv,
@@ -145,6 +144,32 @@ def test_remove_particle_total():
     # removing an absent atom is a no-op, not an error
     same = remove_particle(cfg, 0.33, np.array([0.7]))
     assert same is cfg
+
+
+def test_subset_matches_validating_constructor():
+    cfg = simulate_configuration(polar_levy_model(0.05), 1.0, 8)
+    norms = np.linalg.norm(cfg.marks, axis=1)
+    for keep in (norms > 0.2, np.zeros(cfg.n_atoms, dtype=bool), np.ones(cfg.n_atoms, dtype=bool)):
+        sub = cfg._subset(keep)
+        want = JumpConfiguration(cfg.times[keep], cfg.marks[keep], cfg.horizon)
+        assert sub == want
+        assert type(sub.horizon) is float
+        assert not sub.times.flags.writeable and not sub.marks.flags.writeable
+
+
+def test_removed_and_restricted_configurations_stay_read_only():
+    from lentparticle.scenarios import get_scenario
+
+    cfg = _small_config()
+    gone = remove_particle(cfg, 0.5, np.array([-0.2]))
+    assert gone == JumpConfiguration(np.array([0.2, 0.9]), np.array([[0.3], [0.1]]), 1.0)
+    coarse = get_scenario("doleans").restrict(cfg, 0.15)
+    assert coarse == JumpConfiguration(np.array([0.2, 0.5]), np.array([[0.3], [-0.2]]), 1.0)
+    for sub in (gone, coarse):
+        with pytest.raises(ValueError):
+            sub.times[0] = 0.1
+        with pytest.raises(ValueError):
+            sub.marks[0, 0] = 0.1
 
 
 def test_add_then_remove_roundtrip():
@@ -292,9 +317,9 @@ def test_configuration_csv_roundtrip(tmp_path):
     write_configuration_csv(cfg, path)
     header = path.read_text().splitlines()[0]
     assert header == "time,mark_1,mark_2"
-    back = read_configuration_csv(path, horizon=1.0)
-    assert np.array_equal(back.times, cfg.times)
-    assert np.array_equal(back.marks, cfg.marks)
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(back[:, 0], cfg.times)
+    assert np.array_equal(back[:, 1:], cfg.marks)
 
 
 def test_configuration_validation():

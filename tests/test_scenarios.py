@@ -16,6 +16,7 @@ from lentparticle.lent_particle import gamma_flow
 from lentparticle.poisson_measure import JumpConfiguration, simulate_configuration
 from lentparticle.scenarios import (
     SCENARIO_NAMES,
+    _stable_like_inverse,
     area_closed_gamma,
     doleans_coefficients,
     doleans_exponential,
@@ -29,7 +30,6 @@ from lentparticle.scenarios import (
     power_law_model,
     stable_like_coefficient,
     stable_like_generator_check,
-    stable_like_inverse,
     stable_like_pushforward_check,
     zeta,
 )
@@ -409,7 +409,7 @@ def test_stable_like_inverse_round_trip():
     x = np.array([0.3])
     for z in (0.1, 1.0, 7.5):
         r = stable_like_coefficient(alpha_fn, 1.0, x, z, np.array([1.0]))[0]
-        back = stable_like_inverse(alpha_fn, 1.0, x, r)
+        back = _stable_like_inverse(alpha_fn, 1.0, x, r)
         assert back == pytest.approx(z, rel=1e-10, abs=1e-12)
 
 
