@@ -236,12 +236,18 @@ def polar_levy_model(
         return (1.0 + a * math.cos(theta)) / rho2
 
     def sample_theta(rng: np.random.Generator, n: int) -> np.ndarray:
-        # invert the angular CDF (theta + a sin(theta)) / (2 pi) by Newton;
-        # the derivative 1 + a cos(theta) >= 1 - a > 0 keeps it monotone.
+        # invert the angular CDF (theta + a sin(theta)) / (2 pi) by 60 Newton
+        # steps; the derivative 1 + a cos(theta) >= 1 - a > 0 keeps it
+        # monotone.  The step acts on each entry alone, so once step k gives
+        # back the iterate of step k - 2 the batch cycles with period 1 or 2,
+        # and the iterate of step 60 is the one of the same parity.
         target = 2.0 * math.pi * rng.random(n)
-        theta = target.copy()
-        for _ in range(60):
+        theta, previous, before = target.copy(), None, None
+        for k in range(1, 61):
+            before, previous = previous, theta.copy()
             theta -= (theta + a * np.sin(theta) - target) / (1.0 + a * np.cos(theta))
+            if before is not None and np.array_equal(theta, before):
+                return theta if k % 2 == 0 else previous
         return theta
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -501,30 +507,29 @@ def _area_closed_path(config: JumpConfiguration, m1: np.ndarray, t: float):
     Between atoms the components move linearly with velocity ``-m1``
     (compensator drift), so every integral below is an exact trapezoid.
     Returns terminal V and per-atom left limits needed by the closed form.
+
+    Two sequential scans keep the rounding of the atom-by-atom recursion:
+    X walks through the interleaved increments ``-(m1 dt_i)`` and ``u_i``
+    (``x - y`` is ``x + (-y)`` exactly), so row ``2i + 1`` is the left limit
+    at atom ``i`` and row ``2i + 2`` the right limit; the area sums its
+    drift and jump terms, each rounded as in the recursion, in that order.
     """
     keep = config.times <= t
     times = config.times[keep]
     marks = config.marks[keep]
     n = times.shape[0]
-    x = np.zeros(2)
-    area = 0.0
-    t_prev = 0.0
-    lefts = np.empty((n, 2))
-    for i in range(n):
-        dt = float(times[i]) - t_prev
-        x_pre = x - m1 * dt                       # drift to the jump time
-        # integral of X over the interval (linear path, exact trapezoid)
-        avg = 0.5 * (x + x_pre)
-        area += -m1[1] * (avg[0] * dt) + m1[0] * (avg[1] * dt)
-        lefts[i] = x_pre
-        area += x_pre[0] * marks[i, 1] - x_pre[1] * marks[i, 0]
-        x = x_pre + marks[i]
-        t_prev = float(times[i])
-    dt = t - t_prev
-    x_end = x - m1 * dt
-    avg = 0.5 * (x + x_end)
-    area += -m1[1] * (avg[0] * dt) + m1[0] * (avg[1] * dt)
-    return np.array([x_end[0], x_end[1], area]), times, marks, lefts
+    dt = np.append(times, t) - np.append(0.0, times)
+    steps = np.zeros((2 * n + 2, 2))
+    steps[1::2] = -(m1 * dt[:, None])
+    steps[2::2] = marks
+    x = np.add.accumulate(steps)
+    # integral of X over each interval (linear path, exact trapezoid)
+    avg = 0.5 * (x[0::2] + x[1::2])
+    terms = np.zeros(2 * n + 2)
+    terms[1::2] = -m1[1] * (avg[:, 0] * dt) + m1[0] * (avg[:, 1] * dt)
+    lefts = x[1:-1:2]
+    terms[2::2] = lefts[:, 0] * marks[:, 1] - lefts[:, 1] * marks[:, 0]
+    return np.array([x[-1, 0], x[-1, 1], np.add.accumulate(terms)[-1]]), times, marks, lefts
 
 
 def area_closed_gamma(config: JumpConfiguration, m1: np.ndarray,
@@ -865,7 +870,7 @@ def mckean_vlasov(
     m1 = first_moment if first_moment is not None else mark_integral(lambda u: float(u[0]), model)
     bs = bottom if bottom is not None else psi_over_k()
 
-    # numeric Lipschitz probe of sigma in x at a few states
+    # sigma must be finite at three states and 1e-6 to the right of each
     probe_law = np.full(particles, x0, dtype=float)
     for xv in (x0, x0 + 1.0, x0 - 1.0):
         d0 = float(sigma(xv, probe_law))

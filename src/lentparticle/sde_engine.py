@@ -67,13 +67,17 @@ _ETA_SLACK = 1.0 + 1e-9
 MAX_GRID_ROWS = 10 ** 6
 
 # A solve of many configurations runs in consecutive chunks of paths.  The
-# right limits of a chunk (paths x its longest grid x the values of one row)
-# and its left limits (jumps x the values of one row) hold at most this many
-# floats, 4 MB, about 50 levy-area paths with flows; a longer path is a chunk
-# of its own.  On rank-stats over 100 levy-area paths this keeps peak RSS
-# within 5 MB of solving one path at a time; twice the bound adds 6 MB and
-# saves about a sixth of the time.
+# right limits of a chunk (paths x its longest grid x the values of one row),
+# its grid arrays (paths x its longest grid x _GRID_VALUES) and its left
+# limits (jumps x the values of one row) hold at most this many floats, 4 MB,
+# about 43 levy-area paths with flows; a longer path is a chunk of its own.
+# On rank-stats over 100 levy-area paths this keeps peak RSS within 5 MB of
+# solving one path at a time; twice the bound adds about 5 MB and saves about
+# a sixth of the time.
 _CHUNK_VALUES = 2 ** 19
+# times, atom_index, is_jump (_stack_grids) and by_row, steps, halves
+# (_integrate): 41 bytes per path and row, in floats
+_GRID_VALUES = 41 / 8
 
 
 @dataclass(frozen=True)
@@ -390,15 +394,17 @@ def _rk4_step(rhs, t0, half, t1, h, y: np.ndarray) -> np.ndarray:
 def _chunks(configs: list[JumpConfiguration], horizon: float | None, step: float,
             block: int):
     """Consecutive chunks of paths as ``(start, configs, grids)``: each
-    padded batch of right limits (paths x longest grid x ``block`` values)
-    together with the left limits at its jumps (jumps x ``block``) holds at
-    most :data:`_CHUNK_VALUES` floats, and a path longer than that is a chunk
-    of its own.  A grid is built when its chunk is reached."""
+    padded batch of right limits and grid arrays (paths x longest grid x
+    ``block + _GRID_VALUES`` values) together with the left limits at its
+    jumps (jumps x ``block``) holds at most :data:`_CHUNK_VALUES` floats, and
+    a path longer than that is a chunk of its own.  A grid is built when its
+    chunk is reached."""
     start, grids, longest, jumps = 0, [], 0, 0
     for i, config in enumerate(configs):
         grid = _build_grid(config, config.horizon if horizon is None else float(horizon), step)
         m, j = grid[0].shape[0], int(np.count_nonzero(grid[1]))
-        if grids and ((len(grids) + 1) * max(longest, m) + jumps + j) * block > _CHUNK_VALUES:
+        padded = (len(grids) + 1) * max(longest, m) * (block + _GRID_VALUES)
+        if grids and padded + (jumps + j) * block > _CHUNK_VALUES:
             yield start, configs[start:i], grids
             start, grids, longest, jumps = i, [], 0, 0
         grids.append(grid)
@@ -628,9 +634,9 @@ def solve_sde(
     """Solve the jump SDE pathwise on one configuration or on a sequence.
 
     A sequence is solved as a batch, advancing every path in one RK4 loop,
-    in consecutive chunks of paths whose stored limits hold at most
-    :data:`_CHUNK_VALUES` floats; one configuration is a batch of one.  Each
-    path is the same bit for bit as when solved alone.  Returns a
+    in consecutive chunks of paths whose stored limits and grid arrays hold
+    at most :data:`_CHUNK_VALUES` floats; one configuration is a batch of
+    one.  Each path is the same bit for bit as when solved alone.  Returns a
     :class:`Trajectory`, or a list of them in the order of ``configs``; each
     stores X at every regular grid point and jump time up to ``horizon`` (by
     default the configuration's own), with left limits at jumps.  With

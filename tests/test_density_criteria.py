@@ -193,8 +193,9 @@ def test_rank_stats_pipeline_same_in_chunks(monkeypatch):
         return stack(configs, grids)
 
     # 401 regular rows plus the atoms, 21 stored values per row and 21 per
-    # atom (the left limits): at most three paths per chunk
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", 1500 * 21)
+    # atom (the left limits), and about 5 more per row for the grid arrays:
+    # at most three paths per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 1500 * 26)
     monkeypatch.setattr(engine, "_stack_grids", counted)
     chunked = monte_carlo_rank_stats(scenario, 8, _EPSILONS, seed=12)
     assert max(chunks) <= 3 and len(chunks) >= 3 * len(_EPSILONS)

@@ -109,8 +109,9 @@ def test_sde_functional_batched_probes_equal_single_solves(monkeypatch):
     from lentparticle.poisson_measure import add_particle, remove_particle
 
     # about 430 rows of 2 stored values per probe (X; the left limits at its
-    # 36 atoms add 72): two probes per chunk
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", 2000)
+    # 36 atoms add 72) and about 5 more per row for the grid arrays: two
+    # probes per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 8000)
     model, coeffs, cfg, _ = _doleans_setup(seed=3)
     bs, x0, step = intro_1d(), np.array([0.0, 1.0]), 0.0025
     F = SdeFunctional(coeffs, model, x0, step=step)

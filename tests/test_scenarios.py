@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from lentparticle.bottom_structure import intro_1d, isotropic
@@ -16,6 +18,7 @@ from lentparticle.lent_particle import gamma_flow
 from lentparticle.poisson_measure import JumpConfiguration, simulate_configuration
 from lentparticle.scenarios import (
     SCENARIO_NAMES,
+    _area_closed_path,
     _stable_like_inverse,
     area_closed_gamma,
     doleans_coefficients,
@@ -23,11 +26,13 @@ from lentparticle.scenarios import (
     get_scenario,
     graph_levy_model,
     graph_slope,
+    graph_structure,
     mckean_vlasov,
     polar_first_moment,
     polar_levy_model,
     power_law_first_moment,
     power_law_model,
+    power_law_second_moment,
     stable_like_coefficient,
     stable_like_generator_check,
     stable_like_pushforward_check,
@@ -160,6 +165,72 @@ def test_levy_area_single_jump_rank_two():
     assert rep.rank <= 2
 
 
+def _area_path_loop(config, m1, t):
+    """The atom-by-atom recursion the closed-form area path must reproduce."""
+    keep = config.times <= t
+    times, marks = config.times[keep], config.marks[keep]
+    x, area, t_prev = np.zeros(2), 0.0, 0.0
+    lefts = np.empty((times.shape[0], 2))
+    for i in range(times.shape[0]):
+        dt = float(times[i]) - t_prev
+        x_pre = x - m1 * dt
+        avg = 0.5 * (x + x_pre)
+        area += -m1[1] * (avg[0] * dt) + m1[0] * (avg[1] * dt)
+        lefts[i] = x_pre
+        area += x_pre[0] * marks[i, 1] - x_pre[1] * marks[i, 0]
+        x = x_pre + marks[i]
+        t_prev = float(times[i])
+    dt = t - t_prev
+    x_end = x - m1 * dt
+    avg = 0.5 * (x + x_end)
+    area += -m1[1] * (avg[0] * dt) + m1[0] * (avg[1] * dt)
+    return np.array([x_end[0], x_end[1], area]), times, marks, lefts
+
+
+@st.composite
+def _area_cases(draw):
+    """A levy-area-1 or levy-area-2 configuration of 0 to 8 atoms on (0, 1],
+    its first moment and structure, and a time before the first atom, at an
+    atom or at the horizon."""
+    n = draw(st.integers(0, 8))
+    times = np.sort(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                                  min_size=n, max_size=n, unique=True)))
+    eps = draw(st.sampled_from([0.05, 0.008]))
+    nonzero = st.floats(1e-6, 1.0) | st.floats(-1.0, -1e-6)
+    if draw(st.booleans()):
+        marks = [(draw(nonzero), draw(st.floats(-1.0, 1.0))) for _ in range(n)]
+        m1 = polar_first_moment(eps, draw(st.sampled_from([0.0, 0.5, 0.95])))
+        bs = isotropic(2)
+    else:
+        marks = [(z, z * z) for z in (draw(nonzero) for _ in range(n))]
+        m1 = np.array([power_law_first_moment(eps), power_law_second_moment(eps)])
+        bs = graph_structure()
+    config = JumpConfiguration(times=np.array(times, dtype=float),
+                               marks=np.array(marks, dtype=float).reshape(n, 2), horizon=1.0)
+    where = draw(st.sampled_from(["before", "atom", "horizon"]))
+    if where == "before" and n:
+        t = float(times[0]) / 2.0
+    elif where == "atom" and n:
+        t = float(times[draw(st.integers(0, n - 1))])
+    else:
+        t = 1.0
+    return config, m1, bs, t
+
+
+def _same_bits(got, want):
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@given(case=_area_cases())
+def test_area_closed_path_has_the_bits_of_the_atom_loop(case):
+    config, m1, bs, t = case
+    assert _same_bits(_area_closed_path(config, m1, t), _area_path_loop(config, m1, t))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("lentparticle.scenarios._area_closed_path", _area_path_loop)
+        want = area_closed_gamma(config, m1, bs, t)
+    assert _same_bits(area_closed_gamma(config, m1, bs, t), want)
+
+
 def test_gammas_frees_each_chunk_before_the_next(monkeypatch):
     import dataclasses
     import weakref
@@ -178,9 +249,9 @@ def test_gammas_frees_each_chunk_before_the_next(monkeypatch):
         solved.extend([weakref.ref(right), weakref.ref(left)])
         return right, left
 
-    # about 460 rows of 21 stored values per path, plus 21 per atom for the
-    # left limits: two paths per chunk
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", 2 * 500 * 21)
+    # about 440 rows of 21 stored values and about 5 grid values per path,
+    # plus 21 per atom for the left limits: two paths per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 2 * 500 * 30)
     monkeypatch.setattr(engine, "_integrate", tracked)
     matrices = scenario.gammas(configs)
     assert len(solved) == 2 * 3
@@ -203,6 +274,79 @@ def test_polar_model_mark_geometry():
     radii = np.linalg.norm(cfg.marks, axis=1)
     assert np.all(radii > 0.05)
     assert np.all(radii < 1.0)
+
+
+def _theta_steps(a, target, steps=60):
+    """Every iterate of the fixed-length Newton loop of the polar sampler."""
+    theta, out = target.copy(), [target.copy()]
+    for _ in range(steps):
+        theta -= (theta + a * np.sin(theta) - target) / (1.0 + a * np.cos(theta))
+        out.append(theta.copy())
+    return np.array(out)
+
+
+def _polar_marks(theta, v, eps):
+    rho = eps ** (1.0 - v)
+    return np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.95])
+@pytest.mark.parametrize("n", [0, 1, 2, 30, 200])
+def test_polar_sampler_has_the_bits_of_sixty_newton_steps(a, n):
+    model = polar_levy_model(0.02, a)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        theta = _theta_steps(a, 2.0 * math.pi * rng.random(n))[-1]
+        v = rng.random(n)
+        assert np.all(v > 0.0)
+        want = _polar_marks(theta, v, 0.02)
+        assert model.sampler(np.random.default_rng(seed), n).tobytes() == want.tobytes()
+
+
+class _FixedDraws:
+    """Stands in for a generator: each ``random`` call returns the next array."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, n):
+        return self.draws.pop(0)
+
+
+def _newton_cases(a):
+    """Per exit of the Newton loop, a uniform draw that takes it and the
+    step that exits: ``(1 or 2 for the period, parity of the step)``."""
+    u = np.random.default_rng(0).random(2000)
+    history = _theta_steps(a, 2.0 * math.pi * u)
+    cases = {}
+    for i in range(u.size):
+        k = next(k for k in range(2, 61) if history[k, i] == history[k - 2, i])
+        period = 1 if history[k, i] == history[k - 1, i] else 2
+        cases.setdefault((period, k % 2), (u[i], k))
+    return cases
+
+
+def test_polar_sampler_newton_exits(monkeypatch):
+    # the steps taken are counted by the sine calls (one more draws the mark)
+    sine, calls = np.sin, []
+    monkeypatch.setattr(np, "sin", lambda x: calls.append(1) or sine(x))
+    model = polar_levy_model(0.02, 0.5)
+    cases = _newton_cases(0.5)
+    assert set(cases) == {(1, 0), (1, 1), (2, 0), (2, 1)}
+    draws = [(np.array([u]), k) for u, k in cases.values()]
+    draws.append((np.array([math.nan]), 60))  # NaN never repeats: all 60 steps
+    draws.append((np.array([u for u, _ in cases.values()]), max(k for _, k in cases.values())))
+    draws.append((np.array([cases[2, 1][0], math.nan]), 60))
+    for u, steps in draws:
+        calls.clear()
+        marks = model.sampler(_FixedDraws(u, np.full(u.size, 0.5)), u.size)
+        assert len(calls) - 1 == steps
+        want = _polar_marks(_theta_steps(0.5, 2.0 * math.pi * u)[-1], np.full(u.size, 0.5), 0.02)
+        assert marks.tobytes() == want.tobytes()
+    # a = 0 solves in one step, and the next returns the same iterate
+    calls.clear()
+    polar_levy_model(0.02, 0.0).sampler(_FixedDraws(np.array([0.3]), np.array([0.5])), 1)
+    assert len(calls) - 1 == 2
 
 
 def test_graph_model_marks_on_parabola():

@@ -159,9 +159,9 @@ def test_batch_runs_in_chunks(monkeypatch):
     x0 = np.array([0.4, -0.2])
     whole = solve_sde(nonlinear_2d(), model, configs, x0=x0, step=0.01, flows=True)
     # 101 regular rows plus a few atoms per path, 10 stored values per row
-    # (right limits of X, K and Kbar) and per atom (left limits): at most two
-    # paths per chunk
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", 2500)
+    # (right limits of X, K and Kbar) and per atom (left limits), and about 5
+    # more per row for the grid arrays: at most two paths per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 4000)
     chunked = solve_sde(nonlinear_2d(), model, configs, x0=x0, step=0.01, flows=True)
     assert len({id(t.states.base) for t in chunked}) == 4
     for a, b in zip(whole, chunked):
