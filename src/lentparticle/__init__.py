@@ -14,7 +14,6 @@ from .bottom_structure import (
     BottomStructure,
     from_expressions,
     gamma_matrix,
-    gradient_flat,
     intro_1d,
     isotropic,
     psi_over_k,
@@ -23,13 +22,9 @@ from .bottom_structure import (
 from .density_criteria import (
     RankReport,
     RankStatsTable,
-    RegularCaseReport,
-    ScanResult,
     monte_carlo_rank_stats,
     rank_diagnostic,
-    regular_case_check,
     span_dimension,
-    sufficient_condition_scan,
 )
 from .errors import (
     ConditioningWarning,
@@ -66,7 +61,6 @@ from .poisson_measure import (
     mark_integral,
     remove_particle,
     simulate_configuration,
-    write_configuration_csv,
 )
 from .rng import path_seed, stream
 from .scenarios import (
@@ -89,7 +83,6 @@ from .sde_engine import (
     CoefficientSet,
     Trajectory,
     solve_sde,
-    validate_coefficients,
     write_trajectory_csv,
 )
 

@@ -11,8 +11,9 @@ library computes from a structure factors through the weight matrix
 ``W(u) = xi(u) * psi(u) / k(u)`` and its Cholesky-type square root ``L(u)``:
 
 * ``gamma_matrix`` -- the quadratic form ``J W(u) J^T`` of a mark Jacobian,
-* ``gradient_flat`` -- the randomised gradient ``J L(u) rho`` whose
-  second moment over a standard normal ``rho`` reproduces ``gamma``.
+* ``BottomStructure.factor`` -- ``L(u)``, which turns a Jacobian into the
+  randomised gradient ``J L(u) rho``; its second moment over a standard
+  normal ``rho`` reproduces ``gamma``.
 
 Every callable works on a batch of marks ``U`` of shape ``(n, r)``, one mark
 per row.  A structure's ``support`` gives ``(n,)`` booleans, ``density`` and
@@ -23,8 +24,9 @@ discards.  ``weight`` and ``factor`` return ``(n, r, r)`` stacks and run the
 structure's checks (``psi <= k``, symmetric ``xi``) once per batch; an error
 names the row of the first offending mark.
 
-The chain rule for ``gradient_flat`` holds exactly per draw, not only in
-distribution, which is what makes pathwise gradient assembly possible.
+The randomised gradient is linear in ``J``, so its chain rule holds exactly
+per draw, not only in distribution, which is what makes pathwise gradient
+assembly possible.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .expressions import compile_mark_functions, float_pow
 __all__ = [
     "BottomStructure",
     "gamma_matrix",
-    "gradient_flat",
     "intro_1d",
     "isotropic",
     "psi_over_k",
@@ -156,38 +157,17 @@ class BottomStructure:
         return out
 
 
-def _check_jacobians(jac: np.ndarray, marks: np.ndarray, r: int) -> np.ndarray:
+def gamma_matrix(jac: np.ndarray, marks: np.ndarray, structure: BottomStructure) -> np.ndarray:
+    """Matrix forms ``J W(u) J^T`` of ``(n, d, r)`` mark Jacobians, ``(n, d, d)``."""
     jac = np.asarray(jac, dtype=float)
-    n = np.shape(marks)[0]
+    n, r = np.shape(marks)[0], structure.mark_dimension
     if jac.ndim != 3 or jac.shape[0] != n or jac.shape[2] != r:
         raise InputError(f"jacobians must have shape ({n}, d, {r}), got {jac.shape}")
     bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))
     if bad.size:
         raise InputError(f"jacobian contains non-finite entries at mark {bad[0]}")
-    return jac
-
-
-def gamma_matrix(jac: np.ndarray, marks: np.ndarray, structure: BottomStructure) -> np.ndarray:
-    """Matrix forms ``J W(u) J^T`` of ``(n, d, r)`` mark Jacobians, ``(n, d, d)``."""
-    jac = _check_jacobians(jac, marks, structure.mark_dimension)
     out = jac @ structure.weight(marks) @ jac.transpose(0, 2, 1)
     return 0.5 * (out + out.transpose(0, 2, 1))
-
-
-def gradient_flat(jac: np.ndarray, marks: np.ndarray, rho: np.ndarray,
-                  structure: BottomStructure) -> np.ndarray:
-    """Randomised gradients ``J L(u) rho`` of ``(n, d, r)`` Jacobians, ``(n, d)``.
-
-    ``rho`` holds one length-``r`` auxiliary vector per mark (standard normal
-    in the calculus; any vectors are accepted here).  The lift is linear, so
-    the ``d`` components of a mark share its draw.
-    """
-    r = structure.mark_dimension
-    jac = _check_jacobians(jac, marks, r)
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (jac.shape[0], r):
-        raise InputError(f"rho must have shape ({jac.shape[0]}, {r}), got {rho.shape}")
-    return (jac @ (structure.factor(marks) @ rho[:, :, None]))[:, :, 0]
 
 
 # ---------------------------------------------------------------------------

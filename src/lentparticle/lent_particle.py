@@ -69,6 +69,22 @@ FORMULA_TAGS = ("theorem9", "remark3", "generic", "linear", "rho_mc")
 _FD_SCALE = 1e-6  # central-difference step factor for mark Jacobians
 
 
+def _central_differences(evaluate: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
+                         steps: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians of ``evaluate`` at ``(n, r)`` points, ``(n, dim, r)``.
+
+    ``evaluate`` maps the ``(2 n r, r)`` probes ``point +- step e_j``, ordered
+    point, then coordinate ``j``, then ``+``/``-``, to ``(2 n r, dim)`` values
+    in one call.  Each quotient is ``(hi - lo) / (2.0 * step)``.
+    """
+    n, r = points.shape
+    bumps = steps[:, None, None] * np.eye(r)
+    probes = np.stack([points[:, None] + bumps, points[:, None] - bumps], axis=2)
+    values = np.asarray(evaluate(probes.reshape(2 * n * r, r)), dtype=float).reshape(n, r, 2, -1)
+    out = (values[:, :, 0] - values[:, :, 1]) / (2.0 * steps)[:, None, None]
+    return out.transpose(0, 2, 1)
+
+
 @dataclass
 class GammaMatrix:
     """Symmetric PSD matrix with provenance.
@@ -176,33 +192,30 @@ class MarkFunctional:
     def _fd_jacobians(self, config: JumpConfiguration, atoms) -> list[np.ndarray]:
         """Central-difference mark Jacobians of the listed atoms, with every
         probe configuration evaluated in one :meth:`values` call."""
-        r = config.mark_dimension
-        probes: list[JumpConfiguration] = []
-        steps = []
-        for atom_index in atoms:
-            t, u = config.atom(atom_index)
-            base = remove_particle(config, t, u)
-            step = _FD_SCALE * (1.0 + float(np.linalg.norm(u)))
-            steps.append(step)
-            for j in range(r):
-                bump = np.zeros(r)
-                bump[j] = step
+        atoms = list(atoms)
+        if not atoms:
+            return []
+        lent = [config.atom(i) for i in atoms]
+        bases = [remove_particle(config, t, u) for t, u in lent]
+        per_atom = 2 * config.mark_dimension
+
+        def evaluate(marks: np.ndarray) -> list[np.ndarray]:
+            probes = []
+            for k, mark in enumerate(marks):
+                a = k // per_atom
                 try:
-                    probes += [add_particle(base, t, u + bump), add_particle(base, t, u - bump)]
+                    probes.append(add_particle(bases[a], lent[a][0], mark))
                 except Exception as exc:
                     raise FunctionalError(
-                        f"finite-difference probe failed at atom {atom_index}: {exc}"
+                        f"finite-difference probe failed at atom {atoms[a]}: {exc}"
                     ) from exc
-        vals = iter(self._values(probes))
-        jacobians = []
-        for atom_index, step in zip(atoms, steps):
-            out = np.empty((self.dim, r))
-            for j in range(r):
-                hi, lo = next(vals), next(vals)
-                out[:, j] = (hi - lo) / (2.0 * step)
+            return self._values(probes)
+
+        steps = np.array([_FD_SCALE * (1.0 + float(np.linalg.norm(u))) for _, u in lent])
+        jacobians = list(_central_differences(evaluate, config.marks[atoms], steps))
+        for atom_index, out in zip(atoms, jacobians):
             if not np.all(np.isfinite(out)):
                 raise FunctionalError(f"non-finite mark Jacobian at atom {atom_index}")
-            jacobians.append(out)
         return jacobians
 
     def mark_jacobian(self, config: JumpConfiguration, atom_index: int) -> np.ndarray:
@@ -229,34 +242,27 @@ class MarkFunction:
         if self.jacobian is not None:
             out = np.asarray(self.jacobian(t, u), dtype=float).reshape(self.dim, r)
         else:
-            out = np.empty((self.dim, r))
+            point = np.asarray(u, dtype=float).reshape(1, r)
             step = _FD_SCALE * (1.0 + float(np.linalg.norm(u)))
-            for j in range(r):
-                bump = np.zeros(r)
-                bump[j] = step
-                out[:, j] = (self(t, u + bump) - self(t, u - bump)) / (2.0 * step)
+            out = _central_differences(lambda probes: [self(t, p) for p in probes],
+                                       point, np.array([step]))[0]
         if not np.all(np.isfinite(out)):
             raise FunctionalError(f"non-finite mark Jacobian of h at (t={t})")
         return out
 
 
 class _LinearFunctional(MarkFunctional):
-    def __init__(self, h: MarkFunction, model: TruncatedLevyModel,
-                 t: float | None, quadrature):
+    def __init__(self, h: MarkFunction, model: TruncatedLevyModel, t: float | None):
         self.h = h
         self.model = model
         self.t = t
-        self.quadrature = quadrature
         self.dim = h.dim
         self.exact_jacobian = h.jacobian is not None
 
     def value(self, config: JumpConfiguration) -> np.ndarray:
         t = config.horizon if self.t is None else self.t
         return np.array([
-            compensated_integral(
-                config, lambda s, u, i=i: float(self.h(s, u)[i]),
-                self.model, t, quadrature=self.quadrature,
-            )
+            compensated_integral(config, lambda s, u, i=i: float(self.h(s, u)[i]), self.model, t)
             for i in range(self.dim)
         ])
 
@@ -272,14 +278,13 @@ def linear_functional(
     h: MarkFunction,
     model: TruncatedLevyModel,
     t: float | None = None,
-    quadrature="adaptive",
 ) -> MarkFunctional:
     """Wrap ``N~(h)`` (compensated integral up to ``t``) as a functional.
 
     The mark Jacobian at an atom is just the mark Jacobian of ``h`` there:
     the compensator term does not depend on the configuration.
     """
-    return _LinearFunctional(h, model, t, quadrature)
+    return _LinearFunctional(h, model, t)
 
 
 class SdeFunctional(MarkFunctional):

@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._serialise import write_csv
 from .errors import ConfigurationError, DomainError, InputError, ModelError, NumericError
 from .rng import DOMAIN_ATOMS, stream
 
@@ -31,7 +30,6 @@ __all__ = [
     "compensated_integral",
     "mark_integral",
     "MarkQuadrature",
-    "write_configuration_csv",
 ]
 
 # Admission limit on the Poisson mean ``mass * horizon``: a simulation whose
@@ -312,29 +310,18 @@ def _ray_box_exit(box: np.ndarray, direction: np.ndarray) -> float:
     return t_hi
 
 
-def _line_pieces(box: np.ndarray, lo_rad: float, upper_radius: float | None) -> list:
-    """The intervals of the real line inside ``box`` with ``lo_rad < |u| <= upper_radius``."""
+def _line_pieces(box: np.ndarray, lo_rad: float) -> list:
+    """The intervals of the real line inside ``box`` with ``|u| > lo_rad``."""
     lo, hi = box[0]
-    pieces = []
-    # right of the truncation ball
-    a = max(lo_rad, lo)
-    b = hi if upper_radius is None else min(hi, upper_radius)
-    if b > a:
-        pieces.append((a, b))
-    # left of it
-    a = lo if upper_radius is None else max(lo, -upper_radius)
-    b = min(-lo_rad, hi)
-    if b > a:
-        pieces.append((a, b))
-    return pieces
+    # right of the truncation ball, then left of it
+    return [(a, b) for a, b in ((max(lo_rad, lo), hi), (lo, min(-lo_rad, hi))) if b > a]
 
 
 def _inscribed_radius(box: np.ndarray) -> float:
     return float(min(np.min(-box[:, 0]), np.min(box[:, 1])))
 
 
-def _ray_pieces(box: np.ndarray, theta: float, lo_rad: float,
-                upper_radius: float | None, r_inscribed: float):
+def _ray_pieces(box: np.ndarray, theta: float, lo_rad: float, r_inscribed: float):
     """Unit direction at angle ``theta`` and the radial intervals to integrate on it.
 
     The ray runs from the truncation radius to where it leaves the box,
@@ -343,8 +330,6 @@ def _ray_pieces(box: np.ndarray, theta: float, lo_rad: float,
     """
     e = np.array([np.cos(theta), np.sin(theta)])
     hi_t = _ray_box_exit(box, e)
-    if upper_radius is not None:
-        hi_t = min(hi_t, upper_radius)
     lo_t = min(lo_rad, hi_t)
     cuts = [lo_t]
     if lo_t < r_inscribed < hi_t:
@@ -353,29 +338,30 @@ def _ray_pieces(box: np.ndarray, theta: float, lo_rad: float,
     return e, [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
 
+# quad's target for each 1-d integral, and the bound the final error
+# estimate must meet by default
+_EPSABS = _EPSREL = 1e-12
+_RTOL, _ATOL = 1e-8, 1e-10
+
+
 def mark_integral(
     f: Callable[[np.ndarray], float],
     model: TruncatedLevyModel,
     *,
-    lower_radius: float | None = None,
-    upper_radius: float | None = None,
-    epsabs: float = 1e-12,
-    epsrel: float = 1e-12,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
+    rtol: float = _RTOL,
+    atol: float = _ATOL,
 ) -> float:
     """Adaptive quadrature of ``f(u) k(u)`` over the truncated support.
 
-    Optionally restricts to the radial shell ``lower_radius < |u| <=
-    upper_radius``.  Supports mark dimension 1 and 2; for higher dimensions
-    a closed-form value must be supplied by the caller instead.  Raises
+    Supports mark dimension 1 and 2; for higher dimensions a closed-form
+    value must be supplied by the caller instead.  Raises
     :class:`NumericError` when the quadrature error estimate exceeds
     ``max(atol, rtol * |value|)``.
     """
     from scipy import integrate
 
     r = model.mark_dimension
-    lo_rad = max(model.truncation, lower_radius if lower_radius is not None else 0.0)
+    lo_rad = model.truncation
     box = model.bounding_box
 
     def masked(u: np.ndarray) -> float:
@@ -385,9 +371,9 @@ def mark_integral(
 
     if r == 1:
         total, err = 0.0, 0.0
-        for a, b in _line_pieces(box, lo_rad, upper_radius):
+        for a, b in _line_pieces(box, lo_rad):
             val, e = integrate.quad(
-                lambda x: masked(np.array([x])), a, b, epsabs=epsabs, epsrel=epsrel, limit=200
+                lambda x: masked(np.array([x])), a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=200
             )
             total += val
             err += e
@@ -398,19 +384,19 @@ def mark_integral(
         inner_err = [0.0]
 
         def radial(theta: float) -> float:
-            e, pieces = _ray_pieces(box, theta, lo_rad, upper_radius, r_inscribed)
+            e, pieces = _ray_pieces(box, theta, lo_rad, r_inscribed)
             tot = 0.0
             for a, b in pieces:
                 val, e2 = integrate.quad(
                     lambda rad: rad * masked(rad * e), a, b,
-                    epsabs=epsabs, epsrel=epsrel, limit=200,
+                    epsabs=_EPSABS, epsrel=_EPSREL, limit=200,
                 )
                 tot += val
                 inner_err[0] = max(inner_err[0], e2)
             return tot
 
         total, err = integrate.quad(radial, 0.0, 2.0 * np.pi,
-                                    epsabs=epsabs, epsrel=epsrel, limit=200)
+                                    epsabs=_EPSABS, epsrel=_EPSREL, limit=200)
         err += 2.0 * np.pi * inner_err[0]
     else:
         raise DomainError(
@@ -453,10 +439,6 @@ _QK_GAUSS[1:10:2] = _WG
 _QK_GAUSS[11:20:2] = _WG[::-1]
 _EPMACH = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
-# mark_integral's defaults: quad's target for each 1-d integral, the bound
-# the final error estimate must meet, and quad's subinterval limit
-_EPSABS = _EPSREL = 1e-12
-_RTOL, _ATOL = 1e-8, 1e-10
 _PANEL_LIMIT = 200
 # panels whose masked density MarkQuadrature keeps
 _WEIGHT_CACHE_SIZE = 4096
@@ -589,7 +571,7 @@ class MarkQuadrature:
                 return on_panels(list(zip(a.tolist(), b.tolist())), x[:, :, None],
                                  np.ones_like(x))
 
-            pieces = _line_pieces(box, lo_rad, None)
+            pieces = _line_pieces(box, lo_rad)
             values, errors = _adaptive_qk21(evaluate, [p[0] for p in pieces],
                                             [p[1] for p in pieces])
             total, err = values.sum(axis=0), errors.sum(axis=0)
@@ -599,7 +581,7 @@ class MarkQuadrature:
 
             def radial(owner, a, b):
                 theta = _qk_nodes(a, b).ravel()
-                rays = [_ray_pieces(box, th, lo_rad, None, r_inscribed) for th in theta]
+                rays = [_ray_pieces(box, th, lo_rad, r_inscribed) for th in theta]
                 directions = np.array([e for e, _ in rays])
                 on_ray = [(k, lo, hi) for k, (_, pieces) in enumerate(rays) for lo, hi in pieces]
                 ray = np.array([k for k, _, _ in on_ray], dtype=int)
@@ -631,11 +613,6 @@ def compensated_integral(
     model: TruncatedLevyModel,
     t: float | None = None,
     quadrature: str | Callable[..., float] = "adaptive",
-    *,
-    epsabs: float = 1e-12,
-    epsrel: float = 1e-12,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
 ) -> float:
     """Compensated sum ``sum_{t_i <= t} h(t_i, u_i) - int_0^t int h(s, u) k(u) du ds``.
 
@@ -660,26 +637,14 @@ def compensated_integral(
         from scipy import integrate
 
         def time_sliced(s: float) -> float:
-            return mark_integral(
-                lambda u: h(s, u), model,
-                epsabs=epsabs, epsrel=epsrel, rtol=np.inf, atol=np.inf,
-            )
+            return mark_integral(lambda u: h(s, u), model, rtol=np.inf, atol=np.inf)
 
         comp, comp_err = integrate.quad(
-            time_sliced, 0.0, t, epsabs=epsabs, epsrel=epsrel, limit=100
+            time_sliced, 0.0, t, epsabs=_EPSABS, epsrel=_EPSREL, limit=100
         )
-        if comp_err > max(atol, rtol * abs(comp)):
+        if comp_err > max(_ATOL, _RTOL * abs(comp)):
             raise NumericError("compensator quadrature did not converge", residual=comp_err)
     else:
         raise DomainError(f"unknown quadrature mode {quadrature!r}")
     return jump_sum - comp
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def write_configuration_csv(config: JumpConfiguration, path) -> None:
-    """Write atoms as RFC-4180 CSV with columns ``time, mark_1..mark_r``."""
-    header = ["time"] + [f"mark_{j + 1}" for j in range(config.mark_dimension)]
-    write_csv(path, header, np.column_stack([config.times, config.marks]).tolist())

@@ -26,7 +26,6 @@ DOMAIN_ATOMS = 1      # atom counts, times and marks of a jump configuration
 DOMAIN_RHO = 2        # auxiliary gradient draws, one subspace per draw index
 DOMAIN_PATH = 3       # per-path sub-seeds in Monte Carlo studies
 DOMAIN_PARTICLE = 4   # per-particle drivers in interacting systems
-DOMAIN_PROBE = 5      # probe points for numerical validation
 
 _U64 = np.uint64
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)

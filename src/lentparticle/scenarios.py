@@ -52,7 +52,13 @@ from .errors import (
     ModelError,
     NumericError,
 )
-from .lent_particle import GammaMatrix, MarkFunctional, _sum_terms, gamma_flow
+from .lent_particle import (
+    GammaMatrix,
+    MarkFunctional,
+    _central_differences,
+    _sum_terms,
+    gamma_flow,
+)
 from .poisson_measure import (
     JumpConfiguration,
     TruncatedLevyModel,
@@ -944,11 +950,10 @@ def mckean_vlasov(
         # sigma is a per-point callable: one call per row of the batch
         return np.array([float(sigma(xp, lookup(sp))) for sp, xp in zip(s.tolist(), x.tolist())])
 
-    dx_step = 1e-6
-
     def slope(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        h = dx_step * (1.0 + np.abs(x))
-        return (amplitude(s, x + h) - amplitude(s, x - h)) / (2.0 * h)
+        probe_times = np.repeat(s, 2)
+        return _central_differences(lambda probes: amplitude(probe_times, probes[:, 0])[:, None],
+                                    x[:, None], 1e-6 * (1.0 + np.abs(x)))[:, 0, 0]
 
     def c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return (amplitude(s, x[:, 0]) * u[:, 0])[:, None]

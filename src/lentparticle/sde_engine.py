@@ -54,7 +54,6 @@ from .poisson_measure import JumpConfiguration, MarkQuadrature, TruncatedLevyMod
 __all__ = [
     "CoefficientSet",
     "Trajectory",
-    "validate_coefficients",
     "quadrature_compensator",
     "solve_sde",
     "write_trajectory_csv",
@@ -144,8 +143,11 @@ def quadrature_compensator(model: TruncatedLevyModel, c, dx_c):
             t_rows, x_rows = np.empty(n), np.empty((n, d))
             t_rows.fill(t)
             x_rows[:] = x
-            return np.concatenate([np.reshape(c(t_rows, x_rows, marks), (n, d)),
-                                   np.reshape(dx_c(t_rows, x_rows, marks), (n, d * d))], axis=1)
+            return np.concatenate([
+                _shape_checked("c", c(t_rows, x_rows, marks), (n, d)),
+                np.reshape(_shape_checked("dx_c", dx_c(t_rows, x_rows, marks), (n, d, d)),
+                           (n, d * d)),
+            ], axis=1)
 
         return quadrature.integrate(integrand)
 
@@ -164,9 +166,35 @@ def quadrature_compensator(model: TruncatedLevyModel, c, dx_c):
     return (lambda t, x: integrals(t, x)[0].copy()), (lambda t, x: integrals(t, x)[1].copy())
 
 
+def _shape_checked(name: str, out, shape: tuple, where: Callable[[], str] = str) -> np.ndarray:
+    """``out`` as an array, refused with :class:`ModelError` unless it has
+    ``shape``, whose first entry counts the points; ``where()`` ends the message."""
+    out = np.asarray(out)
+    if out.shape != shape:
+        raise ModelError(f"{name} must return shape {shape} for {shape[0]} points, "
+                         f"got {out.shape}{where()}")
+    return out
+
+
+def _shaped(name: str, fn, tail: tuple):
+    """``fn(t, x)``, refused unless it returns shape ``(n,) + tail`` for ``n``
+    points; the check runs inline, since the solve calls it at every stage."""
+    def call(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        out = np.asarray(fn(t, x))
+        shape = (x.shape[0],) + tail
+        return out if out.shape == shape else _shape_checked(name, out, shape)
+    return call
+
+
 def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel):
-    """Between-jump velocity b - integral c k du and its x-Jacobian."""
+    """Between-jump velocity b - integral c k du and its x-Jacobian; each
+    supplied part must return ``(n, d)``, its x-Jacobian ``(n, d, d)``."""
+    d = coeffs.dim
     comp, comp_dx = coeffs.compensator, coeffs.dx_compensator
+    if comp is not None:
+        comp = _shaped("compensator", comp, (d,))
+    if comp_dx is not None:
+        comp_dx = _shaped("dx_compensator", comp_dx, (d, d))
     if comp is None or comp_dx is None:
         by_quadrature = quadrature_compensator(model, coeffs.c, coeffs.dx_c)
         comp = comp or by_quadrature[0]
@@ -174,7 +202,8 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel):
 
     if coeffs.drift is None:
         return (lambda t, x: np.negative(comp(t, x))), (lambda t, x: np.negative(comp_dx(t, x)))
-    drift, drift_dx = coeffs.drift, coeffs.dx_drift
+    drift = _shaped("drift", coeffs.drift, (d,))
+    drift_dx = _shaped("dx_drift", coeffs.dx_drift, (d, d))
     return ((lambda t, x: np.subtract(drift(t, x), comp(t, x))),
             (lambda t, x: np.subtract(drift_dx(t, x), comp_dx(t, x))))
 
@@ -213,9 +242,8 @@ def _check_r_conditions(coeffs: CoefficientSet, t: np.ndarray, x: np.ndarray,
     eta``, and through ``where(k)`` its path or point.
     """
     d, n = coeffs.dim, t.shape[0]
-    dxc = np.asarray(coeffs.dx_c(t, x, u), dtype=float)
-    if dxc.shape != (n, d, d):
-        raise ModelError(f"dx_c must return shape ({n}, {d}, {d}) for {n} points, got {dxc.shape}")
+    dxc = _shape_checked("dx_c", np.asarray(coeffs.dx_c(t, x, u), dtype=float), (n, d, d),
+                         lambda: f" {where(0)}")
     finite = np.isfinite(dxc).all(axis=(1, 2))
     m = np.eye(d) + np.where(finite[:, None, None], dxc, 0.0)
     # np.linalg.inv raises when any matrix of the stack is singular; its
@@ -252,33 +280,6 @@ def _check_r_conditions(coeffs: CoefficientSet, t: np.ndarray, x: np.ndarray,
     if k is not None:
         message = next(text for mask, text in checks if mask[k])
         raise ModelError(f"{message(k)} {where(k)}")
-
-
-def validate_coefficients(
-    coeffs: CoefficientSet,
-    model: TruncatedLevyModel,
-    points: Sequence[tuple[float, np.ndarray, np.ndarray]],
-) -> None:
-    """Spot-check the coefficient assumptions at the given (t, x, u) points.
-
-    The points are evaluated as one batch; an error names the first
-    offending point and the first condition it violates.
-    """
-    if not points:
-        return
-    n, d = len(points), coeffs.dim
-    states = [np.asarray(p[1], dtype=float) for p in points]
-    marks = [np.atleast_1d(np.asarray(p[2], dtype=float)) for p in points]
-    if any(s.shape != (d,) for s in states) or len({m.shape for m in marks}) != 1:
-        raise InputError(f"points need states of shape ({d},) and marks of one shape")
-    t, x, u = np.array([float(p[0]) for p in points]), np.array(states), np.array(marks)
-    val = np.asarray(coeffs.c(t, x, u), dtype=float)
-    if val.shape != (n, d):
-        raise ModelError(f"c must return shape ({n}, {d}) for {n} points, got {val.shape}")
-    k = _first(~np.isfinite(val).all(axis=1))
-    if k is not None:
-        raise ModelError(f"c at (t={t[k]}) must be a finite length-{d} vector at point {k}")
-    _check_r_conditions(coeffs, t, x, u, lambda k: f"at point {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +351,6 @@ class Trajectory:
 
     def jump_rows(self) -> np.ndarray:
         return np.nonzero(self.is_jump)[0]
-
-    def has_flows(self) -> bool:
-        return self.flow is not None and self.inverse_flow is not None
 
 
 def _regular_grid(horizon: float, step: float) -> np.ndarray:
@@ -498,10 +496,14 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     def jump(i: int, batch: np.ndarray, slots: np.ndarray, y: np.ndarray) -> np.ndarray:
         t, u, x_left = times[batch, i], marks[slots], y[batch, 0]
         where = lambda k: f"on path {first + order[batch[k]]}"
+        at_first = lambda: f" at t = {t[0]} {where(0)}"
+        n = batch.shape[0]
         if flows:
-            jump_matrix = np.eye(d) + np.asarray(coeffs.dx_c(t, x_left, u), dtype=float)
-        block = np.empty((batch.shape[0], y.shape[1], d))
-        block[:, 0] = x_left + np.asarray(coeffs.c(t, x_left, u), dtype=float)
+            slope = np.asarray(coeffs.dx_c(t, x_left, u), dtype=float)
+            jump_matrix = np.eye(d) + _shape_checked("dx_c", slope, (n, d, d), at_first)
+        block = np.empty((n, y.shape[1], d))
+        size = np.asarray(coeffs.c(t, x_left, u), dtype=float)
+        block[:, 0] = x_left + _shape_checked("c", size, (n, d), at_first)
         k = _first(~np.isfinite(block[:, 0]).all(axis=1))
         if k is not None:
             raise NumericError(f"jump update produced non-finite state at t = {t[k]} {where(k)}")

@@ -3,19 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lentparticle.bottom_structure import intro_1d, isotropic
 from lentparticle.density_criteria import (
     monte_carlo_rank_stats,
     rank_diagnostic,
-    regular_case_check,
     span_dimension,
-    sufficient_condition_scan,
 )
-from lentparticle.errors import DomainError, InputError
-from lentparticle.lent_particle import gamma_flow
+from lentparticle.errors import InputError
 from lentparticle.rng import path_seed
 from lentparticle.scenarios import get_scenario
-from lentparticle.sde_engine import CoefficientSet
 
 
 def test_rank_full():
@@ -69,30 +64,6 @@ def test_span_dimension():
     assert span_dimension(vs) == 3
     with pytest.raises(InputError):
         span_dimension([np.array([np.nan, 0.0])])
-
-
-def test_scan_finds_witness():
-    sc = get_scenario("doleans")
-    cfg = sc.simulate(seed=4)
-    traj, gamma = sc.run(cfg)
-    res = sufficient_condition_scan(traj, None, sc.bottom, gamma=gamma)
-    # the 1-d base coordinate makes every in-carrier atom term rank >= 1 but
-    # a witness needs full 2x2 rank, which single-atom outer products lack
-    assert res.term_ranks
-    assert max(res.term_ranks) <= 1
-    assert not res.satisfied
-
-
-def test_scan_accepts_full_rank_term():
-    from lentparticle.lent_particle import GammaMatrix
-
-    terms = [(0, np.diag([1.0, 0.0])), (1, np.diag([2.0, 3.0]))]
-    g = GammaMatrix(matrix=np.diag([3.0, 3.0]), formula_tag="theorem9", t=1.0,
-                    per_jump_terms=terms)
-    res = sufficient_condition_scan(None, None, None, gamma=g)
-    assert res.satisfied
-    assert res.witness == 1
-    assert res.term_ranks == [1, 2]
 
 
 def test_rank_stats_on_null_scenario():
@@ -211,99 +182,3 @@ def test_rank_stats_reports_indeterminate_fraction():
     assert 0.0 < table.rows[0].indeterminate_fraction == np.mean(flags) < 1.0
     firm = monte_carlo_rank_stats(scenario, 6, [0.05], seed=4)
     assert firm.rows[0].indeterminate_fraction == 0.0
-
-
-# Coefficients evaluate batches paired by row: t (P,), x (P, d), u (P, r).
-
-def _constant(matrix):
-    """A batched callable returning ``matrix`` at every point."""
-    matrix = np.asarray(matrix, dtype=float)
-    return lambda t, x, u: np.broadcast_to(matrix, (x.shape[0], *matrix.shape))
-
-
-def _linear_coeffs():
-    return CoefficientSet(
-        dim=2,
-        c=lambda t, x, u: u[:, :2],
-        dx_c=_constant(np.zeros((2, 2))),
-        du_c=_constant(np.eye(2)),
-    )
-
-
-def test_regular_case_passes_for_invertible_jacobian():
-    rep = regular_case_check(
-        _linear_coeffs(), isotropic(2), x=np.zeros(2), u0=np.array([0.3, 0.0]),
-        radius=0.05,
-    )
-    assert rep.passed
-    assert rep.min_eigenvalue > 0
-    assert rep.probes_used > 0
-    assert not rep.mass_diverging
-
-
-def test_regular_case_fails_for_degenerate_jacobian():
-    coeffs = CoefficientSet(
-        dim=2,
-        c=lambda t, x, u: u[:, [0, 0]],
-        dx_c=_constant(np.zeros((2, 2))),
-        du_c=_constant([[1.0, 0.0], [1.0, 0.0]]),
-    )
-    rep = regular_case_check(
-        coeffs, isotropic(2), x=np.zeros(2), u0=np.array([0.3, 0.0]), radius=0.05
-    )
-    assert not rep.passed
-
-
-def test_regular_case_outside_support_raises():
-    coeffs1 = CoefficientSet(
-        dim=1,
-        c=lambda t, x, u: u[:, :1],
-        dx_c=_constant(np.zeros((1, 1))),
-        du_c=_constant(np.eye(1)),
-    )
-    # intro_1d carrier is 0 < |u| < 1/2; u0 = 5 is not even in its closure
-    with pytest.raises(DomainError):
-        regular_case_check(
-            coeffs1, intro_1d(), x=np.zeros(1), u0=np.array([5.0]), radius=0.01
-        )
-
-
-def test_regular_case_flags_diverging_mass_at_origin():
-    # an infinite-activity intensity concentrates mass at the origin; annulus
-    # masses around u0 = 0 stay flat instead of decaying geometrically
-    from lentparticle.bottom_structure import psi_over_k
-
-    bs = psi_over_k(density=lambda marks: (marks[:, 0] * marks[:, 0]) ** -1.0, r=1)
-    coeffs1 = CoefficientSet(
-        dim=1,
-        c=lambda t, x, u: u[:, :1],
-        dx_c=_constant(np.zeros((1, 1))),
-        du_c=_constant(np.eye(1)),
-    )
-    rep = regular_case_check(coeffs1, bs, x=np.zeros(1), u0=np.zeros(1), radius=0.2)
-    assert rep.mass_diverging
-    # a flat intensity over the same window decays geometrically instead
-    flat = regular_case_check(
-        coeffs1, intro_1d(), x=np.zeros(1), u0=np.zeros(1), radius=0.2
-    )
-    assert not flat.mass_diverging
-
-
-def test_regular_case_annulus_masses_match_closed_forms():
-    # unit density: annulus masses are 2 (r_out - r_in) on the line (quad)
-    # and pi (r_out^2 - r_in^2) in the plane (dblquad)
-    coeffs1 = CoefficientSet(
-        dim=1,
-        c=lambda t, x, u: u[:, :1],
-        dx_c=_constant(np.zeros((1, 1))),
-        du_c=_constant(np.eye(1)),
-    )
-    line = regular_case_check(coeffs1, intro_1d(), x=np.zeros(1), u0=np.array([0.25]),
-                              radius=0.2)
-    plane = regular_case_check(_linear_coeffs(), isotropic(2), x=np.zeros(2),
-                               u0=np.array([0.3, 0.0]), radius=0.05)
-    for rep, mass in ((line, lambda a, b: 2.0 * (b - a)),
-                      (plane, lambda a, b: np.pi * (b * b - a * a))):
-        outer = rep.mass_radii
-        want = mass(0.5 * outer, outer)
-        assert np.allclose(rep.annulus_masses, want, rtol=1e-8, atol=0.0)

@@ -19,8 +19,13 @@ from lentparticle.lent_particle import (
     linear_functional,
     sharp_sample,
 )
-from lentparticle.errors import InputError
-from lentparticle.poisson_measure import JumpConfiguration, simulate_configuration
+from lentparticle.errors import FunctionalError, InputError
+from lentparticle.poisson_measure import (
+    JumpConfiguration,
+    add_particle,
+    remove_particle,
+    simulate_configuration,
+)
 from lentparticle.rng import DOMAIN_RHO, stream
 from lentparticle.scenarios import doleans_coefficients, power_law_first_moment, power_law_model
 from lentparticle.sde_engine import CoefficientSet, solve_sde
@@ -419,3 +424,69 @@ def test_flow_assembly_has_the_bits_of_the_atom_loop(rendering):
         traj = solve_sde(coeffs, model, cfg, x0=np.array(x0), step=0.01, flows=True)
         got = gamma_flow(traj, coeffs, intro_1d(), rendering=rendering).matrix
         assert got.tobytes() == _flow_loop(traj, coeffs, intro_1d(), rendering).tobytes()
+
+
+# ------------------------------------------------ central differences
+
+
+def _inline_central_difference(fn, u):
+    """The central difference each mark Jacobian used to inline: the reference."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    r = u.shape[0]
+    step = 1e-6 * (1.0 + float(np.linalg.norm(u)))
+    columns = []
+    for j in range(r):
+        bump = np.zeros(r)
+        bump[j] = step
+        columns.append((fn(u + bump) - fn(u - bump)) / (2.0 * step))
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_mark_function_jac_has_the_bits_of_the_inline_difference(r):
+    h = MarkFunction(dim=2, fn=lambda t, u: np.array([np.sin(3.0 * u[0]) * t, np.exp(u @ u)]))
+    for u in stream(7, DOMAIN_RHO).uniform(-0.5, 0.5, (20, r)):
+        ref = _inline_central_difference(lambda v: h(0.3, v), u)
+        assert h.jac(0.3, u).tobytes() == ref.tobytes()
+
+
+def test_sde_functional_jacobians_have_the_bits_of_the_inline_difference():
+    model = power_law_model(truncation=1.0 / 17.0)
+    coeffs = doleans_coefficients(power_law_first_moment(1.0 / 17.0), 0.5)
+    cfg = _config([0.15, 0.4, 0.55, 0.8], [0.3, -0.2, 0.45, 0.1])
+    F = SdeFunctional(coeffs, model, np.array([0.0, 1.0]), step=0.01)
+    jacs = F.mark_jacobians(cfg)
+    assert len(jacs) == cfg.n_atoms
+    for i, jac in enumerate(jacs):
+        t, u = cfg.atom(i)
+        base = remove_particle(cfg, t, u)
+        ref = _inline_central_difference(lambda v: F.value(add_particle(base, t, v)), u)
+        assert jac.tobytes() == ref.tobytes()
+
+
+class _OneCoordinate(MarkFunctional):
+    """``sum f(u_i)`` over the atoms, differentiated by central differences."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def value(self, config):
+        return np.array([np.sum(self.f(config.marks[:, 0]))])
+
+
+def test_fd_jacobian_names_the_atom_whose_probe_failed():
+    # u + step overflows at the largest float: the probe mark is not finite
+    F = _OneCoordinate(np.sin)
+    with np.errstate(over="ignore"), pytest.raises(
+            FunctionalError,
+            match="^finite-difference probe failed at atom 1: times and marks must be finite$"):
+        gamma_generic(F, _config([0.2, 0.6], [0.3, np.finfo(float).max]), intro_1d())
+
+
+def test_fd_jacobian_names_the_atom_with_a_non_finite_jacobian():
+    # finite values +-1e308 on either side of 0.5 differ by more than the largest float
+    F = _OneCoordinate(lambda u: np.where(u > 0.35, 1e308 * np.tanh(1e9 * (u - 0.5)), 0.0))
+    cfg = _config([0.2, 0.6], [0.3, 0.5])
+    with np.errstate(over="ignore"), pytest.raises(
+            FunctionalError, match="^non-finite mark Jacobian at atom 1$"):
+        gamma_generic(F, cfg, intro_1d())

@@ -18,7 +18,6 @@ from lentparticle.poisson_measure import (
     mark_integral,
     remove_particle,
     simulate_configuration,
-    write_configuration_csv,
 )
 from lentparticle.scenarios import (
     polar_levy_model,
@@ -206,12 +205,6 @@ def test_mark_integral_polar_mass():
     assert got == pytest.approx(2.0 * np.pi * np.log(1.0 / eps), rel=1e-7)
 
 
-def test_mark_integral_radial_shell():
-    model = uniform_box_model(1, halfwidth=1.0, truncation=0.0, intensity=1.0)
-    got = mark_integral(lambda u: 1.0, model, lower_radius=0.25, upper_radius=0.5)
-    assert got == pytest.approx(2.0 * 0.25, rel=1e-10)
-
-
 _QUADRATURE_MODELS = {
     "uniform-1d": lambda: uniform_box_model(1, halfwidth=0.6, truncation=0.1, intensity=4.0),
     "uniform-2d": lambda: uniform_box_model(2, halfwidth=0.6, truncation=0.1, intensity=4.0),
@@ -304,22 +297,6 @@ def test_compensated_integral_prefix_time():
     half = compensated_integral(cfg, lambda t, u: 1.0, model, t=0.5)
     n_half = int(np.sum(cfg.times <= 0.5))
     assert half == pytest.approx(n_half - model.mass * 0.5, rel=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-# ---------------------------------------------------------------------------
-
-def test_configuration_csv_roundtrip(tmp_path):
-    model = polar_levy_model(0.05)
-    cfg = simulate_configuration(model, 1.0, 8)
-    path = tmp_path / "config.csv"
-    write_configuration_csv(cfg, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "time,mark_1,mark_2"
-    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    assert np.array_equal(back[:, 0], cfg.times)
-    assert np.array_equal(back[:, 1:], cfg.marks)
 
 
 def test_configuration_validation():

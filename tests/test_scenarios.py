@@ -19,6 +19,7 @@ from lentparticle.poisson_measure import JumpConfiguration, simulate_configurati
 from lentparticle.scenarios import (
     SCENARIO_NAMES,
     _area_closed_path,
+    _law_lookup,
     _stable_like_inverse,
     area_closed_gamma,
     doleans_coefficients,
@@ -442,6 +443,32 @@ def test_mckean_picard_residuals_decrease():
     assert len(r) == 4
     assert r[-1] < r[0]
     assert res.aa_invertible == (abs(res.aa_value) > 0)
+
+
+def test_mckean_state_slope_has_the_bits_of_the_inline_difference():
+    # dx_c and dx_compensator of the frozen-law coefficients take the central
+    # difference of sigma that mckean_vlasov used to inline: the reference
+    eps = 0.05
+    model = power_law_model(truncation=eps)
+    m1 = power_law_first_moment(eps)
+
+    def sigma(x, law):
+        return 0.6 + 0.2 * math.tanh(x - float(np.mean(law)))
+
+    res = mckean_vlasov(sigma=sigma, particles=12, picard_iters=1, model=model, t=1.0,
+                        seed=5, step=0.002, first_moment=m1)
+    lookup = _law_lookup(res.law_times, res.law_values)
+
+    def amplitude(s, x):
+        return np.array([float(sigma(xp, lookup(sp))) for sp, xp in zip(s.tolist(), x.tolist())])
+
+    g = np.random.default_rng(3)
+    s, x, u = g.uniform(0.0, 1.0, 40), g.uniform(-2.0, 2.0, 40), g.uniform(-0.5, 0.5, 40)
+    h = 1e-6 * (1.0 + np.abs(x))
+    slope = (amplitude(s, x + h) - amplitude(s, x - h)) / (2.0 * h)
+    coeffs = res.trajectory.coeffs
+    assert coeffs.dx_c(s, x[:, None], u[:, None]).tobytes() == (slope * u)[:, None, None].tobytes()
+    assert coeffs.dx_compensator(s, x[:, None]).tobytes() == (slope * m1)[:, None, None].tobytes()
 
 
 def test_mckean_grid_row_limit(monkeypatch):

@@ -14,7 +14,6 @@ from lentparticle.sde_engine import (
     CoefficientSet,
     quadrature_compensator,
     solve_sde,
-    validate_coefficients,
 )
 
 
@@ -284,7 +283,7 @@ def test_left_limits_at_jumps():
 def test_flow_times_inverse_is_identity(path):
     coeffs, cfg, x0, step = path
     traj = solve_sde(coeffs, _uniform_model(), cfg, x0=x0, step=step, flows=True)
-    assert traj.has_flows()
+    assert traj.flow is not None and traj.inverse_flow is not None
     eye = np.eye(coeffs.dim)
     assert np.abs(traj.flow @ traj.inverse_flow - eye).max() <= 1e-9
     assert np.abs(traj.flow_left @ traj.inverse_flow_left - eye).max() <= 1e-9
@@ -348,21 +347,74 @@ def test_domination_bound_enforced():
         du_c=lambda t, x, u: 10.0 * x[:, :, None],
         eta=lambda u: np.full(u.shape[0], 0.01),
     )
-    model = _uniform_model()
-    with pytest.raises(ModelError):
-        validate_coefficients(coeffs, model, [(0.0, np.array([1.0]), np.array([0.5]))])
+    for flows in (False, True):
+        message = _model_error(coeffs, _config([0.3], [0.5]), flows)
+        assert message.startswith("jump x-Jacobian norm 5 exceeds eta([0.5]) = 0.01"), message
+
+
+def _shape_case(**replaced):
+    """dX = (X u) dN in two dimensions with a closed-form compensator and a
+    zero drift, some callables replaced."""
+    return CoefficientSet(**{
+        "dim": 2,
+        "c": lambda t, x, u: x * u[:, :1],
+        "dx_c": lambda t, x, u: u[:, :1, None] * np.eye(2),
+        "du_c": lambda t, x, u: x[:, :, None],
+        "drift": _constant(np.zeros(2)),
+        "dx_drift": _constant(np.zeros((2, 2))),
+        "compensator": _constant(np.zeros(2)),
+        "dx_compensator": _constant(np.zeros((2, 2))),
+        **replaced,
+    })
 
 
 def test_bad_coefficient_shape_rejected():
-    coeffs = CoefficientSet(
-        dim=2,
-        c=_constant([1.0]),  # wrong length
-        dx_c=_constant(np.zeros((2, 2))),
-        du_c=_constant(np.zeros((2, 1))),
-    )
-    model = _uniform_model()
-    with pytest.raises(ModelError):
-        validate_coefficients(coeffs, model, [(0.0, np.zeros(2), np.array([0.3]))])
+    # numpy would broadcast the (1, 1) jump into the (1, 2) state
+    coeffs = _shape_case(c=lambda t, x, u: u[:, :1])
+    configs = [_config([], []), _config([0.3, 0.7], [0.2, 0.4])]
+    for flows in (False, True):
+        with pytest.raises(ModelError, match=r"^c must return shape \(1, 2\) for 1 points, "
+                                             r"got \(1, 1\) at t = 0.3 on path 1$"):
+            solve_sde(coeffs, _uniform_model(), configs, np.array([0.5, 0.5]), 0.01, flows=flows)
+    # dx_c is evaluated at the jumps with flows, and by the checks with validate
+    coeffs = _shape_case(dx_c=lambda t, x, u: u[:, :1, None])
+    for validate, where in ((False, " at t = 0.3 on path 1"), (True, " on path 1")):
+        with pytest.raises(ModelError, match=r"^dx_c must return shape \(1, 2, 2\) for 1 points, "
+                                             r"got \(1, 1, 1\)" + where + "$"):
+            solve_sde(coeffs, _uniform_model(), configs, np.array([0.5, 0.5]), 0.01,
+                      validate=validate, flows=True)
+    # without a compensator the quadrature meets the bad shape first
+    coeffs = _shape_case(c=lambda t, x, u: u[:, :1])
+    coeffs = dataclasses.replace(coeffs, compensator=None, dx_compensator=None)
+    with pytest.raises(ModelError, match=r"^c must return shape \(42, 2\) for 42 points, "
+                                         r"got \(42, 1\)$"):
+        solve_sde(coeffs, _uniform_model(), configs, np.array([0.5, 0.5]), 0.01)
+
+
+_VELOCITY_SHAPES = {
+    "compensator": (_constant(np.zeros(1)), r"\(2, 2\) for 2 points, got \(2, 1\)"),
+    "drift": (_constant(np.zeros(1)), r"\(2, 2\) for 2 points, got \(2, 1\)"),
+    "dx_compensator": (_constant(np.zeros((1, 1))), r"\(2, 2, 2\) for 2 points, got \(2, 1, 1\)"),
+    "dx_drift": (_constant(np.zeros(2)), r"\(2, 2, 2\) for 2 points, got \(2, 2\)"),
+}
+
+
+@pytest.mark.parametrize("flows", [False, True])
+@pytest.mark.parametrize("name", list(_VELOCITY_SHAPES))
+def test_bad_velocity_shape_rejected(name, flows):
+    # numpy would broadcast each of these results into the state or the flows,
+    # and the drift's into the compensator's
+    fn, shapes = _VELOCITY_SHAPES[name]
+    configs = [_config([], []), _config([0.3, 0.7], [0.2, 0.4])]
+    x0 = np.array([0.5, 0.5])
+    coeffs = _shape_case(**{name: fn})
+    if name.startswith("dx_") and not flows:  # Jacobians are evaluated only with flows
+        plain = solve_sde(_shape_case(), _uniform_model(), configs, x0, 0.01)
+        solved = solve_sde(coeffs, _uniform_model(), configs, x0, 0.01)
+        assert all(_same_bits(a.states, b.states) for a, b in zip(plain, solved))
+        return
+    with pytest.raises(ModelError, match=f"^{name} must return shape {shapes}$"):
+        solve_sde(coeffs, _uniform_model(), configs, x0, 0.01, flows=flows)
 
 
 def test_step_must_be_positive():
@@ -519,13 +571,6 @@ def test_earlier_violation_wins_over_a_later_error(later):
         violated = [_config([0.3], [0.59]), _config([0.6], [-0.55])]
         message = _model_error(coeffs, violated, flows)
         assert message.startswith("inverse jump update norm") and message.endswith("on path 0")
-
-
-def test_validate_coefficients_names_the_first_offending_point():
-    # point 0 fails only the inverse bound, point 1 already the finiteness of dx_c
-    points = [(0.35, np.array([1.0]), np.array([0.59])), (0.35, np.array([1.0]), np.array([0.51]))]
-    with pytest.raises(ModelError, match=_VIOLATIONS["eta on the inverse"][1] + " at point 0$"):
-        validate_coefficients(_banded(), _uniform_model(), points)
 
 
 def test_jump_rows_without_flows_make_no_dx_c_call():
