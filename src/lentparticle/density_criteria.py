@@ -55,16 +55,32 @@ class RankReport:
     indeterminate: bool          # gap < 10 * threshold
 
 
-def _as_symmetric(g) -> np.ndarray:
-    m = g.matrix if isinstance(g, GammaMatrix) else np.atleast_2d(np.asarray(g, dtype=float))
-    if m.shape[0] != m.shape[1]:
-        raise InputError(f"matrix must be square, got shape {m.shape}")
+def _rank_stack(m: np.ndarray, rel_tol: float):
+    """Rank verdicts of a ``(P, d, d)`` stack of symmetric matrices from one
+    ``eigvalsh`` call: per row the rank, the singular values (descending),
+    the smallest eigenvalue, the threshold, the gap and the indeterminate
+    flag, each as :func:`rank_diagnostic` reports it."""
+    if not (0.0 < rel_tol < 1.0):
+        raise InputError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise InputError(f"matrix must be square, got shape {m.shape[1:]}")
     if not np.all(np.isfinite(m)):
         raise InputError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > 1e-10 * scale:
+    m_t = m.transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    if np.any(np.abs(m - m_t).max(axis=(1, 2)) > 1e-10 * scale):
         raise InputError("matrix is not symmetric to 1e-10")
-    return 0.5 * (m + m.T)
+    eigs = np.linalg.eigvalsh(0.5 * (m + m_t))
+    sing = np.sort(np.abs(eigs), axis=1)[:, ::-1]
+    d, rows = m.shape[1], np.arange(len(m))
+    threshold = rel_tol * sing[:, 0]
+    rank = np.count_nonzero(sing > threshold[:, None], axis=1)
+    # the deciding gap runs from the smallest value above the cut (or the cut
+    # at rank 0) to the largest value below it (or the cut at full rank)
+    above = np.where(rank > 0, sing[rows, rank - 1], threshold)
+    below = np.where(rank < d, sing[rows, np.minimum(rank, d - 1)], threshold)
+    gap = above - below
+    return rank, sing, eigs[:, 0], threshold, gap, (gap < 10.0 * threshold) & (sing[:, 0] > 0)
 
 
 def rank_diagnostic(g, rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
@@ -75,25 +91,12 @@ def rank_diagnostic(g, rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     factor 10 of the threshold are flagged indeterminate rather than
     trusted.
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise InputError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    m = _as_symmetric(g)
-    d = m.shape[0]
-    eigs = np.linalg.eigvalsh(m)
-    sing = np.sort(np.abs(eigs))[::-1]
-    threshold = rel_tol * sing[0]
-    rank = int(np.sum(sing > threshold))
-    if rank == d:
-        gap = float(sing[-1] - threshold)
-    elif rank == 0:
-        gap = float(threshold - sing[0])  # zero matrix: 0
-    else:
-        gap = float(sing[rank - 1] - sing[rank])
-    indeterminate = bool(gap < 10.0 * threshold) if sing[0] > 0 else False
+    m = g.matrix if isinstance(g, GammaMatrix) else np.atleast_2d(np.asarray(g, dtype=float))
+    rank, sing, min_eig, threshold, gap, indeterminate = _rank_stack(m[None], rel_tol)
     return RankReport(
-        rank=rank, singular_values=sing, min_eigenvalue=float(eigs[0]),
-        full_rank=(rank == d), tolerance=rel_tol, threshold=float(threshold),
-        gap=gap, indeterminate=indeterminate,
+        rank=int(rank[0]), singular_values=sing[0], min_eigenvalue=float(min_eig[0]),
+        full_rank=bool(rank[0] == m.shape[0]), tolerance=rel_tol,
+        threshold=float(threshold[0]), gap=float(gap[0]), indeterminate=bool(indeterminate[0]),
     )
 
 
@@ -158,9 +161,12 @@ def monte_carlo_rank_stats(
     of atoms above their cutoff.   Dropping atoms removes PSD summands, so
     under this coupling the full-rank fraction is non-decreasing as the
     truncation shrinks; the table reports whether that held.  Every path is
-    drawn first; each level then takes one ``gammas`` call over all paths,
-    which a scenario without a closed form solves as one batch.  Each row
-    also reports the fraction of paths whose rank verdict is indeterminate.
+    drawn first.  Each level then takes one ``gammas`` call over all paths
+    (one stacked closed-form pass per chunk of paths, or one batched solve)
+    and one rank step over the resulting ``(P, d, d)`` stack, with a single
+    ``eigvalsh`` call; a zero matrix counts as rank 0 with min eigenvalue 0.
+    Each row also reports the fraction of paths whose rank verdict is
+    indeterminate.
     """
     if isinstance(setup, str):
         from . import scenarios
@@ -179,10 +185,9 @@ def monte_carlo_rank_stats(
     stacked = np.zeros((n_paths, len(epsilons), 3))
     for j, eps in enumerate(epsilons):
         mats = setup.gammas([setup.restrict(config, eps) for config in configs], eps)
-        for p, mat in enumerate(mats):
-            if np.any(mat):
-                rep = rank_diagnostic(mat, rel_tol)
-                stacked[p, j] = (rep.full_rank, rep.min_eigenvalue, rep.indeterminate)
+        rank, _, min_eig, _, _, indeterminate = _rank_stack(mats, rel_tol)
+        live = mats.any(axis=(1, 2))
+        stacked[live, j] = np.column_stack([rank == mats.shape[1], min_eig, indeterminate])[live]
 
     rows = [
         RankStatsRow(

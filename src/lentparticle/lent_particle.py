@@ -240,7 +240,13 @@ class MarkFunction:
     def jac(self, t: float, u: np.ndarray) -> np.ndarray:
         r = np.atleast_1d(np.asarray(u, dtype=float)).shape[0]
         if self.jacobian is not None:
-            out = np.asarray(self.jacobian(t, u), dtype=float).reshape(self.dim, r)
+            out = np.asarray(self.jacobian(t, u), dtype=float)
+            if out.size != self.dim * r:
+                raise FunctionalError(
+                    f"jacobian of h must have shape ({self.dim}, {r}), "
+                    f"got {out.size} values at (t={t})"
+                )
+            out = out.reshape(self.dim, r)
         else:
             point = np.asarray(u, dtype=float).reshape(1, r)
             step = _FD_SCALE * (1.0 + float(np.linalg.norm(u)))
@@ -327,15 +333,20 @@ class SdeFunctional(MarkFunctional):
 # flow renderings for SDE solutions
 # ---------------------------------------------------------------------------
 
-def _sum_terms(terms: np.ndarray) -> np.ndarray:
-    """Sum of ``(n, d, d)`` atom terms, rounded as ``((0 + t_0) + t_1) + ...``.
+def _path_sums(terms: np.ndarray, counts) -> np.ndarray:
+    """Per-path sums ``(P, d, d)`` of ``(n, d, d)`` atom terms that come path
+    after path, ``counts[p]`` of them on path ``p``, each rounded as
+    ``((0 + t_0) + t_1) + ...``.
 
     ``np.sum`` adds a stack of 1 x 1 terms pairwise; ``accumulate`` keeps atom
-    order, and the zero start keeps a sum of negative zeros at +0.
+    order.  Zeros padded after a path's last term leave its sum unchanged,
+    and the final ``+ 0.0`` keeps a sum of negative zeros at +0.
     """
-    if not len(terms):
-        return np.zeros(terms.shape[1:])
-    return np.add.accumulate(terms, axis=0)[-1] + 0.0
+    counts = np.asarray(counts, dtype=int)
+    padded = np.zeros((counts.size, max(int(counts.max(initial=0)), 1)) + terms.shape[1:])
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    padded[np.repeat(np.arange(counts.size), counts), np.arange(len(terms)) - starts] = terms
+    return np.add.accumulate(padded, axis=1)[:, -1] + 0.0
 
 
 def _symmetric(m: np.ndarray) -> np.ndarray:
@@ -388,7 +399,7 @@ def gamma_flow(
             jump = np.eye(d) + np.asarray(coeffs.dx_c(*points), dtype=float)
             v = _solve_right(traj.jump_inverse_flow_left[taken].copy(), jump, points[0])
         terms = _symmetric(v @ g @ v.transpose(0, 2, 1))
-    mat = k_t @ _sum_terms(terms) @ k_t.T
+    mat = k_t @ _path_sums(terms, [len(terms)])[0] @ k_t.T
     return GammaMatrix(
         matrix=_symmetric(mat), formula_tag=rendering, t=t,
         per_jump_terms=list(zip(traj.atom_index[rows].tolist(), terms)),
@@ -438,8 +449,8 @@ def gamma_generic(F: MarkFunctional, config: JumpConfiguration,
     """
     terms = gamma_matrix(_atom_jacobians(F, config), config.marks, bs)
     return GammaMatrix(
-        matrix=_symmetric(_sum_terms(terms)), formula_tag="generic", t=config.horizon,
-        per_jump_terms=list(enumerate(terms)), jacobian_exact=F.exact_jacobian,
+        matrix=_symmetric(_path_sums(terms, [len(terms)])[0]), formula_tag="generic",
+        t=config.horizon, per_jump_terms=list(enumerate(terms)), jacobian_exact=F.exact_jacobian,
     )
 
 
@@ -453,7 +464,7 @@ def gamma_linear(h: MarkFunction, config: JumpConfiguration, bs: BottomStructure
         jacs[k] = h.jac(*config.atom(i))
     terms = gamma_matrix(jacs, config.marks[atoms], bs)
     return GammaMatrix(
-        matrix=_symmetric(_sum_terms(terms)), formula_tag="linear", t=t,
+        matrix=_symmetric(_path_sums(terms, [len(terms)])[0]), formula_tag="linear", t=t,
         per_jump_terms=list(zip(atoms.tolist(), terms)), jacobian_exact=h.jacobian is not None,
     )
 

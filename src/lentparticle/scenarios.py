@@ -21,11 +21,12 @@ Shipped scenarios:
 its builder are the overrides it accepts, and any other key raises
 :class:`InputError`.  ``Scenario.simulate`` draws a configuration,
 ``Scenario.run`` integrates it with its flows and assembles Gamma, and
-``Scenario.gamma_of`` returns the closed form where one exists;
-``Scenario.gammas`` does so for a list of configurations, which it solves as
-one batch where there is no closed form.  A builder
-also refuses parameters its closed form cannot take: the ``doleans``
-exponential needs ``bound < 1``, so that no mark reaches -1.
+``Scenario.gammas`` returns the ``(P, d, d)`` stack of Gamma of a list of
+configurations: from the closed form, in one stacked pass, where one exists,
+else solved as one batch.  ``Scenario.gamma_of`` is its case of one
+configuration.  A builder also refuses parameters its closed form cannot
+take: the ``doleans`` exponential needs ``bound < 1``, so that no mark
+reaches -1.
 
 There are two scenario families exposed as functions rather than Scenario
 records: an interacting-particle mean-field model solved by law-freezing
@@ -51,12 +52,13 @@ from .errors import (
     InputError,
     ModelError,
     NumericError,
+    StructureError,
 )
 from .lent_particle import (
     GammaMatrix,
     MarkFunctional,
     _central_differences,
-    _sum_terms,
+    _path_sums,
     gamma_flow,
 )
 from .poisson_measure import (
@@ -421,19 +423,45 @@ def doleans_coefficients(first_moment: float, bound: float) -> CoefficientSet:
     )
 
 
-def doleans_closed_gamma(config: JumpConfiguration, first_moment: float,
+def _atoms_up_to(configs: Sequence[JumpConfiguration], t: float):
+    """Path index ``(n,)``, time ``(n,)`` and mark ``(n, r)`` of every atom at
+    or before ``t``, path after path."""
+    times = np.concatenate([config.times for config in configs])
+    keep = times <= t
+    path = np.repeat(np.arange(len(configs)), [config.n_atoms for config in configs])
+    return path[keep], times[keep], np.concatenate([config.marks for config in configs])[keep]
+
+
+def _weights(bs: BottomStructure, marks: np.ndarray, path: np.ndarray, n_paths: int):
+    """``bs.weight`` of every path's marks in one call.  An error names the
+    first offending path and the mark's row in it, as weighing one path at
+    a time would."""
+    try:
+        return bs.weight(marks)
+    except StructureError:
+        for p in range(n_paths):
+            try:
+                bs.weight(marks[path == p])
+            except StructureError as exc:
+                raise StructureError(f"{exc} on path {p}") from None
+        raise
+
+
+def doleans_closed_gamma(configs: Sequence[JumpConfiguration], first_moment: float,
                          bs: BottomStructure, t: float) -> np.ndarray:
-    """Closed-form 2x2 carre du champ of the pair (Y_t, E(Y)_t).
+    """Closed-form 2x2 carre du champ of the pair (Y_t, E(Y)_t), ``(P, 2, 2)``.
 
     Each atom with mark u contributes ``w(u) (1, E/(1+u)) (x) (1, E/(1+u))``
-    where E is the terminal exponential and w the structure weight.
+    where E is the terminal exponential and w the structure weight.  The
+    atoms of every configuration are weighed in one call.
     """
-    _, e_t = doleans_exponential(config, first_moment, t)
-    marks = config.marks[config.times <= t]
-    w = bs.weight(marks)[:, 0, 0]
-    w, u = w[w != 0.0], marks[w != 0.0, 0]
-    v = np.column_stack([np.ones(u.size), e_t / (1.0 + u)])
-    return _sum_terms(w[:, None, None] * (v[:, :, None] * v[:, None, :]))
+    e_t = np.array([doleans_exponential(config, first_moment, t)[1] for config in configs])
+    path, _, marks = _atoms_up_to(configs, t)
+    w = _weights(bs, marks, path, len(configs))[:, 0, 0]
+    w, u, path = w[w != 0.0], marks[w != 0.0, 0], path[w != 0.0]
+    v = np.column_stack([np.ones(u.size), e_t[path] / (1.0 + u)])
+    return _path_sums(w[:, None, None] * (v[:, :, None] * v[:, None, :]),
+                      np.bincount(path, minlength=len(configs)))
 
 
 class DoleansPairFunctional(MarkFunctional):
@@ -507,58 +535,71 @@ def area_coefficients(first_moment: np.ndarray) -> CoefficientSet:
     )
 
 
-def _area_closed_path(config: JumpConfiguration, m1: np.ndarray, t: float):
-    """Exact path of (X1, X2, area) from the atom list.
+def _area_closed_path(configs: Sequence[JumpConfiguration], m1: np.ndarray, t: float):
+    """Exact paths of (X1, X2, area) from the atom lists of configurations.
 
     Between atoms the components move linearly with velocity ``-m1``
     (compensator drift), so every integral below is an exact trapezoid.
-    Returns terminal V and per-atom left limits needed by the closed form.
+    Returns the terminal values ``(P, 3)`` and, path after path, the path
+    index, mark and left limit of every atom at or before ``t``.
 
     Two sequential scans keep the rounding of the atom-by-atom recursion:
     X walks through the interleaved increments ``-(m1 dt_i)`` and ``u_i``
     (``x - y`` is ``x + (-y)`` exactly), so row ``2i + 1`` is the left limit
     at atom ``i`` and row ``2i + 2`` the right limit; the area sums its
     drift and jump terms, each rounded as in the recursion, in that order.
+    Both scans run along axis 1 of ``(P, 2 n_max + 2, .)`` arrays, one path
+    per slice, zero-padded after each path's last atom; a path's terminal
+    values are read at its own last row ``2 n + 1``, so they do not depend
+    on what the padding holds.  One scan over the concatenated paths would
+    carry each path's total into the next.
     """
-    keep = config.times <= t
-    times = config.times[keep]
-    marks = config.marks[keep]
-    n = times.shape[0]
-    dt = np.append(times, t) - np.append(0.0, times)
-    steps = np.zeros((2 * n + 2, 2))
-    steps[1::2] = -(m1 * dt[:, None])
-    steps[2::2] = marks
-    x = np.add.accumulate(steps)
+    path, times, marks = _atoms_up_to(configs, t)
+    counts = np.bincount(path, minlength=len(configs))
+    atom = np.arange(path.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    ends = np.arange(len(configs)), 2 * counts + 1
+    # each path's atom times, then t: dt is the interval before each atom
+    # and the last one up to t, and 0 on the padding
+    grid = np.full((len(configs), int(counts.max(initial=0)) + 1), float(t))
+    grid[path, atom] = times
+    dt = np.diff(grid, axis=1, prepend=0.0)
+    steps = np.zeros((len(configs), 2 * dt.shape[1], 2))
+    steps[:, 1::2] = -(m1 * dt[:, :, None])
+    steps[path, 2 * atom + 2] = marks
+    x = np.add.accumulate(steps, axis=1)
     # integral of X over each interval (linear path, exact trapezoid)
-    avg = 0.5 * (x[0::2] + x[1::2])
-    terms = np.zeros(2 * n + 2)
-    terms[1::2] = -m1[1] * (avg[:, 0] * dt) + m1[0] * (avg[:, 1] * dt)
-    lefts = x[1:-1:2]
-    terms[2::2] = lefts[:, 0] * marks[:, 1] - lefts[:, 1] * marks[:, 0]
-    return np.array([x[-1, 0], x[-1, 1], np.add.accumulate(terms)[-1]]), times, marks, lefts
+    avg = 0.5 * (x[:, 0::2] + x[:, 1::2])
+    terms = np.zeros(steps.shape[:2])
+    terms[:, 1::2] = -m1[1] * (avg[:, :, 0] * dt) + m1[0] * (avg[:, :, 1] * dt)
+    lefts = x[path, 2 * atom + 1]
+    terms[path, 2 * atom + 2] = lefts[:, 0] * marks[:, 1] - lefts[:, 1] * marks[:, 0]
+    return np.column_stack([x[ends], np.add.accumulate(terms, axis=1)[ends]]), path, marks, lefts
 
 
-def area_closed_gamma(config: JumpConfiguration, m1: np.ndarray,
+def area_closed_gamma(configs: Sequence[JumpConfiguration], m1: np.ndarray,
                       bs: BottomStructure, t: float):
-    """Closed-form 3x3 matrix for the area triple, plus the span family.
+    """Closed-form 3x3 matrices ``(P, 3, 3)`` for the area triple, the
+    terminal values ``(P, 3)`` and the span family, path after path.
 
     Per atom, with left limits (X1-, X2-) and terminal values (X1, X2):
     ``A~ = X2(t) - dX2 - 2 X2-`` and ``B~ = X1(t) - dX1 - 2 X1-`` give the
     mark Jacobian rows (1, 0, A~), (0, 1, -B~); conjugating the structure
     weight by that Jacobian yields the displayed per-jump summand.  The
-    span family, one vector per row, feeds the rank-3 density condition.
+    atoms of every path are weighed in one call and conjugated in one
+    stack.  The span family, one vector per row, feeds the rank-3 density
+    condition.
     """
-    v, _, marks, lefts = _area_closed_path(config, m1, t)
-    w = bs.weight(marks)
+    v, path, marks, lefts = _area_closed_path(configs, m1, t)
+    w = _weights(bs, marks, path, len(configs))
     live = w.any(axis=(1, 2))
-    w, u, lefts = w[live], marks[live], lefts[live]
-    a_t = v[1] - u[:, 1] - 2.0 * lefts[:, 1]
-    b_t = v[0] - u[:, 0] - 2.0 * lefts[:, 0]
+    w, u, lefts, path = w[live], marks[live], lefts[live], path[live]
+    a_t = v[path, 1] - u[:, 1] - 2.0 * lefts[:, 1]
+    b_t = v[path, 0] - u[:, 0] - 2.0 * lefts[:, 0]
     n = a_t.size
     jac = np.zeros((n, 3, 2))
     jac[:, 0, 0] = jac[:, 1, 1] = 1.0
     jac[:, 2, 0], jac[:, 2, 1] = a_t, -b_t
-    out = _sum_terms(jac @ w @ jac.transpose(0, 2, 1))
+    out = _path_sums(jac @ w @ jac.transpose(0, 2, 1), np.bincount(path, minlength=len(configs)))
     if bs.name == "GRAPH_TANGENT":
         lam = graph_slope(u)
         span = np.column_stack([np.ones(n), lam, a_t - lam * b_t])
@@ -567,12 +608,21 @@ def area_closed_gamma(config: JumpConfiguration, m1: np.ndarray,
         span = np.zeros((2 * n, 3))
         span[0::2, 0] = span[1::2, 1] = 1.0
         span[0::2, 2], span[1::2, 2] = a_t, -b_t
-    return 0.5 * (out + out.T), v, span
+    return 0.5 * (out + out.transpose(0, 2, 1)), v, span
 
 
 # ---------------------------------------------------------------------------
 # scenario registry
 # ---------------------------------------------------------------------------
+
+# A closed form pads every path of a chunk to one atom list length, and a
+# chunk holds at most this many padded atoms.  The levy-area form holds at
+# most 40 floats per padded atom at once (38 at its peak under tracemalloc on
+# 200 levy-area-1 paths, doleans 15), so a chunk takes at most 256 KB.  On
+# rank-stats over 256 levy-area-1 paths that adds about 0.3 MB of peak RSS to
+# one path at a time; 512 KB chunks add 0.7 MB for 3% less time, chunks as
+# large as a batched solve's (4 MB) add 3.5 MB.
+_CLOSED_CHUNK_ATOMS = 2 ** 15 // 40
 
 @dataclass(frozen=True)
 class Scenario:
@@ -589,7 +639,8 @@ class Scenario:
     bottom: BottomStructure
     make_model: Callable[[float], TruncatedLevyModel]
     make_coeffs: Callable[[TruncatedLevyModel], CoefficientSet]
-    closed_form_gamma: Callable[[JumpConfiguration, TruncatedLevyModel, float], np.ndarray] | None = None
+    # configurations, model, t -> the (P, d, d) stack of their Gamma[X_t]
+    closed_form_gamma: Callable[[list, TruncatedLevyModel, float], np.ndarray] | None = None
     restrict_mask: Callable[[np.ndarray, float], np.ndarray] | None = None
     notes: str = ""
 
@@ -622,34 +673,41 @@ class Scenario:
         return traj, gamma_flow(traj, coeffs, self.bottom, t)
 
     def gamma_of(self, config: JumpConfiguration, truncation: float | None = None,
-                 t: float | None = None, model: TruncatedLevyModel | None = None) -> np.ndarray:
-        """Gamma[X_t] of one configuration; ``model``, when given, is
-        ``self.model(truncation)`` built once by the caller."""
-        t = self.eval_time if t is None else t
-        if self.closed_form_gamma is not None:
-            model = self.model(truncation) if model is None else model
-            return self.closed_form_gamma(config, model, t)
-        return self.run(config, truncation, t)[1].matrix
+                 t: float | None = None) -> np.ndarray:
+        """Gamma[X_t] of one configuration, ``gammas([config])[0]``."""
+        return self.gammas([config], truncation, t)[0]
 
     def gammas(self, configs: Sequence[JumpConfiguration], truncation: float | None = None,
-               t: float | None = None) -> list[np.ndarray]:
-        """:meth:`gamma_of` of each configuration, in order.
+               t: float | None = None) -> np.ndarray:
+        """Gamma[X_t] of each configuration, in order, as a ``(P, d, d)`` stack.
 
-        Without a closed form the configurations are solved as one batch,
-        and each chunk of paths is reduced to its matrices before the next
-        is solved, so memory does not grow with the number of paths.
+        A closed form takes a chunk of configurations at a time in one
+        stacked pass; without one, the configurations are solved as one
+        batch and each chunk of paths is reduced to its matrices before the
+        next is solved.  Either way memory does not grow with the number of
+        paths beyond the stack itself.
         """
         t = self.eval_time if t is None else t
         model = self.model(truncation)
+        configs = list(configs)
+        out = np.zeros((len(configs), self.dim, self.dim))
         if self.closed_form_gamma is not None:
-            return [self.gamma_of(config, truncation, t, model) for config in configs]
+            # equal chunks of paths, sized by the longest atom list of all
+            longest = max((config.n_atoms for config in configs), default=0) + 1
+            size = max(1, _CLOSED_CHUNK_ATOMS // longest)
+            for start in range(0, len(configs), size):
+                out[start:start + size] = self.closed_form_gamma(
+                    configs[start:start + size], model, t)
+            return out
         coeffs = self.make_coeffs(model)
-        matrices = []
+        p = 0
         for chunk in _solve_chunks(coeffs, model, configs, self.x0, self.step, t,
                                    validate=True, flows=True):
-            matrices += [gamma_flow(traj, coeffs, self.bottom, t).matrix for traj in chunk]
+            out[p:p + len(chunk)] = [gamma_flow(traj, coeffs, self.bottom, t).matrix
+                                     for traj in chunk]
+            p += len(chunk)
             del chunk  # the next chunk is solved without this one's arrays
-        return matrices
+        return out
 
 
 def _doleans_scenario(
@@ -674,9 +732,9 @@ def _doleans_scenario(
         m1 = power_law_first_moment(model.truncation, alpha, bound, asymmetry)
         return doleans_coefficients(m1, bound)
 
-    def closed(config: JumpConfiguration, model: TruncatedLevyModel, t: float) -> np.ndarray:
+    def closed(configs: list, model: TruncatedLevyModel, t: float) -> np.ndarray:
         m1 = power_law_first_moment(model.truncation, alpha, bound, asymmetry)
-        return doleans_closed_gamma(config, m1, bs, t)
+        return doleans_closed_gamma(configs, m1, bs, t)
 
     return Scenario(
         name="doleans", dim=2, mark_dimension=1, horizon=horizon,
@@ -703,9 +761,9 @@ def _levy_area_scenario_1(
     def make_coeffs(model: TruncatedLevyModel) -> CoefficientSet:
         return area_coefficients(polar_first_moment(model.truncation, angular_coefficient))
 
-    def closed(config: JumpConfiguration, model: TruncatedLevyModel, t: float) -> np.ndarray:
+    def closed(configs: list, model: TruncatedLevyModel, t: float) -> np.ndarray:
         m1 = polar_first_moment(model.truncation, angular_coefficient)
-        return area_closed_gamma(config, m1, bs, t)[0]
+        return area_closed_gamma(configs, m1, bs, t)[0]
 
     return Scenario(
         name="levy-area-1", dim=3, mark_dimension=2, horizon=horizon,
@@ -740,8 +798,8 @@ def _levy_area_scenario_2(
     def make_coeffs(model: TruncatedLevyModel) -> CoefficientSet:
         return area_coefficients(moments(model.truncation))
 
-    def closed(config: JumpConfiguration, model: TruncatedLevyModel, t: float) -> np.ndarray:
-        return area_closed_gamma(config, moments(model.truncation), bs, t)[0]
+    def closed(configs: list, model: TruncatedLevyModel, t: float) -> np.ndarray:
+        return area_closed_gamma(configs, moments(model.truncation), bs, t)[0]
 
     def restrict_mask(marks: np.ndarray, eps: float) -> np.ndarray:
         # the model truncates the parametrising coordinate, not the 2-d norm
@@ -777,8 +835,8 @@ def _null_scenario(
             name="null",
         )
 
-    def closed(config: JumpConfiguration, model: TruncatedLevyModel, t: float) -> np.ndarray:
-        return np.zeros((1, 1))
+    def closed(configs: list, model: TruncatedLevyModel, t: float) -> np.ndarray:
+        return np.zeros((len(configs), 1, 1))
 
     return Scenario(
         name="null", dim=1, mark_dimension=1, horizon=horizon,

@@ -399,3 +399,48 @@ def test_cold_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# rank-stats outputs pinned byte for byte: sha256 of rank_stats.csv and
+# summary.json.  The levels reach from configurations with no atom to full
+# rank, and eval_time < horizon leaves atoms after t in many configurations.
+GOLDEN_RANK_STATS = {
+    "levy-area-1": "epsilons = 0.4 0.2 0.05\nn_paths = 40\neval_time = 0.4\n"
+                   "rank_tolerance = 1e-4\n",
+    "levy-area-2": "epsilons = 0.2 0.1 0.0588\nn_paths = 40\neval_time = 0.6\n"
+                   "rank_tolerance = 1e-3\n",
+    "doleans": "epsilons = 0.2 0.1 0.06\nn_paths = 40\neval_time = 0.5\n",
+}
+GOLDEN_DIGESTS = {
+    ("levy-area-1", 4): ("0abee742b22357c0e14628b51d841c57671082c2c1495fd54397436278f0032c",
+                         "ff89935b2f91ce23405fb2b66f5d066bc79d9c06c6d335ac1f75812ad2fc2c5b"),
+    ("levy-area-1", 5): ("2571449afb57e7834b985acdc53831abba66c825557c894960fd2d5084535c1c",
+                         "ad3eb8276b42b3f0c069c69dc42b45a46fe755d9f89ea9033a1b5ebdc40fa15d"),
+    ("levy-area-1", 11): ("aaedd82f714cf57ca3ef35a94f69f0ac64e72935d909171b57a54f6bbb3f240f",
+                          "aa3f656954cb0bc88a72b82bcf3090059098540e4395e4da96c1092db66c036c"),
+    ("levy-area-2", 4): ("a2a8938d7752fb01c2322526063f704e48bf4a860b71d7982ca9cf8971e082fa",
+                         "ead9da3d939dd06c4ff75107e6430ac7822309e3e2a6b2b505998907dba515ea"),
+    ("levy-area-2", 5): ("dc9ed33fe81d9b79823d2b3e99fd60da71096cd8df8ab4658fef14330cc51f70",
+                         "99accdcbb731cd478a86ab4e797865611550d33bf38d517c2f57604cb38c208c"),
+    ("levy-area-2", 11): ("84a5b3fc54d0fcd2a0431b4f714d594446d4223e6cf4de8b72506e4f7c9831eb",
+                          "ff101e9f127a7e14862adc89bea6852d234932e6da7f39afa1176251fdf79f3b"),
+    ("doleans", 4): ("f3e37a4b163be27df762a2b70c2364a07e81b3e8dc40247c94e75667de5fd71b",
+                     "b0d9b27dccf7999ea4b05291322c9030bba53930ce641221f489539939e372b3"),
+    ("doleans", 5): ("188fcf662c0ecbea55b2b547224a28642f8f42f7c12d7cc867e2db115594d604",
+                     "0ea6adef3d0d865f5c3ef2413d46748ba8438ccac90b03e2a085c961d245edaa"),
+    ("doleans", 11): ("26cb1fc29046623b61215422ab372a57388406bfb65c24e761e430a50c0b4725",
+                      "b04e5df9883b25f3b7daac102830c0046aac21f8ab594e210814e0002403627b"),
+}
+
+
+@pytest.mark.parametrize("scenario,seed", sorted(GOLDEN_DIGESTS))
+def test_rank_stats_golden_bytes(tmp_path, scenario, seed):
+    import hashlib
+
+    cfg = write_config(tmp_path, f"[run]\nscenario = {scenario}\nseed = {seed}\n\n"
+                                 f"[numeric]\n{GOLDEN_RANK_STATS[scenario]}")
+    out = tmp_path / "rs"
+    assert run_cli("rank-stats", "--config", cfg, "--out", str(out)) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("rank_stats.csv", "summary.json"))
+    assert got == GOLDEN_DIGESTS[(scenario, seed)]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lentparticle.density_criteria import (
+    _rank_stack,
     monte_carlo_rank_stats,
     rank_diagnostic,
     span_dimension,
@@ -54,6 +55,78 @@ def test_rank_tol_validation():
         rank_diagnostic(np.eye(2), rel_tol=0.0)
     with pytest.raises(InputError):
         rank_diagnostic(np.eye(2), rel_tol=1.5)
+
+
+def _rank_one_at_a_time(m, rel_tol):
+    """The rank verdict of one matrix, computed as it was before the stacked
+    step: rank, singular values, min eigenvalue, threshold, gap, flag."""
+    m = 0.5 * (m + m.T)
+    eigs = np.linalg.eigvalsh(m)
+    sing = np.sort(np.abs(eigs))[::-1]
+    threshold = rel_tol * sing[0]
+    rank = int(np.sum(sing > threshold))
+    if rank == m.shape[0]:
+        gap = float(sing[-1] - threshold)
+    elif rank == 0:
+        gap = float(threshold - sing[0])
+    else:
+        gap = float(sing[rank - 1] - sing[rank])
+    indeterminate = bool(gap < 10.0 * threshold) if sing[0] > 0 else False
+    return rank, sing, float(eigs[0]), float(threshold), gap, indeterminate
+
+
+def _spd(rng, n, d):
+    a = rng.standard_normal((n, d, d))
+    return a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_eigvalsh_of_a_stack_has_the_bits_of_each_matrix(d):
+    # the stacked rank step relies on this for byte-identical rank tables
+    mats = _spd(np.random.default_rng(d), 2000, d)
+    one_by_one = np.array([np.linalg.eigvalsh(m) for m in mats])
+    assert np.linalg.eigvalsh(mats).tobytes() == one_by_one.tobytes()
+
+
+def _rank_cases():
+    rng = np.random.default_rng(11)
+    v, w = rng.standard_normal((40, 3, 2)), rng.standard_normal((10, 3, 1))
+    near = [np.diag([1.0, 5e-8, 2.0]), np.diag([1.0, 5e-8, 0.0]), np.diag([1.0, 2e-7, 3e-9]),
+            np.diag([1.0, 1e-3, 1e-7]), np.diag([4e-4, 1.0, 1e-3])]
+    return np.concatenate([_spd(rng, 40, 3), v @ v.transpose(0, 2, 1), w @ w.transpose(0, 2, 1),
+                           np.zeros((3, 3, 3)), np.array(near)])
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-3])
+def test_stacked_rank_step_matches_the_verdict_of_each_matrix(rel_tol):
+    mats = _rank_cases()
+    stack = _rank_stack(mats, rel_tol)
+    ranks, flags = set(), set()
+    for i, m in enumerate(mats):
+        want = _rank_one_at_a_time(m, rel_tol)
+        rank, sing, min_eig, threshold, gap, indeterminate = (part[i] for part in stack)
+        assert int(rank) == want[0] and bool(indeterminate) == want[5]
+        assert sing.tobytes() == want[1].tobytes()
+        assert [float(min_eig), float(threshold), float(gap)] == list(want[2:5])
+        rep = rank_diagnostic(m, rel_tol)
+        assert (rep.rank, rep.min_eigenvalue, rep.threshold, rep.gap, rep.indeterminate) == (
+            want[0], want[2], want[3], want[4], want[5])
+        assert rep.full_rank == (want[0] == 3)
+        assert rep.singular_values.tobytes() == want[1].tobytes()
+        ranks.add(want[0])
+        flags.add(want[5])
+    # full rank, rank-deficient and zero matrices, flagged and firm verdicts
+    assert ranks == {0, 1, 2, 3} and flags == {False, True}
+
+
+def test_stacked_rank_step_refuses_a_stack_with_one_bad_matrix():
+    mats = np.stack([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
+    with pytest.raises(InputError, match=r"^matrix is not symmetric to 1e-10$"):
+        _rank_stack(mats, 1e-8)
+    mats[1] = np.eye(2)
+    mats[0, 0, 0] = np.nan
+    with pytest.raises(InputError, match=r"^matrix contains non-finite entries$"):
+        _rank_stack(mats, 1e-8)
 
 
 def test_span_dimension():
@@ -170,6 +243,26 @@ def test_rank_stats_pipeline_same_in_chunks(monkeypatch):
     monkeypatch.setattr(engine, "_stack_grids", counted)
     chunked = monte_carlo_rank_stats(scenario, 8, _EPSILONS, seed=12)
     assert max(chunks) <= 3 and len(chunks) >= 3 * len(_EPSILONS)
+    _assert_tables_agree(chunked, whole)
+
+
+def test_rank_stats_closed_form_same_in_chunks(monkeypatch):
+    import lentparticle.scenarios as scenarios
+
+    whole = monte_carlo_rank_stats("levy-area-1", 24, _EPSILONS, seed=12)
+    chunks = []
+    terms = scenarios.area_closed_gamma
+
+    def counted(configs, *args):
+        chunks.append((len(configs), max(c.n_atoms for c in configs) + 1))
+        return terms(configs, *args)
+
+    # paths x (longest atom list + 1) <= 200 padded atoms per chunk
+    monkeypatch.setattr(scenarios, "_CLOSED_CHUNK_ATOMS", 200)
+    monkeypatch.setattr(scenarios, "area_closed_gamma", counted)
+    chunked = monte_carlo_rank_stats("levy-area-1", 24, _EPSILONS, seed=12)
+    assert sum(n for n, _ in chunks) == 24 * len(_EPSILONS) and len(chunks) > 2 * len(_EPSILONS)
+    assert all(n * longest <= 200 or n == 1 for n, longest in chunks)
     _assert_tables_agree(chunked, whole)
 
 

@@ -490,3 +490,18 @@ def test_fd_jacobian_names_the_atom_with_a_non_finite_jacobian():
     with np.errstate(over="ignore"), pytest.raises(
             FunctionalError, match="^non-finite mark Jacobian at atom 1$"):
         gamma_generic(F, cfg, intro_1d())
+
+
+def test_mark_function_refuses_a_jacobian_of_the_wrong_size():
+    h = MarkFunction(dim=1, fn=lambda t, u: np.array([u[0] + u[1]]),
+                     jacobian=lambda t, u: np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(FunctionalError, match=r"shape \(1, 2\), got 3 values"):
+        h.jac(0.5, np.array([0.2, 0.3]))
+
+
+def test_path_sums_add_in_atom_order_from_positive_zero():
+    # 1 + 1e-16 + 1e-16 + ... in order stays 1; a sum of negative zeros is +0
+    terms = np.array([[[1.0]], [[1e-16]], [[1e-16]], [[-0.0]], [[-0.0]], [[-0.0]]])
+    sums = lent_particle._path_sums(terms, [3, 0, 1, 2])
+    assert sums[:, 0, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert not np.signbit(sums).any()

@@ -7,12 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from lentparticle.bottom_structure import intro_1d, isotropic
+from lentparticle.bottom_structure import intro_1d, isotropic, psi_over_k
 from lentparticle.errors import (
     ConvergenceWarning,
     DomainError,
     InputError,
     ModelError,
+    StructureError,
 )
 from lentparticle.lent_particle import gamma_flow
 from lentparticle.poisson_measure import JumpConfiguration, simulate_configuration
@@ -129,7 +130,7 @@ def test_levy_area_case1_matches_closed_form():
     for seed in (1, 5, 12):
         cfg = scenario.simulate(seed=seed)
         traj, pipeline = scenario.run(cfg)
-        closed, v, _ = area_closed_gamma(cfg, m1, scenario.bottom, 1.0)
+        (closed,), (v,), _ = area_closed_gamma([cfg], m1, scenario.bottom, 1.0)
         scale = np.linalg.norm(closed)
         err = np.linalg.norm(pipeline.matrix - closed)
         assert err <= 1e-9 * max(scale, 1e-30)
@@ -218,6 +219,15 @@ def _area_cases(draw):
     return config, m1, bs, t
 
 
+def _area_paths_loop(configs, m1, t):
+    """The atom loop over each configuration, returned as ``_area_closed_path``
+    returns a stack: terminal values, path index, marks and left limits."""
+    runs = [_area_path_loop(config, m1, t) for config in configs]
+    return (np.array([run[0] for run in runs]),
+            np.repeat(np.arange(len(runs)), [run[1].shape[0] for run in runs]),
+            np.concatenate([run[2] for run in runs]), np.concatenate([run[3] for run in runs]))
+
+
 def _same_bits(got, want):
     return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
@@ -225,11 +235,108 @@ def _same_bits(got, want):
 @given(case=_area_cases())
 def test_area_closed_path_has_the_bits_of_the_atom_loop(case):
     config, m1, bs, t = case
-    assert _same_bits(_area_closed_path(config, m1, t), _area_path_loop(config, m1, t))
+    assert _same_bits(_area_closed_path([config], m1, t), _area_paths_loop([config], m1, t))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("lentparticle.scenarios._area_closed_path", _area_path_loop)
-        want = area_closed_gamma(config, m1, bs, t)
-    assert _same_bits(area_closed_gamma(config, m1, bs, t), want)
+        patch.setattr("lentparticle.scenarios._area_closed_path", _area_paths_loop)
+        want = area_closed_gamma([config], m1, bs, t)
+    assert _same_bits(area_closed_gamma([config], m1, bs, t), want)
+
+
+def _sum_one_at_a_time(terms, d):
+    total = np.zeros((d, d))
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _area_moment(name, eps):
+    if name == "levy-area-1":
+        return polar_first_moment(eps, 0.5)
+    return np.array([power_law_first_moment(eps, 1.0, 0.5, 0.5),
+                     power_law_second_moment(eps, 1.0, 0.5)])
+
+
+def _closed_form_one_at_a_time(name, config, eps, t):
+    """Gamma of one configuration as the closed forms computed it before they
+    took a stack: one weight call and one stack of atom terms per path."""
+    bs = get_scenario(name).bottom
+    if name == "null":
+        return np.zeros((1, 1))
+    if name == "doleans":
+        m1 = power_law_first_moment(eps, 1.0, 0.5, 0.5)
+        e_t = doleans_exponential(config, m1, t)[1]
+        marks = config.marks[config.times <= t]
+        w = bs.weight(marks)[:, 0, 0]
+        w, u = w[w != 0.0], marks[w != 0.0, 0]
+        v = np.column_stack([np.ones(u.size), e_t / (1.0 + u)])
+        return _sum_one_at_a_time(w[:, None, None] * (v[:, :, None] * v[:, None, :]), 2)
+    v, _, marks, lefts = _area_path_loop(config, _area_moment(name, eps), t)
+    w = bs.weight(marks)
+    live = w.any(axis=(1, 2))
+    w, u, lefts = w[live], marks[live], lefts[live]
+    a_t = v[1] - u[:, 1] - 2.0 * lefts[:, 1]
+    b_t = v[0] - u[:, 0] - 2.0 * lefts[:, 0]
+    jac = np.zeros((a_t.size, 3, 2))
+    jac[:, 0, 0] = jac[:, 1, 1] = 1.0
+    jac[:, 2, 0], jac[:, 2, 1] = a_t, -b_t
+    out = _sum_one_at_a_time(jac @ w @ jac.transpose(0, 2, 1), 3)
+    return 0.5 * (out + out.T)
+
+
+@st.composite
+def _closed_form_batches(draw):
+    """A shipped scenario, a truncation, 1 to 4 configurations of 0 to 6 atoms
+    and a time: the horizon, mid-way, before almost every atom, or at an
+    atom.  doleans marks with |u| >= 1/2 weigh 0; tiny marks give weights
+    near the smallest normal float."""
+    name = draw(st.sampled_from(SCENARIO_NAMES))
+    eps = draw(st.sampled_from([0.05, 0.008]))
+    nonzero = st.floats(1e-6, 0.9) | st.floats(-0.9, -1e-6) | st.floats(1e-150, 1e-140)
+    configs = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 6))
+        times = np.sort(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                                      min_size=n, max_size=n, unique=True)))
+        z = [draw(nonzero) for _ in range(n)]
+        if name == "levy-area-1":
+            marks = [(a, draw(st.floats(-0.9, 0.9))) for a in z]
+        elif name == "levy-area-2":
+            marks = [(a, a * a) for a in z]
+        else:
+            marks = [(a,) for a in z]
+        configs.append(JumpConfiguration(
+            times=np.array(times, dtype=float),
+            marks=np.array(marks, dtype=float).reshape(n, 2 if "area" in name else 1),
+            horizon=1.0))
+    atoms = [float(time) for config in configs for time in config.times]
+    t = draw(st.sampled_from([1.0, 0.5, 1e-3] + atoms[:3]))
+    return name, eps, configs, t
+
+
+@given(batch=_closed_form_batches())
+def test_stacked_closed_form_has_the_bits_of_a_loop_over_configurations(batch):
+    name, eps, configs, t = batch
+    got = get_scenario(name).gammas(configs, eps, t)
+    want = np.array([_closed_form_one_at_a_time(name, config, eps, t) for config in configs])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if "area" in name:
+        # terminal values too, each read at its own path's last row
+        m1 = _area_moment(name, eps)
+        assert _same_bits(_area_closed_path(configs, m1, t), _area_paths_loop(configs, m1, t))
+
+
+def test_closed_form_weight_error_names_the_path_and_its_atom():
+    # psi = 2 > k = 1 for u1 > 0.5: the third atom of the second path
+    bad = psi_over_k(psi=lambda marks: np.where(marks[:, 0] > 0.5, 2.0, 1.0), r=2)
+    fine = JumpConfiguration(times=np.array([0.2, 0.4]),
+                             marks=np.array([[0.1, 0.2], [0.3, 0.1]]), horizon=1.0)
+    broken = JumpConfiguration(times=np.array([0.1, 0.3, 0.6]),
+                               marks=np.array([[0.2, 0.1], [-0.3, 0.2], [0.7, 0.1]]), horizon=1.0)
+    m1 = polar_first_moment(0.05, 0.5)
+    with pytest.raises(StructureError, match=r"exceeds k\(u\) = 1.0 at mark 2 on path 1$"):
+        area_closed_gamma([fine, broken], m1, bad, 1.0)
+    with pytest.raises(StructureError, match=r"exceeds k\(u\) = 1.0 at mark 2 on path 0$"):
+        area_closed_gamma([broken], m1, bad, 1.0)
 
 
 def test_gammas_frees_each_chunk_before_the_next(monkeypatch):
