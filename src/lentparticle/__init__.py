@@ -58,7 +58,6 @@ from .poisson_measure import (
     TruncatedLevyModel,
     add_particle,
     compensated_integral,
-    mark_integral,
     remove_particle,
     simulate_configuration,
 )

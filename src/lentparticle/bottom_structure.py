@@ -54,10 +54,10 @@ __all__ = [
 _PSD_SLACK = 1e-10
 
 
-def _per_mark(values, n: int, what: str, dtype=float) -> np.ndarray:
+def _per_mark(values, n: int, what: str, dtype=float, error=StructureError) -> np.ndarray:
     values = np.asarray(values, dtype=dtype)
     if values.shape != (n,):
-        raise StructureError(f"{what} must give shape ({n},) on {n} marks, got {values.shape}")
+        raise error(f"{what} must give shape ({n},) on {n} marks, got {values.shape}")
     return values
 
 

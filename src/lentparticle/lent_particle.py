@@ -267,10 +267,7 @@ class _LinearFunctional(MarkFunctional):
 
     def value(self, config: JumpConfiguration) -> np.ndarray:
         t = config.horizon if self.t is None else self.t
-        return np.array([
-            compensated_integral(config, lambda s, u, i=i: float(self.h(s, u)[i]), self.model, t)
-            for i in range(self.dim)
-        ])
+        return compensated_integral(config, self.h, self.model, t)
 
     def mark_jacobian(self, config: JumpConfiguration, atom_index: int) -> np.ndarray:
         t_atom, u = config.atom(atom_index)

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bottom_structure import _per_mark
 from .errors import ConfigurationError, DomainError, InputError, ModelError, NumericError
 from .rng import DOMAIN_ATOMS, stream
 
@@ -28,7 +29,6 @@ __all__ = [
     "add_particle",
     "remove_particle",
     "compensated_integral",
-    "mark_integral",
     "MarkQuadrature",
 ]
 
@@ -45,37 +45,41 @@ MAX_EXPECTED_ATOMS = 10 ** 6
 class TruncatedLevyModel:
     """Finite-mass truncation of a Levy-type mark intensity.
 
+    ``support`` and ``density`` take a batch of marks ``U`` of shape
+    ``(n, r)``, one mark per row, as :class:`BottomStructure`'s do, and
+    return ``(n,)`` values; ``density`` sees only marks inside the support.
+    A result of another shape is refused with :class:`ModelError`.
+
     Parameters
     ----------
     mark_dimension:
         Dimension ``r`` of one mark.
     support:
-        Predicate for the open set carrying the intensity; receives a
-        length-``r`` vector.  Points outside contribute nothing.
+        Predicate for the open set carrying the intensity: ``(n,)``
+        booleans.  Marks outside it contribute nothing.
     bounding_box:
         ``(r, 2)`` array of ``[low, high]`` bounds enclosing the support,
         used as quadrature limits.
     density:
-        Intensity ``k(u) >= 0``; receives a length-``r`` vector.
+        Intensity ``k(u) >= 0``: ``(n,)`` values.
     truncation:
         Radius ``eps >= 0``; marks with ``|u| <= eps`` are cut away.
     sampler:
         ``sampler(rng, n) -> (n, r)`` array of marks distributed according
         to ``k`` restricted to the truncated support, normalised by `mass`.
     mass:
-        Total truncated mass.  When ``None`` it is computed by quadrature
-        at construction (mark dimension at most 2).
+        Total truncated mass, in closed form.
     name:
         Label used in reports.
     """
 
     mark_dimension: int
-    support: Callable[[np.ndarray], bool]
+    support: Callable[[np.ndarray], np.ndarray]
     bounding_box: np.ndarray
-    density: Callable[[np.ndarray], float]
+    density: Callable[[np.ndarray], np.ndarray]
     truncation: float
     sampler: Callable[[np.random.Generator, int], np.ndarray]
-    mass: float | None = None
+    mass: float
     name: str = "custom"
 
     def __post_init__(self):
@@ -91,12 +95,11 @@ class TruncatedLevyModel:
         object.__setattr__(self, "bounding_box", box)
         if not np.isfinite(self.truncation) or self.truncation < 0:
             raise InputError("truncation must be finite and >= 0")
-        mass = self.mass
-        if mass is None:
-            mass = mark_integral(lambda u: 1.0, self)
-        if not np.isfinite(mass) or mass < 0:
-            raise ConfigurationError(f"total truncated mass must be finite and >= 0, got {mass}")
-        object.__setattr__(self, "mass", float(mass))
+        if not np.isfinite(self.mass) or self.mass < 0:
+            raise ConfigurationError(
+                f"total truncated mass must be finite and >= 0, got {self.mass}"
+            )
+        object.__setattr__(self, "mass", float(self.mass))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +241,9 @@ def simulate_configuration(model: TruncatedLevyModel, horizon: float, seed: int)
     norms = np.linalg.norm(marks, axis=1)
     if np.any(norms <= model.truncation):
         raise ModelError("sampler returned a mark inside the truncation ball")
-    for row in marks:
-        if not model.support(row):
-            raise ModelError("sampler returned a mark outside the support")
+    outside = np.flatnonzero(~_per_mark(model.support(marks), n, "support", bool, ModelError))
+    if outside.size:
+        raise ModelError(f"sampler returned a mark outside the support at mark {outside[0]}")
     return JumpConfiguration(times, marks, horizon)
 
 
@@ -338,74 +341,10 @@ def _ray_pieces(box: np.ndarray, theta: float, lo_rad: float, r_inscribed: float
     return e, [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
 
-# quad's target for each 1-d integral, and the bound the final error
-# estimate must meet by default
+# the target of each adaptive integral, and the bound its final error
+# estimate must meet
 _EPSABS = _EPSREL = 1e-12
 _RTOL, _ATOL = 1e-8, 1e-10
-
-
-def mark_integral(
-    f: Callable[[np.ndarray], float],
-    model: TruncatedLevyModel,
-    *,
-    rtol: float = _RTOL,
-    atol: float = _ATOL,
-) -> float:
-    """Adaptive quadrature of ``f(u) k(u)`` over the truncated support.
-
-    Supports mark dimension 1 and 2; for higher dimensions a closed-form
-    value must be supplied by the caller instead.  Raises
-    :class:`NumericError` when the quadrature error estimate exceeds
-    ``max(atol, rtol * |value|)``.
-    """
-    from scipy import integrate
-
-    r = model.mark_dimension
-    lo_rad = model.truncation
-    box = model.bounding_box
-
-    def masked(u: np.ndarray) -> float:
-        if not model.support(u):
-            return 0.0
-        return float(f(u)) * float(model.density(u))
-
-    if r == 1:
-        total, err = 0.0, 0.0
-        for a, b in _line_pieces(box, lo_rad):
-            val, e = integrate.quad(
-                lambda x: masked(np.array([x])), a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=200
-            )
-            total += val
-            err += e
-    elif r == 2:
-        # polar parametrisation: the radial truncation becomes an exact
-        # integration limit instead of a discontinuous indicator.
-        r_inscribed = _inscribed_radius(box)
-        inner_err = [0.0]
-
-        def radial(theta: float) -> float:
-            e, pieces = _ray_pieces(box, theta, lo_rad, r_inscribed)
-            tot = 0.0
-            for a, b in pieces:
-                val, e2 = integrate.quad(
-                    lambda rad: rad * masked(rad * e), a, b,
-                    epsabs=_EPSABS, epsrel=_EPSREL, limit=200,
-                )
-                tot += val
-                inner_err[0] = max(inner_err[0], e2)
-            return tot
-
-        total, err = integrate.quad(radial, 0.0, 2.0 * np.pi,
-                                    epsabs=_EPSABS, epsrel=_EPSREL, limit=200)
-        err += 2.0 * np.pi * inner_err[0]
-    else:
-        raise DomainError(
-            f"adaptive mark quadrature supports mark dimension <= 2, got {r}; "
-            "supply a closed-form value instead"
-        )
-    if err > max(atol, rtol * abs(total)):
-        raise NumericError("mark-space quadrature did not converge", residual=err)
-    return float(total)
 
 
 # QUADPACK's qk21: the 21-point Kronrod extension of the 10-point Gauss rule
@@ -516,18 +455,21 @@ class MarkQuadrature:
 
     ``integrate(f)`` returns ``integral f(u) k(u) du`` over the truncated
     support of ``model`` for ``f(U) -> (n, m)``, which takes a batch ``U`` of
-    marks of shape ``(n, r)``.  It integrates on the same 1-d pieces and the
-    same 2-d polar split as :func:`mark_integral`, to the same tolerances,
-    and raises :class:`NumericError` in the same way.  The rule is
-    QUADPACK's 21-point Gauss-Kronrod pair with qk21's error estimate, so a
-    smooth integrand is done after one pass on the nodes ``quad`` starts
-    with; otherwise only the panels that fail are bisected
+    marks of shape ``(n, r)``.  A 1-d model is integrated on the two pieces
+    of the line outside the truncation ball, a 2-d one in polar coordinates
+    (:func:`_ray_pieces`), so the truncation radius is an exact limit of each
+    ray.  The rule is QUADPACK's 21-point Gauss-Kronrod pair with
+    qk21's error estimate (Piessens et al. 1983), so a smooth integrand is
+    done after one pass; otherwise only the panels that fail are bisected
     (:func:`_adaptive_qk21`).  ``f`` is called once per pass with every new
-    node of that pass.
+    node of that pass.  Raises :class:`NumericError` when the final error
+    estimate exceeds ``max(1e-10, 1e-8 |value|)`` in any component.
 
     The masked density ``k(u) 1_support(u)`` at the nodes of every panel
     visited is kept on the instance, so repeated integrals (one per
-    integrator stage) evaluate the model's per-point callables once per node.
+    integrator stage or time node) evaluate the model once per new panel;
+    the panels a pass has not seen go to the model's batched ``support`` and
+    ``density`` in one call each.
     """
 
     def __init__(self, model: TruncatedLevyModel):
@@ -544,15 +486,17 @@ class MarkQuadrature:
         model, cache = self.model, self._weights
         if len(cache) > _WEIGHT_CACHE_SIZE:
             cache.clear()
-        out = np.empty(scale.shape)
-        for p, key in enumerate(keys):
-            w = cache.get(key)
-            if w is None:
-                w = cache[key] = scale[p] * np.array([
-                    float(model.density(u)) if model.support(u) else 0.0 for u in marks[p]
-                ])
-            out[p] = w
-        return out
+        missing = [p for p, key in enumerate(keys) if key not in cache]
+        if missing:
+            flat = marks[missing].reshape(-1, marks.shape[2])
+            k = np.zeros(flat.shape[0])
+            inside = np.flatnonzero(
+                _per_mark(model.support(flat), flat.shape[0], "support", bool, ModelError))
+            k[inside] = _per_mark(model.density(flat[inside]), inside.size, "density",
+                                  error=ModelError)
+            for p, w in zip(missing, scale[missing] * k.reshape(len(missing), -1)):
+                cache[keys[p]] = w
+        return np.array([cache[key] for key in keys])
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         model = self.model
@@ -609,42 +553,43 @@ class MarkQuadrature:
 
 def compensated_integral(
     config: JumpConfiguration,
-    h: Callable[[float, np.ndarray], float],
+    h: Callable[[float, np.ndarray], np.ndarray],
     model: TruncatedLevyModel,
     t: float | None = None,
-    quadrature: str | Callable[..., float] = "adaptive",
-) -> float:
-    """Compensated sum ``sum_{t_i <= t} h(t_i, u_i) - int_0^t int h(s, u) k(u) du ds``.
+) -> np.ndarray:
+    """Compensated sums ``sum_{t_i <= t} h(t_i, u_i) - int_0^t int h(s, u) k(u) du ds``.
 
-    ``quadrature`` is either ``"adaptive"`` (mark dimension at most 2) or a
-    callable ``(h, model, t) -> float`` returning the compensator term in
-    closed form, which is the only route for higher mark dimensions.
+    ``h(s, u)`` takes one time and one mark and returns ``m`` values (a
+    scalar is one value); the result has shape ``(m,)``.  The compensator is
+    a QK21 time integral over ``[0, t]`` of :class:`MarkQuadrature` integrals
+    that share one instance, so mark dimension is at most 2; it raises
+    :class:`NumericError` when its error estimate exceeds
+    ``max(1e-10, 1e-8 |value|)``.
     """
     if t is None:
         t = config.horizon
     if not (0.0 <= t <= config.horizon):
         raise DomainError(f"evaluation time {t} outside [0, {config.horizon}]")
-    keep = config.times <= t
     jump_sum = 0.0
+    keep = config.times <= t
     for ti, ui in zip(config.times[keep], config.marks[keep]):
-        val = float(h(float(ti), ui))
-        if not np.isfinite(val):
+        val = np.atleast_1d(np.asarray(h(float(ti), ui), dtype=float))
+        if not np.all(np.isfinite(val)):
             raise NumericError(f"h returned non-finite value at atom (t={ti})")
-        jump_sum += val
-    if callable(quadrature):
-        comp = float(quadrature(h, model, t))
-    elif quadrature == "adaptive":
-        from scipy import integrate
+        jump_sum = jump_sum + val
+    quadrature = MarkQuadrature(model)
 
-        def time_sliced(s: float) -> float:
-            return mark_integral(lambda u: h(s, u), model, rtol=np.inf, atol=np.inf)
+    def per_mark(s: float, marks: np.ndarray) -> np.ndarray:
+        return np.array([np.atleast_1d(np.asarray(h(s, u), dtype=float)) for u in marks])
 
-        comp, comp_err = integrate.quad(
-            time_sliced, 0.0, t, epsabs=_EPSABS, epsrel=_EPSREL, limit=100
-        )
-        if comp_err > max(_ATOL, _RTOL * abs(comp)):
-            raise NumericError("compensator quadrature did not converge", residual=comp_err)
-    else:
-        raise DomainError(f"unknown quadrature mode {quadrature!r}")
+    def evaluate(owner, a, b):
+        s = _qk_nodes(a, b)
+        values = [quadrature.integrate(lambda marks, s=si: per_mark(s, marks))
+                  for si in s.ravel().tolist()]
+        return np.reshape(values, s.shape + (-1,))
+
+    comp, err = _adaptive_qk21(evaluate, [0.0], [float(t)])
+    comp, err = comp[0], err[0]
+    if not np.all(err <= np.maximum(_ATOL, _RTOL * np.abs(comp))):
+        raise NumericError("compensator quadrature did not converge", residual=float(np.max(err)))
     return jump_sum - comp
-

@@ -54,6 +54,7 @@ from .errors import (
     NumericError,
     StructureError,
 )
+from .expressions import float_pow
 from .lent_particle import (
     GammaMatrix,
     MarkFunctional,
@@ -64,7 +65,6 @@ from .lent_particle import (
 from .poisson_measure import (
     JumpConfiguration,
     TruncatedLevyModel,
-    mark_integral,
     simulate_configuration,
 )
 from .rng import DOMAIN_ATOMS, DOMAIN_PARTICLE, stream
@@ -127,9 +127,9 @@ def power_law_model(
     lam = power_law_mass(truncation, alpha, bound)
     p_plus = 0.5 * (1.0 + asymmetry)
 
-    def density(u: np.ndarray) -> float:
-        x = float(u[0])
-        return (1.0 + asymmetry * np.sign(x)) * abs(x) ** (-1.0 - alpha)
+    def density(marks: np.ndarray) -> np.ndarray:
+        x = marks[:, 0]
+        return (1.0 + asymmetry * np.sign(x)) * float_pow(np.abs(x), -1.0 - alpha)
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         v = rng.random(n)
@@ -143,7 +143,7 @@ def power_law_model(
 
     return TruncatedLevyModel(
         mark_dimension=1,
-        support=lambda u: 0.0 < abs(float(u[0])) < bound,
+        support=lambda marks: (0.0 < np.abs(marks[:, 0])) & (np.abs(marks[:, 0]) < bound),
         bounding_box=np.array([[-bound, bound]]),
         density=density,
         truncation=truncation,
@@ -208,9 +208,10 @@ def uniform_box_model(
     box = np.tile(np.array([[-halfwidth, halfwidth]]), (mark_dimension, 1))
     return TruncatedLevyModel(
         mark_dimension=mark_dimension,
-        support=lambda u: bool(float(u @ u) > 0.0 and np.all(np.abs(u) < halfwidth)),
+        support=lambda marks: ((_square_norms(marks) > 0.0)
+                               & np.all(np.abs(marks) < halfwidth, axis=1)),
         bounding_box=box,
-        density=lambda u: float(intensity),
+        density=lambda marks: np.full(marks.shape[0], float(intensity)),
         truncation=truncation,
         sampler=sampler,
         mass=lam,
@@ -238,10 +239,10 @@ def polar_levy_model(
         raise InputError(f"truncation must be in (0, 1), got {truncation}")
     lam = 2.0 * math.pi * math.log(1.0 / truncation)
 
-    def density(u: np.ndarray) -> float:
-        rho2 = float(u @ u)
-        theta = math.atan2(float(u[1]), float(u[0]))
-        return (1.0 + a * math.cos(theta)) / rho2
+    def density(marks: np.ndarray) -> np.ndarray:
+        # math.atan2 and math.cos per mark: numpy's differ in the last bit
+        angular = [1.0 + a * math.cos(math.atan2(y, x)) for x, y in marks.tolist()]
+        return np.array(angular) / _square_norms(marks)
 
     def sample_theta(rng: np.random.Generator, n: int) -> np.ndarray:
         # invert the angular CDF (theta + a sin(theta)) / (2 pi) by 60 Newton
@@ -268,7 +269,7 @@ def polar_levy_model(
 
     return TruncatedLevyModel(
         mark_dimension=2,
-        support=lambda u: 0.0 < float(u @ u) < 1.0,
+        support=lambda marks: (0.0 < _square_norms(marks)) & (_square_norms(marks) < 1.0),
         bounding_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         density=density,
         truncation=truncation,
@@ -323,17 +324,17 @@ def graph_levy_model(
         z = base.sampler(rng, n)[:, 0]
         return np.column_stack([z, z * z])
 
-    def support(u: np.ndarray) -> bool:
-        z = float(u[0])
-        if not (0.0 < abs(z) < bound):
-            return False
-        return abs(float(u[1]) - z * z) <= _CURVE_TOL * (1.0 + float(np.linalg.norm(u)))
+    def support(marks: np.ndarray) -> np.ndarray:
+        z = marks[:, 0]
+        on_curve = (np.abs(marks[:, 1] - z * z)
+                    <= _CURVE_TOL * (1.0 + np.sqrt(_square_norms(marks))))
+        return base.support(marks[:, :1]) & on_curve
 
     return TruncatedLevyModel(
         mark_dimension=2,
         support=support,
         bounding_box=np.array([[-bound, bound], [0.0, bound ** 2]]),
-        density=lambda u: base.density(u[:1]),
+        density=lambda marks: base.density(marks[:, :1]),
         truncation=truncation,
         sampler=sampler,
         mass=base.mass,
@@ -907,10 +908,10 @@ def mckean_vlasov(
     model: TruncatedLevyModel,
     t: float,
     seed: int,
+    first_moment: float,
     x0: float = 0.0,
     step: float = 0.01,
     bottom: BottomStructure | None = None,
-    first_moment: float | None = None,
     picard_tol: float = 1e-3,
 ) -> McKeanResult:
     """Mean-field jump SDE via particles plus law-freezing iteration.
@@ -923,7 +924,8 @@ def mckean_vlasov(
     proxy (a warning is issued when it stays above ``picard_tol``).  The
     tagged path (particle 0) is finally re-solved through the SDE engine
     with the frozen-law amplitude ``a(x, s)`` and its carre du champ
-    assembled by the flow rendering.
+    assembled by the flow rendering.  ``first_moment`` is ``int u k(u) du``
+    of ``model``, the compensator's rate (``power_law_first_moment``).
     """
     if particles < 10:
         raise InputError(f"need at least 10 particles, got {particles}")
@@ -931,7 +933,6 @@ def mckean_vlasov(
         raise InputError("mean-field scenario is 1-d in the marks")
     if picard_iters < 1:
         raise InputError("picard_iters must be >= 1")
-    m1 = first_moment if first_moment is not None else mark_integral(lambda u: float(u[0]), model)
     bs = bottom if bottom is not None else psi_over_k()
 
     # sigma must be finite at three states and 1e-6 to the right of each
@@ -969,7 +970,7 @@ def mckean_vlasov(
 
         def drift(s: float, state: np.ndarray) -> np.ndarray:
             law = state if law_at is None else law_at(s)
-            return np.array([-float(sigma(state[i], law)) * m1 for i in range(particles)])
+            return np.array([-float(sigma(state[i], law)) * first_moment for i in range(particles)])
 
         for k in range(1, m):
             t0, t1 = float(grid[k - 1]), float(grid[k])
@@ -1023,10 +1024,10 @@ def mckean_vlasov(
         return amplitude(s, x[:, 0])[:, None, None]
 
     def comp(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return (amplitude(s, x[:, 0]) * m1)[:, None]
+        return (amplitude(s, x[:, 0]) * first_moment)[:, None]
 
     def dcomp(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return (slope(s, x[:, 0]) * m1)[:, None, None]
+        return (slope(s, x[:, 0]) * first_moment)[:, None, None]
 
     coeffs = CoefficientSet(
         dim=1, c=c, dx_c=dx_c, du_c=du_c,

@@ -131,8 +131,8 @@ def quadrature_compensator(model: TruncatedLevyModel, c, dx_c):
     the two: an integrator stage asks for both at the same points.
     """
     quadrature = MarkQuadrature(model)
-    # the last batch and its integrals, replaced as one tuple so that
-    # threads sharing the coefficients never see a torn pair
+    # the last batch and its integrals: a stage asks for compensator and
+    # dx_compensator at the same points, so the second call reuses the first's
     last = [(None, None)]
 
     def integral(t: float, x: np.ndarray) -> np.ndarray:

@@ -444,3 +444,32 @@ def test_rank_stats_golden_bytes(tmp_path, scenario, seed):
     got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("rank_stats.csv", "summary.json"))
     assert got == GOLDEN_DIGESTS[(scenario, seed)]
+
+
+# simulate on the README custom config pinned byte for byte: sha256 of
+# trajectory.csv, whose compensator comes from the mark quadrature in every
+# integrator stage
+POWER_LAW_INI = CUSTOM_INI.replace(
+    "kind = uniform\nhalfwidth = 0.6\ntruncation = 0.1\nintensity = 4.0",
+    "kind = power-law\ntruncation = 0.05\nalpha = 1.0\nbound = 0.5\nasymmetry = 0.5",
+)
+GOLDEN_TRAJECTORIES = {
+    ("uniform", 4): "986e0e73e1d3ac8a433efd06208e9e44dd4d30e3c1ef34babaa2bda99a8224bb",
+    ("uniform", 5): "c0d5114b6aa53949d1fbc84532f28a8bb958faaa94b2bde584c3df18a5f7786d",
+    ("uniform", 11): "97229f7bef71f171dcd4123fe8c08044743483194b22380a6b2c6cc77106977d",
+    ("power-law", 4): "da7bf9b8cada55d2515e0e7f89f8e2212c3ffae4a767a7384e70f8a217ab929a",
+    ("power-law", 5): "cebe6a866095f1e80bf8051b6f5561a9788cae07a9efbaf8f975da4890973d75",
+    ("power-law", 11): "f8dd002585aafe35489c968ce363ae2c16f13b535c15f146d015edbf9c663ef7",
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(GOLDEN_TRAJECTORIES))
+def test_custom_simulate_golden_bytes(tmp_path, kind, seed):
+    import hashlib
+
+    assert POWER_LAW_INI != CUSTOM_INI
+    cfg = write_config(tmp_path, CUSTOM_INI if kind == "uniform" else POWER_LAW_INI)
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg, "--seed", str(seed), "--out", str(out)) == 0
+    got = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+    assert got == GOLDEN_TRAJECTORIES[(kind, seed)]

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,15 +18,17 @@ from lentparticle.poisson_measure import (
     MarkQuadrature,
     add_particle,
     compensated_integral,
-    mark_integral,
     remove_particle,
     simulate_configuration,
 )
 from lentparticle.scenarios import (
+    graph_levy_model,
+    polar_first_moment,
     polar_levy_model,
     power_law_first_moment,
     power_law_mass,
     power_law_model,
+    power_law_second_moment,
     uniform_box_model,
 )
 
@@ -101,6 +106,98 @@ def test_sampler_violating_support_rejected():
         simulate_configuration(bad, 1.0, 3)
     # the untouched model still simulates
     simulate_configuration(base, 1.0, 3)
+
+
+def test_sampler_mark_outside_the_support_is_named_by_row():
+    model = uniform_box_model(1, halfwidth=1.0, truncation=0.5, intensity=4.0)
+
+    def sampler(rng, n):
+        out = np.full((n, 1), 0.7)
+        out[2:3] = 1.5
+        return out
+
+    bad = dataclasses.replace(model, sampler=sampler)
+    assert simulate_configuration(model, 2.0, 3).n_atoms > 2
+    with pytest.raises(ModelError, match="outside the support at mark 2$"):
+        simulate_configuration(bad, 2.0, 3)
+
+
+# ---------------------------------------------------------------------------
+# batched model callables against the per-mark formulas they replaced
+# ---------------------------------------------------------------------------
+
+def _power_law_reference(alpha, bound, asymmetry):
+    def density(u):
+        x = float(u[0])
+        return (1.0 + asymmetry * np.sign(x)) * abs(x) ** (-1.0 - alpha)
+
+    return (lambda u: 0.0 < abs(float(u[0])) < bound), density
+
+
+def _uniform_reference(halfwidth, intensity):
+    return (lambda u: bool(float(u @ u) > 0.0 and np.all(np.abs(u) < halfwidth)),
+            lambda u: float(intensity))
+
+
+def _polar_reference(a):
+    def density(u):
+        rho2 = float(u @ u)
+        theta = math.atan2(float(u[1]), float(u[0]))
+        return (1.0 + a * math.cos(theta)) / rho2
+
+    return (lambda u: 0.0 < float(u @ u) < 1.0), density
+
+
+def _graph_reference(alpha, bound, asymmetry):
+    _, base_density = _power_law_reference(alpha, bound, asymmetry)
+
+    def support(u):
+        z = float(u[0])
+        if not (0.0 < abs(z) < bound):
+            return False
+        return abs(float(u[1]) - z * z) <= 1e-9 * (1.0 + float(np.linalg.norm(u)))
+
+    return support, (lambda u: base_density(u[:1]))
+
+
+def _graph_marks(g, n):
+    z = g.uniform(-0.6, 0.6, n)
+    off = g.choice([0.0, 1e-10, 1e-9, 1e-3], n) * g.choice([-1.0, 1.0], n)
+    return np.column_stack([z, z * z + off])
+
+
+_CONTRACT_CASES = {
+    "power-law-1": (lambda: power_law_model(0.05, 1.0, 0.5, 0.5),
+                    lambda: _power_law_reference(1.0, 0.5, 0.5),
+                    lambda g, n: g.uniform(-0.6, 0.6, (n, 1))),
+    "power-law-1.37": (lambda: power_law_model(0.05, 1.37, 0.4, -0.3),
+                       lambda: _power_law_reference(1.37, 0.4, -0.3),
+                       lambda g, n: g.uniform(-0.5, 0.5, (n, 1))),
+    "uniform-1d": (lambda: uniform_box_model(1, 0.6, 0.1, 4.0),
+                   lambda: _uniform_reference(0.6, 4.0),
+                   lambda g, n: g.uniform(-0.7, 0.7, (n, 1))),
+    "uniform-2d": (lambda: uniform_box_model(2, 0.6, 0.1, 4.0),
+                   lambda: _uniform_reference(0.6, 4.0),
+                   lambda g, n: g.uniform(-0.7, 0.7, (n, 2))),
+    "polar": (lambda: polar_levy_model(0.05, 0.5),
+              lambda: _polar_reference(0.5),
+              lambda g, n: g.uniform(-1.1, 1.1, (n, 2))),
+    "graph": (lambda: graph_levy_model(0.05, 1.2, 0.5, 0.5),
+              lambda: _graph_reference(1.2, 0.5, 0.5),
+              _graph_marks),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_CASES))
+def test_batched_model_callables_have_the_per_mark_bits(name):
+    make_model, make_reference, draw = _CONTRACT_CASES[name]
+    model, (support, density) = make_model(), make_reference()
+    marks = draw(np.random.default_rng(17), 2_000)
+    inside = np.array([support(u) for u in marks])
+    assert 0 < inside.sum() < len(marks)
+    assert model.support(marks).tolist() == inside.tolist()
+    want = np.array([float(density(u)) for u in marks[inside]])
+    assert model.density(marks[inside]).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -183,28 +280,6 @@ def test_add_then_remove_roundtrip():
 # quadrature against closed forms
 # ---------------------------------------------------------------------------
 
-def test_mark_integral_uniform_mass():
-    model = uniform_box_model(1, halfwidth=1.0, truncation=0.25, intensity=3.0)
-    got = mark_integral(lambda u: 1.0, model)
-    assert got == pytest.approx(3.0 * 2.0 * 0.75, rel=1e-10)
-
-
-def test_mark_integral_power_law_moments():
-    eps, alpha, bound, asym = 0.04, 1.0, 0.5, 0.5
-    model = power_law_model(eps, alpha, bound, asym)
-    assert mark_integral(lambda u: 1.0, model) == pytest.approx(
-        power_law_mass(eps, alpha, bound), rel=1e-9)
-    assert mark_integral(lambda u: float(u[0]), model) == pytest.approx(
-        power_law_first_moment(eps, alpha, bound, asym), rel=1e-9)
-
-
-def test_mark_integral_polar_mass():
-    eps = 0.05
-    model = polar_levy_model(eps, angular_coefficient=0.5)
-    got = mark_integral(lambda u: 1.0, model)
-    assert got == pytest.approx(2.0 * np.pi * np.log(1.0 / eps), rel=1e-7)
-
-
 _QUADRATURE_MODELS = {
     "uniform-1d": lambda: uniform_box_model(1, halfwidth=0.6, truncation=0.1, intensity=4.0),
     "uniform-2d": lambda: uniform_box_model(2, halfwidth=0.6, truncation=0.1, intensity=4.0),
@@ -212,29 +287,68 @@ _QUADRATURE_MODELS = {
     "polar": lambda: polar_levy_model(0.05, angular_coefficient=0.5),
 }
 
+# mass, first moments and second moments (int u_j^2 k du) of each model above
+_CLOSED_MOMENTS = {
+    "uniform-1d": (4.0 * 2.0 * 0.5, [0.0], [8.0 * (0.6 ** 3 - 0.1 ** 3) / 3.0]),
+    "uniform-2d": (4.0 * (1.44 - 0.01 * np.pi), [0.0, 0.0],
+                   [4.0 * (4.0 * 0.6 ** 4 / 3.0 - np.pi * 0.1 ** 4 / 4.0)] * 2),
+    "power-law": (power_law_mass(0.05, 1.5, 0.5),
+                  [power_law_first_moment(0.05, 1.5, 0.5, -0.3)],
+                  [power_law_second_moment(0.05, 1.5, 0.5)]),
+    "polar": (2.0 * np.pi * np.log(1.0 / 0.05), list(polar_first_moment(0.05, 0.5)),
+              [np.pi * (1.0 - 0.05 ** 2) / 2.0] * 2),
+}
+
 
 @pytest.mark.parametrize("name", sorted(_QUADRATURE_MODELS))
-def test_batched_quadrature_matches_mark_integral_moments(name):
+def test_batched_quadrature_matches_closed_form_moments(name):
     model = _QUADRATURE_MODELS[name]()
-    r = model.mark_dimension
-    moments = [lambda u: 1.0]
-    moments += [lambda u, j=j: float(u[j]) for j in range(r)]
-    moments += [lambda u, j=j: float(u[j]) ** 2 for j in range(r)]
+    mass, first, second = _CLOSED_MOMENTS[name]
     got = MarkQuadrature(model).integrate(
         lambda marks: np.column_stack([np.ones(len(marks)), marks, marks ** 2]))
-    want = [mark_integral(f, model) for f in moments]
     # first moments that vanish by symmetry are compared on the mass's scale
-    assert got.tolist() == pytest.approx(want, rel=1e-10, abs=1e-10 * want[0])
+    assert got.tolist() == pytest.approx([mass] + first + second, rel=1e-10, abs=1e-10 * mass)
 
 
-@pytest.mark.parametrize("r", [1, 2])
-def test_batched_quadrature_matches_mark_integral_across_indicator(r):
+@pytest.mark.parametrize("r, want", [(1, 8.0 * 0.026 / 3.0), (2, 0.008 * np.pi)],
+                         ids=["1", "2"])
+def test_batched_quadrature_across_indicator_matches_closed_form(r, want):
+    # int u1^2 1(|u| < 0.3) k du over 0.1 < |u| < 0.3, intensity 4
     model = uniform_box_model(r, halfwidth=0.6, truncation=0.1, intensity=4.0)
     c = compile_coefficient(["u1^2 * ind(0.3)"], 1, r)
     got = MarkQuadrature(model).integrate(
         lambda marks: c(np.zeros(len(marks)), np.zeros((len(marks), 1)), marks))
-    want = mark_integral(lambda u: float(u[0]) ** 2 * float(np.linalg.norm(u) < 0.3), model)
     assert got[0] == pytest.approx(want, rel=1e-10)
+
+
+def test_batched_quadrature_calls_the_model_at_most_once_per_pass():
+    model = uniform_box_model(2, halfwidth=0.6, truncation=0.1, intensity=4.0)
+    calls = {"f": 0, "support": 0, "density": 0}
+
+    def counted(name, fn):
+        def call(marks):
+            calls[name] += 1
+            return fn(marks)
+        return call
+
+    model = dataclasses.replace(model, support=counted("support", model.support),
+                                density=counted("density", model.density))
+    c = compile_coefficient(["u1^2 * ind(0.3)"], 1, 2)
+    MarkQuadrature(model).integrate(
+        counted("f", lambda marks: c(np.zeros(len(marks)), np.zeros((len(marks), 1)), marks)))
+    assert 0 < calls["support"] <= calls["f"]
+    assert 0 < calls["density"] <= calls["f"]
+
+
+@pytest.mark.parametrize("name, result", [
+    ("support", lambda marks: np.ones((len(marks), 1), dtype=bool)),
+    ("density", lambda marks: 1.0),
+], ids=["support", "density"])
+def test_model_result_of_the_wrong_shape_is_refused(name, result):
+    model = dataclasses.replace(
+        uniform_box_model(1, halfwidth=0.6, truncation=0.1, intensity=4.0), **{name: result})
+    with pytest.raises(ModelError, match=f"{name} must give shape"):
+        MarkQuadrature(model).integrate(lambda marks: np.ones((len(marks), 1)))
 
 
 def test_batched_quadrature_smooth_integrand_takes_one_pass():
@@ -271,30 +385,30 @@ def test_compensated_integral_linearity():
     h2 = lambda t, u: float(u[0]) ** 2 + t
     a, b = 1.7, -0.6
 
-    combo = compensated_integral(cfg, lambda t, u: a * h1(t, u) + b * h2(t, u), model)
-    parts = a * compensated_integral(cfg, h1, model) + b * compensated_integral(cfg, h2, model)
-    assert combo == pytest.approx(parts, rel=1e-12, abs=1e-12)
+    [combo] = compensated_integral(cfg, lambda t, u: a * h1(t, u) + b * h2(t, u), model)
+    [part1], [part2] = compensated_integral(cfg, h1, model), compensated_integral(cfg, h2, model)
+    assert combo == pytest.approx(a * part1 + b * part2, rel=1e-12, abs=1e-12)
 
 
 def test_compensated_integral_closed_form_route():
+    # one vector-valued call: the compensators of u, u^2 and 1 are m1 t, m2 t
+    # and mass t
     eps, alpha, bound, asym = 0.05, 1.0, 0.5, 0.5
     model = power_law_model(eps, alpha, bound, asym)
     cfg = simulate_configuration(model, 1.0, 21)
-    m1 = power_law_first_moment(eps, alpha, bound, asym)
-
-    closed = compensated_integral(
-        cfg, lambda t, u: float(u[0]), model,
-        quadrature=lambda h, mdl, t: m1 * t,
-    )
-    adaptive = compensated_integral(cfg, lambda t, u: float(u[0]), model)
-    assert closed == pytest.approx(adaptive, rel=1e-9, abs=1e-11)
-    assert closed == pytest.approx(float(cfg.marks.sum()) - m1, rel=1e-12)
+    got = compensated_integral(cfg, lambda t, u: [u[0], u[0] ** 2, 1.0], model, t=0.7)
+    marks = cfg.marks[cfg.times <= 0.7, 0]
+    want = [marks.sum() - 0.7 * power_law_first_moment(eps, alpha, bound, asym),
+            (marks ** 2).sum() - 0.7 * power_law_second_moment(eps, alpha, bound),
+            marks.size - 0.7 * power_law_mass(eps, alpha, bound)]
+    assert got.shape == (3,)
+    assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-11)
 
 
 def test_compensated_integral_prefix_time():
     model = power_law_model(0.05)
     cfg = simulate_configuration(model, 1.0, 5)
-    half = compensated_integral(cfg, lambda t, u: 1.0, model, t=0.5)
+    [half] = compensated_integral(cfg, lambda t, u: 1.0, model, t=0.5)
     n_half = int(np.sum(cfg.times <= 0.5))
     assert half == pytest.approx(n_half - model.mass * 0.5, rel=1e-9)
 

@@ -587,6 +587,7 @@ def test_mckean_grid_row_limit(monkeypatch):
         mckean_vlasov(
             sigma=lambda x, law: 0.8, particles=10, picard_iters=1,
             model=power_law_model(truncation=0.05), t=1.0, seed=0, step=1e-9,
+            first_moment=power_law_first_moment(0.05),
         )
 
 
@@ -612,7 +613,7 @@ def test_mckean_requires_enough_particles():
     with pytest.raises(InputError):
         mckean_vlasov(
             sigma=lambda x, law: 1.0, particles=3, picard_iters=1,
-            model=model, t=1.0, seed=0,
+            model=model, t=1.0, seed=0, first_moment=power_law_first_moment(0.05),
         )
 
 
