@@ -280,6 +280,33 @@ def test_add_then_remove_roundtrip():
 # quadrature against closed forms
 # ---------------------------------------------------------------------------
 
+def _mark_integral(f, model):
+    """int f(u) k(u) du of a scalar f by the batched mark-space quadrature."""
+    return float(MarkQuadrature(model).integrate(lambda marks: f(marks)[:, None])[0])
+
+
+def test_mark_integral_uniform_mass():
+    model = uniform_box_model(1, halfwidth=1.0, truncation=0.25, intensity=3.0)
+    got = _mark_integral(lambda u: np.ones(len(u)), model)
+    assert got == pytest.approx(3.0 * 2.0 * 0.75, rel=1e-10)
+
+
+def test_mark_integral_power_law_moments():
+    eps, alpha, bound, asym = 0.04, 1.0, 0.5, 0.5
+    model = power_law_model(eps, alpha, bound, asym)
+    assert _mark_integral(lambda u: np.ones(len(u)), model) == pytest.approx(
+        power_law_mass(eps, alpha, bound), rel=1e-9)
+    assert _mark_integral(lambda u: u[:, 0], model) == pytest.approx(
+        power_law_first_moment(eps, alpha, bound, asym), rel=1e-9)
+
+
+def test_mark_integral_polar_mass():
+    eps = 0.05
+    model = polar_levy_model(eps, angular_coefficient=0.5)
+    got = _mark_integral(lambda u: np.ones(len(u)), model)
+    assert got == pytest.approx(2.0 * np.pi * np.log(1.0 / eps), rel=1e-7)
+
+
 _QUADRATURE_MODELS = {
     "uniform-1d": lambda: uniform_box_model(1, halfwidth=0.6, truncation=0.1, intensity=4.0),
     "uniform-2d": lambda: uniform_box_model(2, halfwidth=0.6, truncation=0.1, intensity=4.0),
@@ -301,7 +328,7 @@ _CLOSED_MOMENTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_QUADRATURE_MODELS))
-def test_batched_quadrature_matches_closed_form_moments(name):
+def test_batched_quadrature_matches_mark_integral_moments(name):
     model = _QUADRATURE_MODELS[name]()
     mass, first, second = _CLOSED_MOMENTS[name]
     got = MarkQuadrature(model).integrate(
@@ -312,7 +339,7 @@ def test_batched_quadrature_matches_closed_form_moments(name):
 
 @pytest.mark.parametrize("r, want", [(1, 8.0 * 0.026 / 3.0), (2, 0.008 * np.pi)],
                          ids=["1", "2"])
-def test_batched_quadrature_across_indicator_matches_closed_form(r, want):
+def test_batched_quadrature_matches_mark_integral_across_indicator(r, want):
     # int u1^2 1(|u| < 0.3) k du over 0.1 < |u| < 0.3, intensity 4
     model = uniform_box_model(r, halfwidth=0.6, truncation=0.1, intensity=4.0)
     c = compile_coefficient(["u1^2 * ind(0.3)"], 1, r)
