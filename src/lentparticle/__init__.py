@@ -60,6 +60,7 @@ from .poisson_measure import (
     compensated_integral,
     remove_particle,
     simulate_configuration,
+    simulate_configurations,
 )
 from .rng import path_seed, stream
 from .scenarios import (

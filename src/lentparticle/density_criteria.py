@@ -25,6 +25,7 @@ import numpy as np
 from ._serialise import write_csv
 from .errors import InputError
 from .lent_particle import GammaMatrix
+from .poisson_measure import simulate_configurations
 from .rng import path_seed
 
 __all__ = [
@@ -161,7 +162,8 @@ def monte_carlo_rank_stats(
     of atoms above their cutoff.   Dropping atoms removes PSD summands, so
     under this coupling the full-rank fraction is non-decreasing as the
     truncation shrinks; the table reports whether that held.  Every path is
-    drawn first.  Each level then takes one ``gammas`` call over all paths
+    drawn first, in one ``simulate_configurations`` call.  Each level then
+    restricts them by one mask and takes one ``gammas`` call over all paths
     (one stacked closed-form pass per chunk of paths, or one batched solve)
     and one rank step over the resulting ``(P, d, d)`` stack, with a single
     ``eigvalsh`` call; a zero matrix counts as rank 0 with min eigenvalue 0.
@@ -178,13 +180,13 @@ def monte_carlo_rank_stats(
         raise InputError("every epsilon must be finite and > 0")
     if n_paths < 1:
         raise InputError(f"n_paths must be >= 1, got {n_paths}")
-    eps_min = min(epsilons)  # simulate at the smallest level
-    configs = [setup.simulate(eps_min, path_seed(seed, p)) for p in range(n_paths)]
+    configs = simulate_configurations(setup.model(min(epsilons)), setup.horizon,
+                                      [path_seed(seed, p) for p in range(n_paths)])
 
     # (path, level) -> full rank, min eigenvalue, indeterminate; a zero matrix is (0, 0, 0)
     stacked = np.zeros((n_paths, len(epsilons), 3))
     for j, eps in enumerate(epsilons):
-        mats = setup.gammas([setup.restrict(config, eps) for config in configs], eps)
+        mats = setup.gammas(setup.restrict(configs, eps), eps)
         rank, _, min_eig, _, _, indeterminate = _rank_stack(mats, rel_tol)
         live = mats.any(axis=(1, 2))
         stacked[live, j] = np.column_stack([rank == mats.shape[1], min_eig, indeterminate])[live]

@@ -14,7 +14,7 @@ integral h k du dt`` and quadrature over the truncated mark space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "TruncatedLevyModel",
     "JumpConfiguration",
     "simulate_configuration",
+    "simulate_configurations",
     "add_particle",
     "remove_particle",
     "compensated_integral",
@@ -65,8 +66,10 @@ class TruncatedLevyModel:
     truncation:
         Radius ``eps >= 0``; marks with ``|u| <= eps`` are cut away.
     sampler:
-        ``sampler(rng, n) -> (n, r)`` array of marks distributed according
-        to ``k`` restricted to the truncated support, normalised by `mass`.
+        ``sampler(rngs, counts) -> (sum(counts), r)`` array of marks distributed
+        according to ``k`` restricted to the truncated support, normalised by
+        `mass`: ``counts[i]`` marks from the generator ``rngs[i]``, stacked in
+        stream order, each depending only on the draws of its own stream.
     mass:
         Total truncated mass, in closed form.
     name:
@@ -148,6 +151,13 @@ class JumpConfiguration:
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "horizon", float(self.horizon))
 
+    @staticmethod
+    def _checked(times: np.ndarray, marks: np.ndarray, horizon: float) -> JumpConfiguration:
+        """Read-only arrays that hold every invariant of ``__post_init__``, not checked again."""
+        config = object.__new__(JumpConfiguration)
+        config.__dict__.update(times=times, marks=marks, horizon=float(horizon))
+        return config
+
     def _subset(self, keep) -> JumpConfiguration:
         """The atoms that ``keep`` (a boolean mask) selects, in order.
 
@@ -156,13 +166,8 @@ class JumpConfiguration:
         """
         times = self.times[keep]
         marks = self.marks[keep]
-        times.flags.writeable = False
-        marks.flags.writeable = False
-        sub = object.__new__(JumpConfiguration)
-        object.__setattr__(sub, "times", times)
-        object.__setattr__(sub, "marks", marks)
-        object.__setattr__(sub, "horizon", self.horizon)
-        return sub
+        times.flags.writeable = marks.flags.writeable = False
+        return JumpConfiguration._checked(times, marks, self.horizon)
 
     @property
     def n_atoms(self) -> int:
@@ -203,12 +208,16 @@ class JumpConfiguration:
         )
 
 
-def simulate_configuration(model: TruncatedLevyModel, horizon: float, seed: int) -> JumpConfiguration:
-    """Draw one realisation of the truncated measure on ``(0, horizon]``.
+def simulate_configurations(model: TruncatedLevyModel, horizon: float,
+                            seeds: Sequence[int]) -> list[JumpConfiguration]:
+    """Draw one realisation of the truncated measure on ``(0, horizon]`` per seed.
 
-    The atom count is Poisson with mean ``model.mass * horizon``, times are
-    independent uniforms on the window, and marks come from the model's
-    sampler.  The draw is a pure function of ``(model, horizon, seed)``.
+    Each seed's stream draws its atom count (Poisson, mean ``model.mass *
+    horizon``), its times (uniform on the window) and its marks, through one
+    sampler call that transforms the draws of every stream at once.  The
+    concatenated atoms are checked once; a failure names the path (its index
+    in ``seeds``) and its row.  Configuration ``i`` is a pure function of
+    ``(model, horizon, seeds[i])``.
     """
     if not np.isfinite(horizon) or horizon <= 0:
         raise DomainError(f"horizon must be finite and > 0, got {horizon}")
@@ -218,33 +227,54 @@ def simulate_configuration(model: TruncatedLevyModel, horizon: float, seed: int)
             f"expected atom count {mean:.3g} (mass {model.mass:.3g} x horizon {horizon:g}) "
             f"exceeds the limit of {MAX_EXPECTED_ATOMS}; raise the truncation"
         )
-    g = stream(seed, DOMAIN_ATOMS)
-    n = int(g.poisson(mean))
-    r = model.mark_dimension
-    if n == 0:
-        return JumpConfiguration(np.empty(0), np.empty((0, r)), horizon)
-    for _ in range(100):
-        times = g.uniform(0.0, horizon, n)
-        # the law is diffuse; ties or exact zeros are a measure-zero artefact
-        # of floating point, so redraw rather than reject the run.
-        if np.all(times > 0.0) and np.unique(times).size == n:
-            break
-    else:  # pragma: no cover - probability ~ 0
-        raise ConfigurationError("could not draw distinct positive atom times")
-    order = np.argsort(times)
-    times = times[order]
-    marks = np.asarray(model.sampler(g, n), dtype=float)
-    if marks.shape != (n, r):
-        raise ModelError(f"sampler returned shape {marks.shape}, expected ({n}, {r})")
-    if not np.all(np.isfinite(marks)):
-        raise ModelError("sampler returned non-finite marks")
-    norms = np.linalg.norm(marks, axis=1)
-    if np.any(norms <= model.truncation):
-        raise ModelError("sampler returned a mark inside the truncation ball")
-    outside = np.flatnonzero(~_per_mark(model.support(marks), n, "support", bool, ModelError))
-    if outside.size:
-        raise ModelError(f"sampler returned a mark outside the support at mark {outside[0]}")
-    return JumpConfiguration(times, marks, horizon)
+    if len(seeds) == 0:
+        return []
+    drawn = []
+    for seed in seeds:
+        g = stream(seed, DOMAIN_ATOMS)
+        n = int(g.poisson(mean))
+        for _ in range(100):
+            t = np.sort(g.uniform(0.0, horizon, n))
+            # the law is diffuse; ties or exact zeros are a measure-zero artefact
+            # of floating point, so redraw rather than reject the run.
+            if np.all(t[:1] > 0.0) and np.all(np.diff(t) > 0.0):
+                break
+        else:  # pragma: no cover - probability ~ 0
+            raise ConfigurationError("could not draw distinct positive atom times")
+        drawn.append((g, n, t))
+    rngs, counts, times = zip(*drawn)
+    total, r = sum(counts), model.mark_dimension
+    marks = np.array(model.sampler(rngs, counts), dtype=float)  # a copy, made read-only below
+    if marks.shape != (total, r):
+        raise ModelError(f"sampler returned shape {marks.shape}, expected ({total}, {r})")
+    times, ends = np.concatenate(times), np.cumsum(counts)
+    # each atom's path and its row in that path
+    path = np.repeat(np.arange(len(counts)), counts)
+    row = np.arange(total) - (ends - counts)[path]
+
+    def refuse(bad, error, what):
+        if np.any(bad):
+            i = np.argmax(bad)
+            raise error(f"path {path[i]}: {what} at mark {row[i]}")
+
+    # the invariants of JumpConfiguration, once for the batch; the norm check
+    # also refuses zero marks, as the truncation is >= 0
+    refuse(~np.all(np.isfinite(marks), axis=1), ModelError, "sampler returned a non-finite mark")
+    refuse(np.linalg.norm(marks, axis=1) <= model.truncation, ModelError,
+           "sampler returned a mark inside the truncation ball")
+    refuse(~_per_mark(model.support(marks), total, "support", bool, ModelError), ModelError,
+           "sampler returned a mark outside the support")
+    refuse((times <= 0.0) | (times > horizon) | ((row > 0) & (np.diff(times, prepend=0.0) <= 0.0)),
+           ConfigurationError, "atom times must be strictly increasing in (0, horizon]")
+    times.flags.writeable = marks.flags.writeable = False
+    return [JumpConfiguration._checked(times[e - n:e], marks[e - n:e], horizon)
+            for n, e in zip(counts, ends.tolist())]
+
+
+def simulate_configuration(model: TruncatedLevyModel, horizon: float, seed: int) -> JumpConfiguration:
+    """Draw one realisation of the truncated measure on ``(0, horizon]``:
+    ``simulate_configurations(model, horizon, [seed])[0]``."""
+    return simulate_configurations(model, horizon, [seed])[0]
 
 
 def add_particle(config: JumpConfiguration, t: float, u: np.ndarray) -> JumpConfiguration:
@@ -463,7 +493,8 @@ class MarkQuadrature:
     done after one pass; otherwise only the panels that fail are bisected
     (:func:`_adaptive_qk21`).  ``f`` is called once per pass with every new
     node of that pass.  Raises :class:`NumericError` when the final error
-    estimate exceeds ``max(1e-10, 1e-8 |value|)`` in any component.
+    estimate exceeds ``max(1e-10, 1e-8 |value|)`` in any component, and
+    :class:`DomainError` when no node falls in the support of a model of mass.
 
     The masked density ``k(u) 1_support(u)`` at the nodes of every panel
     visited is kept on the instance, so repeated integrals (one per
@@ -480,6 +511,7 @@ class MarkQuadrature:
             )
         self.model = model
         self._weights: dict[tuple, np.ndarray] = {}
+        self._support_hit = False
 
     def _panel_weights(self, keys: list, marks: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """``scale * k * 1_support`` at ``marks`` ``(P, 21, r)``, cached by panel key."""
@@ -492,6 +524,7 @@ class MarkQuadrature:
             k = np.zeros(flat.shape[0])
             inside = np.flatnonzero(
                 _per_mark(model.support(flat), flat.shape[0], "support", bool, ModelError))
+            self._support_hit |= inside.size > 0
             k[inside] = _per_mark(model.density(flat[inside]), inside.size, "density",
                                   error=ModelError)
             for p, w in zip(missing, scale[missing] * k.reshape(len(missing), -1)):
@@ -545,6 +578,9 @@ class MarkQuadrature:
 
             values, errors = _adaptive_qk21(radial, [0.0], [2.0 * np.pi])
             total, err = values[0], errors[0] + 2.0 * np.pi * inner_err[0]
+        if model.mass > 0 and not self._support_hit:  # a support of zero area, such as a curve
+            raise DomainError(f"no quadrature node lies in the support of model {model.name!r} "
+                              f"of mass {model.mass:g}; supply a closed-form value instead")
         if not np.all(err <= np.maximum(_ATOL, _RTOL * np.abs(total))):
             raise NumericError("mark-space quadrature did not converge",
                                residual=float(np.max(err)))

@@ -66,6 +66,7 @@ from .poisson_measure import (
     JumpConfiguration,
     TruncatedLevyModel,
     simulate_configuration,
+    simulate_configurations,
 )
 from .rng import DOMAIN_ATOMS, DOMAIN_PARTICLE, stream
 from .sde_engine import (
@@ -103,6 +104,14 @@ __all__ = [
 # model factories
 # ---------------------------------------------------------------------------
 
+def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniforms on ``(0, 1)``: a draw of exactly 0 is drawn again."""
+    v = rng.random(n)
+    while np.any(v == 0.0):
+        v[v == 0.0] = rng.random(int(np.sum(v == 0.0)))
+    return v
+
+
 def power_law_model(
     truncation: float,
     alpha: float = 1.0,
@@ -131,14 +140,14 @@ def power_law_model(
         x = marks[:, 0]
         return (1.0 + asymmetry * np.sign(x)) * float_pow(np.abs(x), -1.0 - alpha)
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        v = rng.random(n)
-        while np.any(v == 0.0):
-            v[v == 0.0] = rng.random(int(np.sum(v == 0.0)))
+    def sampler(rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
+        # per stream in turn its magnitude draws, then its sign draws
+        v, sign_draws = np.concatenate(
+            [(_open_uniforms(rng, n), rng.random(n)) for rng, n in zip(rngs, counts)], axis=1)
         lo = truncation ** -alpha
         hi = bound ** -alpha
         mags = (lo - v * (lo - hi)) ** (-1.0 / alpha)
-        signs = np.where(rng.random(n) < p_plus, 1.0, -1.0)
+        signs = np.where(sign_draws < p_plus, 1.0, -1.0)
         return (mags * signs)[:, None]
 
     return TruncatedLevyModel(
@@ -194,7 +203,7 @@ def uniform_box_model(
     else:
         lam = intensity * (4.0 * halfwidth ** 2 - math.pi * truncation ** 2)
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
+    def rejection(rng: np.random.Generator, n: int) -> np.ndarray:
         out = np.empty((n, mark_dimension))
         filled = 0
         while filled < n:
@@ -204,6 +213,9 @@ def uniform_box_model(
             out[filled:filled + kept.shape[0]] = kept
             filled += kept.shape[0]
         return out
+
+    def sampler(rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
+        return np.concatenate([rejection(rng, n) for rng, n in zip(rngs, counts)])
 
     box = np.tile(np.array([[-halfwidth, halfwidth]]), (mark_dimension, 1))
     return TruncatedLevyModel(
@@ -244,13 +256,12 @@ def polar_levy_model(
         angular = [1.0 + a * math.cos(math.atan2(y, x)) for x, y in marks.tolist()]
         return np.array(angular) / _square_norms(marks)
 
-    def sample_theta(rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_theta(target: np.ndarray) -> np.ndarray:
         # invert the angular CDF (theta + a sin(theta)) / (2 pi) by 60 Newton
         # steps; the derivative 1 + a cos(theta) >= 1 - a > 0 keeps it
         # monotone.  The step acts on each entry alone, so once step k gives
         # back the iterate of step k - 2 the batch cycles with period 1 or 2,
         # and the iterate of step 60 is the one of the same parity.
-        target = 2.0 * math.pi * rng.random(n)
         theta, previous, before = target.copy(), None, None
         for k in range(1, 61):
             before, previous = previous, theta.copy()
@@ -259,11 +270,11 @@ def polar_levy_model(
                 return theta if k % 2 == 0 else previous
         return theta
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        theta = sample_theta(rng, n)
-        v = rng.random(n)
-        while np.any(v == 0.0):
-            v[v == 0.0] = rng.random(int(np.sum(v == 0.0)))
+    def sampler(rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
+        # per stream in turn its angle draws, then its radius draws
+        u, v = np.concatenate(
+            [(rng.random(n), _open_uniforms(rng, n)) for rng, n in zip(rngs, counts)], axis=1)
+        theta = sample_theta(2.0 * math.pi * u)
         rho = truncation ** (1.0 - v)
         return np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
 
@@ -320,8 +331,8 @@ def graph_levy_model(
     """
     base = power_law_model(truncation, alpha, bound, asymmetry, name=name)
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        z = base.sampler(rng, n)[:, 0]
+    def sampler(rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
+        z = base.sampler(rngs, counts)[:, 0]
         return np.column_stack([z, z * z])
 
     def support(marks: np.ndarray) -> np.ndarray:
@@ -651,13 +662,17 @@ class Scenario:
     def simulate(self, truncation: float | None = None, seed: int = 0) -> JumpConfiguration:
         return simulate_configuration(self.model(truncation), self.horizon, seed)
 
-    def restrict(self, config: JumpConfiguration, truncation: float) -> JumpConfiguration:
-        """Sub-configuration a coarser truncation would have produced."""
+    def restrict(self, configs: Sequence[JumpConfiguration],
+                 truncation: float) -> list[JumpConfiguration]:
+        """The sub-configurations a coarser truncation would have produced,
+        from one mask over the concatenated marks of ``configs``."""
+        marks = np.concatenate([config.marks for config in configs])
         if self.restrict_mask is not None:
-            mask = self.restrict_mask(config.marks, truncation)
+            keep = self.restrict_mask(marks, truncation)
         else:
-            mask = np.linalg.norm(config.marks, axis=1) > truncation
-        return config._subset(mask)
+            keep = np.linalg.norm(marks, axis=1) > truncation
+        ends = np.cumsum([config.n_atoms for config in configs])
+        return [config._subset(k) for config, k in zip(configs, np.split(keep, ends[:-1]))]
 
     def pipeline(self, config: JumpConfiguration, truncation: float | None = None,
                  t: float | None = None) -> tuple[TruncatedLevyModel, CoefficientSet, Trajectory]:
@@ -943,13 +958,9 @@ def mckean_vlasov(
         if not (np.isfinite(d0) and np.isfinite(d1)):
             raise ModelError("sigma returned a non-finite value at a probe point")
 
-    configs = [
-        simulate_configuration(
-            model, t,
-            int(stream(seed, DOMAIN_PARTICLE, i).integers(0, 2 ** 63 - 1)),
-        )
-        for i in range(particles)
-    ]
+    configs = simulate_configurations(model, t, [
+        int(stream(seed, DOMAIN_PARTICLE, i).integers(0, 2 ** 63 - 1)) for i in range(particles)
+    ])
     jump_times = np.unique(np.concatenate([c.times for c in configs]))
     grid = np.union1d(_regular_grid(t, step), jump_times)
     m = grid.shape[0]

@@ -20,6 +20,7 @@ from lentparticle.poisson_measure import (
     compensated_integral,
     remove_particle,
     simulate_configuration,
+    simulate_configurations,
 )
 from lentparticle.scenarios import (
     graph_levy_model,
@@ -101,7 +102,7 @@ def test_count_distribution_chi_square():
 def test_sampler_violating_support_rejected():
     base = uniform_box_model(1, halfwidth=1.0, truncation=0.5)
     bad = uniform_box_model(1, halfwidth=1.0, truncation=0.5)
-    object.__setattr__(bad, "sampler", lambda rng, n: np.zeros((n, 1)))
+    object.__setattr__(bad, "sampler", lambda rngs, counts: np.zeros((sum(counts), 1)))
     with pytest.raises(ModelError):
         simulate_configuration(bad, 1.0, 3)
     # the untouched model still simulates
@@ -111,8 +112,8 @@ def test_sampler_violating_support_rejected():
 def test_sampler_mark_outside_the_support_is_named_by_row():
     model = uniform_box_model(1, halfwidth=1.0, truncation=0.5, intensity=4.0)
 
-    def sampler(rng, n):
-        out = np.full((n, 1), 0.7)
+    def sampler(rngs, counts):
+        out = np.full((sum(counts), 1), 0.7)
         out[2:3] = 1.5
         return out
 
@@ -120,6 +121,79 @@ def test_sampler_mark_outside_the_support_is_named_by_row():
     assert simulate_configuration(model, 2.0, 3).n_atoms > 2
     with pytest.raises(ModelError, match="outside the support at mark 2$"):
         simulate_configuration(bad, 2.0, 3)
+
+
+_BATCH_MODELS = {
+    **{f"power-law-{a}": (lambda a=a: power_law_model(0.05, alpha=a)) for a in (0.7, 1.0, 1.5)},
+    "uniform-1d": lambda: uniform_box_model(1, halfwidth=1.0, truncation=0.5, intensity=2.0),
+    "uniform-2d": lambda: uniform_box_model(2, halfwidth=0.6, truncation=0.1, intensity=4.0),
+    **{f"polar-{a}": (lambda a=a: polar_levy_model(0.02, a)) for a in (0.0, 0.5, 0.95)},
+    "graph": lambda: graph_levy_model(0.04),
+}
+
+
+@pytest.mark.parametrize("mean_atoms", [1.5, 20.0])
+@pytest.mark.parametrize("name", list(_BATCH_MODELS))
+def test_batch_draws_the_bits_of_each_seed_alone(name, mean_atoms):
+    model = _BATCH_MODELS[name]()
+    horizon = mean_atoms / model.mass
+    seeds = list(range(100, 140 if mean_atoms < 2 else 112))
+    batch = simulate_configurations(model, horizon, seeds)
+    assert len(batch) == len(seeds)
+    counts = [config.n_atoms for config in batch]
+    if mean_atoms < 2:
+        assert 0 in counts and max(counts) > 1  # paths without atoms sit inside the batch
+    for seed, config in zip(seeds, batch):
+        alone = simulate_configuration(model, horizon, seed)
+        assert config.times.tobytes() == alone.times.tobytes()
+        assert config.marks.tobytes() == alone.marks.tobytes()
+        assert config == JumpConfiguration(alone.times, alone.marks, horizon)
+        assert not config.times.flags.writeable and not config.marks.flags.writeable
+    assert simulate_configurations(model, horizon, []) == []
+
+
+@pytest.mark.parametrize("bad, message", [
+    (1.5, "sampler returned a mark outside the support"),
+    (0.2, "sampler returned a mark inside the truncation ball"),
+    (math.nan, "sampler returned a non-finite mark"),
+], ids=["support", "ball", "finite"])
+def test_sampler_fault_in_a_batch_is_named_by_path_and_row(bad, message):
+    model = uniform_box_model(1, halfwidth=1.0, truncation=0.5, intensity=4.0)
+    seeds = [3, 4, 5, 6]
+    counts = [config.n_atoms for config in simulate_configurations(model, 2.0, seeds)]
+    assert counts[2] > 4
+
+    def sampler(rngs, n):
+        assert list(n) == counts
+        out = np.full((sum(n), 1), 0.7)
+        out[n[0] + n[1] + 4] = bad
+        return out
+
+    bad_model = dataclasses.replace(model, sampler=sampler)
+    with pytest.raises(ModelError, match=f"^path 2: {message} at mark 4$"):
+        simulate_configurations(bad_model, 2.0, seeds)
+
+
+def test_atom_times_outside_the_window_are_named_by_path_and_row(monkeypatch):
+    import lentparticle.poisson_measure as pm
+
+    class Late:
+        """A stream whose uniform times all land past the horizon."""
+
+        def __init__(self, g):
+            self.g = g
+
+        def __getattr__(self, name):
+            return getattr(self.g, name)
+
+        def uniform(self, lo, hi, n):
+            return self.g.uniform(lo, hi, n) + hi
+
+    real = pm.stream
+    monkeypatch.setattr(pm, "stream", lambda seed, *domain: (
+        Late(real(seed, *domain)) if seed == 6 else real(seed, *domain)))
+    with pytest.raises(ConfigurationError, match="^path 1: atom times .* at mark 0$"):
+        simulate_configurations(power_law_model(0.05), 1.0, [5, 6])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +333,7 @@ def test_removed_and_restricted_configurations_stay_read_only():
     cfg = _small_config()
     gone = remove_particle(cfg, 0.5, np.array([-0.2]))
     assert gone == JumpConfiguration(np.array([0.2, 0.9]), np.array([[0.3], [0.1]]), 1.0)
-    coarse = get_scenario("doleans").restrict(cfg, 0.15)
+    (coarse,) = get_scenario("doleans").restrict([cfg], 0.15)
     assert coarse == JumpConfiguration(np.array([0.2, 0.5]), np.array([[0.3], [-0.2]]), 1.0)
     for sub in (gone, coarse):
         with pytest.raises(ValueError):
@@ -365,6 +439,14 @@ def test_batched_quadrature_calls_the_model_at_most_once_per_pass():
         counted("f", lambda marks: c(np.zeros(len(marks)), np.zeros((len(marks), 1)), marks)))
     assert 0 < calls["support"] <= calls["f"]
     assert 0 < calls["density"] <= calls["f"]
+
+
+def test_quadrature_of_a_model_whose_support_holds_no_node_is_refused():
+    # the parabola carrying the graph model's marks has zero area
+    model = graph_levy_model(0.05)
+    assert model.mass == pytest.approx(36.0)
+    with pytest.raises(DomainError, match="support of model 'graph' of mass 36"):
+        MarkQuadrature(model).integrate(lambda marks: np.ones((len(marks), 1)))
 
 
 @pytest.mark.parametrize("name, result", [

@@ -408,7 +408,7 @@ def test_polar_sampler_has_the_bits_of_sixty_newton_steps(a, n):
         v = rng.random(n)
         assert np.all(v > 0.0)
         want = _polar_marks(theta, v, 0.02)
-        assert model.sampler(np.random.default_rng(seed), n).tobytes() == want.tobytes()
+        assert model.sampler([np.random.default_rng(seed)], [n]).tobytes() == want.tobytes()
 
 
 class _FixedDraws:
@@ -447,14 +447,26 @@ def test_polar_sampler_newton_exits(monkeypatch):
     draws.append((np.array([cases[2, 1][0], math.nan]), 60))
     for u, steps in draws:
         calls.clear()
-        marks = model.sampler(_FixedDraws(u, np.full(u.size, 0.5)), u.size)
+        marks = model.sampler([_FixedDraws(u, np.full(u.size, 0.5))], [u.size])
         assert len(calls) - 1 == steps
         want = _polar_marks(_theta_steps(0.5, 2.0 * math.pi * u)[-1], np.full(u.size, 0.5), 0.02)
         assert marks.tobytes() == want.tobytes()
     # a = 0 solves in one step, and the next returns the same iterate
     calls.clear()
-    polar_levy_model(0.02, 0.0).sampler(_FixedDraws(np.array([0.3]), np.array([0.5])), 1)
+    polar_levy_model(0.02, 0.0).sampler([_FixedDraws(np.array([0.3]), np.array([0.5]))], [1])
     assert len(calls) - 1 == 2
+
+
+def test_polar_sampler_batch_keeps_each_streams_newton_exit():
+    # one stream per exit of the Newton loop, plus one that runs all 60 steps
+    model = polar_levy_model(0.02, 0.5)
+    cases = _newton_cases(0.5)
+    assert len({k for _, k in cases.values()}) > 1
+    targets = [np.array([u]) for u, _ in cases.values()] + [np.array([math.nan, 0.25])]
+    streams = [(u, np.full(u.size, 0.3 + 0.1 * i)) for i, u in enumerate(targets)]
+    batch = model.sampler([_FixedDraws(*draws) for draws in streams], [u.size for u in targets])
+    alone = [model.sampler([_FixedDraws(*draws)], [draws[0].size]) for draws in streams]
+    assert batch.tobytes() == np.concatenate(alone).tobytes()
 
 
 def test_graph_model_marks_on_parabola():
