@@ -45,12 +45,13 @@ def stream(seed: int, domain: int, index: int = 0, subindex: int = 0) -> np.rand
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def path_seed(seed: int, path_index: int) -> int:
+def path_seed(seed: int, path_index: int, domain: int = DOMAIN_PATH) -> int:
     """Derive a per-path 64-bit sub-seed for Monte Carlo studies.
 
     Distinct ``(seed, path_index)`` pairs give distinct sub-seeds with
     overwhelming probability, and the derivation is pure, so path ``i`` of a
-    study is the same object no matter how many paths surround it.
+    study is the same object no matter how many paths surround it.  With
+    ``domain=DOMAIN_PARTICLE`` it derives the sub-seed of particle ``i``.
     """
-    g = stream(seed, DOMAIN_PATH, path_index)
+    g = stream(seed, domain, path_index)
     return int(g.integers(0, 2**63 - 1, dtype=np.int64))

@@ -30,7 +30,8 @@ reaches -1.
 
 There are two scenario families exposed as functions rather than Scenario
 records: an interacting-particle mean-field model solved by law-freezing
-fixed-point iteration (``mckean_vlasov``), and the variable-order
+fixed-point iteration (``mckean_vlasov``), whose particle system is one
+``particles``-dimensional path through ``solve_sde``, and the variable-order
 stable-like coefficient construction with its normalisation constant,
 pushforward and generator checks (``zeta``, ``stable_like_*``).
 """
@@ -52,6 +53,7 @@ from .errors import (
     InputError,
     ModelError,
     NumericError,
+    StateError,
     StructureError,
 )
 from .expressions import float_pow
@@ -68,12 +70,10 @@ from .poisson_measure import (
     simulate_configuration,
     simulate_configurations,
 )
-from .rng import DOMAIN_ATOMS, DOMAIN_PARTICLE, stream
+from .rng import DOMAIN_ATOMS, DOMAIN_PARTICLE, path_seed, stream
 from .sde_engine import (
     CoefficientSet,
     Trajectory,
-    _regular_grid,
-    _rk4_step,
     _solve_chunks,
     solve_sde,
 )
@@ -910,8 +910,9 @@ class McKeanResult:
 
 
 def _law_lookup(law_times: np.ndarray, law_values: np.ndarray):
-    def at(s: float) -> np.ndarray:
-        idx = int(np.searchsorted(law_times, s, side="right") - 1)
+    """The law at time ``s``; with ``side="left"``, its left limit at ``s``."""
+    def at(s: float, side: str = "right") -> np.ndarray:
+        idx = int(np.searchsorted(law_times, s, side=side) - 1)
         return law_values[max(idx, 0)]
     return at
 
@@ -932,9 +933,12 @@ def mckean_vlasov(
     """Mean-field jump SDE via particles plus law-freezing iteration.
 
     The amplitude ``sigma(x, law)`` sees the empirical law as a sample
-    vector.  Stage one co-evolves ``particles`` interacting paths on one
-    merged event grid; each fixed-point iteration then re-solves every path
-    against the frozen law of the previous stage, with the 1-d
+    vector.  The particle system is one path of dimension ``particles``
+    through :func:`solve_sde`, whose atoms are those of every particle, each
+    mark in the coordinate of the particle that jumps (two particles may not
+    jump at once); the standing assumptions are not checked on it.  Stage one
+    solves it with the state as the law; each fixed-point iteration then
+    solves it against the frozen law of the previous stage, with the 1-d
     sorted-sample L1 distance between successive laws as the convergence
     proxy (a warning is issued when it stays above ``picard_tol``).  The
     tagged path (particle 0) is finally re-solved through the SDE engine
@@ -958,55 +962,46 @@ def mckean_vlasov(
         if not (np.isfinite(d0) and np.isfinite(d1)):
             raise ModelError("sigma returned a non-finite value at a probe point")
 
-    configs = simulate_configurations(model, t, [
-        int(stream(seed, DOMAIN_PARTICLE, i).integers(0, 2 ** 63 - 1)) for i in range(particles)
-    ])
-    jump_times = np.unique(np.concatenate([c.times for c in configs]))
-    grid = np.union1d(_regular_grid(t, step), jump_times)
-    m = grid.shape[0]
-    # which particle jumps at each node (at most one, times are distinct)
-    jumper = np.full(m, -1, dtype=int)
-    jump_mark = np.zeros(m)
-    for i, c in enumerate(configs):
-        rows = np.searchsorted(grid, c.times)
-        jumper[rows] = i
-        jump_mark[rows] = c.marks[:, 0]
+    configs = simulate_configurations(
+        model, t, [path_seed(seed, i, DOMAIN_PARTICLE) for i in range(particles)])
+    # the system is one path in R^particles: an atom's mark sits in the
+    # coordinate of the particle that jumps, zero elsewhere
+    times = np.concatenate([config.times for config in configs])
+    marks = np.concatenate([np.where(np.arange(particles) == i, config.marks, 0.0)
+                            for i, config in enumerate(configs)])
+    order = np.argsort(times, kind="stable")
+    system = JumpConfiguration(times[order], marks[order], t)
 
-    def evolve(law_at: Callable[[float], np.ndarray] | None):
-        """One sweep over the grid; interacting when law_at is None."""
-        p = np.full(particles, x0, dtype=float)
-        right = np.empty((m, particles))
-        left = np.empty((m, particles))
-        right[0] = left[0] = p
+    def unused(*args):
+        raise StateError("the particle system is solved without flows")
 
-        def drift(s: float, state: np.ndarray) -> np.ndarray:
-            law = state if law_at is None else law_at(s)
-            return np.array([-float(sigma(state[i], law)) * first_moment for i in range(particles)])
+    def sweep(law_at: Callable[..., np.ndarray] | None) -> Trajectory:
+        """One solve of the system; interacting when law_at is None."""
+        def comp(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+            laws = x if law_at is None else [law_at(sp) for sp in s]
+            return np.array([[float(sigma(xi, law)) for xi in row]
+                             for row, law in zip(x, laws)]) * first_moment
 
-        for k in range(1, m):
-            t0, t1 = float(grid[k - 1]), float(grid[k])
-            h = t1 - t0
-            p = _rk4_step(drift, t0, t0 + 0.5 * h, t1, h, p)
-            left[k] = p
-            if jumper[k] >= 0:
-                i = jumper[k]
-                law = p if law_at is None else law_at(t0)
-                p = p.copy()
-                p[i] += float(sigma(p[i], law)) * jump_mark[k]
-            right[k] = p
-            if not np.all(np.isfinite(p)):
-                raise NumericError(f"particle system diverged at t = {t1}")
-        return right, left
+        def c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+            # at a jump the law is its left limit, the last grid row before it
+            out = np.zeros_like(x)
+            for p, i in zip(*np.nonzero(u)):
+                law = x[p] if law_at is None else law_at(s[p], "left")
+                out[p, i] = float(sigma(x[p, i], law)) * u[p, i]
+            return out
 
-    law_right, _ = evolve(None)
+        coeffs = CoefficientSet(dim=particles, c=c, dx_c=unused, du_c=unused, compensator=comp,
+                                dx_compensator=unused, name="mean-field-particles")
+        return solve_sde(coeffs, model, system, np.full(particles, x0, dtype=float), step,
+                         horizon=t, validate=False, flows=False)
+
+    interacting = sweep(None)
+    grid, law_right = interacting.times, interacting.states
     residuals: list[float] = []
     for _ in range(picard_iters):
-        lookup = _law_lookup(grid, law_right)
-        new_right, _ = evolve(lookup)
-        w1 = float(np.max(np.mean(
-            np.abs(np.sort(new_right, axis=1) - np.sort(law_right, axis=1)), axis=1,
-        )))
-        residuals.append(w1)
+        new_right = sweep(_law_lookup(grid, law_right)).states
+        residuals.append(float(np.max(np.mean(
+            np.abs(np.sort(new_right, axis=1) - np.sort(law_right, axis=1)), axis=1))))
         law_right = new_right
     if residuals and residuals[-1] > picard_tol:
         warnings.warn(

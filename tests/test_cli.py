@@ -473,3 +473,28 @@ def test_custom_simulate_golden_bytes(tmp_path, kind, seed):
     assert run_cli("simulate", "--config", cfg, "--seed", str(seed), "--out", str(out)) == 0
     got = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
     assert got == GOLDEN_TRAJECTORIES[(kind, seed)]
+
+
+# example mckean pinned byte for byte on a short horizon: sha256 of gamma.json
+# and samples.csv
+GOLDEN_MCKEAN = {
+    4: ("a99c0b0fd3636ea0171182c54f46c760264a84d07c9d4536b02db0e748ce8976",
+        "48e2cd75113c1ab880ee93300f1e22f484c6667f06a663da16be62f614f039b2"),
+    5: ("60c02433e3070a79e836e345a5f9af5b3265ae0b7b0fed47bbff2ecfb063233d",
+        "ffd077bab8fa42c215da7b859eaf74119a3f15d08eb2381da527621c03af5111"),
+    11: ("0f0352fa1a5bc97ae5bad5b6d0efbd63c86a2b449d4e81583a81ce88125152d1",
+         "335aa440fab3b8e941b340071bba12fd94cbd2f3d83e21922c878c780c528a86"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_MCKEAN))
+def test_example_mckean_golden_bytes(tmp_path, seed):
+    import hashlib
+
+    cfg = write_config(tmp_path, "[numeric]\nhorizon = 0.25\n")
+    out = tmp_path / "mk"
+    assert run_cli("example", "mckean", "--config", cfg, "--seed", str(seed),
+                   "--out", str(out)) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("gamma.json", "samples.csv"))
+    assert got == GOLDEN_MCKEAN[seed]

@@ -2,6 +2,7 @@ import numpy as np
 
 from lentparticle.rng import (
     DOMAIN_ATOMS,
+    DOMAIN_PARTICLE,
     DOMAIN_PATH,
     DOMAIN_RHO,
     path_seed,
@@ -40,6 +41,14 @@ def test_path_seed_deterministic_and_spread():
     assert seeds == [path_seed(99, p) for p in range(64)]
     assert len(set(seeds)) == 64
     assert all(0 <= s < 2 ** 63 for s in seeds)
+
+
+def test_path_seed_domain_picks_the_stream():
+    # a sub-seed is the first int64 of the stream at (seed, domain, index)
+    for domain in (DOMAIN_PATH, DOMAIN_PARTICLE):
+        assert [path_seed(8, i, domain) for i in range(5)] == [
+            int(stream(8, domain, i).integers(0, 2 ** 63 - 1)) for i in range(5)]
+    assert path_seed(8, 3) == path_seed(8, 3, DOMAIN_PATH) != path_seed(8, 3, DOMAIN_PARTICLE)
 
 
 def test_seed_changes_everything():

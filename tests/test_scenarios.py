@@ -9,10 +9,12 @@ from scipy import integrate
 
 from lentparticle.bottom_structure import intro_1d, isotropic, psi_over_k
 from lentparticle.errors import (
+    ConfigurationError,
     ConvergenceWarning,
     DomainError,
     InputError,
     ModelError,
+    NumericError,
     StructureError,
 )
 from lentparticle.lent_particle import gamma_flow
@@ -617,6 +619,30 @@ def test_mckean_warns_when_not_converged():
             seed=3,
             first_moment=m1,
             picard_tol=1e-12,
+        )
+
+
+def test_mckean_divergence_is_a_numeric_error():
+    # the first integrator step already overflows, at the first grid row
+    with pytest.raises(NumericError, match=r"t = 0\.01\b"), np.errstate(over="ignore"):
+        mckean_vlasov(
+            sigma=lambda x, law: 1e200 * (1.0 + x * x), particles=10, picard_iters=1,
+            model=power_law_model(truncation=0.05), t=1.0, seed=3,
+            first_moment=power_law_first_moment(0.05),
+        )
+
+
+def test_mckean_refuses_particles_jumping_together(monkeypatch):
+    # the system is one path, so two particles may not share a jump time
+    def tied(model, t, seeds):
+        return [JumpConfiguration(np.array([0.5]), np.array([[0.1]]), t) for _ in seeds]
+
+    monkeypatch.setattr("lentparticle.scenarios.simulate_configurations", tied)
+    with pytest.raises(ConfigurationError, match="no ties"):
+        mckean_vlasov(
+            sigma=lambda x, law: 0.8, particles=10, picard_iters=1,
+            model=power_law_model(truncation=0.05), t=1.0, seed=0,
+            first_moment=power_law_first_moment(0.05),
         )
 
 
