@@ -574,8 +574,10 @@ def _example_mckean(cfg, seed: int) -> dict:
     step = _get_float(cfg, "numeric", "step", 0.01, positive=True)
     model = power_law_model(truncation, alpha=alpha, bound=bound, asymmetry=asymmetry)
 
-    def sigma(x: float, law: np.ndarray) -> float:
-        return 0.6 + 0.2 * math.tanh(x) + 0.2 * math.tanh(float(np.mean(law)))
+    def sigma(x: np.ndarray, law: np.ndarray) -> np.ndarray:
+        # math.tanh per element: np.tanh may differ in the last bit
+        pull = 0.2 * math.tanh(float(np.mean(law)))
+        return np.array([0.6 + 0.2 * math.tanh(xi) + pull for xi in x.tolist()])
 
     res = mckean_vlasov(
         sigma, particles=24, picard_iters=3, model=model, t=horizon, seed=seed, step=step,

@@ -74,6 +74,7 @@ from .rng import DOMAIN_ATOMS, DOMAIN_PARTICLE, path_seed, stream
 from .sde_engine import (
     CoefficientSet,
     Trajectory,
+    _shape_checked,
     _solve_chunks,
     solve_sde,
 )
@@ -918,7 +919,7 @@ def _law_lookup(law_times: np.ndarray, law_values: np.ndarray):
 
 
 def mckean_vlasov(
-    sigma: Callable[[float, np.ndarray], float],
+    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray],
     particles: int,
     picard_iters: int,
     model: TruncatedLevyModel,
@@ -932,8 +933,10 @@ def mckean_vlasov(
 ) -> McKeanResult:
     """Mean-field jump SDE via particles plus law-freezing iteration.
 
-    The amplitude ``sigma(x, law)`` sees the empirical law as a sample
-    vector.  The particle system is one path of dimension ``particles``
+    The amplitude ``sigma(x, law)`` takes states ``x`` of shape ``(n,)`` and
+    the empirical law as one sample vector ``(N,)``, and returns ``(n,)``:
+    entry ``i`` depends only on ``x[i]`` and ``law``; any other shape is
+    refused with :class:`ModelError`.  The particle system is one path of dimension ``particles``
     through :func:`solve_sde`, whose atoms are those of every particle, each
     mark in the coordinate of the particle that jumps (two particles may not
     jump at once); the standing assumptions are not checked on it.  Stage one
@@ -954,13 +957,14 @@ def mckean_vlasov(
         raise InputError("picard_iters must be >= 1")
     bs = bottom if bottom is not None else psi_over_k()
 
+    def amplitude_of(x: np.ndarray, law: np.ndarray) -> np.ndarray:
+        return _shape_checked("sigma", sigma(x, law), x.shape)
+
     # sigma must be finite at three states and 1e-6 to the right of each
     probe_law = np.full(particles, x0, dtype=float)
-    for xv in (x0, x0 + 1.0, x0 - 1.0):
-        d0 = float(sigma(xv, probe_law))
-        d1 = float(sigma(xv + 1e-6, probe_law))
-        if not (np.isfinite(d0) and np.isfinite(d1)):
-            raise ModelError("sigma returned a non-finite value at a probe point")
+    probes = np.array([x0, x0 + 1.0, x0 - 1.0])
+    if not np.isfinite(amplitude_of(np.concatenate([probes, probes + 1e-6]), probe_law)).all():
+        raise ModelError("sigma returned a non-finite value at a probe point")
 
     configs = simulate_configurations(
         model, t, [path_seed(seed, i, DOMAIN_PARTICLE) for i in range(particles)])
@@ -979,15 +983,15 @@ def mckean_vlasov(
         """One solve of the system; interacting when law_at is None."""
         def comp(s: np.ndarray, x: np.ndarray) -> np.ndarray:
             laws = x if law_at is None else [law_at(sp) for sp in s]
-            return np.array([[float(sigma(xi, law)) for xi in row]
-                             for row, law in zip(x, laws)]) * first_moment
+            return np.array([amplitude_of(row, law) for row, law in zip(x, laws)]) * first_moment
 
         def c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
             # at a jump the law is its left limit, the last grid row before it
             out = np.zeros_like(x)
-            for p, i in zip(*np.nonzero(u)):
+            for p in np.flatnonzero(u.any(axis=1)):
                 law = x[p] if law_at is None else law_at(s[p], "left")
-                out[p, i] = float(sigma(x[p, i], law)) * u[p, i]
+                jumps = u[p] != 0.0
+                out[p, jumps] = amplitude_of(x[p], law)[jumps] * u[p, jumps]
             return out
 
         coeffs = CoefficientSet(dim=particles, c=c, dx_c=unused, du_c=unused, compensator=comp,
@@ -1012,8 +1016,8 @@ def mckean_vlasov(
     lookup = _law_lookup(grid, law_right)
 
     def amplitude(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # sigma is a per-point callable: one call per row of the batch
-        return np.array([float(sigma(xp, lookup(sp))) for sp, xp in zip(s.tolist(), x.tolist())])
+        # one call per row of the batch, each against that row's law
+        return np.array([amplitude_of(x[p:p + 1], lookup(sp))[0] for p, sp in enumerate(s.tolist())])
 
     def slope(s: np.ndarray, x: np.ndarray) -> np.ndarray:
         probe_times = np.repeat(s, 2)
@@ -1041,7 +1045,7 @@ def mckean_vlasov(
     )
     traj = solve_sde(coeffs, model, configs[0], np.array([x0]), step, horizon=t, flows=True)
     gamma = gamma_flow(traj, coeffs, bs, t)
-    a0 = float(sigma(x0, np.full(particles, x0, dtype=float)))
+    a0 = float(amplitude_of(np.array([x0]), probe_law)[0])
     return McKeanResult(
         samples=law_right[-1].copy(), gamma=gamma, trajectory=traj,
         picard_residuals=residuals, aa_invertible=bool(a0 * a0 > 1e-12),

@@ -515,7 +515,7 @@ def test_mckean_constant_sigma_reduces_to_plain_sde():
     model = power_law_model(truncation=eps)
     m1 = power_law_first_moment(eps)
     res = mckean_vlasov(
-        sigma=lambda x, law: 0.8,
+        sigma=lambda x, law: np.full(x.shape, 0.8),
         particles=12,
         picard_iters=2,
         model=model,
@@ -552,7 +552,7 @@ def test_mckean_picard_residuals_decrease():
     model = power_law_model(truncation=eps)
     m1 = power_law_first_moment(eps)
     res = mckean_vlasov(
-        sigma=lambda x, law: 0.6 + 0.2 * math.tanh(float(np.mean(law))),
+        sigma=lambda x, law: np.full(x.shape, 0.6 + 0.2 * math.tanh(float(np.mean(law)))),
         particles=16,
         picard_iters=4,
         model=model,
@@ -574,14 +574,15 @@ def test_mckean_state_slope_has_the_bits_of_the_inline_difference():
     m1 = power_law_first_moment(eps)
 
     def sigma(x, law):
-        return 0.6 + 0.2 * math.tanh(x - float(np.mean(law)))
+        mean = float(np.mean(law))
+        return np.array([0.6 + 0.2 * math.tanh(xi - mean) for xi in x.tolist()])
 
     res = mckean_vlasov(sigma=sigma, particles=12, picard_iters=1, model=model, t=1.0,
                         seed=5, step=0.002, first_moment=m1)
     lookup = _law_lookup(res.law_times, res.law_values)
 
     def amplitude(s, x):
-        return np.array([float(sigma(xp, lookup(sp))) for sp, xp in zip(s.tolist(), x.tolist())])
+        return np.array([sigma(x[p:p + 1], lookup(sp))[0] for p, sp in enumerate(s.tolist())])
 
     g = np.random.default_rng(3)
     s, x, u = g.uniform(0.0, 1.0, 40), g.uniform(-2.0, 2.0, 40), g.uniform(-0.5, 0.5, 40)
@@ -599,7 +600,7 @@ def test_mckean_grid_row_limit(monkeypatch):
     monkeypatch.setattr(np, "linspace", no_grid)
     with pytest.raises(InputError, match="grid rows"):
         mckean_vlasov(
-            sigma=lambda x, law: 0.8, particles=10, picard_iters=1,
+            sigma=lambda x, law: np.full(x.shape, 0.8), particles=10, picard_iters=1,
             model=power_law_model(truncation=0.05), t=1.0, seed=0, step=1e-9,
             first_moment=power_law_first_moment(0.05),
         )
@@ -611,7 +612,7 @@ def test_mckean_warns_when_not_converged():
     m1 = power_law_first_moment(eps)
     with pytest.warns(ConvergenceWarning):
         mckean_vlasov(
-            sigma=lambda x, law: 0.6 + 0.3 * math.tanh(float(np.mean(law))),
+            sigma=lambda x, law: np.full(x.shape, 0.6 + 0.3 * math.tanh(float(np.mean(law)))),
             particles=12,
             picard_iters=1,
             model=model,
@@ -640,7 +641,7 @@ def test_mckean_refuses_particles_jumping_together(monkeypatch):
     monkeypatch.setattr("lentparticle.scenarios.simulate_configurations", tied)
     with pytest.raises(ConfigurationError, match="no ties"):
         mckean_vlasov(
-            sigma=lambda x, law: 0.8, particles=10, picard_iters=1,
+            sigma=lambda x, law: np.full(x.shape, 0.8), particles=10, picard_iters=1,
             model=power_law_model(truncation=0.05), t=1.0, seed=0,
             first_moment=power_law_first_moment(0.05),
         )
@@ -650,7 +651,7 @@ def test_mckean_requires_enough_particles():
     model = power_law_model(truncation=0.05)
     with pytest.raises(InputError):
         mckean_vlasov(
-            sigma=lambda x, law: 1.0, particles=3, picard_iters=1,
+            sigma=lambda x, law: np.ones(x.shape), particles=3, picard_iters=1,
             model=model, t=1.0, seed=0, first_moment=power_law_first_moment(0.05),
         )
 
