@@ -1015,23 +1015,25 @@ def mckean_vlasov(
 
     lookup = _law_lookup(grid, law_right)
 
-    def amplitude(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def amplitude(s: np.ndarray, x: np.ndarray, side: str = "right") -> np.ndarray:
         # one call per row of the batch, each against that row's law
-        return np.array([amplitude_of(x[p:p + 1], lookup(sp))[0] for p, sp in enumerate(s.tolist())])
+        return np.array([amplitude_of(x[p:p + 1], lookup(sp, side))[0]
+                         for p, sp in enumerate(s.tolist())])
 
-    def slope(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def slope(s: np.ndarray, x: np.ndarray, side: str = "right") -> np.ndarray:
         probe_times = np.repeat(s, 2)
-        return _central_differences(lambda probes: amplitude(probe_times, probes[:, 0])[:, None],
+        return _central_differences(lambda probes: amplitude(probe_times, probes[:, 0], side)[:, None],
                                     x[:, None], 1e-6 * (1.0 + np.abs(x)))[:, 0, 0]
 
+    # at a jump the law is its left limit, as in the particle system
     def c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return (amplitude(s, x[:, 0]) * u[:, 0])[:, None]
+        return (amplitude(s, x[:, 0], "left") * u[:, 0])[:, None]
 
     def dx_c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return (slope(s, x[:, 0]) * u[:, 0])[:, None, None]
+        return (slope(s, x[:, 0], "left") * u[:, 0])[:, None, None]
 
     def du_c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return amplitude(s, x[:, 0])[:, None, None]
+        return amplitude(s, x[:, 0], "left")[:, None, None]
 
     def comp(s: np.ndarray, x: np.ndarray) -> np.ndarray:
         return (amplitude(s, x[:, 0]) * first_moment)[:, None]

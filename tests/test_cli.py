@@ -478,11 +478,11 @@ def test_custom_simulate_golden_bytes(tmp_path, kind, seed):
 # example mckean pinned byte for byte on a short horizon: sha256 of gamma.json
 # and samples.csv
 GOLDEN_MCKEAN = {
-    4: ("a99c0b0fd3636ea0171182c54f46c760264a84d07c9d4536b02db0e748ce8976",
+    4: ("011421600bf09f4191b34abc95eaa24cd98e770c08416aeedaae7ed11bd7452e",
         "48e2cd75113c1ab880ee93300f1e22f484c6667f06a663da16be62f614f039b2"),
-    5: ("60c02433e3070a79e836e345a5f9af5b3265ae0b7b0fed47bbff2ecfb063233d",
+    5: ("7a0fda25ab5779875a4a550e2cb405ad067d9181580bc910788718fd9da10386",
         "ffd077bab8fa42c215da7b859eaf74119a3f15d08eb2381da527621c03af5111"),
-    11: ("0f0352fa1a5bc97ae5bad5b6d0efbd63c86a2b449d4e81583a81ce88125152d1",
+    11: ("6eff777b1d53704c8aeed207cfa62bb56a88abc680b245137a29fb320de2b3a6",
          "335aa440fab3b8e941b340071bba12fd94cbd2f3d83e21922c878c780c528a86"),
 }
 

@@ -581,16 +581,37 @@ def test_mckean_state_slope_has_the_bits_of_the_inline_difference():
                         seed=5, step=0.002, first_moment=m1)
     lookup = _law_lookup(res.law_times, res.law_values)
 
-    def amplitude(s, x):
-        return np.array([sigma(x[p:p + 1], lookup(sp))[0] for p, sp in enumerate(s.tolist())])
+    def amplitude(s, x, side="right"):
+        return np.array([sigma(x[p:p + 1], lookup(sp, side))[0] for p, sp in enumerate(s.tolist())])
 
     g = np.random.default_rng(3)
     s, x, u = g.uniform(0.0, 1.0, 40), g.uniform(-2.0, 2.0, 40), g.uniform(-0.5, 0.5, 40)
     h = 1e-6 * (1.0 + np.abs(x))
     slope = (amplitude(s, x + h) - amplitude(s, x - h)) / (2.0 * h)
     coeffs = res.trajectory.coeffs
-    assert coeffs.dx_c(s, x[:, None], u[:, None]).tobytes() == (slope * u)[:, None, None].tobytes()
     assert coeffs.dx_compensator(s, x[:, None]).tobytes() == (slope * m1)[:, None, None].tobytes()
+    # at a jump sigma reads the law's left limit
+    slope = (amplitude(s, x + h, "left") - amplitude(s, x - h, "left")) / (2.0 * h)
+    assert coeffs.dx_c(s, x[:, None], u[:, None]).tobytes() == (slope * u)[:, None, None].tobytes()
+
+
+def cli_sigma(x, law):
+    # the amplitude of ``example mckean``
+    pull = 0.2 * math.tanh(float(np.mean(law)))
+    return np.array([0.6 + 0.2 * math.tanh(xi) + pull for xi in x.tolist()])
+
+
+@pytest.mark.parametrize("seed", [4, 5, 11])
+def test_mckean_tagged_path_ends_at_particle_zero(seed):
+    # the tagged path re-solves particle 0 against the frozen law; reading the
+    # law's left limit at its jumps, as the system does, it ends near
+    # samples[0] (on the right side of its own jumps it missed by 3e-3 to 6e-3)
+    eps = 0.05
+    res = mckean_vlasov(
+        sigma=cli_sigma, particles=24, picard_iters=3, model=power_law_model(truncation=eps),
+        t=1.0, seed=seed, step=0.01, first_moment=power_law_first_moment(eps),
+    )
+    assert abs(res.trajectory.states[-1, 0] - res.samples[0]) <= 1e-3
 
 
 def test_mckean_grid_row_limit(monkeypatch):
