@@ -48,7 +48,7 @@ from .poisson_measure import (
     remove_particle,
 )
 from .rng import DOMAIN_RHO, stream
-from .sde_engine import CoefficientSet, Trajectory, _solve_chunks
+from .sde_engine import CoefficientSet, Trajectory, _first_singular, _solve_chunks
 
 __all__ = [
     "FORMULA_TAGS",
@@ -409,12 +409,8 @@ def _solve_right(b: np.ndarray, a: np.ndarray, times: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(a.transpose(0, 2, 1), b.transpose(0, 2, 1)).transpose(0, 2, 1)
     except np.linalg.LinAlgError:
-        for k in range(len(a)):  # name the first singular jump
-            try:
-                np.linalg.solve(a[k].T, b[k].T)
-            except np.linalg.LinAlgError:
-                raise ModelError(f"jump update I + dx_c singular at t = {times[k]}") from None
-        raise
+        k = _first_singular(a)
+        raise ModelError(f"jump update I + dx_c singular at t = {times[k]}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,11 @@ records: an interacting-particle mean-field model solved by law-freezing
 fixed-point iteration (``mckean_vlasov``), whose particle system is one
 ``particles``-dimensional path through ``solve_sde``, and the variable-order
 stable-like coefficient construction with its normalisation constant,
-pushforward and generator checks (``zeta``, ``stable_like_*``).
+pushforward and generator checks (``zeta``, ``stable_like_*``).  The
+mean-field sweeps and the tagged path re-solved for Gamma share one
+coefficient builder, ``_mean_field_coefficients``, which calls the batched
+amplitude ``sigma(x, law)`` once per row against the law on the right side
+in the compensator and its left limit ``c(t, X_{t-}, u)`` at a jump.
 """
 
 from __future__ import annotations
@@ -53,14 +57,12 @@ from .errors import (
     InputError,
     ModelError,
     NumericError,
-    StateError,
     StructureError,
 )
 from .expressions import float_pow
 from .lent_particle import (
     GammaMatrix,
     MarkFunctional,
-    _central_differences,
     _path_sums,
     gamma_flow,
 )
@@ -918,6 +920,50 @@ def _law_lookup(law_times: np.ndarray, law_values: np.ndarray):
     return at
 
 
+def _mean_field_coefficients(sigma: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                             law_at: Callable[..., np.ndarray] | None, first_moment: float,
+                             dim: int) -> CoefficientSet:
+    """Coefficients of ``dim`` mean-field particles, each driven by its own mark coordinate.
+
+    Particle ``i`` jumps by ``sigma(x, law)[i] u_i`` and is compensated at the
+    rate ``sigma(x, law)[i] * first_moment``.  The law is ``law_at(s)`` for the
+    compensator and its left limit ``law_at(s, "left")`` at a jump; with
+    ``law_at=None`` it is the state itself (the interacting system).  Each row
+    of a batch looks up its law once and calls ``sigma`` once.  The
+    x-derivatives are diagonal central differences in each particle's own
+    state with the law held, which is exact for a frozen law; the interacting
+    system is solved without flows.
+    """
+    def laws(s: np.ndarray, x: np.ndarray, side: str) -> list:
+        return list(x) if law_at is None else [law_at(sp, side) for sp in s.tolist()]
+
+    def amplitude(x: np.ndarray, row_laws: list) -> np.ndarray:
+        return np.array([_shape_checked("sigma", sigma(xp, law), xp.shape)
+                         for xp, law in zip(x, row_laws)], dtype=float).reshape(x.shape)
+
+    def slope(x: np.ndarray, row_laws: list) -> np.ndarray:
+        h = 1e-6 * (1.0 + np.abs(x))
+        return (amplitude(x + h, row_laws) - amplitude(x - h, row_laws)) / (2.0 * h)
+
+    def diagonal(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(values.shape + (dim,))
+        out[:, np.arange(dim), np.arange(dim)] = values
+        return out
+
+    def c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # exactly +0.0 where u == 0: a particle that does not jump keeps its bits
+        return np.where(u != 0.0, amplitude(x, laws(s, x, "left")) * u, 0.0)
+
+    return CoefficientSet(
+        dim=dim, c=c,
+        dx_c=lambda s, x, u: diagonal(slope(x, laws(s, x, "left")) * u),
+        du_c=lambda s, x, u: diagonal(amplitude(x, laws(s, x, "left"))),
+        compensator=lambda s, x: amplitude(x, laws(s, x, "right")) * first_moment,
+        dx_compensator=lambda s, x: diagonal(slope(x, laws(s, x, "right")) * first_moment),
+        name="mean-field",
+    )
+
+
 def mckean_vlasov(
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray],
     particles: int,
@@ -934,20 +980,22 @@ def mckean_vlasov(
     """Mean-field jump SDE via particles plus law-freezing iteration.
 
     The amplitude ``sigma(x, law)`` takes states ``x`` of shape ``(n,)`` and
-    the empirical law as one sample vector ``(N,)``, and returns ``(n,)``:
-    entry ``i`` depends only on ``x[i]`` and ``law``; any other shape is
-    refused with :class:`ModelError`.  The particle system is one path of dimension ``particles``
-    through :func:`solve_sde`, whose atoms are those of every particle, each
-    mark in the coordinate of the particle that jumps (two particles may not
-    jump at once); the standing assumptions are not checked on it.  Stage one
-    solves it with the state as the law; each fixed-point iteration then
-    solves it against the frozen law of the previous stage, with the 1-d
-    sorted-sample L1 distance between successive laws as the convergence
-    proxy (a warning is issued when it stays above ``picard_tol``).  The
-    tagged path (particle 0) is finally re-solved through the SDE engine
-    with the frozen-law amplitude ``a(x, s)`` and its carre du champ
-    assembled by the flow rendering.  ``first_moment`` is ``int u k(u) du``
-    of ``model``, the compensator's rate (``power_law_first_moment``).
+    the empirical law as one sample vector ``(N,)``, and returns ``(n,)``;
+    entry ``i`` depends only on ``x[i]`` and ``law``, and any other shape is
+    refused with :class:`ModelError`.  The particle system is one path of
+    dimension ``particles`` through :func:`solve_sde`, whose atoms are those
+    of every particle, each mark in the coordinate of the particle that jumps
+    (two particles may not jump at once); the standing assumptions are not
+    checked on it.  Stage one solves it with the state as the law; each
+    fixed-point iteration then solves it against the frozen law of the
+    previous stage, with the 1-d sorted-sample L1 distance between successive
+    laws as the convergence proxy (a warning is issued when it stays above
+    ``picard_tol``).  The tagged path (particle 0) is finally re-solved with
+    its flows against the last frozen law, with the coefficients of the
+    sweeps (:func:`_mean_field_coefficients`), so it is particle 0 of the
+    last sweep up to the integration error; its carre du champ is assembled
+    by the flow rendering.  ``first_moment`` is ``int u k(u) du`` of
+    ``model``, the compensator's rate (``power_law_first_moment``).
     """
     if particles < 10:
         raise InputError(f"need at least 10 particles, got {particles}")
@@ -956,15 +1004,6 @@ def mckean_vlasov(
     if picard_iters < 1:
         raise InputError("picard_iters must be >= 1")
     bs = bottom if bottom is not None else psi_over_k()
-
-    def amplitude_of(x: np.ndarray, law: np.ndarray) -> np.ndarray:
-        return _shape_checked("sigma", sigma(x, law), x.shape)
-
-    # sigma must be finite at three states and 1e-6 to the right of each
-    probe_law = np.full(particles, x0, dtype=float)
-    probes = np.array([x0, x0 + 1.0, x0 - 1.0])
-    if not np.isfinite(amplitude_of(np.concatenate([probes, probes + 1e-6]), probe_law)).all():
-        raise ModelError("sigma returned a non-finite value at a probe point")
 
     configs = simulate_configurations(
         model, t, [path_seed(seed, i, DOMAIN_PARTICLE) for i in range(particles)])
@@ -976,27 +1015,10 @@ def mckean_vlasov(
     order = np.argsort(times, kind="stable")
     system = JumpConfiguration(times[order], marks[order], t)
 
-    def unused(*args):
-        raise StateError("the particle system is solved without flows")
-
     def sweep(law_at: Callable[..., np.ndarray] | None) -> Trajectory:
         """One solve of the system; interacting when law_at is None."""
-        def comp(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-            laws = x if law_at is None else [law_at(sp) for sp in s]
-            return np.array([amplitude_of(row, law) for row, law in zip(x, laws)]) * first_moment
-
-        def c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-            # at a jump the law is its left limit, the last grid row before it
-            out = np.zeros_like(x)
-            for p in np.flatnonzero(u.any(axis=1)):
-                law = x[p] if law_at is None else law_at(s[p], "left")
-                jumps = u[p] != 0.0
-                out[p, jumps] = amplitude_of(x[p], law)[jumps] * u[p, jumps]
-            return out
-
-        coeffs = CoefficientSet(dim=particles, c=c, dx_c=unused, du_c=unused, compensator=comp,
-                                dx_compensator=unused, name="mean-field-particles")
-        return solve_sde(coeffs, model, system, np.full(particles, x0, dtype=float), step,
+        return solve_sde(_mean_field_coefficients(sigma, law_at, first_moment, particles),
+                         model, system, np.full(particles, x0, dtype=float), step,
                          horizon=t, validate=False, flows=False)
 
     interacting = sweep(None)
@@ -1013,41 +1035,11 @@ def mckean_vlasov(
             ConvergenceWarning, stacklevel=2,
         )
 
-    lookup = _law_lookup(grid, law_right)
-
-    def amplitude(s: np.ndarray, x: np.ndarray, side: str = "right") -> np.ndarray:
-        # one call per row of the batch, each against that row's law
-        return np.array([amplitude_of(x[p:p + 1], lookup(sp, side))[0]
-                         for p, sp in enumerate(s.tolist())])
-
-    def slope(s: np.ndarray, x: np.ndarray, side: str = "right") -> np.ndarray:
-        probe_times = np.repeat(s, 2)
-        return _central_differences(lambda probes: amplitude(probe_times, probes[:, 0], side)[:, None],
-                                    x[:, None], 1e-6 * (1.0 + np.abs(x)))[:, 0, 0]
-
-    # at a jump the law is its left limit, as in the particle system
-    def c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return (amplitude(s, x[:, 0], "left") * u[:, 0])[:, None]
-
-    def dx_c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return (slope(s, x[:, 0], "left") * u[:, 0])[:, None, None]
-
-    def du_c(s: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return amplitude(s, x[:, 0], "left")[:, None, None]
-
-    def comp(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return (amplitude(s, x[:, 0]) * first_moment)[:, None]
-
-    def dcomp(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return (slope(s, x[:, 0]) * first_moment)[:, None, None]
-
-    coeffs = CoefficientSet(
-        dim=1, c=c, dx_c=dx_c, du_c=du_c,
-        compensator=comp, dx_compensator=dcomp, name="mean-field-frozen",
-    )
+    coeffs = _mean_field_coefficients(sigma, _law_lookup(grid, law_right), first_moment, 1)
     traj = solve_sde(coeffs, model, configs[0], np.array([x0]), step, horizon=t, flows=True)
     gamma = gamma_flow(traj, coeffs, bs, t)
-    a0 = float(amplitude_of(np.array([x0]), probe_law)[0])
+    start = np.full(particles, x0, dtype=float)
+    a0 = float(_shape_checked("sigma", sigma(start[:1], start), (1,))[0])
     return McKeanResult(
         samples=law_right[-1].copy(), gamma=gamma, trajectory=traj,
         picard_residuals=residuals, aa_invertible=bool(a0 * a0 > 1e-12),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +20,7 @@ from lentparticle.lent_particle import (
     linear_functional,
     sharp_sample,
 )
-from lentparticle.errors import FunctionalError, InputError
+from lentparticle.errors import FunctionalError, InputError, ModelError
 from lentparticle.poisson_measure import (
     JumpConfiguration,
     add_particle,
@@ -147,6 +148,17 @@ def test_flow_renderings_agree():
     assert b.formula_tag == "remark3"
     scale = max(1.0, np.abs(a.matrix).max())
     assert np.abs(a.matrix - b.matrix).max() <= 1e-10 * scale
+
+
+def test_remark3_names_the_first_singular_jump():
+    # with dx_c = -I every jump update I + dx_c is singular; the error names
+    # the first atom
+    _, coeffs, cfg, traj = _doleans_setup()
+    singular = dataclasses.replace(
+        coeffs, dx_c=lambda t, x, u: np.broadcast_to(-np.eye(2), (x.shape[0], 2, 2)))
+    with pytest.raises(ModelError) as caught:
+        gamma_flow(traj, singular, intro_1d(), rendering="remark3")
+    assert str(caught.value) == f"jump update I + dx_c singular at t = {cfg.times[0]}"
 
 
 def test_flow_matches_resolve_functional():

@@ -668,6 +668,16 @@ def test_mckean_refuses_particles_jumping_together(monkeypatch):
         )
 
 
+def test_mckean_refuses_a_misshaped_sigma():
+    # sigma maps a batch of states to one amplitude each, not to a scalar
+    with pytest.raises(ModelError, match=r"sigma must return shape \(10,\)"):
+        mckean_vlasov(
+            sigma=lambda x, law: 0.8, particles=10, picard_iters=1,
+            model=power_law_model(truncation=0.05), t=1.0, seed=0,
+            first_moment=power_law_first_moment(0.05),
+        )
+
+
 def test_mckean_requires_enough_particles():
     model = power_law_model(truncation=0.05)
     with pytest.raises(InputError):
