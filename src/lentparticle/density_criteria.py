@@ -24,7 +24,7 @@ import numpy as np
 
 from ._serialise import write_csv
 from .errors import InputError
-from .lent_particle import GammaMatrix
+from .lent_particle import GammaMatrix, _symmetrised
 from .poisson_measure import simulate_configurations
 from .rng import path_seed
 
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-8
+# Admission limit on a rank-stats sweep: its paths plus their expected atoms
+# at the smallest truncation, checked before a path is drawn.
+MAX_SWEEP_WORK = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +68,7 @@ def _rank_stack(m: np.ndarray, rel_tol: float):
         raise InputError(f"rel_tol must be in (0, 1), got {rel_tol}")
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise InputError(f"matrix must be square, got shape {m.shape[1:]}")
-    if not np.all(np.isfinite(m)):
-        raise InputError("matrix contains non-finite entries")
-    m_t = m.transpose(0, 2, 1)
-    scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
-    if np.any(np.abs(m - m_t).max(axis=(1, 2)) > 1e-10 * scale):
-        raise InputError("matrix is not symmetric to 1e-10")
-    eigs = np.linalg.eigvalsh(0.5 * (m + m_t))
+    eigs = np.linalg.eigvalsh(_symmetrised(m, 1e-10))
     sing = np.sort(np.abs(eigs), axis=1)[:, ::-1]
     d, rows = m.shape[1], np.arange(len(m))
     threshold = rel_tol * sing[:, 0]
@@ -161,8 +158,10 @@ def monte_carlo_rank_stats(
     simulated once at the smallest level and coarser levels keep the subset
     of atoms above their cutoff.   Dropping atoms removes PSD summands, so
     under this coupling the full-rank fraction is non-decreasing as the
-    truncation shrinks; the table reports whether that held.  Every path is
-    drawn first, in one ``simulate_configurations`` call.  Each level then
+    truncation shrinks; the table reports whether that held.  A sweep whose
+    paths plus expected atoms exceed :data:`MAX_SWEEP_WORK` is refused with
+    :class:`InputError` before any path is drawn.  Every path is drawn first,
+    in one ``simulate_configurations`` call.  Each level then
     restricts them by one mask and takes one ``gammas`` call over all paths
     (one stacked closed-form pass per chunk of paths, or one batched solve)
     and one rank step over the resulting ``(P, d, d)`` stack, with a single
@@ -180,7 +179,13 @@ def monte_carlo_rank_stats(
         raise InputError("every epsilon must be finite and > 0")
     if n_paths < 1:
         raise InputError(f"n_paths must be >= 1, got {n_paths}")
-    configs = simulate_configurations(setup.model(min(epsilons)), setup.horizon,
+    model = setup.model(min(epsilons))
+    if not n_paths * (1.0 + model.mass * setup.horizon) <= MAX_SWEEP_WORK:
+        raise InputError(
+            f"n_paths = {n_paths} paths of {model.mass * setup.horizon:.3g} expected atoms each "
+            f"exceed the limit of {MAX_SWEEP_WORK} paths plus atoms; lower n_paths or raise "
+            "the truncation")
+    configs = simulate_configurations(model, setup.horizon,
                                       [path_seed(seed, p) for p in range(n_paths)])
 
     # (path, level) -> full rank, min eigenvalue, indeterminate; a zero matrix is (0, 0, 0)

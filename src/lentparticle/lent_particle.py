@@ -13,6 +13,9 @@ provided:
   weighs each atom with the post-jump inverse flow, ``remark3`` with its
   left limit composed with ``(I + dx_c)^{-1}``.  These are equal matrices,
   so the agreement of the two renderings is a standing consistency check.
+  It is the stack of one of the assembly that ``Scenario.gammas`` runs on
+  each chunk of a batched solve: every path's atom terms from one pass,
+  summed per path and conjugated by each path's ``K_t`` in one product.
 * ``gamma_generic`` -- the direct procedure for arbitrary functionals with
   a mark-Jacobian oracle (closed form or finite differences).
 * ``gamma_linear`` -- compensated-integral functionals ``N~(h)``, where the
@@ -39,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .bottom_structure import BottomStructure, gamma_matrix
-from .errors import FunctionalError, InputError, ModelError, StateError
+from .errors import FunctionalError, InputError, StateError, StructureError
 from .poisson_measure import (
     JumpConfiguration,
     TruncatedLevyModel,
@@ -48,7 +51,7 @@ from .poisson_measure import (
     remove_particle,
 )
 from .rng import DOMAIN_RHO, stream
-from .sde_engine import CoefficientSet, Trajectory, _first_singular, _solve_chunks
+from .sde_engine import CoefficientSet, Trajectory, _solve_chunks, _solve_right, _trajectories
 
 __all__ = [
     "FORMULA_TAGS",
@@ -112,19 +115,7 @@ class GammaMatrix:
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         if m.shape[0] != m.shape[1]:
             raise InputError(f"matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InputError("matrix contains non-finite entries")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > 1e-12 * scale:
-            raise InputError("matrix is not symmetric to 1e-12")
-        m = 0.5 * (m + m.T)
-        eigs = np.linalg.eigvalsh(m)
-        tr = float(np.trace(m))
-        if eigs[0] < -1e-10 * max(tr, 1e-30):
-            raise InputError(
-                f"matrix has eigenvalue {eigs[0]:.3g} below the PSD tolerance"
-            )
-        self.matrix = m
+        self.matrix = _psd_checked(m[None])[0]
 
     @property
     def dim(self) -> int:
@@ -149,6 +140,33 @@ class GammaMatrix:
         if self.standard_errors is not None:
             out["standard_errors"] = [[float(v) for v in row] for row in self.standard_errors]
         return out
+
+
+def _symmetrised(m: np.ndarray, tol: float, where: Callable[[int], str] = lambda p: ""):
+    """``0.5 (m + m^T)`` of a ``(P, d, d)`` stack, refused with :class:`InputError`
+    unless every matrix is finite and symmetric to ``tol`` times its largest
+    entry (at least 1); ``where(p)`` ends the message of matrix ``p``."""
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
+    if bad.size:
+        raise InputError(f"matrix contains non-finite entries{where(bad[0])}")
+    m_t = m.transpose(0, 2, 1)
+    bad = np.flatnonzero(np.abs(m - m_t).max(axis=(1, 2))
+                         > tol * np.maximum(1.0, np.abs(m).max(axis=(1, 2))))
+    if bad.size:
+        raise InputError(f"matrix is not symmetric to {tol:g}{where(bad[0])}")
+    return 0.5 * (m + m_t)
+
+
+def _psd_checked(m: np.ndarray, where: Callable[[int], str] = lambda p: "") -> np.ndarray:
+    """:func:`_symmetrised` to 1e-12, also refused unless every matrix is PSD
+    to -1e-10 times its trace, by one ``eigvalsh`` call."""
+    m = _symmetrised(m, 1e-12, where)
+    low = np.linalg.eigvalsh(m)[:, 0]
+    bad = np.flatnonzero(low < -1e-10 * np.maximum(np.trace(m, axis1=1, axis2=2), 1e-30))
+    if bad.size:
+        raise InputError(f"matrix has eigenvalue {low[bad[0]]:.3g} below the PSD tolerance"
+                         f"{where(bad[0])}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +337,7 @@ class SdeFunctional(MarkFunctional):
         for chunk in _solve_chunks(self.coeffs, self.model, configs, self.x0, self.step,
                                    None, validate=False, flows=False):
             out += [traj.value_at(traj.config.horizon if self.t is None else self.t).copy()
-                    for traj in chunk]
+                    for traj in _trajectories(self.coeffs, chunk, False)]
         return out
 
     def mark_jacobians(self, config: JumpConfiguration) -> list[np.ndarray]:
@@ -346,8 +364,61 @@ def _path_sums(terms: np.ndarray, counts) -> np.ndarray:
     return np.add.accumulate(padded, axis=1)[:, -1] + 0.0
 
 
+def _weights(bs: BottomStructure, marks: np.ndarray, path: np.ndarray, n_paths: int):
+    """``bs.weight`` of every path's marks in one call.  An error names the
+    first offending path and the mark's row in it, as weighing one path at
+    a time would."""
+    try:
+        return bs.weight(marks)
+    except StructureError:
+        for p in range(n_paths):
+            try:
+                bs.weight(marks[path == p])
+            except StructureError as exc:
+                raise StructureError(f"{exc} on path {p}") from None
+        raise
+
+
 def _symmetric(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def _flow_stack(coeffs: CoefficientSet, bs: BottomStructure, points: tuple, v: np.ndarray,
+                counts, k_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The atom terms ``V_a gamma[c(a, X_{a-}, .)](u_a) V_a^T``, ``(J, d, d)``,
+    of jumps that come path after path, ``counts[p]`` on path ``p``, from
+    their points ``(t, X_{a-}, u)`` and ``V_a = v``, and each path's Gamma,
+    ``(P, d, d)``: its terms summed in atom order and conjugated by its
+    ``K_t`` (``k_t[p]``), from one ``du_c`` and one ``weight`` call."""
+    d = k_t.shape[1]
+    terms = np.zeros((0, d, d))
+    if len(v):
+        g = gamma_matrix(coeffs.du_c(*points), points[2], bs)
+        terms = _symmetric(v @ g @ v.transpose(0, 2, 1))
+    return terms, _symmetric(k_t @ _path_sums(terms, counts) @ k_t.transpose(0, 2, 1))
+
+
+def _chunk_gammas(coeffs: CoefficientSet, bs: BottomStructure, chunk: tuple) -> np.ndarray:
+    """Gamma[X_t] (``theorem9``) of every path of a chunk from ``_solve_chunks``
+    solved up to ``t``, in chunk order: one gather of the jump rows, one
+    :func:`_flow_stack` pass, and each matrix checked as :class:`GammaMatrix`
+    checks one, an error naming its path."""
+    start, _, (order, sizes, times, is_jump, _, marks), right, left = chunk
+    d = coeffs.dim
+    paths, rows = np.nonzero(is_jump)
+    # the left limits copied, as gamma_flow copies them, so that numpy
+    # takes the kernels of contiguous arrays
+    points = (times[paths, rows], left[:, 0].copy(), marks)
+    k_t = right[np.arange(len(order)), sizes[order] - 1, 1:d + 1]
+    try:
+        _, mats = _flow_stack(coeffs, bs, points, right[paths, rows, d + 1:],
+                              np.count_nonzero(is_jump, axis=1), k_t)
+    except StructureError:
+        _weights(bs, marks, start + order[paths], start + len(order))
+        raise
+    out = np.empty_like(mats)
+    out[order] = _psd_checked(mats, lambda b: f" on path {start + order[b]}")
+    return out
 
 
 def gamma_flow(
@@ -364,8 +435,10 @@ def gamma_flow(
     the post-jump (right-limit) inverse flow ``Kbar_a``; ``"remark3"`` takes
     the left limit composed with the jump, ``Kbar_{a-} (I + dx_c)^{-1}``.  The
     two are equal matrices, so their agreement is a standing consistency
-    check.  All atoms' terms come from stacked products: one ``du_c`` call,
-    one ``weight`` call and, for remark3, one ``dx_c`` call and one solve.
+    check.  This is the stack of one of the assembly that
+    ``Scenario.gammas`` runs on each chunk of paths (:func:`_flow_stack`):
+    one ``du_c`` call, one ``weight`` call and, for remark3, one ``dx_c``
+    call and one solve.
     """
     if rendering not in ("theorem9", "remark3"):
         raise InputError(f"rendering must be 'theorem9' or 'remark3', got {rendering!r}")
@@ -380,37 +453,23 @@ def gamma_flow(
     k_t = traj.flow[traj.row_at(t)]
     rows = traj.jump_rows()
     rows = rows[traj.times[rows] <= t]
-    d = coeffs.dim
-    terms = np.zeros((0, d, d))
-    if rows.size:
-        # the jump rows' times, left limits and marks: one batch for the
-        # coefficients.  The left limits of the jumps up to t are a prefix,
-        # copied because numpy may take other kernels on strided views
-        taken = slice(rows.size)
-        points = (traj.times[rows], traj.jump_states_left[taken].copy(),
-                  traj.config.marks[traj.atom_index[rows]])
-        g = gamma_matrix(coeffs.du_c(*points), points[2], bs)
-        if rendering == "theorem9":
-            v = traj.inverse_flow[rows]
-        else:
-            jump = np.eye(d) + np.asarray(coeffs.dx_c(*points), dtype=float)
-            v = _solve_right(traj.jump_inverse_flow_left[taken].copy(), jump, points[0])
-        terms = _symmetric(v @ g @ v.transpose(0, 2, 1))
-    mat = k_t @ _path_sums(terms, [len(terms)])[0] @ k_t.T
+    # the jump rows' times, left limits and marks: one batch for the
+    # coefficients.  The left limits of the jumps up to t are a prefix,
+    # copied because numpy may take other kernels on strided views
+    taken = slice(rows.size)
+    points = (traj.times[rows], traj.jump_states_left[taken].copy(),
+              traj.config.marks[traj.atom_index[rows]])
+    v = traj.inverse_flow[rows]
+    if rendering == "remark3" and rows.size:
+        jump = np.eye(coeffs.dim) + np.asarray(coeffs.dx_c(*points), dtype=float)
+        v = _solve_right(traj.jump_inverse_flow_left[taken].copy(), jump,
+                         lambda k: f"jump update I + dx_c singular at t = {points[0][k]}")
+    terms, mats = _flow_stack(coeffs, bs, points, v, [rows.size], k_t[None])
     return GammaMatrix(
-        matrix=_symmetric(mat), formula_tag=rendering, t=t,
+        matrix=mats[0], formula_tag=rendering, t=t,
         per_jump_terms=list(zip(traj.atom_index[rows].tolist(), terms)),
         outer_factor=k_t.copy(),
     )
-
-
-def _solve_right(b: np.ndarray, a: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``b_k a_k^{-1}`` for stacks of square matrices."""
-    try:
-        return np.linalg.solve(a.transpose(0, 2, 1), b.transpose(0, 2, 1)).transpose(0, 2, 1)
-    except np.linalg.LinAlgError:
-        k = _first_singular(a)
-        raise ModelError(f"jump update I + dx_c singular at t = {times[k]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +526,10 @@ def gamma_linear(h: MarkFunction, config: JumpConfiguration, bs: BottomStructure
 # ---------------------------------------------------------------------------
 
 _RHO_BLOCK = 4096
+# Admission limit on the normal values one gamma_rho_mc call draws, M draw
+# sets of one per atom and mark coordinate (at least one per set), checked
+# before any work: 2^30 are about 20 s of draws at 5e7 per second.
+MAX_RHO_VALUES = 2 ** 30
 
 
 def _rho_block(rho_seed: int, block_index: int, n: int, r: int, draws: int) -> np.ndarray:
@@ -528,6 +591,10 @@ def gamma_rho_mc(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructu
     d = F.dim
     n = config.n_atoms
     r = config.mark_dimension
+    if M * max(1, n * r) > MAX_RHO_VALUES:
+        raise InputError(f"{M} draw sets of {n} atoms x {r} mark coordinates need "
+                         f"{M * max(1, n * r):.3g} normal values, above the limit of "
+                         f"{MAX_RHO_VALUES}")
     factors = _sharp_factors(F, config, bs)
 
     starts = list(range(0, M, _RHO_BLOCK))

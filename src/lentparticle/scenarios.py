@@ -57,13 +57,14 @@ from .errors import (
     InputError,
     ModelError,
     NumericError,
-    StructureError,
 )
 from .expressions import float_pow
 from .lent_particle import (
     GammaMatrix,
     MarkFunctional,
+    _chunk_gammas,
     _path_sums,
+    _weights,
     gamma_flow,
 )
 from .poisson_measure import (
@@ -447,21 +448,6 @@ def _atoms_up_to(configs: Sequence[JumpConfiguration], t: float):
     return path[keep], times[keep], np.concatenate([config.marks for config in configs])[keep]
 
 
-def _weights(bs: BottomStructure, marks: np.ndarray, path: np.ndarray, n_paths: int):
-    """``bs.weight`` of every path's marks in one call.  An error names the
-    first offending path and the mark's row in it, as weighing one path at
-    a time would."""
-    try:
-        return bs.weight(marks)
-    except StructureError:
-        for p in range(n_paths):
-            try:
-                bs.weight(marks[path == p])
-            except StructureError as exc:
-                raise StructureError(f"{exc} on path {p}") from None
-        raise
-
-
 def doleans_closed_gamma(configs: Sequence[JumpConfiguration], first_moment: float,
                          bs: BottomStructure, t: float) -> np.ndarray:
     """Closed-form 2x2 carre du champ of the pair (Y_t, E(Y)_t), ``(P, 2, 2)``.
@@ -701,9 +687,13 @@ class Scenario:
         """Gamma[X_t] of each configuration, in order, as a ``(P, d, d)`` stack.
 
         A closed form takes a chunk of configurations at a time in one
-        stacked pass; without one, the configurations are solved as one
-        batch and each chunk of paths is reduced to its matrices before the
-        next is solved.  Either way memory does not grow with the number of
+        stacked pass; without one, the configurations are solved with their
+        flows as one batch, and each chunk of paths is reduced to its stack
+        in one pass before the next is solved: one gather of the jump rows,
+        one ``du_c`` and one ``weight`` call, the atom terms summed per path
+        in atom order and every path conjugated by its ``K_t`` in one
+        product.  Each matrix has the bits of ``gamma_flow(...).matrix`` on
+        its path alone.  Either way memory does not grow with the number of
         paths beyond the stack itself.
         """
         t = self.eval_time if t is None else t
@@ -719,12 +709,10 @@ class Scenario:
                     configs[start:start + size], model, t)
             return out
         coeffs = self.make_coeffs(model)
-        p = 0
         for chunk in _solve_chunks(coeffs, model, configs, self.x0, self.step, t,
                                    validate=True, flows=True):
-            out[p:p + len(chunk)] = [gamma_flow(traj, coeffs, self.bottom, t).matrix
-                                     for traj in chunk]
-            p += len(chunk)
+            start, part = chunk[:2]
+            out[start:start + len(part)] = _chunk_gammas(coeffs, self.bottom, chunk)
             del chunk  # the next chunk is solved without this one's arrays
         return out
 

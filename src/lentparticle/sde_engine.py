@@ -74,9 +74,9 @@ MAX_GRID_ROWS = 10 ** 6
 # solving one path at a time; twice the bound adds about 5 MB and saves about
 # a sixth of the time.
 _CHUNK_VALUES = 2 ** 19
-# times, atom_index, is_jump (_stack_grids) and by_row, steps, halves
-# (_integrate): 41 bytes per path and row, in floats
-_GRID_VALUES = 41 / 8
+# times, atom_index, is_jump (_stack_grids) and by_row, halves and the step,
+# its half and its sixth (_integrate): 57 bytes per path and row, in floats
+_GRID_VALUES = 57 / 8
 
 
 @dataclass(frozen=True)
@@ -176,36 +176,31 @@ def _shape_checked(name: str, out, shape: tuple, where: Callable[[], str] = str)
     return out
 
 
-def _shaped(name: str, fn, tail: tuple):
-    """``fn(t, x)``, refused unless it returns shape ``(n,) + tail`` for ``n``
-    points; the check runs inline, since the solve calls it at every stage."""
-    def call(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(fn(t, x))
-        shape = (x.shape[0],) + tail
-        return out if out.shape == shape else _shape_checked(name, out, shape)
-    return call
-
-
 def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel):
-    """Between-jump velocity b - integral c k du and its x-Jacobian; each
-    supplied part must return ``(n, d)``, its x-Jacobian ``(n, d, d)``."""
-    d = coeffs.dim
+    """Between-jump velocity b - integral c k du and its x-Jacobian, each one
+    closure that checks inline that every part returns ``(n, d)``, its
+    x-Jacobian ``(n, d, d)``, since the solve calls them at every stage."""
     comp, comp_dx = coeffs.compensator, coeffs.dx_compensator
-    if comp is not None:
-        comp = _shaped("compensator", comp, (d,))
-    if comp_dx is not None:
-        comp_dx = _shaped("dx_compensator", comp_dx, (d, d))
     if comp is None or comp_dx is None:
         by_quadrature = quadrature_compensator(model, coeffs.c, coeffs.dx_c)
-        comp = comp or by_quadrature[0]
-        comp_dx = comp_dx or by_quadrature[1]
+        comp, comp_dx = comp or by_quadrature[0], comp_dx or by_quadrature[1]
 
-    if coeffs.drift is None:
-        return (lambda t, x: np.negative(comp(t, x))), (lambda t, x: np.negative(comp_dx(t, x)))
-    drift = _shaped("drift", coeffs.drift, (d,))
-    drift_dx = _shaped("dx_drift", coeffs.dx_drift, (d, d))
-    return ((lambda t, x: np.subtract(drift(t, x), comp(t, x))),
-            (lambda t, x: np.subtract(drift_dx(t, x), comp_dx(t, x))))
+    def composed(drift, drift_name: str, comp, comp_name: str, tail: tuple):
+        def call(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+            shape = (x.shape[0],) + tail
+            if drift is not None:
+                b = np.asarray(drift(t, x))
+                if b.shape != shape:
+                    _shape_checked(drift_name, b, shape)
+            k = np.asarray(comp(t, x))
+            if k.shape != shape:
+                _shape_checked(comp_name, k, shape)
+            return np.negative(k) if drift is None else np.subtract(b, k)
+        return call
+
+    d = coeffs.dim
+    return (composed(coeffs.drift, "drift", comp, "compensator", (d,)),
+            composed(coeffs.dx_drift, "dx_drift", comp_dx, "dx_compensator", (d, d)))
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -214,14 +209,20 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _first_singular(matrices: np.ndarray) -> int:
-    """Index of the first matrix of a stack that LAPACK finds singular."""
-    for k, matrix in enumerate(matrices):
-        try:
-            np.linalg.inv(matrix)
-        except np.linalg.LinAlgError:
-            return k
-    return 0
+def _solve_right(b: np.ndarray, a: np.ndarray, singular: Callable[[int], str]) -> np.ndarray:
+    """``b_k a_k^{-1}`` for stacks of square matrices, by the kernel of
+    ``np.linalg.solve``, which fills the solution of a singular ``a_k`` with
+    NaN where ``np.linalg.solve`` raises; the first ``a_k`` that LAPACK finds
+    singular raises :class:`ModelError` with the message ``singular(k)``."""
+    with np.errstate(all="ignore"):
+        out = _umath_linalg.solve(a.transpose(0, 2, 1), b.transpose(0, 2, 1), signature="dd->d")
+    if not np.isfinite(out).all():
+        for k, matrix in enumerate(a):
+            try:
+                np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                raise ModelError(singular(k)) from None
+    return out.transpose(0, 2, 1)
 
 
 def _spectral_norms(matrices: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -366,76 +367,79 @@ def _regular_grid(horizon: float, step: float) -> np.ndarray:
     return np.linspace(0.0, horizon, n_reg + 1)
 
 
-def _build_grid(config: JumpConfiguration, horizon: float, step: float):
-    if not (np.isfinite(horizon) and 0 < horizon <= config.horizon):
-        raise DomainError(f"horizon must lie in (0, {config.horizon}], got {horizon}")
-    regular = _regular_grid(horizon, step)
-    jump_times = config.times[config.times <= horizon]
-    times = np.union1d(regular, jump_times)
-    is_jump = np.isin(times, jump_times)
-    atom_index = np.full(times.shape, -1, dtype=int)
-    if jump_times.size:
-        atom_index[is_jump] = np.searchsorted(config.times, times[is_jump])
-    return times, is_jump, atom_index
-
-
-def _rk4_step(rhs, t0, half, t1, h, y: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of ``y`` from ``t0`` over ``half = t0 + h/2``
-    to ``t1 = t0 + h``; ``h`` is a scalar or broadcasts against ``y``."""
+def _rk4_step(rhs, t0, half, t1, h, half_h, sixth_h, y: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of ``y`` from ``t0`` over ``half = t0 + h/2`` to
+    ``t1 = t0 + h``; ``h``, ``half_h = 0.5 * h`` and ``sixth_h = h / 6`` are
+    scalars or broadcast against ``y``."""
     k1 = rhs(t0, y)
-    k2 = rhs(half, y + 0.5 * h * k1)
-    k3 = rhs(half, y + 0.5 * h * k2)
+    k2 = rhs(half, y + half_h * k1)
+    k3 = rhs(half, y + half_h * k2)
     k4 = rhs(t1, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _chunks(configs: list[JumpConfiguration], horizon: float | None, step: float,
             block: int):
-    """Consecutive chunks of paths as ``(start, configs, grids)``: each
-    padded batch of right limits and grid arrays (paths x longest grid x
-    ``block + _GRID_VALUES`` values) together with the left limits at its
-    jumps (jumps x ``block``) holds at most :data:`_CHUNK_VALUES` floats, and
-    a path longer than that is a chunk of its own.  A grid is built when its
-    chunk is reached."""
-    start, grids, longest, jumps = 0, [], 0, 0
+    """Consecutive chunks of paths of one horizon as ``(start, configs,
+    grids)``, ``grids`` holding the chunk's regular grid and each path's
+    number of jumps up to the horizon.  Counting a grid as its nodes plus its
+    jumps, a bound on the merged grid, each padded batch of right limits and
+    grid arrays (paths x longest grid x ``block + _GRID_VALUES`` values)
+    together with the left limits at its jumps (jumps x ``block``) holds at
+    most :data:`_CHUNK_VALUES` floats; a longer path is a chunk of its own."""
+    start, nodes, counts, longest, jumps = 0, None, [], 0, 0
     for i, config in enumerate(configs):
-        grid = _build_grid(config, config.horizon if horizon is None else float(horizon), step)
-        m, j = grid[0].shape[0], int(np.count_nonzero(grid[1]))
-        padded = (len(grids) + 1) * max(longest, m) * (block + _GRID_VALUES)
-        if grids and padded + (jumps + j) * block > _CHUNK_VALUES:
-            yield start, configs[start:i], grids
-            start, grids, longest, jumps = i, [], 0, 0
-        grids.append(grid)
-        longest, jumps = max(longest, m), jumps + j
-    if grids:
-        yield start, configs[start:], grids
+        h = config.horizon if horizon is None else float(horizon)
+        if not (np.isfinite(h) and 0 < h <= config.horizon):
+            raise DomainError(f"horizon must lie in (0, {config.horizon}], got {h}")
+        grid = nodes if nodes is not None and nodes[-1] == h else _regular_grid(h, step)
+        j = int(np.searchsorted(config.times, h, side="right"))
+        m = grid.shape[0] + j
+        padded = (len(counts) + 1) * max(longest, m) * (block + _GRID_VALUES)
+        if counts and (grid is not nodes or padded + (jumps + j) * block > _CHUNK_VALUES):
+            yield start, configs[start:i], (nodes, counts)
+            start, counts, longest, jumps = i, [], 0, 0
+        nodes, longest, jumps = grid, max(longest, m), jumps + j
+        counts.append(j)
+    if counts:
+        yield start, configs[start:], (nodes, counts)
 
 
-def _stack_grids(configs: Sequence[JumpConfiguration], grids: list):
-    """One chunk's grids as batch arrays, longest grid first.
+def _stack_grids(configs: Sequence[JumpConfiguration], grids: tuple):
+    """One chunk's grids as batch arrays, longest grid first, in one pass.
 
-    Returns ``order`` (batch row ``b`` holds path ``order[b]`` of the chunk),
-    the grid sizes in chunk order, ``times``, ``is_jump`` and ``atom_index``
-    of shape ``(P, m_max)``, each grid padded with its last time, and
-    ``marks``, ``(J, r)``, holding the mark of every jump row in the order of
-    ``np.nonzero(is_jump)``: by batch row, then by grid row.
+    Path ``p``'s grid merges the ``nodes`` of ``grids = (nodes, counts)``
+    with its first ``counts[p]`` atom times, an atom on a node taking its row
+    as :func:`numpy.union1d` merges them.  Returns ``order`` (batch row ``b``
+    holds path ``order[b]`` of the chunk), the grid sizes in chunk order,
+    ``times``, ``is_jump`` and ``atom_index``, ``(P, m_max)``, each grid
+    padded with its last time, and the marks of the jump rows, ``(J, r)``, in
+    the order of ``np.nonzero(is_jump)``: by batch row, then by grid row.
     """
-    sizes = np.array([grid[0].shape[0] for grid in grids])
+    nodes, counts = grids
+    n_paths, n_nodes = len(configs), nodes.shape[0]
+    # every jump of the chunk, path after path: its path, its first jump, its time
+    path = np.repeat(np.arange(n_paths), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    jump_times = np.concatenate([np.empty(0)] + [c.times[:j] for c, j in zip(configs, counts)])
+    # a jump takes the row of the first node at or after it; each earlier
+    # jump of its path off the nodes pushes that row, and each node, down one
+    pos = np.searchsorted(nodes, jump_times)
+    apart = nodes[pos] != jump_times
+    pushed = np.cumsum(apart) - apart
+    shifts = np.bincount(path[apart] * n_nodes + pos[apart], minlength=n_paths * n_nodes)
+    sizes = n_nodes + np.bincount(path[apart], minlength=n_paths)
     order = np.argsort(-sizes, kind="stable")
-    n_paths, m_max = len(configs), int(sizes.max())
+    batch = np.argsort(order)
+    times = np.full((n_paths, int(sizes.max())), nodes[-1])
+    is_jump, atom_index = np.zeros(times.shape, dtype=bool), np.full(times.shape, -1)
+    node_rows = np.arange(n_nodes) + np.cumsum(shifts.reshape(n_paths, n_nodes), axis=1)
+    times[batch[:, None], node_rows] = nodes
+    rows = batch[path], pos + pushed - pushed[first]
+    times[rows], is_jump[rows], atom_index[rows] = jump_times, True, np.arange(len(path)) - first
     r = max(config.mark_dimension for config in configs)
-    times = np.empty((n_paths, m_max))
-    is_jump = np.zeros((n_paths, m_max), dtype=bool)
-    atom_index = np.full((n_paths, m_max), -1, dtype=int)
-    marks = np.zeros((sum(int(np.count_nonzero(grid[1])) for grid in grids), r))
-    start = 0
-    for b, p in enumerate(order):
-        grid_times, jumps, atoms = grids[p]
-        m, stop = grid_times.shape[0], start + int(np.count_nonzero(jumps))
-        times[b, :m], times[b, m:] = grid_times, grid_times[-1]
-        is_jump[b, :m], atom_index[b, :m] = jumps, atoms
-        marks[start:stop] = configs[p].marks[atoms[jumps]]
-        start = stop
+    marks = np.concatenate([np.zeros((0, r))] + [configs[p].marks[:counts[p]]
+                                                 for p in order if counts[p]])
     return order, sizes, times, is_jump, atom_index, marks
 
 
@@ -455,10 +459,13 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     before the error propagates.  The X entries of every stage never read the
     flow entries, so X is the same bit for bit with and without flows, and
     every operation acts on each path alone, so a path's rows do not depend
-    on the rest of the batch.  ``first`` is the index of the chunk's first
-    path in the caller's list.  Returns the right limits, ``(P, m_max, 1
-    [+ 2d], d)``, and the left limits at the jumps, ``(J, 1 [+ 2d], d)``, both
-    in batch order; the jumps of a path are consecutive, in row order.
+    on the rest of the batch.  The step factors of every row come from one
+    pass before the loop, the drift and its x-Jacobian are one closure each,
+    and the Kbar jump is one call of the ``np.linalg.solve`` kernel.
+    ``first`` is the index of the chunk's first path in the caller's list.
+    Returns the right limits, ``(P, m_max, 1 [+ 2d], d)``, and the left limits
+    at the jumps, ``(J, 1 [+ 2d], d)``, both in batch order; the jumps of a
+    path are consecutive, in row order.
     """
     velocity, vel_jac = drift
     d = coeffs.dim
@@ -468,9 +475,14 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     active = (n_paths - np.searchsorted(np.sort(sizes), np.arange(m_max), side="right")).tolist()
     # per row, the start, midpoint and end time and the step of every path
     by_row = np.ascontiguousarray(times.T)
-    steps = by_row[1:] - by_row[:-1]
-    halves = by_row[:-1] + 0.5 * steps
-    step_columns = steps[:, :, None, None]
+    # the step, its half and its sixth for every row and path: scalars when
+    # one path steps (numpy combines them with y faster than broadcast
+    # columns, and to the same bits), columns of the batch otherwise
+    factors = np.stack([by_row[1:] - by_row[:-1]] * 3)
+    factors[1] *= 0.5
+    factors[2] /= 6.0
+    factor_columns = factors[..., None, None]
+    halves = by_row[:-1] + factors[1]
     # the jumps are stored (marks, left limits) by path, then row; the loop
     # and the checks take them by row, then path
     jump_paths, jump_rows = np.nonzero(is_jump)
@@ -481,6 +493,7 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     jumpers = {row: (event_paths[a:b], event_slots[a:b], b)
                for row, a, b in zip(rows_with_jumps.tolist(), starts.tolist(), ends.tolist())}
     k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
+    eye = np.eye(d)
 
     def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = y[:, 0]
@@ -500,24 +513,18 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
         n = batch.shape[0]
         if flows:
             slope = np.asarray(coeffs.dx_c(t, x_left, u), dtype=float)
-            jump_matrix = np.eye(d) + _shape_checked("dx_c", slope, (n, d, d), at_first)
+            jump_matrix = eye + _shape_checked("dx_c", slope, (n, d, d), at_first)
         block = np.empty((n, y.shape[1], d))
         size = np.asarray(coeffs.c(t, x_left, u), dtype=float)
         block[:, 0] = x_left + _shape_checked("c", size, (n, d), at_first)
-        k = _first(~np.isfinite(block[:, 0]).all(axis=1))
-        if k is not None:
+        if not np.isfinite(block[:, 0]).all():
+            k = _first(~np.isfinite(block[:, 0]).all(axis=1))
             raise NumericError(f"jump update produced non-finite state at t = {t[k]} {where(k)}")
         if flows:
             block[:, k_rows] = jump_matrix @ y[batch, k_rows]
-            try:
-                kb_transposed = np.linalg.solve(jump_matrix.transpose(0, 2, 1),
-                                                y[batch, kb_rows].transpose(0, 2, 1))
-            except np.linalg.LinAlgError:
-                k = _first_singular(jump_matrix)
-                raise ModelError(
-                    f"jump update I + dx_c singular at (t={t[k]}, u={u[k]}) {where(k)}"
-                ) from None
-            block[:, kb_rows] = kb_transposed.transpose(0, 2, 1)
+            block[:, kb_rows] = _solve_right(
+                y[batch, kb_rows], jump_matrix,
+                lambda k: f"jump update I + dx_c singular at (t={t[k]}, u={u[k]}) {where(k)}")
         return block
 
     def check(taken: int) -> None:
@@ -537,10 +544,9 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     try:
         for i in range(1, m_max):
             n = active[i]
-            # one path steps with a scalar: numpy combines it with y faster
-            # than a broadcast column, and to the same bits
-            h = steps[i - 1, 0] if n == 1 else step_columns[i - 1, :n]
-            y = _rk4_step(rhs, by_row[i - 1, :n], halves[i - 1, :n], by_row[i, :n], h, y[:n])
+            h, half_h, sixth_h = factors[:, i - 1, 0] if n == 1 else factor_columns[:, i - 1, :n]
+            y = _rk4_step(rhs, by_row[i - 1, :n], halves[i - 1, :n], by_row[i, :n], h, half_h,
+                          sixth_h, y[:n])
             if not np.isfinite(y).all():
                 k = _first(~np.isfinite(y).all(axis=(1, 2)))
                 raise NumericError(
@@ -563,10 +569,10 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     return right, left
 
 
-def _trajectories(coeffs: CoefficientSet, configs: Sequence[JumpConfiguration],
-                  stacked: tuple, right: np.ndarray, left: np.ndarray,
-                  flows: bool) -> list[Trajectory]:
-    """Each path's :class:`Trajectory`, in chunk order, as views into the batch."""
+def _trajectories(coeffs: CoefficientSet, chunk: tuple, flows: bool) -> list[Trajectory]:
+    """Each path of a chunk from :func:`_solve_chunks` as a :class:`Trajectory`,
+    in chunk order, as views into the batch."""
+    _, configs, stacked, right, left = chunk
     order, sizes, times, is_jump, atom_index, _ = stacked
     d = coeffs.dim
     k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
@@ -591,10 +597,12 @@ def _trajectories(coeffs: CoefficientSet, configs: Sequence[JumpConfiguration],
 def _solve_chunks(coeffs: CoefficientSet, model: TruncatedLevyModel,
                   configs: Sequence[JumpConfiguration], x0: np.ndarray, step: float,
                   horizon: float | None, validate: bool, flows: bool):
-    """:func:`solve_sde` of a sequence, yielding the trajectories of one chunk
-    at a time, so that a caller that drops each chunk before the next holds
-    one chunk's arrays; warns as :func:`solve_sde` after the last chunk, at
-    the caller of the function that consumes the chunks."""
+    """:func:`solve_sde` of a sequence, yielding one chunk of paths at a time
+    as ``(start, configs, stacked, right, left)``: the index of its first
+    path, its configurations, grids (:func:`_stack_grids`) and stored limits
+    (:func:`_integrate`), so that a caller that drops each chunk before the
+    next holds one chunk's arrays.  Warns as :func:`solve_sde` after the last
+    chunk, at the caller of the function that consumes the chunks."""
     configs = list(configs)
     d = coeffs.dim
     x0 = np.asarray(x0, dtype=float)
@@ -606,16 +614,19 @@ def _solve_chunks(coeffs: CoefficientSet, model: TruncatedLevyModel,
     for start, part, grids in _chunks(configs, horizon, step, block):
         stacked = _stack_grids(part, grids)
         right, left = _integrate(coeffs, drift, stacked, x0, flows, validate, start)
-        chunk = _trajectories(coeffs, part, stacked, right, left, flows)
-        del stacked, right, left
         if flows:
-            resid = max([resid] + [
-                float(np.abs(np.einsum("tij,tjk->tik", traj.flow, traj.inverse_flow)
-                             - np.eye(d)).max())
-                for traj in chunk
-            ])
-        yield chunk
-        del chunk
+            # |K Kbar - I| on the rows of the batch, 1024 rows to a product so
+            # that the check adds little memory; rows past a path's grid are masked out
+            rows, worst = right.reshape((-1,) + right.shape[2:]), np.empty(right.shape[:2])
+            with np.errstate(all="ignore"):
+                for lo in range(0, len(rows), 1024):
+                    gap = rows[lo:lo + 1024, 1:d + 1] @ rows[lo:lo + 1024, d + 1:] - np.eye(d)
+                    worst.flat[lo:lo + 1024] = np.abs(gap).max(axis=(1, 2))
+            valid = np.arange(right.shape[1]) < stacked[1][stacked[0]][:, None]
+            resid = max(resid, float(worst[valid].max()))
+            del rows
+        yield start, part, stacked, right, left
+        del stacked, right, left
     if resid > 1e-9:
         warnings.warn(
             f"K Kbar deviates from identity by {resid:.3g}; consider a smaller step",
@@ -652,7 +663,7 @@ def solve_sde(
     trajectories: list[Trajectory] = []
     for chunk in _solve_chunks(coeffs, model, [configs] if single else configs,
                                x0, step, horizon, validate, flows):
-        trajectories += chunk
+        trajectories += _trajectories(coeffs, chunk, flows)
     return trajectories[0] if single else trajectories
 
 

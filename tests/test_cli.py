@@ -375,6 +375,19 @@ def test_admission_limits_exit_2(tmp_path, capsys, extra, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, extra, message", [
+    ("gamma", "[gamma]\nformula = rho_mc\n\n[numeric]\ndraws = 1000000000000\n",
+     "above the limit of 1073741824"),
+    ("rank-stats", "[numeric]\nepsilons = 0.05\nn_paths = 100000000\n",
+     "n_paths = 100000000 paths"),
+], ids=["rho draws", "rank-stats paths"])
+def test_oversized_work_exits_2_before_any_output(tmp_path, capsys, command, extra, message):
+    cfg = write_config(tmp_path, "[run]\nscenario = doleans\nseed = 1\n\n" + extra)
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_console_entry_point():
     res = subprocess.run(
         [sys.executable, "-m", "lentparticle.cli", "--version"],
@@ -498,3 +511,32 @@ def test_example_mckean_golden_bytes(tmp_path, seed):
     got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("gamma.json", "samples.csv"))
     assert got == GOLDEN_MCKEAN[seed]
+
+
+# rank-stats on the README custom config pinned byte for byte: it has no
+# closed form, so every path is solved with its flows and Gamma comes from
+# them; eval_time < horizon leaves atoms after t
+CUSTOM_RANK_STATS_INI = CUSTOM_INI.replace(
+    "step = 0.01\n",
+    "step = 0.01\nepsilons = 0.4 0.2 0.1\nn_paths = 8\neval_time = 0.6\nrank_tolerance = 1e-4\n",
+)
+GOLDEN_CUSTOM_RANK_STATS = {
+    4: ("58642f48cf7f439637e636edca5c4edc165bece10a0e825768251f4c851f0503",
+        "ed4922d8edb58738107bb6659de47f54f72c54d77212262692609f8b890efd9c"),
+    5: ("a9b2961e42cc351c709551f6e482caeb304ec4ce08a5e1197fdd08c831a90ba1",
+        "641dd65d4334269d8a9bb307e8ebeed6d6e806770ecb6f6fdb1c986e66a64bdd"),
+    11: ("b4de7c40a235079ed1d6de551f719d33e72d445cf8e79443d3526271356ba106",
+         "9cdcc52b212dacb063e977974cb858ab545b3b2f4b576b2f5d0a0f36da81788b"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CUSTOM_RANK_STATS))
+def test_custom_rank_stats_golden_bytes(tmp_path, seed):
+    import hashlib
+
+    cfg = write_config(tmp_path, CUSTOM_RANK_STATS_INI)
+    out = tmp_path / "rs"
+    assert run_cli("rank-stats", "--config", cfg, "--seed", str(seed), "--out", str(out)) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("rank_stats.csv", "summary.json"))
+    assert got == GOLDEN_CUSTOM_RANK_STATS[seed]

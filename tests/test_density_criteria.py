@@ -187,6 +187,17 @@ def test_rank_stats_input_validation():
         monte_carlo_rank_stats("doleans", n_paths=5, epsilons=[-0.1], seed=1)
 
 
+def test_rank_stats_refuses_an_oversized_sweep_before_drawing(monkeypatch):
+    import lentparticle.density_criteria as criteria
+
+    def no_draws(*args):
+        raise AssertionError("paths were drawn before the sweep was sized")
+
+    monkeypatch.setattr(criteria, "path_seed", no_draws)
+    with pytest.raises(InputError, match=r"^n_paths = 100000000 .* limit of 10000000 "):
+        monte_carlo_rank_stats("levy-area-1", n_paths=10 ** 8, epsilons=[0.05], seed=1)
+
+
 def test_rank_stats_csv(tmp_path):
     table = monte_carlo_rank_stats("doleans", n_paths=4, epsilons=[0.06], seed=5)
     path = tmp_path / "stats.csv"
@@ -275,3 +286,24 @@ def test_rank_stats_reports_indeterminate_fraction():
     assert 0.0 < table.rows[0].indeterminate_fraction == np.mean(flags) < 1.0
     firm = monte_carlo_rank_stats(scenario, 6, [0.05], seed=4)
     assert firm.rows[0].indeterminate_fraction == 0.0
+
+# the levy-area-1 table through the flows (its closed form removed), pinned
+# byte for byte: sha256 of rank_stats.csv.  48 paths make two chunks of the
+# batched solve, and eval_time < horizon leaves atoms after t
+GOLDEN_PIPELINE_TABLES = {
+    4: "effa48efe54b36771597e47f8a10e3e6ca882f7ae35ab6350f81d839999fd6b6",
+    5: "722b65a3afb580a4cf2f84a63905a85bed2f8246c7b503b6e51694fd2339e56a",
+    11: "183351acc99035f2379c9ac44552d37a7292d67ab182731050f2c3cd78363061",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_PIPELINE_TABLES))
+def test_rank_stats_pipeline_golden_bytes(tmp_path, seed):
+    import dataclasses
+    import hashlib
+
+    scenario = dataclasses.replace(_pipeline_levy_area(), eval_time=0.4)
+    table = monte_carlo_rank_stats(scenario, 48, [0.4, 0.2, 0.05], seed, rel_tol=1e-4)
+    table.to_csv(tmp_path / "rank_stats.csv")
+    got = hashlib.sha256((tmp_path / "rank_stats.csv").read_bytes()).hexdigest()
+    assert got == GOLDEN_PIPELINE_TABLES[seed]

@@ -283,6 +283,21 @@ def test_rho_mc_within_error_bars():
     assert np.all(np.abs(est.matrix - target) <= 4.0 * est.standard_errors + 1e-12)
 
 
+@pytest.mark.parametrize("marks, M", [([0.2, -0.35, 0.15], 10 ** 12), ([], 2 ** 30 + 1)],
+                         ids=["atoms", "no atom"])
+def test_rho_mc_refuses_oversized_draws_before_any_work(monkeypatch, marks, M):
+    # M x max(1, atoms x mark coordinates) normal values above MAX_RHO_VALUES
+    cfg = JumpConfiguration(np.linspace(0.1, 0.9, len(marks)), np.reshape(marks, (-1, 1)), 1.0)
+    F = linear_functional(_square_h(), power_law_model(truncation=0.05))
+
+    def no_work(*args):
+        raise AssertionError("the draws were sized only after work began")
+
+    monkeypatch.setattr(lent_particle, "_sharp_factors", no_work)
+    with pytest.raises(InputError, match=f"above the limit of {2 ** 30}$"):
+        gamma_rho_mc(F, cfg, intro_1d(), M=M, seed=1)
+
+
 @settings(max_examples=20, deadline=None)
 @example(marks=[0.2, -0.35, 0.15], M=500, seed=6)
 @example(marks=[0.2, -0.35, 0.15], M=3 * 4096 + 7, seed=6)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -367,6 +367,115 @@ def test_gammas_frees_each_chunk_before_the_next(monkeypatch):
     assert len(solved) == 2 * 3
     for config, matrix in zip(configs, matrices, strict=True):
         assert np.array_equal(matrix, scenario.gamma_of(config))
+
+
+# node-aligned atom times: the regular grid of step 0.02 has these nodes on
+# [0, 1] and on [0, 0.5], so such an atom shares its grid row with a node
+_NODES = np.linspace(0.0, 1.0, 51)[1:]
+
+
+@st.composite
+def _flow_batches(draw):
+    """A shipped scenario without its closed form on a coarse step, a
+    truncation, 1 to 5 configurations of 0 to 40 atoms (some on grid nodes),
+    a time (the horizon, mid-way, before almost every atom, or at an atom)
+    and a chunk size small enough to split most batches."""
+    name = draw(st.sampled_from(SCENARIO_NAMES))
+    eps = draw(st.sampled_from([0.05, 0.008]))
+    configs = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.sampled_from([0, 1, 3, 40]))
+        on_nodes = draw(st.lists(st.sampled_from(list(_NODES)), max_size=n, unique=True))
+        off_nodes = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n,
+                                  max_size=n, unique=True))
+        times = np.unique(np.concatenate([on_nodes, off_nodes]))[:n]
+        z = np.array([draw(st.floats(0.01, 0.45) | st.floats(-0.45, -0.01)) for _ in times])
+        if name == "levy-area-1":
+            marks = np.column_stack([z, z[::-1]])
+        elif name == "levy-area-2":
+            marks = np.column_stack([z, z * z])
+        else:
+            marks = z[:, None]
+        configs.append(JumpConfiguration(
+            times=times, marks=marks.reshape(len(times), 2 if "area" in name else 1),
+            horizon=1.0))
+    atoms = [float(time) for config in configs for time in config.times]
+    t = draw(st.sampled_from([1.0, 0.5, 1e-3] + atoms[:3]))
+    return name, eps, configs, t, draw(st.sampled_from([2 ** 19, 150, 2000]))
+
+
+@pytest.mark.filterwarnings("ignore::lentparticle.errors.ConditioningWarning")
+@settings(max_examples=30, deadline=None)
+@given(batch=_flow_batches())
+def test_stacked_flow_gammas_have_the_bits_of_gamma_flow_on_each_path(batch):
+    import dataclasses
+
+    import lentparticle.sde_engine as engine
+
+    name, eps, configs, t, chunk_values = batch
+    scenario = dataclasses.replace(get_scenario(name), closed_form_gamma=None, step=0.02)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+        got = scenario.gammas(configs, eps, t)
+    model = scenario.model(eps)
+    coeffs = scenario.make_coeffs(model)
+    want = np.array([
+        gamma_flow(solve_sde(coeffs, model, config, scenario.x0, scenario.step, horizon=t,
+                             flows=True), coeffs, scenario.bottom, t).matrix
+        for config in configs
+    ])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _weighted_area_scenario(factor):
+    """levy-area-1 without its closed form, whose mark weight is scaled by
+    ``factor`` on marks with u1 > 0.5."""
+    import dataclasses
+
+    from lentparticle.bottom_structure import BottomStructure
+
+    ones = lambda marks: np.ones(marks.shape[0])
+    bs = BottomStructure(
+        mark_dimension=2, support=lambda marks: ones(marks) > 0, density=ones, psi=ones,
+        xi=lambda marks: np.where((marks[:, 0] > 0.5)[:, None, None], np.diag([factor] * 2),
+                                  np.eye(2)))
+    return dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None, bottom=bs)
+
+
+@pytest.mark.parametrize("factor, message", [
+    (-1.0, r"^matrix has eigenvalue -.* below the PSD tolerance on path 2$"),
+    (np.inf, r"^matrix contains non-finite entries on path 2$"),
+], ids=["not PSD", "not finite"])
+def test_stacked_flow_gammas_refuse_a_bad_matrix_and_name_its_path(monkeypatch, factor,
+                                                                   message):
+    import lentparticle.sde_engine as engine
+
+    fine = JumpConfiguration(times=np.array([0.2, 0.4]),
+                             marks=np.array([[0.1, 0.2], [0.3, -0.1]]), horizon=1.0)
+    bad = JumpConfiguration(times=np.array([0.3]), marks=np.array([[0.7, 0.1]]), horizon=1.0)
+    # one path per chunk, so the bad path is the first of its chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 1000)
+    with np.errstate(all="ignore"), pytest.raises(InputError, match=message):
+        _weighted_area_scenario(factor).gammas([fine, fine, bad, fine])
+
+
+def test_stacked_flow_gammas_name_the_path_of_a_broken_structure(monkeypatch):
+    # psi = 2 > k = 1 for u1 > 0.5: the first atom of the third path
+    import dataclasses
+
+    import lentparticle.sde_engine as engine
+
+    bad = psi_over_k(psi=lambda marks: np.where(marks[:, 0] > 0.5, 2.0, 1.0), r=2)
+    scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None,
+                                   bottom=bad)
+    fine = JumpConfiguration(times=np.array([0.2, 0.4]),
+                             marks=np.array([[0.1, 0.2], [0.3, -0.1]]), horizon=1.0)
+    broken = JumpConfiguration(times=np.array([0.3, 0.5]),
+                               marks=np.array([[0.7, 0.1], [0.2, 0.2]]), horizon=1.0)
+    for chunk_values in (2 ** 19, 1000):
+        monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+        with pytest.raises(StructureError, match=r"exceeds k\(u\) = 1.0 at mark 0 on path 2$"):
+            scenario.gammas([fine, fine, broken, fine])
 
 
 # -------------------------------------------------------------- mark geometry

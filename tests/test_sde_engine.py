@@ -134,6 +134,58 @@ def test_batch_equals_each_path_alone(batch):
                 assert a is None or _same_bits(a, b), name
 
 
+def _grid_of_one_path(config, horizon, step):
+    """One path's grid as it was built before a chunk's grids came from one
+    pass: the union of the regular nodes and the atom times up to the horizon."""
+    from lentparticle.sde_engine import _regular_grid
+
+    jumps = config.times[config.times <= horizon]
+    times = np.union1d(_regular_grid(horizon, step), jumps)
+    is_jump = np.isin(times, jumps)
+    atom_index = np.full(times.shape, -1)
+    atom_index[is_jump] = np.searchsorted(config.times, times[is_jump])
+    return times, is_jump, atom_index
+
+
+@st.composite
+def grid_batches(draw):
+    """Configurations on horizon 1 or 0.5 with up to 8 atoms, some on the
+    nodes of the step 0.05 grid, solved to their own horizons or to 0.5."""
+    nodes = list(np.linspace(0.0, 1.0, 21)[1:])
+    configs = []
+    for _ in range(draw(st.integers(1, 6))):
+        end = draw(st.sampled_from([1.0, 0.5]))
+        times = draw(st.sets(st.sampled_from(nodes) | st.floats(0.001, 1.0), max_size=8))
+        times = sorted(time for time in times if time <= end)
+        configs.append(JumpConfiguration(times=np.array(times, dtype=float),
+                                         marks=np.full((len(times), 1), 0.3), horizon=end))
+    return configs, draw(st.sampled_from([None, 0.5])), draw(st.sampled_from([2 ** 19, 300]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_batches())
+def test_stacked_grids_merge_as_union1d_on_each_path(batch):
+    import lentparticle.sde_engine as engine
+
+    configs, horizon, chunk_values = batch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+        chunks = list(engine._chunks(configs, horizon, 0.05, 3))
+    assert [p for start, part, _ in chunks for p in range(start, start + len(part))] \
+        == list(range(len(configs)))
+    for start, part, grids in chunks:
+        order, sizes, times, is_jump, atom_index, marks = engine._stack_grids(part, grids)
+        for b, p in enumerate(order):
+            config, m = part[p], sizes[p]
+            want = _grid_of_one_path(config, config.horizon if horizon is None else horizon, 0.05)
+            assert _same_bits(times[b, :m], want[0]) and np.all(times[b, m:] == want[0][-1])
+            assert np.array_equal(is_jump[b, :m], want[1]) and not is_jump[b, m:].any()
+            assert np.array_equal(atom_index[b, :m], want[2])
+        assert _same_bits(marks, np.concatenate(
+            [np.zeros((0, 1))] + [part[p].marks[atom_index[b][is_jump[b]]]
+                                  for b, p in enumerate(order)]))
+
+
 def test_batch_trajectories_are_views_of_one_batch():
     model = _uniform_model()
     configs = [simulate(model, horizon=1.0, seed=s) for s in (1, 2, 3)]
