@@ -613,9 +613,10 @@ def _example_stable_like(cfg, seed: int) -> dict:
     draws = _get_int(cfg, "numeric", "draws", default=20000, minimum=100)
     h = _get_float(cfg, "numeric", "step", 1e-3, positive=True)
     push = stable_like_pushforward_check(alpha_fn, u0, np.array([x]), band=band)
-    gen = stable_like_generator_check(
-        alpha_fn, u0, x, math.cos, h, draws, seed, band=band,
-    )
+    try:
+        gen = stable_like_generator_check(alpha_fn, u0, x, math.cos, h, draws, seed, band=band)
+    except InputError as exc:  # h > 0, draws >= 100 and the band hold: it refused the draws
+        raise ConfigFileError(f"numeric.draws: {exc}") from exc
     doc = {
         "generator_check": gen,
         "pushforward_max_relative_error": push,

@@ -14,6 +14,7 @@ integral h k du dt`` and quadrature over the truncated mark space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -343,32 +344,23 @@ def _ray_box_exit(box: np.ndarray, direction: np.ndarray) -> float:
     return t_hi
 
 
-def _line_pieces(box: np.ndarray, lo_rad: float) -> list:
-    """The intervals of the real line inside ``box`` with ``|u| > lo_rad``."""
-    lo, hi = box[0]
-    # right of the truncation ball, then left of it
-    return [(a, b) for a, b in ((max(lo_rad, lo), hi), (lo, min(-lo_rad, hi))) if b > a]
-
-
-def _inscribed_radius(box: np.ndarray) -> float:
-    return float(min(np.min(-box[:, 0]), np.min(box[:, 1])))
-
-
-def _ray_pieces(box: np.ndarray, theta: float, lo_rad: float, r_inscribed: float):
-    """Unit direction at angle ``theta`` and the radial intervals to integrate on it.
-
-    The ray runs from the truncation radius to where it leaves the box,
-    split at the box's inscribed-circle radius, where disc-shaped supports
-    typically end.
-    """
-    e = np.array([np.cos(theta), np.sin(theta)])
-    hi_t = _ray_box_exit(box, e)
-    lo_t = min(lo_rad, hi_t)
-    cuts = [lo_t]
-    if lo_t < r_inscribed < hi_t:
-        cuts.append(r_inscribed)
-    cuts.append(hi_t)
-    return e, [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+def _rays(box: np.ndarray, theta: np.ndarray, lo_rad: float):
+    """The unit directions ``(len(theta), 2)`` of the rays at the angles
+    ``theta``, and the radial pieces ``[lo_i, hi_i]`` to integrate, piece ``i``
+    on ray ``ray[i]``: from the truncation radius to where the ray leaves the
+    box, split at the box's inscribed-circle radius, where disc-shaped
+    supports typically end.  Returns ``directions, ray, lo, hi``."""
+    r_inscribed = float(min(np.min(-box[:, 0]), np.min(box[:, 1])))
+    directions, on_ray = [], []
+    for k, th in enumerate(theta):
+        e = np.array([np.cos(th), np.sin(th)])
+        hi_t = _ray_box_exit(box, e)
+        lo_t = min(lo_rad, hi_t)
+        cuts = [lo_t] + ([r_inscribed] if lo_t < r_inscribed < hi_t else []) + [hi_t]
+        directions.append(e)
+        on_ray += [(k, a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+    on_ray = np.array(on_ray, dtype=float).reshape(-1, 3)
+    return np.array(directions), on_ray[:, 0].astype(int), on_ray[:, 1], on_ray[:, 2]
 
 
 # the target of each adaptive integral, and the bound its final error
@@ -439,35 +431,35 @@ def _qk21(values: np.ndarray, a: np.ndarray, b: np.ndarray):
         return resk * half[:, None], err, floor
 
 
-def _adaptive_qk21(evaluate, lo, hi):
+def _adaptive_qk21(evaluate, lo, hi, first=None):
     """Integrate the problems ``[lo_i, hi_i]`` together, refining each on its own.
 
     ``evaluate(owner, a, b)`` returns the integrand of problem ``owner[p]`` at
-    the :func:`_qk_nodes` of each panel ``[a_p, b_p]``, shape ``(P, 21, m)``.
-    A problem is done when every component's error estimate is at most
-    ``max(_EPSABS, _EPSREL |value|)``.  Until then each pass bisects its panels
-    whose error exceeds their share (tolerance / panel count) and their
-    rounding floor, all problems' new panels in one ``evaluate`` call; a
-    problem stops refining at :data:`_PANEL_LIMIT` panels.  Returns the
-    values and error estimates, ``(n_problems, m)`` each.
+    the :func:`_qk_nodes` of each panel ``[a_p, b_p]``, shape ``(P, 21, m)``;
+    ``first``, if given, is its value on the problems.  A problem is done
+    when every component's error estimate is at most ``max(_EPSABS, _EPSREL
+    |value|)``.  Until then each pass bisects its panels whose error exceeds
+    their share (tolerance / panel count) and their rounding floor, all
+    problems' new panels in one ``evaluate`` call; a problem stops refining at
+    :data:`_PANEL_LIMIT` panels.  A problem's panels keep their order and its
+    decisions read only them, so its bits do not depend on the other
+    problems.  Returns the values and error estimates, ``(n_problems, m)`` each.
     """
     n = len(lo)
     owner = np.arange(n)
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    res, err, floor = _qk21(evaluate(owner, a, b), a, b)
+    res, err, floor = _qk21(evaluate(owner, a, b) if first is None else first, a, b)
+    total, error, count = 0.0 + res, 0.0 + err, np.ones(n, dtype=int)  # one panel per problem
     while True:
-        total = np.zeros((n, res.shape[1]))
-        np.add.at(total, owner, res)
-        error = np.zeros_like(total)
-        np.add.at(error, owner, err)
         tol = np.maximum(_EPSABS, _EPSREL * np.abs(total))
-        count = np.bincount(owner, minlength=n)
-        open_ = np.any(error > tol, axis=1) & (count < _PANEL_LIMIT)
+        open_ = (error > tol).any(axis=1) & (count < _PANEL_LIMIT)
+        if not np.count_nonzero(open_):
+            return total, error
         mid = 0.5 * (a + b)
         share = tol[owner] / count[owner, None]
-        refine = (open_[owner] & np.any((err > share) & (err > floor), axis=1)
+        refine = (open_[owner] & ((err > share) & (err > floor)).any(axis=1)
                   & (a < mid) & (mid < b))
-        if not refine.any():
+        if not np.count_nonzero(refine):
             return total, error
         keep = ~refine
         new_a = np.concatenate([a[refine], mid[refine]])
@@ -478,29 +470,38 @@ def _adaptive_qk21(evaluate, lo, hi):
         a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
         res, err = np.concatenate([res[keep], r2]), np.concatenate([err[keep], e2])
         floor = np.concatenate([floor[keep], f2])
+        total = np.zeros((n, res.shape[1]))
+        np.add.at(total, owner, res)
+        error = np.zeros_like(total)
+        np.add.at(error, owner, err)
+        count = np.bincount(owner, minlength=n)
 
 
 class MarkQuadrature:
     """Batched adaptive quadrature of vector integrands against ``k(u) du``.
 
-    ``integrate(f)`` returns ``integral f(u) k(u) du`` over the truncated
-    support of ``model`` for ``f(U) -> (n, m)``, which takes a batch ``U`` of
-    marks of shape ``(n, r)``.  A 1-d model is integrated on the two pieces
-    of the line outside the truncation ball, a 2-d one in polar coordinates
-    (:func:`_ray_pieces`), so the truncation radius is an exact limit of each
-    ray.  The rule is QUADPACK's 21-point Gauss-Kronrod pair with
-    qk21's error estimate (Piessens et al. 1983), so a smooth integrand is
-    done after one pass; otherwise only the panels that fail are bisected
-    (:func:`_adaptive_qk21`).  ``f`` is called once per pass with every new
-    node of that pass.  Raises :class:`NumericError` when the final error
-    estimate exceeds ``max(1e-10, 1e-8 |value|)`` in any component, and
-    :class:`DomainError` when no node falls in the support of a model of mass.
+    ``integrate_each(f, n)`` returns the ``n`` integrals ``integral f_i(u)
+    k(u) du``, ``(n, m)``, over the truncated support of ``model``, where
+    ``f(index, U) -> (N, m)`` gives ``f_index[j](U[j])`` on a batch ``U`` of
+    ``(N, r)`` marks; ``integrate(f)`` is its case of one integrand ``f(U)``.
+    A 1-d model is integrated on the two pieces of the line outside the
+    truncation ball, a 2-d one in polar coordinates (:func:`_rays`), so the
+    truncation radius is an exact limit of each ray.  The rule is QUADPACK's
+    21-point Gauss-Kronrod pair with qk21's error estimate (Piessens et al.
+    1983), so a smooth integrand is done after one pass; otherwise only the
+    panels that fail are bisected, each integrand's on its own
+    (:func:`_adaptive_qk21`), so it keeps the bits of a call of its own.
+    ``f`` is called once per pass with every new node of that pass.  Raises
+    :class:`NumericError` (with the first failing integral's residual) when a
+    final error estimate exceeds ``max(1e-10, 1e-8 |value|)`` in any
+    component, and :class:`DomainError` when no node falls in the support of
+    a model of mass.
 
-    The masked density ``k(u) 1_support(u)`` at the nodes of every panel
-    visited is kept on the instance, so repeated integrals (one per
-    integrator stage or time node) evaluate the model once per new panel;
-    the panels a pass has not seen go to the model's batched ``support`` and
-    ``density`` in one call each.
+    The first pass is the same for every integrand, so it is planned once
+    (:attr:`_plan`).  The masked density ``k(u) 1_support(u)`` at the nodes
+    of every later panel is kept on the instance, so repeated integrals
+    evaluate the model once per new panel, in one ``support`` and one
+    ``density`` call per pass.
     """
 
     def __init__(self, model: TruncatedLevyModel):
@@ -531,59 +532,90 @@ class MarkQuadrature:
                 cache[keys[p]] = w
         return np.array([cache[key] for key in keys])
 
+    def _line_panels(self, a: np.ndarray, b: np.ndarray) -> tuple:
+        """The marks ``(P, 21, 1)`` at the nodes of line panels and their weights."""
+        x = _qk_nodes(a, b)[:, :, None]
+        return x, self._panel_weights(list(zip(a.tolist(), b.tolist())), x, np.ones(x.shape[:2]))
+
+    def _ray_panels(self, theta, directions, ray, a, b) -> tuple:
+        """The same for radial panels ``[a_p, b_p]`` on the rays at ``theta[ray]``."""
+        rho = _qk_nodes(a, b)
+        marks = rho[:, :, None] * directions[ray][:, None, :]
+        keys = list(zip(theta[ray].tolist(), a.tolist(), b.tolist()))
+        return marks, self._panel_weights(keys, marks, rho)
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """The first pass of every integrand: pieces ``lo, hi``, marks and weights at their
+        nodes; in 2-d radial pieces, then the angles of ``[0, 2 pi]``'s nodes and :func:`_rays`."""
+        box, lo_rad = self.model.bounding_box, self.model.truncation
+        if self.model.mark_dimension == 1:  # right of the truncation ball, then left of it
+            (lo, hi), = box
+            pieces = [(a, b) for a, b in ((max(lo_rad, lo), hi), (lo, min(-lo_rad, hi))) if b > a]
+            lo, hi = np.array(pieces, dtype=float).reshape(-1, 2).T
+            return (lo, hi, *self._line_panels(lo, hi))
+        theta = _qk_nodes(np.zeros(1), np.full(1, 2.0 * np.pi)).ravel()
+        directions, ray, lo, hi = _rays(box, theta, lo_rad)
+        return (lo, hi, *self._ray_panels(theta, directions, ray, lo, hi), theta, directions, ray)
+
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        model = self.model
-        box = model.bounding_box
-        lo_rad = model.truncation
+        return self.integrate_each(lambda index, marks: f(marks), 1)[0]
 
-        def on_panels(keys, marks, scale):
+    def integrate_each(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                       n: int) -> np.ndarray:
+        lo, hi, marks, weights, *rays = self._plan
+
+        def on_panels(index, marks, weights):
+            """``f`` times ``weights`` at ``marks`` ``(P, 21, r)`` of integrands ``index``."""
             n_panels, n_nodes, r = marks.shape
-            values = np.asarray(f(marks.reshape(-1, r)), dtype=float)
-            values = values.reshape(n_panels, n_nodes, values.shape[-1])
-            return values * self._panel_weights(keys, marks, scale)[:, :, None]
+            values = np.asarray(f(np.repeat(index, n_nodes), marks.reshape(-1, r)), dtype=float)
+            return values.reshape(n_panels, n_nodes, values.shape[-1]) * weights[:, :, None]
 
-        if model.mark_dimension == 1:
+        each = lambda plan: np.concatenate([plan] * n) if n else plan[:0]  # plan of each integrand
+
+        q = lo.shape[0]
+        index = np.repeat(np.arange(n), q)
+        first, lo, hi = on_panels(index, each(marks), each(weights)), each(lo), each(hi)
+        if not rays:
             def evaluate(owner, a, b):
-                x = _qk_nodes(a, b)
-                return on_panels(list(zip(a.tolist(), b.tolist())), x[:, :, None],
-                                 np.ones_like(x))
+                return on_panels(index[owner], *self._line_panels(a, b))
 
-            pieces = _line_pieces(box, lo_rad)
-            values, errors = _adaptive_qk21(evaluate, [p[0] for p in pieces],
-                                            [p[1] for p in pieces])
-            total, err = values.sum(axis=0), errors.sum(axis=0)
+            pieces = _adaptive_qk21(evaluate, lo, hi, first)  # values and errors, q per integrand
+            total, err = (np.add.reduce(v.reshape(n, q, v.shape[1]), axis=1) for v in pieces)
         else:
-            r_inscribed = _inscribed_radius(box)
-            inner_err = [0.0]
+            inner_err = np.zeros((n, first.shape[2]))
 
-            def radial(owner, a, b):
-                theta = _qk_nodes(a, b).ravel()
-                rays = [_ray_pieces(box, th, lo_rad, r_inscribed) for th in theta]
-                directions = np.array([e for e, _ in rays])
-                on_ray = [(k, lo, hi) for k, (_, pieces) in enumerate(rays) for lo, hi in pieces]
-                ray = np.array([k for k, _, _ in on_ray], dtype=int)
-
+            def radial(index, theta, directions, ray, lo, hi, first=None):
+                """Integrals ``(len(theta) / 21, 21, m)`` on the rays, ray ``k`` of ``index[k]``."""
                 def evaluate(owner, a, b):
-                    rho = _qk_nodes(a, b)
-                    marks = rho[:, :, None] * directions[ray[owner]][:, None, :]
-                    keys = list(zip(theta[ray[owner]].tolist(), a.tolist(), b.tolist()))
-                    return on_panels(keys, marks, rho)
+                    return on_panels(index[ray[owner]],
+                                     *self._ray_panels(theta, directions, ray[owner], a, b))
 
-                values, errors = _adaptive_qk21(evaluate, [p[1] for p in on_ray],
-                                                [p[2] for p in on_ray])
-                inner_err[0] = np.maximum(inner_err[0], errors.max(axis=0, initial=0.0))
+                values, errors = _adaptive_qk21(evaluate, lo, hi, first)
+                np.maximum.at(inner_err, index[ray], errors)
                 per_theta = np.zeros((theta.shape[0], values.shape[1]))
                 np.add.at(per_theta, ray, values)
-                return per_theta.reshape(len(a), 21, -1)
+                return per_theta.reshape(-1, 21, values.shape[1])
 
-            values, errors = _adaptive_qk21(radial, [0.0], [2.0 * np.pi])
-            total, err = values[0], errors[0] + 2.0 * np.pi * inner_err[0]
+            def angular(owner, a, b):
+                theta = _qk_nodes(a, b).ravel()
+                return radial(np.repeat(owner, 21), theta,
+                              *_rays(self.model.bounding_box, theta, self.model.truncation))
+
+            theta, directions, ray = rays
+            k = theta.shape[0]
+            first = radial(np.repeat(np.arange(n), k), each(theta), each(directions),
+                           each(ray) + index * k, lo, hi, first)
+            total, err = _adaptive_qk21(angular, np.zeros(n), np.full(n, 2.0 * np.pi), first)
+            err = err + 2.0 * np.pi * inner_err
+        model = self.model
         if model.mass > 0 and not self._support_hit:  # a support of zero area, such as a curve
             raise DomainError(f"no quadrature node lies in the support of model {model.name!r} "
                               f"of mass {model.mass:g}; supply a closed-form value instead")
-        if not np.all(err <= np.maximum(_ATOL, _RTOL * np.abs(total))):
+        failed = ~(err <= np.maximum(_ATOL, _RTOL * np.abs(total)))
+        if np.count_nonzero(failed):
             raise NumericError("mark-space quadrature did not converge",
-                               residual=float(np.max(err)))
+                               residual=float(np.max(err[failed.any(axis=1).argmax()])))
         return total
 
 
@@ -597,10 +629,10 @@ def compensated_integral(
 
     ``h(s, u)`` takes one time and one mark and returns ``m`` values (a
     scalar is one value); the result has shape ``(m,)``.  The compensator is
-    a QK21 time integral over ``[0, t]`` of :class:`MarkQuadrature` integrals
-    that share one instance, so mark dimension is at most 2; it raises
-    :class:`NumericError` when its error estimate exceeds
-    ``max(1e-10, 1e-8 |value|)``.
+    a QK21 time integral over ``[0, t]`` of :class:`MarkQuadrature` integrals,
+    one batch per pass over its time nodes, so mark dimension is at most 2; it
+    raises :class:`NumericError` when its error estimate exceeds ``max(1e-10,
+    1e-8 |value|)``.
     """
     if t is None:
         t = config.horizon
@@ -615,13 +647,12 @@ def compensated_integral(
         jump_sum = jump_sum + val
     quadrature = MarkQuadrature(model)
 
-    def per_mark(s: float, marks: np.ndarray) -> np.ndarray:
-        return np.array([np.atleast_1d(np.asarray(h(s, u), dtype=float)) for u in marks])
-
     def evaluate(owner, a, b):
         s = _qk_nodes(a, b)
-        values = [quadrature.integrate(lambda marks, s=si: per_mark(s, marks))
-                  for si in s.ravel().tolist()]
+        times = s.ravel().tolist()
+        values = quadrature.integrate_each(lambda index, marks: np.array(
+            [np.atleast_1d(np.asarray(h(times[i], u), dtype=float))
+             for i, u in zip(index.tolist(), marks)]), len(times))
         return np.reshape(values, s.shape + (-1,))
 
     comp, err = _adaptive_qk21(evaluate, [0.0], [float(t)])

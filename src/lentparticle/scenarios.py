@@ -1173,6 +1173,10 @@ class GeneratorCheckReport:
     step: float
 
 
+# Admission limit on the generator check's paths plus expected jumps, n_paths (1 + lam h)
+MAX_GENERATOR_WORK = 10 ** 7
+
+
 def stable_like_generator_check(
     alpha_fn: Callable[[np.ndarray], float],
     u0: float,
@@ -1194,6 +1198,7 @@ def stable_like_generator_check(
     ``integral (f(x+r) + f(x-r) - 2 f(x)) zeta(alpha) r^(-1-alpha) dr`` over
     ``(0, u0)``.  Pass criterion: ``residual <= 3 SE + threshold_slope * h``,
     the second term covering the O(h) state-freezing and truncation bias.
+    Above :data:`MAX_GENERATOR_WORK` it raises :class:`InputError` before any draw.
     """
     from scipy import integrate
 
@@ -1230,6 +1235,9 @@ def stable_like_generator_check(
     r_min = min_jump_fraction * u0
     z_max = _stable_like_inverse(alpha_fn, u0, xv, r_min, band)
     lam = 2.0 * z_max  # both directions carry dz
+    if not n_paths * (1.0 + lam * h) <= MAX_GENERATOR_WORK:
+        raise InputError(f"{n_paths} paths of {lam * h:.3g} expected jumps each exceed the "
+                         f"limit of {MAX_GENERATOR_WORK} paths plus jumps")
     g = stream(seed, DOMAIN_ATOMS)
     counts = g.poisson(lam * h, n_paths)
     total = int(counts.sum())

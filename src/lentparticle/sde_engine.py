@@ -97,7 +97,8 @@ class CoefficientSet:
     * ``compensator(t, x) = integral c(t, x, u) k(u) du``, ``(P, d)``, and
       ``dx_compensator``, ``(P, d, d)``, may be supplied in closed form --
       strongly recommended, since the quadrature fallback
-      (:func:`quadrature_compensator`) runs inside every integrator stage.
+      (:func:`quadrature_compensator`) runs inside every integrator stage:
+      one batched pass per stage over all points, the first pass planned once per model.
     * ``eta(u)``, ``(P,)``, is the dominating function used by the
       assumption validators; when absent only invertibility of ``I + dx_c``
       is enforced.
@@ -124,32 +125,17 @@ class CoefficientSet:
 def quadrature_compensator(model: TruncatedLevyModel, c, dx_c):
     """``compensator`` and ``dx_compensator`` of ``c`` by batched mark quadrature.
 
-    ``c`` and ``dx_c`` follow the :class:`CoefficientSet` contract.  For each
-    row ``(t[p], x[p])`` of a batch, the returned ``compensator(t, x)``,
+    ``c`` and ``dx_c`` follow the :class:`CoefficientSet` contract.  For a
+    batch of rows ``(t[p], x[p])``, the returned ``compensator(t, x)``,
     ``(P, d)``, and ``dx_compensator(t, x)``, ``(P, d, d)``, come from one
-    vector-valued :class:`MarkQuadrature` integral over the marks, shared by
-    the two: an integrator stage asks for both at the same points.
+    batched pass per stage over all points, the first pass planned once per
+    model: one vector-valued :class:`MarkQuadrature` integral per point, shared
+    by the two, as an integrator stage asks for both at the same points.
     """
     quadrature = MarkQuadrature(model)
     # the last batch and its integrals: a stage asks for compensator and
     # dx_compensator at the same points, so the second call reuses the first's
     last = [(None, None)]
-
-    def integral(t: float, x: np.ndarray) -> np.ndarray:
-        d = x.shape[0]
-
-        def integrand(marks: np.ndarray) -> np.ndarray:
-            n = marks.shape[0]
-            t_rows, x_rows = np.empty(n), np.empty((n, d))
-            t_rows.fill(t)
-            x_rows[:] = x
-            return np.concatenate([
-                _shape_checked("c", c(t_rows, x_rows, marks), (n, d)),
-                np.reshape(_shape_checked("dx_c", dx_c(t_rows, x_rows, marks), (n, d, d)),
-                           (n, d * d)),
-            ], axis=1)
-
-        return quadrature.integrate(integrand)
 
     def integrals(t: np.ndarray, x: np.ndarray):
         t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
@@ -157,8 +143,16 @@ def quadrature_compensator(model: TruncatedLevyModel, c, dx_c):
         last_key, value = last[0]
         if last_key != key:
             d = x.shape[1]
-            flat = np.array([integral(tp, xp) for tp, xp in zip(t.tolist(), x)])
-            flat = flat.reshape(x.shape[0], d + d * d)
+
+            def integrand(index: np.ndarray, marks: np.ndarray) -> np.ndarray:
+                n, t_rows, x_rows = index.shape[0], t[index], x[index]
+                return np.concatenate([
+                    _shape_checked("c", c(t_rows, x_rows, marks), (n, d)),
+                    np.reshape(_shape_checked("dx_c", dx_c(t_rows, x_rows, marks), (n, d, d)),
+                               (n, d * d)),
+                ], axis=1)
+
+            flat = quadrature.integrate_each(integrand, x.shape[0])
             value = flat[:, :d], flat[:, d:].reshape(-1, d, d)
             last[0] = key, value
         return value
@@ -225,10 +219,14 @@ def _solve_right(b: np.ndarray, a: np.ndarray, singular: Callable[[int], str]) -
     return out.transpose(0, 2, 1)
 
 
-def _spectral_norms(matrices: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """2-norms of the ``rows`` of a stack, NaN elsewhere: one SVD call."""
+def _spectral_norms(matrices: np.ndarray, rows: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Norms of the ``rows`` of a stack to compare with ``eta``, NaN elsewhere: the
+    Frobenius norm, an upper bound, where it is below ``eta`` by far more than the
+    rounding of either norm, so no verdict flips; else the 2-norm, by one SVD call."""
     norms = np.full(matrices.shape[0], np.nan)
-    norms[rows] = np.linalg.norm(matrices[rows], 2, axis=(1, 2))
+    norms[rows] = np.linalg.norm(matrices[rows], axis=(1, 2))
+    exact = rows & ~(norms <= eta * _ETA_SLACK * (1.0 - 1e-12))
+    norms[exact] = np.linalg.norm(matrices[exact], 2, axis=(1, 2))
     return norms
 
 
@@ -272,11 +270,11 @@ def _check_r_conditions(coeffs: CoefficientSet, t: np.ndarray, x: np.ndarray,
     checks = [(~finite, lambda k: f"dx_c at (t={t[k]}) must be a finite ({d}, {d}) matrix")]
     if eta is not None:
         size = np.asarray(coeffs.c(t, np.zeros((n, d)), u), dtype=float)
-        checks += [exceeds(_spectral_norms(dxc, finite), "jump x-Jacobian"),
+        checks += [exceeds(_spectral_norms(dxc, finite, eta), "jump x-Jacobian"),
                    exceeds(np.linalg.norm(size, axis=1), "jump size at x = 0")]
     checks.append((finite & ~invertible, singular))
     if eta is not None:
-        checks.append(exceeds(_spectral_norms(inv, finite & invertible), "inverse jump update"))
+        checks += [exceeds(_spectral_norms(inv, finite & invertible, eta), "inverse jump update")]
     k = _first(np.logical_or.reduce([mask for mask, _ in checks]))
     if k is not None:
         message = next(text for mask, text in checks if mask[k])

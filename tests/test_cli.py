@@ -388,6 +388,32 @@ def test_oversized_work_exits_2_before_any_output(tmp_path, capsys, command, ext
     assert not (tmp_path / "o").exists()
 
 
+def test_oversized_stable_like_check_exits_2_under_a_memory_cap(tmp_path):
+    # 10^10 paths would need 75 GiB of Poisson counts; the refusal comes before
+    # any draw, so a child capped at 1.5 GB of address space exits 2, not with
+    # a MemoryError traceback
+    import os
+    import resource
+
+    import lentparticle
+    from lentparticle.scenarios import MAX_GENERATOR_WORK
+
+    cap = 1536 * 2 ** 20
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    package_root = str(Path(lentparticle.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    cfg = write_config(tmp_path, "[numeric]\ndraws = 10000000000\n")
+    res = subprocess.run(
+        [sys.executable, "-m", "lentparticle.cli", "example", "stable-like", "--config", cfg,
+         "--seed", "4", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: numeric.draws: 10000000000 paths")
+    assert f"limit of {MAX_GENERATOR_WORK} paths plus jumps" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_console_entry_point():
     res = subprocess.run(
         [sys.executable, "-m", "lentparticle.cli", "--version"],

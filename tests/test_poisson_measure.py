@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -483,6 +484,70 @@ def test_batched_quadrature_unresolved_integrand_raises(f):
         MarkQuadrature(model).integrate(f)
 
 
+def _member_integrands(r):
+    """A batch of integrands f_i(u) = (exp(w_i u1), u1^2 1(|u| < a_i)): smooth, and
+    across an indicator whose radius needs its own refinement for each member."""
+    w, a = np.array([0.5, -1.0, 2.0, 0.0]), np.array([0.3, 0.45, 0.2, 0.6])
+
+    def f(index, marks):
+        inside = np.linalg.norm(marks, axis=1) < a[index]
+        return np.column_stack([np.exp(w[index] * marks[:, 0]), inside * marks[:, 0] ** 2])
+
+    return f, len(w)
+
+
+@pytest.mark.parametrize("name", ["uniform-1d", "uniform-2d", "polar"])
+def test_batch_of_integrands_gives_each_single_call_bit_for_bit(name):
+    model = _QUADRATURE_MODELS[name]()
+    f, n = _member_integrands(model.mark_dimension)
+    batch = MarkQuadrature(model).integrate_each(f, n)
+    assert batch.shape == (n, 2)
+    for i in range(n):
+        single = MarkQuadrature(model).integrate(lambda marks: f(np.full(len(marks), i), marks))
+        assert batch[i].tobytes() == single.tobytes()
+
+
+def test_batch_with_a_member_that_does_not_converge_raises_its_single_call_error():
+    model = uniform_box_model(1, halfwidth=0.6, truncation=0.1, intensity=4.0)
+    smooth, _ = _member_integrands(1)
+
+    def f(index, marks):
+        values = smooth(index, marks)
+        bad = index == 2
+        values[bad, 1] = np.sin(1.0 / (marks[bad, 0] - 0.3501))
+        return values
+
+    with pytest.raises(NumericError, match="did not converge") as single:
+        MarkQuadrature(model).integrate(lambda marks: f(np.full(len(marks), 2), marks))
+    with pytest.raises(NumericError) as batch:
+        MarkQuadrature(model).integrate_each(f, 4)
+    assert str(batch.value) == str(single.value)
+
+
+# the quadrature's bits pinned: sha256 of the result's bytes
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("r, want", [
+    (1, "a8b2f70d6f34006a08fccde01fbd621801684e56351bc2ed75b30adc7775a69a"),
+    (2, "3d717342e39f750263de164032b3175a51abf6524b5d919e92eed8226aa04d48"),
+], ids=["1", "2"])
+def test_quadrature_across_indicator_golden_bits(r, want):
+    model = uniform_box_model(r, halfwidth=0.6, truncation=0.1, intensity=4.0)
+    c = compile_coefficient(["u1^2 * ind(0.3)"], 1, r)
+    got = MarkQuadrature(model).integrate(
+        lambda marks: c(np.zeros(len(marks)), np.zeros((len(marks), 1)), marks))
+    assert _digest(got) == want
+
+
+def test_quadrature_polar_moments_golden_bits():
+    model = polar_levy_model(0.05, angular_coefficient=0.5)
+    got = MarkQuadrature(model).integrate(
+        lambda marks: np.column_stack([np.ones(len(marks)), marks, marks ** 2]))
+    assert _digest(got) == "6ff946f1ad71cc041a10b28208486050db9f5c28d20caaf6bd0c82d9c3daa092"
+
+
 # ---------------------------------------------------------------------------
 # compensated integrals
 # ---------------------------------------------------------------------------
@@ -512,6 +577,17 @@ def test_compensated_integral_closed_form_route():
             marks.size - 0.7 * power_law_mass(eps, alpha, bound)]
     assert got.shape == (3,)
     assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-11)
+
+
+def test_compensated_integral_golden_bits():
+    model = power_law_model(0.05, alpha=1.0, bound=0.5, asymmetry=0.5)
+    cfg = simulate_configuration(model, 1.0, 21)
+    got = compensated_integral(cfg, lambda t, u: [u[0], u[0] ** 2, 1.0], model, t=0.7)
+    assert _digest(got) == "7b8824e520a174f743165cfdbaf31b8f9c0a3842e6a800201e048bc47f220613"
+    model = power_law_model(0.05)
+    cfg = simulate_configuration(model, 1.0, 9)
+    got = compensated_integral(cfg, lambda t, u: [float(u[0]) ** 2 + t], model)
+    assert _digest(got) == "1e92a1e17d9e584ce71f6607a32329bdbd92bd1d66a5c2a5d8c198829cc57327"
 
 
 def test_compensated_integral_prefix_time():

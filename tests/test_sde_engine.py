@@ -11,7 +11,9 @@ from lentparticle.errors import ConditioningWarning, InputError, ModelError, Num
 from lentparticle.poisson_measure import JumpConfiguration, simulate_configuration as simulate
 from lentparticle.scenarios import power_law_first_moment, power_law_model, uniform_box_model
 from lentparticle.sde_engine import (
+    _ETA_SLACK,
     CoefficientSet,
+    _spectral_norms,
     quadrature_compensator,
     solve_sde,
 )
@@ -314,6 +316,7 @@ def test_quadrature_compensator_shares_one_integral_per_point():
     assert batches == [42]
     np.testing.assert_allclose(value, [0.0, x[0] * x[1] * m2], rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(jac, [[0.0, 0.0], [x[1] * m2, x[0] * m2]], rtol=1e-13, atol=1e-15)
+    assert dx_comp(np.zeros(0), np.zeros((0, 2))).shape == (0, 2, 2)  # a batch of no point
 
 
 def test_left_limits_at_jumps():
@@ -435,11 +438,12 @@ def test_bad_coefficient_shape_rejected():
                                              r"got \(1, 1, 1\)" + where + "$"):
             solve_sde(coeffs, _uniform_model(), configs, np.array([0.5, 0.5]), 0.01,
                       validate=validate, flows=True)
-    # without a compensator the quadrature meets the bad shape first
+    # without a compensator the quadrature meets the bad shape first, in its
+    # one call over the 42 first-pass nodes of both paths
     coeffs = _shape_case(c=lambda t, x, u: u[:, :1])
     coeffs = dataclasses.replace(coeffs, compensator=None, dx_compensator=None)
-    with pytest.raises(ModelError, match=r"^c must return shape \(42, 2\) for 42 points, "
-                                         r"got \(42, 1\)$"):
+    with pytest.raises(ModelError, match=r"^c must return shape \(84, 2\) for 84 points, "
+                                         r"got \(84, 1\)$"):
         solve_sde(coeffs, _uniform_model(), configs, np.array([0.5, 0.5]), 0.01)
 
 
@@ -583,6 +587,23 @@ def test_batch_assumption_error_is_the_path_alone(case, flows):
     message = _model_error(_banded(), configs, flows)
     assert re.match(pattern + " on path 2$", message), message
     assert _model_error(_banded(), configs[2], flows) == message.replace("path 2", "path 0")
+
+
+def test_frobenius_prefilter_keeps_every_norm_verdict():
+    # eta at, just below and just above each 2-norm, and far from it; a rank-1
+    # matrix, whose two norms are equal, at its own bound
+    rng = np.random.default_rng(3)
+    matrices = rng.normal(size=(600, 2, 2))
+    matrices[:100] = np.einsum("ki,kj->kij", rng.normal(size=(100, 2)), rng.normal(size=(100, 2)))
+    exact = np.linalg.norm(matrices, 2, axis=(1, 2))
+    eta = exact / _ETA_SLACK * rng.choice([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 3.0], 600)
+    rows = rng.random(600) < 0.9
+    got = _spectral_norms(matrices, rows, eta)
+    flagged = got > eta * _ETA_SLACK
+    assert np.array_equal(flagged, np.where(rows, exact, np.nan) > eta * _ETA_SLACK)
+    assert 0 < flagged.sum() < rows.sum()
+    assert np.array_equal(got[flagged], exact[flagged])  # messages print the 2-norm
+    assert np.isnan(got[~rows]).all()
 
 
 def test_same_row_violations_name_the_first_path_with_its_first_condition():
