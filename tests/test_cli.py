@@ -566,3 +566,25 @@ def test_custom_rank_stats_golden_bytes(tmp_path, seed):
     got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("rank_stats.csv", "summary.json"))
     assert got == GOLDEN_CUSTOM_RANK_STATS[seed]
+
+
+# gamma with formula = rho_mc pinned byte for byte: sha256 of gamma.json on a
+# 2-d (doleans) and a 3-d, 2-mark (levy-area-1) scenario
+GOLDEN_RHO_MC_GAMMA = {
+    ("doleans", 4): "38fd5f7448baf7346a50e30a98e03b220ce9c09510e46862d280b04fec5370da",
+    ("doleans", 5): "58c932fca1148ee7239d1bd7978b64307af38634720d0f6847e80419155bbfe5",
+    ("levy-area-1", 4): "e33d4c7a0be25045b4851f6a19d77c160885d102d391f2441bf941902a710c71",
+    ("levy-area-1", 5): "31f9043c3ff64cd48bbc1d6ba0c0b45a4cd2bb9eb9a750664b71d614543bcdae",
+}
+
+
+@pytest.mark.parametrize("scenario,seed", sorted(GOLDEN_RHO_MC_GAMMA))
+def test_rho_mc_gamma_golden_bytes(tmp_path, scenario, seed):
+    import hashlib
+
+    cfg = write_config(tmp_path, f"[run]\nscenario = {scenario}\nseed = {seed}\n\n"
+                                 "[gamma]\nformula = rho_mc\n")
+    out = tmp_path / "g"
+    assert run_cli("gamma", "--config", cfg, "--out", str(out)) == 0
+    got = hashlib.sha256((out / "gamma.json").read_bytes()).hexdigest()
+    assert got == GOLDEN_RHO_MC_GAMMA[(scenario, seed)]

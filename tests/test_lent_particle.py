@@ -320,6 +320,57 @@ def test_rho_mc_threads_match_serial(marks, M, seed):
     assert np.array_equal(runs[0].standard_errors, runs[1].standard_errors)
 
 
+
+# gamma_rho_mc's bits pinned: sha256 of the matrix and standard errors for a
+# 1-, 2- and 3-dimensional functional, and one whose second component is
+# identically zero (a -0.0 Jacobian row), so that its signed zeros are pinned
+def _zero_component():
+    return MarkFunction(dim=2, fn=lambda t, u: np.array([u[0] ** 2, 0.0]),
+                        jacobian=lambda t, u: np.array([[2.0 * u[0]], [-0.0]]))
+
+
+def _rho_mc_case(name):
+    import lentparticle.scenarios as sc
+
+    if name in ("d1", "zero"):
+        cfg = _config([0.1, 0.3, 0.8], [0.2, -0.35, 0.15])
+        h = _square_h() if name == "d1" else _zero_component()
+        return linear_functional(h, power_law_model(truncation=0.05)), cfg, intro_1d(), 3 * 4096 + 7
+    if name == "d2":
+        scenario = sc.get_scenario("doleans")
+        m1 = power_law_first_moment(scenario.model().truncation, alpha=1.0, bound=0.5,
+                                    asymmetry=0.5)
+        F = sc.DoleansPairFunctional(m1, scenario.eval_time)
+        return F, scenario.simulate(seed=4), scenario.bottom, 3 * 4096 + 7
+    scenario = sc.get_scenario("levy-area-1")  # d = 3, r = 2
+    model = scenario.model()
+    F = SdeFunctional(scenario.make_coeffs(model), model, scenario.x0, scenario.step,
+                      scenario.eval_time)
+    return F, scenario.simulate(seed=4), scenario.bottom, 4096 + 7
+
+
+GOLDEN_RHO_MC = {
+    "d1": ("d839af0700ae3875913eba487053d7c44ed349f3c7ff7269f5e62ad342b72c52",
+           "48f1dc5be65ad1f2ffe5cced89cfc970c3e43134ad307f29c9d2e6266c7bc9eb"),
+    "d2": ("aae0f13bf0bd621bdc8761b58bcbd8d0d6866f200aacae50dddac2c0a2bac97a",
+           "75953627cd4dd5d1b8088a427c59891f982650ab46245e93243659f5ae608325"),
+    "d3": ("409d3e179bd66b94530b8d4ce8d02b35c53f83aa8b04cf68ce208752a7d31c5c",
+           "4084e0b44fc986cff1b3bb746f526b9f6d9e27daeb06196afa708953553d249f"),
+    "zero": ("c598c0e73d93a15dba38da5d13b8315826d3fb5cdf2155643155155ac374543f",
+             "e72d3ccd58159c90a6ab981728515af4d8cdc796e425a81a2f3e74dbc0b46008"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RHO_MC))
+def test_rho_mc_golden_bits(name):
+    import hashlib
+
+    F, cfg, bs, M = _rho_mc_case(name)
+    got = gamma_rho_mc(F, cfg, bs, M=M, seed=6)
+    assert (hashlib.sha256(got.matrix.tobytes()).hexdigest(),
+            hashlib.sha256(got.standard_errors.tobytes()).hexdigest()) == GOLDEN_RHO_MC[name]
+
+
 def test_multidim_gamma_matches_isotropic_weight():
     # 2-d marks, vector h: Gamma = sum J xi J^T with xi = min(|u|^2, 1) I
     cfg = _config([0.2, 0.7], [[0.3, 0.1], [-0.2, 0.4]])
