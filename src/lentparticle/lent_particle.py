@@ -552,19 +552,43 @@ def _sharp_factors(F: MarkFunctional, config: JumpConfiguration,
     return _atom_jacobians(F, config) @ bs.factor(config.marks)
 
 
+def _sharps(factors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The sharps ``(d, m)`` of ``m`` draw sets ``rho`` ``(m, n, r)``.
+
+    For ``d >= 2`` they are added atom by atom in atom order from +0, each
+    atom's mark coordinates first: einsum's order, but with the draws, read
+    as a strided view (a contiguous copy costs more than it saves), on the
+    inner axis, where einsum's runs over ``d``.  For ``d = 1`` einsum takes
+    a dot kernel, whose order no loop reproduces, so it stays.
+    """
+    n, d, r = factors.shape
+    if d == 1:
+        return np.einsum("idr,mir->md", factors, rho).T
+    cols = rho.reshape(len(rho), n * r).T
+    sharps = np.zeros((d, len(rho)))
+    term = np.empty_like(sharps)
+    for i in range(n):
+        np.multiply(factors[i, :, :1], cols[i * r], out=term)
+        for q in range(1, r):
+            term += factors[i, :, q:q + 1] * cols[i * r + q]
+        sharps += term
+    return sharps
+
+
 def sharp_sample(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructure,
                  rho_seed: int, draw_index: int = 0) -> np.ndarray:
     """One sample of the randomized gradient ``F-sharp``.
 
     Contracts the atoms' pushforward factors with one independent normal
-    draw per atom: draw set ``draw_index`` of :func:`gamma_rho_mc`'s stream.
+    draw per atom: draw set ``draw_index`` of :func:`gamma_rho_mc`'s stream,
+    with the bits of its column of that block's :func:`_sharps`.
     Linear in the draws with mean zero, and its second moment over draws is
     Gamma[F].
     """
     offset = draw_index % _RHO_BLOCK
     rho = _rho_block(rho_seed, draw_index // _RHO_BLOCK, config.n_atoms,
                      config.mark_dimension, offset + 1)
-    return np.einsum("idr,mir->md", _sharp_factors(F, config, bs), rho[offset:])[0]
+    return _sharps(_sharp_factors(F, config, bs), rho[offset:])[:, 0]
 
 
 def _usable_cpus() -> int:
@@ -582,9 +606,11 @@ def gamma_rho_mc(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructu
     Uses ``M`` independent draw sets on the fixed configuration; reports
     entrywise standard errors.  Draw set ``m`` is addressed by its index,
     so enlarging ``M`` extends the estimate without perturbing earlier
-    draws.  Blocks of draw sets run on one thread per usable CPU and are
-    reduced in fixed index order, so the result does not depend on the
-    CPU count.
+    draws.  A block of draw sets sums its sharps in atom order and their
+    products in draw order (pairwise for ``d = 1``).  Blocks run on one
+    thread per usable CPU, at most two each in flight, and are folded in
+    index order as they finish, so the result does not depend on the CPU
+    count.
     """
     if M < 2:
         raise InputError(f"M must be >= 2, got {M}")
@@ -597,33 +623,36 @@ def gamma_rho_mc(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructu
                          f"{MAX_RHO_VALUES}")
     factors = _sharp_factors(F, config, bs)
 
-    starts = list(range(0, M, _RHO_BLOCK))
+    def run_block(b: int) -> np.ndarray:
+        sharps = _sharps(factors, _rho_block(seed, b, n, r, min(_RHO_BLOCK, M - b * _RHO_BLOCK)))
+        outer = (sharps[:, None] * sharps[None]).reshape(d * d, -1)
+        products = np.stack([outer, outer * outer])
+        if d == 1:  # np.sum adds one row pairwise
+            return products.sum(axis=2)
+        # in draw order; + 0.0 turns a sum of negative zeros into +0 and
+        # keeps no view of the accumulate array alive
+        return np.add.accumulate(products, axis=2)[:, :, -1] + 0.0
 
-    def run_chunk(start: int):
-        stop = min(start + _RHO_BLOCK, M)
-        if n:
-            rho = _rho_block(seed, start // _RHO_BLOCK, n, r, stop - start)
-            sharps = np.einsum("idr,mir->md", factors, rho)
-        else:
-            sharps = np.zeros((stop - start, d))
-        outer = sharps[:, :, None] * sharps[:, None, :]
-        return outer.sum(axis=0), (outer * outer).sum(axis=0)
-
+    sums = np.zeros((2, d * d))
+    blocks = range(-(-M // _RHO_BLOCK))
     workers = _usable_cpus()
-    if workers > 1 and len(starts) > 1:
+    if workers == 1 or len(blocks) == 1:
+        for b in blocks:
+            sums += run_block(b)
+    else:
+        from collections import deque
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_chunk, starts))
-    else:
-        partials = [run_chunk(s) for s in starts]
-    sum1 = np.zeros((d, d))
-    sum2 = np.zeros((d, d))
-    for s1, s2 in partials:  # fixed index order
-        sum1 += s1
-        sum2 += s2
-    mean = sum1 / M
-    var = np.maximum(sum2 - M * mean * mean, 0.0) / (M - 1)
+            pending = deque()
+            for b in blocks:  # folded in index order, at most two per thread in flight
+                pending.append(pool.submit(run_block, b))
+                if len(pending) == 2 * workers:
+                    sums += pending.popleft().result()
+            for future in pending:
+                sums += future.result()
+    mean = sums[0].reshape(d, d) / M
+    var = np.maximum(sums[1].reshape(d, d) - M * mean * mean, 0.0) / (M - 1)
     se = np.sqrt(var / M)
     return GammaMatrix(
         matrix=0.5 * (mean + mean.T), formula_tag="rho_mc", t=config.horizon,

@@ -495,7 +495,7 @@ class MarkQuadrature:
     :class:`NumericError` (with the first failing integral's residual) when a
     final error estimate exceeds ``max(1e-10, 1e-8 |value|)`` in any
     component, and :class:`DomainError` when no node falls in the support of
-    a model of mass.
+    a model of mass, or at construction for a 2-d box without the origin.
 
     The first pass is the same for every integrand, so it is planned once
     (:attr:`_plan`).  The masked density ``k(u) 1_support(u)`` at the nodes
@@ -510,6 +510,10 @@ class MarkQuadrature:
                 "adaptive mark quadrature supports mark dimension <= 2, "
                 f"got {model.mark_dimension}; supply a closed-form value instead"
             )
+        box = model.bounding_box
+        if model.mark_dimension == 2 and np.any((box[:, 0] > 0.0) | (box[:, 1] < 0.0)):
+            raise DomainError(f"adaptive mark quadrature integrates 2-d marks along rays from "
+                              f"the origin, so bounding_box must contain it, got {box.tolist()}")
         self.model = model
         self._weights: dict[tuple, np.ndarray] = {}
         self._support_hit = False

@@ -298,19 +298,36 @@ def test_rho_mc_refuses_oversized_draws_before_any_work(monkeypatch, marks, M):
         gamma_rho_mc(F, cfg, intro_1d(), M=M, seed=1)
 
 
-@settings(max_examples=20, deadline=None)
-@example(marks=[0.2, -0.35, 0.15], M=500, seed=6)
-@example(marks=[0.2, -0.35, 0.15], M=3 * 4096 + 7, seed=6)
+def _power_sums(d, r):
+    """h(u) = (sum u, sum u^2, ..., sum u^d) on r-dimensional marks."""
+    return MarkFunction(dim=d, fn=lambda t, u: np.array([np.sum(u ** k) for k in range(1, d + 1)]),
+                        jacobian=lambda t, u: np.array([k * u ** (k - 1) for k in range(1, d + 1)]))
+
+
+def _rho_setup(marks, d, r):
+    """A configuration of the marks taken r at a time, the power sums of
+    dimension d as a linear functional, and its bottom structure."""
+    marks = np.reshape(marks[:len(marks) // r * r], (-1, r))
+    cfg = JumpConfiguration(np.linspace(0.1, 0.9, len(marks)), marks, 1.0)
+    F = linear_functional(_power_sums(d, r), power_law_model(truncation=0.05))
+    return F, cfg, intro_1d() if r == 1 else isotropic(r)
+
+
+@settings(max_examples=30, deadline=None)
+@example(marks=[0.2, -0.35, 0.15], shape=(1, 1), M=500, seed=6)
+@example(marks=[0.2, -0.35, 0.15], shape=(1, 1), M=3 * 4096 + 7, seed=6)
+@example(marks=[0.2, -0.35, 0.15], shape=(2, 1), M=3 * 4096 + 7, seed=6)
+@example(marks=[0.2, -0.35, 0.15, 0.4], shape=(3, 2), M=3 * 4096 + 7, seed=6)
 @given(
-    marks=st.lists(st.floats(0.05, 0.5) | st.floats(-0.5, -0.05), max_size=5),
+    marks=st.lists(st.floats(0.05, 0.5) | st.floats(-0.5, -0.05), max_size=6),
+    shape=st.sampled_from([(1, 1), (2, 1), (3, 1), (3, 2)]),
     M=st.integers(2, 4 * 4096),
     seed=st.integers(0, 2 ** 64 - 1),
 )
-def test_rho_mc_threads_match_serial(marks, M, seed):
-    # blocks of 4096 draw sets go to a thread pool sized by the usable CPUs
-    cfg = JumpConfiguration(np.linspace(0.1, 0.9, len(marks)), np.reshape(marks, (-1, 1)), 1.0)
-    bs = intro_1d()
-    F = linear_functional(_square_h(), power_law_model(truncation=0.05))
+def test_rho_mc_threads_match_serial(marks, shape, M, seed):
+    # blocks of 4096 draw sets go to a thread pool sized by the usable CPUs;
+    # shape is (functional dimension, mark dimension)
+    F, cfg, bs = _rho_setup(marks, *shape)
     runs = []
     for cpus in (1, 4):
         with pytest.MonkeyPatch.context() as mp:
@@ -320,21 +337,66 @@ def test_rho_mc_threads_match_serial(marks, M, seed):
     assert np.array_equal(runs[0].standard_errors, runs[1].standard_errors)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (3, 2)], ids=["d1", "d2", "d3-r2"])
+def test_sharp_sample_is_its_column_of_the_block_kernel(shape):
+    F, cfg, bs = _rho_setup([0.2, -0.35, 0.15, 0.4, -0.1, 0.3], *shape)
+    factors = lent_particle._sharp_factors(F, cfg, bs)
+    for block in (0, 2):
+        rho = lent_particle._rho_block(9, block, cfg.n_atoms, cfg.mark_dimension, 4096)
+        sharps = lent_particle._sharps(factors, rho)
+        assert sharps.shape == (shape[0], 4096)
+        for m in (0, 5, 4095):
+            got = sharp_sample(F, cfg, bs, rho_seed=9, draw_index=block * 4096 + m)
+            assert got.tobytes() == sharps[:, m].tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_rho_mc_folds_blocks_in_order_with_a_bounded_window(monkeypatch, cpus):
+    # block 0 is held back until every other block has started, or 0.5 s: a
+    # run that folds blocks in index order as they finish starts at most
+    # 2 x threads - 1 others meanwhile, where one that collects every block
+    # first would start them all
+    import threading
+
+    n_blocks = 40
+    started, first_done = [], threading.Event()
+    lock = threading.Lock()
+
+    def cheap_block(seed, block_index, n, r, draws):
+        with lock:
+            started.append(block_index)
+            if len(started) == n_blocks:
+                first_done.set()
+        if block_index == 0:
+            first_done.wait(0.5)
+            first_done.set()
+            with lock:
+                started.append("first done")
+        return np.full((draws, n, r), 1.0 + block_index)
+
+    monkeypatch.setattr(lent_particle, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(lent_particle, "_rho_block", cheap_block)
+    F, cfg, bs = _rho_setup([0.2, -0.35, 0.15], 2, 1)
+    got = gamma_rho_mc(F, cfg, bs, M=n_blocks * 4096, seed=1)
+    before_first = started.index("first done") - 1
+    assert before_first <= max(2 * cpus - 1, 0)
+    # each block's draws are 1 + its index: the sums are those of the blocks
+    sharps = lent_particle._sharp_factors(F, cfg, bs).sum(axis=(0, 2))
+    want = np.outer(sharps, sharps) * sum((1.0 + b) ** 2 for b in range(n_blocks)) / n_blocks
+    assert np.allclose(got.matrix, want, rtol=1e-12)
+
 
 # gamma_rho_mc's bits pinned: sha256 of the matrix and standard errors for a
 # 1-, 2- and 3-dimensional functional, and one whose second component is
 # identically zero (a -0.0 Jacobian row), so that its signed zeros are pinned
-def _zero_component():
-    return MarkFunction(dim=2, fn=lambda t, u: np.array([u[0] ** 2, 0.0]),
-                        jacobian=lambda t, u: np.array([[2.0 * u[0]], [-0.0]]))
-
-
 def _rho_mc_case(name):
     import lentparticle.scenarios as sc
 
     if name in ("d1", "zero"):
         cfg = _config([0.1, 0.3, 0.8], [0.2, -0.35, 0.15])
-        h = _square_h() if name == "d1" else _zero_component()
+        h = _square_h() if name == "d1" else MarkFunction(
+            dim=2, fn=lambda t, u: np.array([u[0] ** 2, 0.0]),
+            jacobian=lambda t, u: np.array([[2.0 * u[0]], [-0.0]]))
         return linear_functional(h, power_law_model(truncation=0.05)), cfg, intro_1d(), 3 * 4096 + 7
     if name == "d2":
         scenario = sc.get_scenario("doleans")

@@ -450,6 +450,14 @@ def test_quadrature_of_a_model_whose_support_holds_no_node_is_refused():
         MarkQuadrature(model).integrate(lambda marks: np.ones((len(marks), 1)))
 
 
+
+def test_quadrature_of_a_2d_box_without_the_origin_is_refused():
+    # rays from the origin cannot cover a box away from it
+    model = dataclasses.replace(uniform_box_model(2, halfwidth=0.6, truncation=0.1, intensity=4.0),
+                                bounding_box=[[0.2, 0.6], [0.2, 0.6]])
+    with pytest.raises(DomainError, match=r"must contain it, got \[\[0.2, 0.6\], \[0.2, 0.6\]\]"):
+        MarkQuadrature(model)
+
 @pytest.mark.parametrize("name, result", [
     ("support", lambda marks: np.ones((len(marks), 1), dtype=bool)),
     ("density", lambda marks: 1.0),
