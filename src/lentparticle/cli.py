@@ -16,8 +16,9 @@ descends from the seed.
 Named scenarios take as ``[model]`` keys the keyword parameters of their
 builder in :mod:`lentparticle.scenarios`; ``example doleans|levy-area-*``
 runs the ``gamma`` (theorem9) pipeline and adds closed-form terminal values.
-Every command reads its whole config and computes its results before it
-creates ``--out``.
+Every command reads its whole config, refuses a key it did not read
+(``section.key: not read by <command>``) before any work, and computes its
+results before it creates ``--out``.
 
 Exit codes: 0 success, 1 runtime or numeric failure, 2 configuration error
 or work above an admission limit.
@@ -75,28 +76,6 @@ __all__ = ["main", "build_parser"]
 _EXAMPLE_NAMES = ("doleans", "levy-area-1", "levy-area-2", "mckean", "stable-like")
 _GAMMA_TAGS = ("theorem9", "remark3", "generic", "rho_mc")
 
-# [model] keys each custom model kind reads; example mckean reads the power-law ones
-_CUSTOM_MODEL_KEYS = {
-    "uniform": {"halfwidth", "truncation", "intensity"},
-    "power-law": {"truncation", "alpha", "bound", "asymmetry"},
-}
-
-# section -> keys accepted there (xi_N / c_N handled by prefix)
-_KNOWN_KEYS = {
-    "run": {"scenario", "seed"},
-    "model": {
-        "kind", "truncation", "alpha", "bound", "asymmetry",
-        "angular_coefficient", "halfwidth", "intensity",
-    },
-    "numeric": {
-        "step", "horizon", "eval_time", "draws", "n_paths",
-        "epsilons", "rank_tolerance",
-    },
-    "gamma": {"formula", "include_terms"},
-    "structure": {"name", "k", "psi"},
-    "coefficients": {"state_dim", "x0"},
-}
-
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -136,21 +115,23 @@ def _load_config(path: str | None) -> dict[str, dict[str, str]]:
     return {sec: dict(parser.items(sec)) for sec in parser.sections()}
 
 
-def _check_known_keys(cfg: dict[str, dict[str, str]]) -> None:
-    for sec, keys in cfg.items():
-        if sec not in _KNOWN_KEYS:
-            raise ConfigFileError(f"unknown config section [{sec}]")
-        for key in keys:
-            if key in _KNOWN_KEYS[sec]:
-                continue
-            if sec == "structure" and key.startswith("xi_") and key[3:].isdigit():
-                continue
-            if sec == "coefficients" and key.startswith("c_") and key[2:].isdigit():
-                continue
-            raise ConfigFileError(f"{sec}.{key}: unknown key")
+class _Config(dict):
+    """Config sections, ``section -> key -> raw value``, that record every key read."""
+
+    def __init__(self, sections: dict):
+        super().__init__(sections)
+        self.read: set = set()
+
+    def refuse_unread(self, command: str) -> None:
+        """Refuse the first key that no read took; commands call it before any work."""
+        for sec, keys in self.items():
+            for key in keys:
+                if (sec, key) not in self.read:
+                    raise ConfigFileError(f"{sec}.{key}: not read by {command}")
 
 
 def _get(cfg, section, key, default=None):
+    cfg.read.add((section, key))
     return cfg.get(section, {}).get(key, default)
 
 
@@ -214,19 +195,18 @@ def _get_float_list(cfg, section, key):
 
 
 def _load_run(args) -> tuple[dict, int]:
-    """The checked ``--config`` and the seed the run descends from."""
-    cfg = _load_config(args.config)
-    _check_known_keys(cfg)
+    """The ``--config``, recording its reads, and the seed the run descends from."""
+    cfg = _Config(_load_config(args.config))
     return cfg, _resolve_seed(args, cfg)
 
 
 def _resolve_seed(args, cfg) -> int:
+    raw = _get(cfg, "run", "seed")  # read under --seed too: a manifest echoes it
     if args.seed is not None:
         seed, source = int(args.seed), "--seed"
+    elif raw is None:
+        raise ConfigFileError("run.seed: required (pass --seed or set it in the config)")
     else:
-        raw = _get(cfg, "run", "seed")
-        if raw is None:
-            raise ConfigFileError("run.seed: required (pass --seed or set it in the config)")
         try:
             seed, source = int(raw), "run.seed"
         except ValueError:
@@ -264,18 +244,8 @@ def _named_scenario(name: str, cfg) -> Scenario:
         raise ConfigFileError(f"model.{exc}") from exc
 
 
-def _refuse_unread_model_keys(cfg, read: set, reader: str) -> None:
-    """Refuse a ``[model]`` key that ``reader`` would silently ignore."""
-    for key in cfg.get("model", {}):
-        if key not in read:
-            raise ConfigFileError(f"model.{key}: not read by {reader}")
-
-
 def _custom_model(cfg) -> TruncatedLevyModel:
     kind = _get(cfg, "model", "kind", "uniform")
-    if kind in _CUSTOM_MODEL_KEYS:
-        _refuse_unread_model_keys(cfg, _CUSTOM_MODEL_KEYS[kind] | {"kind"},
-                                  f"model.kind = {kind}")
     if kind == "uniform":
         return uniform_box_model(
             1,
@@ -295,7 +265,7 @@ def _custom_model(cfg) -> TruncatedLevyModel:
 
 def _custom_structure(cfg, r: int) -> BottomStructure:
     sec = cfg.get("structure", {})
-    name = sec.get("name")
+    name = _get(cfg, "structure", "name")
     if name is not None:
         catalog = standard_instances()
         if name not in catalog:
@@ -311,12 +281,13 @@ def _custom_structure(cfg, r: int) -> BottomStructure:
     if "k" in sec or "psi" in sec or any(k.startswith("xi_") for k in sec):
         diag = []
         for i in range(1, r + 1):
-            src = sec.get(f"xi_{i}")
+            src = _get(cfg, "structure", f"xi_{i}")
             if src is None:
                 raise ConfigFileError(f"structure.xi_{i}: required for a custom structure")
             diag.append(src)
+        k = _get(cfg, "structure", "k", "1")
         try:
-            return from_expressions(sec.get("k", "1"), sec.get("psi", sec.get("k", "1")), diag, r)
+            return from_expressions(k, _get(cfg, "structure", "psi", k), diag, r)
         except InputError as exc:
             raise ConfigFileError(f"structure: {exc}") from exc
     return standard_instances()["PSI_OVER_K"] if r == 1 else standard_instances()["ISOTROPIC_RD"]
@@ -334,7 +305,7 @@ def _custom_scenario(cfg) -> Scenario:
     r = model.mark_dimension
     sources = []
     for i in range(1, d + 1):
-        src = sec.get(f"c_{i}")
+        src = _get(cfg, "coefficients", f"c_{i}")
         if src is None:
             raise ConfigFileError(f"coefficients.c_{i}: required")
         sources.append(src)
@@ -368,7 +339,7 @@ def _custom_scenario(cfg) -> Scenario:
 
 
 def _retruncate(cfg, eps: float) -> TruncatedLevyModel:
-    sub = {k: dict(v) for k, v in cfg.items()}
+    sub = _Config({k: dict(v) for k, v in cfg.items()})
     sub.setdefault("model", {})["truncation"] = repr(eps)
     return _custom_model(sub)
 
@@ -447,6 +418,7 @@ def _cross_check(reference_tag: str, reference: np.ndarray, candidate: np.ndarra
 def cmd_simulate(args) -> int:
     cfg, seed = _load_run(args)
     scenario = _scenario_from_config(cfg)
+    cfg.refuse_unread("simulate")
     config = scenario.simulate(seed=seed)
     _, _, traj = scenario.pipeline(config, t=scenario.horizon)
     out_dir = _write_run(args, "simulate", cfg, seed,
@@ -463,9 +435,10 @@ def cmd_gamma(args) -> int:
             f"gamma.formula: unknown tag {tag!r}; available: {', '.join(_GAMMA_TAGS)}"
         )
     include_terms = _get_bool(cfg, "gamma", "include_terms", False)
-    draws = _get_int(cfg, "numeric", "draws", default=10000, minimum=2)
+    if tag == "rho_mc":
+        draws = _get_int(cfg, "numeric", "draws", default=10000, minimum=2)
     scenario = _scenario_from_config(cfg)
-
+    cfg.refuse_unread("gamma")
     config = scenario.simulate(seed=seed)
     model, coeffs, traj = scenario.pipeline(config)
     t = scenario.eval_time
@@ -516,7 +489,7 @@ def cmd_rank_stats(args) -> int:
         raise ConfigFileError("numeric.epsilons: at least one truncation level required")
     n_paths = _get_int(cfg, "numeric", "n_paths", default=100, minimum=1)
     rel_tol = _get_float(cfg, "numeric", "rank_tolerance", default=1e-8, positive=True)
-
+    cfg.refuse_unread("rank-stats")
     table = monte_carlo_rank_stats(scenario, n_paths, epsilons, seed, rel_tol=rel_tol)
     summary = {**dataclasses.asdict(table), "scenario": scenario.name, "seed": int(seed)}
     _write_run(args, "rank-stats", cfg, seed, {
@@ -565,13 +538,13 @@ def _example_scenario_gamma(scenario: Scenario, seed: int) -> dict:
 
 
 def _example_mckean(cfg, seed: int) -> dict:
-    _refuse_unread_model_keys(cfg, _CUSTOM_MODEL_KEYS["power-law"], "example mckean")
     truncation = _get_float(cfg, "model", "truncation", 0.05, positive=True)
     alpha = _get_float(cfg, "model", "alpha", 1.0)
     bound = _get_float(cfg, "model", "bound", 0.5)
     asymmetry = _get_float(cfg, "model", "asymmetry", 0.5)
     horizon = _get_float(cfg, "numeric", "horizon", 1.0, positive=True)
     step = _get_float(cfg, "numeric", "step", 0.01, positive=True)
+    cfg.refuse_unread("example mckean")
     model = power_law_model(truncation, alpha=alpha, bound=bound, asymmetry=asymmetry)
 
     def sigma(x: np.ndarray, law: np.ndarray) -> np.ndarray:
@@ -602,7 +575,6 @@ def _example_mckean(cfg, seed: int) -> dict:
 
 
 def _example_stable_like(cfg, seed: int) -> dict:
-    _refuse_unread_model_keys(cfg, set(), "example stable-like")
     u0 = 1.0
     x = 0.3
     band = (0.9, 1.7)
@@ -612,6 +584,7 @@ def _example_stable_like(cfg, seed: int) -> dict:
 
     draws = _get_int(cfg, "numeric", "draws", default=20000, minimum=100)
     h = _get_float(cfg, "numeric", "step", 1e-3, positive=True)
+    cfg.refuse_unread("example stable-like")
     push = stable_like_pushforward_check(alpha_fn, u0, np.array([x]), band=band)
     try:
         gen = stable_like_generator_check(alpha_fn, u0, x, math.cos, h, draws, seed, band=band)
@@ -648,7 +621,9 @@ def cmd_example(args) -> int:
     elif name == "stable-like":
         outputs = _example_stable_like(cfg, seed)
     else:
-        outputs = _example_scenario_gamma(_scenario_from_config(cfg, name), seed)
+        scenario = _scenario_from_config(cfg, name)
+        cfg.refuse_unread(f"example {name}")
+        outputs = _example_scenario_gamma(scenario, seed)
     _write_run(args, f"example {name}", cfg, seed, outputs)
     return 0
 

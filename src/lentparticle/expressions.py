@@ -144,12 +144,13 @@ def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str,
     ``t`` ``(P,)``, ``x`` ``(P, d)`` and ``u`` ``(P, r)`` are paired by row;
     ``x1..xd`` and ``u1..ur`` are bound to their columns, and the result is
     ``(P, *shape)``.  With ``float_pow`` powers go through :func:`float_pow`.
+    ``f.reads_time`` tells whether any body names ``t``.
     """
     body = ast.Tuple([ast.Constant(0.0) if b is None else copy.deepcopy(b) for b in bodies],
                      ast.Load())
     body = ast.fix_missing_locations(_BindNorm(float_pow).visit(ast.Expression(body)))
     code = compile(body, "<expression>", "eval")
-    uses_norm = any(isinstance(n, ast.Name) and n.id == "_norm" for n in ast.walk(body))
+    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
     size = int(np.prod(shape))
     x_names = [f"x{i + 1}" for i in range(d)]
     u_names = [f"u{j + 1}" for j in range(r)]
@@ -159,7 +160,7 @@ def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str,
         local = {"t": np.asarray(t, dtype=float)}
         local.update(zip(x_names, np.asarray(x, dtype=float).T))
         local.update(zip(u_names, np.ascontiguousarray(marks.T)))
-        if uses_norm:
+        if "_norm" in names:
             local["_norm"] = np.sqrt(np.sum(marks * marks, axis=1))
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -171,6 +172,7 @@ def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str,
             out[:, k] = value
         return out.reshape((-1, *shape))
 
+    evaluate.reads_time = "t" in names
     return evaluate
 
 
@@ -186,7 +188,8 @@ def compile_coefficient(sources: Sequence[str], d: int, r: int) -> Callable[[flo
 
     Variables are ``t``, ``x1 .. xd`` and ``u1 .. ur``.  ``c`` evaluates a
     batch of points paired by row, ``t`` ``(P,)``, ``x`` ``(P, d)`` and ``u``
-    ``(P, r)``, giving ``(P, d)``.
+    ``(P, r)``, giving ``(P, d)``.  ``c.reads_time`` is false when no
+    expression names ``t``, and so are those of :func:`compile_jacobians`.
     """
     trees = _coefficient_trees(sources, d, r)
     return _batch_evaluator(trees, (d,), "; ".join(sources), d, r)

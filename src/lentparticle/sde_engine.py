@@ -97,8 +97,9 @@ class CoefficientSet:
     * ``compensator(t, x) = integral c(t, x, u) k(u) du``, ``(P, d)``, and
       ``dx_compensator``, ``(P, d, d)``, may be supplied in closed form --
       strongly recommended, since the quadrature fallback
-      (:func:`quadrature_compensator`) runs inside every integrator stage:
-      one batched pass per stage over all points, the first pass planned once per model.
+      (:func:`quadrature_compensator`) runs one batched pass over all points
+      per distinct stage time and state, or per distinct state when ``c`` and
+      ``dx_c`` report ``reads_time = False``; the first pass is planned once per model.
     * ``eta(u)``, ``(P,)``, is the dominating function used by the
       assumption validators; when absent only invertibility of ``I + dx_c``
       is enforced.
@@ -128,18 +129,20 @@ def quadrature_compensator(model: TruncatedLevyModel, c, dx_c):
     ``c`` and ``dx_c`` follow the :class:`CoefficientSet` contract.  For a
     batch of rows ``(t[p], x[p])``, the returned ``compensator(t, x)``,
     ``(P, d)``, and ``dx_compensator(t, x)``, ``(P, d, d)``, come from one
-    batched pass per stage over all points, the first pass planned once per
-    model: one vector-valued :class:`MarkQuadrature` integral per point, shared
-    by the two, as an integrator stage asks for both at the same points.
+    batched pass over all points, the first pass planned once per model: one
+    vector-valued :class:`MarkQuadrature` integral per point, shared by the
+    two, as an integrator stage asks for both at the same points.  The last
+    batch is kept, keyed on ``(t, x)``, or on ``x`` alone when both ``c`` and
+    ``dx_c`` report ``reads_time = False`` (compiled expressions that do not
+    name ``t``): then a pass runs once per distinct state, not once per stage.
     """
     quadrature = MarkQuadrature(model)
-    # the last batch and its integrals: a stage asks for compensator and
-    # dx_compensator at the same points, so the second call reuses the first's
+    reads_time = getattr(c, "reads_time", True) or getattr(dx_c, "reads_time", True)
     last = [(None, None)]
 
     def integrals(t: np.ndarray, x: np.ndarray):
         t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
-        key = (t.tobytes(), x.tobytes())
+        key = (t.tobytes() if reads_time else None, x.tobytes())
         last_key, value = last[0]
         if last_key != key:
             d = x.shape[1]

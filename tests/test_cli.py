@@ -69,8 +69,9 @@ def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, DOLEANS_INI)
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    run_cli("simulate", "--config", cfg, "--out", str(out1))
-    run_cli("simulate", "--config", cfg, "--seed", "8", "--out", str(out2))
+    assert run_cli("simulate", "--config", cfg, "--out", str(out1)) == 0
+    # run.seed counts as read when --seed overrides it
+    assert run_cli("simulate", "--config", cfg, "--seed", "8", "--out", str(out2)) == 0
     assert (out1 / "trajectory.csv").read_bytes() != (out2 / "trajectory.csv").read_bytes()
     assert json.loads((out2 / "manifest.json").read_text())["seed"] == 8
 
@@ -357,6 +358,60 @@ def test_example_refuses_unread_model_key(tmp_path, capsys, name, key):
     assert not out.exists()
 
 
+UNREAD_KEYS = [
+    ("simulate", DOLEANS_INI + "\n[gamma]\nformula = remark3\n", "gamma.formula"),
+    ("simulate", DOLEANS_INI + "n_paths = 4\n", "numeric.n_paths"),
+    ("simulate", DOLEANS_INI + "epsilons = 0.1\n", "numeric.epsilons"),
+    ("simulate", DOLEANS_INI + "draws = 100\n", "numeric.draws"),
+    ("simulate", CUSTOM_INI.replace("c_2 =", "c_3 = u1\nc_2 ="), "coefficients.c_3"),
+    ("gamma", DOLEANS_INI + "draws = 100\n", "numeric.draws"),  # theorem9 takes no draws
+    ("rank-stats", DOLEANS_INI + "epsilons = 0.1\n\n[gamma]\ninclude_terms = true\n",
+     "gamma.include_terms"),
+    ("example doleans", DOLEANS_INI, "run.scenario"),
+    ("example stable-like", "[numeric]\nhorizon = 9\n", "numeric.horizon"),
+    ("example mckean", "[numeric]\ndraws = 100\n", "numeric.draws"),
+    ("example mckean", "[numeric]\nn_paths = 4\n", "numeric.n_paths"),
+]
+
+
+@pytest.mark.parametrize("command, ini, key",
+                         [pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in UNREAD_KEYS])
+def test_unread_key_is_refused_before_any_work(tmp_path, monkeypatch, capsys, command, ini, key):
+    import lentparticle.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("mckean_vlasov", "stable_like_generator_check", "stable_like_pushforward_check"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.Scenario, "simulate", no_work)
+    out = tmp_path / "o"
+    assert run_cli(*command.split(), "--config", write_config(tmp_path, ini), "--seed", "1",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {key}: not read by {command}\n"
+    assert not out.exists()
+
+
+# the command the README runs each of its ini blocks with, by run.scenario: the
+# sample config with gamma (Reproducibility), the levy-area-1 one in the
+# rank-stats item, the custom one with simulate
+README_COMMANDS = {"doleans": "gamma", "levy-area-1": "rank-stats", "custom": "simulate"}
+
+
+def test_readme_configs_run(tmp_path, capsys):
+    import textwrap
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [textwrap.dedent(m.group(2)) for m in
+              re.finditer(r"^( *)```ini\n(.*?)^\1```$", readme, flags=re.M | re.S)]
+    scenarios = [re.search(r"^scenario = (\S+)$", b, flags=re.M).group(1) for b in blocks]
+    assert sorted(scenarios) == sorted(README_COMMANDS)
+    for k, (block, scenario) in enumerate(zip(blocks, scenarios)):
+        cfg = write_config(tmp_path, block, name=f"readme-{k}.ini")
+        code = run_cli(README_COMMANDS[scenario], "--config", cfg, "--out", str(tmp_path / str(k)))
+        assert code == 0, (scenario, capsys.readouterr().err)
+
+
 def test_readme_lists_the_gamma_tags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"formula = ([\w| ]+)`", readme).group(1)
@@ -486,12 +541,16 @@ def test_rank_stats_golden_bytes(tmp_path, scenario, seed):
 
 
 # simulate on the README custom config pinned byte for byte: sha256 of
-# trajectory.csv, whose compensator comes from the mark quadrature in every
-# integrator stage
+# trajectory.csv, whose compensator comes from the mark quadrature.  In the
+# power-law variant X moves between jumps; in the time-reading one X stays put
+# (c_2 vanishes at x2 = 0) while the x-Jacobian of its compensator,
+# m2 (1 + t), does not, so K and Kbar need the quadrature at every stage time.
 POWER_LAW_INI = CUSTOM_INI.replace(
     "kind = uniform\nhalfwidth = 0.6\ntruncation = 0.1\nintensity = 4.0",
     "kind = power-law\ntruncation = 0.05\nalpha = 1.0\nbound = 0.5\nasymmetry = 0.5",
 )
+TIME_INI = CUSTOM_INI.replace("c_2 = x1 * u1", "c_2 = x2 * u1^2 * (1 + t)")
+CUSTOM_KINDS = {"uniform": CUSTOM_INI, "power-law": POWER_LAW_INI, "time": TIME_INI}
 GOLDEN_TRAJECTORIES = {
     ("uniform", 4): "986e0e73e1d3ac8a433efd06208e9e44dd4d30e3c1ef34babaa2bda99a8224bb",
     ("uniform", 5): "c0d5114b6aa53949d1fbc84532f28a8bb958faaa94b2bde584c3df18a5f7786d",
@@ -499,6 +558,9 @@ GOLDEN_TRAJECTORIES = {
     ("power-law", 4): "da7bf9b8cada55d2515e0e7f89f8e2212c3ffae4a767a7384e70f8a217ab929a",
     ("power-law", 5): "cebe6a866095f1e80bf8051b6f5561a9788cae07a9efbaf8f975da4890973d75",
     ("power-law", 11): "f8dd002585aafe35489c968ce363ae2c16f13b535c15f146d015edbf9c663ef7",
+    ("time", 4): "ca8304d0dd4cf63d0083397bbe531083000676857fa4899ccd42ebbec40c0172",
+    ("time", 5): "f4ac29b5c4c765fe3c2f07bb70e7f47be6428e017d38bccd66b49047b60b778f",
+    ("time", 11): "df2bb4752c05eb39928d2ab6f6ab55b9f4adbee46fc352154490aaa5e613b9fe",
 }
 
 
@@ -506,12 +568,50 @@ GOLDEN_TRAJECTORIES = {
 def test_custom_simulate_golden_bytes(tmp_path, kind, seed):
     import hashlib
 
-    assert POWER_LAW_INI != CUSTOM_INI
-    cfg = write_config(tmp_path, CUSTOM_INI if kind == "uniform" else POWER_LAW_INI)
+    assert len(set(CUSTOM_KINDS.values())) == len(CUSTOM_KINDS)
+    cfg = write_config(tmp_path, CUSTOM_KINDS[kind])
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", cfg, "--seed", str(seed), "--out", str(out)) == 0
     got = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
     assert got == GOLDEN_TRAJECTORIES[(kind, seed)]
+
+
+@pytest.mark.parametrize("kind,seed", [(k, s) for k in ("uniform", "time") for s in (4, 5, 11)])
+def test_custom_simulate_integrates_the_compensator_once_per_state(tmp_path, monkeypatch,
+                                                                   kind, seed):
+    # coefficients that do not read t are integrated once per state X, which
+    # moves only at the jumps of the README config; the time-reading ones once
+    # per distinct (t, x) a stage asks for
+    import numpy as np
+
+    import lentparticle.cli as cli
+    from lentparticle.poisson_measure import MarkQuadrature
+
+    passes, states = [], set()
+    integrate_each = MarkQuadrature.integrate_each
+    monkeypatch.setattr(MarkQuadrature, "integrate_each",
+                        lambda self, f, n: passes.append(n) or integrate_each(self, f, n))
+    quadrature_compensator = cli.quadrature_compensator
+
+    def spied(model, c, dx_c):
+        def spy(f):
+            def call(t, x):
+                states.add((np.asarray(t, float).tobytes(), np.asarray(x, float).tobytes()))
+                return f(t, x)
+            return call
+        return tuple(map(spy, quadrature_compensator(model, c, dx_c)))
+
+    monkeypatch.setattr(cli, "quadrature_compensator", spied)
+    cfg = write_config(tmp_path, CUSTOM_KINDS[kind])
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg, "--seed", str(seed), "--out", str(out)) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    jumps = sum(row.split(",")[1] == "1" for row in rows)
+    assert jumps >= 3 and set(passes) == {1}
+    if kind == "uniform":
+        assert len(passes) <= 1 + jumps
+    else:
+        assert len(passes) == len(states) > len(rows)
 
 
 # example mckean pinned byte for byte on a short horizon: sha256 of gamma.json

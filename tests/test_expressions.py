@@ -49,6 +49,17 @@ def test_coefficient_sees_time_state_mark():
     assert np.allclose(out, [[0.3, 1.1], [0.2, 1.2]])
 
 
+@pytest.mark.parametrize("sources, reads", [
+    (["u1", "x1 * u1"], (False, False, False)),
+    (["u1", "x2 * u1^2 * (1 + t)"], (True, True, True)),
+    (["t * u1", "x1 * u1"], (True, False, True)),  # t drops out of dx_c
+], ids=["no-t", "t-times-x", "t-free-of-x"])
+def test_evaluators_report_whether_they_read_time(sources, reads):
+    c = compile_coefficient(sources, 2, 1)
+    dx_c, du_c = compile_jacobians(sources, 2, 1)
+    assert (c.reads_time, dx_c.reads_time, du_c.reads_time) == reads
+
+
 @pytest.mark.parametrize("bad", [
     "__import__('os')",
     "u1.real",

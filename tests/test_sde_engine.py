@@ -316,6 +316,10 @@ def test_quadrature_compensator_shares_one_integral_per_point():
     assert batches == [42]
     np.testing.assert_allclose(value, [0.0, x[0] * x[1] * m2], rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(jac, [[0.0, 0.0], [x[1] * m2, x[0] * m2]], rtol=1e-13, atol=1e-15)
+    # a callable that does not report reads_time = False may read t: a new
+    # time at the same state is integrated again
+    assert np.array_equal(comp(np.array([0.3]), x[None])[0], value)
+    assert batches == [42, 42]
     assert dx_comp(np.zeros(0), np.zeros((0, 2))).shape == (0, 2, 2)  # a batch of no point
 
 
