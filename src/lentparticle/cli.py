@@ -31,7 +31,7 @@ import dataclasses
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +69,7 @@ from .scenarios import (
     uniform_box_model,
     zeta,
 )
-from .sde_engine import CoefficientSet, quadrature_compensator, write_trajectory_csv
+from .sde_engine import CoefficientSet, write_trajectory_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -191,6 +191,8 @@ def _get_float_list(cfg, section, key):
             out.append(float(tok))
         except ValueError:
             raise ConfigFileError(f"{section}.{key}: not a number: {tok!r}") from None
+        if not math.isfinite(out[-1]):
+            raise ConfigFileError(f"{section}.{key}: must be finite")
     return out
 
 
@@ -314,14 +316,8 @@ def _custom_scenario(cfg) -> Scenario:
         dx_c, du_c = compile_jacobians(sources, d, r)
     except InputError as exc:
         raise ConfigFileError(f"coefficients: {exc}") from exc
-
-    def coefficients(m: TruncatedLevyModel) -> CoefficientSet:
-        compensator, dx_compensator = quadrature_compensator(m, cfun, dx_c)
-        return CoefficientSet(
-            dim=d, c=cfun, dx_c=dx_c, du_c=du_c,
-            compensator=compensator, dx_compensator=dx_compensator, name="custom",
-        )
-
+    # no compensator: each solve integrates it against its own truncated model
+    coeffs = CoefficientSet(dim=d, c=cfun, dx_c=dx_c, du_c=du_c, name="custom")
     bs = _custom_structure(cfg, r)
     num = _numeric_overrides(cfg)
     horizon = num.get("horizon", 1.0)
@@ -333,7 +329,7 @@ def _custom_scenario(cfg) -> Scenario:
         default_truncation=model.truncation,
         bottom=bs,
         make_model=lambda eps: model if eps == model.truncation else _retruncate(cfg, eps),
-        make_coeffs=coefficients,
+        make_coeffs=lambda m: coeffs,
         notes="user-supplied coefficient expressions",
     )
 
@@ -489,6 +485,8 @@ def cmd_rank_stats(args) -> int:
         raise ConfigFileError("numeric.epsilons: at least one truncation level required")
     n_paths = _get_int(cfg, "numeric", "n_paths", default=100, minimum=1)
     rel_tol = _get_float(cfg, "numeric", "rank_tolerance", default=1e-8, positive=True)
+    if not rel_tol < 1.0:
+        raise ConfigFileError(f"numeric.rank_tolerance: must lie in (0, 1), got {rel_tol}")
     cfg.refuse_unread("rank-stats")
     table = monte_carlo_rank_stats(scenario, n_paths, epsilons, seed, rel_tol=rel_tol)
     summary = {**dataclasses.asdict(table), "scenario": scenario.name, "seed": int(seed)}
@@ -668,9 +666,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # one tree per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigFileError, InputError) as exc:

@@ -63,9 +63,8 @@ def _rank_stack(m: np.ndarray, rel_tol: float):
     """Rank verdicts of a ``(P, d, d)`` stack of symmetric matrices from one
     ``eigvalsh`` call: per row the rank, the singular values (descending),
     the smallest eigenvalue, the threshold, the gap and the indeterminate
-    flag, each as :func:`rank_diagnostic` reports it."""
-    if not (0.0 < rel_tol < 1.0):
-        raise InputError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    flag, each as :func:`rank_diagnostic` reports it; its callers check
+    ``rel_tol``."""
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise InputError(f"matrix must be square, got shape {m.shape[1:]}")
     eigs = np.linalg.eigvalsh(_symmetrised(m, 1e-10))
@@ -89,6 +88,8 @@ def rank_diagnostic(g, rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     factor 10 of the threshold are flagged indeterminate rather than
     trusted.
     """
+    if not (0.0 < rel_tol < 1.0):
+        raise InputError(f"rel_tol must be in (0, 1), got {rel_tol}")
     m = g.matrix if isinstance(g, GammaMatrix) else np.atleast_2d(np.asarray(g, dtype=float))
     rank, sing, min_eig, threshold, gap, indeterminate = _rank_stack(m[None], rel_tol)
     return RankReport(
@@ -160,9 +161,10 @@ def monte_carlo_rank_stats(
     under this coupling the full-rank fraction is non-decreasing as the
     truncation shrinks; the table reports whether that held.  A sweep whose
     paths plus expected atoms exceed :data:`MAX_SWEEP_WORK` is refused with
-    :class:`InputError` before any path is drawn.  Every path is drawn first,
-    in one ``simulate_configurations`` call.  Each level then
-    restricts them by one mask and takes one ``gammas`` call over all paths
+    :class:`InputError` before any path is drawn, as are bad inputs and a
+    ``rel_tol`` outside ``(0, 1)``.  Every path is drawn first, in one
+    ``simulate_configurations`` call.  Each level then restricts them by one
+    mask and takes one ``gammas`` call over all paths
     (one stacked closed-form pass per chunk of paths, or one batched solve)
     and one rank step over the resulting ``(P, d, d)`` stack, with a single
     ``eigvalsh`` call; a zero matrix counts as rank 0 with min eigenvalue 0.
@@ -179,6 +181,8 @@ def monte_carlo_rank_stats(
         raise InputError("every epsilon must be finite and > 0")
     if n_paths < 1:
         raise InputError(f"n_paths must be >= 1, got {n_paths}")
+    if not (0.0 < rel_tol < 1.0):
+        raise InputError(f"rel_tol must be in (0, 1), got {rel_tol}")
     model = setup.model(min(epsilons))
     if not n_paths * (1.0 + model.mass * setup.horizon) <= MAX_SWEEP_WORK:
         raise InputError(

@@ -484,12 +484,18 @@ class DoleansPairFunctional(MarkFunctional):
         return np.array(doleans_exponential(config, self.first_moment, t))
 
     def mark_jacobian(self, config: JumpConfiguration, atom_index: int) -> np.ndarray:
+        return self.mark_jacobians(config)[atom_index]
+
+    def mark_jacobians(self, config: JumpConfiguration) -> list[np.ndarray]:
+        """Every atom's Jacobian from one :func:`doleans_exponential` call; an
+        atom after ``t`` has a zero Jacobian."""
         t = config.horizon if self.t is None else self.t
-        ti, u = config.atom(atom_index)
-        if ti > t:
-            return np.zeros((2, 1))
         _, e_t = doleans_exponential(config, self.first_moment, t)
-        return np.array([[1.0], [e_t / (1.0 + float(u[0]))]])
+        before = config.times <= t
+        out = np.zeros((config.n_atoms, 2, 1))
+        out[before, 0, 0] = 1.0
+        out[before, 1, 0] = e_t / (1.0 + config.marks[before, 0])
+        return list(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,15 @@ Alongside X the module integrates the first-variation flow ``K_t``
     Kbar: jump factor (I + Dx_c)^{-1},  drift  -Kbar A(t)
 
 with ``A = Dx_b - integral Dx_c k du``.  They are integrated jointly with X
-on the same grid so the three stay mutually consistent.  ``solve_sde`` is
-the one entry point; ``flows=True`` adds K and Kbar to the same pass.  It
-solves one configuration or a sequence of them, advancing every path of a
-sequence in one loop over batched arrays; the coefficients evaluate batches
-of points (see :class:`CoefficientSet`).  Right limits are stored on every
-grid row, left limits only on jump rows, where they differ.  The standing
-assumptions on ``c`` are checked once per chunk of paths, over all the
-jumps it took, from the stored left limits.
+on the same grid so the three stay mutually consistent.  A compensator not
+given in closed form is integrated here, against the model of the solve, by
+mark quadrature.  ``solve_sde`` is the one entry point; ``flows=True`` adds
+K and Kbar to the same pass.  It solves one configuration or a sequence of
+them, advancing every path of a sequence in one loop over batched arrays; the
+coefficients evaluate batches of points (see :class:`CoefficientSet`).  Right
+limits are stored on every grid row, left limits only on jump rows, where
+they differ.  The standing assumptions on ``c`` are checked once per chunk
+of paths, over all the jumps it took, from the stored left limits.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .poisson_measure import JumpConfiguration, MarkQuadrature, TruncatedLevyMod
 __all__ = [
     "CoefficientSet",
     "Trajectory",
-    "quadrature_compensator",
     "solve_sde",
     "write_trajectory_csv",
 ]
@@ -96,10 +96,10 @@ class CoefficientSet:
       ``(P, d, d)``.
     * ``compensator(t, x) = integral c(t, x, u) k(u) du``, ``(P, d)``, and
       ``dx_compensator``, ``(P, d, d)``, may be supplied in closed form --
-      strongly recommended, since the quadrature fallback
-      (:func:`quadrature_compensator`) runs one batched pass over all points
-      per distinct stage time and state, or per distinct state when ``c`` and
-      ``dx_c`` report ``reads_time = False``; the first pass is planned once per model.
+      strongly recommended: when either is missing, the solve integrates it
+      against the model it is given, in one batched mark-quadrature pass over
+      all points per distinct stage time and state, or per distinct state
+      when ``c`` and ``dx_c`` report ``reads_time = False``.
     * ``eta(u)``, ``(P,)``, is the dominating function used by the
       assumption validators; when absent only invertibility of ``I + dx_c``
       is enforced.
@@ -123,46 +123,6 @@ class CoefficientSet:
             raise InputError("drift and dx_drift must be supplied together")
 
 
-def quadrature_compensator(model: TruncatedLevyModel, c, dx_c):
-    """``compensator`` and ``dx_compensator`` of ``c`` by batched mark quadrature.
-
-    ``c`` and ``dx_c`` follow the :class:`CoefficientSet` contract.  For a
-    batch of rows ``(t[p], x[p])``, the returned ``compensator(t, x)``,
-    ``(P, d)``, and ``dx_compensator(t, x)``, ``(P, d, d)``, come from one
-    batched pass over all points, the first pass planned once per model: one
-    vector-valued :class:`MarkQuadrature` integral per point, shared by the
-    two, as an integrator stage asks for both at the same points.  The last
-    batch is kept, keyed on ``(t, x)``, or on ``x`` alone when both ``c`` and
-    ``dx_c`` report ``reads_time = False`` (compiled expressions that do not
-    name ``t``): then a pass runs once per distinct state, not once per stage.
-    """
-    quadrature = MarkQuadrature(model)
-    reads_time = getattr(c, "reads_time", True) or getattr(dx_c, "reads_time", True)
-    last = [(None, None)]
-
-    def integrals(t: np.ndarray, x: np.ndarray):
-        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
-        key = (t.tobytes() if reads_time else None, x.tobytes())
-        last_key, value = last[0]
-        if last_key != key:
-            d = x.shape[1]
-
-            def integrand(index: np.ndarray, marks: np.ndarray) -> np.ndarray:
-                n, t_rows, x_rows = index.shape[0], t[index], x[index]
-                return np.concatenate([
-                    _shape_checked("c", c(t_rows, x_rows, marks), (n, d)),
-                    np.reshape(_shape_checked("dx_c", dx_c(t_rows, x_rows, marks), (n, d, d)),
-                               (n, d * d)),
-                ], axis=1)
-
-            flat = quadrature.integrate_each(integrand, x.shape[0])
-            value = flat[:, :d], flat[:, d:].reshape(-1, d, d)
-            last[0] = key, value
-        return value
-
-    return (lambda t, x: integrals(t, x)[0].copy()), (lambda t, x: integrals(t, x)[1].copy())
-
-
 def _shape_checked(name: str, out, shape: tuple, where: Callable[[], str] = str) -> np.ndarray:
     """``out`` as an array, refused with :class:`ModelError` unless it has
     ``shape``, whose first entry counts the points; ``where()`` ends the message."""
@@ -173,31 +133,55 @@ def _shape_checked(name: str, out, shape: tuple, where: Callable[[], str] = str)
     return out
 
 
-def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel):
-    """Between-jump velocity b - integral c k du and its x-Jacobian, each one
-    closure that checks inline that every part returns ``(n, d)``, its
-    x-Jacobian ``(n, d, d)``, since the solve calls them at every stage."""
-    comp, comp_dx = coeffs.compensator, coeffs.dx_compensator
-    if comp is None or comp_dx is None:
-        by_quadrature = quadrature_compensator(model, coeffs.c, coeffs.dx_c)
-        comp, comp_dx = comp or by_quadrature[0], comp_dx or by_quadrature[1]
+def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: bool):
+    """One closure ``(t, x) -> (v, a)`` over a batch of points: the between-jump
+    velocity ``v = b - integral c k du``, ``(n, d)``, and with ``flows`` its
+    x-Jacobian ``a``, ``(n, d, d)``, else ``None``, each part shape-checked
+    inline, since the solve calls it at every stage.  A missing compensator
+    or ``dx_compensator`` comes from one :class:`MarkQuadrature` pass over all
+    points, one integral of ``(c, dx_c)`` per point; the last pass is kept,
+    keyed on ``(t, x)``, or on ``x`` alone when ``c`` and ``dx_c`` report
+    ``reads_time = False``, so that it runs once per distinct state.
+    """
+    d, c, dx_c = coeffs.dim, coeffs.c, coeffs.dx_c
+    comp, dx_comp = coeffs.compensator, coeffs.dx_compensator
+    if comp is None or dx_comp is None:
+        quadrature = MarkQuadrature(model)
+        reads_time = getattr(c, "reads_time", True) or getattr(dx_c, "reads_time", True)
+    last = [None, None]  # the key and the integrals of the last pass
 
-    def composed(drift, drift_name: str, comp, comp_name: str, tail: tuple):
-        def call(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-            shape = (x.shape[0],) + tail
-            if drift is not None:
-                b = np.asarray(drift(t, x))
-                if b.shape != shape:
-                    _shape_checked(drift_name, b, shape)
-            k = np.asarray(comp(t, x))
-            if k.shape != shape:
-                _shape_checked(comp_name, k, shape)
-            return np.negative(k) if drift is None else np.subtract(b, k)
-        return call
+    def integrals(t: np.ndarray, x: np.ndarray) -> tuple:
+        key = (t.tobytes() if reads_time else None, x.tobytes())
+        if last[0] != key:
+            def integrand(index: np.ndarray, marks: np.ndarray) -> np.ndarray:
+                n, t_rows, x_rows = index.shape[0], t[index], x[index]
+                return np.concatenate([
+                    _shape_checked("c", c(t_rows, x_rows, marks), (n, d)),
+                    np.reshape(_shape_checked("dx_c", dx_c(t_rows, x_rows, marks), (n, d, d)),
+                               (n, d * d)),
+                ], axis=1)
 
-    d = coeffs.dim
-    return (composed(coeffs.drift, "drift", comp, "compensator", (d,)),
-            composed(coeffs.dx_drift, "dx_drift", comp_dx, "dx_compensator", (d, d)))
+            flat = quadrature.integrate_each(integrand, x.shape[0])
+            last[:] = key, (flat[:, :d], flat[:, d:].reshape(-1, d, d))
+        return last[1]
+
+    def part(drift, drift_name: str, comp, comp_name: str, which: int, t, x, shape):
+        if drift is not None:
+            b = np.asarray(drift(t, x))
+            if b.shape != shape:
+                _shape_checked(drift_name, b, shape)
+        k = integrals(t, x)[which] if comp is None else np.asarray(comp(t, x))
+        if k.shape != shape:
+            _shape_checked(comp_name, k, shape)
+        return np.negative(k) if drift is None else np.subtract(b, k)
+
+    def velocity(t: np.ndarray, x: np.ndarray) -> tuple:
+        n = x.shape[0]  # the x-Jacobian's parts are called and checked first
+        a = part(coeffs.dx_drift, "dx_drift", dx_comp, "dx_compensator", 1, t, x, (n, d, d)) \
+            if flows else None
+        return part(coeffs.drift, "drift", comp, "compensator", 0, t, x, (n, d)), a
+
+    return velocity
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -461,14 +445,13 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     flow entries, so X is the same bit for bit with and without flows, and
     every operation acts on each path alone, so a path's rows do not depend
     on the rest of the batch.  The step factors of every row come from one
-    pass before the loop, the drift and its x-Jacobian are one closure each,
-    and the Kbar jump is one call of the ``np.linalg.solve`` kernel.
-    ``first`` is the index of the chunk's first path in the caller's list.
+    pass before the loop, a stage takes the drift and its x-Jacobian from one
+    call of ``drift`` (:func:`_effective_drift`), and the Kbar jump is one
+    call of the ``np.linalg.solve`` kernel.  ``first`` is the index of the chunk's first path in the caller's list.
     Returns the right limits, ``(P, m_max, 1 [+ 2d], d)``, and the left limits
     at the jumps, ``(J, 1 [+ 2d], d)``, both in batch order; the jumps of a
     path are consecutive, in row order.
     """
-    velocity, vel_jac = drift
     d = coeffs.dim
     order, sizes, times, is_jump, _, marks = stacked
     n_paths, m_max = times.shape
@@ -497,12 +480,11 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     eye = np.eye(d)
 
     def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = y[:, 0]
-        if not flows:
-            return velocity(t, x)[:, None]
-        a = vel_jac(t, x)
+        v, a = drift(t, y[:, 0])
+        if a is None:
+            return v[:, None]
         out = np.empty_like(y)
-        out[:, 0] = velocity(t, x)
+        out[:, 0] = v
         out[:, k_rows] = a @ y[:, k_rows]
         out[:, kb_rows] = -(y[:, kb_rows] @ a)
         return out
@@ -609,7 +591,9 @@ def _solve_chunks(coeffs: CoefficientSet, model: TruncatedLevyModel,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
         raise InputError(f"x0 must have shape ({d},), got {x0.shape}")
-    drift = _effective_drift(coeffs, model)
+    if not np.isfinite(x0).all():
+        raise InputError(f"x0 must be finite, got {x0.tolist()}")
+    drift = _effective_drift(coeffs, model, flows)
     block = d * (1 + 2 * d if flows else 1)
     resid = 0.0
     for start, part, grids in _chunks(configs, horizon, step, block):

@@ -183,6 +183,62 @@ def test_rank_stats(tmp_path):
     assert len(summary["rows"]) == 2
 
 
+NON_FINITE_LISTS = [
+    ("simulate", "CUSTOM", "x0 = 0.5 0.0", "x0 = nan 0.0", "coefficients.x0"),
+    ("simulate", "CUSTOM", "x0 = 0.5 0.0", "x0 = 1e400 0.0", "coefficients.x0"),
+    ("rank-stats", "DOLEANS", "step = 0.01", "step = 0.01\nepsilons = 0.05 nan",
+     "numeric.epsilons"),
+]
+
+
+@pytest.mark.parametrize("command, base, old, new, key", NON_FINITE_LISTS,
+                         ids=[case[3].split("\n")[-1] for case in NON_FINITE_LISTS])
+def test_non_finite_list_value_exits_2(tmp_path, capsys, command, base, old, new, key):
+    ini = {"CUSTOM": CUSTOM_INI, "DOLEANS": DOLEANS_INI}[base]
+    assert old in ini
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", write_config(tmp_path, ini.replace(old, new)),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {key}: must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["5", "1"])
+def test_rank_tolerance_above_one_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                             value):
+    import lentparticle.cli as cli
+    import lentparticle.density_criteria as criteria
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "monte_carlo_rank_stats", no_work)
+    monkeypatch.setattr(criteria, "simulate_configurations", no_work)
+    monkeypatch.setattr(cli.Scenario, "simulate", no_work)
+    ini = DOLEANS_INI + f"epsilons = 0.05\nrank_tolerance = {value}\n"
+    out = tmp_path / "o"
+    assert run_cli("rank-stats", "--config", write_config(tmp_path, ini), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: numeric.rank_tolerance: must lie in (0, 1), got {float(value)}\n")
+    assert not out.exists()
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    import argparse
+
+    import lentparticle.cli as cli
+
+    built = []  # build_parser adds the subcommands once per tree
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        lambda self, **kw: built.append(1) or add_subparsers(self, **kw))
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert run_cli("simulate", "--config", str(tmp_path / "missing.ini")) == 2
+    assert built == [1] and cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli._parser()  # build_parser still builds a new tree
+
+
 def test_rank_stats_missing_epsilons(tmp_path, capsys):
     cfg = write_config(tmp_path, "[run]\nscenario = doleans\nseed = 5\n")
     assert run_cli("rank-stats", "--config", cfg, "--out", str(tmp_path / "o")) == 2
@@ -584,24 +640,24 @@ def test_custom_simulate_integrates_the_compensator_once_per_state(tmp_path, mon
     # per distinct (t, x) a stage asks for
     import numpy as np
 
-    import lentparticle.cli as cli
+    import lentparticle.sde_engine as engine
     from lentparticle.poisson_measure import MarkQuadrature
 
     passes, states = [], set()
     integrate_each = MarkQuadrature.integrate_each
     monkeypatch.setattr(MarkQuadrature, "integrate_each",
                         lambda self, f, n: passes.append(n) or integrate_each(self, f, n))
-    quadrature_compensator = cli.quadrature_compensator
+    effective_drift = engine._effective_drift
 
-    def spied(model, c, dx_c):
-        def spy(f):
-            def call(t, x):
-                states.add((np.asarray(t, float).tobytes(), np.asarray(x, float).tobytes()))
-                return f(t, x)
-            return call
-        return tuple(map(spy, quadrature_compensator(model, c, dx_c)))
+    def spied(coeffs, model, flows):
+        drift = effective_drift(coeffs, model, flows)
 
-    monkeypatch.setattr(cli, "quadrature_compensator", spied)
+        def call(t, x):
+            states.add((np.asarray(t, float).tobytes(), np.asarray(x, float).tobytes()))
+            return drift(t, x)
+        return call
+
+    monkeypatch.setattr(engine, "_effective_drift", spied)
     cfg = write_config(tmp_path, CUSTOM_KINDS[kind])
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", cfg, "--seed", str(seed), "--out", str(out)) == 0

@@ -198,6 +198,19 @@ def test_rank_stats_refuses_an_oversized_sweep_before_drawing(monkeypatch):
         monte_carlo_rank_stats("levy-area-1", n_paths=10 ** 8, epsilons=[0.05], seed=1)
 
 
+def test_rank_stats_refuses_a_bad_tolerance_before_drawing(monkeypatch):
+    import lentparticle.density_criteria as criteria
+
+    def no_draws(*args):
+        raise AssertionError("paths were drawn before the tolerance was checked")
+
+    monkeypatch.setattr(criteria, "path_seed", no_draws)
+    monkeypatch.setattr(criteria, "simulate_configurations", no_draws)
+    for bad in (5.0, 1.0, 0.0, float("nan")):
+        with pytest.raises(InputError, match=r"^rel_tol must be in \(0, 1\), got "):
+            monte_carlo_rank_stats("doleans", n_paths=5, epsilons=[0.05], seed=1, rel_tol=bad)
+
+
 def test_rank_stats_csv(tmp_path):
     table = monte_carlo_rank_stats("doleans", n_paths=4, epsilons=[0.06], seed=5)
     path = tmp_path / "stats.csv"

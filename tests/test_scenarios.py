@@ -60,6 +60,29 @@ def test_doleans_exponential_matches_product():
     assert exp_val == pytest.approx(direct, rel=1e-10)
 
 
+def test_doleans_mark_jacobians_take_one_exponential(monkeypatch):
+    import lentparticle.scenarios as sc
+
+    eps, t = 0.05, 0.7
+    m1 = power_law_first_moment(eps)
+    cfg = simulate_configuration(power_law_model(truncation=eps), horizon=1.0, seed=6)
+    assert 0 < np.count_nonzero(cfg.times <= t) < cfg.n_atoms
+    calls = []
+    exponential = sc.doleans_exponential
+    monkeypatch.setattr(sc, "doleans_exponential",
+                        lambda *args: calls.append(args) or exponential(*args))
+    functional = sc.DoleansPairFunctional(m1, t)
+    jacs = functional.mark_jacobians(cfg)
+    assert len(calls) == 1
+    # the bits of one exponential per atom: (1, E_t / (1 + u)) up to t, zero after
+    _, e_t = exponential(cfg, m1, t)
+    for i, jac in enumerate(jacs):
+        ti, u = cfg.atom(i)
+        want = np.array([[1.0], [e_t / (1.0 + float(u[0]))]]) if ti <= t else np.zeros((2, 1))
+        assert jac.shape == (2, 1) and jac.tobytes() == want.tobytes()
+        assert functional.mark_jacobian(cfg, i).tobytes() == want.tobytes()
+
+
 def test_doleans_pipeline_matches_closed_form():
     eps = 1.0 / 17.0
     scenario = get_scenario("doleans", truncation=eps)

@@ -13,8 +13,8 @@ from lentparticle.scenarios import power_law_first_moment, power_law_model, unif
 from lentparticle.sde_engine import (
     _ETA_SLACK,
     CoefficientSet,
+    _effective_drift,
     _spectral_norms,
-    quadrature_compensator,
     solve_sde,
 )
 
@@ -294,7 +294,8 @@ def test_quadrature_compensator_matches_closed_form():
 
 
 def test_quadrature_compensator_shares_one_integral_per_point():
-    # c = (x1 u, x1 x2 u^2): integral c k du = (0, x1 x2 m2) on symmetric marks
+    # c = (x1 u, x1 x2 u^2): integral c k du = (0, x1 x2 m2) on symmetric marks,
+    # so with no drift the velocity is its negative
     model = _uniform_model()
     m2 = 2.0 * 3.0 * (0.6 ** 3 - 0.1 ** 3) / 3.0
     batches = []
@@ -310,17 +311,68 @@ def test_quadrature_compensator_shares_one_integral_per_point():
         return np.stack([np.column_stack([u, zero]),
                          np.column_stack([x[:, 1] * u ** 2, x[:, 0] * u ** 2])], axis=1)
 
-    comp, dx_comp = quadrature_compensator(model, c, dx_c)
+    coeffs = CoefficientSet(dim=2, c=c, dx_c=dx_c, du_c=_constant(np.zeros((2, 1))))
+    drift = _effective_drift(coeffs, model, flows=True)
     x = np.array([0.7, -1.3])
-    value, jac = comp(np.array([0.2]), x[None])[0], dx_comp(np.array([0.2]), x[None])[0]
+    value, jac = drift(np.array([0.2]), x[None])
     assert batches == [42]
-    np.testing.assert_allclose(value, [0.0, x[0] * x[1] * m2], rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(jac, [[0.0, 0.0], [x[1] * m2, x[0] * m2]], rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(value[0], [0.0, -x[0] * x[1] * m2], rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(jac[0], [[0.0, 0.0], [-x[1] * m2, -x[0] * m2]],
+                               rtol=1e-13, atol=1e-15)
     # a callable that does not report reads_time = False may read t: a new
-    # time at the same state is integrated again
-    assert np.array_equal(comp(np.array([0.3]), x[None])[0], value)
+    # time at the same state is integrated again, the same point is not
+    assert np.array_equal(drift(np.array([0.3]), x[None])[0], value)
     assert batches == [42, 42]
-    assert dx_comp(np.zeros(0), np.zeros((0, 2))).shape == (0, 2, 2)  # a batch of no point
+    assert np.array_equal(drift(np.array([0.3]), x[None])[1], jac)
+    assert batches == [42, 42]
+    # without flows the velocity comes alone, from the same integrand
+    plain = _effective_drift(coeffs, model, flows=False)
+    assert plain(np.array([0.2]), x[None])[1] is None and batches == [42, 42, 42]
+    assert drift(np.zeros(0), np.zeros((0, 2)))[1].shape == (0, 2, 2)  # a batch of no point
+    # coefficients that report reads_time = False are integrated once per state
+    c.reads_time = dx_c.reads_time = False
+    del batches[:]
+    timeless = _effective_drift(coeffs, model, flows=True)
+    for t in (0.2, 0.3, 0.4):
+        assert np.array_equal(timeless(np.array([t]), x[None])[0], value)
+    assert batches == [42]
+
+
+def _readme_custom():
+    """The README custom config: c = (u1, x1 u1) on uniform marks in
+    0.1 < |u| < 0.6 of intensity 4, compiled as the CLI compiles it."""
+    from lentparticle.expressions import compile_coefficient, compile_jacobians
+
+    sources = ["u1", "x1 * u1"]
+    dx_c, du_c = compile_jacobians(sources, 2, 1)
+    coeffs = CoefficientSet(dim=2, c=compile_coefficient(sources, 2, 1), dx_c=dx_c, du_c=du_c)
+    return coeffs, uniform_box_model(1, halfwidth=0.6, truncation=0.1, intensity=4.0)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 11])
+def test_quadrature_compensator_gives_x_the_same_bits_with_and_without_flows(seed):
+    coeffs, model = _readme_custom()
+    config = simulate(model, horizon=1.0, seed=seed)
+    x0 = np.array([0.5, 0.0])
+    plain = solve_sde(coeffs, model, config, x0, 0.01)
+    with_flows = solve_sde(coeffs, model, config, x0, 0.01, flows=True)
+    assert config.n_atoms > 0 and plain.flow is None and with_flows.flow is not None
+    assert _same_bits(plain.states, with_flows.states)
+    assert _same_bits(plain.jump_states_left, with_flows.jump_states_left)
+
+
+def test_solve_without_flows_calls_no_x_jacobian_of_the_drift():
+    def never(t, x):
+        raise AssertionError("an x-Jacobian of the drift was evaluated")
+
+    configs = [_config([], []), _config([0.3, 0.7], [0.2, 0.4])]
+    x0 = np.array([0.5, 0.5])
+    coeffs = _shape_case(dx_drift=never, dx_compensator=never)
+    # closed-form compensator, then the quadrature in place of the compensator alone
+    for case in (coeffs, dataclasses.replace(coeffs, compensator=None)):
+        solve_sde(case, _uniform_model(), configs, x0, 0.01)
+        with pytest.raises(AssertionError, match="x-Jacobian of the drift"):
+            solve_sde(case, _uniform_model(), configs, x0, 0.01, flows=True)
 
 
 def test_left_limits_at_jumps():
@@ -482,6 +534,14 @@ def test_step_must_be_positive():
     cfg = simulate(model, horizon=1.0, seed=3)
     with pytest.raises(InputError):
         solve_sde(linear_1d(compensate=0.0), model, cfg, x0=np.array([1.0]), step=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_x0_rejected(bad):
+    model = _uniform_model()
+    cfg = simulate(model, horizon=1.0, seed=3)
+    with pytest.raises(InputError, match=r"^x0 must be finite, got \[0.5, (nan|inf|-inf)\]$"):
+        solve_sde(nonlinear_2d(), model, cfg, x0=np.array([0.5, bad]), step=0.01)
 
 
 def test_grid_row_limit_checked_before_allocation(monkeypatch):
