@@ -1,23 +1,41 @@
 """The one number format of every output file: integers as ``str``, floats
-with 17 significant digits in CSV and as ``repr`` in JSON, both exact."""
+with 17 significant digits in CSV and as ``repr`` in JSON, both exact.  CSV
+is formatted in bulk, one ``%``-template per row over chunks of rows."""
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+from itertools import chain
 
 import numpy as np
 
+_CHUNK_ROWS = 4096
 
-def write_csv(path, header, rows) -> None:
-    """Write RFC-4180 CSV: a header row, then one line per row of numbers."""
+
+def _column(values) -> tuple[np.ndarray, str]:
+    """A column as an array whose ``tolist`` gives the values to format, and
+    its directive: ``%s`` (``str``) for integer dtypes, else ``%.17g``, which is
+    ``format(float(v), ".17g")``.  Any other sequence is formatted value by
+    value: ``str`` for ``int`` (bools too) and ``np.integer``, else ``.17g``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        return values, "%s" if values.dtype.kind in "iu" else "%.17g"
+    cells = np.array([str(v) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
+                      for v in values], dtype=object)
+    return cells, "%s"
+
+
+def write_csv(path, header, columns) -> None:
+    """Write RFC-4180 CSV: a header row, then one line per row of numbers,
+    row ``i`` holding entry ``i`` of every column (each 1-d, of equal length)."""
+    columns, directives = zip(*map(_column, columns))
+    template = ",".join(directives) + "\r\n"
+    n = len(columns[0])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(
-            [str(v) if isinstance(v, (int, np.integer)) else format(float(v), ".17g") for v in row]
-            for row in rows
-        )
+        csv.writer(fh).writerow(header)
+        for lo in range(0, n, _CHUNK_ROWS):
+            rows = zip(*(column[lo:lo + _CHUNK_ROWS].tolist() for column in columns))
+            fh.write(template * min(_CHUNK_ROWS, n - lo) % tuple(chain.from_iterable(rows)))
 
 
 def json_default(obj):

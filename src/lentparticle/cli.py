@@ -546,9 +546,10 @@ def _example_mckean(cfg, seed: int) -> dict:
     model = power_law_model(truncation, alpha=alpha, bound=bound, asymmetry=asymmetry)
 
     def sigma(x: np.ndarray, law: np.ndarray) -> np.ndarray:
-        # math.tanh per element: np.tanh may differ in the last bit
-        pull = 0.2 * math.tanh(float(np.mean(law)))
-        return np.array([0.6 + 0.2 * math.tanh(xi) + pull for xi in x.tolist()])
+        # math.tanh per element: np.tanh may differ in the last bit; the sum
+        # over the size is np.mean's arithmetic without its fixed cost
+        pull = 0.2 * math.tanh(float(law.sum()) / law.size)
+        return 0.6 + 0.2 * np.fromiter(map(math.tanh, x.tolist()), float, len(x)) + pull
 
     res = mckean_vlasov(
         sigma, particles=24, picard_iters=3, model=model, t=horizon, seed=seed, step=step,
@@ -568,7 +569,7 @@ def _example_mckean(cfg, seed: int) -> dict:
     return {
         "gamma.json": partial(_write_json, obj=doc),
         "samples.csv": partial(write_csv, header=["particle", "x_t"],
-                               rows=enumerate(res.samples)),
+                               columns=[np.arange(len(res.samples)), res.samples]),
     }
 
 
@@ -594,12 +595,11 @@ def _example_stable_like(cfg, seed: int) -> dict:
         "zeta": {"0.5": zeta(0.5), "1.0": zeta(1.0), "1.5": zeta(1.5)},
     }
     e1 = np.ones(1)
-    rows = [
-        (z, np.linalg.norm(
-            stable_like_coefficient(alpha_fn, u0, np.array([x]), float(z), e1, band)
-        ))
-        for z in np.linspace(0.0, 20.0, 201)
-    ]
+    zs = np.linspace(0.0, 20.0, 201)
+    magnitudes = np.array([
+        np.linalg.norm(stable_like_coefficient(alpha_fn, u0, np.array([x]), float(z), e1, band))
+        for z in zs
+    ])
     print(
         f"stable-like: pushforward residual {push:.3g}, generator residual "
         f"{gen.residual:.3g} (threshold {gen.threshold:.3g}, "
@@ -607,7 +607,8 @@ def _example_stable_like(cfg, seed: int) -> dict:
     )
     return {
         "diagnostics.json": partial(_write_json, obj=doc),
-        "samples.csv": partial(write_csv, header=["z", "jump_magnitude"], rows=rows),
+        "samples.csv": partial(write_csv, header=["z", "jump_magnitude"],
+                               columns=[zs, magnitudes]),
     }
 
 

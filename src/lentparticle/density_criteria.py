@@ -17,7 +17,7 @@ Provided checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -137,12 +137,8 @@ class RankStatsTable:
     rank_tolerance: float
 
     def to_csv(self, path) -> None:
-        write_csv(
-            path, ["epsilon", "n_paths", "full_rank_fraction", "median_min_eig",
-                   "indeterminate_fraction"],
-            ([r.epsilon, r.n_paths, r.full_rank_fraction, r.median_min_eig,
-              r.indeterminate_fraction] for r in self.rows),
-        )
+        names = [f.name for f in fields(RankStatsRow)]
+        write_csv(path, names, [[getattr(r, name) for r in self.rows] for name in names])
 
 
 def monte_carlo_rank_stats(

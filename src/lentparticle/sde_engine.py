@@ -98,8 +98,10 @@ class CoefficientSet:
       ``dx_compensator``, ``(P, d, d)``, may be supplied in closed form --
       strongly recommended: when either is missing, the solve integrates it
       against the model it is given, in one batched mark-quadrature pass over
-      all points per distinct stage time and state, or per distinct state
-      when ``c`` and ``dx_c`` report ``reads_time = False``.
+      all points, and a stage at the time and state of the last one reuses
+      its velocity (at its state alone when ``c`` and ``dx_c`` report
+      ``reads_time = False`` and no drift or compensator is given), so every
+      callable must be pure.
     * ``eta(u)``, ``(P,)``, is the dominating function used by the
       assumption validators; when absent only invertibility of ``I + dx_c``
       is enforced.
@@ -139,19 +141,41 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
     x-Jacobian ``a``, ``(n, d, d)``, else ``None``, each part shape-checked
     inline, since the solve calls it at every stage.  A missing compensator
     or ``dx_compensator`` comes from one :class:`MarkQuadrature` pass over all
-    points, one integral of ``(c, dx_c)`` per point; the last pass is kept,
-    keyed on ``(t, x)``, or on ``x`` alone when ``c`` and ``dx_c`` report
-    ``reads_time = False``, so that it runs once per distinct state.
+    points, one integral of ``(c, dx_c)`` per point, and then the result of
+    the last call is kept (callers only read it), keyed on ``(t, x)``, or on
+    ``x`` alone when ``c`` and ``dx_c`` report ``reads_time = False`` and no
+    drift or compensator is given: a stage whose state has not moved costs
+    one key comparison.
     """
     d, c, dx_c = coeffs.dim, coeffs.c, coeffs.dx_c
     comp, dx_comp = coeffs.compensator, coeffs.dx_compensator
-    if comp is None or dx_comp is None:
-        quadrature = MarkQuadrature(model)
-        reads_time = getattr(c, "reads_time", True) or getattr(dx_c, "reads_time", True)
-    last = [None, None]  # the key and the integrals of the last pass
 
-    def integrals(t: np.ndarray, x: np.ndarray) -> tuple:
-        key = (t.tobytes() if reads_time else None, x.tobytes())
+    def part(drift, drift_name: str, comp, comp_name: str, k, t, x, shape):
+        if drift is not None:
+            b = np.asarray(drift(t, x))
+            if b.shape != shape:
+                _shape_checked(drift_name, b, shape)
+        if comp is not None:
+            k = np.asarray(comp(t, x))
+            if k.shape != shape:
+                _shape_checked(comp_name, k, shape)
+        return np.negative(k) if drift is None else np.subtract(b, k)
+
+    def velocity(t: np.ndarray, x: np.ndarray, k=None, dx_k=None) -> tuple:
+        n = x.shape[0]  # the x-Jacobian's parts are called and checked first
+        a = part(coeffs.dx_drift, "dx_drift", dx_comp, "dx_compensator", dx_k, t, x, (n, d, d)) \
+            if flows else None
+        return part(coeffs.drift, "drift", comp, "compensator", k, t, x, (n, d)), a
+
+    if comp is not None and dx_comp is not None:
+        return velocity
+    quadrature = MarkQuadrature(model)
+    reads_time = getattr(c, "reads_time", True) or getattr(dx_c, "reads_time", True) \
+        or any(f is not None for f in (coeffs.drift, coeffs.dx_drift, comp, dx_comp))
+    last = [None, None]  # the key and the result of the last call
+
+    def memoised(t: np.ndarray, x: np.ndarray) -> tuple:
+        key = (t.tobytes(), x.tobytes()) if reads_time else x.tobytes()
         if last[0] != key:
             def integrand(index: np.ndarray, marks: np.ndarray) -> np.ndarray:
                 n, t_rows, x_rows = index.shape[0], t[index], x[index]
@@ -162,26 +186,10 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
                 ], axis=1)
 
             flat = quadrature.integrate_each(integrand, x.shape[0])
-            last[:] = key, (flat[:, :d], flat[:, d:].reshape(-1, d, d))
+            last[:] = key, velocity(t, x, flat[:, :d], flat[:, d:].reshape(-1, d, d))
         return last[1]
 
-    def part(drift, drift_name: str, comp, comp_name: str, which: int, t, x, shape):
-        if drift is not None:
-            b = np.asarray(drift(t, x))
-            if b.shape != shape:
-                _shape_checked(drift_name, b, shape)
-        k = integrals(t, x)[which] if comp is None else np.asarray(comp(t, x))
-        if k.shape != shape:
-            _shape_checked(comp_name, k, shape)
-        return np.negative(k) if drift is None else np.subtract(b, k)
-
-    def velocity(t: np.ndarray, x: np.ndarray) -> tuple:
-        n = x.shape[0]  # the x-Jacobian's parts are called and checked first
-        a = part(coeffs.dx_drift, "dx_drift", dx_comp, "dx_compensator", 1, t, x, (n, d, d)) \
-            if flows else None
-        return part(coeffs.drift, "drift", comp, "compensator", 0, t, x, (n, d)), a
-
-    return velocity
+    return memoised
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -664,14 +672,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """
     d = traj.dim
     header = ["time", "is_jump"] + [f"X_{i + 1}" for i in range(d)]
-    blocks = [traj.times[:, None], traj.states]
+    columns = [traj.times, traj.is_jump.astype(int), *traj.states.T]
     if traj.flow is not None:
         header += [f"K_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-        blocks.append(traj.flow.reshape(-1, d * d))
+        columns += list(traj.flow.reshape(-1, d * d).T)
     if traj.inverse_flow is not None:
         header += [f"Kbar_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-        blocks.append(traj.inverse_flow.reshape(-1, d * d))
-    values = np.hstack(blocks).tolist()
-    write_csv(path, header, (
-        [row[0], int(jump)] + row[1:] for row, jump in zip(values, traj.is_jump)
-    ))
+        columns += list(traj.inverse_flow.reshape(-1, d * d).T)
+    write_csv(path, header, columns)

@@ -361,6 +361,73 @@ def test_quadrature_compensator_gives_x_the_same_bits_with_and_without_flows(see
     assert _same_bits(plain.jump_states_left, with_flows.jump_states_left)
 
 
+def _time_reading_drift(reports_time: bool) -> CoefficientSet:
+    """A hand-written set without a compensator whose drift reads t; ``c`` and
+    ``dx_c`` report ``reads_time = False`` unless ``reports_time``.  The drift
+    is zero before t = 0.5, so a state that has not moved there meets a time
+    at which the same state has another velocity."""
+    def c(t, x, u):
+        return np.column_stack([u[:, 0] * (1.0 + 0.1 * x[:, 1]), x[:, 0] * u[:, 0]])
+
+    def dx_c(t, x, u):
+        out = np.zeros((x.shape[0], 2, 2))
+        out[:, 0, 1], out[:, 1, 0] = 0.1 * u[:, 0], u[:, 0]
+        return out
+
+    def du_c(t, x, u):
+        return np.column_stack([1.0 + 0.1 * x[:, 1], x[:, 0]])[:, :, None]
+
+    def drift(t, x):
+        return np.column_stack([np.maximum(t - 0.5, 0.0), -0.2 * x[:, 1] * np.cos(3.0 * t)])
+
+    def dx_drift(t, x):
+        out = np.zeros((x.shape[0], 2, 2))
+        out[:, 1, 1] = -0.2 * np.cos(3.0 * t)
+        return out
+
+    if not reports_time:
+        c.reads_time = dx_c.reads_time = False
+    return CoefficientSet(dim=2, c=c, dx_c=dx_c, du_c=du_c, drift=drift, dx_drift=dx_drift)
+
+
+# sha256 of X, K and Kbar (every path's rows in turn) of _time_reading_drift,
+# its t-reading part given as the drift or as the negated compensator, on
+# three simulated configurations solved as a batch and on one solved alone
+# whose X stays put until its first jump at t = 0.7; pinned before the solver
+# memoised a stage's velocity.  Whether c and dx_c read t changes no bit.
+GOLDEN_TIME_READING_DRIFT = {
+    "drift": ("38d1d4253cff0d667240c388956c8632965990a45681b5f65c6a74c5fc531154",
+              "b70ba4e91612c13ce3ac53b4175d57cfebf14cf341a3bfbb99fd47b537208963",
+              "86fbb8b40ed3ab66a09f119935adb36c03a77f9f2996452953d38a20a43c0784"),
+    "compensator": ("b567ddda51b451f9fac987a05bf56e432694f40c00d915717ae940a57ddc371b",
+                    "31eb3717b09d13bebb4f2f4bc1cf077bd2f28c4920b27aefacc683d9d27a2478",
+                    "2f9524e4f84437fff851c580a84324e39b5e448a71760935883c4cd44f0d24cc"),
+}
+
+
+@pytest.mark.parametrize("part", sorted(GOLDEN_TIME_READING_DRIFT))
+@pytest.mark.parametrize("reports_time", [True, False])
+def test_time_reading_drift_without_compensator_golden_bits(reports_time, part):
+    import hashlib
+
+    coeffs, model = _time_reading_drift(reports_time), _uniform_model()
+    if part == "compensator":  # without dx_compensator, which the quadrature gives
+        drift = coeffs.drift
+        coeffs = dataclasses.replace(coeffs, drift=None, dx_drift=None,
+                                     compensator=lambda t, x: -drift(t, x))
+    configs = [simulate(model, horizon=1.0, seed=seed) for seed in (4, 5, 11)]
+    quiet = _config([0.7, 0.9], [0.3, -0.2])
+    x0 = np.array([0.5, 0.0])
+    solved = solve_sde(coeffs, model, configs, x0, 0.01, flows=True)
+    solved.append(solve_sde(coeffs, model, quiet, x0, 0.01, flows=True))
+    plain = solve_sde(coeffs, model, configs + [quiet], x0, 0.01)
+    assert all(_same_bits(a.states, b.states) for a, b in zip(solved, plain))
+    got = tuple(hashlib.sha256(b"".join(np.ascontiguousarray(getattr(traj, name)).tobytes()
+                                        for traj in solved)).hexdigest()
+                for name in ("states", "flow", "inverse_flow"))
+    assert got == GOLDEN_TIME_READING_DRIFT[part]
+
+
 def test_solve_without_flows_calls_no_x_jacobian_of_the_drift():
     def never(t, x):
         raise AssertionError("an x-Jacobian of the drift was evaluated")
