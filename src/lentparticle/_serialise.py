@@ -13,24 +13,23 @@ import numpy as np
 _CHUNK_ROWS = 4096
 
 
-def _column(values) -> tuple[np.ndarray, str]:
-    """A column as an array whose ``tolist`` gives the values to format, and
-    its directive: ``%s`` (``str``) for integer dtypes, else ``%.17g``, which is
-    ``format(float(v), ".17g")``.  Any other sequence is formatted value by
-    value: ``str`` for ``int`` (bools too) and ``np.integer``, else ``.17g``."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
-        return values, "%s" if values.dtype.kind in "iu" else "%.17g"
-    cells = np.array([str(v) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
-                      for v in values], dtype=object)
-    return cells, "%s"
+def _directive(column) -> str:
+    """The ``%``-directive of a column: ``%s`` (``str``) for an integer dtype,
+    ``%.17g`` (``format(float(v), ".17g")``) for a bool or float one."""
+    if not (isinstance(column, np.ndarray) and column.ndim == 1
+            and column.dtype.kind in "biuf"):
+        raise TypeError(f"a CSV column must be a 1-d numeric array, got {column!r:.60}")
+    return "%s" if column.dtype.kind in "iu" else "%.17g"
 
 
 def write_csv(path, header, columns) -> None:
     """Write RFC-4180 CSV: a header row, then one line per row of numbers,
-    row ``i`` holding entry ``i`` of every column (each 1-d, of equal length)."""
-    columns, directives = zip(*map(_column, columns))
-    template = ",".join(directives) + "\r\n"
+    row ``i`` holding entry ``i`` of every column (1-d numeric arrays of one
+    length)."""
+    template = ",".join(map(_directive, columns)) + "\r\n"
     n = len(columns[0])
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, n, _CHUNK_ROWS):

@@ -17,7 +17,7 @@ Provided checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -137,8 +137,13 @@ class RankStatsTable:
     rank_tolerance: float
 
     def to_csv(self, path) -> None:
-        names = [f.name for f in fields(RankStatsRow)]
-        write_csv(path, names, [[getattr(r, name) for r in self.rows] for name in names])
+        table = np.array([[r.epsilon, r.n_paths, r.full_rank_fraction, r.median_min_eig,
+                           r.indeterminate_fraction] for r in self.rows], dtype=float).reshape(-1, 5)
+        write_csv(
+            path, ["epsilon", "n_paths", "full_rank_fraction", "median_min_eig",
+                   "indeterminate_fraction"],
+            [table[:, 0], table[:, 1].astype(np.int64), *table[:, 2:].T],
+        )
 
 
 def monte_carlo_rank_stats(

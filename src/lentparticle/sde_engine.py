@@ -98,10 +98,11 @@ class CoefficientSet:
       ``dx_compensator``, ``(P, d, d)``, may be supplied in closed form --
       strongly recommended: when either is missing, the solve integrates it
       against the model it is given, in one batched mark-quadrature pass over
-      all points, and a stage at the time and state of the last one reuses
-      its velocity (at its state alone when ``c`` and ``dx_c`` report
-      ``reads_time = False`` and no drift or compensator is given), so every
-      callable must be pure.
+      all points per distinct stage time and state, or per distinct state
+      when ``c`` and ``dx_c`` report ``reads_time = False``; a stage at the
+      time and state of the last one reuses its velocity without calling any
+      part (at its state alone when no drift or compensator is given), so
+      every callable must be pure.
     * ``eta(u)``, ``(P,)``, is the dominating function used by the
       assumption validators; when absent only invertibility of ``I + dx_c``
       is enforced.
@@ -141,11 +142,13 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
     x-Jacobian ``a``, ``(n, d, d)``, else ``None``, each part shape-checked
     inline, since the solve calls it at every stage.  A missing compensator
     or ``dx_compensator`` comes from one :class:`MarkQuadrature` pass over all
-    points, one integral of ``(c, dx_c)`` per point, and then the result of
-    the last call is kept (callers only read it), keyed on ``(t, x)``, or on
-    ``x`` alone when ``c`` and ``dx_c`` report ``reads_time = False`` and no
-    drift or compensator is given: a stage whose state has not moved costs
-    one key comparison.
+    points, one integral of ``(c, dx_c)`` per point, kept keyed on ``(t, x)``,
+    or on ``x`` alone when ``c`` and ``dx_c`` report ``reads_time = False``,
+    so that it runs once per distinct state.  The result of the last call is
+    kept too (callers only read it), under the same key unless a drift or
+    compensator is given, which may read t and is then called again at each
+    new ``(t, x)`` with the kept integrals: a stage whose state has not moved
+    costs one key comparison.
     """
     d, c, dx_c = coeffs.dim, coeffs.c, coeffs.dx_c
     comp, dx_comp = coeffs.compensator, coeffs.dx_compensator
@@ -170,23 +173,30 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
     if comp is not None and dx_comp is not None:
         return velocity
     quadrature = MarkQuadrature(model)
-    reads_time = getattr(c, "reads_time", True) or getattr(dx_c, "reads_time", True) \
+    c_reads_time = getattr(c, "reads_time", True) or getattr(dx_c, "reads_time", True)
+    # a hand-written drift or compensator may read t
+    reads_time = c_reads_time \
         or any(f is not None for f in (coeffs.drift, coeffs.dx_drift, comp, dx_comp))
     last = [None, None]  # the key and the result of the last call
+    integrals = [None, None]  # the key and the (c, dx_c) integrals of the last pass
 
     def memoised(t: np.ndarray, x: np.ndarray) -> tuple:
-        key = (t.tobytes(), x.tobytes()) if reads_time else x.tobytes()
+        x_key = x.tobytes()
+        key = (t.tobytes(), x_key) if reads_time else x_key
         if last[0] != key:
-            def integrand(index: np.ndarray, marks: np.ndarray) -> np.ndarray:
-                n, t_rows, x_rows = index.shape[0], t[index], x[index]
-                return np.concatenate([
-                    _shape_checked("c", c(t_rows, x_rows, marks), (n, d)),
-                    np.reshape(_shape_checked("dx_c", dx_c(t_rows, x_rows, marks), (n, d, d)),
-                               (n, d * d)),
-                ], axis=1)
+            pass_key = (t.tobytes(), x_key) if c_reads_time else x_key
+            if integrals[0] != pass_key:
+                def integrand(index: np.ndarray, marks: np.ndarray) -> np.ndarray:
+                    n, t_rows, x_rows = index.shape[0], t[index], x[index]
+                    return np.concatenate([
+                        _shape_checked("c", c(t_rows, x_rows, marks), (n, d)),
+                        np.reshape(_shape_checked("dx_c", dx_c(t_rows, x_rows, marks),
+                                                  (n, d, d)), (n, d * d)),
+                    ], axis=1)
 
-            flat = quadrature.integrate_each(integrand, x.shape[0])
-            last[:] = key, velocity(t, x, flat[:, :d], flat[:, d:].reshape(-1, d, d))
+                flat = quadrature.integrate_each(integrand, x.shape[0])
+                integrals[:] = pass_key, (flat[:, :d], flat[:, d:].reshape(-1, d, d))
+            last[:] = key, velocity(t, x, *integrals[1])
         return last[1]
 
     return memoised

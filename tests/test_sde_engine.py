@@ -336,6 +336,21 @@ def test_quadrature_compensator_shares_one_integral_per_point():
     for t in (0.2, 0.3, 0.4):
         assert np.array_equal(timeless(np.array([t]), x[None])[0], value)
     assert batches == [42]
+    # a drift may read t: it is called at each new time of a state that has
+    # not moved, with that state's integrals from the one pass
+    times = []
+
+    def drift(t, x):
+        times.append(float(t[0]))
+        return np.column_stack([t, np.zeros_like(t)])
+
+    drifted = _effective_drift(dataclasses.replace(coeffs, drift=drift,
+                                                   dx_drift=_constant(np.zeros((2, 2)))),
+                               model, flows=True)
+    del batches[:]
+    for t in (0.2, 0.3, 0.3, 0.4):
+        assert np.array_equal(drifted(np.array([t]), x[None])[0], [[t, 0.0]] + value)
+    assert batches == [42] and times == [0.2, 0.3, 0.4]
 
 
 def _readme_custom():
