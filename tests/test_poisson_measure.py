@@ -153,6 +153,34 @@ def test_batch_draws_the_bits_of_each_seed_alone(name, mean_atoms):
     assert simulate_configurations(model, horizon, []) == []
 
 
+# simulate_configurations pinned byte for byte: sha256 of the atom counts,
+# then each path's times and marks, over the 64 paths of a rank sweep at
+# seed 7, for the models of the shipped scenarios and the README uniform box
+GOLDEN_BATCHES = {
+    "polar": (lambda: polar_levy_model(0.008),
+              "e96ee0b4b4c306e3c36117f6344ec9e35bf3d3b4070b0f8203ccb254804813ff"),
+    "power-law": (lambda: power_law_model(1.0 / 17.0),
+                  "e31fe5d219ce29fe5b0664a1d646c41332c825eb955cd5b3a2709c42562c0088"),
+    "graph": (lambda: graph_levy_model(1.0 / 17.0),
+              "d1903af58dbf1c1b95d69e0dec713852d42ec77075f3f673bc868b5e2f231078"),
+    "uniform-2d": (lambda: uniform_box_model(2, halfwidth=0.6, truncation=0.1, intensity=4.0),
+                   "505d3c7ad14dee8f0646254242d504a961311d29868c231b9ae405590812c92f"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_BATCHES))
+def test_batch_golden_bits(name):
+    from lentparticle.rng import path_seed
+
+    make, want = GOLDEN_BATCHES[name]
+    configs = simulate_configurations(make(), 1.0, [path_seed(7, p) for p in range(64)])
+    digest = hashlib.sha256(np.array([config.n_atoms for config in configs]).tobytes())
+    for config in configs:
+        digest.update(config.times.tobytes())
+        digest.update(config.marks.tobytes())
+    assert digest.hexdigest() == want
+
+
 @pytest.mark.parametrize("bad, message", [
     (1.5, "sampler returned a mark outside the support"),
     (0.2, "sampler returned a mark inside the truncation ball"),

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from lentparticle.rng import (
     DOMAIN_ATOMS,
@@ -55,3 +56,29 @@ def test_seed_changes_everything():
     a = stream(1, DOMAIN_PATH).standard_normal(32)
     b = stream(2, DOMAIN_PATH).standard_normal(32)
     assert not np.array_equal(a, b)
+
+
+# the first raw Philox words at a few addresses, extreme seeds and indices
+# included: any change to how an address becomes a key and counter shows here
+GOLDEN_RAW = {
+    (0, DOMAIN_ATOMS, 0, 0): [15003734204198539638, 13859618513508960101, 12389738016430293093],
+    (2 ** 63 - 1, DOMAIN_PATH, 7, 0): [4271785774036008153, 2764425113870898625,
+                                       10706587042842221385],
+    (2 ** 64 - 1, DOMAIN_RHO, 2 ** 63, 5): [12390383604529887584, 7514233115525344407,
+                                            8535645156499320397],
+    (12345, DOMAIN_PARTICLE, 0, 2 ** 64 - 1): [6998823274086331885, 3258267987773786175,
+                                               16232279699020198882],
+}
+
+
+def test_first_raw_draws_are_pinned():
+    for address, want in GOLDEN_RAW.items():
+        assert stream(*address).bit_generator.random_raw(3).tolist() == want
+
+
+def test_address_words_outside_64_bits_are_refused():
+    for address in [(-1, DOMAIN_ATOMS), (2 ** 64, DOMAIN_ATOMS), (1, DOMAIN_ATOMS, 2 ** 64)]:
+        with pytest.raises(OverflowError):
+            stream(*address)
+    with pytest.raises(ValueError, match="non-negative"):
+        stream(1, DOMAIN_ATOMS, -1)

@@ -364,6 +364,42 @@ def test_closed_form_weight_error_names_the_path_and_its_atom():
         area_closed_gamma([broken], m1, bad, 1.0)
 
 
+# the closed forms pinned byte for byte: sha256 of the (P, d, d) stack of
+# gammas over 48 paths drawn at seed 5 and restricted to each of three
+# truncation levels, in chunks of the default size and in small chunks
+GOLDEN_CLOSED_GAMMAS = {
+    ("doleans", 0.2): "209e2f80fa2ff159032de4054b4cb748ba62eaacd03fcb53d3bc91616cf5f83c",
+    ("doleans", 0.1): "d6e83c5ff029542b860c18e0ffa535e9e04fbeea2163e34c152ede775022ddd5",
+    ("doleans", 1 / 17): "1ac4251ec18b7d527e98825733c735507a26308811894da239c56ae0b90c66af",
+    ("levy-area-1", 0.05): "d0a5dbf54b3eab56a22add042968cc4c2ca30bd166e35cb662bee8fd450ea894",
+    ("levy-area-1", 0.02): "7aecec5e21473332b732c0ffd02774473eeaf2a3a22000046a573e3c6c514b3d",
+    ("levy-area-1", 0.008): "e49ed863dff943ef54f1bc842974f911209d4983a9f9078a2ee570504e3e43d8",
+    ("levy-area-2", 0.2): "88ff3543d2c11f8e97c0eab43ec2f06205abaaeddbadc27dcdf23298a0b9d256",
+    ("levy-area-2", 0.1): "98be8c951641effb267ab1b258a5f95af2b5bb74b4780a1d738bc98abb22bda3",
+    ("levy-area-2", 1 / 17): "cac728f8215c53cb9c21894282756a23bb65201afdc131a2a8b906e2fe897b8a",
+}
+
+
+@pytest.mark.parametrize("chunk_atoms", [None, 200])
+@pytest.mark.parametrize("name", ["doleans", "levy-area-1", "levy-area-2"])
+def test_closed_form_golden_bits(name, chunk_atoms, monkeypatch):
+    import hashlib
+
+    import lentparticle.scenarios as sc
+    from lentparticle.poisson_measure import simulate_configurations
+    from lentparticle.rng import path_seed
+
+    if chunk_atoms is not None:
+        monkeypatch.setattr(sc, "_CLOSED_CHUNK_ATOMS", chunk_atoms)
+    scenario = get_scenario(name)
+    levels = sorted((eps for key, eps in GOLDEN_CLOSED_GAMMAS if key == name), reverse=True)
+    configs = simulate_configurations(scenario.model(levels[-1]), scenario.horizon,
+                                      [path_seed(5, p) for p in range(48)])
+    for eps in levels:
+        got = scenario.gammas(scenario.restrict(configs, eps), eps)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == GOLDEN_CLOSED_GAMMAS[name, eps]
+
+
 def test_gammas_frees_each_chunk_before_the_next(monkeypatch):
     import dataclasses
     import weakref
