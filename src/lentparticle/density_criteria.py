@@ -164,11 +164,12 @@ def monte_carlo_rank_stats(
     paths plus expected atoms exceed :data:`MAX_SWEEP_WORK` is refused with
     :class:`InputError` before any path is drawn, as are bad inputs and a
     ``rel_tol`` outside ``(0, 1)``.  Every path is drawn first, in one
-    ``simulate_configurations`` call.  Each level then restricts them by one
-    mask and takes one ``gammas`` call over all paths
-    (one stacked closed-form pass per chunk of paths, or one batched solve)
-    and one rank step over the resulting ``(P, d, d)`` stack, with a single
-    ``eigvalsh`` call; a zero matrix counts as rank 0 with min eigenvalue 0.
+    ``simulate_configurations`` call.  Each level then restricts them in one
+    pass (one mask and one gather over the concatenated atoms) and takes one
+    ``gammas`` call over all paths (one stacked closed-form pass per chunk of
+    paths of similar atom counts, or one batched solve) and one rank step
+    over the resulting ``(P, d, d)`` stack, with a single ``eigvalsh`` call;
+    a zero matrix counts as rank 0 with min eigenvalue 0.
     Each row also reports the fraction of paths whose rank verdict is
     indeterminate.
     """

@@ -214,11 +214,13 @@ def simulate_configurations(model: TruncatedLevyModel, horizon: float,
     """Draw one realisation of the truncated measure on ``(0, horizon]`` per seed.
 
     Each seed's stream draws its atom count (Poisson, mean ``model.mass *
-    horizon``), its times (uniform on the window) and its marks, through one
-    sampler call that transforms the draws of every stream at once.  The
-    concatenated atoms are checked once; a failure names the path (its index
-    in ``seeds``) and its row.  Configuration ``i`` is a pure function of
-    ``(model, horizon, seeds[i])``.
+    horizon``) and its times (uniform on the window).  The times of every
+    path are sorted and checked for ties and zeros in one pass; only a path
+    that has one draws its times again, on its own stream, before the
+    sampler.  One sampler call then draws and transforms the marks of every
+    stream.  The concatenated atoms are checked once; a failure names the
+    path (its index in ``seeds``) and its row.  Configuration ``i`` is a
+    pure function of ``(model, horizon, seeds[i])``.
     """
     if not np.isfinite(horizon) or horizon <= 0:
         raise DomainError(f"horizon must be finite and > 0, got {horizon}")
@@ -230,28 +232,35 @@ def simulate_configurations(model: TruncatedLevyModel, horizon: float,
         )
     if len(seeds) == 0:
         return []
-    drawn = []
-    for seed in seeds:
-        g = stream(seed, DOMAIN_ATOMS)
-        n = int(g.poisson(mean))
-        for _ in range(100):
-            t = np.sort(g.uniform(0.0, horizon, n))
-            # the law is diffuse; ties or exact zeros are a measure-zero artefact
-            # of floating point, so redraw rather than reject the run.
+    rngs = [stream(seed, DOMAIN_ATOMS) for seed in seeds]
+    counts = [int(g.poisson(mean)) for g in rngs]
+    total, ends = sum(counts), np.cumsum(counts)
+    # each atom's path and its row in that path
+    path = np.repeat(np.arange(len(counts)), counts)
+    row = np.arange(total) - (ends - counts)[path]
+    # each path's times sorted in a row of its own, padded with NaN, which
+    # sorts last
+    grid = np.full((len(counts), max(counts)), np.nan)
+    for g, n, slot in zip(rngs, counts, grid):
+        slot[:n] = g.uniform(0.0, horizon, n)
+    grid.sort(axis=1)
+    times = grid[path, row]
+    # the law is diffuse; ties or exact zeros are a measure-zero artefact of
+    # floating point, so a path that has one redraws its times on its own
+    # stream, before its marks are drawn, rather than reject the run
+    tied = np.where(row == 0, ~(times > 0.0), ~(np.diff(times, prepend=0.0) > 0.0))
+    for p in np.unique(path[tied]).tolist() if tied.any() else []:
+        for _ in range(99):
+            t = np.sort(rngs[p].uniform(0.0, horizon, counts[p]))
             if np.all(t[:1] > 0.0) and np.all(np.diff(t) > 0.0):
                 break
         else:  # pragma: no cover - probability ~ 0
             raise ConfigurationError("could not draw distinct positive atom times")
-        drawn.append((g, n, t))
-    rngs, counts, times = zip(*drawn)
-    total, r = sum(counts), model.mark_dimension
+        times[ends[p] - counts[p]:ends[p]] = t
+    r = model.mark_dimension
     marks = np.array(model.sampler(rngs, counts), dtype=float)  # a copy, made read-only below
     if marks.shape != (total, r):
         raise ModelError(f"sampler returned shape {marks.shape}, expected ({total}, {r})")
-    times, ends = np.concatenate(times), np.cumsum(counts)
-    # each atom's path and its row in that path
-    path = np.repeat(np.arange(len(counts)), counts)
-    row = np.arange(total) - (ends - counts)[path]
 
     def refuse(bad, error, what):
         if np.any(bad):
@@ -265,8 +274,9 @@ def simulate_configurations(model: TruncatedLevyModel, horizon: float,
            "sampler returned a mark inside the truncation ball")
     refuse(~_per_mark(model.support(marks), total, "support", bool, ModelError), ModelError,
            "sampler returned a mark outside the support")
-    refuse((times <= 0.0) | (times > horizon) | ((row > 0) & (np.diff(times, prepend=0.0) <= 0.0)),
-           ConfigurationError, "atom times must be strictly increasing in (0, horizon]")
+    # the times are positive and strictly increasing in each path already
+    refuse(times > horizon, ConfigurationError,
+           "atom times must be strictly increasing in (0, horizon]")
     times.flags.writeable = marks.flags.writeable = False
     return [JumpConfiguration._checked(times[e - n:e], marks[e - n:e], horizon)
             for n, e in zip(counts, ends.tolist())]

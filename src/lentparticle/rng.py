@@ -27,9 +27,6 @@ DOMAIN_RHO = 2        # auxiliary gradient draws, one subspace per draw index
 DOMAIN_PATH = 3       # per-path sub-seeds in Monte Carlo studies
 DOMAIN_PARTICLE = 4   # per-particle drivers in interacting systems
 
-_U64 = np.uint64
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 
 def stream(seed: int, domain: int, index: int = 0, subindex: int = 0) -> np.random.Generator:
     """Return the generator addressed by ``(seed, domain, index, subindex)``.
@@ -39,9 +36,10 @@ def stream(seed: int, domain: int, index: int = 0, subindex: int = 0) -> np.rand
     """
     if index < 0 or subindex < 0:
         raise ValueError("stream index components must be non-negative")
-    key = [_U64(np.uint64(seed) & _MASK), _U64(domain)]
+    # a word outside [0, 2**64) raises OverflowError here
+    key = np.array([seed, domain], dtype=np.uint64)
     # counter word 0 is left free: it is what advances as blocks are consumed.
-    counter = [_U64(0), _U64(index), _U64(subindex), _U64(0)]
+    counter = np.array([0, index, subindex, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 

@@ -57,6 +57,7 @@ from .errors import (
     InputError,
     ModelError,
     NumericError,
+    StructureError,
 )
 from .expressions import float_pow
 from .lent_particle import (
@@ -108,11 +109,17 @@ __all__ = [
 # model factories
 # ---------------------------------------------------------------------------
 
-def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` uniforms on ``(0, 1)``: a draw of exactly 0 is drawn again."""
-    v = rng.random(n)
-    while np.any(v == 0.0):
-        v[v == 0.0] = rng.random(int(np.sum(v == 0.0)))
+def _open_uniforms(rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
+    """``counts[i]`` uniforms on ``(0, 1)`` from each stream ``rngs[i]``, stacked
+    in stream order.  Each stream draws its uniforms; then a stream with a draw
+    of exactly 0 draws it again, before its next draw, as often as it takes."""
+    v = np.concatenate([rng.random(n) for rng, n in zip(rngs, counts)])
+    if not v.all():
+        ends = np.cumsum(counts)
+        for i in np.unique(np.searchsorted(ends, np.flatnonzero(v == 0.0), side="right")):
+            own = v[ends[i] - counts[i]:ends[i]]
+            while np.any(own == 0.0):
+                own[own == 0.0] = rngs[i].random(int(np.sum(own == 0.0)))
     return v
 
 
@@ -145,9 +152,9 @@ def power_law_model(
         return (1.0 + asymmetry * np.sign(x)) * float_pow(np.abs(x), -1.0 - alpha)
 
     def sampler(rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
-        # per stream in turn its magnitude draws, then its sign draws
-        v, sign_draws = np.concatenate(
-            [(_open_uniforms(rng, n), rng.random(n)) for rng, n in zip(rngs, counts)], axis=1)
+        # every stream's magnitude draws, then every stream's sign draws
+        v = _open_uniforms(rngs, counts)
+        sign_draws = np.concatenate([rng.random(n) for rng, n in zip(rngs, counts)])
         lo = truncation ** -alpha
         hi = bound ** -alpha
         mags = (lo - v * (lo - hi)) ** (-1.0 / alpha)
@@ -275,9 +282,9 @@ def polar_levy_model(
         return theta
 
     def sampler(rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
-        # per stream in turn its angle draws, then its radius draws
-        u, v = np.concatenate(
-            [(rng.random(n), _open_uniforms(rng, n)) for rng, n in zip(rngs, counts)], axis=1)
+        # every stream's angle draws, then every stream's radius draws
+        u = np.concatenate([rng.random(n) for rng, n in zip(rngs, counts)])
+        v = _open_uniforms(rngs, counts)
         theta = sample_theta(2.0 * math.pi * u)
         rho = truncation ** (1.0 - v)
         return np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
@@ -622,14 +629,31 @@ def area_closed_gamma(configs: Sequence[JumpConfiguration], m1: np.ndarray,
 # scenario registry
 # ---------------------------------------------------------------------------
 
-# A closed form pads every path of a chunk to one atom list length, and a
-# chunk holds at most this many padded atoms.  The levy-area form holds at
-# most 40 floats per padded atom at once (38 at its peak under tracemalloc on
-# 200 levy-area-1 paths, doleans 15), so a chunk takes at most 256 KB.  On
-# rank-stats over 256 levy-area-1 paths that adds about 0.3 MB of peak RSS to
-# one path at a time; 512 KB chunks add 0.7 MB for 3% less time, chunks as
-# large as a batched solve's (4 MB) add 3.5 MB.
+# A closed form pads every path of a chunk to the chunk's longest atom list,
+# and a chunk holds at most this many padded atoms.  The levy-area form holds
+# at most 52 floats per padded atom at once (the tracemalloc peak over the
+# chunks of 256 levy-area-1 paths, doleans 23), so a chunk takes at most
+# about 340 KB.  On rank-stats over 256 levy-area-1 paths, peak RSS is the
+# same (40.4-40.6 MB) with one path per chunk, with this cap and with twice
+# it, which takes about 8% less time; eight times it adds about 1.9 MB.
 _CLOSED_CHUNK_ATOMS = 2 ** 15 // 40
+
+
+def _closed_chunks(counts: Sequence[int]):
+    """Index arrays of the paths of each closed-form chunk, in order of their
+    atom counts ``counts``: each chunk holds as many paths as fit in
+    :data:`_CLOSED_CHUNK_ATOMS` atoms once padded to its last, longest list
+    plus one, and at least one."""
+    order = np.argsort(counts, kind="stable")
+    padded = np.asarray(counts, dtype=int)[order] + 1
+    start = 0
+    while start < len(order):
+        # the padded size of the chunk that ends at each later path
+        fits = np.arange(1, len(order) - start + 1) * padded[start:] <= _CLOSED_CHUNK_ATOMS
+        size = max(1, int(np.count_nonzero(fits)))
+        yield order[start:start + size]
+        start += size
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -660,14 +684,22 @@ class Scenario:
     def restrict(self, configs: Sequence[JumpConfiguration],
                  truncation: float) -> list[JumpConfiguration]:
         """The sub-configurations a coarser truncation would have produced,
-        from one mask over the concatenated marks of ``configs``."""
+        from one mask over the concatenated atoms of ``configs`` and one
+        gather; each is a read-only slice of the kept atoms, not validated
+        again, as a subset of a validated configuration holds its invariants."""
+        times = np.concatenate([config.times for config in configs])
         marks = np.concatenate([config.marks for config in configs])
         if self.restrict_mask is not None:
             keep = self.restrict_mask(marks, truncation)
         else:
             keep = np.linalg.norm(marks, axis=1) > truncation
-        ends = np.cumsum([config.n_atoms for config in configs])
-        return [config._subset(k) for config, k in zip(configs, np.split(keep, ends[:-1]))]
+        # the number of kept atoms before each path's first and after its last
+        kept = np.concatenate([[0], np.cumsum(keep)])
+        bounds = kept[np.cumsum([0] + [config.n_atoms for config in configs])].tolist()
+        times, marks = times[keep], marks[keep]
+        times.flags.writeable = marks.flags.writeable = False
+        return [JumpConfiguration._checked(times[a:b], marks[a:b], config.horizon)
+                for config, a, b in zip(configs, bounds, bounds[1:])]
 
     def pipeline(self, config: JumpConfiguration, truncation: float | None = None,
                  t: float | None = None) -> tuple[TruncatedLevyModel, CoefficientSet, Trajectory]:
@@ -693,26 +725,37 @@ class Scenario:
         """Gamma[X_t] of each configuration, in order, as a ``(P, d, d)`` stack.
 
         A closed form takes a chunk of configurations at a time in one
-        stacked pass; without one, the configurations are solved with their
-        flows as one batch, and each chunk of paths is reduced to its stack
-        in one pass before the next is solved: one gather of the jump rows,
-        one ``du_c`` and one ``weight`` call, the atom terms summed per path
-        in atom order and every path conjugated by its ``K_t`` in one
-        product.  Each matrix has the bits of ``gamma_flow(...).matrix`` on
-        its path alone.  Either way memory does not grow with the number of
-        paths beyond the stack itself.
+        stacked pass.  The paths are taken in order of their atom counts,
+        and each chunk holds as many as fit in :data:`_CLOSED_CHUNK_ATOMS`
+        atoms once padded to its own longest list; each path's matrix does
+        not depend on its chunk-mates, and the stack comes back in input
+        order.  A :class:`StructureError` names the first path, by its index
+        in ``configs``, that fails on its own.  Without a closed form, the
+        configurations are solved with their flows as one batch, and each
+        chunk of paths is reduced to its stack in one pass before the next
+        is solved: one gather of the jump rows, one ``du_c`` and one
+        ``weight`` call, the atom terms summed per path in atom order and
+        every path conjugated by its ``K_t`` in one product.  Each matrix
+        has the bits of ``gamma_flow(...).matrix`` on its path alone.  Either
+        way memory does not grow with the number of paths beyond the stack
+        itself.
         """
         t = self.eval_time if t is None else t
         model = self.model(truncation)
         configs = list(configs)
         out = np.zeros((len(configs), self.dim, self.dim))
         if self.closed_form_gamma is not None:
-            # equal chunks of paths, sized by the longest atom list of all
-            longest = max((config.n_atoms for config in configs), default=0) + 1
-            size = max(1, _CLOSED_CHUNK_ATOMS // longest)
-            for start in range(0, len(configs), size):
-                out[start:start + size] = self.closed_form_gamma(
-                    configs[start:start + size], model, t)
+            try:
+                for chunk in _closed_chunks([config.n_atoms for config in configs]):
+                    out[chunk] = self.closed_form_gamma([configs[i] for i in chunk], model, t)
+            except StructureError:
+                for i, config in enumerate(configs):
+                    try:
+                        self.closed_form_gamma([config], model, t)
+                    except StructureError as exc:
+                        raise StructureError(
+                            f"{str(exc).removesuffix(' on path 0')} on path {i}") from None
+                raise
             return out
         coeffs = self.make_coeffs(model)
         for chunk in _solve_chunks(coeffs, model, configs, self.x0, self.step, t,

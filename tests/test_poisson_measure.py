@@ -225,6 +225,103 @@ def test_atom_times_outside_the_window_are_named_by_path_and_row(monkeypatch):
         simulate_configurations(power_law_model(0.05), 1.0, [5, 6])
 
 
+
+class _Wrapped:
+    """A stream that passes every call through to ``g``, but changes the
+    result of the first call of ``name`` with ``change``."""
+
+    def __init__(self, g, name, change):
+        self.g, self.name, self.change = g, name, change
+
+    def __getattr__(self, name):
+        draw = getattr(self.g, name)
+        if name != self.name or self.change is None:
+            return draw
+        change, self.change = self.change, None
+        return lambda *args: change(draw(*args))
+
+
+def _wrap_one_stream(monkeypatch, seed, name, change):
+    import lentparticle.poisson_measure as pm
+
+    real = pm.stream
+    monkeypatch.setattr(pm, "stream", lambda s, *domain: (
+        _Wrapped(real(s, *domain), name, change) if s == seed else real(s, *domain)))
+
+
+def _only_one_path_changed(batch, seeds, model, horizon, changed):
+    """Every path but ``changed`` has the bits of its seed alone; that one
+    has other marks (its times too when ``changed`` tied them)."""
+    for seed, config in zip(seeds, batch):
+        alone = simulate_configuration(model, horizon, seed)
+        same = config.marks.tobytes() == alone.marks.tobytes()
+        assert same == (seed != changed)
+        assert (config.times.tobytes() == alone.times.tobytes()) or seed == changed
+
+
+class _Scripted:
+    """A stream whose ``random`` calls return the given arrays in turn."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self, n):
+        out = self.draws.pop(0)
+        assert out.shape == (n,)
+        return out
+
+
+def test_a_path_with_tied_times_redraws_them_on_its_own_stream(monkeypatch):
+    from lentparticle.rng import DOMAIN_ATOMS, stream
+
+    model, horizon, seeds, tied = power_law_model(0.05), 1.0, [5, 6, 7, 8], 7
+
+    def tie(t):
+        t[1] = t[0]
+        return t
+
+    _wrap_one_stream(monkeypatch, tied, "uniform", tie)
+    batch = simulate_configurations(model, horizon, seeds)
+    # a fresh stream: its count, the discarded times, the redrawn times and
+    # then the draws of its marks
+    g = stream(tied, DOMAIN_ATOMS)
+    n = int(g.poisson(model.mass * horizon))
+    g.uniform(0.0, horizon, n)
+    times = np.sort(g.uniform(0.0, horizon, n))
+    marks = model.sampler([g], [n])
+    got = batch[seeds.index(tied)]
+    assert n > 2 and got.times.tobytes() == times.tobytes()
+    assert got.marks.tobytes() == marks.tobytes()
+    monkeypatch.undo()
+    _only_one_path_changed(batch, seeds, model, horizon, tied)
+
+
+def test_a_zero_uniform_is_redrawn_before_its_stream_draws_again(monkeypatch):
+    from lentparticle.rng import DOMAIN_ATOMS, stream
+
+    model, horizon, seeds, zeroed = power_law_model(0.05), 1.0, [5, 6, 7, 8], 6
+
+    def zero(v):
+        v[1] = 0.0
+        return v
+
+    # the first random call of the power-law sampler draws the magnitudes
+    _wrap_one_stream(monkeypatch, zeroed, "random", zero)
+    batch = simulate_configurations(model, horizon, seeds)
+    # a fresh stream: its count and times, the magnitude draws with the
+    # zeroed one replaced by the next draw, and then the sign draws
+    g = stream(zeroed, DOMAIN_ATOMS)
+    n = int(g.poisson(model.mass * horizon))
+    times = np.sort(g.uniform(0.0, horizon, n))
+    magnitudes = g.random(n)
+    magnitudes[1] = g.random(1)[0]
+    marks = model.sampler([_Scripted([magnitudes, g.random(n)])], [n])
+    got = batch[seeds.index(zeroed)]
+    assert n > 2 and got.times.tobytes() == times.tobytes()
+    assert got.marks.tobytes() == marks.tobytes()
+    monkeypatch.undo()
+    _only_one_path_changed(batch, seeds, model, horizon, zeroed)
+
 # ---------------------------------------------------------------------------
 # batched model callables against the per-mark formulas they replaced
 # ---------------------------------------------------------------------------

@@ -364,6 +364,36 @@ def test_closed_form_weight_error_names_the_path_and_its_atom():
         area_closed_gamma([broken], m1, bad, 1.0)
 
 
+
+def test_closed_form_weight_error_in_a_later_chunk_names_the_path_in_configs(monkeypatch):
+    import dataclasses
+
+    import lentparticle.scenarios as sc
+
+    # psi = 2 > k = 1 for u1 > 0.5, as in the test above
+    bad = psi_over_k(psi=lambda marks: np.where(marks[:, 0] > 0.5, 2.0, 1.0), r=2)
+    m1 = polar_first_moment(0.05, 0.5)
+    scenario = dataclasses.replace(
+        get_scenario("levy-area-1"),
+        closed_form_gamma=lambda configs, model, t: area_closed_gamma(configs, m1, bad, t)[0])
+
+    def config(us):
+        return JumpConfiguration(times=np.linspace(0.1, 0.9, len(us)),
+                                 marks=np.array([[u, 0.1] for u in us]), horizon=1.0)
+
+    fine, broken = config([0.1, 0.3]), config([0.2, -0.3, 0.7])
+    # chunks of at most 8 padded atoms: two fine paths, then a fine one and
+    # the broken one, which is path 1 of its chunk and path 3 of the sweep
+    monkeypatch.setattr(sc, "_CLOSED_CHUNK_ATOMS", 8)
+    assert [list(c) for c in sc._closed_chunks([2, 2, 2, 3])] == [[0, 1], [2, 3]]
+    with pytest.raises(StructureError, match=r"exceeds k\(u\) = 1.0 at mark 2 on path 3$"):
+        scenario.gammas([fine, fine, fine, broken])
+    # the first path that fails alone is named, though a shorter one fails
+    # in an earlier chunk
+    longer = config([0.2, 0.1, -0.3, 0.6, 0.2])
+    with pytest.raises(StructureError, match=r"exceeds k\(u\) = 1.0 at mark 3 on path 0$"):
+        scenario.gammas([longer, fine, broken])
+
 # the closed forms pinned byte for byte: sha256 of the (P, d, d) stack of
 # gammas over 48 paths drawn at seed 5 and restricted to each of three
 # truncation levels, in chunks of the default size and in small chunks
