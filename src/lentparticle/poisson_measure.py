@@ -249,8 +249,8 @@ def simulate_configurations(model: TruncatedLevyModel, horizon: float,
     # floating point, so a path that has one redraws its times on its own
     # stream, before its marks are drawn, rather than reject the run
     tied = np.where(row == 0, ~(times > 0.0), ~(np.diff(times, prepend=0.0) > 0.0))
-    for p in np.unique(path[tied]).tolist() if tied.any() else []:
-        for _ in range(99):
+    for p in dict.fromkeys(path[tied].tolist()):
+        for _ in range(99):  # 100 draws in all, with the one above
             t = np.sort(rngs[p].uniform(0.0, horizon, counts[p]))
             if np.all(t[:1] > 0.0) and np.all(np.diff(t) > 0.0):
                 break

@@ -640,10 +640,10 @@ _CLOSED_CHUNK_ATOMS = 2 ** 15 // 40
 
 
 def _closed_chunks(counts: Sequence[int]):
-    """Index arrays of the paths of each closed-form chunk, in order of their
-    atom counts ``counts``: each chunk holds as many paths as fit in
-    :data:`_CLOSED_CHUNK_ATOMS` atoms once padded to its last, longest list
-    plus one, and at least one."""
+    """Index arrays of the paths of each closed-form chunk, taken in order of
+    their atom counts ``counts``: each chunk holds as many paths (at least
+    one) as fit in :data:`_CLOSED_CHUNK_ATOMS` atoms padded to its last,
+    longest list plus one."""
     order = np.argsort(counts, kind="stable")
     padded = np.asarray(counts, dtype=int)[order] + 1
     start = 0
@@ -724,18 +724,15 @@ class Scenario:
                t: float | None = None) -> np.ndarray:
         """Gamma[X_t] of each configuration, in order, as a ``(P, d, d)`` stack.
 
-        A closed form takes a chunk of configurations at a time in one
-        stacked pass.  The paths are taken in order of their atom counts,
-        and each chunk holds as many as fit in :data:`_CLOSED_CHUNK_ATOMS`
-        atoms once padded to its own longest list; each path's matrix does
-        not depend on its chunk-mates, and the stack comes back in input
-        order.  A :class:`StructureError` names the first path, by its index
-        in ``configs``, that fails on its own.  Without a closed form, the
-        configurations are solved with their flows as one batch, and each
-        chunk of paths is reduced to its stack in one pass before the next
-        is solved: one gather of the jump rows, one ``du_c`` and one
-        ``weight`` call, the atom terms summed per path in atom order and
-        every path conjugated by its ``K_t`` in one product.  Each matrix
+        A closed form takes each chunk of :func:`_closed_chunks` (paths of
+        similar atom counts) in one stacked pass; a path's matrix does not
+        depend on its chunk-mates.  A :class:`StructureError` names the first
+        path that fails on its own, by its index in ``configs``.  Without a
+        closed form, the configurations are solved with their flows as one
+        batch, and each chunk of paths is reduced to its stack in one pass
+        before the next is solved: one gather of the jump rows, one ``du_c``
+        and one ``weight`` call, the atom terms summed per path in atom order
+        and every path conjugated by its ``K_t`` in one product.  Each matrix
         has the bits of ``gamma_flow(...).matrix`` on its path alone.  Either
         way memory does not grow with the number of paths beyond the stack
         itself.
