@@ -746,6 +746,7 @@ class Scenario:
                 for chunk in _closed_chunks([config.n_atoms for config in configs]):
                     out[chunk] = self.closed_form_gamma([configs[i] for i in chunk], model, t)
             except StructureError:
+                # a closed form names a path by its place in the list it is given
                 for i, config in enumerate(configs):
                     try:
                         self.closed_form_gamma([config], model, t)

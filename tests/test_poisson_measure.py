@@ -250,13 +250,15 @@ def _wrap_one_stream(monkeypatch, seed, name, change):
 
 
 def _only_one_path_changed(batch, seeds, model, horizon, changed):
-    """Every path but ``changed`` has the bits of its seed alone; that one
-    has other marks (its times too when ``changed`` tied them)."""
+    """Every path but the one of seed ``changed`` has the bits of its seed
+    alone; that one has other marks."""
     for seed, config in zip(seeds, batch):
         alone = simulate_configuration(model, horizon, seed)
-        same = config.marks.tobytes() == alone.marks.tobytes()
-        assert same == (seed != changed)
-        assert (config.times.tobytes() == alone.times.tobytes()) or seed == changed
+        if seed == changed:
+            assert config.marks.tobytes() != alone.marks.tobytes()
+        else:
+            assert config.times.tobytes() == alone.times.tobytes()
+            assert config.marks.tobytes() == alone.marks.tobytes()
 
 
 class _Scripted:
