@@ -165,11 +165,12 @@ def monte_carlo_rank_stats(
     :class:`InputError` before any path is drawn, as are bad inputs and a
     ``rel_tol`` outside ``(0, 1)``.  Every path is drawn first, in one
     ``simulate_configurations`` call.  Each level then restricts them in one
-    pass (one mask and one gather over the concatenated atoms) and takes one
-    ``gammas`` call over all paths (one stacked closed-form pass per chunk of
-    paths of similar atom counts, or one batched solve) and one rank step
-    over the resulting ``(P, d, d)`` stack, with a single ``eigvalsh`` call;
-    a zero matrix counts as rank 0 with min eigenvalue 0.
+    pass (one mask and one gather over the concatenated atoms), and one
+    ``sweep_gammas`` call takes every level: one stacked closed-form pass per
+    chunk of paths of similar atom counts, level after level, or one batched
+    solve of all levels together.  Each level's ``(P, d, d)`` stack then takes
+    one rank step, with a single ``eigvalsh`` call; a zero matrix counts as
+    rank 0 with min eigenvalue 0.
     Each row also reports the fraction of paths whose rank verdict is
     indeterminate.
     """
@@ -196,8 +197,8 @@ def monte_carlo_rank_stats(
 
     # (path, level) -> full rank, min eigenvalue, indeterminate; a zero matrix is (0, 0, 0)
     stacked = np.zeros((n_paths, len(epsilons), 3))
-    for j, eps in enumerate(epsilons):
-        mats = setup.gammas(setup.restrict(configs, eps), eps)
+    levels = [(setup.restrict(configs, eps), eps) for eps in epsilons]
+    for j, mats in enumerate(setup.sweep_gammas(levels)):
         rank, _, min_eig, _, _, indeterminate = _rank_stack(mats, rel_tol)
         live = mats.any(axis=(1, 2))
         stacked[live, j] = np.column_stack([rank == mats.shape[1], min_eig, indeterminate])[live]

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -334,7 +334,7 @@ class SdeFunctional(MarkFunctional):
         # one batched solve, each chunk of paths reduced to its values
         # before the next is solved
         out = []
-        for chunk in _solve_chunks(self.coeffs, self.model, configs, self.x0, self.step,
+        for chunk in _solve_chunks([(self.coeffs, self.model, configs)], self.x0, self.step,
                                    None, validate=False, flows=False):
             out += [traj.value_at(traj.config.horizon if self.t is None else self.t).copy()
                     for traj in _trajectories(self.coeffs, chunk, False)]
@@ -398,26 +398,38 @@ def _flow_stack(coeffs: CoefficientSet, bs: BottomStructure, points: tuple, v: n
     return terms, _symmetric(k_t @ _path_sums(terms, counts) @ k_t.transpose(0, 2, 1))
 
 
-def _chunk_gammas(coeffs: CoefficientSet, bs: BottomStructure, chunk: tuple) -> np.ndarray:
-    """Gamma[X_t] (``theorem9``) of every path of a chunk from ``_solve_chunks``
-    solved up to ``t``, in chunk order: one gather of the jump rows, one
-    :func:`_flow_stack` pass, and each matrix checked as :class:`GammaMatrix`
-    checks one, an error naming its path."""
-    start, _, (order, sizes, times, is_jump, _, marks), right, left = chunk
-    d = coeffs.dim
+def _chunk_gammas(coeffs: Sequence[CoefficientSet], bs: BottomStructure,
+                  chunk: tuple) -> np.ndarray:
+    """Gamma[X_t] (``theorem9``) of every path of a chunk that ``_solve_chunks``
+    solved up to ``t`` with its Gamma rows, in chunk order: each group's run of
+    paths reduced with that group's coefficients (``coeffs``, one per run) by
+    one :func:`_flow_stack` pass over its jump rows, and each matrix checked
+    as :class:`GammaMatrix` checks one, an error naming its path by its index
+    in its group."""
+    parts, (order, _, times, is_jump, _, marks), right, left = chunk
+    d = right.shape[-1]
     paths, rows = np.nonzero(is_jump)
-    # the left limits copied, as gamma_flow copies them, so that numpy
-    # takes the kernels of contiguous arrays
-    points = (times[paths, rows], left[:, 0].copy(), marks)
-    k_t = right[np.arange(len(order)), sizes[order] - 1, 1:d + 1]
-    try:
-        _, mats = _flow_stack(coeffs, bs, points, right[paths, rows, d + 1:],
-                              np.count_nonzero(is_jump, axis=1), k_t)
-    except StructureError:
-        _weights(bs, marks, start + order[paths], start + len(order))
-        raise
-    out = np.empty_like(mats)
-    out[order] = _psd_checked(mats, lambda b: f" on path {start + order[b]}")
+    n_jumps = paths.shape[0]
+    counts = np.count_nonzero(is_jump, axis=1)
+    # the jump rows' points, Kbar and each path's K_t copied, as gamma_flow
+    # copies them, so that numpy takes the kernels of contiguous arrays
+    t_jump, x_left = times[paths, rows], left[:, 0].copy()
+    v = np.ascontiguousarray(right[:n_jumps, d + 1:])
+    k_t = np.ascontiguousarray(right[n_jumps:, 1:d + 1])
+    out = np.empty((len(order), d, d))
+    lo = jlo = 0
+    for run_coeffs, (_, start, part) in zip(coeffs, parts):
+        hi = lo + len(part)
+        jhi = jlo + int(counts[lo:hi].sum())
+        jumps = slice(jlo, jhi)
+        try:
+            _, mats = _flow_stack(run_coeffs, bs, (t_jump[jumps], x_left[jumps], marks[jumps]),
+                                  v[jumps], counts[lo:hi], k_t[lo:hi])
+        except StructureError:
+            _weights(bs, marks[jumps], start + order[paths[jumps]] - lo, start + len(part))
+            raise
+        out[order[lo:hi]] = _psd_checked(mats, lambda b: f" on path {start + order[lo + b] - lo}")
+        lo, jlo = hi, jhi
     return out
 
 

@@ -633,10 +633,11 @@ def area_closed_gamma(configs: Sequence[JumpConfiguration], m1: np.ndarray,
 # and a chunk holds at most this many padded atoms.  The levy-area form holds
 # at most 52 floats per padded atom at once (the tracemalloc peak over the
 # chunks of 256 levy-area-1 paths, doleans 23), so a chunk takes at most
-# about 340 KB.  On rank-stats over 256 levy-area-1 paths, peak RSS is the
-# same (40.4-40.6 MB) with one path per chunk, with this cap and with twice
-# it, which takes about 8% less time; eight times it adds about 1.9 MB.
-_CLOSED_CHUNK_ATOMS = 2 ** 15 // 40
+# about 680 KB.  On rank-stats over 256 levy-area-1 paths (eps 0.05, 0.02,
+# 0.008), peak RSS is the same (40.4-40.6 MB) with one path per chunk, with
+# half this cap and with this cap, which takes 0.92 of the time per job of
+# half of it (seeds 2000-2024); four times it adds about 1.9 MB.
+_CLOSED_CHUNK_ATOMS = 2 ** 16 // 40
 
 
 def _closed_chunks(counts: Sequence[int]):
@@ -722,45 +723,76 @@ class Scenario:
 
     def gammas(self, configs: Sequence[JumpConfiguration], truncation: float | None = None,
                t: float | None = None) -> np.ndarray:
-        """Gamma[X_t] of each configuration, in order, as a ``(P, d, d)`` stack.
+        """Gamma[X_t] of each configuration, in order, as a ``(P, d, d)``
+        stack: the one-level case of :meth:`sweep_gammas`."""
+        return self.sweep_gammas([(configs, truncation)], t)[0]
 
-        A closed form takes each chunk of :func:`_closed_chunks` (paths of
-        similar atom counts) in one stacked pass; a path's matrix does not
-        depend on its chunk-mates.  A :class:`StructureError` names the first
-        path that fails on its own, by its index in ``configs``.  Without a
-        closed form, the configurations are solved with their flows as one
-        batch, and each chunk of paths is reduced to its stack in one pass
-        before the next is solved: one gather of the jump rows, one ``du_c``
-        and one ``weight`` call, the atom terms summed per path in atom order
-        and every path conjugated by its ``K_t`` in one product.  Each matrix
-        has the bits of ``gamma_flow(...).matrix`` on its path alone.  Either
-        way memory does not grow with the number of paths beyond the stack
-        itself.
+    def sweep_gammas(self, levels: Sequence[tuple], t: float | None = None) -> list[np.ndarray]:
+        """Gamma[X_t] of each configuration of each level ``(configs,
+        truncation)``, in order, as one ``(P, d, d)`` stack per level.
+
+        A closed form takes the levels one after another, each chunk of
+        :func:`_closed_chunks` (paths of similar atom counts) in one stacked
+        pass; a path's matrix does not depend on its chunk-mates.  A
+        :class:`StructureError` names the first path of the level that fails
+        on its own, by its index in ``configs``.  Without a closed form, every
+        level is solved with its flows in one batch, each level a group with
+        its own model and coefficients, keeping only the rows its Gamma reads:
+        the jump rows and each path's last row.  Each chunk of paths is
+        reduced to its stacks in one pass per group before the next is solved:
+        one gather of the jump rows, one ``du_c`` and one ``weight`` call, the
+        atom terms summed per path in atom order and every path conjugated by
+        its ``K_t`` in one product.  Each matrix has the bits of
+        ``gamma_flow(...).matrix`` on its path alone, and a level warns with
+        :class:`ConditioningWarning` as its own solve would.  When a sweep of
+        several levels raises, the levels are solved again one at a time, so
+        the error (and the warnings before it) are those of the first level
+        that fails.  Either way memory does not grow with the number of paths
+        beyond the stacks themselves.
         """
         t = self.eval_time if t is None else t
-        model = self.model(truncation)
-        configs = list(configs)
-        out = np.zeros((len(configs), self.dim, self.dim))
+        levels = [(list(configs), truncation) for configs, truncation in levels]
         if self.closed_form_gamma is not None:
-            try:
-                for chunk in _closed_chunks([config.n_atoms for config in configs]):
-                    out[chunk] = self.closed_form_gamma([configs[i] for i in chunk], model, t)
-            except StructureError:
-                # a closed form names a path by its place in the list it is given
-                for i, config in enumerate(configs):
-                    try:
-                        self.closed_form_gamma([config], model, t)
-                    except StructureError as exc:
-                        raise StructureError(
-                            f"{str(exc).removesuffix(' on path 0')} on path {i}") from None
-                raise
-            return out
-        coeffs = self.make_coeffs(model)
-        for chunk in _solve_chunks(coeffs, model, configs, self.x0, self.step, t,
-                                   validate=True, flows=True):
-            start, part = chunk[:2]
-            out[start:start + len(part)] = _chunk_gammas(coeffs, self.bottom, chunk)
-            del chunk  # the next chunk is solved without this one's arrays
+            return [self._closed_gammas(self.model(truncation), configs, t)
+                    for configs, truncation in levels]
+        try:
+            groups = []
+            for configs, truncation in levels:
+                model = self.model(truncation)
+                groups.append((self.make_coeffs(model), model, configs))
+            out = [np.zeros((len(configs), self.dim, self.dim)) for *_, configs in groups]
+            for chunk in _solve_chunks(groups, self.x0, self.step, t, validate=True, flows=True,
+                                       rows=True):
+                parts = chunk[0]
+                mats = _chunk_gammas([groups[g][0] for g, *_ in parts], self.bottom, chunk)
+                lo = 0
+                for g, start, part in parts:
+                    out[g][start:start + len(part)] = mats[lo:lo + len(part)]
+                    lo += len(part)
+                del chunk, mats  # the next chunk is solved without this one's arrays
+        except Exception:
+            if len(levels) > 1:
+                for level in levels:
+                    self.sweep_gammas([level], t)
+            raise
+        return out
+
+    def _closed_gammas(self, model: TruncatedLevyModel, configs: list[JumpConfiguration],
+                       t: float) -> np.ndarray:
+        """The closed-form Gamma stack of one level, chunk by chunk."""
+        out = np.zeros((len(configs), self.dim, self.dim))
+        try:
+            for chunk in _closed_chunks([config.n_atoms for config in configs]):
+                out[chunk] = self.closed_form_gamma([configs[i] for i in chunk], model, t)
+        except StructureError:
+            # a closed form names a path by its place in the list it is given
+            for i, config in enumerate(configs):
+                try:
+                    self.closed_form_gamma([config], model, t)
+                except StructureError as exc:
+                    raise StructureError(
+                        f"{str(exc).removesuffix(' on path 0')} on path {i}") from None
+            raise
         return out
 
 

@@ -29,7 +29,10 @@ them, advancing every path of a sequence in one loop over batched arrays; the
 coefficients evaluate batches of points (see :class:`CoefficientSet`).  Right
 limits are stored on every grid row, left limits only on jump rows, where
 they differ.  The standing assumptions on ``c`` are checked once per chunk
-of paths, over all the jumps it took, from the stored left limits.
+of paths, over all the jumps it took, from the stored left limits.  The same
+loop solves several groups of paths, each with its own coefficients and
+model, in one batch, storing only the rows the Gamma of a path reads: the
+truncation levels of a rank sweep (``Scenario.sweep_gammas``).
 """
 
 from __future__ import annotations
@@ -65,14 +68,18 @@ _ETA_SLACK = 1.0 + 1e-9
 # Kbar on every row, so larger grids are refused before allocation.
 MAX_GRID_ROWS = 10 ** 6
 
-# A solve of many configurations runs in consecutive chunks of paths.  The
-# right limits of a chunk (paths x its longest grid x the values of one row),
-# its grid arrays (paths x its longest grid x _GRID_VALUES) and its left
-# limits (jumps x the values of one row) hold at most this many floats, 4 MB,
-# about 43 levy-area paths with flows; a longer path is a chunk of its own.
-# On rank-stats over 100 levy-area paths this keeps peak RSS within 5 MB of
-# solving one path at a time; twice the bound adds about 5 MB and saves about
-# a sixth of the time.
+# A solve of many configurations runs in consecutive chunks of paths, each
+# holding at most this many floats, 4 MB: its grid arrays (paths x its longest
+# grid x _GRID_VALUES) and its stored limits.  A solve that returns
+# trajectories stores the right limits on every row (paths x longest grid x
+# the values of one row) and the left limits at the jumps (jumps x the values
+# of one row), about 40 levy-area paths with flows.  The Gamma of a sweep
+# stores only each path's last row and both limits at its jumps, about 100
+# levy-area paths at eps = 0.008, so a 32-path sweep of three levels is one
+# chunk.  A longer path is a chunk of its own.  On rank-stats over 100
+# levy-area-1 paths without the closed form (eps 0.05, 0.02, 0.008), peak RSS
+# is 44.5 MB, against 40.6 MB with one path per chunk and 49.0 MB with twice
+# the bound.
 _CHUNK_VALUES = 2 ** 19
 # times, atom_index, is_jump (_stack_grids) and by_row, halves and the step,
 # its half and its sixth (_integrate): 57 bytes per path and row, in floats
@@ -381,35 +388,49 @@ def _rk4_step(rhs, t0, half, t1, h, half_h, sixth_h, y: np.ndarray) -> np.ndarra
     return y + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _chunks(configs: list[JumpConfiguration], horizon: float | None, step: float,
-            block: int):
-    """Consecutive chunks of paths of one horizon as ``(start, configs,
-    grids)``, ``grids`` holding the chunk's regular grid and each path's
-    number of jumps up to the horizon.  Counting a grid as its nodes plus its
-    jumps, a bound on the merged grid, each padded batch of right limits and
-    grid arrays (paths x longest grid x ``block + _GRID_VALUES`` values)
-    together with the left limits at its jumps (jumps x ``block``) holds at
-    most :data:`_CHUNK_VALUES` floats; a longer path is a chunk of its own."""
-    start, nodes, counts, longest, jumps = 0, None, [], 0, 0
-    for i, config in enumerate(configs):
-        h = config.horizon if horizon is None else float(horizon)
-        if not (np.isfinite(h) and 0 < h <= config.horizon):
-            raise DomainError(f"horizon must lie in (0, {config.horizon}], got {h}")
-        grid = nodes if nodes is not None and nodes[-1] == h else _regular_grid(h, step)
-        j = int(np.searchsorted(config.times, h, side="right"))
-        m = grid.shape[0] + j
-        padded = (len(counts) + 1) * max(longest, m) * (block + _GRID_VALUES)
-        if counts and (grid is not nodes or padded + (jumps + j) * block > _CHUNK_VALUES):
-            yield start, configs[start:i], (nodes, counts)
-            start, counts, longest, jumps = i, [], 0, 0
-        nodes, longest, jumps = grid, max(longest, m), jumps + j
-        counts.append(j)
+def _chunks(groups: list[list[JumpConfiguration]], horizon: float | None, step: float,
+            block: int, rows: bool):
+    """Consecutive chunks of the paths of ``groups``, taken group after group,
+    each of one horizon, as ``(parts, grids)``: ``parts`` lists the chunk's
+    run of paths of each group it reaches as ``(group, start, configs)``, the
+    index of the run's first path in its group and its configurations, and
+    ``grids`` holds the chunk's regular grid and each path's number of jumps
+    up to the horizon.  Counting a grid as its nodes plus its jumps, a bound
+    on the merged grid, a chunk holds at most :data:`_CHUNK_VALUES` floats:
+    its padded grid arrays (paths x longest grid x ``_GRID_VALUES``) and
+    either its right limits on every padded row (paths x longest grid x
+    ``block``) and its left limits at the jumps (jumps x ``block``), or with
+    ``rows`` only its last rows (paths x ``block``) and both limits at the
+    jumps (2 x jumps x ``block``); a longer path is a chunk of its own."""
+    per_row = _GRID_VALUES + (0 if rows else block)
+    per_path, per_jump = (block, 2 * block) if rows else (0, block)
+    parts, nodes, counts, longest, jumps = [], None, [], 0, 0
+    for g, configs in enumerate(groups):
+        for i, config in enumerate(configs):
+            h = config.horizon if horizon is None else float(horizon)
+            if not (np.isfinite(h) and 0 < h <= config.horizon):
+                raise DomainError(f"horizon must lie in (0, {config.horizon}], got {h}")
+            grid = nodes if nodes is not None and nodes[-1] == h else _regular_grid(h, step)
+            j = int(np.searchsorted(config.times, h, side="right"))
+            m = grid.shape[0] + j
+            size = (len(counts) + 1) * (max(longest, m) * per_row + per_path) \
+                + (jumps + j) * per_jump
+            if counts and (grid is not nodes or size > _CHUNK_VALUES):
+                yield [(k, a, groups[k][a:b]) for k, a, b in parts], (nodes, counts)
+                parts, counts, longest, jumps = [], [], 0, 0
+            if parts and parts[-1][0] == g:
+                parts[-1][2] = i + 1
+            else:
+                parts.append([g, i, i + 1])
+            nodes, longest, jumps = grid, max(longest, m), jumps + j
+            counts.append(j)
     if counts:
-        yield start, configs[start:], (nodes, counts)
+        yield [(k, a, groups[k][a:b]) for k, a, b in parts], (nodes, counts)
 
 
-def _stack_grids(configs: Sequence[JumpConfiguration], grids: tuple):
-    """One chunk's grids as batch arrays, longest grid first, in one pass.
+def _stack_grids(configs: Sequence[JumpConfiguration], grids: tuple, lengths: Sequence[int]):
+    """One chunk's grids as batch arrays, in one pass: the chunk's runs of
+    ``lengths`` paths one after another, each longest grid first.
 
     Path ``p``'s grid merges the ``nodes`` of ``grids = (nodes, counts)``
     with its first ``counts[p]`` atom times, an atom on a node taking its row
@@ -432,7 +453,7 @@ def _stack_grids(configs: Sequence[JumpConfiguration], grids: tuple):
     pushed = np.cumsum(apart) - apart
     shifts = np.bincount(path[apart] * n_nodes + pos[apart], minlength=n_paths * n_nodes)
     sizes = n_nodes + np.bincount(path[apart], minlength=n_paths)
-    order = np.argsort(-sizes, kind="stable")
+    order = np.lexsort((-sizes, np.repeat(np.arange(len(lengths)), lengths)))
     batch = np.argsort(order)
     times = np.full((n_paths, int(sizes.max())), nodes[-1])
     is_jump, atom_index = np.zeros(times.shape, dtype=bool), np.full(times.shape, -1)
@@ -446,35 +467,53 @@ def _stack_grids(configs: Sequence[JumpConfiguration], grids: tuple):
     return order, sizes, times, is_jump, atom_index, marks
 
 
-def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
-               flows: bool, validate: bool, first: int) -> tuple[np.ndarray, np.ndarray]:
+def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: bool,
+               validate: bool, rows: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance every path of one chunk through one RK4 loop over grid rows.
 
-    ``stacked`` comes from :func:`_stack_grids`.  A path's state is a
+    ``runs`` holds, for each group's run of the chunk's paths in chunk order,
+    ``(coeffs, drift, first, n)``: its coefficients, its :func:`_effective_drift`
+    closure, the index of its first path in its group and its number of
+    paths.  ``stacked`` comes from :func:`_stack_grids`, so the batch holds
+    the runs one after another, each longest grid first.  A path's state is a
     ``(1, d)`` block holding X, or with ``flows`` a ``(1 + 2d, d)`` block
     holding X, the rows of K and the rows of Kbar; the batch stacks one block
     per path.  A path drops out of the batch after its last row, so row ``i``
-    advances the prefix of paths that have one, each between its own grid
-    times.  The jump update and the finite-state checks run on the paths that
-    jump at row ``i``; with ``validate``, the coefficient assumptions are
-    checked once over every jump of the chunk, from the stored left limits,
-    after the loop or, when the loop raises, over the jumps taken so far
-    before the error propagates.  The X entries of every stage never read the
-    flow entries, so X is the same bit for bit with and without flows, and
-    every operation acts on each path alone, so a path's rows do not depend
-    on the rest of the batch.  The step factors of every row come from one
-    pass before the loop, a stage takes the drift and its x-Jacobian from one
-    call of ``drift`` (:func:`_effective_drift`), and the Kbar jump is one
-    call of the ``np.linalg.solve`` kernel.  ``first`` is the index of the chunk's first path in the caller's list.
-    Returns the right limits, ``(P, m_max, 1 [+ 2d], d)``, and the left limits
-    at the jumps, ``(J, 1 [+ 2d], d)``, both in batch order; the jumps of a
-    path are consecutive, in row order.
+    advances the live prefix of each run, each path between its own grid
+    times: a view of the batch while only the last live run shrinks, else a
+    gather.  A stage calls each live run's ``drift`` on its slice of the
+    batch, one call for a single run, and takes the products of the flows
+    once over the batch.  At a jump row ``c`` (with flows ``dx_c``) is called
+    once for each run's jumping paths, and the jump update, the
+    finite-state checks, the K product and the Kbar solve (one call of the
+    ``np.linalg.solve`` kernel) act once on all of them.  With ``validate``,
+    each run's coefficient assumptions are checked once over every jump it
+    took, from the stored left limits, after the loop or, when the loop
+    raises, over the jumps taken so far before the error propagates.  The X
+    entries of every stage never read the flow entries, so X is the same bit
+    for bit with and without flows, and every operation acts on each path
+    alone, so a path's rows do not depend on the rest of the batch.  Errors
+    name a path by its index in its group.
+
+    Returns, in batch order, the right limits: on every row, ``(P, m_max, 1
+    [+ 2d], d)``, or with ``rows`` at the jump rows followed by each path's
+    last row, ``(J + P, 1 [+ 2d], d)``; the left limits at the jumps, ``(J, 1
+    [+ 2d], d)``, the jumps of a path consecutive in row order; and with
+    ``flows`` each run's largest ``|K Kbar - I|`` over the rows of its paths,
+    folded in as the loop goes, else zeros.
     """
-    d = coeffs.dim
+    d = x0.shape[0]
     order, sizes, times, is_jump, _, marks = stacked
     n_paths, m_max = times.shape
-    # row i advances the paths with more than i rows: a prefix of the batch
-    active = (n_paths - np.searchsorted(np.sort(sizes), np.arange(m_max), side="right")).tolist()
+    lengths = [n for *_, n in runs]
+    bounds = np.cumsum([0] + lengths)
+    run_of = np.repeat(np.arange(len(runs)), lengths)
+    # each batch row's path, by its index in its group
+    named = order + np.repeat([first - b for (_, _, first, _), b in zip(runs, bounds)], lengths)
+    # the paths that leave the batch at each row, and the rows where any does
+    grid_sizes = sizes[order]
+    leaving = {int(m): np.flatnonzero(grid_sizes == m) for m in np.unique(grid_sizes)[:-1]}
+    changes = sorted({1, *leaving}) + [m_max]
     # per row, the start, midpoint and end time and the step of every path
     by_row = np.ascontiguousarray(times.T)
     # the step, its half and its sixth for every row and path: scalars when
@@ -483,7 +522,6 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     factors = np.stack([by_row[1:] - by_row[:-1]] * 3)
     factors[1] *= 0.5
     factors[2] /= 6.0
-    factor_columns = factors[..., None, None]
     halves = by_row[:-1] + factors[1]
     # the jumps are stored (marks, left limits) by path, then row; the loop
     # and the checks take them by row, then path
@@ -494,72 +532,152 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
     ends = np.append(starts[1:], event_rows.shape[0])
     jumpers = {row: (event_paths[a:b], event_slots[a:b], b)
                for row, a, b in zip(rows_with_jumps.tolist(), starts.tolist(), ends.tolist())}
+    n_jumps = event_rows.shape[0]
     k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
     eye = np.eye(d)
+    single, live_runs = None, []  # the drift of a lone live run, else each live run's
 
     def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-        v, a = drift(t, y[:, 0])
-        if a is None:
-            return v[:, None]
-        out = np.empty_like(y)
-        out[:, 0] = v
-        out[:, k_rows] = a @ y[:, k_rows]
-        out[:, kb_rows] = -(y[:, kb_rows] @ a)
+        x = y[:, 0]
+        if single is not None:
+            v, a = single(t, x)
+            if a is None:
+                return v[:, None]
+            out = np.empty_like(y)
+            out[:, 0] = v
+        else:
+            out, a = np.empty_like(y), np.empty((y.shape[0], d, d)) if flows else None
+            for drift, s in live_runs:
+                out[s, 0], a_s = drift(t[s], x[s])
+                if flows:
+                    a[s] = a_s
+            if a is None:
+                return out
+        np.matmul(a, y[:, k_rows], out=out[:, k_rows])
+        kb = np.matmul(y[:, kb_rows], a, out=out[:, kb_rows])
+        np.negative(kb, out=kb)
         return out
 
-    def jump(i: int, batch: np.ndarray, slots: np.ndarray, y: np.ndarray) -> np.ndarray:
-        t, u, x_left = times[batch, i], marks[slots], y[batch, 0]
-        where = lambda k: f"on path {first + order[batch[k]]}"
-        at_first = lambda: f" at t = {t[0]} {where(0)}"
+    def jump(i: int, batch: np.ndarray, slots: np.ndarray, prior: np.ndarray) -> np.ndarray:
+        """The right limits at row ``i`` of the paths ``batch`` from their left
+        limits ``prior``."""
+        t, u, x_left = times[batch, i], marks[slots], prior[:, 0].copy()
+        where = lambda k: f"on path {named[batch[k]]}"
         n = batch.shape[0]
-        if flows:
-            slope = np.asarray(coeffs.dx_c(t, x_left, u), dtype=float)
-            jump_matrix = eye + _shape_checked("dx_c", slope, (n, d, d), at_first)
-        block = np.empty((n, y.shape[1], d))
-        size = np.asarray(coeffs.c(t, x_left, u), dtype=float)
-        block[:, 0] = x_left + _shape_checked("c", size, (n, d), at_first)
+        block, jump_matrix = np.empty_like(prior), np.empty((n, d, d)) if flows else None
+        cuts = np.searchsorted(batch, bounds).tolist()
+        for (coeffs, *_), lo, hi in zip(runs, cuts, cuts[1:]):
+            if hi > lo:
+                point, shape = (t[lo:hi], x_left[lo:hi], u[lo:hi]), (hi - lo, d)
+                at_first = lambda lo=lo: f" at t = {t[lo]} {where(lo)}"
+                if flows:
+                    slope = np.asarray(coeffs.dx_c(*point), dtype=float)
+                    jump_matrix[lo:hi] = eye + _shape_checked("dx_c", slope, shape + (d,), at_first)
+                size = np.asarray(coeffs.c(*point), dtype=float)
+                block[lo:hi, 0] = x_left[lo:hi] + _shape_checked("c", size, shape, at_first)
         if not np.isfinite(block[:, 0]).all():
             k = _first(~np.isfinite(block[:, 0]).all(axis=1))
             raise NumericError(f"jump update produced non-finite state at t = {t[k]} {where(k)}")
         if flows:
-            block[:, k_rows] = jump_matrix @ y[batch, k_rows]
+            block[:, k_rows] = jump_matrix @ prior[:, k_rows]
             block[:, kb_rows] = _solve_right(
-                y[batch, kb_rows], jump_matrix,
+                prior[:, kb_rows], jump_matrix,
                 lambda k: f"jump update I + dx_c singular at (t={t[k]}, u={u[k]}) {where(k)}")
         return block
 
     def check(taken: int) -> None:
-        """The coefficient assumptions at the first ``taken`` jumps."""
-        rows, paths, slots = event_rows[:taken], event_paths[:taken], event_slots[:taken]
-        _check_r_conditions(coeffs, times[paths, rows], left[slots, 0], marks[slots],
-                            lambda k: f"on path {first + order[paths[k]]}")
+        """Each run's coefficient assumptions at the first ``taken`` jumps."""
+        rows_taken, paths, slots = event_rows[:taken], event_paths[:taken], event_slots[:taken]
+        for k, (coeffs, *_) in enumerate(runs):
+            mine = run_of[paths] == k
+            if mine.any():
+                p = paths[mine]
+                _check_r_conditions(coeffs, times[p, rows_taken[mine]], left[slots[mine], 0],
+                                    marks[slots[mine]], lambda j: f"on path {named[p[j]]}")
+
+    worst = np.zeros(len(runs))
+    pending = []  # (states, their runs) of the rows not yet folded into worst
+
+    def fold() -> None:
+        states = np.concatenate([s for s, _ in pending])
+        ids = np.concatenate([r for _, r in pending])
+        pending.clear()
+        with np.errstate(all="ignore"):
+            gap = states[:, k_rows] @ states[:, kb_rows]
+            gap -= eye
+            gap = np.abs(gap, out=gap).reshape(-1, d * d)
+        for k in range(len(runs)):
+            mine = gap[ids == k]
+            if mine.size:
+                worst[k] = np.maximum(worst[k], mine.max())
 
     y = np.zeros((n_paths, 1 + 2 * d if flows else 1, d))
     y[:, 0] = x0
     if flows:
-        y[:, k_rows] = y[:, kb_rows] = np.eye(d)
-    right = np.empty((n_paths, m_max) + y.shape[1:])
-    left = np.empty((event_rows.shape[0],) + y.shape[1:])
-    right[:, 0] = y
+        y[:, k_rows] = y[:, kb_rows] = eye
+    if rows:
+        right = np.empty((n_jumps + n_paths,) + y.shape[1:])
+    else:
+        right = np.empty((n_paths, m_max) + y.shape[1:])
+        right[:, 0] = y
+    left = np.empty((n_jumps,) + y.shape[1:])
+    live, buffered = np.arange(n_paths), 0  # the batch rows still advancing
     taken, error = 0, None  # jumps reached by the loop, in (row, path) order
     try:
-        for i in range(1, m_max):
-            n = active[i]
-            h, half_h, sixth_h = factors[:, i - 1, 0] if n == 1 else factor_columns[:, i - 1, :n]
-            y = _rk4_step(rhs, by_row[i - 1, :n], halves[i - 1, :n], by_row[i, :n], h, half_h,
-                          sixth_h, y[:n])
-            if not np.isfinite(y).all():
-                k = _first(~np.isfinite(y).all(axis=(1, 2)))
-                raise NumericError(
-                    f"integration produced non-finite state at t = {times[k, i]} "
-                    f"on path {first + order[k]}"
-                )
-            event = jumpers.get(i)
-            if event is not None:
-                batch, slots, taken = event
-                left[slots] = y[batch]
-                y[batch] = jump(i, batch, slots, y)
-            right[:n, i] = y
+        for start, stop in zip(changes, changes[1:]):
+            gone = leaving.get(start)
+            if gone is not None:
+                at = np.searchsorted(live, gone)
+                if rows:
+                    right[n_jumps + gone] = y[at]
+                keep = np.ones(live.shape[0], dtype=bool)
+                keep[at] = False
+                live = live[keep]
+                y = y[:live.shape[0]] if at[0] == live.shape[0] else y[keep]
+            # rows start to stop - 1 advance the same paths: their times, as
+            # a view while they are a prefix of the batch
+            n = live.shape[0]
+            prefix = live[-1] == n - 1
+            cols = slice(0, n) if prefix else live
+            seg_times, seg_halves = by_row[start - 1:stop, cols], halves[start - 1:stop - 1, cols]
+            seg_factors = factors[:, start - 1:stop - 1, cols]
+            seg_columns = seg_factors[..., None, None]
+            cuts = np.searchsorted(live, bounds).tolist()
+            live_runs = [(runs[k][1], slice(lo, hi))
+                         for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if hi > lo]
+            single = live_runs[0][0] if len(live_runs) == 1 else None
+            live_ids = run_of[live]
+            for i in range(start, stop):
+                r = i - start
+                h, half_h, sixth_h = seg_factors[:, r, 0] if n == 1 else seg_columns[:, r]
+                y = _rk4_step(rhs, seg_times[r], seg_halves[r], seg_times[r + 1], h, half_h,
+                              sixth_h, y)
+                if not np.isfinite(y).all():
+                    k = live[_first(~np.isfinite(y).all(axis=(1, 2)))]
+                    raise NumericError(
+                        f"integration produced non-finite state at t = {times[k, i]} "
+                        f"on path {named[k]}"
+                    )
+                event = jumpers.get(i)
+                if event is not None:
+                    batch, slots, taken = event
+                    at = batch if prefix else np.searchsorted(live, batch)
+                    left[slots] = prior = y[at]
+                    y[at] = after = jump(i, batch, slots, prior)
+                    if rows:
+                        right[slots] = after
+                if not rows:
+                    right[cols, i] = y
+                if flows:
+                    pending.append((y, live_ids))
+                    buffered += n
+                    if buffered >= 1024:
+                        fold()
+                        buffered = 0
+        if rows:
+            right[n_jumps + live] = y
+        if pending:
+            fold()
     except Exception as caught:
         error = caught
     # an assumption violated at a jump already taken wins over a later error
@@ -567,13 +685,13 @@ def _integrate(coeffs: CoefficientSet, drift, stacked: tuple, x0: np.ndarray,
         check(taken)
     if error is not None:
         raise error
-    return right, left
+    return right, left, worst
 
 
 def _trajectories(coeffs: CoefficientSet, chunk: tuple, flows: bool) -> list[Trajectory]:
-    """Each path of a chunk from :func:`_solve_chunks` as a :class:`Trajectory`,
-    in chunk order, as views into the batch."""
-    _, configs, stacked, right, left = chunk
+    """Each path of a one-group chunk from :func:`_solve_chunks` as a
+    :class:`Trajectory`, in chunk order, as views into the batch."""
+    [(_, _, configs)], stacked, right, left = chunk
     order, sizes, times, is_jump, atom_index, _ = stacked
     d = coeffs.dim
     k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
@@ -595,46 +713,46 @@ def _trajectories(coeffs: CoefficientSet, chunk: tuple, flows: bool) -> list[Tra
     return out
 
 
-def _solve_chunks(coeffs: CoefficientSet, model: TruncatedLevyModel,
-                  configs: Sequence[JumpConfiguration], x0: np.ndarray, step: float,
-                  horizon: float | None, validate: bool, flows: bool):
-    """:func:`solve_sde` of a sequence, yielding one chunk of paths at a time
-    as ``(start, configs, stacked, right, left)``: the index of its first
-    path, its configurations, grids (:func:`_stack_grids`) and stored limits
-    (:func:`_integrate`), so that a caller that drops each chunk before the
-    next holds one chunk's arrays.  Warns as :func:`solve_sde` after the last
-    chunk, at the caller of the function that consumes the chunks."""
-    configs = list(configs)
-    d = coeffs.dim
+def _solve_chunks(groups: Sequence[tuple], x0: np.ndarray, step: float, horizon: float | None,
+                  validate: bool, flows: bool, rows: bool = False):
+    """:func:`solve_sde` of groups of paths, ``[(coeffs, model, configs),
+    ...]``, each group with its own coefficients, model, drift and
+    validation, all in one batch: yields one chunk of paths at a time as
+    ``(parts, stacked, right, left)``, the run of each group's paths it holds
+    (:func:`_chunks`), its grids (:func:`_stack_grids`) and its stored limits
+    (:func:`_integrate`, with ``rows`` only the rows the Gamma of a path
+    reads), so that a caller that drops each chunk before the next holds one
+    chunk's arrays.  Warns as :func:`solve_sde`, once per group in group
+    order, after the last chunk, at the caller of the function that consumes
+    the chunks."""
+    groups = [(coeffs, model, list(configs)) for coeffs, model, configs in groups]
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (d,):
-        raise InputError(f"x0 must have shape ({d},), got {x0.shape}")
+    for coeffs, _, _ in groups:
+        if x0.shape != (coeffs.dim,):
+            raise InputError(f"x0 must have shape ({coeffs.dim},), got {x0.shape}")
     if not np.isfinite(x0).all():
         raise InputError(f"x0 must be finite, got {x0.tolist()}")
-    drift = _effective_drift(coeffs, model, flows)
+    drifts = [_effective_drift(coeffs, model, flows) for coeffs, model, _ in groups]
+    d = x0.shape[0]
     block = d * (1 + 2 * d if flows else 1)
-    resid = 0.0
-    for start, part, grids in _chunks(configs, horizon, step, block):
-        stacked = _stack_grids(part, grids)
-        right, left = _integrate(coeffs, drift, stacked, x0, flows, validate, start)
-        if flows:
-            # |K Kbar - I| on the rows of the batch, 1024 rows to a product so
-            # that the check adds little memory; rows past a path's grid are masked out
-            rows, worst = right.reshape((-1,) + right.shape[2:]), np.empty(right.shape[:2])
-            with np.errstate(all="ignore"):
-                for lo in range(0, len(rows), 1024):
-                    gap = rows[lo:lo + 1024, 1:d + 1] @ rows[lo:lo + 1024, d + 1:] - np.eye(d)
-                    worst.flat[lo:lo + 1024] = np.abs(gap).max(axis=(1, 2))
-            valid = np.arange(right.shape[1]) < stacked[1][stacked[0]][:, None]
-            resid = max(resid, float(worst[valid].max()))
-            del rows
-        yield start, part, stacked, right, left
+    resid = [0.0] * len(groups)
+    for parts, grids in _chunks([configs for *_, configs in groups], horizon, step, block,
+                                rows):
+        stacked = _stack_grids([config for *_, part in parts for config in part], grids,
+                               [len(part) for *_, part in parts])
+        right, left, worst = _integrate(
+            [(groups[g][0], drifts[g], start, len(part)) for g, start, part in parts],
+            stacked, x0, flows, validate, rows)
+        for (g, *_), w in zip(parts, worst.tolist()):
+            resid[g] = max(resid[g], w)
+        yield parts, stacked, right, left
         del stacked, right, left
-    if resid > 1e-9:
-        warnings.warn(
-            f"K Kbar deviates from identity by {resid:.3g}; consider a smaller step",
-            ConditioningWarning, stacklevel=3,
-        )
+    for r in resid:
+        if r > 1e-9:
+            warnings.warn(
+                f"K Kbar deviates from identity by {r:.3g}; consider a smaller step",
+                ConditioningWarning, stacklevel=3,
+            )
 
 
 def solve_sde(
@@ -660,15 +778,16 @@ def solve_sde(
     with :class:`ConditioningWarning` when ``K Kbar`` strays from the
     identity by more than 1e-9 on some path.  With ``validate`` the
     coefficient assumptions are spot-checked at every jump actually taken;
-    errors name the path's index in ``configs``.
+    errors name the path's index in ``configs``.  This is the one-group case
+    of the engine's batch, which ``Scenario.sweep_gammas`` runs over several
+    groups (one per truncation level), keeping only the rows Gamma reads.
     """
     single = isinstance(configs, JumpConfiguration)
     trajectories: list[Trajectory] = []
-    for chunk in _solve_chunks(coeffs, model, [configs] if single else configs,
-                               x0, step, horizon, validate, flows):
+    for chunk in _solve_chunks([(coeffs, model, [configs] if single else configs)], x0, step,
+                               horizon, validate, flows):
         trajectories += _trajectories(coeffs, chunk, flows)
     return trajectories[0] if single else trajectories
-
 
 # ---------------------------------------------------------------------------
 # CSV export

@@ -256,18 +256,33 @@ def test_rank_stats_pipeline_same_in_chunks(monkeypatch):
     chunks = []
     stack = engine._stack_grids
 
-    def counted(configs, grids):
+    def counted(configs, grids, lengths):
         chunks.append(len(configs))
-        return stack(configs, grids)
+        return stack(configs, grids, lengths)
 
-    # 401 regular rows plus the atoms, 21 stored values per row and 21 per
-    # atom (the left limits), and about 5 more per row for the grid arrays:
-    # at most three paths per chunk
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", 1500 * 26)
+    # 401 regular rows plus the atoms of about 7 grid values each, 21 stored
+    # values per path (its last row) and 42 per atom (both limits at the
+    # jump): at most three paths per chunk, the levels sharing chunks
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 12000)
     monkeypatch.setattr(engine, "_stack_grids", counted)
     chunked = monte_carlo_rank_stats(scenario, 8, _EPSILONS, seed=12)
     assert max(chunks) <= 3 and len(chunks) >= 3 * len(_EPSILONS)
     _assert_tables_agree(chunked, whole)
+
+
+def test_rank_stats_pipeline_solves_the_sweep_in_one_batch(monkeypatch):
+    import lentparticle.sde_engine as engine
+
+    calls = []
+    integrate = engine._integrate
+
+    def counted(runs, *args):
+        calls.append([n for *_, n in runs])
+        return integrate(runs, *args)
+
+    monkeypatch.setattr(engine, "_integrate", counted)
+    monte_carlo_rank_stats(_pipeline_levy_area(), 32, _EPSILONS, seed=12)
+    assert calls == [[32, 32, 32]]
 
 
 def test_rank_stats_closed_form_same_in_chunks(monkeypatch):

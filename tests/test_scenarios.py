@@ -9,6 +9,7 @@ from scipy import integrate
 
 from lentparticle.bottom_structure import intro_1d, isotropic, psi_over_k
 from lentparticle.errors import (
+    ConditioningWarning,
     ConfigurationError,
     ConvergenceWarning,
     DomainError,
@@ -444,18 +445,126 @@ def test_gammas_frees_each_chunk_before_the_next(monkeypatch):
     def tracked(*args):
         # every earlier chunk's stored limits are gone before this one is solved
         assert all(ref() is None for ref in solved)
-        right, left = integrate(*args)
+        right, left, worst = integrate(*args)
         solved.extend([weakref.ref(right), weakref.ref(left)])
-        return right, left
+        return right, left, worst
 
-    # about 440 rows of 21 stored values and about 5 grid values per path,
-    # plus 21 per atom for the left limits: two paths per chunk
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", 2 * 500 * 30)
+    # about 440 rows of about 7 grid values and 21 stored values (the last
+    # row) per path, plus 42 per atom (both limits at the jump): two paths
+    # per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 12000)
     monkeypatch.setattr(engine, "_integrate", tracked)
     matrices = scenario.gammas(configs)
     assert len(solved) == 2 * 3
     for config, matrix in zip(configs, matrices, strict=True):
         assert np.array_equal(matrix, scenario.gamma_of(config))
+
+
+_SWEEP_LEVELS = (0.05, 0.02, 0.008)
+
+
+def _area_sweep(scenario, n_paths=8, seed=5):
+    """The levels of a rank sweep of ``scenario`` (levy-area-1 or a variant)
+    over ``n_paths`` paths drawn at its finest level."""
+    from lentparticle.poisson_measure import simulate_configurations
+    from lentparticle.rng import path_seed
+
+    configs = simulate_configurations(scenario.model(_SWEEP_LEVELS[-1]), scenario.horizon,
+                                      [path_seed(seed, p) for p in range(n_paths)])
+    return [(scenario.restrict(configs, eps), eps) for eps in _SWEEP_LEVELS]
+
+
+def _area_by_level(changes):
+    """levy-area-1 without its closed form on a step of 0.1, whose coefficients
+    at a truncation level in ``changes`` have the fields it maps that level to
+    replaced."""
+    import dataclasses
+
+    base = get_scenario("levy-area-1")
+
+    def make_coeffs(model):
+        coeffs = base.make_coeffs(model)
+        return dataclasses.replace(coeffs, **changes.get(model.truncation, {}))
+
+    return dataclasses.replace(base, closed_form_gamma=None, make_coeffs=make_coeffs, step=0.1)
+
+
+def _wobble(strength):
+    """A nonlinear drift, on which RK4 leaves K Kbar off the identity."""
+    def drift(t, x):
+        return strength * np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2, np.zeros(len(x))])
+
+    def dx_drift(t, x):
+        out = np.zeros((len(x), 3, 3))
+        out[:, 0, 1], out[:, 1, 0] = 3.0 * strength * np.cos(3.0 * x[:, 1]), 2.0 * strength * x[:, 0]
+        return out
+
+    return {"drift": drift, "dx_drift": dx_drift}
+
+
+@pytest.mark.parametrize("chunk_values", [None, 12000])
+def test_sweep_gammas_have_the_bits_of_each_level_alone(monkeypatch, chunk_values):
+    import dataclasses
+    import hashlib
+
+    import lentparticle.sde_engine as engine
+
+    scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
+    levels = _area_sweep(scenario)
+    alone = [hashlib.sha256(scenario.gammas(configs, eps).tobytes()).hexdigest()
+             for configs, eps in levels]
+    spans = []
+    stack = engine._stack_grids
+
+    def counted(configs, grids, lengths):
+        spans.append(len(lengths))
+        return stack(configs, grids, lengths)
+
+    if chunk_values is not None:
+        # about 3,000 to 5,000 floats per path: two or three paths per chunk
+        monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+    monkeypatch.setattr(engine, "_stack_grids", counted)
+    swept = [hashlib.sha256(stack.tobytes()).hexdigest()
+             for stack in scenario.sweep_gammas(levels)]
+    assert swept == alone
+    # one chunk of all three levels, or small chunks one of which spans two
+    if chunk_values is None:
+        assert spans == [3]
+    else:
+        assert len(spans) > 3 and max(spans) == 2
+
+
+def test_sweep_gammas_warn_once_per_offending_level():
+    # the nonlinear drift at the first and last level; the texts and values
+    # are those of the levels solved one gammas call at a time before the
+    # sweep solved them together
+    scenario = _area_by_level({0.05: _wobble(1.0), 0.008: _wobble(2.0)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scenario.sweep_gammas(_area_sweep(scenario))
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (ConditioningWarning, "K Kbar deviates from identity by 0.000151; consider a smaller step"),
+        (ConditioningWarning, "K Kbar deviates from identity by 0.00204; consider a smaller step"),
+    ]
+
+
+def test_sweep_gammas_raise_the_error_of_the_first_failing_level():
+    # I + dx_c singular at every jump of the first level, a non-finite drift
+    # at the last: the last level's error comes first in the batch, but the
+    # sweep raises the first level's, as solving the levels in order does
+    scenario = _area_by_level({
+        0.05: {"dx_c": lambda t, x, u: np.tile(-np.eye(3), (len(u), 1, 1))},
+        0.008: {"drift": lambda t, x: np.full(x.shape, np.nan),
+                "dx_drift": lambda t, x: np.zeros((len(x), 3, 3))},
+    })
+    levels = _area_sweep(scenario)
+    with pytest.raises(NumericError, match=r"^integration produced non-finite state at "
+                                           r"t = 0\.01673368617691018 on path 6$"):
+        scenario.gammas(*levels[2])
+    with pytest.raises(ModelError, match=r"^jump update I \+ dx_c singular at "
+                                         r"\(t=0\.014024288592026646, "
+                                         r"u=\[ 0\.43893151 -0\.13684833\]\) on path 1$"):
+        scenario.sweep_gammas(levels)
 
 
 # node-aligned atom times: the regular grid of step 0.02 has these nodes on
@@ -503,9 +612,12 @@ def test_stacked_flow_gammas_have_the_bits_of_gamma_flow_on_each_path(batch):
 
     name, eps, configs, t, chunk_values = batch
     scenario = dataclasses.replace(get_scenario(name), closed_form_gamma=None, step=0.02)
+    # a sweep adds the paths in reverse order at the other truncation level
+    other = 0.05 if eps == 0.008 else 0.008
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_CHUNK_VALUES", chunk_values)
         got = scenario.gammas(configs, eps, t)
+        swept = scenario.sweep_gammas([(configs, eps), (configs[::-1], other)], t)
     model = scenario.model(eps)
     coeffs = scenario.make_coeffs(model)
     want = np.array([
@@ -514,6 +626,8 @@ def test_stacked_flow_gammas_have_the_bits_of_gamma_flow_on_each_path(batch):
         for config in configs
     ])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert swept[0].tobytes() == got.tobytes()
+    assert swept[1].tobytes() == scenario.gammas(configs[::-1], other, t).tobytes()
 
 
 def _weighted_area_scenario(factor):

@@ -170,13 +170,23 @@ def test_stacked_grids_merge_as_union1d_on_each_path(batch):
     import lentparticle.sde_engine as engine
 
     configs, horizon, chunk_values = batch
+    # two groups of paths (the first empty for one path), as a sweep of two levels
+    groups = [configs[:len(configs) // 2], configs[len(configs) // 2:]]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_CHUNK_VALUES", chunk_values)
-        chunks = list(engine._chunks(configs, horizon, 0.05, 3))
-    assert [p for start, part, _ in chunks for p in range(start, start + len(part))] \
-        == list(range(len(configs)))
-    for start, part, grids in chunks:
-        order, sizes, times, is_jump, atom_index, marks = engine._stack_grids(part, grids)
+        chunks = list(engine._chunks(groups, horizon, 0.05, 3, False))
+    assert [(g, i) for parts, _ in chunks for g, start, part in parts
+            for i in range(start, start + len(part))] \
+        == [(g, i) for g, group in enumerate(groups) for i in range(len(group))]
+    for parts, grids in chunks:
+        part = [config for *_, run in parts for config in run]
+        lengths = [len(run) for *_, run in parts]
+        order, sizes, times, is_jump, atom_index, marks = engine._stack_grids(part, grids,
+                                                                              lengths)
+        # the runs one after another in batch order, each longest grid first
+        for lo, hi in zip(np.cumsum([0] + lengths), np.cumsum(lengths)):
+            assert sorted(order[lo:hi]) == list(range(lo, hi))
+            assert np.all(np.diff(sizes[order[lo:hi]]) <= 0)
         for b, p in enumerate(order):
             config, m = part[p], sizes[p]
             want = _grid_of_one_path(config, config.horizon if horizon is None else horizon, 0.05)
