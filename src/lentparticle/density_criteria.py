@@ -197,7 +197,7 @@ def monte_carlo_rank_stats(
 
     # (path, level) -> full rank, min eigenvalue, indeterminate; a zero matrix is (0, 0, 0)
     stacked = np.zeros((n_paths, len(epsilons), 3))
-    levels = [(setup.restrict(configs, eps), eps) for eps in epsilons]
+    levels = ((setup.restrict(configs, eps), eps) for eps in epsilons)
     for j, mats in enumerate(setup.sweep_gammas(levels)):
         rank, _, min_eig, _, _, indeterminate = _rank_stack(mats, rel_tol)
         live = mats.any(axis=(1, 2))

@@ -399,13 +399,13 @@ def _flow_stack(coeffs: CoefficientSet, bs: BottomStructure, points: tuple, v: n
 
 
 def _chunk_gammas(coeffs: Sequence[CoefficientSet], bs: BottomStructure,
-                  chunk: tuple) -> np.ndarray:
-    """Gamma[X_t] (``theorem9``) of every path of a chunk that ``_solve_chunks``
-    solved up to ``t`` with its Gamma rows, in chunk order: each group's run of
-    paths reduced with that group's coefficients (``coeffs``, one per run) by
-    one :func:`_flow_stack` pass over its jump rows, and each matrix checked
-    as :class:`GammaMatrix` checks one, an error naming its path by its index
-    in its group."""
+                  chunk: tuple) -> list[np.ndarray]:
+    """Gamma[X_t] (``theorem9``) of the paths of a chunk that ``_solve_chunks``
+    solved up to ``t`` with its Gamma rows, one ``(P, d, d)`` stack per
+    group's run of paths in its own order: each run reduced with its group's
+    coefficients (``coeffs``, one per run) by one :func:`_flow_stack` pass
+    over its jump rows, and each matrix checked as :class:`GammaMatrix`
+    checks one, an error naming its path by its index in its group."""
     parts, (order, _, times, is_jump, _, marks), right, left = chunk
     d = right.shape[-1]
     paths, rows = np.nonzero(is_jump)
@@ -416,20 +416,22 @@ def _chunk_gammas(coeffs: Sequence[CoefficientSet], bs: BottomStructure,
     t_jump, x_left = times[paths, rows], left[:, 0].copy()
     v = np.ascontiguousarray(right[:n_jumps, d + 1:])
     k_t = np.ascontiguousarray(right[n_jumps:, 1:d + 1])
-    out = np.empty((len(order), d, d))
-    lo = jlo = 0
+    out, lo, jlo = [], 0, 0
     for run_coeffs, (_, start, part) in zip(coeffs, parts):
         hi = lo + len(part)
-        jhi = jlo + int(counts[lo:hi].sum())
-        jumps = slice(jlo, jhi)
+        jumps = slice(jlo, jlo + int(counts[lo:hi].sum()))
+        # the run's batch rows hold its paths order[lo:hi] - lo
+        named = order[lo:hi] - lo
         try:
             _, mats = _flow_stack(run_coeffs, bs, (t_jump[jumps], x_left[jumps], marks[jumps]),
                                   v[jumps], counts[lo:hi], k_t[lo:hi])
         except StructureError:
-            _weights(bs, marks[jumps], start + order[paths[jumps]] - lo, start + len(part))
+            _weights(bs, marks[jumps], start + named[paths[jumps] - lo], start + len(part))
             raise
-        out[order[lo:hi]] = _psd_checked(mats, lambda b: f" on path {start + order[lo + b] - lo}")
-        lo, jlo = hi, jhi
+        stack = np.empty_like(mats)
+        stack[named] = _psd_checked(mats, lambda b: f" on path {start + named[b]}")
+        out.append(stack)
+        lo, jlo = hi, jumps.stop
     return out
 
 

@@ -46,7 +46,7 @@ import inspect
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -727,9 +727,11 @@ class Scenario:
         stack: the one-level case of :meth:`sweep_gammas`."""
         return self.sweep_gammas([(configs, truncation)], t)[0]
 
-    def sweep_gammas(self, levels: Sequence[tuple], t: float | None = None) -> list[np.ndarray]:
+    def sweep_gammas(self, levels: Iterable[tuple], t: float | None = None) -> list[np.ndarray]:
         """Gamma[X_t] of each configuration of each level ``(configs,
         truncation)``, in order, as one ``(P, d, d)`` stack per level.
+        ``levels`` may be an iterator, taken one level at a time by a closed
+        form, so that a level's configurations can be dropped before the next.
 
         A closed form takes the levels one after another, each chunk of
         :func:`_closed_chunks` (paths of similar atom counts) in one stacked
@@ -751,10 +753,10 @@ class Scenario:
         beyond the stacks themselves.
         """
         t = self.eval_time if t is None else t
-        levels = [(list(configs), truncation) for configs, truncation in levels]
         if self.closed_form_gamma is not None:
-            return [self._closed_gammas(self.model(truncation), configs, t)
+            return [self._closed_gammas(self.model(truncation), list(configs), t)
                     for configs, truncation in levels]
+        levels = [(list(configs), truncation) for configs, truncation in levels]
         try:
             groups = []
             for configs, truncation in levels:
@@ -764,12 +766,10 @@ class Scenario:
             for chunk in _solve_chunks(groups, self.x0, self.step, t, validate=True, flows=True,
                                        rows=True):
                 parts = chunk[0]
-                mats = _chunk_gammas([groups[g][0] for g, *_ in parts], self.bottom, chunk)
-                lo = 0
-                for g, start, part in parts:
-                    out[g][start:start + len(part)] = mats[lo:lo + len(part)]
-                    lo += len(part)
-                del chunk, mats  # the next chunk is solved without this one's arrays
+                stacks = _chunk_gammas([groups[g][0] for g, *_ in parts], self.bottom, chunk)
+                for (g, start, part), stack in zip(parts, stacks):
+                    out[g][start:start + len(part)] = stack
+                del chunk  # the next chunk is solved without this one's arrays
         except Exception:
             if len(levels) > 1:
                 for level in levels:
