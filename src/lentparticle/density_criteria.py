@@ -26,7 +26,7 @@ from ._serialise import write_csv
 from .errors import InputError
 from .lent_particle import GammaMatrix, _symmetrised
 from .poisson_measure import simulate_configurations
-from .rng import path_seed
+from .rng import _check_seed, path_seed
 
 __all__ = [
     "RankReport",
@@ -162,15 +162,15 @@ def monte_carlo_rank_stats(
     under this coupling the full-rank fraction is non-decreasing as the
     truncation shrinks; the table reports whether that held.  A sweep whose
     paths plus expected atoms exceed :data:`MAX_SWEEP_WORK` is refused with
-    :class:`InputError` before any path is drawn, as are bad inputs and a
-    ``rel_tol`` outside ``(0, 1)``.  Every path is drawn first, in one
-    ``simulate_configurations`` call.  Each level then restricts them in one
-    pass (one mask and one gather over the concatenated atoms), and one
-    ``sweep_gammas`` call takes every level: one stacked closed-form pass per
-    chunk of paths of similar atom counts, level after level, or one batched
-    solve of all levels together.  Each level's ``(P, d, d)`` stack then takes
-    one rank step, with a single ``eigvalsh`` call; a zero matrix counts as
-    rank 0 with min eigenvalue 0.
+    :class:`InputError` before any path is drawn, as are bad inputs, a
+    ``seed`` outside ``[0, 2**64)`` and a ``rel_tol`` outside ``(0, 1)``.
+    Every path is drawn first, in one ``simulate_configurations`` call.  Each
+    level then restricts them in one pass (one mask and one gather over the
+    concatenated atoms), and one ``sweep_gammas`` call takes every level: one
+    stacked closed-form pass per chunk of paths of similar atom counts, level
+    after level, or one batched solve of all levels together.  Each level's
+    ``(P, d, d)`` stack then takes one rank step, with a single ``eigvalsh``
+    call; a zero matrix counts as rank 0 with min eigenvalue 0.
     Each row also reports the fraction of paths whose rank verdict is
     indeterminate.
     """
@@ -186,6 +186,7 @@ def monte_carlo_rank_stats(
         raise InputError(f"n_paths must be >= 1, got {n_paths}")
     if not (0.0 < rel_tol < 1.0):
         raise InputError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    _check_seed(seed)
     model = setup.model(min(epsilons))
     if not n_paths * (1.0 + model.mass * setup.horizon) <= MAX_SWEEP_WORK:
         raise InputError(

@@ -50,7 +50,7 @@ from .poisson_measure import (
     compensated_integral,
     remove_particle,
 )
-from .rng import DOMAIN_RHO, stream
+from .rng import DOMAIN_RHO, _check_seed, stream
 from .sde_engine import CoefficientSet, Trajectory, _solve_chunks, _solve_right, _trajectories
 
 __all__ = [
@@ -597,8 +597,12 @@ def sharp_sample(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructu
     draw per atom: draw set ``draw_index`` of :func:`gamma_rho_mc`'s stream,
     with the bits of its column of that block's :func:`_sharps`.
     Linear in the draws with mean zero, and its second moment over draws is
-    Gamma[F].
+    Gamma[F].  A ``rho_seed`` outside ``[0, 2**64)`` or a negative
+    ``draw_index`` is refused with :class:`InputError`.
     """
+    _check_seed(rho_seed, "rho_seed")
+    if draw_index < 0:
+        raise InputError(f"draw_index must be >= 0, got {draw_index}")
     offset = draw_index % _RHO_BLOCK
     rho = _rho_block(rho_seed, draw_index // _RHO_BLOCK, config.n_atoms,
                      config.mark_dimension, offset + 1)
@@ -624,10 +628,12 @@ def gamma_rho_mc(F: MarkFunctional, config: JumpConfiguration, bs: BottomStructu
     products in draw order (pairwise for ``d = 1``).  Blocks run on one
     thread per usable CPU, at most two each in flight, and are folded in
     index order as they finish, so the result does not depend on the CPU
-    count.
+    count.  A ``seed`` outside ``[0, 2**64)`` is refused with
+    :class:`InputError` before any draw.
     """
     if M < 2:
         raise InputError(f"M must be >= 2, got {M}")
+    _check_seed(seed)
     d = F.dim
     n = config.n_atoms
     r = config.mark_dimension

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bottom_structure import _per_mark
 from .errors import ConfigurationError, DomainError, InputError, ModelError, NumericError
-from .rng import DOMAIN_ATOMS, stream
+from .rng import DOMAIN_ATOMS, _check_seed, stream
 
 __all__ = [
     "TruncatedLevyModel",
@@ -220,7 +220,8 @@ def simulate_configurations(model: TruncatedLevyModel, horizon: float,
     sampler.  One sampler call then draws and transforms the marks of every
     stream.  The concatenated atoms are checked once; a failure names the
     path (its index in ``seeds``) and its row.  Configuration ``i`` is a
-    pure function of ``(model, horizon, seeds[i])``.
+    pure function of ``(model, horizon, seeds[i])``.  A seed outside ``[0,
+    2**64)`` is refused with :class:`InputError` before any draw.
     """
     if not np.isfinite(horizon) or horizon <= 0:
         raise DomainError(f"horizon must be finite and > 0, got {horizon}")
@@ -232,6 +233,8 @@ def simulate_configurations(model: TruncatedLevyModel, horizon: float,
         )
     if len(seeds) == 0:
         return []
+    for seed in seeds:
+        _check_seed(seed)
     rngs = [stream(seed, DOMAIN_ATOMS) for seed in seeds]
     counts = [int(g.poisson(mean)) for g in rngs]
     total, ends = sum(counts), np.cumsum(counts)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 # Address-space partition.  Values are arbitrary but frozen: changing them
 # changes every simulation output.
 DOMAIN_ATOMS = 1      # atom counts, times and marks of a jump configuration
@@ -41,6 +43,13 @@ def stream(seed: int, domain: int, index: int = 0, subindex: int = 0) -> np.rand
     # counter word 0 is left free: it is what advances as blocks are consumed.
     counter = np.array([0, index, subindex, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _check_seed(seed: int, name: str = "seed") -> None:
+    """Refuse a seed outside ``[0, 2**64)``, the words a stream's key holds,
+    with :class:`InputError` naming the argument."""
+    if not 0 <= seed < 2 ** 64:
+        raise InputError(f"{name} must lie in [0, 2**64), got {seed}")
 
 
 def path_seed(seed: int, path_index: int, domain: int = DOMAIN_PATH) -> int:

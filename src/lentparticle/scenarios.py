@@ -78,6 +78,7 @@ from .rng import DOMAIN_ATOMS, DOMAIN_PARTICLE, path_seed, stream
 from .sde_engine import (
     CoefficientSet,
     Trajectory,
+    _Bound,
     _shape_checked,
     _solve_chunks,
     solve_sde,
@@ -403,46 +404,53 @@ def doleans_exponential(config: JumpConfiguration, first_moment: float,
     return y_t, sign * math.exp(log_e)
 
 
+# the pair's coefficients, the same objects at every level, so that a sweep's
+# levels share their calls; each fills a preallocated output: on batches this
+# small, stacking columns costs more than the arithmetic
+def _doleans_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    out = np.empty((u.shape[0], 2))
+    out[:, 0] = u[:, 0]
+    out[:, 1] = x[:, 1] * u[:, 0]
+    return out
+
+
+def _doleans_dx_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    out = np.zeros((u.shape[0], 2, 2))
+    out[:, 1, 1] = u[:, 0]
+    return out
+
+
+def _doleans_du_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    out = np.ones((x.shape[0], 2, 1))
+    out[:, 1, 0] = x[:, 1]
+    return out
+
+
+# the compensator pair at first moment m1, one value or one per row
+def _doleans_comp(t: np.ndarray, x: np.ndarray, m1: float | np.ndarray) -> np.ndarray:
+    out = np.empty((x.shape[0], 2))
+    out[:, 0] = m1
+    out[:, 1] = x[:, 1] * m1
+    return out
+
+
+def _doleans_dcomp(t: np.ndarray, x: np.ndarray, m1: float | np.ndarray) -> np.ndarray:
+    out = np.zeros((x.shape[0], 2, 2))
+    out[:, 1, 1] = m1
+    return out
+
+
 def doleans_coefficients(first_moment: float, bound: float) -> CoefficientSet:
     """Pair SDE for (Y, E): both components jump proportionally to the mark.
 
     Marks lie in ``(-bound, bound)`` with ``bound < 1``, so ``1 + u > 0``.
     """
     eta_base = max(1.0, 1.0 / (1.0 - bound))
-
-    # each callable fills a preallocated output: on batches this small, stacking
-    # columns costs more than the arithmetic, and these run in every RK4 stage
-    def c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.empty((u.shape[0], 2))
-        out[:, 0] = u[:, 0]
-        out[:, 1] = x[:, 1] * u[:, 0]
-        return out
-
-    def dx_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.zeros((u.shape[0], 2, 2))
-        out[:, 1, 1] = u[:, 0]
-        return out
-
-    def du_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.ones((x.shape[0], 2, 1))
-        out[:, 1, 0] = x[:, 1]
-        return out
-
-    def comp(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        out = np.empty((x.shape[0], 2))
-        out[:, 0] = first_moment
-        out[:, 1] = x[:, 1] * first_moment
-        return out
-
-    def dcomp(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((x.shape[0], 2, 2))
-        out[:, 1, 1] = first_moment
-        return out
-
     eta = lambda u: eta_base + np.abs(u[:, 0])
     return CoefficientSet(
-        dim=2, c=c, dx_c=dx_c, du_c=du_c,
-        compensator=comp, dx_compensator=dcomp, eta=eta, name="doleans-pair",
+        dim=2, c=_doleans_c, dx_c=_doleans_dx_c, du_c=_doleans_du_c,
+        compensator=_Bound(_doleans_comp, first_moment),
+        dx_compensator=_Bound(_doleans_dcomp, first_moment), eta=eta, name="doleans-pair",
     )
 
 
@@ -509,43 +517,48 @@ class DoleansPairFunctional(MarkFunctional):
 # Levy stochastic area
 # ---------------------------------------------------------------------------
 
+# as the doleans pair's: module-level, each filling a preallocated output
+def _area_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    out = np.empty((u.shape[0], 3))
+    out[:, :2] = u
+    out[:, 2] = x[:, 0] * u[:, 1] - x[:, 1] * u[:, 0]
+    return out
+
+
+def _area_dx_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    out = np.zeros((u.shape[0], 3, 3))
+    out[:, 2, 0], out[:, 2, 1] = u[:, 1], -u[:, 0]
+    return out
+
+
+def _area_du_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    out = np.zeros((x.shape[0], 3, 2))
+    out[:, 0, 0] = out[:, 1, 1] = 1.0
+    out[:, 2, 0], out[:, 2, 1] = -x[:, 1], x[:, 0]
+    return out
+
+
+# the compensator pair at first moment m1, ``(2,)`` or one per row
+def _area_comp(t: np.ndarray, x: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    out = np.empty((x.shape[0], 3))
+    out[:, :2] = m1
+    out[:, 2] = x[:, 0] * m1[..., 1] - x[:, 1] * m1[..., 0]
+    return out
+
+
+def _area_dcomp(t: np.ndarray, x: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    out = np.zeros((x.shape[0], 3, 3))
+    out[:, 2, 0], out[:, 2, 1] = m1[..., 1], -m1[..., 0]
+    return out
+
+
 def area_coefficients(first_moment: np.ndarray) -> CoefficientSet:
     """3-d SDE for (X1, X2, area): the area jumps by ``x1 u2 - x2 u1``."""
     m1 = np.asarray(first_moment, dtype=float)
-
-    # preallocated outputs, as in doleans_coefficients
-    def c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.empty((u.shape[0], 3))
-        out[:, :2] = u
-        out[:, 2] = x[:, 0] * u[:, 1] - x[:, 1] * u[:, 0]
-        return out
-
-    def dx_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.zeros((u.shape[0], 3, 3))
-        out[:, 2, 0], out[:, 2, 1] = u[:, 1], -u[:, 0]
-        return out
-
-    def du_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.zeros((x.shape[0], 3, 2))
-        out[:, 0, 0] = out[:, 1, 1] = 1.0
-        out[:, 2, 0], out[:, 2, 1] = -x[:, 1], x[:, 0]
-        return out
-
-    def comp(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        out = np.empty((x.shape[0], 3))
-        out[:, :2] = m1
-        out[:, 2] = x[:, 0] * m1[1] - x[:, 1] * m1[0]
-        return out
-
-    def dcomp(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((x.shape[0], 3, 3))
-        out[:, 2, 0], out[:, 2, 1] = m1[1], -m1[0]
-        return out
-
     eta = lambda u: 1.0 + np.linalg.norm(u, axis=1)
     return CoefficientSet(
-        dim=3, c=c, dx_c=dx_c, du_c=du_c,
-        compensator=comp, dx_compensator=dcomp, eta=eta, name="levy-area",
+        dim=3, c=_area_c, dx_c=_area_dx_c, du_c=_area_du_c, compensator=_Bound(_area_comp, m1),
+        dx_compensator=_Bound(_area_dcomp, m1), eta=eta, name="levy-area",
     )
 
 

@@ -32,14 +32,18 @@ they differ.  The standing assumptions on ``c`` are checked once per chunk
 of paths, over all the jumps it took, from the stored left limits.  The same
 loop solves several groups of paths, each with its own coefficients and
 model, in one batch, storing only the rows the Gamma of a path reads: the
-truncation levels of a rank sweep (``Scenario.sweep_gammas``).
+truncation levels of a rank sweep (``Scenario.sweep_gammas``).  Groups whose
+compensator pair is bound to the same two functions, the levels differing by
+a parameter, share one drift call per stage, and groups holding the same
+``c`` and ``dx_c`` share their calls at a jump row.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,7 +113,9 @@ class CoefficientSet:
       when ``c`` and ``dx_c`` report ``reads_time = False``; a stage at the
       time and state of the last one reuses its velocity without calling any
       part (at its state alone when no drift or compensator is given), so
-      every callable must be pure.
+      every callable must be pure.  The shipped scenarios bind theirs to
+      functions of ``(t, x, p)`` at each level's first moment ``p``, so that
+      the levels of a sweep share one call per stage.
     * ``eta(u)``, ``(P,)``, is the dominating function used by the
       assumption validators; when absent only invertibility of ``I + dx_c``
       is enforced.
@@ -131,6 +137,19 @@ class CoefficientSet:
             raise InputError("state dimension must be >= 1")
         if (self.drift is None) != (self.dx_drift is None):
             raise InputError("drift and dx_drift must be supplied together")
+
+
+@dataclass(frozen=True, eq=False)
+class _Bound:
+    """``fn(t, x, p)`` bound to one group's parameter ``p`` and called as
+    ``(t, x)``: groups whose compensator pair is bound to the same two
+    functions share one call, ``p`` stacked per row (:func:`_integrate`)."""
+
+    fn: Callable
+    p: float | np.ndarray
+
+    def __call__(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.fn(t, x, self.p)
 
 
 def _shape_checked(name: str, out, shape: tuple, where: Callable[[], str] = str) -> np.ndarray:
@@ -207,6 +226,25 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
         return last[1]
 
     return memoised
+
+
+def _bound_pair(coeffs: CoefficientSet) -> tuple | None:
+    """The two functions a set's compensator pair is bound to when the set
+    has no other drift, else ``None``."""
+    comp, dx_comp = coeffs.compensator, coeffs.dx_compensator
+    if coeffs.drift is None and isinstance(comp, _Bound) and isinstance(dx_comp, _Bound):
+        return comp.fn, dx_comp.fn
+    return None
+
+
+def _stacked_drift(sets: Sequence[CoefficientSet], counts: np.ndarray, flows: bool):
+    """The :func:`_effective_drift` of ``counts`` rows of each of ``sets``,
+    whose compensator pairs are bound to the same two functions: one call of
+    each, with each set's parameter on each of its rows."""
+    rows = lambda f: _Bound(getattr(sets[0], f).fn,
+                            np.repeat([getattr(coeffs, f).p for coeffs in sets], counts, axis=0))
+    return _effective_drift(replace(sets[0], compensator=rows("compensator"),
+                                    dx_compensator=rows("dx_compensator")), None, flows)
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -481,10 +519,12 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     per path.  A path drops out of the batch after its last row, so row ``i``
     advances the live prefix of each run, each path between its own grid
     times: a view of the batch while only the last live run shrinks, else a
-    gather.  A stage calls each live run's ``drift`` on its slice of the
-    batch, one call for a single run, and takes the products of the flows
-    once over the batch.  At a jump row ``c`` (with flows ``dx_c``) is called
-    once for each run's jumping paths, and the jump update, the
+    gather.  A stage calls the drift once per live run on its slice of the
+    batch, or once for consecutive runs whose compensator pairs, all their
+    drift, are bound to the same two functions, each run's parameter on its
+    rows; it takes the products of the flows once over the batch.  At a jump
+    row ``c`` (with flows ``dx_c``) is called once for the jumping paths of
+    consecutive runs holding the same two, and the jump update, the
     finite-state checks, the K product and the Kbar solve (one call of the
     ``np.linalg.solve`` kernel) act once on all of them.  With ``validate``,
     each run's coefficient assumptions are checked once over every jump it
@@ -535,7 +575,15 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     n_jumps = event_rows.shape[0]
     k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
     eye = np.eye(d)
-    single, live_runs = None, []  # the drift of a lone live run, else each live run's
+    # consecutive runs share a jump row's calls when they hold the same c and
+    # dx_c, and a stage's drift call when their compensator pairs, all their
+    # drift, are bound to the same two functions
+    jump_groups = [list(ks) for _, ks in groupby(range(len(runs)), lambda k: (
+        runs[k][0].c, runs[k][0].dx_c))]
+    jump_bounds = bounds[[ks[0] for ks in jump_groups] + [len(runs)]]
+    drift_groups = [list(ks) for _, ks in groupby(range(len(runs)),
+                                                  lambda k: _bound_pair(runs[k][0]) or k)]
+    single, live_runs = None, []  # the drift of a lone live group, else each group's
 
     def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = y[:, 0]
@@ -565,9 +613,10 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
         where = lambda k: f"on path {named[batch[k]]}"
         n = batch.shape[0]
         block, jump_matrix = np.empty_like(prior), np.empty((n, d, d)) if flows else None
-        cuts = np.searchsorted(batch, bounds).tolist()
-        for (coeffs, *_), lo, hi in zip(runs, cuts, cuts[1:]):
+        cuts = np.searchsorted(batch, jump_bounds).tolist()
+        for ks, lo, hi in zip(jump_groups, cuts, cuts[1:]):
             if hi > lo:
+                coeffs = runs[ks[0]][0]
                 point, shape = (t[lo:hi], x_left[lo:hi], u[lo:hi]), (hi - lo, d)
                 at_first = lambda lo=lo: f" at t = {t[lo]} {where(lo)}"
                 if flows:
@@ -643,8 +692,13 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
             seg_factors = factors[:, start - 1:stop - 1, cols]
             seg_columns = seg_factors[..., None, None]
             cuts = np.searchsorted(live, bounds).tolist()
-            live_runs = [(runs[k][1], slice(lo, hi))
-                         for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if hi > lo]
+            live_runs = []
+            for group in drift_groups:
+                ks = [k for k in group if cuts[k + 1] > cuts[k]]  # its live runs
+                if ks:
+                    drift = runs[ks[0]][1] if len(ks) == 1 else _stacked_drift(
+                        [runs[k][0] for k in ks], np.diff(cuts)[ks], flows)
+                    live_runs.append((drift, slice(cuts[ks[0]], cuts[ks[-1] + 1])))
             single = live_runs[0][0] if len(live_runs) == 1 else None
             live_ids = run_of[live]
             for i in range(start, stop):

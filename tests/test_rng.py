@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from lentparticle.density_criteria import monte_carlo_rank_stats
+from lentparticle.errors import InputError
+from lentparticle.lent_particle import gamma_rho_mc, sharp_sample
+from lentparticle.poisson_measure import simulate_configuration, simulate_configurations
 from lentparticle.rng import (
     DOMAIN_ATOMS,
     DOMAIN_PARTICLE,
@@ -9,6 +13,7 @@ from lentparticle.rng import (
     path_seed,
     stream,
 )
+from lentparticle.scenarios import DoleansPairFunctional, get_scenario
 
 
 def test_same_address_same_draws():
@@ -82,3 +87,43 @@ def test_address_words_outside_64_bits_are_refused():
             stream(*address)
     with pytest.raises(ValueError, match="non-negative"):
         stream(1, DOMAIN_ATOMS, -1)
+
+
+def _seeded_entry_points():
+    """Each public entry point that takes a seed, by name, as the argument
+    that holds the seed and a call with a given value of it."""
+    scenario = get_scenario("doleans")
+    config, F = scenario.simulate(seed=1), DoleansPairFunctional(0.1)
+    return {
+        "simulate_configurations": ("seed", lambda s: simulate_configurations(
+            scenario.model(), 1.0, [3, s])),
+        "simulate_configuration": ("seed", lambda s: simulate_configuration(
+            scenario.model(), 1.0, s)),
+        "Scenario.simulate": ("seed", lambda s: scenario.simulate(seed=s)),
+        "gamma_rho_mc": ("seed", lambda s: gamma_rho_mc(F, config, scenario.bottom, 100, s)),
+        "sharp_sample": ("rho_seed", lambda s: sharp_sample(F, config, scenario.bottom, s)),
+        "monte_carlo_rank_stats": ("seed", lambda s: monte_carlo_rank_stats(
+            scenario, 2, [0.1], s)),
+    }
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("entry", ["simulate_configurations", "simulate_configuration",
+                                   "Scenario.simulate", "gamma_rho_mc", "sharp_sample",
+                                   "monte_carlo_rank_stats"])
+def test_entry_points_refuse_a_seed_outside_64_bits_before_any_draw(monkeypatch, entry, seed):
+    name, call = _seeded_entry_points()[entry]
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(np.random, "Philox", no_stream)
+    with pytest.raises(InputError, match=rf"^{name} must lie in \[0, 2\*\*64\), got {seed}$"):
+        call(seed)
+
+
+def test_sharp_sample_refuses_a_negative_draw_index():
+    scenario = get_scenario("doleans")
+    with pytest.raises(InputError, match=r"^draw_index must be >= 0, got -1$"):
+        sharp_sample(DoleansPairFunctional(0.1), scenario.simulate(seed=1), scenario.bottom,
+                     rho_seed=9, draw_index=-1)

@@ -463,15 +463,41 @@ def test_gammas_frees_each_chunk_before_the_next(monkeypatch):
 _SWEEP_LEVELS = (0.05, 0.02, 0.008)
 
 
-def _area_sweep(scenario, n_paths=8, seed=5):
-    """The levels of a rank sweep of ``scenario`` (levy-area-1 or a variant)
-    over ``n_paths`` paths drawn at its finest level."""
+def _area_sweep(scenario, n_paths=8, seed=5, levels=_SWEEP_LEVELS):
+    """The ``levels`` of a rank sweep of ``scenario`` (by default levy-area-1's
+    or a variant's) over ``n_paths`` paths drawn at its finest level."""
     from lentparticle.poisson_measure import simulate_configurations
     from lentparticle.rng import path_seed
 
-    configs = simulate_configurations(scenario.model(_SWEEP_LEVELS[-1]), scenario.horizon,
+    configs = simulate_configurations(scenario.model(levels[-1]), scenario.horizon,
                                       [path_seed(seed, p) for p in range(n_paths)])
-    return [(scenario.restrict(configs, eps), eps) for eps in _SWEEP_LEVELS]
+    return [(scenario.restrict(configs, eps), eps) for eps in levels]
+
+
+def _open_sweeps():
+    """Three-level sweeps of shipped scenarios without their closed forms, as
+    ``(scenario, levels)``: levy-area-1, levy-area-2 and doleans, whose levels
+    share their compensator calls, and levy-area-1 with its finest level's
+    compensator a plain wrapper, so that level keeps its own call."""
+    import dataclasses
+
+    sweeps = []
+    for name in ("levy-area-1", "levy-area-2", "doleans"):
+        scenario = dataclasses.replace(get_scenario(name), closed_form_gamma=None)
+        eps = scenario.default_truncation
+        sweeps.append((scenario, _SWEEP_LEVELS if name == "levy-area-1"
+                       else (4 * eps, 2 * eps, eps)))
+    area = sweeps[0][0]
+
+    def make_coeffs(model):
+        coeffs = area.make_coeffs(model)
+        if model.truncation != _SWEEP_LEVELS[-1]:
+            return coeffs
+        comp = coeffs.compensator
+        return dataclasses.replace(coeffs, compensator=lambda t, x: comp(t, x))
+
+    sweeps.append((dataclasses.replace(area, make_coeffs=make_coeffs), _SWEEP_LEVELS))
+    return sweeps
 
 
 def _area_by_level(changes):
@@ -504,15 +530,10 @@ def _wobble(strength):
 
 @pytest.mark.parametrize("chunk_values", [None, 12000])
 def test_sweep_gammas_have_the_bits_of_each_level_alone(monkeypatch, chunk_values):
-    import dataclasses
     import hashlib
 
     import lentparticle.sde_engine as engine
 
-    scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
-    levels = _area_sweep(scenario)
-    alone = [hashlib.sha256(scenario.gammas(configs, eps).tobytes()).hexdigest()
-             for configs, eps in levels]
     spans = []
     stack = engine._stack_grids
 
@@ -523,15 +544,87 @@ def test_sweep_gammas_have_the_bits_of_each_level_alone(monkeypatch, chunk_value
     if chunk_values is not None:
         # about 3,000 to 5,000 floats per path: two or three paths per chunk
         monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
-    monkeypatch.setattr(engine, "_stack_grids", counted)
-    swept = [hashlib.sha256(stack.tobytes()).hexdigest()
-             for stack in scenario.sweep_gammas(levels)]
-    assert swept == alone
-    # one chunk of all three levels, or small chunks one of which spans two
-    if chunk_values is None:
-        assert spans == [3]
-    else:
-        assert len(spans) > 3 and max(spans) == 2
+    for scenario, truncations in _open_sweeps():
+        levels = _area_sweep(scenario, levels=truncations)
+        alone = [hashlib.sha256(scenario.gammas(configs, eps).tobytes()).hexdigest()
+                 for configs, eps in levels]
+        monkeypatch.setattr(engine, "_stack_grids", counted)
+        spans.clear()
+        swept = [hashlib.sha256(stack.tobytes()).hexdigest()
+                 for stack in scenario.sweep_gammas(levels)]
+        monkeypatch.setattr(engine, "_stack_grids", stack)
+        assert swept == alone, scenario.name
+        # one chunk of all three levels, or small chunks one of which spans two
+        if chunk_values is None:
+            assert spans == [3]
+        else:
+            assert len(spans) > 3 and max(spans) == 2
+
+
+def test_sweep_calls_the_shared_coefficients_once_per_stage_and_jump_row(monkeypatch):
+    import dataclasses
+
+    import lentparticle.scenarios as scenarios
+    import lentparticle.sde_engine as engine
+
+    calls = {"_area_comp": 0, "_area_c": 0}
+
+    def counted(name):
+        fn = getattr(scenarios, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(scenarios, name, wrapper)
+
+    counted("_area_comp")
+    counted("_area_c")
+    grids = []
+    stack = engine._stack_grids
+
+    def recorded(*args):
+        out = stack(*args)
+        grids.append(out)
+        return out
+
+    monkeypatch.setattr(engine, "_stack_grids", recorded)
+    scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
+    scenario.sweep_gammas(_area_sweep(scenario, n_paths=32))
+    [(_, _, times, is_jump, _, _)] = grids  # one chunk of all three levels
+    # four RK4 stages per row the loop advances, one call each for all levels
+    assert calls["_area_comp"] == 4 * (times.shape[1] - 1)
+    # one call per row where any path jumps, plus one per level's assumption check
+    assert calls["_area_c"] == np.count_nonzero(is_jump.any(axis=0)) + 3
+
+
+# sha256 of compensator(t, x) and then dx_compensator(t, x), raveled, at the
+# points below, taken when each set's compensator pair was a closure of its
+# first moment
+_COMPENSATOR_DIGESTS = {
+    "area": "68c6389b8650e28b5d81496cd13c6e558a0f9db0b446d789ba8cb5c65ebdd61c",
+    "doleans": "ff39e1f2556a89a050e721f795a4a47562296f072712ed7f770b43ae20a48d6b",
+}
+
+
+def test_closed_form_compensators_keep_the_two_argument_contract():
+    import hashlib
+
+    from lentparticle.scenarios import area_coefficients
+
+    t = np.linspace(0.0, 1.0, 7)
+    x = np.sin(np.arange(21.0)).reshape(7, 3) * 1.7
+    sets = {"area": (area_coefficients(np.array([0.31, -0.72])), x),
+            "doleans": (doleans_coefficients(0.123, 0.5), x[:, :2])}
+    for name, (coeffs, points) in sets.items():
+        values = np.concatenate([coeffs.compensator(t, points).ravel(),
+                                 coeffs.dx_compensator(t, points).ravel()])
+        assert hashlib.sha256(values.tobytes()).hexdigest() == _COMPENSATOR_DIGESTS[name]
+    # every level of a shipped scenario holds the same jump coefficients
+    for name in ("levy-area-1", "levy-area-2", "doleans"):
+        scenario = get_scenario(name)
+        a, b = (scenario.make_coeffs(scenario.model(eps)) for eps in (0.2, 0.05))
+        assert (a.c, a.dx_c, a.du_c) == (b.c, b.dx_c, b.du_c)
 
 
 def test_sweep_gammas_warn_once_per_offending_level():
