@@ -62,7 +62,7 @@ from .poisson_measure import (
     simulate_configuration,
     simulate_configurations,
 )
-from .rng import path_seed, stream
+from .rng import path_seeds, stream
 from .scenarios import (
     DoleansPairFunctional,
     GeneratorCheckReport,

@@ -26,7 +26,7 @@ from ._serialise import write_csv
 from .errors import InputError
 from .lent_particle import GammaMatrix, _symmetrised
 from .poisson_measure import simulate_configurations
-from .rng import _check_seed, path_seed
+from .rng import _check_seed, path_seeds
 
 __all__ = [
     "RankReport",
@@ -193,8 +193,7 @@ def monte_carlo_rank_stats(
             f"n_paths = {n_paths} paths of {model.mass * setup.horizon:.3g} expected atoms each "
             f"exceed the limit of {MAX_SWEEP_WORK} paths plus atoms; lower n_paths or raise "
             "the truncation")
-    configs = simulate_configurations(model, setup.horizon,
-                                      [path_seed(seed, p) for p in range(n_paths)])
+    configs = simulate_configurations(model, setup.horizon, path_seeds(seed, n_paths))
 
     # (path, level) -> full rank, min eigenvalue, indeterminate; a zero matrix is (0, 0, 0)
     stacked = np.zeros((n_paths, len(epsilons), 3))

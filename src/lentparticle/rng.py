@@ -52,13 +52,68 @@ def _check_seed(seed: int, name: str = "seed") -> None:
         raise InputError(f"{name} must lie in [0, 2**64), got {seed}")
 
 
-def path_seed(seed: int, path_index: int, domain: int = DOMAIN_PATH) -> int:
-    """Derive a per-path 64-bit sub-seed for Monte Carlo studies.
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011): its two multipliers and its two key increments, as numpy's
+# bit generator uses them
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+# a sub-seed lies in [0, _SUB_SEEDS), the range of the generator's int64 draw
+_SUB_SEEDS = 2 ** 63 - 1
 
-    Distinct ``(seed, path_index)`` pairs give distinct sub-seeds with
-    overwhelming probability, and the derivation is pure, so path ``i`` of a
-    study is the same object no matter how many paths surround it.  With
-    ``domain=DOMAIN_PARTICLE`` it derives the sub-seed of particle ``i``.
+
+def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and the low 64-bit words of the 128-bit products ``a * b`` of
+    uint64 arrays, from their 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW, a >> _HALF, b & _LOW, b >> _HALF
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _HALF) + (cross0 & _LOW) + (cross1 & _LOW)
+    return a1 * b1 + (cross0 >> _HALF) + (cross1 >> _HALF) + (mid >> _HALF), a * b
+
+
+def _first_words(seed: int, domain: int, indices: np.ndarray) -> np.ndarray:
+    """The first 64-bit output of the stream at each ``(seed, domain, index)``:
+    Philox4x64-10 with key ``[seed, domain]`` at counter ``[1, index, 0, 0]``,
+    the counter a fresh stream takes for its first block."""
+    # the counter as its even words (0, 2) and its odd words (1, 3)
+    even = np.zeros((2, indices.shape[0]), dtype=np.uint64)
+    even[0] = 1
+    odd = np.zeros_like(even)
+    odd[0] = indices
+    key = np.array([[seed], [domain]], dtype=np.uint64)
+    for r in range(10):
+        if r:
+            key += _PHILOX_W
+        hi, lo = _mulhilo(_PHILOX_M, even)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return even[0]
+
+
+def path_seeds(seed: int, n: int, domain: int = DOMAIN_PATH) -> list[int]:
+    """Derive the 64-bit sub-seeds of paths ``0 .. n - 1`` of a Monte Carlo
+    study, or with ``domain=DOMAIN_PARTICLE`` of particles.
+
+    Sub-seed ``i`` is ``int(stream(seed, domain, i).integers(0, 2**63 - 1,
+    dtype=np.int64))``, the same bits, derived for every ``i`` in one numpy
+    pass: the stream's first Philox output mapped onto ``[0, 2**63 - 1)`` by
+    Lemire's multiply-and-shift ("Fast random integer generation in an
+    interval", ACM TOMACS 2019).  Only an index whose product Lemire's method
+    would reject (its low word below 2, with probability about 2**-62)
+    opens its generator.  Distinct ``(seed, i)`` pairs give distinct
+    sub-seeds with overwhelming probability, and the derivation is pure, so
+    path ``i`` of a study is the same object no matter how many paths
+    surround it.  A seed outside ``[0, 2**64)`` is refused with
+    :class:`InputError`.
     """
-    g = stream(seed, domain, path_index)
-    return int(g.integers(0, 2**63 - 1, dtype=np.int64))
+    _check_seed(seed)
+    return _sub_seeds(seed, domain, np.arange(n, dtype=np.uint64))
+
+
+def _sub_seeds(seed: int, domain: int, indices: np.ndarray) -> list[int]:
+    """:func:`path_seeds` at the uint64 ``indices``."""
+    hi, lo = _mulhilo(_first_words(seed, domain, indices), np.uint64(_SUB_SEEDS))
+    out = hi.tolist()
+    for k in np.flatnonzero(lo < 2).tolist():
+        out[k] = int(stream(seed, domain, int(indices[k])).integers(0, _SUB_SEEDS,
+                                                                      dtype=np.int64))
+    return out

@@ -74,7 +74,7 @@ from .poisson_measure import (
     simulate_configuration,
     simulate_configurations,
 )
-from .rng import DOMAIN_ATOMS, DOMAIN_PARTICLE, path_seed, stream
+from .rng import DOMAIN_ATOMS, DOMAIN_PARTICLE, path_seeds, stream
 from .sde_engine import (
     CoefficientSet,
     Trajectory,
@@ -440,6 +440,10 @@ def _doleans_dcomp(t: np.ndarray, x: np.ndarray, m1: float | np.ndarray) -> np.n
     return out
 
 
+# the x-Jacobian depends on m1 alone, so a solve calls it once per batch size
+_doleans_dcomp.reads_time = _doleans_dcomp.reads_state = False
+
+
 def doleans_coefficients(first_moment: float, bound: float) -> CoefficientSet:
     """Pair SDE for (Y, E): both components jump proportionally to the mark.
 
@@ -550,6 +554,9 @@ def _area_dcomp(t: np.ndarray, x: np.ndarray, m1: np.ndarray) -> np.ndarray:
     out = np.zeros((x.shape[0], 3, 3))
     out[:, 2, 0], out[:, 2, 1] = m1[..., 1], -m1[..., 0]
     return out
+
+
+_area_dcomp.reads_time = _area_dcomp.reads_state = False
 
 
 def area_coefficients(first_moment: np.ndarray) -> CoefficientSet:
@@ -1085,8 +1092,7 @@ def mckean_vlasov(
         raise InputError("picard_iters must be >= 1")
     bs = bottom if bottom is not None else psi_over_k()
 
-    configs = simulate_configurations(
-        model, t, [path_seed(seed, i, DOMAIN_PARTICLE) for i in range(particles)])
+    configs = simulate_configurations(model, t, path_seeds(seed, particles, DOMAIN_PARTICLE))
     # the system is one path in R^particles: an atom's mark sits in the
     # coordinate of the particle that jumps, zero elsewhere
     times = np.concatenate([config.times for config in configs])

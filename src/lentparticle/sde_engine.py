@@ -35,7 +35,12 @@ model, in one batch, storing only the rows the Gamma of a path reads: the
 truncation levels of a rank sweep (``Scenario.sweep_gammas``).  Groups whose
 compensator pair is bound to the same two functions, the levels differing by
 a parameter, share one drift call per stage, and groups holding the same
-``c`` and ``dx_c`` share their calls at a jump row.
+``c`` and ``dx_c`` share their calls at a jump row.  A ``dx_compensator``
+that reports ``reads_time = False`` and ``reads_state = False``, as the
+shipped ones do, is called once per run of rows over which the same paths
+advance, not at every stage.  The norm bounds of the assumption checks are
+settled without an SVD wherever a cheap upper bound of the 2-norm already
+lies below ``eta``.
 """
 
 from __future__ import annotations
@@ -116,6 +121,11 @@ class CoefficientSet:
       every callable must be pure.  The shipped scenarios bind theirs to
       functions of ``(t, x, p)`` at each level's first moment ``p``, so that
       the levels of a sweep share one call per stage.
+    * A ``dx_compensator`` whose attributes ``reads_time`` and
+      ``reads_state`` are both ``False`` promises a result that depends on
+      the number of points alone; without ``dx_drift`` a solve calls it once
+      per number of paths still advancing, not at every stage.  A callable
+      without the attributes may read both.
     * ``eta(u)``, ``(P,)``, is the dominating function used by the
       assumption validators; when absent only invertibility of ``I + dx_c``
       is enforced.
@@ -143,13 +153,22 @@ class CoefficientSet:
 class _Bound:
     """``fn(t, x, p)`` bound to one group's parameter ``p`` and called as
     ``(t, x)``: groups whose compensator pair is bound to the same two
-    functions share one call, ``p`` stacked per row (:func:`_integrate`)."""
+    functions share one call, ``p`` stacked per row (:func:`_integrate`).
+    It reports the ``reads_time`` and ``reads_state`` of ``fn``."""
 
     fn: Callable
     p: float | np.ndarray
 
     def __call__(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         return self.fn(t, x, self.p)
+
+    @property
+    def reads_time(self) -> bool:
+        return getattr(self.fn, "reads_time", True)
+
+    @property
+    def reads_state(self) -> bool:
+        return getattr(self.fn, "reads_state", True)
 
 
 def _shape_checked(name: str, out, shape: tuple, where: Callable[[], str] = str) -> np.ndarray:
@@ -166,8 +185,11 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
     """One closure ``(t, x) -> (v, a)`` over a batch of points: the between-jump
     velocity ``v = b - integral c k du``, ``(n, d)``, and with ``flows`` its
     x-Jacobian ``a``, ``(n, d, d)``, else ``None``, each part shape-checked
-    inline, since the solve calls it at every stage.  A missing compensator
-    or ``dx_compensator`` comes from one :class:`MarkQuadrature` pass over all
+    inline, since the solve calls it at every stage.  Without ``dx_drift``, a
+    ``dx_compensator`` that reports ``reads_time = False`` and ``reads_state =
+    False`` is called, checked and negated once per number of points ``n``,
+    and ``a`` is that array (callers only read it).  A missing compensator or
+    ``dx_compensator`` comes from one :class:`MarkQuadrature` pass over all
     points, one integral of ``(c, dx_c)`` per point, kept keyed on ``(t, x)``,
     or on ``x`` alone when ``c`` and ``dx_c`` report ``reads_time = False``,
     so that it runs once per distinct state.  The result of the last call is
@@ -190,10 +212,19 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
                 _shape_checked(comp_name, k, shape)
         return np.negative(k) if drift is None else np.subtract(b, k)
 
+    constant = coeffs.dx_drift is None and not getattr(dx_comp, "reads_time", True) \
+        and not getattr(dx_comp, "reads_state", True)
+    held = [None, None]  # the number of points and the x-Jacobian of a constant one
+
     def velocity(t: np.ndarray, x: np.ndarray, k=None, dx_k=None) -> tuple:
         n = x.shape[0]  # the x-Jacobian's parts are called and checked first
-        a = part(coeffs.dx_drift, "dx_drift", dx_comp, "dx_compensator", dx_k, t, x, (n, d, d)) \
-            if flows else None
+        a = None
+        if flows and constant:
+            if held[0] != n:
+                held[:] = n, part(None, "dx_drift", dx_comp, "dx_compensator", None, t, x, (n, d, d))
+            a = held[1]
+        elif flows:
+            a = part(coeffs.dx_drift, "dx_drift", dx_comp, "dx_compensator", dx_k, t, x, (n, d, d))
         return part(coeffs.drift, "drift", comp, "compensator", k, t, x, (n, d)), a
 
     if comp is not None and dx_comp is not None:
@@ -270,13 +301,21 @@ def _solve_right(b: np.ndarray, a: np.ndarray, singular: Callable[[int], str]) -
 
 
 def _spectral_norms(matrices: np.ndarray, rows: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Norms of the ``rows`` of a stack to compare with ``eta``, NaN elsewhere: the
-    Frobenius norm, an upper bound, where it is below ``eta`` by far more than the
-    rounding of either norm, so no verdict flips; else the 2-norm, by one SVD call."""
+    """Norms of the ``rows`` of a stack to compare with ``eta``, NaN elsewhere: an
+    upper bound of the 2-norm where it is below ``eta`` by far more than the
+    rounding of either, so no verdict flips; else the 2-norm, by one SVD call.
+    The bound is the smaller of the Frobenius norm and ``sqrt(max_i sum_j
+    (|A|^T |A|)_ij)``, since ``|A|_2^2 = rho(A^T A) <= rho(|A|^T |A|) <= max_i
+    sum_j (|A|^T |A|)_ij``; its sums add no terms of opposite sign, so they
+    round by a few units in the last place."""
     norms = np.full(matrices.shape[0], np.nan)
-    norms[rows] = np.linalg.norm(matrices[rows], axis=(1, 2))
+    size = np.abs(matrices[rows])
+    # row i of |A|^T |A| sums to sum_k |a_ki| sum_j |a_kj|
+    gram = (size * size.sum(axis=2, keepdims=True)).sum(axis=1)
+    norms[rows] = np.sqrt(np.minimum(np.square(size).sum(axis=(1, 2)), gram.max(axis=1)))
     exact = rows & ~(norms <= eta * _ETA_SLACK * (1.0 - 1e-12))
-    norms[exact] = np.linalg.norm(matrices[exact], 2, axis=(1, 2))
+    if exact.any():
+        norms[exact] = np.linalg.norm(matrices[exact], 2, axis=(1, 2))
     return norms
 
 
@@ -602,8 +641,10 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
             if a is None:
                 return out
         np.matmul(a, y[:, k_rows], out=out[:, k_rows])
-        kb = np.matmul(y[:, kb_rows], a, out=out[:, kb_rows])
-        np.negative(kb, out=kb)
+        # negated in a contiguous array of its own, then copied: numpy negates
+        # the strided rows of the batch about four times slower
+        kb = np.matmul(y[:, kb_rows], a)
+        out[:, kb_rows] = np.negative(kb, out=kb)
         return out
 
     def jump(i: int, batch: np.ndarray, slots: np.ndarray, prior: np.ndarray) -> np.ndarray:
@@ -613,7 +654,7 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
         where = lambda k: f"on path {named[batch[k]]}"
         n = batch.shape[0]
         block, jump_matrix = np.empty_like(prior), np.empty((n, d, d)) if flows else None
-        cuts = np.searchsorted(batch, jump_bounds).tolist()
+        cuts = [0, n] if len(jump_groups) == 1 else np.searchsorted(batch, jump_bounds).tolist()
         for ks, lo, hi in zip(jump_groups, cuts, cuts[1:]):
             if hi > lo:
                 coeffs = runs[ks[0]][0]

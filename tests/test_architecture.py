@@ -81,7 +81,7 @@ def _outermost(scope: tuple) -> str:
     return ".".join(names)
 
 
-def _in_a_loop(module: str, scope: tuple, in_loop: bool, called: bool) -> bool:
+def _in_a_loop(name: str, module: str, scope: tuple, in_loop: bool, called: bool) -> bool:
     return in_loop and called
 
 
@@ -91,18 +91,32 @@ _QUADRATURE_CALLERS = {"sde_engine.py:_effective_drift",
                        "poisson_measure.py:compensated_integral",
                        "poisson_measure.py:MarkQuadrature.integrate"}
 
-# rule -> (names, which use of one breaks it, what the use is, what to do
-# instead); each batched entry point does the work of a loop in one call
+# the functions that may open a stream per path in a loop
+_STREAM_LOOPS = {"poisson_measure.py:simulate_configurations", "rng.py:_sub_seeds"}
+
+# rule -> (names, which use of one breaks it, given the name, its module, its
+# scope, whether a loop encloses it and whether it is called, what the use is,
+# what to do instead); each batched entry point does the work of a loop in one
+# call
 _RULES = {
     "one SDE integrator": (
         {"_rk4_step", "_regular_grid"},
-        lambda module, scope, in_loop, called: module != "sde_engine.py",
+        lambda name, module, scope, in_loop, called: module != "sde_engine.py",
         "integrator internals used outside sde_engine.py",
         "solve paths through solve_sde, not a second RK4 loop"),
     "one batched simulation per loop of paths": (
         {"simulate_configuration", "simulate"}, _in_a_loop,
         "one-path simulation inside a loop",
         "draw the paths of a loop in one simulate_configurations call"),
+    # a loop of paths derives its sub-seeds in one path_seeds pass; only the
+    # batched simulation opens one stream per path, and path_seeds opens one
+    # only for an index whose word Lemire's map rejects (probability 2**-62)
+    "one sub-seed pass per loop of paths": (
+        {"stream", "path_seeds"},
+        lambda name, module, scope, in_loop, called: in_loop and called and (
+            name == "path_seeds" or f"{module}:{_outermost(scope)}" not in _STREAM_LOOPS),
+        "a stream or path_seeds call inside a loop",
+        "derive the sub-seeds of a loop of paths in one path_seeds call"),
     "one Gamma assembly from flows": (
         {"gamma_flow"}, _in_a_loop,
         "gamma_flow inside a loop",
@@ -113,7 +127,7 @@ _RULES = {
         "solve the levels of a sweep in one Scenario.sweep_gammas call"),
     "one mark-space quadrature": (
         {"scipy.integrate"},
-        lambda module, scope, in_loop, called: not _functions(scope),
+        lambda name, module, scope, in_loop, called: not _functions(scope),
         "scipy.integrate is imported outside a function",
         "scipy.integrate must be imported in exactly one function"),
     # the points of a stage, or the time nodes of a pass, are integrated in
@@ -124,7 +138,7 @@ _RULES = {
         "integrate the points of a loop in one integrate_each call"),
     "one compensator quadrature": (
         {"integrate_each"},
-        lambda module, scope, in_loop, called:
+        lambda name, module, scope, in_loop, called:
             f"{module}:{_outermost(scope)}" not in _QUADRATURE_CALLERS,
         "integrate_each outside the compensator quadratures",
         "integrate coefficients through _effective_drift, not integrate_each"),
@@ -132,14 +146,14 @@ _RULES = {
     # _mean_field_coefficients
     "one mean-field coefficient set": (
         {"CoefficientSet"},
-        lambda module, scope, in_loop, called:
+        lambda name, module, scope, in_loop, called:
             called and module == "scenarios.py" and "mckean_vlasov" in _functions(scope),
         "CoefficientSet built inside mckean_vlasov",
         "build the mean-field coefficients with _mean_field_coefficients"),
     # the sharps of a block of draw sets, and of one draw set, come from one kernel
     "one randomised-gradient kernel": (
         {"einsum"},
-        lambda module, scope, in_loop, called:
+        lambda name, module, scope, in_loop, called:
             called and (module, _functions(scope)[-1:]) != ("lent_particle.py", ["_sharps"]),
         "einsum outside lent_particle._sharps",
         "contract the draws with lent_particle._sharps, not another einsum"),
@@ -150,7 +164,7 @@ def _assert_holds(rule: str) -> set[str]:
     """Assert that no use of the rule's names breaks it, and return the
     places of every use, as ``module:Class.function``."""
     names, breaks, what, instead = _RULES[rule]
-    uses = [(path.name, line, scope, breaks(path.name, scope, in_loop, called))
+    uses = [(path.name, line, scope, breaks(name, path.name, scope, in_loop, called))
             for path in sorted(_PACKAGE.glob("*.py"))
             for name, line, in_loop, called, scope in _uses(ast.parse(path.read_text()))
             if name in names]
@@ -165,6 +179,10 @@ def test_one_sde_integrator():
 
 def test_one_batched_simulation_per_loop_of_paths():
     _assert_holds("one batched simulation per loop of paths")
+
+
+def test_one_sub_seed_pass_per_loop_of_paths():
+    _assert_holds("one sub-seed pass per loop of paths")
 
 
 def test_one_gamma_assembly_from_flows():

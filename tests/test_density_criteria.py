@@ -10,7 +10,7 @@ from lentparticle.density_criteria import (
     span_dimension,
 )
 from lentparticle.errors import InputError
-from lentparticle.rng import path_seed
+from lentparticle.rng import path_seeds
 from lentparticle.scenarios import get_scenario
 
 
@@ -193,7 +193,7 @@ def test_rank_stats_refuses_an_oversized_sweep_before_drawing(monkeypatch):
     def no_draws(*args):
         raise AssertionError("paths were drawn before the sweep was sized")
 
-    monkeypatch.setattr(criteria, "path_seed", no_draws)
+    monkeypatch.setattr(criteria, "path_seeds", no_draws)
     with pytest.raises(InputError, match=r"^n_paths = 100000000 .* limit of 10000000 "):
         monte_carlo_rank_stats("levy-area-1", n_paths=10 ** 8, epsilons=[0.05], seed=1)
 
@@ -204,7 +204,7 @@ def test_rank_stats_refuses_a_bad_tolerance_before_drawing(monkeypatch):
     def no_draws(*args):
         raise AssertionError("paths were drawn before the tolerance was checked")
 
-    monkeypatch.setattr(criteria, "path_seed", no_draws)
+    monkeypatch.setattr(criteria, "path_seeds", no_draws)
     monkeypatch.setattr(criteria, "simulate_configurations", no_draws)
     for bad in (5.0, 1.0, 0.0, float("nan")):
         with pytest.raises(InputError, match=r"^rel_tol must be in \(0, 1\), got "):
@@ -309,7 +309,7 @@ def test_rank_stats_reports_indeterminate_fraction():
     # at rel_tol = 0.01 some verdicts sit within a factor 10 of the cut
     scenario = get_scenario("levy-area-1")
     table = monte_carlo_rank_stats(scenario, 6, [0.05], seed=4, rel_tol=0.01)
-    configs = [scenario.simulate(0.05, path_seed(4, p)) for p in range(6)]
+    configs = [scenario.simulate(0.05, s) for s in path_seeds(4, 6)]
     flags = [rank_diagnostic(scenario.gamma_of(c, 0.05), 0.01).indeterminate for c in configs]
     assert 0.0 < table.rows[0].indeterminate_fraction == np.mean(flags) < 1.0
     firm = monte_carlo_rank_stats(scenario, 6, [0.05], seed=4)

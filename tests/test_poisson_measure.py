@@ -170,10 +170,10 @@ GOLDEN_BATCHES = {
 
 @pytest.mark.parametrize("name", list(GOLDEN_BATCHES))
 def test_batch_golden_bits(name):
-    from lentparticle.rng import path_seed
+    from lentparticle.rng import path_seeds
 
     make, want = GOLDEN_BATCHES[name]
-    configs = simulate_configurations(make(), 1.0, [path_seed(7, p) for p in range(64)])
+    configs = simulate_configurations(make(), 1.0, path_seeds(7, 64))
     digest = hashlib.sha256(np.array([config.n_atoms for config in configs]).tobytes())
     for config in configs:
         digest.update(config.times.tobytes())

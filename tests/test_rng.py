@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lentparticle.density_criteria import monte_carlo_rank_stats
 from lentparticle.errors import InputError
@@ -10,10 +12,11 @@ from lentparticle.rng import (
     DOMAIN_PARTICLE,
     DOMAIN_PATH,
     DOMAIN_RHO,
-    path_seed,
+    _sub_seeds,
+    path_seeds,
     stream,
 )
-from lentparticle.scenarios import DoleansPairFunctional, get_scenario
+from lentparticle.scenarios import DoleansPairFunctional, get_scenario, mckean_vlasov
 
 
 def test_same_address_same_draws():
@@ -42,19 +45,53 @@ def test_subindex_separates_streams():
     assert not np.array_equal(a, b)
 
 
+def _drawn(seed: int, domain: int, index: int) -> int:
+    """The sub-seed of ``index`` as its generator draws it."""
+    return int(stream(seed, domain, index).integers(0, 2 ** 63 - 1, dtype=np.int64))
+
+
 def test_path_seed_deterministic_and_spread():
-    seeds = [path_seed(99, p) for p in range(64)]
-    assert seeds == [path_seed(99, p) for p in range(64)]
+    seeds = path_seeds(99, 64)
+    assert seeds == path_seeds(99, 64) and seeds[:10] == path_seeds(99, 10)
     assert len(set(seeds)) == 64
-    assert all(0 <= s < 2 ** 63 for s in seeds)
+    assert all(type(s) is int and 0 <= s < 2 ** 63 - 1 for s in seeds)
+    assert path_seeds(99, 0) == []
 
 
 def test_path_seed_domain_picks_the_stream():
     # a sub-seed is the first int64 of the stream at (seed, domain, index)
     for domain in (DOMAIN_PATH, DOMAIN_PARTICLE):
-        assert [path_seed(8, i, domain) for i in range(5)] == [
-            int(stream(8, domain, i).integers(0, 2 ** 63 - 1)) for i in range(5)]
-    assert path_seed(8, 3) == path_seed(8, 3, DOMAIN_PATH) != path_seed(8, 3, DOMAIN_PARTICLE)
+        assert path_seeds(8, 5, domain) == [_drawn(8, domain, i) for i in range(5)]
+    assert path_seeds(8, 4) == path_seeds(8, 4, DOMAIN_PATH) != path_seeds(8, 4, DOMAIN_PARTICLE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), domain=st.sampled_from([DOMAIN_PATH, DOMAIN_PARTICLE]),
+       indices=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=6))
+@example(seed=0, domain=DOMAIN_PATH, indices=[0, 2 ** 64 - 1])
+@example(seed=2 ** 64 - 1, domain=DOMAIN_PARTICLE, indices=[2 ** 64 - 1, 1, 2 ** 63])
+def test_sub_seeds_are_the_generators_first_draw(seed, domain, indices):
+    got = _sub_seeds(seed, domain, np.array(indices, dtype=np.uint64))
+    assert got == [_drawn(seed, domain, i) for i in indices]
+
+
+def test_a_rejected_word_falls_back_to_the_generator(monkeypatch):
+    # a first word of 0 leaves Lemire's low word at 0, below the threshold 2,
+    # so the generator draws again from its stream
+    import lentparticle.rng as rng
+
+    first_words = rng._first_words
+
+    def zero_on_odd(seed, domain, indices):
+        words = first_words(seed, domain, indices)
+        words[1::2] = 0
+        return words
+
+    monkeypatch.setattr(rng, "_first_words", zero_on_odd)
+    opened = []
+    monkeypatch.setattr(rng, "stream", lambda *address: opened.append(address) or stream(*address))
+    assert path_seeds(21, 5, DOMAIN_PARTICLE) == [_drawn(21, DOMAIN_PARTICLE, i) for i in range(5)]
+    assert opened == [(21, DOMAIN_PARTICLE, 1), (21, DOMAIN_PARTICLE, 3)]
 
 
 def test_seed_changes_everything():
@@ -104,13 +141,16 @@ def _seeded_entry_points():
         "sharp_sample": ("rho_seed", lambda s: sharp_sample(F, config, scenario.bottom, s)),
         "monte_carlo_rank_stats": ("seed", lambda s: monte_carlo_rank_stats(
             scenario, 2, [0.1], s)),
+        "path_seeds": ("seed", lambda s: path_seeds(s, 3)),
+        "mckean_vlasov": ("seed", lambda s: mckean_vlasov(
+            lambda x, law: np.ones_like(x), 10, 1, scenario.model(), 1.0, s, 0.0)),
     }
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 @pytest.mark.parametrize("entry", ["simulate_configurations", "simulate_configuration",
                                    "Scenario.simulate", "gamma_rho_mc", "sharp_sample",
-                                   "monte_carlo_rank_stats"])
+                                   "monte_carlo_rank_stats", "path_seeds", "mckean_vlasov"])
 def test_entry_points_refuse_a_seed_outside_64_bits_before_any_draw(monkeypatch, entry, seed):
     name, call = _seeded_entry_points()[entry]
 

@@ -418,14 +418,14 @@ def test_closed_form_golden_bits(name, chunk_atoms, monkeypatch):
 
     import lentparticle.scenarios as sc
     from lentparticle.poisson_measure import simulate_configurations
-    from lentparticle.rng import path_seed
+    from lentparticle.rng import path_seeds
 
     if chunk_atoms is not None:
         monkeypatch.setattr(sc, "_CLOSED_CHUNK_ATOMS", chunk_atoms)
     scenario = get_scenario(name)
     levels = sorted((eps for key, eps in GOLDEN_CLOSED_GAMMAS if key == name), reverse=True)
     configs = simulate_configurations(scenario.model(levels[-1]), scenario.horizon,
-                                      [path_seed(5, p) for p in range(48)])
+                                      path_seeds(5, 48))
     for eps in levels:
         got = scenario.gammas(scenario.restrict(configs, eps), eps)
         assert hashlib.sha256(got.tobytes()).hexdigest() == GOLDEN_CLOSED_GAMMAS[name, eps]
@@ -467,10 +467,10 @@ def _area_sweep(scenario, n_paths=8, seed=5, levels=_SWEEP_LEVELS):
     """The ``levels`` of a rank sweep of ``scenario`` (by default levy-area-1's
     or a variant's) over ``n_paths`` paths drawn at its finest level."""
     from lentparticle.poisson_measure import simulate_configurations
-    from lentparticle.rng import path_seed
+    from lentparticle.rng import path_seeds
 
     configs = simulate_configurations(scenario.model(levels[-1]), scenario.horizon,
-                                      [path_seed(seed, p) for p in range(n_paths)])
+                                      path_seeds(seed, n_paths))
     return [(scenario.restrict(configs, eps), eps) for eps in levels]
 
 
@@ -596,6 +596,43 @@ def test_sweep_calls_the_shared_coefficients_once_per_stage_and_jump_row(monkeyp
     assert calls["_area_comp"] == 4 * (times.shape[1] - 1)
     # one call per row where any path jumps, plus one per level's assumption check
     assert calls["_area_c"] == np.count_nonzero(is_jump.any(axis=0)) + 3
+
+
+def test_sweep_takes_the_constant_jacobian_once_per_segment_and_no_svd(monkeypatch):
+    import dataclasses
+    import functools
+
+    import lentparticle.scenarios as scenarios
+    import lentparticle.sde_engine as engine
+
+    calls, svd_rows, grids = [], [], []
+    dcomp, norm, stack = scenarios._area_dcomp, np.linalg.norm, engine._stack_grids
+
+    @functools.wraps(dcomp)  # keeps its reads_time and reads_state
+    def counted(t, x, m1):
+        calls.append(x.shape[0])
+        return dcomp(t, x, m1)
+
+    def spied(a, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            svd_rows.append(len(a))
+        return norm(a, ord, axis, keepdims)
+
+    def recorded(*args):
+        grids.append(stack(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(scenarios, "_area_dcomp", counted)
+    monkeypatch.setattr(np.linalg, "norm", spied)
+    monkeypatch.setattr(engine, "_stack_grids", recorded)
+    scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
+    scenario.sweep_gammas(_area_sweep(scenario, n_paths=32))
+    [(_, sizes, times, is_jump, _, _)] = grids  # one chunk of all three levels
+    # every live segment ends where its shortest path does
+    assert 1 < len(calls) <= np.unique(sizes).size < times.shape[1] - 1
+    # every jump of every level was checked, each inverse jump update
+    # settled by a bound below eta
+    assert is_jump.any() and svd_rows == []
 
 
 # sha256 of compensator(t, x) and then dx_compensator(t, x), raveled, at the

@@ -745,21 +745,86 @@ def test_batch_assumption_error_is_the_path_alone(case, flows):
     assert _model_error(_banded(), configs[2], flows) == message.replace("path 2", "path 0")
 
 
+def _norm_cases(rng, n: int, d: int, nilpotent: float) -> np.ndarray:
+    """``n`` square matrices of size ``d``: a quarter rank-one, whose 2-norm
+    and Frobenius norm are equal; a quarter ``I + N`` with ``N`` strictly
+    upper triangular of scale ``nilpotent``, the inverse jump update of the
+    area scenarios when the marks sit in the last column; a quarter
+    diagonal, whose 2-norm and row-sum bound are equal; the rest dense."""
+    matrices = rng.normal(size=(n, d, d))
+    q = n // 4
+    matrices[:q] = rng.normal(size=(q, d))[:, :, None] * rng.normal(size=(q, d))[:, None, :]
+    matrices[q:2 * q] = np.eye(d) + np.triu(nilpotent * rng.normal(size=(q, d, d)), 1)
+    matrices[2 * q:3 * q] = rng.normal(size=(q, d))[:, :, None] * np.eye(d)
+    return matrices
+
+
 def test_frobenius_prefilter_keeps_every_norm_verdict():
-    # eta at, just below and just above each 2-norm, and far from it; a rank-1
-    # matrix, whose two norms are equal, at its own bound
-    rng = np.random.default_rng(3)
-    matrices = rng.normal(size=(600, 2, 2))
-    matrices[:100] = np.einsum("ki,kj->kij", rng.normal(size=(100, 2)), rng.normal(size=(100, 2)))
-    exact = np.linalg.norm(matrices, 2, axis=(1, 2))
-    eta = exact / _ETA_SLACK * rng.choice([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 3.0], 600)
-    rows = rng.random(600) < 0.9
+    for d, nilpotent in [(2, 1.0), (3, 1.0), (3, 0.05)]:
+        _assert_norm_verdicts(np.random.default_rng(3 + d), d, nilpotent)
+
+
+def _assert_norm_verdicts(rng, d: int, nilpotent: float) -> None:
+    # eta at, just below and just above the 2-norm, the Frobenius norm and
+    # the row-sum bound of each matrix, and far from them
+    matrices = _norm_cases(rng, 800, d, nilpotent)
+    size = np.abs(matrices)
+    bounds = np.stack([np.linalg.norm(matrices, 2, axis=(1, 2)),
+                       np.linalg.norm(matrices, axis=(1, 2)),
+                       np.sqrt((size.transpose(0, 2, 1) @ size).sum(axis=2).max(axis=1))])
+    exact = bounds[0]
+    assert (bounds[1:] >= exact * (1.0 - 1e-14)).all()
+    at = bounds[rng.integers(0, 3, 800), np.arange(800)]
+    eta = at / _ETA_SLACK * rng.choice(
+        [0.5, 1.0 - 1e-9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.5, 3.0], 800)
+    rows = rng.random(800) < 0.9
     got = _spectral_norms(matrices, rows, eta)
     flagged = got > eta * _ETA_SLACK
     assert np.array_equal(flagged, np.where(rows, exact, np.nan) > eta * _ETA_SLACK)
     assert 0 < flagged.sum() < rows.sum()
     assert np.array_equal(got[flagged], exact[flagged])  # messages print the 2-norm
+    assert (got[rows] >= exact[rows] * (1.0 - 1e-14)).all()
     assert np.isnan(got[~rows]).all()
+    if d == 3:  # the row-sum bound settles rows the Frobenius norm leaves to the SVD
+        settled = rows & (got <= eta * _ETA_SLACK * (1.0 - 1e-12))
+        assert (settled & (bounds[1] > eta * _ETA_SLACK * (1.0 - 1e-12))).any()
+
+
+def test_constant_compensator_jacobian_is_called_once_per_batch_size():
+    # dX = X u dN with the closed-form compensator m X: its x-Jacobian read
+    # once per number of live paths when it reports reading neither t nor x,
+    # and at every RK4 stage when it reports reading x; the bits are the same
+    model, m = _uniform_model(), 0.4
+    configs = [simulate(model, horizon=1.0, seed=s) for s in (1, 2, 3, 4)]
+    base = linear_1d(compensate=m)
+    want = solve_sde(base, model, configs, x0=np.array([1.0]), step=0.05, flows=True)
+    sizes = np.array([traj.times.shape[0] for traj in want])
+    ends = np.unique(sizes)  # each live segment ends where the shortest live path does
+    assert ends.size > 1
+    for reads_state in (False, True):
+        calls = []
+
+        def dx_compensator(t, x):
+            calls.append(x.shape[0])
+            return np.full((x.shape[0], 1, 1), m)
+
+        dx_compensator.reads_time, dx_compensator.reads_state = False, reads_state
+        coeffs = dataclasses.replace(base, dx_compensator=dx_compensator)
+        got = solve_sde(coeffs, model, configs, x0=np.array([1.0]), step=0.05, flows=True)
+        for a, b in zip(want, got):
+            assert _same_bits(a.flow, b.flow) and _same_bits(a.inverse_flow, b.inverse_flow)
+        live = [int((sizes >= end).sum()) for end in ends]
+        if reads_state:
+            rows = np.diff(np.concatenate([[1], ends]))
+            assert calls == [n for n, k in zip(live, rows) for _ in range(4 * k)]
+        else:
+            assert calls == live
+    # a Jacobian that reads t is called at every stage too
+    calls.clear()
+    dx_compensator.reads_time, dx_compensator.reads_state = True, False
+    solve_sde(dataclasses.replace(base, dx_compensator=dx_compensator), model, configs,
+              x0=np.array([1.0]), step=0.05, flows=True)
+    assert len(calls) == 4 * (sizes.max() - 1)
 
 
 def test_same_row_violations_name_the_first_path_with_its_first_condition():
@@ -821,12 +886,12 @@ def test_jump_rows_without_flows_make_no_dx_c_call():
 
 
 def test_levy_area_paths_with_flows_fit_one_chunk():
-    from lentparticle.density_criteria import path_seed
+    from lentparticle.rng import path_seeds
     from lentparticle.scenarios import get_scenario
 
     scenario = get_scenario("levy-area-1")
     assert scenario.step == 0.0025
-    configs = [scenario.simulate(seed=path_seed(12345, p)) for p in range(32)]
+    configs = [scenario.simulate(seed=s) for s in path_seeds(12345, 32)]
     coeffs = scenario.make_coeffs(scenario.model())
     trajs = solve_sde(coeffs, scenario.model(), configs, scenario.x0, scenario.step, flows=True)
     assert len({id(t.states.base) for t in trajs}) == 1
