@@ -314,8 +314,8 @@ def _custom_scenario(cfg) -> Scenario:
     try:
         cfun = compile_coefficient(sources, d, r)
         dx_c, du_c = compile_jacobians(sources, d, r)
-    except InputError as exc:
-        raise ConfigFileError(f"coefficients: {exc}") from exc
+    except InputError as exc:  # it names the key: c_i: ...
+        raise ConfigFileError(f"coefficients.{exc}") from exc
     # no compensator: each solve integrates it against its own truncated model
     coeffs = CoefficientSet(dim=d, c=cfun, dx_c=dx_c, du_c=du_c, name="custom")
     bs = _custom_structure(cfg, r)

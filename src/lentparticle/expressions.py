@@ -20,7 +20,6 @@ of the differentiation variable.
 from __future__ import annotations
 
 import ast
-import copy
 import functools
 import operator
 from typing import Callable, Sequence
@@ -39,13 +38,27 @@ _ALLOWED_NODES = (
     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd, ast.Load,
 )
 
+# An expression is refused beyond this many characters, before it is parsed,
+# or when its syntax tree nests deeper than _MAX_DEPTH nodes: a flat sum of n
+# terms nests n deep, and parsing, compiling and differentiating recurse once
+# or more per level (Python's limit is 1,000 frames).
+_MAX_LENGTH = 2000
+_MAX_DEPTH = 100
+
 
 def _parse(src: str, variables: Sequence[str]) -> ast.Expression:
     src = src.replace("^", "**")
+    if len(src) > _MAX_LENGTH:
+        raise InputError(f"expression of {len(src)} characters, more than {_MAX_LENGTH}")
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
         raise InputError(f"cannot parse expression {src!r}: {exc.msg}") from None
+    layer, depth = [tree.body], 0  # the nodes at each depth in turn
+    while layer:
+        layer, depth = [child for node in layer for child in ast.iter_child_nodes(node)], depth + 1
+    if depth > _MAX_DEPTH:
+        raise InputError(f"expression nests deeper than {_MAX_DEPTH} levels")
     known = set(variables) | set(_ALLOWED_CALLS)
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
@@ -108,7 +121,6 @@ _NUMPY_NAMESPACE = {
     "__builtins__": {},
     "abs": np.abs,
     "min": lambda *args: functools.reduce(np.minimum, args),
-    "_ind": lambda norm, a: np.less(norm, a).astype(float),
     "_sign": np.sign,
     "_log": np.log,
     "_select_min": _select_min,
@@ -116,24 +128,13 @@ _NUMPY_NAMESPACE = {
 }
 
 
-class _BindNorm(ast.NodeTransformer):
-    """Rewrite ``ind(a)`` as ``_ind(_norm, a)`` so the mark norms are an argument,
-    and with ``float_pow`` every ``a ** b`` as ``_float_pow(a, b)``."""
-
-    def __init__(self, float_pow: bool = False):
-        self.float_pow = float_pow
+class _FloatPow(ast.NodeTransformer):
+    """Rewrite every ``a ** b`` as ``_float_pow(a, b)``."""
 
     def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
         self.generic_visit(node)
-        if self.float_pow and isinstance(node.op, ast.Pow):
+        if isinstance(node.op, ast.Pow):
             return ast.Call(ast.Name("_float_pow", ast.Load()), [node.left, node.right], [])
-        return node
-
-    def visit_Call(self, node: ast.Call) -> ast.AST:
-        self.generic_visit(node)
-        if node.func.id == "ind":
-            return ast.Call(ast.Name("_ind", ast.Load()),
-                            [ast.Name("_norm", ast.Load()), *node.args], [])
         return node
 
 
@@ -142,14 +143,16 @@ def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str,
     """Compile expression bodies (``None`` meaning 0) into ``f(t, x, u)``.
 
     ``t`` ``(P,)``, ``x`` ``(P, d)`` and ``u`` ``(P, r)`` are paired by row;
-    ``x1..xd`` and ``u1..ur`` are bound to their columns, and the result is
-    ``(P, *shape)``.  With ``float_pow`` powers go through :func:`float_pow`.
-    ``f.reads_time`` tells whether any body names ``t``.
+    ``x1..xd`` and ``u1..ur`` are bound to their columns, ``ind`` to the
+    norms of the marks, and the result is ``(P, *shape)``.  The bodies are
+    compiled as they are, sharing subtrees, except that with ``float_pow``,
+    on trees of their own, powers are rewritten in place to go through
+    :func:`float_pow`.  ``f.reads_time`` tells whether any body names ``t``.
     """
-    body = ast.Tuple([ast.Constant(0.0) if b is None else copy.deepcopy(b) for b in bodies],
-                     ast.Load())
-    body = ast.fix_missing_locations(_BindNorm(float_pow).visit(ast.Expression(body)))
-    code = compile(body, "<expression>", "eval")
+    body = ast.Expression(ast.Tuple([ast.Constant(0.0) if b is None else b for b in bodies],
+                                    ast.Load()))
+    body = _FloatPow().visit(body) if float_pow else body
+    code = compile(ast.fix_missing_locations(body), "<expression>", "eval")
     names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
     size = int(np.prod(shape))
     x_names = [f"x{i + 1}" for i in range(d)]
@@ -160,8 +163,9 @@ def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str,
         local = {"t": np.asarray(t, dtype=float)}
         local.update(zip(x_names, np.asarray(x, dtype=float).T))
         local.update(zip(u_names, np.ascontiguousarray(marks.T)))
-        if "_norm" in names:
-            local["_norm"] = np.sqrt(np.sum(marks * marks, axis=1))
+        if "ind" in names:
+            norm = np.sqrt(np.sum(marks * marks, axis=1))
+            local["ind"] = lambda a: np.less(norm, a).astype(float)
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 values = eval(code, _NUMPY_NAMESPACE, local)
@@ -177,10 +181,17 @@ def _batch_evaluator(bodies: Sequence[ast.AST | None], shape: tuple, label: str,
 
 
 def _coefficient_trees(sources: Sequence[str], d: int, r: int) -> list[ast.AST]:
+    """The syntax trees of the components; a refused one is named ``c_i``."""
     if len(sources) != d:
         raise InputError(f"need {d} component expressions, got {len(sources)}")
     names = ["t"] + [f"x{i + 1}" for i in range(d)] + [f"u{j + 1}" for j in range(r)]
-    return [_parse(src, names).body for src in sources]
+    trees = []
+    for i, src in enumerate(sources, 1):
+        try:
+            trees.append(_parse(src, names).body)
+        except InputError as exc:
+            raise InputError(f"c_{i}: {exc}") from None
+    return trees
 
 
 def compile_coefficient(sources: Sequence[str], d: int, r: int) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
@@ -190,6 +201,8 @@ def compile_coefficient(sources: Sequence[str], d: int, r: int) -> Callable[[flo
     batch of points paired by row, ``t`` ``(P,)``, ``x`` ``(P, d)`` and ``u``
     ``(P, r)``, giving ``(P, d)``.  ``c.reads_time`` is false when no
     expression names ``t``, and so are those of :func:`compile_jacobians`.
+    An expression refused is named ``c_i``, counting from 1, as one longer
+    than 2,000 characters or nesting deeper than 100 levels is.
     """
     trees = _coefficient_trees(sources, d, r)
     return _batch_evaluator(trees, (d,), "; ".join(sources), d, r)

@@ -440,8 +440,10 @@ def _doleans_dcomp(t: np.ndarray, x: np.ndarray, m1: float | np.ndarray) -> np.n
     return out
 
 
-# the x-Jacobian depends on m1 alone, so a solve calls it once per batch size
+# the x-Jacobians depend on m1 or on the mark alone, so a solve calls the
+# compensator's once per batch size and the jump's once per chunk
 _doleans_dcomp.reads_time = _doleans_dcomp.reads_state = False
+_doleans_dx_c.reads_time = _doleans_dx_c.reads_state = False
 
 
 def doleans_coefficients(first_moment: float, bound: float) -> CoefficientSet:
@@ -557,6 +559,7 @@ def _area_dcomp(t: np.ndarray, x: np.ndarray, m1: np.ndarray) -> np.ndarray:
 
 
 _area_dcomp.reads_time = _area_dcomp.reads_state = False
+_area_dx_c.reads_time = _area_dx_c.reads_state = False
 
 
 def area_coefficients(first_moment: np.ndarray) -> CoefficientSet:

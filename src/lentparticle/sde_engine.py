@@ -38,9 +38,13 @@ a parameter, share one drift call per stage, and groups holding the same
 ``c`` and ``dx_c`` share their calls at a jump row.  A ``dx_compensator``
 that reports ``reads_time = False`` and ``reads_state = False``, as the
 shipped ones do, is called once per run of rows over which the same paths
-advance, not at every stage.  The norm bounds of the assumption checks are
-settled without an SVD wherever a cheap upper bound of the 2-norm already
-lies below ``eta``.
+advance, not at every stage, and a ``dx_c`` that reports both is called once
+per chunk over all its jumps.  The batch is held component-major, X, the rows
+of K and the rows of Kbar each one block over the paths, so that where every
+group's x-Jacobian is one such matrix and the groups advance as many paths,
+a stage's flow products are one matrix product per group.  The norm bounds
+of the assumption checks are settled without an SVD wherever a cheap upper
+bound of the 2-norm already lies below ``eta``.
 """
 
 from __future__ import annotations
@@ -122,9 +126,12 @@ class CoefficientSet:
       functions of ``(t, x, p)`` at each level's first moment ``p``, so that
       the levels of a sweep share one call per stage.
     * A ``dx_compensator`` whose attributes ``reads_time`` and
-      ``reads_state`` are both ``False`` promises a result that depends on
-      the number of points alone; without ``dx_drift`` a solve calls it once
-      per number of paths still advancing, not at every stage.  A callable
+      ``reads_state`` are both ``False`` promises the same matrix at every
+      point; without ``dx_drift`` a solve calls it once per number of paths
+      still advancing, not at every stage, and takes the flow products of a
+      batch of paths as one matrix product.  A ``dx_c`` that reports both
+      promises a result that depends on the mark alone; with flows a solve
+      calls it once over all the jumps of a chunk of paths.  A callable
       without the attributes may read both.
     * ``eta(u)``, ``(P,)``, is the dominating function used by the
       assumption validators; when absent only invertibility of ``I + dx_c``
@@ -171,6 +178,11 @@ class _Bound:
         return getattr(self.fn, "reads_state", True)
 
 
+def _state_free(fn) -> bool:
+    """Whether ``fn`` reports ``reads_time = False`` and ``reads_state = False``."""
+    return not getattr(fn, "reads_time", True) and not getattr(fn, "reads_state", True)
+
+
 def _shape_checked(name: str, out, shape: tuple, where: Callable[[], str] = str) -> np.ndarray:
     """``out`` as an array, refused with :class:`ModelError` unless it has
     ``shape``, whose first entry counts the points; ``where()`` ends the message."""
@@ -212,8 +224,7 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
                 _shape_checked(comp_name, k, shape)
         return np.negative(k) if drift is None else np.subtract(b, k)
 
-    constant = coeffs.dx_drift is None and not getattr(dx_comp, "reads_time", True) \
-        and not getattr(dx_comp, "reads_state", True)
+    constant = coeffs.dx_drift is None and _state_free(dx_comp)
     held = [None, None]  # the number of points and the x-Jacobian of a constant one
 
     def velocity(t: np.ndarray, x: np.ndarray, k=None, dx_k=None) -> tuple:
@@ -320,18 +331,19 @@ def _spectral_norms(matrices: np.ndarray, rows: np.ndarray, eta: np.ndarray) -> 
 
 
 def _check_r_conditions(coeffs: CoefficientSet, t: np.ndarray, x: np.ndarray,
-                        u: np.ndarray, where: Callable[[int], str]) -> None:
+                        u: np.ndarray, where: Callable[[int], str], dxc=None) -> None:
     """Spot-check the standing coefficient assumptions at a batch of points.
 
     Every condition is evaluated over the whole batch.  Raises
     :class:`ModelError` at the first offending row ``k``, naming the first
     condition it violates in the order ``dx_c`` finite, ``|dx_c| <= eta``,
     ``|c(t, 0, u)| <= eta``, ``I + dx_c`` invertible, ``|(I + dx_c)^{-1}| <=
-    eta``, and through ``where(k)`` its path or point.
+    eta``, and through ``where(k)`` its path or point.  ``dxc`` is ``dx_c``
+    at the points, already shape-checked, or ``None`` to call it here.
     """
     d, n = coeffs.dim, t.shape[0]
     dxc = _shape_checked("dx_c", np.asarray(coeffs.dx_c(t, x, u), dtype=float), (n, d, d),
-                         lambda: f" {where(0)}")
+                         lambda: f" {where(0)}") if dxc is None else dxc
     finite = np.isfinite(dxc).all(axis=(1, 2))
     m = np.eye(d) + np.where(finite[:, None, None], dxc, 0.0)
     # np.linalg.inv raises when any matrix of the stack is singular; its
@@ -457,12 +469,19 @@ def _regular_grid(horizon: float, step: float) -> np.ndarray:
 def _rk4_step(rhs, t0, half, t1, h, half_h, sixth_h, y: np.ndarray) -> np.ndarray:
     """One classical RK4 step of ``y`` from ``t0`` over ``half = t0 + h/2`` to
     ``t1 = t0 + h``; ``h``, ``half_h = 0.5 * h`` and ``sixth_h = h / 6`` are
-    scalars or broadcast against ``y``."""
+    scalars or broadcast against ``y``.  The stages and the sum reuse two
+    arrays, in the order of ``y + sixth_h * (k1 + 2 k2 + 2 k3 + k4)`` and to
+    its bits, as the terms of a sum or a product commute; the ``k`` are only
+    read."""
     k1 = rhs(t0, y)
-    k2 = rhs(half, y + half_h * k1)
-    k3 = rhs(half, y + half_h * k2)
-    k4 = rhs(t1, y + h * k3)
-    return y + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(half, stage := y + half_h * k1)
+    k3 = rhs(half, np.add(y, np.multiply(half_h, k2, out=stage), out=stage))
+    k4 = rhs(t1, np.add(y, np.multiply(h, k3, out=stage), out=stage))
+    total = np.add(k1, np.multiply(2.0, k2, out=stage))
+    total += np.multiply(2.0, k3, out=stage)
+    total += k4
+    total *= sixth_h
+    return np.add(y, total, out=total)
 
 
 def _chunks(groups: list[list[JumpConfiguration]], horizon: float | None, step: float,
@@ -544,6 +563,32 @@ def _stack_grids(configs: Sequence[JumpConfiguration], grids: tuple, lengths: Se
     return order, sizes, times, is_jump, atom_index, marks
 
 
+def _flow_products(a: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """The flow rows of ``out``, the C-ordered velocity of a component-major
+    batch ``y`` of ``P`` paths, ``(1 + 2d, P, d)``: ``a K`` in its K rows and
+    ``-Kbar a`` in its Kbar rows.  ``a`` holds one x-Jacobian per path, ``(P,
+    d, d)``, or one per run of ``P / R`` consecutive paths, ``(R, d, d)``.  A
+    path's products are taken on strided views of the batch; a run's K rows
+    are one ``(d, P/R d)`` matrix and its Kbar rows ``d`` matrices of ``(P/R,
+    d)``, so the runs take ``R (1 + d)`` BLAS calls where the paths take ``2
+    P``, to the same bits.  numpy takes the product of one row with another
+    kernel, which rounds otherwise, so one-path runs go path by path."""
+    runs, d = a.shape[0], a.shape[-1]
+    if y.shape[1] == 1:  # one path: its plain (d, d) matrices, quicker to take
+        np.matmul(a[0], y[1:d + 1, 0], out=out[1:d + 1, 0])
+        out[d + 1:, 0] = -np.matmul(y[d + 1:, 0], a[0])
+        return
+    k, kbar = out[1:d + 1], out[d + 1:]
+    # the axes name each operand's matrix; the others index the runs or paths
+    np.matmul(a, y[1:d + 1].reshape(d, runs, -1), axes=[(1, 2), (0, 2), (0, 2)],
+              out=k.reshape(d, runs, -1))
+    if runs < y.shape[1]:
+        np.matmul(y[d + 1:].reshape(d, runs, -1, d), a, out=kbar.reshape(d, runs, -1, d))
+    else:
+        np.matmul(y[d + 1:], a, axes=[(0, 2), (1, 2), (0, 2)], out=kbar)
+    np.negative(kbar, out=kbar)
+
+
 def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: bool,
                validate: bool, rows: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance every path of one chunk through one RK4 loop over grid rows.
@@ -552,27 +597,34 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     ``(coeffs, drift, first, n)``: its coefficients, its :func:`_effective_drift`
     closure, the index of its first path in its group and its number of
     paths.  ``stacked`` comes from :func:`_stack_grids`, so the batch holds
-    the runs one after another, each longest grid first.  A path's state is a
-    ``(1, d)`` block holding X, or with ``flows`` a ``(1 + 2d, d)`` block
-    holding X, the rows of K and the rows of Kbar; the batch stacks one block
-    per path.  A path drops out of the batch after its last row, so row ``i``
-    advances the live prefix of each run, each path between its own grid
-    times: a view of the batch while only the last live run shrinks, else a
-    gather.  A stage calls the drift once per live run on its slice of the
-    batch, or once for consecutive runs whose compensator pairs, all their
-    drift, are bound to the same two functions, each run's parameter on its
-    rows; it takes the products of the flows once over the batch.  At a jump
-    row ``c`` (with flows ``dx_c``) is called once for the jumping paths of
-    consecutive runs holding the same two, and the jump update, the
-    finite-state checks, the K product and the Kbar solve (one call of the
-    ``np.linalg.solve`` kernel) act once on all of them.  With ``validate``,
-    each run's coefficient assumptions are checked once over every jump it
-    took, from the stored left limits, after the loop or, when the loop
-    raises, over the jumps taken so far before the error propagates.  The X
-    entries of every stage never read the flow entries, so X is the same bit
-    for bit with and without flows, and every operation acts on each path
-    alone, so a path's rows do not depend on the rest of the batch.  Errors
-    name a path by its index in its group.
+    the runs one after another, each longest grid first.  The batch is
+    component-major: ``(1, P, d)`` holding X, or with ``flows`` ``(1 + 2d,
+    P, d)`` holding X, the rows of K and the rows of Kbar, so that X is one
+    contiguous block and a run's K rows one matrix.  A path drops out of the
+    batch after its last row, so row ``i`` advances the live prefix of each
+    run, each path between its own grid times: a view of the batch while
+    only the last live run shrinks, else a gather.  A stage calls the drift
+    once per live run on its slice of the batch, or once for consecutive
+    runs whose compensator pairs, all their drift, are bound to the same two
+    functions, each run's parameter on its rows.  It takes the products of
+    the flows in two calls over the batch (:func:`_flow_products`): run by
+    run while every live run's x-Jacobian is one matrix (no ``dx_drift``, a
+    state-free ``dx_compensator``) and the live runs hold the same number of
+    paths, at least two, else path by path.  Every jump's time and mark are
+    gathered once, in event order, and with flows a ``dx_c`` that reads
+    neither time nor state (:func:`_state_free`) is called once over all the
+    jumps of the runs holding it.  At a jump row ``c`` (and with flows any
+    other ``dx_c``) is called once for the jumping paths of consecutive runs
+    holding the same two, and the jump update, the finite-state checks, the
+    K product and the Kbar solve (one call of the ``np.linalg.solve``
+    kernel) act once on all of them.  With ``validate``, each run's
+    coefficient assumptions are checked once over every jump it took, from
+    the stored left limits, after the loop or, when the loop raises, over
+    the jumps taken so far before the error propagates.  The X entries of
+    every stage never read the flow entries, so X is the same bit for bit
+    with and without flows, and every operation acts on each path alone, so
+    a path's rows do not depend on the rest of the batch.  Errors name a
+    path by its index in its group.
 
     Returns, in batch order, the right limits: on every row, ``(P, m_max, 1
     [+ 2d], d)``, or with ``rows`` at the jump rows followed by each path's
@@ -586,7 +638,6 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     n_paths, m_max = times.shape
     lengths = [n for *_, n in runs]
     bounds = np.cumsum([0] + lengths)
-    run_of = np.repeat(np.arange(len(runs)), lengths)
     # each batch row's path, by its index in its group
     named = order + np.repeat([first - b for (_, _, first, _), b in zip(runs, bounds)], lengths)
     # the paths that leave the batch at each row, and the rows where any does
@@ -596,20 +647,22 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     # per row, the start, midpoint and end time and the step of every path
     by_row = np.ascontiguousarray(times.T)
     # the step, its half and its sixth for every row and path: scalars when
-    # one path steps (numpy combines them with y faster than broadcast
-    # columns, and to the same bits), columns of the batch otherwise
+    # one path steps, else a (paths, d) plane each, repeated along d at each
+    # row (numpy combines either with y faster than a broadcast column, and
+    # to the same bits)
     factors = np.stack([by_row[1:] - by_row[:-1]] * 3)
     factors[1] *= 0.5
     factors[2] /= 6.0
     halves = by_row[:-1] + factors[1]
     # the jumps are stored (marks, left limits) by path, then row; the loop
-    # and the checks take them by row, then path
+    # and the checks take them by row, then path: the event order
     jump_paths, jump_rows = np.nonzero(is_jump)
     event_slots = np.lexsort((jump_paths, jump_rows))
     event_paths, event_rows = jump_paths[event_slots], jump_rows[event_slots]
+    event_times, event_marks = times[event_paths, event_rows], marks[event_slots]
     rows_with_jumps, starts = np.unique(event_rows, return_index=True)
     ends = np.append(starts[1:], event_rows.shape[0])
-    jumpers = {row: (event_paths[a:b], event_slots[a:b], b)
+    jumpers = {row: (a, b, event_paths[a:b], event_slots[a:b])
                for row, a, b in zip(rows_with_jumps.tolist(), starts.tolist(), ends.tolist())}
     n_jumps = event_rows.shape[0]
     k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
@@ -622,35 +675,50 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     jump_bounds = bounds[[ks[0] for ks in jump_groups] + [len(runs)]]
     drift_groups = [list(ks) for _, ks in groupby(range(len(runs)),
                                                   lambda k: _bound_pair(runs[k][0]) or k)]
-    single, live_runs = None, []  # the drift of a lone live group, else each group's
+    # a run's between-jump x-Jacobian is one matrix without dx_drift and with
+    # a state-free dx_compensator, as in _effective_drift
+    constant = [c.dx_drift is None and _state_free(c.dx_compensator) for c, *_ in runs]
+    # with flows, each state-free dx_c over all the jumps of its runs, in one
+    # call, refused before the loop when malformed
+    free = [flows and _state_free(coeffs.dx_c) for coeffs, *_ in runs]
+    slopes = np.empty((n_jumps, d, d)) if flows else None
+    for ks, lo, hi in zip(jump_groups, jump_bounds, jump_bounds[1:]):
+        mine = np.flatnonzero((event_paths >= lo) & (event_paths < hi))
+        if free[ks[0]] and mine.size:
+            slope = runs[ks[0]][0].dx_c(event_times[mine], np.zeros((mine.size, d)),
+                                        event_marks[mine])
+            slopes[mine] = _shape_checked("dx_c", np.asarray(slope, dtype=float), (mine.size, d, d),
+                                          lambda: f" at t = {event_times[mine[0]]} on path "
+                                                  f"{named[event_paths[mine[0]]]}")
+    # the drift of a lone live group, else each group's; where the flow
+    # products go run by run, the first batch row of each live run, and the
+    # runs' matrices, the same at every stage of a segment
+    single, live_runs, run_starts, blocks = None, [], None, [None]
 
     def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = y[:, 0]
         if single is not None:
-            v, a = single(t, x)
+            v, a = single(t, y[0])
             if a is None:
-                return v[:, None]
-            out = np.empty_like(y)
-            out[:, 0] = v
+                return v[None]
+            out = np.empty(y.shape)
+            out[0] = v
         else:
-            out, a = np.empty_like(y), np.empty((y.shape[0], d, d)) if flows else None
+            out, a = np.empty(y.shape), np.empty((y.shape[1], d, d)) if flows else None
             for drift, s in live_runs:
-                out[s, 0], a_s = drift(t[s], x[s])
+                out[0, s], a_s = drift(t[s], y[0, s])
                 if flows:
                     a[s] = a_s
             if a is None:
                 return out
-        np.matmul(a, y[:, k_rows], out=out[:, k_rows])
-        # negated in a contiguous array of its own, then copied: numpy negates
-        # the strided rows of the batch about four times slower
-        kb = np.matmul(y[:, kb_rows], a)
-        out[:, kb_rows] = np.negative(kb, out=kb)
+        if run_starts is not None and blocks[0] is None:
+            blocks[0] = a[run_starts]
+        _flow_products(a if run_starts is None else blocks[0], y, out)
         return out
 
-    def jump(i: int, batch: np.ndarray, slots: np.ndarray, prior: np.ndarray) -> np.ndarray:
-        """The right limits at row ``i`` of the paths ``batch`` from their left
-        limits ``prior``."""
-        t, u, x_left = times[batch, i], marks[slots], prior[:, 0].copy()
+    def jump(e0: int, e1: int, batch: np.ndarray, prior: np.ndarray) -> np.ndarray:
+        """The right limits of the paths ``batch`` at jumps ``e0`` to ``e1``
+        from their left limits ``prior``, one path's block per entry."""
+        t, u, x_left = event_times[e0:e1], event_marks[e0:e1], prior[:, 0].copy()
         where = lambda k: f"on path {named[batch[k]]}"
         n = batch.shape[0]
         block, jump_matrix = np.empty_like(prior), np.empty((n, d, d)) if flows else None
@@ -661,8 +729,9 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
                 point, shape = (t[lo:hi], x_left[lo:hi], u[lo:hi]), (hi - lo, d)
                 at_first = lambda lo=lo: f" at t = {t[lo]} {where(lo)}"
                 if flows:
-                    slope = np.asarray(coeffs.dx_c(*point), dtype=float)
-                    jump_matrix[lo:hi] = eye + _shape_checked("dx_c", slope, shape + (d,), at_first)
+                    slope = slopes[e0 + lo:e0 + hi] if free[ks[0]] else _shape_checked(
+                        "dx_c", np.asarray(coeffs.dx_c(*point), dtype=float), (*shape, d), at_first)
+                    jump_matrix[lo:hi] = eye + slope
                 size = np.asarray(coeffs.c(*point), dtype=float)
                 block[lo:hi, 0] = x_left[lo:hi] + _shape_checked("c", size, shape, at_first)
         if not np.isfinite(block[:, 0]).all():
@@ -677,53 +746,53 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
 
     def check(taken: int) -> None:
         """Each run's coefficient assumptions at the first ``taken`` jumps."""
-        rows_taken, paths, slots = event_rows[:taken], event_paths[:taken], event_slots[:taken]
+        paths = event_paths[:taken]
         for k, (coeffs, *_) in enumerate(runs):
-            mine = run_of[paths] == k
-            if mine.any():
-                p = paths[mine]
-                _check_r_conditions(coeffs, times[p, rows_taken[mine]], left[slots[mine], 0],
-                                    marks[slots[mine]], lambda j: f"on path {named[p[j]]}")
+            mine = np.flatnonzero((paths >= bounds[k]) & (paths < bounds[k + 1]))
+            if mine.size:
+                _check_r_conditions(coeffs, event_times[mine], left[event_slots[mine], 0],
+                                    event_marks[mine], lambda j: f"on path {named[paths[mine[j]]]}",
+                                    slopes[mine] if free[k] else None)
 
     worst = np.zeros(len(runs))
     pending = []  # (states, their runs) of the rows not yet folded into worst
 
     def fold() -> None:
-        states = np.concatenate([s for s, _ in pending])
+        states = np.concatenate([s for s, _ in pending], axis=1)
         ids = np.concatenate([r for _, r in pending])
+        # a run's rows come in stretches, each one slice of the reduceat
+        starts = np.flatnonzero(np.diff(ids, prepend=-1))
         pending.clear()
         with np.errstate(all="ignore"):
-            gap = states[:, k_rows] @ states[:, kb_rows]
+            gap = states[k_rows].transpose(1, 0, 2) @ states[kb_rows].transpose(1, 0, 2)
             gap -= eye
-            gap = np.abs(gap, out=gap).reshape(-1, d * d)
-        for k in range(len(runs)):
-            mine = gap[ids == k]
-            if mine.size:
-                worst[k] = np.maximum(worst[k], mine.max())
+            np.abs(gap, out=gap)
+            np.maximum.at(worst, ids[starts], np.maximum.reduceat(gap.ravel(), d * d * starts))
 
-    y = np.zeros((n_paths, 1 + 2 * d if flows else 1, d))
-    y[:, 0] = x0
+    y = np.zeros((1 + 2 * d if flows else 1, n_paths, d))
+    y[0] = x0
     if flows:
-        y[:, k_rows] = y[:, kb_rows] = eye
+        y[k_rows] = y[kb_rows] = eye[:, None]
     if rows:
-        right = np.empty((n_jumps + n_paths,) + y.shape[1:])
+        right = np.empty((n_jumps + n_paths,) + y.shape[::2])
     else:
-        right = np.empty((n_paths, m_max) + y.shape[1:])
-        right[:, 0] = y
-    left = np.empty((n_jumps,) + y.shape[1:])
+        right = np.empty((n_paths, m_max) + y.shape[::2])
+        right[:, 0] = y.transpose(1, 0, 2)
+    left = np.empty((n_jumps,) + y.shape[::2])
     live, buffered = np.arange(n_paths), 0  # the batch rows still advancing
-    taken, error = 0, None  # jumps reached by the loop, in (row, path) order
+    taken, error = 0, None  # jumps reached by the loop, in event order
     try:
         for start, stop in zip(changes, changes[1:]):
             gone = leaving.get(start)
             if gone is not None:
                 at = np.searchsorted(live, gone)
                 if rows:
-                    right[n_jumps + gone] = y[at]
+                    right[n_jumps + gone] = y[:, at].transpose(1, 0, 2)
                 keep = np.ones(live.shape[0], dtype=bool)
                 keep[at] = False
                 live = live[keep]
-                y = y[:live.shape[0]] if at[0] == live.shape[0] else y[keep]
+                # compress keeps the batch C-ordered, where y[:, keep] would not
+                y = y[:, :live.shape[0]] if at[0] == live.shape[0] else y.compress(keep, axis=1)
             # rows start to stop - 1 advance the same paths: their times, as
             # a view while they are a prefix of the batch
             n = live.shape[0]
@@ -731,38 +800,43 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
             cols = slice(0, n) if prefix else live
             seg_times, seg_halves = by_row[start - 1:stop, cols], halves[start - 1:stop - 1, cols]
             seg_factors = factors[:, start - 1:stop - 1, cols]
-            seg_columns = seg_factors[..., None, None]
-            cuts = np.searchsorted(live, bounds).tolist()
+            cuts = np.searchsorted(live, bounds)
+            counts = np.diff(cuts)
             live_runs = []
             for group in drift_groups:
-                ks = [k for k in group if cuts[k + 1] > cuts[k]]  # its live runs
+                ks = [k for k in group if counts[k]]  # its live runs
                 if ks:
                     drift = runs[ks[0]][1] if len(ks) == 1 else _stacked_drift(
-                        [runs[k][0] for k in ks], np.diff(cuts)[ks], flows)
+                        [runs[k][0] for k in ks], counts[ks], flows)
                     live_runs.append((drift, slice(cuts[ks[0]], cuts[ks[-1] + 1])))
             single = live_runs[0][0] if len(live_runs) == 1 else None
-            live_ids = run_of[live]
+            ks = np.flatnonzero(counts)  # the live runs: by run when all hold as many paths, 2+
+            by_run = np.ptp(counts[ks]) == 0 < counts[ks[0]] - 1 and all(constant[k] for k in ks)
+            run_starts, blocks = cuts[ks] if flows and by_run else None, [None]
+            live_ids = np.repeat(np.arange(len(runs)), counts)
             for i in range(start, stop):
                 r = i - start
-                h, half_h, sixth_h = seg_factors[:, r, 0] if n == 1 else seg_columns[:, r]
+                h, half_h, sixth_h = seg_factors[:, r, 0] if n == 1 else np.repeat(
+                    seg_factors[:, r, :, None], d, axis=2)
                 y = _rk4_step(rhs, seg_times[r], seg_halves[r], seg_times[r + 1], h, half_h,
                               sixth_h, y)
                 if not np.isfinite(y).all():
-                    k = live[_first(~np.isfinite(y).all(axis=(1, 2)))]
+                    k = live[_first(~np.isfinite(y).all(axis=(0, 2)))]
                     raise NumericError(
                         f"integration produced non-finite state at t = {times[k, i]} "
                         f"on path {named[k]}"
                     )
                 event = jumpers.get(i)
                 if event is not None:
-                    batch, slots, taken = event
+                    e0, taken, batch, slots = event
                     at = batch if prefix else np.searchsorted(live, batch)
-                    left[slots] = prior = y[at]
-                    y[at] = after = jump(i, batch, slots, prior)
+                    # each path's block, gathered from and written to a view
+                    left[slots] = prior = y.transpose(1, 0, 2)[at]
+                    y.transpose(1, 0, 2)[at] = after = jump(e0, taken, batch, prior)
                     if rows:
                         right[slots] = after
                 if not rows:
-                    right[cols, i] = y
+                    right[cols, i] = y.transpose(1, 0, 2)
                 if flows:
                     pending.append((y, live_ids))
                     buffered += n
@@ -770,7 +844,7 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
                         fold()
                         buffered = 0
         if rows:
-            right[n_jumps + live] = y
+            right[n_jumps + live] = y.transpose(1, 0, 2)
         if pending:
             fold()
     except Exception as caught:

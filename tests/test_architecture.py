@@ -150,6 +150,14 @@ _RULES = {
             called and module == "scenarios.py" and "mckean_vlasov" in _functions(scope),
         "CoefficientSet built inside mckean_vlasov",
         "build the mean-field coefficients with _mean_field_coefficients"),
+    # a stage's flow products are two calls over the whole batch, by run or by
+    # path (sde_engine._flow_products), not a Python loop of smaller products
+    "one flow product per stage": (
+        {"matmul"},
+        lambda name, module, scope, in_loop, called:
+            module == "sde_engine.py" and in_loop and called,
+        "matmul inside a loop in sde_engine.py",
+        "take the products of every run or path in one matmul over the batch"),
     # the sharps of a block of draw sets, and of one draw set, come from one kernel
     "one randomised-gradient kernel": (
         {"einsum"},
@@ -213,3 +221,7 @@ def test_one_mean_field_coefficient_set():
 
 def test_one_randomised_gradient_kernel():
     _assert_holds("one randomised-gradient kernel")
+
+
+def test_one_flow_product_per_stage():
+    _assert_holds("one flow product per stage")

@@ -272,6 +272,21 @@ xi_1 = u1^2
 """
 
 
+@pytest.mark.parametrize("command", ["simulate", "gamma", "rank-stats"])
+@pytest.mark.parametrize("terms, why", [(248, "nests deeper than 100 levels"),
+                                        (5000, "of 14999 characters, more than 2000")])
+def test_a_coefficient_too_deep_or_too_long_exits_2(tmp_path, capsys, command, terms, why):
+    # a flat sum of n terms nests n deep; parsing, copying or differentiating
+    # one of 248 terms or more used to overflow Python's stack
+    sweep = "\nepsilons = 0.2 0.1\nn_paths = 2" if command == "rank-stats" else ""
+    ini = CUSTOM_INI.replace("c_1 = u1", "c_1 = " + "+".join(["u1"] * terms))
+    ini = ini.replace("step = 0.01", "step = 0.01" + sweep)
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", write_config(tmp_path, ini), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: coefficients.c_1: expression {why}\n"
+    assert not out.exists()
+
+
 def test_custom_scenario_expressions(tmp_path):
     cfg = write_config(tmp_path, CUSTOM_INI)
     out = tmp_path / "cs"

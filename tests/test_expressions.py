@@ -84,6 +84,19 @@ def test_syntax_error():
         compile_mark_functions(["u1 +"], 1)
 
 
+def test_expression_size_is_bounded():
+    # a flat sum of n terms nests n + 1 deep: 99 terms are the most accepted
+    sums = {n: "+".join(["x1"] * n) for n in (99, 100)}
+    dx_c, _ = compile_jacobians([sums[99], "u1"], 2, 1)
+    assert dx_c(np.zeros(1), np.ones((1, 2)), np.ones((1, 1)))[0, 0, 0] == 99.0
+    for sources, message in [(["u1", sums[100]], "c_2: expression nests deeper than 100 levels"),
+                             (["u1" + " " * 2000, "u1"],
+                              "c_1: expression of 2002 characters, more than 2000")]:
+        for compile_ in (compile_coefficient, compile_jacobians):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                compile_(sources, 2, 1)
+
+
 @pytest.mark.parametrize("src, value, message", [
     ("1 + a^0.5", -1.0, "complex"),
     ("10.0^a", 400.0, "out of range"),

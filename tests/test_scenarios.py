@@ -598,6 +598,72 @@ def test_sweep_calls_the_shared_coefficients_once_per_stage_and_jump_row(monkeyp
     assert calls["_area_c"] == np.count_nonzero(is_jump.any(axis=0)) + 3
 
 
+def test_sweep_takes_the_flow_products_of_equal_runs_in_one_product_each(monkeypatch):
+    import dataclasses
+    import types
+
+    import lentparticle.scenarios as scenarios
+    import lentparticle.sde_engine as engine
+
+    products, stages, grids = [], [0], []
+    comp, stack = scenarios._area_comp, engine._stack_grids
+
+    def matmul(x1, x2, out=None, axes=((-2, -1),) * 3):
+        # the matrix products numpy makes, one BLAS call each
+        result = np.matmul(x1, x2, out=out, axes=list(axes))
+        rows, cols = (result.shape[axis] for axis in axes[2])
+        products.append(result.size // (rows * cols))
+        return result
+
+    def counted(*args):
+        stages[0] += 1
+        return comp(*args)
+
+    def recorded(*args):
+        grids.append(stack(*args))
+        return grids[-1]
+
+    class Numpy(types.ModuleType):  # numpy with the matmul above
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    counting = Numpy("numpy")
+    counting.matmul = matmul
+    monkeypatch.setattr(engine, "np", counting)
+    monkeypatch.setattr(scenarios, "_area_comp", counted)
+    monkeypatch.setattr(engine, "_stack_grids", recorded)
+    scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
+    scenario.sweep_gammas(_area_sweep(scenario, n_paths=32))
+    [(_, sizes, _, _, _, _)] = grids  # one chunk of three levels of 32 paths
+    # two products per stage; while every path advances, one per level for
+    # the K rows and one per level and row of Kbar: 3 (1 + 3) BLAS calls
+    assert len(products) == 2 * stages[0]
+    equal = 4 * (sizes.min() - 1)
+    assert 0 < equal < stages[0]
+    assert products[:2 * equal] == [3, 9] * equal
+
+
+def test_sweep_takes_the_jump_jacobian_once_per_chunk(monkeypatch):
+    import dataclasses
+    import functools
+
+    import lentparticle.scenarios as scenarios
+
+    calls, dx_c = [], scenarios._area_dx_c
+
+    @functools.wraps(dx_c)  # keeps its reads_time and reads_state
+    def counted(t, x, u):
+        calls.append(u.shape[0])
+        return dx_c(t, x, u)
+
+    monkeypatch.setattr(scenarios, "_area_dx_c", counted)
+    scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
+    levels = _area_sweep(scenario, n_paths=32)
+    scenario.sweep_gammas(levels)
+    # one call over every jump of the one chunk; the checks reuse it
+    assert calls == [sum(config.n_atoms for configs, _ in levels for config in configs)]
+
+
 def test_sweep_takes_the_constant_jacobian_once_per_segment_and_no_svd(monkeypatch):
     import dataclasses
     import functools

@@ -14,6 +14,7 @@ from lentparticle.sde_engine import (
     _ETA_SLACK,
     CoefficientSet,
     _effective_drift,
+    _flow_products,
     _spectral_norms,
     solve_sde,
 )
@@ -593,6 +594,56 @@ def test_bad_coefficient_shape_rejected():
     with pytest.raises(ModelError, match=r"^c must return shape \(84, 2\) for 84 points, "
                                          r"got \(84, 1\)$"):
         solve_sde(coeffs, _uniform_model(), configs, np.array([0.5, 0.5]), 0.01)
+
+
+def test_state_free_jump_jacobian_is_refused_before_the_loop():
+    # a dx_c that reads neither time nor state is called once over all the
+    # jumps of the chunk, so a bad shape is met before any jump row
+    def dx_c(t, x, u):
+        return u[:, :1, None]
+
+    def c(t, x, u):
+        raise AssertionError("a jump row was reached")
+
+    dx_c.reads_time = dx_c.reads_state = False
+    coeffs = _shape_case(c=c, dx_c=dx_c)
+    configs = [_config([], []), _config([0.3, 0.7], [0.2, 0.4])]
+    for validate in (False, True):
+        with pytest.raises(ModelError, match=r"^dx_c must return shape \(2, 2, 2\) for 2 points, "
+                                             r"got \(2, 1, 1\) at t = 0.3 on path 1$"):
+            solve_sde(coeffs, _uniform_model(), configs, np.array([0.5, 0.5]), 0.01,
+                      validate=validate, flows=True)
+
+
+def _old_layout_products(a, y):
+    """``a K`` and ``Kbar a`` of each path of the component-major batch ``y``
+    on contiguous ``(d, d)`` matrices, path by path."""
+    d = a.shape[-1]
+    by_path = np.ascontiguousarray(y.transpose(1, 0, 2))
+    return np.matmul(a, by_path[:, 1:d + 1]), np.matmul(by_path[:, d + 1:], a)
+
+
+def test_flow_products_by_run_have_the_bits_of_each_path():
+    rng = np.random.default_rng(26)
+    for d in range(1, 6):
+        for runs in (1, 2, 3):
+            for n in (1, 2, 3, 32, 257):
+                for shape in ("levy-area", "full"):
+                    y = rng.standard_normal((1 + 2 * d, runs * n, d))
+                    if shape == "full":
+                        blocks = rng.standard_normal((runs, d, d))
+                    else:  # the last row reads the others, as the area's does
+                        blocks = np.zeros((runs, d, d))
+                        blocks[:, -1, :-1] = rng.standard_normal((runs, d - 1))
+                    per_path = np.repeat(blocks, n, axis=0)
+                    k, kbar = _old_layout_products(per_path, y)
+                    for a in (blocks, per_path):  # by run (one-path runs: by path), by path
+                        out = np.full(y.shape, np.nan)
+                        _flow_products(a, y, out)
+                        case = (d, runs, n, shape, a.shape[0])
+                        assert np.isnan(out[0]).all(), case
+                        assert np.array_equal(out[1:d + 1].transpose(1, 0, 2), k), case
+                        assert np.array_equal(out[d + 1:].transpose(1, 0, 2), -kbar), case
 
 
 _VELOCITY_SHAPES = {
