@@ -110,15 +110,17 @@ class BottomStructure:
             raise StructureError(
                 f"xi(u) must have shape ({r}, {r}), got {xi.shape[1:]} at mark {rows[0]}"
             )
-        xi_t = xi.transpose(0, 2, 1)
-        # np.allclose(xi, xi.T, rtol=0, atol=tol) for each mark
-        tol = 1e-12 * np.maximum(1.0, np.abs(xi).max(axis=(1, 2)))
-        close = (np.abs(xi - xi_t) <= tol[:, None, None]) | (xi == xi_t)
-        bad = np.flatnonzero(~close.all(axis=(1, 2)))
+        # np.allclose(xi, xi.T, rtol=0, atol=tol) for each mark, entry-major (r * r, n)
+        entries = xi.reshape(-1, r * r).T.copy()
+        swap = np.arange(r * r).reshape(r, r).T.ravel()  # entry (i, j) -> (j, i)
+        swapped = entries[swap]
+        tol = 1e-12 * np.maximum(1.0, np.abs(entries).max(axis=0))
+        close = (np.abs(entries - swapped) <= tol) | (entries == swapped)
+        bad = np.flatnonzero(~close.all(axis=0))
         if bad.size:
             raise StructureError(f"xi(u) must be symmetric at mark {rows[bad[0]]}")
-        w = xi * (p / k)[:, None, None]
-        out[rows] = 0.5 * (w + w.transpose(0, 2, 1))
+        w = entries * (p / k)
+        out[rows] = (0.5 * (w + w[swap])).T.reshape(-1, r, r)
         return out
 
     def factor(self, marks: np.ndarray) -> np.ndarray:

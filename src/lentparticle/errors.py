@@ -45,14 +45,15 @@ class FunctionalError(LentParticleError):
 class NumericError(LentParticleError):
     """Numerical routine failed to reach its tolerance.
 
-    Carries the residual estimate when one is available.
+    Carries the residual estimate, and the failing item's ``index`` in a batch, when known.
     """
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None, index: int | None = None):
         if residual is not None:
             message = f"{message} (residual estimate {residual:.6g})"
         super().__init__(message)
         self.residual = residual
+        self.index = index
 
 
 class ConfigFileError(LentParticleError):

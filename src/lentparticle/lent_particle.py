@@ -353,15 +353,17 @@ def _path_sums(terms: np.ndarray, counts) -> np.ndarray:
     after path, ``counts[p]`` of them on path ``p``, each rounded as
     ``((0 + t_0) + t_1) + ...``.
 
-    ``np.sum`` adds a stack of 1 x 1 terms pairwise; ``accumulate`` keeps atom
-    order.  Zeros padded after a path's last term leave its sum unchanged,
-    and the final ``+ 0.0`` keeps a sum of negative zeros at +0.
+    ``np.sum`` adds an atom-major ``(atoms, P, d, d)`` stack in atom order, and
+    a lone path of 1 x 1 terms pairwise (``accumulate`` sums that).  Padded
+    zeros leave a sum unchanged; ``+ 0.0`` keeps a sum of -0 terms at +0.
     """
     counts = np.asarray(counts, dtype=int)
-    padded = np.zeros((counts.size, max(int(counts.max(initial=0)), 1)) + terms.shape[1:])
+    if counts.size * terms.shape[1] * terms.shape[2] == 1 and len(terms):
+        return np.add.accumulate(terms, axis=0)[-1:] + 0.0
+    padded = np.zeros((max(int(counts.max(initial=0)), 1), counts.size) + terms.shape[1:])
     starts = np.repeat(np.cumsum(counts) - counts, counts)
-    padded[np.repeat(np.arange(counts.size), counts), np.arange(len(terms)) - starts] = terms
-    return np.add.accumulate(padded, axis=1)[:, -1] + 0.0
+    padded[np.arange(len(terms)) - starts, np.repeat(np.arange(counts.size), counts)] = terms
+    return padded.sum(axis=0) + 0.0
 
 
 def _weights(bs: BottomStructure, marks: np.ndarray, path: np.ndarray, n_paths: int):

@@ -505,10 +505,11 @@ class MarkQuadrature:
     panels that fail are bisected, each integrand's on its own
     (:func:`_adaptive_qk21`), so it keeps the bits of a call of its own.
     ``f`` is called once per pass with every new node of that pass.  Raises
-    :class:`NumericError` (with the first failing integral's residual) when a
-    final error estimate exceeds ``max(1e-10, 1e-8 |value|)`` in any
-    component, and :class:`DomainError` when no node falls in the support of
-    a model of mass, or at construction for a 2-d box without the origin.
+    :class:`NumericError` when an integral is not finite (``index`` the first),
+    or, with the first failing integral's residual, when a final error
+    estimate exceeds ``max(1e-10, 1e-8 |value|)`` in any component; and
+    :class:`DomainError` when no node falls in the support of a model of
+    mass, or at construction for a 2-d box without the origin.
 
     The first pass is the same for every integrand, so it is planned once
     (:attr:`_plan`).  The masked density ``k(u) 1_support(u)`` at the nodes
@@ -629,6 +630,9 @@ class MarkQuadrature:
         if model.mass > 0 and not self._support_hit:  # a support of zero area, such as a curve
             raise DomainError(f"no quadrature node lies in the support of model {model.name!r} "
                               f"of mass {model.mass:g}; supply a closed-form value instead")
+        if not np.isfinite(total).all():  # index: the first integrand that is not finite
+            raise NumericError("mark-space integral is not finite",
+                               index=int(np.isfinite(total).all(axis=1).argmin()))
         failed = ~(err <= np.maximum(_ATOL, _RTOL * np.abs(total)))
         if np.count_nonzero(failed):
             raise NumericError("mark-space quadrature did not converge",

@@ -18,6 +18,8 @@ collide even when they share a seed.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import InputError
@@ -42,7 +44,24 @@ def stream(seed: int, domain: int, index: int = 0, subindex: int = 0) -> np.rand
     key = np.array([seed, domain], dtype=np.uint64)
     # counter word 0 is left free: it is what advances as blocks are consumed.
     counter = np.array([0, index, subindex, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(_key_sequence()(key), counter=counter))
+
+
+@cache
+def _key_sequence():
+    """A seed sequence that hands Philox the key it holds, as ``Philox(key=...)``
+    would after drawing OS entropy for a ``SeedSequence`` it never reads;
+    built on first use, so that importing the package skips ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return KeySequence
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:

@@ -292,7 +292,7 @@ def polar_levy_model(
 
     return TruncatedLevyModel(
         mark_dimension=2,
-        support=lambda marks: (0.0 < _square_norms(marks)) & (_square_norms(marks) < 1.0),
+        support=lambda marks: (0.0 < (norms := _square_norms(marks))) & (norms < 1.0),
         bounding_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         density=density,
         truncation=truncation,
@@ -628,8 +628,9 @@ def area_closed_gamma(configs: Sequence[JumpConfiguration], m1: np.ndarray,
     """
     v, path, marks, lefts = _area_closed_path(configs, m1, t)
     w = _weights(bs, marks, path, len(configs))
-    live = w.any(axis=(1, 2))
-    w, u, lefts, path = w[live], marks[live], lefts[live], path[live]
+    live, u = w.any(axis=(1, 2)), marks
+    if not live.all():
+        w, u, lefts, path = w[live], marks[live], lefts[live], path[live]
     a_t = v[path, 1] - u[:, 1] - 2.0 * lefts[:, 1]
     b_t = v[path, 0] - u[:, 0] - 2.0 * lefts[:, 0]
     n = a_t.size
@@ -654,9 +655,9 @@ def area_closed_gamma(configs: Sequence[JumpConfiguration], m1: np.ndarray,
 
 # A closed form pads every path of a chunk to the chunk's longest atom list,
 # and a chunk holds at most this many padded atoms.  The levy-area form holds
-# at most 52 floats per padded atom at once (the tracemalloc peak over the
-# chunks of 256 levy-area-1 paths, doleans 23), so a chunk takes at most
-# about 680 KB.  On rank-stats over 256 levy-area-1 paths (eps 0.05, 0.02,
+# at most 39 floats per padded atom at once (the tracemalloc peak over the
+# chunks of 256 levy-area-1 paths, doleans 20), so a chunk takes at most
+# about 510 KB.  On rank-stats over 256 levy-area-1 paths (eps 0.05, 0.02,
 # 0.008), peak RSS is the same (40.4-40.6 MB) with one path per chunk, with
 # half this cap and with this cap, which takes 0.92 of the time per job of
 # half of it (seeds 2000-2024); four times it adds about 1.9 MB.

@@ -204,11 +204,11 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
     ``dx_compensator`` comes from one :class:`MarkQuadrature` pass over all
     points, one integral of ``(c, dx_c)`` per point, kept keyed on ``(t, x)``,
     or on ``x`` alone when ``c`` and ``dx_c`` report ``reads_time = False``,
-    so that it runs once per distinct state.  The result of the last call is
-    kept too (callers only read it), under the same key unless a drift or
-    compensator is given, which may read t and is then called again at each
-    new ``(t, x)`` with the kept integrals: a stage whose state has not moved
-    costs one key comparison.
+    so that it runs once per distinct state; one that is not finite is refused
+    naming its state.  The result of the last call is kept too (callers only
+    read it), under the same key unless a drift or compensator is given, which
+    may read t and is then called again at each new ``(t, x)`` with the kept
+    integrals: a stage whose state has not moved costs one key comparison.
     """
     d, c, dx_c = coeffs.dim, coeffs.c, coeffs.dx_c
     comp, dx_comp = coeffs.compensator, coeffs.dx_compensator
@@ -262,7 +262,13 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
                                                   (n, d, d)), (n, d * d)),
                     ], axis=1)
 
-                flat = quadrature.integrate_each(integrand, x.shape[0])
+                try:
+                    flat = quadrature.integrate_each(integrand, x.shape[0])
+                except NumericError as exc:
+                    if exc.index is None:
+                        raise
+                    raise NumericError(f"{exc} at the state t = {t[exc.index]}, "
+                                       f"x = {x[exc.index].tolist()}") from None
                 integrals[:] = pass_key, (flat[:, :d], flat[:, d:].reshape(-1, d, d))
             last[:] = key, velocity(t, x, *integrals[1])
         return last[1]

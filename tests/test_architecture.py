@@ -117,6 +117,13 @@ _RULES = {
             name == "path_seeds" or f"{module}:{_outermost(scope)}" not in _STREAM_LOOPS),
         "a stream or path_seeds call inside a loop",
         "derive the sub-seeds of a loop of paths in one path_seeds call"),
+    # every generator is opened at a (seed, domain, index, subindex) address,
+    # keyed without OS entropy
+    "one stream constructor": (
+        {"Philox", "Generator", "SeedSequence", "default_rng"},
+        lambda name, module, scope, in_loop, called: called and module != "rng.py",
+        "a bit generator or Generator built outside rng.py",
+        "open every stream with rng.stream"),
     "one Gamma assembly from flows": (
         {"gamma_flow"}, _in_a_loop,
         "gamma_flow inside a loop",
@@ -191,6 +198,10 @@ def test_one_batched_simulation_per_loop_of_paths():
 
 def test_one_sub_seed_pass_per_loop_of_paths():
     _assert_holds("one sub-seed pass per loop of paths")
+
+
+def test_one_stream_constructor():
+    _assert_holds("one stream constructor")
 
 
 def test_one_gamma_assembly_from_flows():

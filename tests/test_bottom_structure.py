@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,3 +253,58 @@ def test_batched_weight_equals_stacked_single_marks(data, name):
         w, L = bs.weight(marks), bs.factor(marks)
         for i in np.flatnonzero(w.any(axis=(1, 2))):
             assert L[i].tobytes() == np.linalg.cholesky(w[i]).tobytes()
+
+
+def _stacked_weight(xi: np.ndarray, ratio: float) -> np.ndarray:
+    """The weights of the ``(n, r, r)`` stack ``xi`` at ``psi / k = ratio``,
+    with the symmetry check made over whole ``(n, r, r)`` stacks, the
+    reference for ``weight``'s entry-by-entry one."""
+    xi_t = xi.transpose(0, 2, 1)
+    tol = 1e-12 * np.maximum(1.0, np.abs(xi).max(axis=(1, 2)))
+    close = (np.abs(xi - xi_t) <= tol[:, None, None]) | (xi == xi_t)
+    bad = np.flatnonzero(~close.all(axis=(1, 2)))
+    if bad.size:
+        raise StructureError(f"xi(u) must be symmetric at mark {bad[0]}")
+    w = xi * np.full(len(xi), ratio)[:, None, None]
+    return 0.5 * (w + w.transpose(0, 2, 1))
+
+
+def _outcome(call):
+    """The bytes ``call()`` returns or the message of the StructureError it
+    raises, and every warning it gives, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call().tobytes()
+        except StructureError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+_ENTRY = st.one_of(st.floats(-1e3, 1e3),
+                   st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300]))
+# an off-diagonal entry moved from its mirror by this many tolerances, or negated
+_OFFSET = st.sampled_from([0.5, 1.0, 1.0 - 2 ** -30, 1.0 + 2 ** -30, 2.0, -1.0, -2.0, "negate"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.sampled_from([1, 2, 3]), data=st.data())
+def test_weight_refuses_the_marks_the_stacked_check_refused(r, data):
+    # NaN diagonals, +-inf pairs and asymmetries at the 1e-12 tolerance: the
+    # same first refused mark and message, else the same bits, and the same
+    # RuntimeWarnings
+    n = data.draw(st.integers(0, 6))
+    xi = data.draw(arrays(float, (n, r, r), elements=_ENTRY))
+    lower, upper = np.tril_indices(r, -1)
+    xi[:, lower, upper] = xi[:, upper, lower]
+    for m in range(n if r > 1 else 0):
+        if data.draw(st.booleans()):
+            a, b = data.draw(st.sampled_from(list(zip(lower.tolist(), upper.tolist()))))
+            offset = data.draw(_OFFSET)
+            tol = 1e-12 * max(1.0, np.abs(xi[m]).max())
+            with np.errstate(invalid="ignore"):
+                xi[m, a, b] = -xi[m, b, a] if offset == "negate" else xi[m, b, a] + offset * tol
+    bs = psi_over_k(density=lambda marks: np.full(len(marks), 4.0),
+                    psi=lambda marks: np.full(len(marks), 3.0), r=r, xi=lambda marks: xi)
+    assert _outcome(lambda: bs.weight(np.ones((n, r)))) == _outcome(
+        lambda: _stacked_weight(xi, 3.0 / 4.0))

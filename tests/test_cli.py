@@ -287,6 +287,18 @@ def test_a_coefficient_too_deep_or_too_long_exits_2(tmp_path, capsys, command, t
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_state_with_a_non_finite_compensator_exits_1(tmp_path, capsys):
+    # the compensator of c_2 = x1 * u1 overflows at x1 = 1e308: the error says
+    # that the integral is not finite and where, not that it did not converge
+    ini = CUSTOM_INI.replace("x0 = 0.5 0.0", "x0 = 1e308 1e308")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", write_config(tmp_path, ini), "--out", str(out)) == 1
+    assert capsys.readouterr().err == ("error: mark-space integral is not finite at the "
+                                       "state t = 0.0, x = [1e+308, 1e+308]\n")
+
+
 def test_custom_scenario_expressions(tmp_path):
     cfg = write_config(tmp_path, CUSTOM_INI)
     out = tmp_path / "cs"
@@ -549,9 +561,10 @@ def test_console_entry_point():
     assert res.stdout.strip()
 
 
-def test_cold_import_loads_no_scipy():
-    # scipy is imported only inside the functions that call it; this test
-    # process has imported scipy already, so the check needs a fresh one
+def _cold_import_modules(prefix: str) -> str:
+    """The modules under ``prefix`` that a fresh process holds after importing
+    the package and its CLI, as the printed sorted list; this test process
+    has imported them already, so the check needs a fresh one."""
     import os
 
     import lentparticle
@@ -560,10 +573,20 @@ def test_cold_import_loads_no_scipy():
     package_root = str(Path(lentparticle.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     code = ("import sys, lentparticle, lentparticle.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix!r} + '.')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_cold_import_loads_no_scipy():
+    # scipy is imported only inside the functions that call it
+    assert _cold_import_modules("scipy") == "[]"
+
+
+def test_cold_import_loads_no_numpy_random():
+    # numpy.random is imported on the first stream a run opens
+    assert _cold_import_modules("numpy.random") == "[]"
 
 
 # rank-stats outputs pinned byte for byte: sha256 of rank_stats.csv and

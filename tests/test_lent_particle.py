@@ -639,6 +639,33 @@ def test_mark_function_refuses_a_jacobian_of_the_wrong_size():
         h.jac(0.5, np.array([0.2, 0.3]))
 
 
+_TERM = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-16, -1e-16]),
+                  st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 3), counts=st.lists(st.integers(0, 6), max_size=5),
+       values=st.lists(_TERM, max_size=40))
+@example(d=1, counts=[301], values=[1.0] + [1e-16] * 300)  # one path of 1 x 1 terms
+@example(d=3, counts=[2, 400], values=[1.0, 1e-16, -0.0, 1e-16])  # one long path
+@example(d=2, counts=[0, 3, 0, 1], values=[-0.0])  # signed zeros and empty paths
+@example(d=1, counts=[0], values=[])
+@example(d=3, counts=[], values=[])
+def test_path_sums_are_python_sums_from_positive_zero_in_atom_order(d, counts, values):
+    # a pairwise sum of the first example differs from the one in order
+    terms = np.resize(np.array(values or [0.0]), (sum(counts), d, d))
+    sums = lent_particle._path_sums(terms, counts)
+    want = np.zeros((len(counts), d, d))
+    for p, first in enumerate(np.cumsum(counts) - counts):
+        for i in range(d):
+            for j in range(d):
+                total = 0.0
+                for term in terms[first:first + counts[p]]:
+                    total = total + float(term[i, j])
+                want[p, i, j] = total
+    assert sums.shape == want.shape and sums.tobytes() == want.tobytes()
+
+
 def test_path_sums_add_in_atom_order_from_positive_zero():
     # 1 + 1e-16 + 1e-16 + ... in order stays 1; a sum of negative zeros is +0
     terms = np.array([[[1.0]], [[1e-16]], [[1e-16]], [[-0.0]], [[-0.0]], [[-0.0]]])

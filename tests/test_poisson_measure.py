@@ -609,14 +609,29 @@ def test_batched_quadrature_smooth_integrand_takes_one_pass():
     assert got.tolist() == pytest.approx([0.0, 4.0], abs=1e-14)
 
 
-@pytest.mark.parametrize("f", [
-    lambda marks: np.sin(1.0 / (marks - 0.3501)),  # bounded: refined up to the panel cap
-    lambda marks: 1.0 / (marks - 0.35) ** 2,       # not integrable: overflows
+@pytest.mark.parametrize("f, message", [
+    # bounded: refined up to the panel cap
+    (lambda marks: np.sin(1.0 / (marks - 0.3501)), "^mark-space quadrature did not converge"),
+    # not integrable: overflows, and is refused as such
+    (lambda marks: 1.0 / (marks - 0.35) ** 2, "^mark-space integral is not finite$"),
 ], ids=["oscillating", "singular"])
-def test_batched_quadrature_unresolved_integrand_raises(f):
+def test_batched_quadrature_unresolved_integrand_raises(f, message):
     model = uniform_box_model(1, halfwidth=0.6, truncation=0.1, intensity=4.0)
-    with pytest.raises(NumericError, match="did not converge"), np.errstate(divide="ignore"):
+    with pytest.raises(NumericError, match=message), np.errstate(divide="ignore"):
         MarkQuadrature(model).integrate(f)
+
+
+def test_batched_quadrature_names_the_first_integrand_that_is_not_finite():
+    model = uniform_box_model(1, halfwidth=0.6, truncation=0.1, intensity=4.0)
+    poles = np.array([2.0, 0.35, 0.35])  # integrands 1 and 2 are not integrable
+
+    def f(index, marks):
+        return 1.0 / (marks - poles[index, None]) ** 2
+
+    with pytest.raises(NumericError, match="^mark-space integral is not finite$") as caught, \
+            np.errstate(divide="ignore"):
+        MarkQuadrature(model).integrate_each(f, 3)
+    assert caught.value.index == 1
 
 
 def _member_integrands(r):

@@ -118,6 +118,26 @@ def test_first_raw_draws_are_pinned():
         assert stream(*address).bit_generator.random_raw(3).tolist() == want
 
 
+def test_stream_reads_no_os_entropy(monkeypatch):
+    # Philox(key=...) draws OS entropy for a SeedSequence it never reads; a
+    # stream hands the key over itself, so it keeps its bits without it
+    import random
+
+    want = {address: np.random.Philox(key=np.array(address[:2], dtype=np.uint64),
+                                      counter=np.array([0, *address[2:], 0], dtype=np.uint64)).state
+            for address in GOLDEN_RAW}
+    stream(1, DOMAIN_ATOMS)
+
+    def no_entropy(n):
+        raise AssertionError("OS entropy was read")
+
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    for address, raw in GOLDEN_RAW.items():
+        bits = stream(*address).bit_generator
+        assert repr(bits.state) == repr(want[address])
+        assert bits.random_raw(3).tolist() == raw
+
+
 def test_address_words_outside_64_bits_are_refused():
     for address in [(-1, DOMAIN_ATOMS), (2 ** 64, DOMAIN_ATOMS), (1, DOMAIN_ATOMS, 2 ** 64)]:
         with pytest.raises(OverflowError):
