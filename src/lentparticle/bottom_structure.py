@@ -119,8 +119,10 @@ class BottomStructure:
         bad = np.flatnonzero(~close.all(axis=0))
         if bad.size:
             raise StructureError(f"xi(u) must be symmetric at mark {rows[bad[0]]}")
-        w = entries * (p / k)
-        out[rows] = (0.5 * (w + w[swap])).T.reshape(-1, r, r)
+        # a weight that overflows makes a Gamma that is refused where it is checked
+        with np.errstate(over="ignore"):
+            w = entries * (p / k)
+            out[rows] = (0.5 * (w + w[swap])).T.reshape(-1, r, r)
         return out
 
     def factor(self, marks: np.ndarray) -> np.ndarray:

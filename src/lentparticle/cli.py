@@ -512,7 +512,11 @@ def _example_scenario_gamma(scenario: Scenario, seed: int) -> dict:
         y_t, e_t = doleans_exponential(config, m1[0], t)
         extra = {"terminal": {"exponential": e_t, "y": y_t}}
     else:
-        _, (v,), span = area_closed_gamma([config], m1[:2], scenario.bottom, t)
+        up = config.times <= t
+        marks = config.marks[up]
+        _, (v,), span = area_closed_gamma(config.times[up], marks, np.array([len(marks)]),
+                                          scenario.bottom.weight(marks), m1[:2], t,
+                                          tangent=scenario.bottom.name == "GRAPH_TANGENT")
         extra = {
             "span_dimension": span_dimension(span),
             "terminal": {"area": v[2], "x1": v[0], "x2": v[1]},

@@ -25,7 +25,7 @@ import numpy as np
 from ._serialise import write_csv
 from .errors import InputError
 from .lent_particle import GammaMatrix, _symmetrised
-from .poisson_measure import simulate_configurations
+from .poisson_measure import _simulate_table
 from .rng import _check_seed, path_seeds
 
 __all__ = [
@@ -164,15 +164,11 @@ def monte_carlo_rank_stats(
     paths plus expected atoms exceed :data:`MAX_SWEEP_WORK` is refused with
     :class:`InputError` before any path is drawn, as are bad inputs, a
     ``seed`` outside ``[0, 2**64)`` and a ``rel_tol`` outside ``(0, 1)``.
-    Every path is drawn first, in one ``simulate_configurations`` call.  Each
-    level then restricts them in one pass (one mask and one gather over the
-    concatenated atoms), and one ``sweep_gammas`` call takes every level: one
-    stacked closed-form pass per chunk of paths of similar atom counts, level
-    after level, or one batched solve of all levels together.  Each level's
-    ``(P, d, d)`` stack then takes one rank step, with a single ``eigvalsh``
-    call; a zero matrix counts as rank 0 with min eigenvalue 0.
-    Each row also reports the fraction of paths whose rank verdict is
-    indeterminate.
+    Every path is drawn first, as one atom table, and each level is one
+    mask over it (``Scenario._sweep_table``).  Each level's ``(P, d, d)``
+    stack then takes one rank step, with a single ``eigvalsh`` call; a zero
+    matrix counts as rank 0 with min eigenvalue 0.  Each row also reports
+    the fraction of paths whose rank verdict is indeterminate.
     """
     if isinstance(setup, str):
         from . import scenarios
@@ -193,12 +189,11 @@ def monte_carlo_rank_stats(
             f"n_paths = {n_paths} paths of {model.mass * setup.horizon:.3g} expected atoms each "
             f"exceed the limit of {MAX_SWEEP_WORK} paths plus atoms; lower n_paths or raise "
             "the truncation")
-    configs = simulate_configurations(model, setup.horizon, path_seeds(seed, n_paths))
+    table = _simulate_table(model, setup.horizon, path_seeds(seed, n_paths))
 
     # (path, level) -> full rank, min eigenvalue, indeterminate; a zero matrix is (0, 0, 0)
     stacked = np.zeros((n_paths, len(epsilons), 3))
-    levels = ((setup.restrict(configs, eps), eps) for eps in epsilons)
-    for j, mats in enumerate(setup.sweep_gammas(levels)):
+    for j, mats in enumerate(setup._sweep_table(table, epsilons)):
         rank, _, min_eig, _, _, indeterminate = _rank_stack(mats, rel_tol)
         live = mats.any(axis=(1, 2))
         stacked[live, j] = np.column_stack([rank == mats.shape[1], min_eig, indeterminate])[live]

@@ -396,8 +396,11 @@ def _flow_stack(coeffs: CoefficientSet, bs: BottomStructure, points: tuple, v: n
     terms = np.zeros((0, d, d))
     if len(v):
         g = gamma_matrix(coeffs.du_c(*points), points[2], bs)
-        terms = _symmetric(v @ g @ v.transpose(0, 2, 1))
-    return terms, _symmetric(k_t @ _path_sums(terms, counts) @ k_t.transpose(0, 2, 1))
+    # a term that is not finite makes a matrix that _psd_checked refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(v):
+            terms = _symmetric(v @ g @ v.transpose(0, 2, 1))
+        return terms, _symmetric(k_t @ _path_sums(terms, counts) @ k_t.transpose(0, 2, 1))
 
 
 def _chunk_gammas(coeffs: Sequence[CoefficientSet], bs: BottomStructure,

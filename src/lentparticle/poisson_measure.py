@@ -152,23 +152,14 @@ class JumpConfiguration:
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "horizon", float(self.horizon))
 
-    @staticmethod
-    def _checked(times: np.ndarray, marks: np.ndarray, horizon: float) -> JumpConfiguration:
-        """Read-only arrays that hold every invariant of ``__post_init__``, not checked again."""
-        config = object.__new__(JumpConfiguration)
-        config.__dict__.update(times=times, marks=marks, horizon=float(horizon))
-        return config
-
     def _subset(self, keep) -> JumpConfiguration:
         """The atoms that ``keep`` (a boolean mask) selects, in order.
 
         A subset of a validated configuration is still sorted, finite,
         nonzero and inside ``(0, horizon]``, so it is not validated again.
         """
-        times = self.times[keep]
-        marks = self.marks[keep]
-        times.flags.writeable = marks.flags.writeable = False
-        return JumpConfiguration._checked(times, marks, self.horizon)
+        return _split(self.times[keep], self.marks[keep], [np.count_nonzero(keep)],
+                      [self.horizon])[0]
 
     @property
     def n_atoms(self) -> int:
@@ -209,20 +200,29 @@ class JumpConfiguration:
         )
 
 
-def simulate_configurations(model: TruncatedLevyModel, horizon: float,
-                            seeds: Sequence[int]) -> list[JumpConfiguration]:
-    """Draw one realisation of the truncated measure on ``(0, horizon]`` per seed.
+def _atom_table(configs: Sequence[JumpConfiguration], r: int):
+    """The atoms of ``configs`` as one table: times ``(N,)`` and marks ``(N,
+    r)``, path after path, and each path's atom count ``(P,)``."""
+    return (np.concatenate([np.zeros(0)] + [config.times for config in configs]),
+            np.concatenate([np.zeros((0, r))] + [config.marks for config in configs]),
+            np.array([config.n_atoms for config in configs], dtype=int))
 
-    Each seed's stream draws its atom count (Poisson, mean ``model.mass *
-    horizon``) and its times (uniform on the window).  The times of every
-    path are sorted and checked for ties and zeros in one pass; only a path
-    that has one draws its times again, on its own stream, before the
-    sampler.  One sampler call then draws and transforms the marks of every
-    stream.  The concatenated atoms are checked once; a failure names the
-    path (its index in ``seeds``) and its row.  Configuration ``i`` is a
-    pure function of ``(model, horizon, seeds[i])``.  A seed outside ``[0,
-    2**64)`` is refused with :class:`InputError` before any draw.
-    """
+
+def _split(times: np.ndarray, marks: np.ndarray, counts, horizons) -> list[JumpConfiguration]:
+    """The configurations of a checked atom table, path ``p`` its ``counts[p]``
+    atoms up to ``horizons[p]``: read-only slices that hold every invariant
+    of ``JumpConfiguration.__post_init__``, not checked again."""
+    times.flags.writeable = marks.flags.writeable = False
+    configs = [object.__new__(JumpConfiguration) for _ in horizons]
+    for config, n, e, horizon in zip(configs, np.asarray(counts).tolist(),
+                                     np.cumsum(counts).tolist(), horizons):
+        config.__dict__.update(times=times[e - n:e], marks=marks[e - n:e], horizon=float(horizon))
+    return configs
+
+
+def _simulate_table(model: TruncatedLevyModel, horizon: float, seeds: Sequence[int]):
+    """:func:`simulate_configurations` as one read-only atom table
+    (:func:`_atom_table`)."""
     if not np.isfinite(horizon) or horizon <= 0:
         raise DomainError(f"horizon must be finite and > 0, got {horizon}")
     mean = model.mass * horizon
@@ -232,7 +232,7 @@ def simulate_configurations(model: TruncatedLevyModel, horizon: float,
             f"exceeds the limit of {MAX_EXPECTED_ATOMS}; raise the truncation"
         )
     if len(seeds) == 0:
-        return []
+        return np.zeros(0), np.zeros((0, model.mark_dimension)), np.zeros(0, dtype=int)
     for seed in seeds:
         _check_seed(seed)
     rngs = [stream(seed, DOMAIN_ATOMS) for seed in seeds]
@@ -281,8 +281,25 @@ def simulate_configurations(model: TruncatedLevyModel, horizon: float,
     refuse(times > horizon, ConfigurationError,
            "atom times must be strictly increasing in (0, horizon]")
     times.flags.writeable = marks.flags.writeable = False
-    return [JumpConfiguration._checked(times[e - n:e], marks[e - n:e], horizon)
-            for n, e in zip(counts, ends.tolist())]
+    return times, marks, np.array(counts, dtype=int)
+
+
+def simulate_configurations(model: TruncatedLevyModel, horizon: float,
+                            seeds: Sequence[int]) -> list[JumpConfiguration]:
+    """Draw one realisation of the truncated measure on ``(0, horizon]`` per seed.
+
+    Each seed's stream draws its atom count (Poisson, mean ``model.mass *
+    horizon``) and its times (uniform on the window).  The times of every
+    path are sorted and checked for ties and zeros in one pass; only a path
+    that has one draws its times again, on its own stream, before the
+    sampler.  One sampler call then draws and transforms the marks of every
+    stream.  The concatenated atoms are checked once; a failure names the
+    path (its index in ``seeds``) and its row.  Configuration ``i`` is a
+    pure function of ``(model, horizon, seeds[i])``.  A seed outside ``[0,
+    2**64)`` is refused with :class:`InputError` before any draw.
+    """
+    times, marks, counts = _simulate_table(model, horizon, seeds)
+    return _split(times, marks, counts, [horizon] * len(counts))
 
 
 def simulate_configuration(model: TruncatedLevyModel, horizon: float, seed: int) -> JumpConfiguration:
@@ -587,7 +604,8 @@ class MarkQuadrature:
             """``f`` times ``weights`` at ``marks`` ``(P, 21, r)`` of integrands ``index``."""
             n_panels, n_nodes, r = marks.shape
             values = np.asarray(f(np.repeat(index, n_nodes), marks.reshape(-1, r)), dtype=float)
-            return values.reshape(n_panels, n_nodes, values.shape[-1]) * weights[:, :, None]
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total is refused
+                return values.reshape(n_panels, n_nodes, values.shape[-1]) * weights[:, :, None]
 
         each = lambda plan: np.concatenate([plan] * n) if n else plan[:0]  # plan of each integrand
 
@@ -599,7 +617,8 @@ class MarkQuadrature:
                 return on_panels(index[owner], *self._line_panels(a, b))
 
             pieces = _adaptive_qk21(evaluate, lo, hi, first)  # values and errors, q per integrand
-            total, err = (np.add.reduce(v.reshape(n, q, v.shape[1]), axis=1) for v in pieces)
+            with np.errstate(over="ignore", invalid="ignore"):
+                total, err = (np.add.reduce(v.reshape(n, q, v.shape[1]), axis=1) for v in pieces)
         else:
             inner_err = np.zeros((n, first.shape[2]))
 

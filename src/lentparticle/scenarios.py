@@ -71,6 +71,8 @@ from .lent_particle import (
 from .poisson_measure import (
     JumpConfiguration,
     TruncatedLevyModel,
+    _atom_table,
+    _split,
     simulate_configuration,
     simulate_configurations,
 )
@@ -394,8 +396,11 @@ def doleans_exponential(config: JumpConfiguration, first_moment: float,
     evaluated in log space as ``exp(Y_t + sum[log(1+u) - u])`` with the
     sign tracked separately, i.e. with the product factor ``(1+u) e^(-u)``.
     """
-    keep = config.times <= t
-    marks = config.marks[keep, 0]
+    return _exponential(config.marks[config.times <= t, 0], first_moment, t)
+
+
+def _exponential(marks: np.ndarray, first_moment: float, t: float) -> tuple[float, float]:
+    """:func:`doleans_exponential` of the marks ``(n,)`` of the atoms at or before ``t``."""
     if np.any(1.0 + marks == 0.0):
         raise ModelError("mark u = -1 encountered; the exponential degenerates")
     y_t = float(np.sum(marks) - first_moment * t)
@@ -460,30 +465,23 @@ def doleans_coefficients(first_moment: float, bound: float) -> CoefficientSet:
     )
 
 
-def _atoms_up_to(configs: Sequence[JumpConfiguration], t: float):
-    """Path index ``(n,)``, time ``(n,)`` and mark ``(n, r)`` of every atom at
-    or before ``t``, path after path."""
-    times = np.concatenate([config.times for config in configs])
-    keep = times <= t
-    path = np.repeat(np.arange(len(configs)), [config.n_atoms for config in configs])
-    return path[keep], times[keep], np.concatenate([config.marks for config in configs])[keep]
-
-
-def doleans_closed_gamma(configs: Sequence[JumpConfiguration], first_moment: float,
-                         bs: BottomStructure, t: float) -> np.ndarray:
-    """Closed-form 2x2 carre du champ of the pair (Y_t, E(Y)_t), ``(P, 2, 2)``.
+def doleans_closed_gamma(marks: np.ndarray, counts: np.ndarray, w: np.ndarray,
+                         first_moment: float, t: float) -> np.ndarray:
+    """Closed-form 2x2 carre du champ of the pair (Y_t, E(Y)_t), ``(P, 2, 2)``,
+    from the marks and counts of an atom table cut at ``t`` (as
+    ``Scenario.closed_form_gamma`` takes it) and the atoms' weights ``w``.
 
     Each atom with mark u contributes ``w(u) (1, E/(1+u)) (x) (1, E/(1+u))``
-    where E is the terminal exponential and w the structure weight.  The
-    atoms of every configuration are weighed in one call.
+    where E is its path's terminal exponential.
     """
-    e_t = np.array([doleans_exponential(config, first_moment, t)[1] for config in configs])
-    path, _, marks = _atoms_up_to(configs, t)
-    w = _weights(bs, marks, path, len(configs))[:, 0, 0]
+    e_t = np.array([_exponential(marks[e - n:e, 0], first_moment, t)[1]
+                    for n, e in zip(counts.tolist(), np.cumsum(counts).tolist())])
+    path = np.repeat(np.arange(counts.size), counts)
+    w = w[:, 0, 0]
     w, u, path = w[w != 0.0], marks[w != 0.0, 0], path[w != 0.0]
     v = np.column_stack([np.ones(u.size), e_t[path] / (1.0 + u)])
     return _path_sums(w[:, None, None] * (v[:, :, None] * v[:, None, :]),
-                      np.bincount(path, minlength=len(configs)))
+                      np.bincount(path, minlength=counts.size))
 
 
 class DoleansPairFunctional(MarkFunctional):
@@ -572,13 +570,15 @@ def area_coefficients(first_moment: np.ndarray) -> CoefficientSet:
     )
 
 
-def _area_closed_path(configs: Sequence[JumpConfiguration], m1: np.ndarray, t: float):
-    """Exact paths of (X1, X2, area) from the atom lists of configurations.
+def _area_closed_path(times: np.ndarray, marks: np.ndarray, counts: np.ndarray, m1: np.ndarray,
+                      t: float):
+    """Exact paths of (X1, X2, area) up to ``t`` from an atom table cut at
+    ``t`` (as ``Scenario.closed_form_gamma`` takes it).
 
     Between atoms the components move linearly with velocity ``-m1``
     (compensator drift), so every integral below is an exact trapezoid.
-    Returns the terminal values ``(P, 3)`` and, path after path, the path
-    index, mark and left limit of every atom at or before ``t``.
+    Returns the terminal values ``(P, 3)`` and the path index and left limit
+    of every atom.
 
     Two sequential scans keep the rounding of the atom-by-atom recursion:
     X walks through the interleaved increments ``-(m1 dt_i)`` and ``u_i``
@@ -591,16 +591,15 @@ def _area_closed_path(configs: Sequence[JumpConfiguration], m1: np.ndarray, t: f
     on what the padding holds.  One scan over the concatenated paths would
     carry each path's total into the next.
     """
-    path, times, marks = _atoms_up_to(configs, t)
-    counts = np.bincount(path, minlength=len(configs))
+    path = np.repeat(np.arange(counts.size), counts)
     atom = np.arange(path.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    ends = np.arange(len(configs)), 2 * counts + 1
+    ends = np.arange(counts.size), 2 * counts + 1
     # each path's atom times, then t: dt is the interval before each atom
     # and the last one up to t, and 0 on the padding
-    grid = np.full((len(configs), int(counts.max(initial=0)) + 1), float(t))
+    grid = np.full((counts.size, int(counts.max(initial=0)) + 1), float(t))
     grid[path, atom] = times
     dt = np.diff(grid, axis=1, prepend=0.0)
-    steps = np.zeros((len(configs), 2 * dt.shape[1], 2))
+    steps = np.zeros((counts.size, 2 * dt.shape[1], 2))
     steps[:, 1::2] = -(m1 * dt[:, :, None])
     steps[path, 2 * atom + 2] = marks
     x = np.add.accumulate(steps, axis=1)
@@ -610,24 +609,26 @@ def _area_closed_path(configs: Sequence[JumpConfiguration], m1: np.ndarray, t: f
     terms[:, 1::2] = -m1[1] * (avg[:, :, 0] * dt) + m1[0] * (avg[:, :, 1] * dt)
     lefts = x[path, 2 * atom + 1]
     terms[path, 2 * atom + 2] = lefts[:, 0] * marks[:, 1] - lefts[:, 1] * marks[:, 0]
-    return np.column_stack([x[ends], np.add.accumulate(terms, axis=1)[ends]]), path, marks, lefts
+    return np.column_stack([x[ends], np.add.accumulate(terms, axis=1)[ends]]), path, lefts
 
 
-def area_closed_gamma(configs: Sequence[JumpConfiguration], m1: np.ndarray,
-                      bs: BottomStructure, t: float):
+def area_closed_gamma(times: np.ndarray, marks: np.ndarray, counts: np.ndarray, w: np.ndarray,
+                      m1: np.ndarray, t: float, tangent: bool = False):
     """Closed-form 3x3 matrices ``(P, 3, 3)`` for the area triple, the
-    terminal values ``(P, 3)`` and the span family, path after path.
+    terminal values ``(P, 3)`` and the span family, from an atom table cut
+    at ``t`` (as ``Scenario.closed_form_gamma`` takes it) and the atoms'
+    weights ``w``.
 
     Per atom, with left limits (X1-, X2-) and terminal values (X1, X2):
     ``A~ = X2(t) - dX2 - 2 X2-`` and ``B~ = X1(t) - dX1 - 2 X1-`` give the
     mark Jacobian rows (1, 0, A~), (0, 1, -B~); conjugating the structure
-    weight by that Jacobian yields the displayed per-jump summand.  The
-    atoms of every path are weighed in one call and conjugated in one
-    stack.  The span family, one vector per row, feeds the rank-3 density
-    condition.
+    weight by that Jacobian yields the displayed per-jump summand, for
+    every path in one stack.  The span family, one vector per row, feeds
+    the rank-3 density condition: two directions per atom, or with
+    ``tangent`` (the structure of :func:`graph_structure`) one along the
+    curve.
     """
-    v, path, marks, lefts = _area_closed_path(configs, m1, t)
-    w = _weights(bs, marks, path, len(configs))
+    v, path, lefts = _area_closed_path(times, marks, counts, m1, t)
     live, u = w.any(axis=(1, 2)), marks
     if not live.all():
         w, u, lefts, path = w[live], marks[live], lefts[live], path[live]
@@ -637,8 +638,8 @@ def area_closed_gamma(configs: Sequence[JumpConfiguration], m1: np.ndarray,
     jac = np.zeros((n, 3, 2))
     jac[:, 0, 0] = jac[:, 1, 1] = 1.0
     jac[:, 2, 0], jac[:, 2, 1] = a_t, -b_t
-    out = _path_sums(jac @ w @ jac.transpose(0, 2, 1), np.bincount(path, minlength=len(configs)))
-    if bs.name == "GRAPH_TANGENT":
+    out = _path_sums(jac @ w @ jac.transpose(0, 2, 1), np.bincount(path, minlength=len(v)))
+    if tangent:
         lam = graph_slope(u)
         span = np.column_stack([np.ones(n), lam, a_t - lam * b_t])
     else:
@@ -654,13 +655,8 @@ def area_closed_gamma(configs: Sequence[JumpConfiguration], m1: np.ndarray,
 # ---------------------------------------------------------------------------
 
 # A closed form pads every path of a chunk to the chunk's longest atom list,
-# and a chunk holds at most this many padded atoms.  The levy-area form holds
-# at most 39 floats per padded atom at once (the tracemalloc peak over the
-# chunks of 256 levy-area-1 paths, doleans 20), so a chunk takes at most
-# about 510 KB.  On rank-stats over 256 levy-area-1 paths (eps 0.05, 0.02,
-# 0.008), peak RSS is the same (40.4-40.6 MB) with one path per chunk, with
-# half this cap and with this cap, which takes 0.92 of the time per job of
-# half of it (seeds 2000-2024); four times it adds about 1.9 MB.
+# and a chunk holds at most this many padded atoms, at most 39 floats each
+# at once for the levy-area form: about 510 KB.
 _CLOSED_CHUNK_ATOMS = 2 ** 16 // 40
 
 
@@ -680,6 +676,10 @@ def _closed_chunks(counts: Sequence[int]):
         start += size
 
 
+def _outside_ball(marks: np.ndarray, truncation: float) -> np.ndarray:
+    return np.linalg.norm(marks, axis=1) > truncation
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A named, fully configured example with optional closed-form oracle."""
@@ -695,9 +695,12 @@ class Scenario:
     bottom: BottomStructure
     make_model: Callable[[float], TruncatedLevyModel]
     make_coeffs: Callable[[TruncatedLevyModel], CoefficientSet]
-    # configurations, model, t -> the (P, d, d) stack of their Gamma[X_t]
-    closed_form_gamma: Callable[[list, TruncatedLevyModel, float], np.ndarray] | None = None
-    restrict_mask: Callable[[np.ndarray, float], np.ndarray] | None = None
+    # an atom table cut at t, the atoms of P paths at or before t, path after
+    # path: times (n,), marks (n, r), counts (P,); then their weights (n, r, r),
+    # model, t -> the (P, d, d) stack of their Gamma[X_t]
+    closed_form_gamma: Callable[..., np.ndarray] | None = None
+    # marks (n, r), truncation -> the mask of the atoms a coarser truncation keeps
+    restrict_mask: Callable[[np.ndarray, float], np.ndarray] = _outside_ball
     notes: str = ""
 
     def model(self, truncation: float | None = None) -> TruncatedLevyModel:
@@ -708,23 +711,19 @@ class Scenario:
 
     def restrict(self, configs: Sequence[JumpConfiguration],
                  truncation: float) -> list[JumpConfiguration]:
-        """The sub-configurations a coarser truncation would have produced,
-        from one mask over the concatenated atoms of ``configs`` and one
-        gather; each is a read-only slice of the kept atoms, not validated
-        again, as a subset of a validated configuration holds its invariants."""
-        times = np.concatenate([config.times for config in configs])
-        marks = np.concatenate([config.marks for config in configs])
-        if self.restrict_mask is not None:
-            keep = self.restrict_mask(marks, truncation)
-        else:
-            keep = np.linalg.norm(marks, axis=1) > truncation
-        # the number of kept atoms before each path's first and after its last
-        kept = np.concatenate([[0], np.cumsum(keep)])
-        bounds = kept[np.cumsum([0] + [config.n_atoms for config in configs])].tolist()
-        times, marks = times[keep], marks[keep]
-        times.flags.writeable = marks.flags.writeable = False
-        return [JumpConfiguration._checked(times[a:b], marks[a:b], config.horizon)
-                for config, a, b in zip(configs, bounds, bounds[1:])]
+        """The sub-configurations a coarser truncation would have produced."""
+        return self._restricted(_atom_table(configs, self.mark_dimension), truncation,
+                                [config.horizon for config in configs])
+
+    def _restricted(self, table: tuple, truncation: float, horizons) -> list[JumpConfiguration]:
+        """:meth:`restrict` of a path-major atom table ``(times, marks,
+        counts)``, by one mask and one gather: each configuration is a
+        read-only slice of the kept atoms, not validated again."""
+        times, marks, counts = table
+        keep = self.restrict_mask(marks, truncation)
+        path = np.repeat(np.arange(len(counts)), counts)
+        return _split(times[keep], marks[keep], np.bincount(path[keep], minlength=len(counts)),
+                      horizons)
 
     def pipeline(self, config: JumpConfiguration, truncation: float | None = None,
                  t: float | None = None) -> tuple[TruncatedLevyModel, CoefficientSet, Trajectory]:
@@ -757,18 +756,14 @@ class Scenario:
         ``levels`` may be an iterator, taken one level at a time by a closed
         form, so that a level's configurations can be dropped before the next.
 
-        A closed form takes the levels one after another, each chunk of
-        :func:`_closed_chunks` (paths of similar atom counts) in one stacked
-        pass; a path's matrix does not depend on its chunk-mates.  A
-        :class:`StructureError` names the first path of the level that fails
-        on its own, by its index in ``configs``.  Without a closed form, every
-        level is solved with its flows in one batch, each level a group with
-        its own model and coefficients, keeping only the rows its Gamma reads:
-        the jump rows and each path's last row.  Each chunk of paths is
-        reduced to its stacks in one pass per group before the next is solved:
-        one gather of the jump rows, one ``du_c`` and one ``weight`` call, the
-        atom terms summed per path in atom order and every path conjugated by
-        its ``K_t`` in one product.  Each matrix has the bits of
+        A closed form takes each level as one atom table
+        (:meth:`_closed_gammas`); a :class:`StructureError` names the first
+        path that fails on its own, by its index in ``configs``.  Without a
+        closed form, every level is solved with its flows in one batch, each
+        level a group with its own model and coefficients, keeping only the
+        rows its Gamma reads: the jump rows and each path's last row.  Each
+        chunk of paths is reduced to its stacks (:func:`_chunk_gammas`) before
+        the next is solved, each matrix with the bits of
         ``gamma_flow(...).matrix`` on its path alone, and a level warns with
         :class:`ConditioningWarning` as its own solve would.  When a sweep of
         several levels raises, the levels are solved again one at a time, so
@@ -778,8 +773,11 @@ class Scenario:
         """
         t = self.eval_time if t is None else t
         if self.closed_form_gamma is not None:
-            return [self._closed_gammas(self.model(truncation), list(configs), t)
-                    for configs, truncation in levels]
+            out = []
+            for configs, truncation in levels:
+                table = _atom_table(configs, self.mark_dimension)
+                out += self._closed_gammas(table, [(np.full(len(table[0]), True), truncation)], t)
+            return out
         levels = [(list(configs), truncation) for configs, truncation in levels]
         try:
             groups = []
@@ -801,22 +799,49 @@ class Scenario:
             raise
         return out
 
-    def _closed_gammas(self, model: TruncatedLevyModel, configs: list[JumpConfiguration],
-                       t: float) -> np.ndarray:
-        """The closed-form Gamma stack of one level, chunk by chunk."""
-        out = np.zeros((len(configs), self.dim, self.dim))
+    def _sweep_table(self, table: tuple, truncations: Sequence[float]) -> list[np.ndarray]:
+        """:meth:`sweep_gammas` at ``eval_time`` of the levels ``(restrict(configs,
+        truncation), truncation)`` of the paths of a path-major atom table
+        ``(times, marks, counts)``, with the same bits and errors: a closed
+        form takes each level as a mask over the table, a solve its
+        configurations."""
+        if self.closed_form_gamma is not None:
+            levels = [(self.restrict_mask(table[1], eps), eps) for eps in truncations]
+            return self._closed_gammas(table, levels, self.eval_time)
+        horizons = [self.horizon] * len(table[2])
+        return self.sweep_gammas(((self._restricted(table, eps, horizons), eps)
+                                  for eps in truncations), self.eval_time)
+
+    def _closed_gammas(self, table: tuple, levels: list, t: float) -> list[np.ndarray]:
+        """The closed-form Gamma stacks of levels ``(keep, truncation)`` of an
+        atom table ``(times, marks, counts)``, each the atoms that a mask
+        ``keep`` selects.  The atoms at or before ``t`` that some level keeps
+        are weighed in one call; a level gathers its atoms and weights by its
+        mask, one closed-form call per chunk of :func:`_closed_chunks`.  A
+        :class:`StructureError` is that of the first level that fails,
+        weighed path by path."""
+        times, marks, counts = table
+        up = (times <= t) & np.logical_or.reduce([keep for keep, _ in levels])
+        path = np.repeat(np.arange(len(counts)), counts)[up]
+        times, marks = times[up], marks[up]
+        rows = [np.flatnonzero(keep[up]) for keep, _ in levels]
         try:
-            for chunk in _closed_chunks([config.n_atoms for config in configs]):
-                out[chunk] = self.closed_form_gamma([configs[i] for i in chunk], model, t)
+            weights = self.bottom.weight(marks)
         except StructureError:
-            # a closed form names a path by its place in the list it is given
-            for i, config in enumerate(configs):
-                try:
-                    self.closed_form_gamma([config], model, t)
-                except StructureError as exc:
-                    raise StructureError(
-                        f"{str(exc).removesuffix(' on path 0')} on path {i}") from None
+            for at in rows:
+                _weights(self.bottom, marks[at], path[at], len(counts))
             raise
+        out = []
+        for at, (_, truncation) in zip(rows, levels):
+            model = self.model(truncation)
+            kept = np.bincount(path[at], minlength=len(counts))
+            starts = np.cumsum(kept) - kept
+            out.append(np.zeros((len(counts), self.dim, self.dim)))
+            for chunk in _closed_chunks(kept):
+                n = kept[chunk]
+                mine = at[np.repeat(starts[chunk] - (np.cumsum(n) - n), n) + np.arange(n.sum())]
+                out[-1][chunk] = self.closed_form_gamma(times[mine], marks[mine], n, weights[mine],
+                                                        model, t)
         return out
 
 
@@ -842,9 +867,9 @@ def _doleans_scenario(
         m1 = power_law_first_moment(model.truncation, alpha, bound, asymmetry)
         return doleans_coefficients(m1, bound)
 
-    def closed(configs: list, model: TruncatedLevyModel, t: float) -> np.ndarray:
+    def closed(times, marks, counts, w, model: TruncatedLevyModel, t: float) -> np.ndarray:
         m1 = power_law_first_moment(model.truncation, alpha, bound, asymmetry)
-        return doleans_closed_gamma(configs, m1, bs, t)
+        return doleans_closed_gamma(marks, counts, w, m1, t)
 
     return Scenario(
         name="doleans", dim=2, mark_dimension=1, horizon=horizon,
@@ -871,9 +896,9 @@ def _levy_area_scenario_1(
     def make_coeffs(model: TruncatedLevyModel) -> CoefficientSet:
         return area_coefficients(polar_first_moment(model.truncation, angular_coefficient))
 
-    def closed(configs: list, model: TruncatedLevyModel, t: float) -> np.ndarray:
+    def closed(times, marks, counts, w, model: TruncatedLevyModel, t: float) -> np.ndarray:
         m1 = polar_first_moment(model.truncation, angular_coefficient)
-        return area_closed_gamma(configs, m1, bs, t)[0]
+        return area_closed_gamma(times, marks, counts, w, m1, t)[0]
 
     return Scenario(
         name="levy-area-1", dim=3, mark_dimension=2, horizon=horizon,
@@ -908,8 +933,9 @@ def _levy_area_scenario_2(
     def make_coeffs(model: TruncatedLevyModel) -> CoefficientSet:
         return area_coefficients(moments(model.truncation))
 
-    def closed(configs: list, model: TruncatedLevyModel, t: float) -> np.ndarray:
-        return area_closed_gamma(configs, moments(model.truncation), bs, t)[0]
+    def closed(times, marks, counts, w, model: TruncatedLevyModel, t: float) -> np.ndarray:
+        return area_closed_gamma(times, marks, counts, w, moments(model.truncation), t,
+                                 tangent=True)[0]
 
     def restrict_mask(marks: np.ndarray, eps: float) -> np.ndarray:
         # the model truncates the parametrising coordinate, not the 2-d norm
@@ -945,8 +971,8 @@ def _null_scenario(
             name="null",
         )
 
-    def closed(configs: list, model: TruncatedLevyModel, t: float) -> np.ndarray:
-        return np.zeros((len(configs), 1, 1))
+    def closed(times, marks, counts, w, model: TruncatedLevyModel, t: float) -> np.ndarray:
+        return np.zeros((len(counts), 1, 1))
 
     return Scenario(
         name="null", dim=1, mark_dimension=1, horizon=horizon,

@@ -89,10 +89,7 @@ MAX_GRID_ROWS = 10 ** 6
 # of one row), about 40 levy-area paths with flows.  The Gamma of a sweep
 # stores only each path's last row and both limits at its jumps, about 100
 # levy-area paths at eps = 0.008, so a 32-path sweep of three levels is one
-# chunk.  A longer path is a chunk of its own.  On rank-stats over 100
-# levy-area-1 paths without the closed form (eps 0.05, 0.02, 0.008), peak RSS
-# is 44.5 MB, against 40.6 MB with one path per chunk and 49.0 MB with twice
-# the bound.
+# chunk.  A longer path is a chunk of its own.
 _CHUNK_VALUES = 2 ** 19
 # times, atom_index, is_jump (_stack_grids) and by_row, halves and the step,
 # its half and its sixth (_integrate): 57 bytes per path and row, in floats

@@ -92,7 +92,7 @@ _QUADRATURE_CALLERS = {"sde_engine.py:_effective_drift",
                        "poisson_measure.py:MarkQuadrature.integrate"}
 
 # the functions that may open a stream per path in a loop
-_STREAM_LOOPS = {"poisson_measure.py:simulate_configurations", "rng.py:_sub_seeds"}
+_STREAM_LOOPS = {"poisson_measure.py:_simulate_table", "rng.py:_sub_seeds"}
 
 # rule -> (names, which use of one breaks it, given the name, its module, its
 # scope, whether a loop encloses it and whether it is called, what the use is,

@@ -1,10 +1,18 @@
+import configparser
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lentparticle.cli import _GAMMA_TAGS, main
 
@@ -213,7 +221,7 @@ def test_rank_tolerance_above_one_is_refused_before_any_work(tmp_path, monkeypat
         raise AssertionError("work started")
 
     monkeypatch.setattr(cli, "monte_carlo_rank_stats", no_work)
-    monkeypatch.setattr(criteria, "simulate_configurations", no_work)
+    monkeypatch.setattr(criteria, "_simulate_table", no_work)
     monkeypatch.setattr(cli.Scenario, "simulate", no_work)
     ini = DOLEANS_INI + f"epsilons = 0.05\nrank_tolerance = {value}\n"
     out = tmp_path / "o"
@@ -287,16 +295,78 @@ def test_a_coefficient_too_deep_or_too_long_exits_2(tmp_path, capsys, command, t
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_a_state_with_a_non_finite_compensator_exits_1(tmp_path, capsys):
     # the compensator of c_2 = x1 * u1 overflows at x1 = 1e308: the error says
-    # that the integral is not finite and where, not that it did not converge
+    # that the integral is not finite and where, not that it did not converge,
+    # and numpy warns of nothing on the way
     ini = CUSTOM_INI.replace("x0 = 0.5 0.0", "x0 = 1e308 1e308")
     out = tmp_path / "o"
-    assert run_cli("simulate", "--config", write_config(tmp_path, ini), "--out", str(out)) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("simulate", "--config", write_config(tmp_path, ini), "--out", str(out)) == 1
     assert capsys.readouterr().err == ("error: mark-space integral is not finite at the "
                                        "state t = 0.0, x = [1e+308, 1e+308]\n")
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+# one-key mutations of the README custom config: numeric extremes, signed
+# zero, huge and tiny intensities, dimensions and expression shapes
+_EXTREMES = st.sampled_from(["0", "-0.0", "-1", "5e-324", "1e-300", "1e-10", "1e6", "1e300",
+                             "1e308", "1e309", "inf", "-inf", "nan", "abc", "", "1 2"])
+_EXPRESSIONS = st.sampled_from([
+    "+".join(["u1"] * 248), "+".join(["u1"] * 5000), "(" * 120 + "u1" + ")" * 120,
+    "x1^x1", "1/0", "u1/0", "x9", "u2", "ind(0.1)", "abs(u1)", "min(u1, x1)", "", "x1 ** 2",
+    "1e308*1e308*u1", "1e308*x1*u1", "t*u1", "-0.0*u1", "u1^0.5", "x1^-1", "nan*u1",
+    "__import__('os')", "u1 if x1 else 0", "0", "-1", "1e308",
+])
+_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from([("model", "halfwidth"), ("model", "truncation"),
+                               ("model", "intensity"), ("numeric", "step"),
+                               ("numeric", "horizon"), ("numeric", "eval_time"),
+                               ("numeric", "epsilons"), ("numeric", "n_paths"),
+                               ("numeric", "rank_tolerance"), ("run", "seed")]), _EXTREMES),
+    st.tuples(st.sampled_from([("coefficients", "c_1"), ("coefficients", "c_2"),
+                               ("structure", "k"), ("structure", "psi"),
+                               ("structure", "xi_1")]), _EXPRESSIONS),
+    st.tuples(st.just(("coefficients", "x0")),
+              st.sampled_from(["1e308 1e308", "nan 0", "-0.0 -0.0", "1", "1 2 3", "", "inf 0",
+                               "5e-324 5e-324", "1e300 -1e300"])),
+    st.tuples(st.just(("coefficients", "state_dim")),
+              st.sampled_from(["0", "1", "3", "-1", "1.5", "1000", ""])),
+    st.tuples(st.sampled_from([("model", "kind"), ("structure", "name"), ("gamma", "formula")]),
+              st.sampled_from(["power-law", "bogus", "", "ISOTROPIC_RD", "INTRO_1D", "generic",
+                               "rho_mc", "remark3"])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["simulate", "gamma", "rank-stats"]), mutation=_MUTATIONS)
+def test_one_key_mutations_of_the_custom_config_end_cleanly(command, mutation):
+    (section, key), value = mutation
+    cfg = configparser.ConfigParser(interpolation=None)
+    cfg.read_string(CUSTOM_INI)
+    if command == "rank-stats":  # so that rank-stats reaches the mutated key
+        cfg["numeric"].update(epsilons="0.4 0.2", n_paths="2")
+    if not cfg.has_section(section):
+        cfg.add_section(section)
+    cfg[section][key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        with open(f"{tmp}/run.ini", "w") as f:
+            cfg.write(f)
+        start = time.perf_counter()
+        code = main([command, "--config", f"{tmp}/run.ini", "--out", f"{tmp}/out"])
+        took = time.perf_counter() - start
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert not [line for line in lines if line.startswith("error:")]
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert took < 20.0, f"{command} took {took:.1f} s"
 
 
 def test_custom_scenario_expressions(tmp_path):

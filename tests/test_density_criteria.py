@@ -205,7 +205,7 @@ def test_rank_stats_refuses_a_bad_tolerance_before_drawing(monkeypatch):
         raise AssertionError("paths were drawn before the tolerance was checked")
 
     monkeypatch.setattr(criteria, "path_seeds", no_draws)
-    monkeypatch.setattr(criteria, "simulate_configurations", no_draws)
+    monkeypatch.setattr(criteria, "_simulate_table", no_draws)
     for bad in (5.0, 1.0, 0.0, float("nan")):
         with pytest.raises(InputError, match=r"^rel_tol must be in \(0, 1\), got "):
             monte_carlo_rank_stats("doleans", n_paths=5, epsilons=[0.05], seed=1, rel_tol=bad)
@@ -292,9 +292,9 @@ def test_rank_stats_closed_form_same_in_chunks(monkeypatch):
     chunks = []
     terms = scenarios.area_closed_gamma
 
-    def counted(configs, *args):
-        chunks.append((len(configs), max(c.n_atoms for c in configs) + 1))
-        return terms(configs, *args)
+    def counted(times, marks, counts, *args, **kwargs):
+        chunks.append((len(counts), int(max(counts)) + 1))
+        return terms(times, marks, counts, *args, **kwargs)
 
     # paths x (longest atom list + 1) <= 200 padded atoms per chunk
     monkeypatch.setattr(scenarios, "_CLOSED_CHUNK_ATOMS", 200)
@@ -303,6 +303,26 @@ def test_rank_stats_closed_form_same_in_chunks(monkeypatch):
     assert sum(n for n, _ in chunks) == 24 * len(_EPSILONS) and len(chunks) > 2 * len(_EPSILONS)
     assert all(n * longest <= 200 or n == 1 for n, longest in chunks)
     _assert_tables_agree(chunked, whole)
+
+
+@pytest.mark.parametrize("name", ["doleans", "levy-area-1", "levy-area-2", "null"])
+def test_rank_stats_weighs_the_sweep_once(monkeypatch, name):
+    from lentparticle.bottom_structure import BottomStructure
+
+    # the finest table's atoms are weighed in one call; each level gathers its weights
+    calls = []
+    weight = BottomStructure.weight
+
+    def counted(self, marks):
+        calls.append(len(marks))
+        return weight(self, marks)
+
+    monkeypatch.setattr(BottomStructure, "weight", counted)
+    scenario = get_scenario(name)
+    levels = [4 * scenario.default_truncation, 2 * scenario.default_truncation,
+              scenario.default_truncation]
+    monte_carlo_rank_stats(scenario, 40, levels, seed=12)
+    assert len(calls) == 1 and calls[0] > 40
 
 
 def test_rank_stats_reports_indeterminate_fraction():

@@ -156,7 +156,9 @@ def test_levy_area_case1_matches_closed_form():
     for seed in (1, 5, 12):
         cfg = scenario.simulate(seed=seed)
         traj, pipeline = scenario.run(cfg)
-        (closed,), (v,), _ = area_closed_gamma([cfg], m1, scenario.bottom, 1.0)
+        times, marks, counts = _up_to([cfg], 1.0)
+        (closed,), (v,), _ = area_closed_gamma(times, marks, counts,
+                                               scenario.bottom.weight(marks), m1, 1.0)
         scale = np.linalg.norm(closed)
         err = np.linalg.norm(pipeline.matrix - closed)
         assert err <= 1e-9 * max(scale, 1e-30)
@@ -191,6 +193,16 @@ def test_levy_area_single_jump_rank_two():
     )
     rep = rank_diagnostic(get_scenario("levy-area-1", truncation=0.02).gamma_of(cfg))
     assert rep.rank <= 2
+
+
+def _up_to(configs, t):
+    """The table the closed forms take: the times, marks and counts of the
+    atoms of ``configs`` at or before ``t``, path after path."""
+    kept = [config.times <= t for config in configs]
+    r = configs[0].marks.shape[1]
+    return (np.concatenate([np.zeros(0)] + [c.times[k] for c, k in zip(configs, kept)]),
+            np.concatenate([np.zeros((0, r))] + [c.marks[k] for c, k in zip(configs, kept)]),
+            np.array([np.count_nonzero(k) for k in kept]))
 
 
 def _area_path_loop(config, m1, t):
@@ -247,11 +259,11 @@ def _area_cases(draw):
 
 def _area_paths_loop(configs, m1, t):
     """The atom loop over each configuration, returned as ``_area_closed_path``
-    returns a stack: terminal values, path index, marks and left limits."""
+    returns a stack: terminal values, path index and left limits."""
     runs = [_area_path_loop(config, m1, t) for config in configs]
     return (np.array([run[0] for run in runs]),
             np.repeat(np.arange(len(runs)), [run[1].shape[0] for run in runs]),
-            np.concatenate([run[2] for run in runs]), np.concatenate([run[3] for run in runs]))
+            np.concatenate([run[3] for run in runs]))
 
 
 def _same_bits(got, want):
@@ -261,11 +273,14 @@ def _same_bits(got, want):
 @given(case=_area_cases())
 def test_area_closed_path_has_the_bits_of_the_atom_loop(case):
     config, m1, bs, t = case
-    assert _same_bits(_area_closed_path([config], m1, t), _area_paths_loop([config], m1, t))
+    times, marks, counts = _up_to([config], t)
+    assert _same_bits(_area_closed_path(times, marks, counts, m1, t),
+                      _area_paths_loop([config], m1, t))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("lentparticle.scenarios._area_closed_path", _area_paths_loop)
-        want = area_closed_gamma([config], m1, bs, t)
-    assert _same_bits(area_closed_gamma([config], m1, bs, t), want)
+        patch.setattr("lentparticle.scenarios._area_closed_path",
+                      lambda times, marks, counts, m1, t: _area_paths_loop([config], m1, t))
+        want = area_closed_gamma(times, marks, counts, bs.weight(marks), m1, t)
+    assert _same_bits(area_closed_gamma(times, marks, counts, bs.weight(marks), m1, t), want)
 
 
 def _sum_one_at_a_time(terms, d):
@@ -348,21 +363,24 @@ def test_stacked_closed_form_has_the_bits_of_a_loop_over_configurations(batch):
     if "area" in name:
         # terminal values too, each read at its own path's last row
         m1 = _area_moment(name, eps)
-        assert _same_bits(_area_closed_path(configs, m1, t), _area_paths_loop(configs, m1, t))
+        assert _same_bits(_area_closed_path(*_up_to(configs, t), m1, t),
+                          _area_paths_loop(configs, m1, t))
 
 
 def test_closed_form_weight_error_names_the_path_and_its_atom():
+    import dataclasses
+
     # psi = 2 > k = 1 for u1 > 0.5: the third atom of the second path
     bad = psi_over_k(psi=lambda marks: np.where(marks[:, 0] > 0.5, 2.0, 1.0), r=2)
+    scenario = dataclasses.replace(get_scenario("levy-area-1"), bottom=bad)
     fine = JumpConfiguration(times=np.array([0.2, 0.4]),
                              marks=np.array([[0.1, 0.2], [0.3, 0.1]]), horizon=1.0)
     broken = JumpConfiguration(times=np.array([0.1, 0.3, 0.6]),
                                marks=np.array([[0.2, 0.1], [-0.3, 0.2], [0.7, 0.1]]), horizon=1.0)
-    m1 = polar_first_moment(0.05, 0.5)
     with pytest.raises(StructureError, match=r"exceeds k\(u\) = 1.0 at mark 2 on path 1$"):
-        area_closed_gamma([fine, broken], m1, bad, 1.0)
+        scenario.gammas([fine, broken])
     with pytest.raises(StructureError, match=r"exceeds k\(u\) = 1.0 at mark 2 on path 0$"):
-        area_closed_gamma([broken], m1, bad, 1.0)
+        scenario.gammas([broken])
 
 
 
@@ -373,10 +391,7 @@ def test_closed_form_weight_error_in_a_later_chunk_names_the_path_in_configs(mon
 
     # psi = 2 > k = 1 for u1 > 0.5, as in the test above
     bad = psi_over_k(psi=lambda marks: np.where(marks[:, 0] > 0.5, 2.0, 1.0), r=2)
-    m1 = polar_first_moment(0.05, 0.5)
-    scenario = dataclasses.replace(
-        get_scenario("levy-area-1"),
-        closed_form_gamma=lambda configs, model, t: area_closed_gamma(configs, m1, bad, t)[0])
+    scenario = dataclasses.replace(get_scenario("levy-area-1"), bottom=bad)
 
     def config(us):
         return JumpConfiguration(times=np.linspace(0.1, 0.9, len(us)),
@@ -384,7 +399,8 @@ def test_closed_form_weight_error_in_a_later_chunk_names_the_path_in_configs(mon
 
     fine, broken = config([0.1, 0.3]), config([0.2, -0.3, 0.7])
     # chunks of at most 8 padded atoms: two fine paths, then a fine one and
-    # the broken one, which is path 1 of its chunk and path 3 of the sweep
+    # the broken one, which is path 1 of its chunk and path 3 of the sweep;
+    # the atoms are weighed before any chunk, and the error names path 3
     monkeypatch.setattr(sc, "_CLOSED_CHUNK_ATOMS", 8)
     assert [list(c) for c in sc._closed_chunks([2, 2, 2, 3])] == [[0, 1], [2, 3]]
     with pytest.raises(StructureError, match=r"exceeds k\(u\) = 1.0 at mark 2 on path 3$"):
@@ -394,6 +410,72 @@ def test_closed_form_weight_error_in_a_later_chunk_names_the_path_in_configs(mon
     longer = config([0.2, 0.1, -0.3, 0.6, 0.2])
     with pytest.raises(StructureError, match=r"exceeds k\(u\) = 1.0 at mark 3 on path 0$"):
         scenario.gammas([longer, fine, broken])
+
+
+def _refusing_on_shell(lo, hi):
+    """The levy-area-1 scenario with a structure that refuses the marks of
+    norm in ``(lo, hi)`` (psi = 2 > k = 1 there)."""
+    import dataclasses
+
+    def psi(marks):
+        norms = np.linalg.norm(marks, axis=1)
+        return np.where((lo < norms) & (norms < hi), 2.0, 1.0)
+
+    return dataclasses.replace(get_scenario("levy-area-1"), bottom=psi_over_k(psi=psi, r=2))
+
+
+@pytest.mark.parametrize("lo, hi, failing", [(0.008, 0.02, 0.008), (0.02, 0.05, 0.02)],
+                         ids=["finest only", "two levels"])
+def test_sweep_table_refuses_as_the_first_failing_level_alone(lo, hi, failing):
+    from lentparticle.density_criteria import monte_carlo_rank_stats
+    from lentparticle.poisson_measure import _simulate_table, simulate_configurations
+    from lentparticle.rng import path_seeds
+
+    # every level is weighed from one weight call over the finest table; an
+    # atom that only some levels keep is refused as those levels alone refuse it
+    scenario = _refusing_on_shell(lo, hi)
+    levels = [0.05, 0.02, 0.008]
+    table = _simulate_table(scenario.model(0.008), 1.0, path_seeds(5, 16))
+    configs = simulate_configurations(scenario.model(0.008), 1.0, path_seeds(5, 16))
+    with pytest.raises(StructureError, match=r"exceeds k\(u\) = 1.0 at mark \d+ on path \d+$") \
+            as alone:
+        scenario.gammas(scenario.restrict(configs, failing), failing)
+    coarser = levels[:levels.index(failing)]
+    for sweep in ([failing], coarser + [failing], levels):
+        with pytest.raises(StructureError) as swept:
+            scenario._sweep_table(table, sweep)
+        assert str(swept.value) == str(alone.value)
+    with pytest.raises(StructureError) as ranked:
+        monte_carlo_rank_stats(scenario, 16, levels, seed=5)
+    assert str(ranked.value) == str(alone.value)
+    # the coarser levels weigh as they do alone
+    for got, eps in zip(scenario._sweep_table(table, coarser), coarser):
+        assert got.tobytes() == scenario.gammas(scenario.restrict(configs, eps), eps).tobytes()
+    if failing != 0.008:
+        # the row is the atom's row among the level's atoms, not the table's
+        with pytest.raises(StructureError) as finest:
+            scenario.gammas(scenario.restrict(configs, 0.008), 0.008)
+        assert str(finest.value) != str(alone.value)
+
+
+def test_sweep_table_weighs_no_atom_after_t():
+    import dataclasses
+
+    from lentparticle.poisson_measure import _atom_table
+
+    # the structure refuses u1 > 0.5, which only the atoms after t = 0.5 have
+    bad = psi_over_k(psi=lambda marks: np.where(marks[:, 0] > 0.5, 2.0, 1.0), r=2)
+    scenario = dataclasses.replace(get_scenario("levy-area-1", eval_time=0.5), bottom=bad)
+    late = JumpConfiguration(times=np.array([0.2, 0.4, 0.8]),
+                             marks=np.array([[0.1, 0.2], [0.03, -0.1], [0.7, 0.1]]), horizon=1.0)
+    early = JumpConfiguration(times=np.array([0.2, 0.4]),
+                              marks=np.array([[0.1, 0.2], [0.03, -0.1]]), horizon=1.0)
+    want = scenario.gammas([early, early], 0.02)
+    assert scenario.gammas([late, early], 0.02).tobytes() == want.tobytes()
+    swept = scenario._sweep_table(_atom_table([late, early], 2), [0.05, 0.02])
+    assert swept[1].tobytes() == want.tobytes()
+    assert swept[0].tobytes() == scenario.gammas(scenario.restrict([early] * 2, 0.05),
+                                                 0.05).tobytes()
 
 # the closed forms pinned byte for byte: sha256 of the (P, d, d) stack of
 # gammas over 48 paths drawn at seed 5 and restricted to each of three
