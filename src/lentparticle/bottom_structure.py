@@ -110,19 +110,25 @@ class BottomStructure:
             raise StructureError(
                 f"xi(u) must have shape ({r}, {r}), got {xi.shape[1:]} at mark {rows[0]}"
             )
-        # np.allclose(xi, xi.T, rtol=0, atol=tol) for each mark, entry-major (r * r, n)
+        # np.allclose(xi, xi.T, rtol=0, atol=tol) for each mark, entry-major (r * r, n),
+        # in two such arrays and one of flags; the sum and the product below
+        # take their terms in the other order, to the same bits
         entries = xi.reshape(-1, r * r).T.copy()
+        del xi
         swap = np.arange(r * r).reshape(r, r).T.ravel()  # entry (i, j) -> (j, i)
-        swapped = entries[swap]
-        tol = 1e-12 * np.maximum(1.0, np.abs(entries).max(axis=0))
-        close = (np.abs(entries - swapped) <= tol) | (entries == swapped)
+        scratch = np.abs(entries)
+        tol = 1e-12 * np.maximum(1.0, scratch.max(axis=0))
+        swapped = np.take(entries, swap, axis=0, out=scratch)
+        close = entries == swapped
+        close |= np.abs(np.subtract(entries, swapped, out=scratch), out=scratch) <= tol
         bad = np.flatnonzero(~close.all(axis=0))
         if bad.size:
             raise StructureError(f"xi(u) must be symmetric at mark {rows[bad[0]]}")
         # a weight that overflows makes a Gamma that is refused where it is checked
         with np.errstate(over="ignore"):
-            w = entries * (p / k)
-            out[rows] = (0.5 * (w + w[swap])).T.reshape(-1, r, r)
+            w = np.multiply(entries, p / k, out=entries)
+            half = np.add(np.take(w, swap, axis=0, out=scratch), w, out=scratch)
+            out.reshape(-1, r * r)[rows] = np.multiply(half, 0.5, out=half).T
         return out
 
     def factor(self, marks: np.ndarray) -> np.ndarray:

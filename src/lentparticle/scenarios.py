@@ -560,13 +560,17 @@ _area_dcomp.reads_time = _area_dcomp.reads_state = False
 _area_dx_c.reads_time = _area_dx_c.reads_state = False
 
 
+# one function for every level, so that a sweep checks its levels in one call
+def _area_eta(u: np.ndarray) -> np.ndarray:
+    return 1.0 + np.linalg.norm(u, axis=1)
+
+
 def area_coefficients(first_moment: np.ndarray) -> CoefficientSet:
     """3-d SDE for (X1, X2, area): the area jumps by ``x1 u2 - x2 u1``."""
     m1 = np.asarray(first_moment, dtype=float)
-    eta = lambda u: 1.0 + np.linalg.norm(u, axis=1)
     return CoefficientSet(
         dim=3, c=_area_c, dx_c=_area_dx_c, du_c=_area_du_c, compensator=_Bound(_area_comp, m1),
-        dx_compensator=_Bound(_area_dcomp, m1), eta=eta, name="levy-area",
+        dx_compensator=_Bound(_area_dcomp, m1), eta=_area_eta, name="levy-area",
     )
 
 

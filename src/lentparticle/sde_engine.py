@@ -37,14 +37,19 @@ compensator pair is bound to the same two functions, the levels differing by
 a parameter, share one drift call per stage, and groups holding the same
 ``c`` and ``dx_c`` share their calls at a jump row.  A ``dx_compensator``
 that reports ``reads_time = False`` and ``reads_state = False``, as the
-shipped ones do, is called once per run of rows over which the same paths
-advance, not at every stage, and a ``dx_c`` that reports both is called once
-per chunk over all its jumps.  The batch is held component-major, X, the rows
-of K and the rows of Kbar each one block over the paths, so that where every
+shipped ones do, is called once per segment, a run of rows over which the
+same paths advance, not at every stage, and a ``dx_c`` that reports both is
+called once per chunk over all its jumps; when every group's does, each
+jump's matrix ``I + dx_c``, and the first of them that is singular, are
+taken once per chunk too, so that a jump row makes one ``c`` call, one K
+product and one solve.  The batch is held component-major, X, the rows of K
+and the rows of Kbar each one block over the paths, so that where every
 group's x-Jacobian is one such matrix and the groups advance as many paths,
-a stage's flow products are one matrix product per group.  The norm bounds
-of the assumption checks are settled without an SVD wherever a cheap upper
-bound of the 2-norm already lies below ``eta``.
+a stage's flow products are one matrix product per group.  A segment steps
+in buffers allocated as it starts, each stage writing its velocity into
+them in place.  The assumption checks of groups holding the same ``c``,
+``dx_c`` and ``eta`` are one call, and their norm bounds are settled without
+an SVD wherever a cheap upper bound of the 2-norm already lies below ``eta``.
 """
 
 from __future__ import annotations
@@ -83,13 +88,14 @@ MAX_GRID_ROWS = 10 ** 6
 
 # A solve of many configurations runs in consecutive chunks of paths, each
 # holding at most this many floats, 4 MB: its grid arrays (paths x its longest
-# grid x _GRID_VALUES) and its stored limits.  A solve that returns
-# trajectories stores the right limits on every row (paths x longest grid x
-# the values of one row) and the left limits at the jumps (jumps x the values
-# of one row), about 40 levy-area paths with flows.  The Gamma of a sweep
-# stores only each path's last row and both limits at its jumps, about 100
-# levy-area paths at eps = 0.008, so a 32-path sweep of three levels is one
-# chunk.  A longer path is a chunk of its own.
+# grid x _GRID_VALUES), its workspace, its jump tables and its stored limits
+# (_chunks).  A solve that returns trajectories stores the right limits on
+# every row (paths x longest grid x the values of one row) and the left limits
+# at the jumps (jumps x the values of one row), about 37 levy-area paths with
+# flows.  The Gamma of a sweep stores only each path's last row and both
+# limits at its jumps, about 95 levy-area paths at eps = 0.008 and more at
+# coarser levels, so a 32-path sweep of three levels is one chunk.  A longer
+# path is a chunk of its own.
 _CHUNK_VALUES = 2 ** 19
 # times, atom_index, is_jump (_stack_grids) and by_row, halves and the step,
 # its half and its sixth (_integrate): 57 bytes per path and row, in floats
@@ -191,26 +197,27 @@ def _shape_checked(name: str, out, shape: tuple, where: Callable[[], str] = str)
 
 
 def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: bool):
-    """One closure ``(t, x) -> (v, a)`` over a batch of points: the between-jump
-    velocity ``v = b - integral c k du``, ``(n, d)``, and with ``flows`` its
-    x-Jacobian ``a``, ``(n, d, d)``, else ``None``, each part shape-checked
-    inline, since the solve calls it at every stage.  Without ``dx_drift``, a
-    ``dx_compensator`` that reports ``reads_time = False`` and ``reads_state =
-    False`` is called, checked and negated once per number of points ``n``,
-    and ``a`` is that array (callers only read it).  A missing compensator or
-    ``dx_compensator`` comes from one :class:`MarkQuadrature` pass over all
-    points, one integral of ``(c, dx_c)`` per point, kept keyed on ``(t, x)``,
-    or on ``x`` alone when ``c`` and ``dx_c`` report ``reads_time = False``,
-    so that it runs once per distinct state; one that is not finite is refused
-    naming its state.  The result of the last call is kept too (callers only
-    read it), under the same key unless a drift or compensator is given, which
-    may read t and is then called again at each new ``(t, x)`` with the kept
-    integrals: a stage whose state has not moved costs one key comparison.
+    """One closure ``(t, x, out=None) -> (v, a)`` over a batch of points: the
+    between-jump velocity ``v = b - integral c k du``, ``(n, d)``, written into
+    ``out`` when given, and with ``flows`` its x-Jacobian ``a``, ``(n, d, d)``,
+    else ``None``, each part shape-checked inline, since the solve calls it at
+    every stage.  Without ``dx_drift``, a ``dx_compensator`` that reports
+    ``reads_time = False`` and ``reads_state = False`` is called, checked and
+    negated once per number of points ``n``, and ``a`` is that array (callers
+    only read it).  A missing compensator or ``dx_compensator`` comes from one
+    :class:`MarkQuadrature` pass over all points, one integral of ``(c,
+    dx_c)`` per point, kept keyed on ``(t, x)``, or on ``x`` alone when ``c``
+    and ``dx_c`` report ``reads_time = False``, so that it runs once per
+    distinct state; one that is not finite is refused naming its state.  The
+    result of the last call is kept too (callers only read it), under the same
+    key unless a drift or compensator is given, which may read t and is then
+    called again at each new ``(t, x)`` with the kept integrals: a stage whose
+    state has not moved costs one key comparison and a copy into ``out``.
     """
     d, c, dx_c = coeffs.dim, coeffs.c, coeffs.dx_c
     comp, dx_comp = coeffs.compensator, coeffs.dx_compensator
 
-    def part(drift, drift_name: str, comp, comp_name: str, k, t, x, shape):
+    def part(drift, drift_name: str, comp, comp_name: str, k, t, x, shape, out=None):
         if drift is not None:
             b = np.asarray(drift(t, x))
             if b.shape != shape:
@@ -219,12 +226,12 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
             k = np.asarray(comp(t, x))
             if k.shape != shape:
                 _shape_checked(comp_name, k, shape)
-        return np.negative(k) if drift is None else np.subtract(b, k)
+        return np.negative(k, out=out) if drift is None else np.subtract(b, k, out=out)
 
     constant = coeffs.dx_drift is None and _state_free(dx_comp)
     held = [None, None]  # the number of points and the x-Jacobian of a constant one
 
-    def velocity(t: np.ndarray, x: np.ndarray, k=None, dx_k=None) -> tuple:
+    def velocity(t: np.ndarray, x: np.ndarray, k=None, dx_k=None, out=None) -> tuple:
         n = x.shape[0]  # the x-Jacobian's parts are called and checked first
         a = None
         if flows and constant:
@@ -233,7 +240,7 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
             a = held[1]
         elif flows:
             a = part(coeffs.dx_drift, "dx_drift", dx_comp, "dx_compensator", dx_k, t, x, (n, d, d))
-        return part(coeffs.drift, "drift", comp, "compensator", k, t, x, (n, d)), a
+        return part(coeffs.drift, "drift", comp, "compensator", k, t, x, (n, d), out), a
 
     if comp is not None and dx_comp is not None:
         return velocity
@@ -245,7 +252,7 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
     last = [None, None]  # the key and the result of the last call
     integrals = [None, None]  # the key and the (c, dx_c) integrals of the last pass
 
-    def memoised(t: np.ndarray, x: np.ndarray) -> tuple:
+    def memoised(t: np.ndarray, x: np.ndarray, out=None) -> tuple:
         x_key = x.tobytes()
         key = (t.tobytes(), x_key) if reads_time else x_key
         if last[0] != key:
@@ -268,7 +275,10 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
                                        f"x = {x[exc.index].tolist()}") from None
                 integrals[:] = pass_key, (flat[:, :d], flat[:, d:].reshape(-1, d, d))
             last[:] = key, velocity(t, x, *integrals[1])
-        return last[1]
+        if out is None:
+            return last[1]
+        np.copyto(out, last[1][0])
+        return out, last[1][1]
 
     return memoised
 
@@ -298,6 +308,17 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def _first_singular(matrices: np.ndarray) -> int | None:
+    """Index of the first matrix of a stack that ``np.linalg.inv`` refuses as
+    singular, or ``None``."""
+    for k, matrix in enumerate(matrices):
+        try:
+            np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:
+            return k
+    return None
+
+
 def _solve_right(b: np.ndarray, a: np.ndarray, singular: Callable[[int], str]) -> np.ndarray:
     """``b_k a_k^{-1}`` for stacks of square matrices, by the kernel of
     ``np.linalg.solve``, which fills the solution of a singular ``a_k`` with
@@ -305,12 +326,8 @@ def _solve_right(b: np.ndarray, a: np.ndarray, singular: Callable[[int], str]) -
     singular raises :class:`ModelError` with the message ``singular(k)``."""
     with np.errstate(all="ignore"):
         out = _umath_linalg.solve(a.transpose(0, 2, 1), b.transpose(0, 2, 1), signature="dd->d")
-    if not np.isfinite(out).all():
-        for k, matrix in enumerate(a):
-            try:
-                np.linalg.inv(matrix)
-            except np.linalg.LinAlgError:
-                raise ModelError(singular(k)) from None
+    if not np.isfinite(out).all() and (k := _first_singular(a)) is not None:
+        raise ModelError(singular(k))
     return out.transpose(0, 2, 1)
 
 
@@ -469,41 +486,88 @@ def _regular_grid(horizon: float, step: float) -> np.ndarray:
     return np.linspace(0.0, horizon, n_reg + 1)
 
 
-def _rk4_step(rhs, t0, half, t1, h, half_h, sixth_h, y: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of ``y`` from ``t0`` over ``half = t0 + h/2`` to
-    ``t1 = t0 + h``; ``h``, ``half_h = 0.5 * h`` and ``sixth_h = h / 6`` are
-    scalars or broadcast against ``y``.  The stages and the sum reuse two
-    arrays, in the order of ``y + sixth_h * (k1 + 2 k2 + 2 k3 + k4)`` and to
-    its bits, as the terms of a sum or a product commute; the ``k`` are only
-    read."""
-    k1 = rhs(t0, y)
-    k2 = rhs(half, stage := y + half_h * k1)
-    k3 = rhs(half, np.add(y, np.multiply(half_h, k2, out=stage), out=stage))
-    k4 = rhs(t1, np.add(y, np.multiply(h, k3, out=stage), out=stage))
-    total = np.add(k1, np.multiply(2.0, k2, out=stage))
-    total += np.multiply(2.0, k3, out=stage)
-    total += k4
+class _Buffer:
+    """One ``(1 [+ 2d], n, d)`` array of a segment's workspace, component-major
+    as the batch, with the views of it that the flow products read and write
+    (:func:`_flow_products`): X, and with ``runs`` x-Jacobians, one per run
+    of ``n / runs`` consecutive paths, the K rows of each run as one ``(d, n /
+    runs d)`` matrix and its Kbar rows as ``d`` matrices of ``(n / runs,
+    d)``, or with one run per path each path's K and Kbar, ``(n, d, d)``, all
+    strided views of the batch."""
+
+    __slots__ = ("array", "x", "k", "kbar")
+
+    def __init__(self, shape: tuple, runs: int | None):
+        n, d = shape[1:]
+        self.array = array = np.empty(shape)
+        self.x = array[0]
+        if runs is not None:
+            self.k = array[1:d + 1].reshape(d, runs, -1).transpose(1, 0, 2)
+            kbar = array[d + 1:]
+            self.kbar = kbar.reshape(d, runs, -1, d) if runs < n else kbar.transpose(1, 0, 2)
+
+
+def _rk4_step(rhs, ws: list, t0, half, t1, h, half_h, sixth_h) -> None:
+    """One classical RK4 step of the state held in ``ws``, a segment's
+    workspace of seven :class:`_Buffer`: the state, a spare buffer, a stage
+    buffer and the four stage velocities.  It steps from ``t0`` over ``half =
+    t0 + h/2`` to ``t1 = t0 + h`` into the spare buffer, which then takes the
+    state's place; ``h``, ``half_h = 0.5 * h`` and ``sixth_h = h / 6`` are
+    scalars or broadcast against the state.  ``rhs(t, src, dst)`` writes the
+    velocity of the buffer ``src`` into ``dst``.  The stages and the sum reuse
+    the stage buffer, in the order of ``y + sixth_h * (k1 + 2 k2 + 2 k3 + k4)``
+    and to its bits, as the terms of a sum or a product commute."""
+    state, spare, stage, *k = ws
+    y, total, s = state.array, spare.array, stage.array
+    rhs(t0, state, k[0])
+    np.add(y, np.multiply(half_h, k[0].array, out=s), out=s)
+    rhs(half, stage, k[1])
+    np.add(y, np.multiply(half_h, k[1].array, out=s), out=s)
+    rhs(half, stage, k[2])
+    np.add(y, np.multiply(h, k[2].array, out=s), out=s)
+    rhs(t1, stage, k[3])
+    np.add(k[0].array, np.multiply(2.0, k[1].array, out=s), out=total)
+    total += np.multiply(2.0, k[2].array, out=s)
+    total += k[3].array
     total *= sixth_h
-    return np.add(y, total, out=total)
+    np.add(y, total, out=total)
+    ws[:2] = spare, state
+
+
+# the rows of a segment held for one fold of |K Kbar - I| (_integrate)
+_FOLD_ROWS = 8
 
 
 def _chunks(groups: list[list[JumpConfiguration]], horizon: float | None, step: float,
-            block: int, rows: bool):
+            dim: int, flows: bool, rows: bool):
     """Consecutive chunks of the paths of ``groups``, taken group after group,
     each of one horizon, as ``(parts, grids)``: ``parts`` lists the chunk's
     run of paths of each group it reaches as ``(group, start, configs)``, the
     index of the run's first path in its group and its configurations, and
     ``grids`` holds the chunk's regular grid and each path's number of jumps
     up to the horizon.  Counting a grid as its nodes plus its jumps, a bound
-    on the merged grid, a chunk holds at most :data:`_CHUNK_VALUES` floats:
-    its padded grid arrays (paths x longest grid x ``_GRID_VALUES``) and
-    either its right limits on every padded row (paths x longest grid x
-    ``block``) and its left limits at the jumps (jumps x ``block``), or with
-    ``rows`` only its last rows (paths x ``block``) and both limits at the
-    jumps (2 x jumps x ``block``); a longer path is a chunk of its own."""
+    on the merged grid, a chunk holds at most :data:`_CHUNK_VALUES` floats,
+    with ``block`` the values of one row of one path (X, and with ``flows`` K
+    and Kbar):
+
+    * its padded grid arrays, paths x longest grid x ``_GRID_VALUES``;
+    * its workspace, per path seven ``block`` for the RK4 step
+      (:func:`_rk4_step`) and ``3 dim`` for the step factors, and with
+      ``flows`` one x-Jacobian and ``_FOLD_ROWS`` rows awaiting the fold;
+    * per jump its time and mark, and with ``flows`` its ``dx_c`` slopes and
+      its jump matrix;
+    * its stored limits: its right limits on every padded row (paths x
+      longest grid x ``block``) and its left limits at the jumps (jumps x
+      ``block``), or with ``rows`` only its last rows (paths x ``block``)
+      and both limits at the jumps (2 x jumps x ``block``).
+
+    A longer path is a chunk of its own."""
+    block = dim * (1 + 2 * dim if flows else 1)
     per_row = _GRID_VALUES + (0 if rows else block)
-    per_path, per_jump = (block, 2 * block) if rows else (0, block)
-    parts, nodes, counts, longest, jumps = [], None, [], 0, 0
+    per_path = (7 + (_FOLD_ROWS if flows else 0) + rows) * block + 3 * dim \
+        + (dim * dim if flows else 0)
+    per_jump = (2 if rows else 1) * block + 1 + (2 * dim * dim if flows else 0)
+    parts, nodes, counts, longest, at_jumps = [], None, [], 0, 0
     for g, configs in enumerate(groups):
         for i, config in enumerate(configs):
             h = config.horizon if horizon is None else float(horizon)
@@ -511,17 +575,16 @@ def _chunks(groups: list[list[JumpConfiguration]], horizon: float | None, step: 
                 raise DomainError(f"horizon must lie in (0, {config.horizon}], got {h}")
             grid = nodes if nodes is not None and nodes[-1] == h else _regular_grid(h, step)
             j = int(np.searchsorted(config.times, h, side="right"))
-            m = grid.shape[0] + j
-            size = (len(counts) + 1) * (max(longest, m) * per_row + per_path) \
-                + (jumps + j) * per_jump
+            m, held = grid.shape[0] + j, j * (per_jump + config.mark_dimension)
+            size = (len(counts) + 1) * (max(longest, m) * per_row + per_path) + at_jumps + held
             if counts and (grid is not nodes or size > _CHUNK_VALUES):
                 yield [(k, a, groups[k][a:b]) for k, a, b in parts], (nodes, counts)
-                parts, counts, longest, jumps = [], [], 0, 0
+                parts, counts, longest, at_jumps = [], [], 0, 0
             if parts and parts[-1][0] == g:
                 parts[-1][2] = i + 1
             else:
                 parts.append([g, i, i + 1])
-            nodes, longest, jumps = grid, max(longest, m), jumps + j
+            nodes, longest, at_jumps = grid, max(longest, m), at_jumps + held
             counts.append(j)
     if counts:
         yield [(k, a, groups[k][a:b]) for k, a, b in parts], (nodes, counts)
@@ -566,30 +629,16 @@ def _stack_grids(configs: Sequence[JumpConfiguration], grids: tuple, lengths: Se
     return order, sizes, times, is_jump, atom_index, marks
 
 
-def _flow_products(a: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """The flow rows of ``out``, the C-ordered velocity of a component-major
-    batch ``y`` of ``P`` paths, ``(1 + 2d, P, d)``: ``a K`` in its K rows and
-    ``-Kbar a`` in its Kbar rows.  ``a`` holds one x-Jacobian per path, ``(P,
-    d, d)``, or one per run of ``P / R`` consecutive paths, ``(R, d, d)``.  A
-    path's products are taken on strided views of the batch; a run's K rows
-    are one ``(d, P/R d)`` matrix and its Kbar rows ``d`` matrices of ``(P/R,
-    d)``, so the runs take ``R (1 + d)`` BLAS calls where the paths take ``2
-    P``, to the same bits.  numpy takes the product of one row with another
+def _flow_products(a: np.ndarray, src: _Buffer, dst: _Buffer) -> None:
+    """The flow rows of ``dst``, the velocity of the buffer ``src``: ``a K``
+    in its K rows and ``-Kbar a`` in its Kbar rows, ``a`` holding the
+    x-Jacobian of each run of paths the buffers were shaped for, ``(runs, d,
+    d)``.  The runs take ``runs (1 + d)`` BLAS calls where the paths take ``2
+    n``, to the same bits.  numpy takes the product of one row with another
     kernel, which rounds otherwise, so one-path runs go path by path."""
-    runs, d = a.shape[0], a.shape[-1]
-    if y.shape[1] == 1:  # one path: its plain (d, d) matrices, quicker to take
-        np.matmul(a[0], y[1:d + 1, 0], out=out[1:d + 1, 0])
-        out[d + 1:, 0] = -np.matmul(y[d + 1:, 0], a[0])
-        return
-    k, kbar = out[1:d + 1], out[d + 1:]
-    # the axes name each operand's matrix; the others index the runs or paths
-    np.matmul(a, y[1:d + 1].reshape(d, runs, -1), axes=[(1, 2), (0, 2), (0, 2)],
-              out=k.reshape(d, runs, -1))
-    if runs < y.shape[1]:
-        np.matmul(y[d + 1:].reshape(d, runs, -1, d), a, out=kbar.reshape(d, runs, -1, d))
-    else:
-        np.matmul(y[d + 1:], a, axes=[(0, 2), (1, 2), (0, 2)], out=kbar)
-    np.negative(kbar, out=kbar)
+    np.matmul(a, src.k, out=dst.k)
+    np.matmul(src.kbar, a, out=dst.kbar)
+    np.negative(dst.kbar, out=dst.kbar)
 
 
 def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: bool,
@@ -604,37 +653,43 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     component-major: ``(1, P, d)`` holding X, or with ``flows`` ``(1 + 2d,
     P, d)`` holding X, the rows of K and the rows of Kbar, so that X is one
     contiguous block and a run's K rows one matrix.  A path drops out of the
-    batch after its last row, so row ``i`` advances the live prefix of each
-    run, each path between its own grid times: a view of the batch while
-    only the last live run shrinks, else a gather.  A stage calls the drift
-    once per live run on its slice of the batch, or once for consecutive
+    batch after its last row, so the loop goes by segments, stretches of
+    rows over which the same paths advance, each path between its own grid
+    times.  A segment steps in a workspace allocated as it starts, every
+    stage writing its velocity into its buffers (:func:`_rk4_step`):
+    the drift once per live run into the X rows, or once for consecutive
     runs whose compensator pairs, all their drift, are bound to the same two
-    functions, each run's parameter on its rows.  It takes the products of
-    the flows in two calls over the batch (:func:`_flow_products`): run by
-    run while every live run's x-Jacobian is one matrix (no ``dx_drift``, a
+    functions, each run's parameter on its rows; and the products of the
+    flows in two calls over the batch (:func:`_flow_products`), run by run
+    while every live run's x-Jacobian is one matrix (no ``dx_drift``, a
     state-free ``dx_compensator``) and the live runs hold the same number of
-    paths, at least two, else path by path.  Every jump's time and mark are
-    gathered once, in event order, and with flows a ``dx_c`` that reads
-    neither time nor state (:func:`_state_free`) is called once over all the
-    jumps of the runs holding it.  At a jump row ``c`` (and with flows any
-    other ``dx_c``) is called once for the jumping paths of consecutive runs
-    holding the same two, and the jump update, the finite-state checks, the
-    K product and the Kbar solve (one call of the ``np.linalg.solve``
-    kernel) act once on all of them.  With ``validate``, each run's
-    coefficient assumptions are checked once over every jump it took, from
-    the stored left limits, after the loop or, when the loop raises, over
-    the jumps taken so far before the error propagates.  The X entries of
-    every stage never read the flow entries, so X is the same bit for bit
-    with and without flows, and every operation acts on each path alone, so
-    a path's rows do not depend on the rest of the batch.  Errors name a
-    path by its index in its group.
+    paths, at least two, else path by path.
+
+    Every jump's time and mark are gathered once, in event order.  With
+    flows a ``dx_c`` that reads neither time nor state (:func:`_state_free`)
+    is called once over all the jumps of the runs holding it, and when every
+    run's is, so is each jump's matrix ``I + dx_c``, with the first event
+    whose matrix LAPACK finds singular.  At a jump row ``c`` (and with flows
+    any other ``dx_c``) is called once for the jumping paths of consecutive
+    runs holding the same two, and the jump update, the finite-state check,
+    the K product and the Kbar solve (one call of the ``np.linalg.solve``
+    kernel) act once on all of them.  With ``validate``, the coefficient
+    assumptions of consecutive runs holding the same ``c``, ``dx_c`` and
+    ``eta`` are checked in one call over every jump they took, run after
+    run, from the stored left limits, after the loop or, when the loop
+    raises, over the jumps taken so far before the error propagates.  The X
+    entries of every stage never read the flow entries, so X is the same bit
+    for bit with and without flows, and every operation acts on each path
+    alone, so a path's rows do not depend on the rest of the batch.  Errors
+    name a path by its index in its group.
 
     Returns, in batch order, the right limits: on every row, ``(P, m_max, 1
     [+ 2d], d)``, or with ``rows`` at the jump rows followed by each path's
     last row, ``(J + P, 1 [+ 2d], d)``; the left limits at the jumps, ``(J, 1
     [+ 2d], d)``, the jumps of a path consecutive in row order; and with
     ``flows`` each run's largest ``|K Kbar - I|`` over the rows of its paths,
-    folded in as the loop goes, else zeros.
+    folded in every ``_FOLD_ROWS`` rows of a segment and at its end, else
+    zeros.
     """
     d = x0.shape[0]
     order, sizes, times, is_jump, _, marks = stacked
@@ -649,10 +704,9 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     changes = sorted({1, *leaving}) + [m_max]
     # per row, the start, midpoint and end time and the step of every path
     by_row = np.ascontiguousarray(times.T)
-    # the step, its half and its sixth for every row and path: scalars when
-    # one path steps, else a (paths, d) plane each, repeated along d at each
-    # row (numpy combines either with y faster than a broadcast column, and
-    # to the same bits)
+    # the step, its half and its sixth for every row and path; a row's are
+    # copied along d into the workspace's (paths, d) planes, which numpy
+    # combines with the batch to the bits of a broadcast column
     factors = np.stack([by_row[1:] - by_row[:-1]] * 3)
     factors[1] *= 0.5
     factors[2] /= 6.0
@@ -670,14 +724,18 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     n_jumps = event_rows.shape[0]
     k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
     eye = np.eye(d)
+
+    def grouped(key) -> list[list[int]]:
+        return [list(ks) for _, ks in groupby(range(len(runs)), lambda k: key(runs[k][0]))]
+
     # consecutive runs share a jump row's calls when they hold the same c and
-    # dx_c, and a stage's drift call when their compensator pairs, all their
-    # drift, are bound to the same two functions
-    jump_groups = [list(ks) for _, ks in groupby(range(len(runs)), lambda k: (
-        runs[k][0].c, runs[k][0].dx_c))]
+    # dx_c, an assumption check when they also hold the same eta, and a
+    # stage's drift call when their compensator pairs, all their drift, are
+    # bound to the same two functions
+    jump_groups = grouped(lambda coeffs: (coeffs.c, coeffs.dx_c))
     jump_bounds = bounds[[ks[0] for ks in jump_groups] + [len(runs)]]
-    drift_groups = [list(ks) for _, ks in groupby(range(len(runs)),
-                                                  lambda k: _bound_pair(runs[k][0]) or k)]
+    check_groups = grouped(lambda coeffs: (coeffs.c, coeffs.dx_c, coeffs.eta))
+    drift_groups = grouped(lambda coeffs: _bound_pair(coeffs) or object())
     # a run's between-jump x-Jacobian is one matrix without dx_drift and with
     # a state-free dx_compensator, as in _effective_drift
     constant = [c.dx_drift is None and _state_free(c.dx_compensator) for c, *_ in runs]
@@ -693,96 +751,109 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
             slopes[mine] = _shape_checked("dx_c", np.asarray(slope, dtype=float), (mine.size, d, d),
                                           lambda: f" at t = {event_times[mine[0]]} on path "
                                                   f"{named[event_paths[mine[0]]]}")
+    # the jump tables: with flows each jump's matrix I + dx_c, all of them
+    # here when every dx_c is state-free, with the first event whose matrix
+    # LAPACK finds singular as the solve factors it, else each at its row
+    tables = flows and all(free)
+    matrices = eye + slopes if tables else np.empty((n_jumps, d, d)) if flows else None
+    singular_at = None
+    if tables:
+        with np.errstate(all="ignore"):
+            suspects = np.flatnonzero(~np.isfinite(_umath_linalg.inv(
+                matrices.transpose(0, 2, 1), signature="d->d")).all(axis=(1, 2)))
+        k = _first_singular(matrices[suspects])
+        singular_at = n_jumps if k is None else int(suspects[k])
     # the drift of a lone live group, else each group's; where the flow
     # products go run by run, the first batch row of each live run, and the
-    # runs' matrices, the same at every stage of a segment
-    single, live_runs, run_starts, blocks = None, [], None, [None]
+    # runs' matrices, the same at every stage of a segment; else with flows
+    # and several drifts, the segment's buffer of one x-Jacobian per path
+    single, live_runs, run_starts, blocks, per_path = None, [], None, [None], None
 
-    def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def rhs(t: np.ndarray, src: _Buffer, dst: _Buffer) -> None:
         if single is not None:
-            v, a = single(t, y[0])
-            if a is None:
-                return v[None]
-            out = np.empty(y.shape)
-            out[0] = v
+            a = single(t, src.x, out=dst.x)[1]
         else:
-            out, a = np.empty(y.shape), np.empty((y.shape[1], d, d)) if flows else None
+            a = per_path
             for drift, s in live_runs:
-                out[0, s], a_s = drift(t[s], y[0, s])
+                a_s = drift(t[s], src.x[s], out=dst.x[s])[1]
                 if flows:
                     a[s] = a_s
-            if a is None:
-                return out
-        if run_starts is not None and blocks[0] is None:
-            blocks[0] = a[run_starts]
-        _flow_products(a if run_starts is None else blocks[0], y, out)
-        return out
+        if flows:
+            if run_starts is not None:
+                if blocks[0] is None:
+                    blocks[0] = a[run_starts]
+                a = blocks[0]
+            _flow_products(a, src, dst)
 
     def jump(e0: int, e1: int, batch: np.ndarray, prior: np.ndarray) -> np.ndarray:
         """The right limits of the paths ``batch`` at jumps ``e0`` to ``e1``
         from their left limits ``prior``, one path's block per entry."""
         t, u, x_left = event_times[e0:e1], event_marks[e0:e1], prior[:, 0].copy()
         where = lambda k: f"on path {named[batch[k]]}"
-        n = batch.shape[0]
-        block, jump_matrix = np.empty_like(prior), np.empty((n, d, d)) if flows else None
-        cuts = [0, n] if len(jump_groups) == 1 else np.searchsorted(batch, jump_bounds).tolist()
+        singular = lambda k: f"jump update I + dx_c singular at (t={t[k]}, u={u[k]}) {where(k)}"
+        block, jump_matrix = np.empty_like(prior), matrices[e0:e1] if flows else None
+        cuts = [0, batch.shape[0]] if len(jump_groups) == 1 \
+            else np.searchsorted(batch, jump_bounds).tolist()
         for ks, lo, hi in zip(jump_groups, cuts, cuts[1:]):
             if hi > lo:
                 coeffs = runs[ks[0]][0]
                 point, shape = (t[lo:hi], x_left[lo:hi], u[lo:hi]), (hi - lo, d)
                 at_first = lambda lo=lo: f" at t = {t[lo]} {where(lo)}"
-                if flows:
+                if flows and not tables:
                     slope = slopes[e0 + lo:e0 + hi] if free[ks[0]] else _shape_checked(
                         "dx_c", np.asarray(coeffs.dx_c(*point), dtype=float), (*shape, d), at_first)
-                    jump_matrix[lo:hi] = eye + slope
+                    np.add(eye, slope, out=jump_matrix[lo:hi])
                 size = np.asarray(coeffs.c(*point), dtype=float)
-                block[lo:hi, 0] = x_left[lo:hi] + _shape_checked("c", size, shape, at_first)
+                np.add(x_left[lo:hi], _shape_checked("c", size, shape, at_first),
+                       out=block[lo:hi, 0])
         if not np.isfinite(block[:, 0]).all():
             k = _first(~np.isfinite(block[:, 0]).all(axis=1))
             raise NumericError(f"jump update produced non-finite state at t = {t[k]} {where(k)}")
         if flows:
-            block[:, k_rows] = jump_matrix @ prior[:, k_rows]
-            block[:, kb_rows] = _solve_right(
-                prior[:, kb_rows], jump_matrix,
-                lambda k: f"jump update I + dx_c singular at (t={t[k]}, u={u[k]}) {where(k)}")
+            np.matmul(jump_matrix, prior[:, k_rows], out=block[:, k_rows])
+            if not tables:
+                block[:, kb_rows] = _solve_right(prior[:, kb_rows], jump_matrix, singular)
+            elif e0 <= singular_at < e1:
+                raise ModelError(singular(singular_at - e0))
+            else:  # Kbar a^{-1} as the transpose of a^{-T} Kbar^T
+                _umath_linalg.solve(jump_matrix.transpose(0, 2, 1),
+                                    prior[:, kb_rows].transpose(0, 2, 1), signature="dd->d",
+                                    out=block[:, kb_rows].transpose(0, 2, 1))
         return block
 
     def check(taken: int) -> None:
-        """Each run's coefficient assumptions at the first ``taken`` jumps."""
+        """The coefficient assumptions at the first ``taken`` jumps."""
         paths = event_paths[:taken]
-        for k, (coeffs, *_) in enumerate(runs):
-            mine = np.flatnonzero((paths >= bounds[k]) & (paths < bounds[k + 1]))
+        for ks in check_groups:
+            # the group's jumps, run after run, each run's in event order
+            mine = np.concatenate([np.flatnonzero((paths >= bounds[k]) & (paths < bounds[k + 1]))
+                                   for k in ks])
             if mine.size:
-                _check_r_conditions(coeffs, event_times[mine], left[event_slots[mine], 0],
+                _check_r_conditions(runs[ks[0]][0], event_times[mine], left[event_slots[mine], 0],
                                     event_marks[mine], lambda j: f"on path {named[paths[mine[j]]]}",
-                                    slopes[mine] if free[k] else None)
+                                    slopes[mine] if free[ks[0]] else None)
 
-    worst = np.zeros(len(runs))
-    pending = []  # (states, their runs) of the rows not yet folded into worst
+    worst = np.zeros(n_paths)  # each batch row's largest |K Kbar - I|
 
-    def fold() -> None:
-        states = np.concatenate([s for s, _ in pending], axis=1)
-        ids = np.concatenate([r for _, r in pending])
-        # a run's rows come in stretches, each one slice of the reduceat
-        starts = np.flatnonzero(np.diff(ids, prepend=-1))
-        pending.clear()
+    def fold(states: np.ndarray) -> None:
+        """Fold rows ``(rows, 1 + 2d, n, d)`` of the live paths into ``worst``."""
         with np.errstate(all="ignore"):
-            gap = states[k_rows].transpose(1, 0, 2) @ states[kb_rows].transpose(1, 0, 2)
+            gap = states[:, k_rows].transpose(0, 2, 1, 3) @ states[:, kb_rows].transpose(0, 2, 1, 3)
             gap -= eye
             np.abs(gap, out=gap)
-            np.maximum.at(worst, ids[starts], np.maximum.reduceat(gap.ravel(), d * d * starts))
+            np.maximum.at(worst, live, gap.max(axis=0).reshape(live.shape[0], -1).max(axis=1))
 
-    y = np.zeros((1 + 2 * d if flows else 1, n_paths, d))
+    shape = (1 + 2 * d if flows else 1, n_paths, d)
+    right = np.empty(((n_jumps + n_paths,) if rows else (n_paths, m_max)) + shape[::2])
+    left = np.empty((n_jumps,) + shape[::2])
+    y = np.zeros(shape)
     y[0] = x0
     if flows:
         y[k_rows] = y[kb_rows] = eye[:, None]
-    if rows:
-        right = np.empty((n_jumps + n_paths,) + y.shape[::2])
-    else:
-        right = np.empty((n_paths, m_max) + y.shape[::2])
+    if not rows:
         right[:, 0] = y.transpose(1, 0, 2)
-    left = np.empty((n_jumps,) + y.shape[::2])
-    live, buffered = np.arange(n_paths), 0  # the batch rows still advancing
+    # the batch rows still advancing, and the ones of them the next segment keeps
+    live, keep = np.arange(n_paths), np.ones(n_paths, dtype=bool)
     taken, error = 0, None  # jumps reached by the loop, in event order
     try:
         for start, stop in zip(changes, changes[1:]):
@@ -794,8 +865,6 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
                 keep = np.ones(live.shape[0], dtype=bool)
                 keep[at] = False
                 live = live[keep]
-                # compress keeps the batch C-ordered, where y[:, keep] would not
-                y = y[:, :live.shape[0]] if at[0] == live.shape[0] else y.compress(keep, axis=1)
             # rows start to stop - 1 advance the same paths: their times, as
             # a view while they are a prefix of the batch
             n = live.shape[0]
@@ -816,13 +885,24 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
             ks = np.flatnonzero(counts)  # the live runs: by run when all hold as many paths, 2+
             by_run = np.ptp(counts[ks]) == 0 < counts[ks[0]] - 1 and all(constant[k] for k in ks)
             run_starts, blocks = cuts[ks] if flows and by_run else None, [None]
-            live_ids = np.repeat(np.arange(len(runs)), counts)
+            # the segment's workspace (_rk4_step), holding the live paths' state,
+            # and with flows its rows not yet folded into worst
+            ws = [_Buffer((shape[0], n, d), None if not flows else ks.size if by_run else n)
+                  for _ in range(7)]
+            steps = np.empty((3, n, d))
+            held = np.empty((_FOLD_ROWS, shape[0], n, d)) if flows else None
+            per_path = np.empty((n, d, d)) if flows and single is None else None
+            np.compress(keep, y, axis=1, out=ws[0].array)
             for i in range(start, stop):
                 r = i - start
-                h, half_h, sixth_h = seg_factors[:, r, 0] if n == 1 else np.repeat(
-                    seg_factors[:, r, :, None], d, axis=2)
-                y = _rk4_step(rhs, seg_times[r], seg_halves[r], seg_times[r + 1], h, half_h,
-                              sixth_h, y)
+                if n == 1:
+                    h, half_h, sixth_h = seg_factors[:, r, 0]
+                else:
+                    np.copyto(steps, seg_factors[:, r, :, None])
+                    h, half_h, sixth_h = steps
+                _rk4_step(rhs, ws, seg_times[r], seg_halves[r], seg_times[r + 1], h, half_h,
+                          sixth_h)
+                y = ws[0].array
                 if not np.isfinite(y).all():
                     k = live[_first(~np.isfinite(y).all(axis=(0, 2)))]
                     raise NumericError(
@@ -841,15 +921,11 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
                 if not rows:
                     right[cols, i] = y.transpose(1, 0, 2)
                 if flows:
-                    pending.append((y, live_ids))
-                    buffered += n
-                    if buffered >= 1024:
-                        fold()
-                        buffered = 0
+                    held[r % _FOLD_ROWS] = y
+                    if r % _FOLD_ROWS == _FOLD_ROWS - 1 or i == stop - 1:
+                        fold(held[:r % _FOLD_ROWS + 1])
         if rows:
             right[n_jumps + live] = y.transpose(1, 0, 2)
-        if pending:
-            fold()
     except Exception as caught:
         error = caught
     # an assumption violated at a jump already taken wins over a later error
@@ -857,7 +933,7 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
         check(taken)
     if error is not None:
         raise error
-    return right, left, worst
+    return right, left, np.maximum.reduceat(worst, bounds[:-1])
 
 
 def _trajectories(coeffs: CoefficientSet, chunk: tuple, flows: bool) -> list[Trajectory]:
@@ -905,11 +981,9 @@ def _solve_chunks(groups: Sequence[tuple], x0: np.ndarray, step: float, horizon:
     if not np.isfinite(x0).all():
         raise InputError(f"x0 must be finite, got {x0.tolist()}")
     drifts = [_effective_drift(coeffs, model, flows) for coeffs, model, _ in groups]
-    d = x0.shape[0]
-    block = d * (1 + 2 * d if flows else 1)
     resid = [0.0] * len(groups)
-    for parts, grids in _chunks([configs for *_, configs in groups], horizon, step, block,
-                                rows):
+    for parts, grids in _chunks([configs for *_, configs in groups], horizon, step,
+                                x0.shape[0], flows, rows):
         stacked = _stack_grids([config for *_, part in parts for config in part], grids,
                                [len(part) for *_, part in parts])
         right, left, worst = _integrate(

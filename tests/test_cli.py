@@ -760,9 +760,9 @@ def test_custom_simulate_integrates_the_compensator_once_per_state(tmp_path, mon
     def spied(coeffs, model, flows):
         drift = effective_drift(coeffs, model, flows)
 
-        def call(t, x):
+        def call(t, x, **kwargs):  # forwards the solve's output buffer
             states.add((np.asarray(t, float).tobytes(), np.asarray(x, float).tobytes()))
-            return drift(t, x)
+            return drift(t, x, **kwargs)
         return call
 
     monkeypatch.setattr(engine, "_effective_drift", spied)

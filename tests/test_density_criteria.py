@@ -260,10 +260,14 @@ def test_rank_stats_pipeline_same_in_chunks(monkeypatch):
         chunks.append(len(configs))
         return stack(configs, grids, lengths)
 
-    # 401 regular rows plus the atoms of about 7 grid values each, 21 stored
-    # values per path (its last row) and 42 per atom (both limits at the
-    # jump): at most three paths per chunk, the levels sharing chunks
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", 12000)
+    # 401 regular rows plus the atoms of about 7 grid values each, 354 values
+    # per path (its last row of 21 and its workspace of 15 rows of 21, a
+    # Jacobian and the step factors) and 63 per atom (both limits at the
+    # jump, its time, mark, slopes and jump matrix): chunks of two paths take
+    # 8,071 to 10,567 floats and of three 12,517 to 13,926, so at most three
+    # paths per chunk, the levels sharing chunks as at a cap of 12,000 before
+    # the workspace and the jump tables were counted
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 14000)
     monkeypatch.setattr(engine, "_stack_grids", counted)
     chunked = monte_carlo_rank_stats(scenario, 8, _EPSILONS, seed=12)
     assert max(chunks) <= 3 and len(chunks) >= 3 * len(_EPSILONS)

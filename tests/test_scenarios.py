@@ -531,9 +531,11 @@ def test_gammas_frees_each_chunk_before_the_next(monkeypatch):
         solved.extend([weakref.ref(right), weakref.ref(left)])
         return right, left, worst
 
-    # about 440 rows of about 7 grid values and 21 stored values (the last
-    # row) per path, plus 42 per atom (both limits at the jump): two paths
-    # per chunk
+    # about 440 rows of about 7 grid values and 354 values (the last row of
+    # 21 and the workspace of 15 rows of 21, a Jacobian and the step factors)
+    # per path, plus 63 per atom (both limits at the jump, its time, mark,
+    # slopes and jump matrix): a pair takes 11,002 to 11,935 floats, two
+    # paths per chunk
     monkeypatch.setattr(engine, "_CHUNK_VALUES", 12000)
     monkeypatch.setattr(engine, "_integrate", tracked)
     matrices = scenario.gammas(configs)
@@ -610,7 +612,7 @@ def _wobble(strength):
     return {"drift": drift, "dx_drift": dx_drift}
 
 
-@pytest.mark.parametrize("chunk_values", [None, 12000])
+@pytest.mark.parametrize("chunk_values", [None, 13000])
 def test_sweep_gammas_have_the_bits_of_each_level_alone(monkeypatch, chunk_values):
     import hashlib
 
@@ -624,7 +626,9 @@ def test_sweep_gammas_have_the_bits_of_each_level_alone(monkeypatch, chunk_value
         return stack(configs, grids, lengths)
 
     if chunk_values is not None:
-        # about 3,000 to 5,000 floats per path: two or three paths per chunk
+        # about 3,000 to 3,500 floats per path for the grid arrays, 170 (a
+        # doleans path) or 354 (an area path) for its last row and workspace,
+        # and 30 or 63 per atom: two to four paths per chunk
         monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
     for scenario, truncations in _open_sweeps():
         levels = _area_sweep(scenario, levels=truncations)
@@ -676,8 +680,9 @@ def test_sweep_calls_the_shared_coefficients_once_per_stage_and_jump_row(monkeyp
     [(_, _, times, is_jump, _, _)] = grids  # one chunk of all three levels
     # four RK4 stages per row the loop advances, one call each for all levels
     assert calls["_area_comp"] == 4 * (times.shape[1] - 1)
-    # one call per row where any path jumps, plus one per level's assumption check
-    assert calls["_area_c"] == np.count_nonzero(is_jump.any(axis=0)) + 3
+    # one call per row where any path jumps, plus one for the assumption check
+    # of the levels, which share c, dx_c and eta
+    assert calls["_area_c"] == np.count_nonzero(is_jump.any(axis=0)) + 1
 
 
 def test_sweep_takes_the_flow_products_of_equal_runs_in_one_product_each(monkeypatch):
@@ -687,15 +692,24 @@ def test_sweep_takes_the_flow_products_of_equal_runs_in_one_product_each(monkeyp
     import lentparticle.scenarios as scenarios
     import lentparticle.sde_engine as engine
 
-    products, stages, grids = [], [0], []
-    comp, stack = scenarios._area_comp, engine._stack_grids
+    products, stages, grids, staging = [], [0], [], [False]
+    comp, stack, flow_products = scenarios._area_comp, engine._stack_grids, engine._flow_products
 
     def matmul(x1, x2, out=None, axes=((-2, -1),) * 3):
-        # the matrix products numpy makes, one BLAS call each
+        # the matrix products numpy makes in a stage, one BLAS call each
         result = np.matmul(x1, x2, out=out, axes=list(axes))
-        rows, cols = (result.shape[axis] for axis in axes[2])
-        products.append(result.size // (rows * cols))
+        if staging[0]:
+            rows, cols = (result.shape[axis] for axis in axes[2])
+            products.append(result.size // (rows * cols))
         return result
+
+    def staged(*args):
+        # a stage's flow products; a jump row's K product is not counted
+        staging[0] = True
+        try:
+            flow_products(*args)
+        finally:
+            staging[0] = False
 
     def counted(*args):
         stages[0] += 1
@@ -712,6 +726,7 @@ def test_sweep_takes_the_flow_products_of_equal_runs_in_one_product_each(monkeyp
     counting = Numpy("numpy")
     counting.matmul = matmul
     monkeypatch.setattr(engine, "np", counting)
+    monkeypatch.setattr(engine, "_flow_products", staged)
     monkeypatch.setattr(scenarios, "_area_comp", counted)
     monkeypatch.setattr(engine, "_stack_grids", recorded)
     scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
@@ -723,6 +738,58 @@ def test_sweep_takes_the_flow_products_of_equal_runs_in_one_product_each(monkeyp
     equal = 4 * (sizes.min() - 1)
     assert 0 < equal < stages[0]
     assert products[:2 * equal] == [3, 9] * equal
+
+
+def test_sweep_checks_the_levels_sharing_coefficients_in_one_call(monkeypatch):
+    import dataclasses
+
+    import lentparticle.sde_engine as engine
+
+    calls, check = [], engine._check_r_conditions
+
+    def counted(coeffs, t, *args):
+        calls.append(t.shape[0])
+        return check(coeffs, t, *args)
+
+    monkeypatch.setattr(engine, "_check_r_conditions", counted)
+    scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
+    levels = _area_sweep(scenario)
+    scenario.sweep_gammas(levels)
+    # the three levels hold the same c, dx_c and eta: one call over all their jumps
+    assert calls == [sum(config.n_atoms for configs, _ in levels for config in configs)]
+
+
+@pytest.mark.parametrize("below,level", [(0.02, 2), (0.04, 1)])
+def test_sweep_check_reads_as_the_first_failing_level_alone(monkeypatch, below, level):
+    import lentparticle.sde_engine as engine
+
+    def eta(u):  # shared by every level, broken by the marks of the finest one or two
+        size = np.linalg.norm(u, axis=1)
+        return np.where(size < below, 1e-3, 1.0 + size)
+
+    calls, check = [], engine._check_r_conditions
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return check(*args)
+
+    monkeypatch.setattr(engine, "_check_r_conditions", counted)
+    scenario = _area_by_level({eps: {"eta": eta} for eps in _SWEEP_LEVELS})
+    # at this seed the finest level's first failing jump comes before the
+    # middle level's, at 0.0023 against 0.057 when both fail
+    groups = [(scenario.make_coeffs(scenario.model(eps)), scenario.model(eps), configs)
+              for configs, eps in _area_sweep(scenario, seed=7)]
+
+    def message(groups):
+        with pytest.raises(ModelError) as info:
+            list(engine._solve_chunks(groups, scenario.x0, scenario.step, None, True, True, True))
+        return str(info.value)
+
+    swept = message(groups)
+    assert len(calls) == 1 and "exceeds eta" in swept
+    # the first level that fails, its paths numbered alone, though a finer
+    # level's may fail at an earlier row
+    assert swept == message(groups[level:level + 1])
 
 
 def test_sweep_takes_the_jump_jacobian_once_per_chunk(monkeypatch):

@@ -13,6 +13,7 @@ from lentparticle.scenarios import power_law_first_moment, power_law_model, unif
 from lentparticle.sde_engine import (
     _ETA_SLACK,
     CoefficientSet,
+    _Buffer,
     _effective_drift,
     _flow_products,
     _spectral_norms,
@@ -175,7 +176,7 @@ def test_stacked_grids_merge_as_union1d_on_each_path(batch):
     groups = [configs[:len(configs) // 2], configs[len(configs) // 2:]]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_CHUNK_VALUES", chunk_values)
-        chunks = list(engine._chunks(groups, horizon, 0.05, 3, False))
+        chunks = list(engine._chunks(groups, horizon, 0.05, 1, True, False))
     assert [(g, i) for parts, _ in chunks for g, start, part in parts
             for i in range(start, start + len(part))] \
         == [(g, i) for g, group in enumerate(groups) for i in range(len(group))]
@@ -222,10 +223,12 @@ def test_batch_runs_in_chunks(monkeypatch):
     configs = [simulate(model, horizon=1.0, seed=s) for s in range(7)]
     x0 = np.array([0.4, -0.2])
     whole = solve_sde(nonlinear_2d(), model, configs, x0=x0, step=0.01, flows=True)
-    # 101 regular rows plus a few atoms per path, 10 stored values per row
-    # (right limits of X, K and Kbar) and per atom (left limits), and about 5
-    # more per row for the grid arrays: at most two paths per chunk
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", 4000)
+    # 101 regular rows plus a few atoms per path at about 17 values each: 10
+    # stored (right limits of X, K and Kbar) and 7 for the grid arrays; 160
+    # for the workspace (15 rows of 10, a Jacobian and the step factors); 20
+    # per atom (its left limits, time, mark, slopes and jump matrix).  A pair
+    # takes 4,036 to 4,110 floats and three paths over 6,000: two per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 4500)
     chunked = solve_sde(nonlinear_2d(), model, configs, x0=x0, step=0.01, flows=True)
     assert len({id(t.states.base) for t in chunked}) == 4
     for a, b in zip(whole, chunked):
@@ -543,6 +546,33 @@ def test_singular_jump_update_rejected():
         solve_sde(coeffs, model, cfg, x0=np.array([1.0]), step=0.01, flows=True)
 
 
+@pytest.mark.parametrize("validate", [False, True])
+def test_singular_jump_is_named_alike_from_the_jump_tables(validate):
+    # a dx_c that reads neither time nor state has the jump matrices of a
+    # chunk, and the first singular one, taken before the loop; the loop still
+    # stops at that jump's row, with the message of a dx_c called at the row
+    def dx_c(t, x, u):
+        return np.where(u[:, :1, None] > 0.5, -1.0, u[:, :1, None])
+
+    def free(t, x, u):
+        return dx_c(t, x, u)
+
+    free.reads_time = free.reads_state = False
+    coeffs = CoefficientSet(dim=1, c=lambda t, x, u: x * u[:, :1], dx_c=dx_c,
+                            du_c=_constant(np.zeros((1, 1))), compensator=_constant(np.zeros(1)),
+                            dx_compensator=_constant(np.zeros((1, 1))))
+    # path 1 jumps with a singular update at 0.4, path 0 at 0.6, after it
+    configs = [_config([0.2, 0.6], [0.3, 0.55]), _config([0.4, 0.6, 0.8], [0.7, 0.2, 0.9]),
+               _config([0.1], [0.2])]
+    messages = []
+    for case in (coeffs, dataclasses.replace(coeffs, dx_c=free)):
+        with pytest.raises(ModelError) as info:
+            solve_sde(case, _uniform_model(), configs, np.array([1.0]), 0.01, validate=validate,
+                      flows=True)
+        messages.append(str(info.value))
+    assert messages == ["jump update I + dx_c singular at (t=0.4, u=[0.7]) on path 1"] * 2
+
+
 def test_domination_bound_enforced():
     coeffs = CoefficientSet(
         dim=1,
@@ -638,9 +668,10 @@ def test_flow_products_by_run_have_the_bits_of_each_path():
                     per_path = np.repeat(blocks, n, axis=0)
                     k, kbar = _old_layout_products(per_path, y)
                     for a in (blocks, per_path):  # by run (one-path runs: by path), by path
-                        out = np.full(y.shape, np.nan)
-                        _flow_products(a, y, out)
-                        case = (d, runs, n, shape, a.shape[0])
+                        src, dst = _Buffer(y.shape, a.shape[0]), _Buffer(y.shape, a.shape[0])
+                        src.array[...], dst.array[...] = y, np.nan
+                        _flow_products(a, src, dst)
+                        out, case = dst.array, (d, runs, n, shape, a.shape[0])
                         assert np.isnan(out[0]).all(), case
                         assert np.array_equal(out[1:d + 1].transpose(1, 0, 2), k), case
                         assert np.array_equal(out[d + 1:].transpose(1, 0, 2), -kbar), case
@@ -946,3 +977,165 @@ def test_levy_area_paths_with_flows_fit_one_chunk():
     coeffs = scenario.make_coeffs(scenario.model())
     trajs = solve_sde(coeffs, scenario.model(), configs, scenario.x0, scenario.step, flows=True)
     assert len({id(t.states.base) for t in trajs}) == 1
+
+
+# ------------------------------------------------------- the RK4 workspace
+
+
+def _allocating_rk4_step(rhs, t0, half, t1, h, half_h, sixth_h, y):
+    """The classical RK4 step as the engine took it before its workspace,
+    with fresh arrays for the velocities and the sum: the reference."""
+    k1 = rhs(t0, y)
+    k2 = rhs(half, stage := y + half_h * k1)
+    k3 = rhs(half, np.add(y, np.multiply(half_h, k2, out=stage), out=stage))
+    k4 = rhs(t1, np.add(y, np.multiply(h, k3, out=stage), out=stage))
+    total = np.add(k1, np.multiply(2.0, k2, out=stage))
+    total += np.multiply(2.0, k3, out=stage)
+    total += k4
+    total *= sixth_h
+    return np.add(y, total, out=total)
+
+
+def _reference_path(coeffs, model, config, x0, grid, flows):
+    """One path on its own grid ``(times, is_jump, atom_index)`` by the
+    allocating step, each velocity and jump update in a fresh array: every
+    row's right limits, ``(m, 1 [+ 2d], d)``, and the left limits at its jumps."""
+    from lentparticle.sde_engine import _effective_drift, _solve_right
+
+    times, is_jump, atom_index = grid
+    d, drift = coeffs.dim, _effective_drift(coeffs, model, flows)
+
+    def rhs(t, y):
+        v, a = drift(t, y[0])
+        if a is None:
+            return v[None]
+        out = np.empty(y.shape)
+        out[0] = v
+        np.matmul(a[0], y[1:d + 1, 0], out=out[1:d + 1, 0])
+        out[d + 1:, 0] = -np.matmul(y[d + 1:, 0], a[0])
+        return out
+
+    y = np.zeros((1 + 2 * d if flows else 1, 1, d))
+    y[0] = x0
+    if flows:
+        y[1:d + 1] = y[d + 1:] = np.eye(d)[:, None]
+    rows, left = [y[:, 0].copy()], []
+    for i in range(1, times.shape[0]):
+        t0, t1 = times[i - 1:i], times[i:i + 1]
+        h = t1[0] - t0[0]
+        y = _allocating_rk4_step(rhs, t0, t0 + h * 0.5, t1, h, h * 0.5, h / 6.0, y)
+        if is_jump[i]:
+            prior = y.transpose(1, 0, 2).copy()
+            point = (t1, prior[:, 0].copy(), config.marks[atom_index[i]][None])
+            y[0, 0] = prior[0, 0] + coeffs.c(*point)
+            if flows:
+                matrix = np.eye(d) + coeffs.dx_c(*point)
+                y[1:d + 1, 0] = (matrix @ prior[:, 1:d + 1])[0]
+                y[d + 1:, 0] = _solve_right(prior[:, d + 1:], matrix, str)[0]
+            left.append(prior[0])
+        rows.append(y[:, 0].copy())
+    return np.array(rows), np.array(left).reshape(-1, *y.shape[::2])
+
+
+def _area_levels(sizes, seed=7, **replaced):
+    """levy-area-1 runs of ``sizes`` paths at three truncation levels, as
+    groups ``(coeffs, model, configs)``, the sets' fields ``replaced``."""
+    from lentparticle.poisson_measure import simulate_configurations
+    from lentparticle.rng import path_seeds
+    from lentparticle.scenarios import get_scenario
+
+    scenario = get_scenario("levy-area-1")
+    groups = []
+    for k, (n, eps) in enumerate(zip(sizes, (0.05, 0.02, 0.008))):
+        model = scenario.model(eps)
+        groups.append((dataclasses.replace(scenario.make_coeffs(model), **replaced), model,
+                       simulate_configurations(model, 1.0, path_seeds(seed + k, n))))
+    return groups, scenario.x0
+
+
+def _area_wobble(t, x):
+    return 0.3 * np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2, np.zeros(len(x))])
+
+
+def _area_dx_wobble(t, x):
+    out = np.zeros((len(x), 3, 3))
+    out[:, 0, 1], out[:, 1, 0] = 0.9 * np.cos(3.0 * x[:, 1]), 0.6 * x[:, 0]
+    return out
+
+
+_STEPPER_CASES = {
+    "one path": lambda: _area_levels([1]),
+    "equal runs of 2": lambda: _area_levels([2, 2, 2]),
+    "equal runs of 3": lambda: _area_levels([3, 3, 3]),
+    "equal runs of 32": lambda: _area_levels([32, 32, 32]),
+    "unequal runs": lambda: _area_levels([2, 5, 3]),
+    "per-path a, unequal runs": lambda: _area_levels(
+        [2, 5, 3], drift=_area_wobble, dx_drift=_area_dx_wobble),
+    "per-path a, one run": lambda: _area_levels(
+        [4], drift=_area_wobble, dx_drift=_area_dx_wobble),
+}
+
+
+@pytest.mark.filterwarnings("ignore::lentparticle.errors.ConditioningWarning")
+@pytest.mark.parametrize("case", list(_STEPPER_CASES))
+def test_workspace_stepper_has_the_bits_of_the_allocating_step(case):
+    import lentparticle.sde_engine as engine
+
+    groups, x0 = _STEPPER_CASES[case]()
+    for flows in (False, True):
+        want = {(g, i): _reference_path(coeffs, model, config, x0,
+                                        _grid_of_one_path(config, 1.0, 0.05), flows)
+                for g, (coeffs, model, configs) in enumerate(groups)
+                for i, config in enumerate(configs)}
+        for rows in (False, True):
+            chunks = list(engine._solve_chunks(groups, x0, 0.05, None, True, flows, rows))
+            assert len(chunks) == 1
+            [(parts, (order, sizes, _, is_jump, _, _), right, left)] = chunks
+            paths = [(g, start + i) for g, start, part in parts for i in range(len(part))]
+            jumps = np.concatenate([[0], np.cumsum(np.count_nonzero(is_jump, axis=1))])
+            for b, p in enumerate(order):
+                states, at_jumps = want[paths[p]]
+                assert _same_bits(left[jumps[b]:jumps[b + 1]], at_jumps), (case, flows, rows)
+                if rows:
+                    got = np.concatenate([right[jumps[b]:jumps[b + 1]], right[jumps[-1] + b][None]])
+                    states = np.concatenate([states[is_jump[b, :sizes[p]]], states[-1:]])
+                else:
+                    got = right[b, :sizes[p]]
+                assert _same_bits(got, states), (case, flows, rows)
+
+
+def test_workspace_allocates_per_segment_and_jump_row_not_per_stage(monkeypatch):
+    import types
+
+    import lentparticle.sde_engine as engine
+
+    calls, grids, stack = [], [], engine._stack_grids
+
+    class Numpy(types.ModuleType):  # numpy counting the engine's empty arrays
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    counting = Numpy("numpy")
+    counting.empty = lambda *args, **kwargs: calls.append("empty") or np.empty(*args, **kwargs)
+    counting.empty_like = lambda *args, **kwargs: calls.append("like") or np.empty_like(
+        *args, **kwargs)
+
+    def recorded(*args):
+        grids.append(stack(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(engine, "np", counting)
+    monkeypatch.setattr(engine, "_stack_grids", recorded)
+    groups, x0 = _area_levels([32, 32, 32])
+    list(engine._solve_chunks(groups, x0, 0.0025, None, True, True, True))
+    [(_, sizes, times, is_jump, _, _)] = grids  # one chunk of three levels of 32 paths
+    segments, jump_rows = np.unique(sizes).size, np.count_nonzero(is_jump.any(axis=0))
+    stages = 4 * (times.shape[1] - 1)
+    # per chunk the empty start of its jump times (_stack_grids), the dx_c
+    # slopes, and the right and left limits; per segment the workspace's
+    # seven buffers, its step factors and its rows awaiting the fold (one
+    # drift for all levels, so no per-path Jacobian); per jump row the right
+    # limits of its jumping paths
+    assert calls.count("empty") == 4 + 9 * segments
+    assert calls.count("like") == jump_rows
+    assert 9 * segments + jump_rows < stages
