@@ -120,7 +120,8 @@ class BottomStructure:
         tol = 1e-12 * np.maximum(1.0, scratch.max(axis=0))
         swapped = np.take(entries, swap, axis=0, out=scratch)
         close = entries == swapped
-        close |= np.abs(np.subtract(entries, swapped, out=scratch), out=scratch) <= tol
+        with np.errstate(invalid="ignore"):  # inf - inf, where == already passed
+            close |= np.abs(np.subtract(entries, swapped, out=scratch), out=scratch) <= tol
         bad = np.flatnonzero(~close.all(axis=0))
         if bad.size:
             raise StructureError(f"xi(u) must be symmetric at mark {rows[bad[0]]}")
@@ -176,7 +177,7 @@ def gamma_matrix(jac: np.ndarray, marks: np.ndarray, structure: BottomStructure)
     bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))
     if bad.size:
         raise InputError(f"jacobian contains non-finite entries at mark {bad[0]}")
-    out = jac @ structure.weight(marks) @ jac.transpose(0, 2, 1)
+    out = jac @ structure.weight(marks) @ jac.transpose(0, 2, 1).copy()
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 

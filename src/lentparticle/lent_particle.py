@@ -361,8 +361,9 @@ def _path_sums(terms: np.ndarray, counts) -> np.ndarray:
     if counts.size * terms.shape[1] * terms.shape[2] == 1 and len(terms):
         return np.add.accumulate(terms, axis=0)[-1:] + 0.0
     padded = np.zeros((max(int(counts.max(initial=0)), 1), counts.size) + terms.shape[1:])
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    padded[np.arange(len(terms)) - starts, np.repeat(np.arange(counts.size), counts)] = terms
+    # term i, atom a of path p, goes to the flat slot a P + p
+    shift = np.repeat(np.arange(counts.size) - counts.size * (np.cumsum(counts) - counts), counts)
+    padded.reshape((-1,) + terms.shape[1:])[counts.size * np.arange(len(terms)) + shift] = terms
     return padded.sum(axis=0) + 0.0
 
 
@@ -399,8 +400,8 @@ def _flow_stack(coeffs: CoefficientSet, bs: BottomStructure, points: tuple, v: n
     # a term that is not finite makes a matrix that _psd_checked refuses
     with np.errstate(over="ignore", invalid="ignore"):
         if len(v):
-            terms = _symmetric(v @ g @ v.transpose(0, 2, 1))
-        return terms, _symmetric(k_t @ _path_sums(terms, counts) @ k_t.transpose(0, 2, 1))
+            terms = _symmetric(v @ g @ v.transpose(0, 2, 1).copy())
+        return terms, _symmetric(k_t @ _path_sums(terms, counts) @ k_t.transpose(0, 2, 1).copy())
 
 
 def _chunk_gammas(coeffs: Sequence[CoefficientSet], bs: BottomStructure,

@@ -242,12 +242,13 @@ def _simulate_table(model: TruncatedLevyModel, horizon: float, seeds: Sequence[i
     path = np.repeat(np.arange(len(counts)), counts)
     row = np.arange(total) - (ends - counts)[path]
     # each path's times sorted in a row of its own, padded with NaN, which
-    # sorts last
+    # sorts last; uniform(0, h) is 0 + h * random(), so one product scales them
     grid = np.full((len(counts), max(counts)), np.nan)
     for g, n, slot in zip(rngs, counts, grid):
-        slot[:n] = g.uniform(0.0, horizon, n)
+        g.random(out=slot[:n])
+    grid *= horizon
     grid.sort(axis=1)
-    times = grid[path, row]
+    times = grid.reshape(-1)[grid.shape[1] * path + row]
     # the law is diffuse; ties or exact zeros are a measure-zero artefact of
     # floating point, so a path that has one redraws its times on its own
     # stream, before its marks are drawn, rather than reject the run

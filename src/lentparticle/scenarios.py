@@ -112,11 +112,19 @@ __all__ = [
 # model factories
 # ---------------------------------------------------------------------------
 
+def _uniforms(rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
+    """``counts[i]`` uniforms on [0, 1) from each stream ``rngs[i]``, into one array in order."""
+    out = np.empty(sum(counts))
+    for rng, n, end in zip(rngs, counts, np.cumsum(counts).tolist()):
+        rng.random(out=out[end - n:end])
+    return out
+
+
 def _open_uniforms(rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
     """``counts[i]`` uniforms on ``(0, 1)`` from each stream ``rngs[i]``, stacked
     in stream order.  Each stream draws its uniforms; then a stream with a draw
     of exactly 0 draws it again, before its next draw, as often as it takes."""
-    v = np.concatenate([rng.random(n) for rng, n in zip(rngs, counts)])
+    v = _uniforms(rngs, counts)
     if not v.all():
         ends = np.cumsum(counts)
         for i in np.unique(np.searchsorted(ends, np.flatnonzero(v == 0.0), side="right")):
@@ -157,7 +165,7 @@ def power_law_model(
     def sampler(rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
         # every stream's magnitude draws, then every stream's sign draws
         v = _open_uniforms(rngs, counts)
-        sign_draws = np.concatenate([rng.random(n) for rng, n in zip(rngs, counts)])
+        sign_draws = _uniforms(rngs, counts)
         lo = truncation ** -alpha
         hi = bound ** -alpha
         mags = (lo - v * (lo - hi)) ** (-1.0 / alpha)
@@ -275,18 +283,23 @@ def polar_levy_model(
         # steps; the derivative 1 + a cos(theta) >= 1 - a > 0 keeps it
         # monotone.  The step acts on each entry alone, so once step k gives
         # back the iterate of step k - 2 the batch cycles with period 1 or 2,
-        # and the iterate of step 60 is the one of the same parity.
-        theta, previous, before = target.copy(), None, None
+        # and the iterate of step 60 is the one of the same parity.  Each step
+        # works in two buffers and writes over the iterate of step k - 3.
+        iterates = [target.copy(), np.empty_like(target), np.empty_like(target)]
+        step, slope = np.empty_like(target), np.empty_like(target)
         for k in range(1, 61):
-            before, previous = previous, theta.copy()
-            theta -= (theta + a * np.sin(theta) - target) / (1.0 + a * np.cos(theta))
-            if before is not None and np.array_equal(theta, before):
-                return theta if k % 2 == 0 else previous
-        return theta
+            theta, new = iterates[(k - 1) % 3], iterates[k % 3]
+            np.add(theta, np.multiply(a, np.sin(theta, out=step), out=step), out=step)
+            step -= target
+            np.add(1.0, np.multiply(a, np.cos(theta, out=slope), out=slope), out=slope)
+            np.subtract(theta, np.divide(step, slope, out=step), out=new)
+            if k > 1 and np.array_equal(new, iterates[(k - 2) % 3]):
+                return new if k % 2 == 0 else theta
+        return new
 
     def sampler(rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
         # every stream's angle draws, then every stream's radius draws
-        u = np.concatenate([rng.random(n) for rng, n in zip(rngs, counts)])
+        u = _uniforms(rngs, counts)
         v = _open_uniforms(rngs, counts)
         theta = sample_theta(2.0 * math.pi * u)
         rho = truncation ** (1.0 - v)
@@ -451,17 +464,26 @@ _doleans_dcomp.reads_time = _doleans_dcomp.reads_state = False
 _doleans_dx_c.reads_time = _doleans_dx_c.reads_state = False
 
 
+@dataclass(frozen=True)
+class _DoleansEta:
+    """``base + |u|``, equal for equal ``base``: a sweep's levels share one check."""
+
+    base: float
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return self.base + np.abs(u[:, 0])
+
+
 def doleans_coefficients(first_moment: float, bound: float) -> CoefficientSet:
     """Pair SDE for (Y, E): both components jump proportionally to the mark.
 
     Marks lie in ``(-bound, bound)`` with ``bound < 1``, so ``1 + u > 0``.
     """
-    eta_base = max(1.0, 1.0 / (1.0 - bound))
-    eta = lambda u: eta_base + np.abs(u[:, 0])
     return CoefficientSet(
         dim=2, c=_doleans_c, dx_c=_doleans_dx_c, du_c=_doleans_du_c,
         compensator=_Bound(_doleans_comp, first_moment),
-        dx_compensator=_Bound(_doleans_dcomp, first_moment), eta=eta, name="doleans-pair",
+        dx_compensator=_Bound(_doleans_dcomp, first_moment),
+        eta=_DoleansEta(max(1.0, 1.0 / (1.0 - bound))), name="doleans-pair",
     )
 
 
@@ -595,24 +617,27 @@ def _area_closed_path(times: np.ndarray, marks: np.ndarray, counts: np.ndarray, 
     on what the padding holds.  One scan over the concatenated paths would
     carry each path's total into the next.
     """
+    width = int(counts.max(initial=0)) + 1
     path = np.repeat(np.arange(counts.size), counts)
-    atom = np.arange(path.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # each atom's flat index in grid, by which the padded arrays are written
+    cell = np.arange(path.size) + np.repeat(width * np.arange(counts.size) - np.cumsum(counts)
+                                            + counts, counts)
     ends = np.arange(counts.size), 2 * counts + 1
     # each path's atom times, then t: dt is the interval before each atom
     # and the last one up to t, and 0 on the padding
-    grid = np.full((counts.size, int(counts.max(initial=0)) + 1), float(t))
-    grid[path, atom] = times
+    grid = np.full((counts.size, width), float(t))
+    grid.reshape(-1)[cell] = times
     dt = np.diff(grid, axis=1, prepend=0.0)
-    steps = np.zeros((counts.size, 2 * dt.shape[1], 2))
+    steps = np.zeros((counts.size, 2 * width, 2))
     steps[:, 1::2] = -(m1 * dt[:, :, None])
-    steps[path, 2 * atom + 2] = marks
+    steps.reshape(-1, 2)[2 * cell + 2] = marks
     x = np.add.accumulate(steps, axis=1)
     # integral of X over each interval (linear path, exact trapezoid)
     avg = 0.5 * (x[:, 0::2] + x[:, 1::2])
     terms = np.zeros(steps.shape[:2])
     terms[:, 1::2] = -m1[1] * (avg[:, :, 0] * dt) + m1[0] * (avg[:, :, 1] * dt)
-    lefts = x[path, 2 * atom + 1]
-    terms[path, 2 * atom + 2] = lefts[:, 0] * marks[:, 1] - lefts[:, 1] * marks[:, 0]
+    lefts = x.reshape(-1, 2)[2 * cell + 1]
+    terms.reshape(-1)[2 * cell + 2] = lefts[:, 0] * marks[:, 1] - lefts[:, 1] * marks[:, 0]
     return np.column_stack([x[ends], np.add.accumulate(terms, axis=1)[ends]]), path, lefts
 
 
@@ -639,10 +664,12 @@ def area_closed_gamma(times: np.ndarray, marks: np.ndarray, counts: np.ndarray, 
     a_t = v[path, 1] - u[:, 1] - 2.0 * lefts[:, 1]
     b_t = v[path, 0] - u[:, 0] - 2.0 * lefts[:, 0]
     n = a_t.size
-    jac = np.zeros((n, 3, 2))
-    jac[:, 0, 0] = jac[:, 1, 1] = 1.0
-    jac[:, 2, 0], jac[:, 2, 1] = a_t, -b_t
-    out = _path_sums(jac @ w @ jac.transpose(0, 2, 1), np.bincount(path, minlength=len(v)))
+    # a contiguous J^T: numpy takes a strided operand 3x as slowly, to the same bits
+    jac, jac_t = np.zeros((n, 3, 2)), np.zeros((n, 2, 3))
+    jac[:, 0, 0] = jac[:, 1, 1] = jac_t[:, 0, 0] = jac_t[:, 1, 1] = 1.0
+    jac[:, 2, 0] = jac_t[:, 0, 2] = a_t
+    jac[:, 2, 1] = jac_t[:, 1, 2] = -b_t
+    out = _path_sums(jac @ w @ jac_t, np.bincount(path, minlength=len(v)))
     if tangent:
         lam = graph_slope(u)
         span = np.column_stack([np.ones(n), lam, a_t - lam * b_t])

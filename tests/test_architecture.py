@@ -35,17 +35,44 @@ def _called(node: ast.Call):
     return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
 
 
+def _swaps_last_axes(node: ast.AST) -> bool:
+    """Whether ``node`` is ``x.mT``, ``x.swapaxes(-1, -2)`` (either order) or
+    ``x.transpose(0, ..., k - 1, k - 2)``: a view with its last two axes swapped."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "mT"
+    if not isinstance(node, ast.Call) or _called(node) not in ("transpose", "swapaxes"):
+        return False
+    try:
+        axes = [ast.literal_eval(arg) for arg in node.args]
+    except ValueError:
+        return False
+    if _called(node) == "swapaxes":
+        return sorted(axes[-2:]) == [-2, -1]
+    axes = list(axes[0]) if len(axes) == 1 and isinstance(axes[0], tuple) else axes
+    return len(axes) > 2 and axes == list(range(len(axes) - 2)) + [len(axes) - 1, len(axes) - 2]
+
+
+# the name _uses gives a product (``@`` or ``matmul``) of such a view
+_SWAPPED_OPERAND = "a matmul operand with its last two axes swapped"
+
+
 def _uses(node: ast.AST, in_loop: bool = False, scope: tuple = ()):
     """``(name, line, in_loop, called, scope)`` for every name the code under
     ``node`` calls, reads or imports: the function of a call (``called``), a
-    name, an attribute, the last part of an imported name, and the full
-    dotted name of an absolute import (its module too, for ``from ...
-    import``); ``in_loop`` when a loop or comprehension encloses it, and
+    name, an attribute, the last part of an imported name, the full dotted
+    name of an absolute import (its module too, for ``from ... import``), and
+    :data:`_SWAPPED_OPERAND` for a product with a swapped operand (as a
+    call); ``in_loop`` when a loop or comprehension encloses it, and
     ``scope`` the class and function definitions that enclose it,
     outermost first."""
     in_loop = in_loop or isinstance(node, _LOOPS)
     if isinstance(node, ast.Call) and _called(node):
         yield _called(node), node.lineno, in_loop, True, scope
+    operands = ([node.left, node.right] if isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.MatMult) else
+                node.args if isinstance(node, ast.Call) and _called(node) == "matmul" else [])
+    if any(_swaps_last_axes(operand) for operand in operands):
+        yield _SWAPPED_OPERAND, node.lineno, in_loop, True, scope
     if isinstance(node, ast.Name):
         yield node.id, node.lineno, in_loop, False, scope
     elif isinstance(node, ast.Attribute):
@@ -165,6 +192,13 @@ _RULES = {
             module == "sde_engine.py" and in_loop and called,
         "matmul inside a loop in sde_engine.py",
         "take the products of every run or path in one matmul over the batch"),
+    # numpy takes a stacked product with an operand whose last two axes are
+    # swapped (a strided view) about three times as slowly, to the same bits
+    "contiguous stacked products": (
+        {_SWAPPED_OPERAND},
+        lambda name, module, scope, in_loop, called: True,
+        "a matmul operand that swaps its last two axes",
+        "multiply by a contiguous copy, or fill the transpose next to the matrix"),
     # the sharps of a block of draw sets, and of one draw set, come from one kernel
     "one randomised-gradient kernel": (
         {"einsum"},
@@ -236,3 +270,15 @@ def test_one_randomised_gradient_kernel():
 
 def test_one_flow_product_per_stage():
     _assert_holds("one flow product per stage")
+
+
+def test_contiguous_stacked_products():
+    _assert_holds("contiguous stacked products")
+
+
+def test_a_swapped_matmul_operand_is_found():
+    tree = ast.parse("a @ b.transpose(0, 2, 1)\nnp.matmul(a, b.swapaxes(-1, -2))\n"
+                     "a @ b.mT\nnp.matmul(a, b.transpose((0, 1, 3, 2)))\n"
+                     "a @ b.transpose(0, 2, 1, 3)\na @ b.transpose(1, 0, 2)\n"
+                     "a @ b.transpose(0, 2, 1).copy()\nb.transpose(0, 2, 1) + a\n")
+    assert [line for name, line, *_ in _uses(tree) if name == _SWAPPED_OPERAND] == [1, 2, 3, 4]

@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lentparticle.cli import _GAMMA_TAGS, main
@@ -341,6 +341,9 @@ _MUTATIONS = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(command=st.sampled_from(["simulate", "gamma", "rank-stats"]), mutation=_MUTATIONS)
+# xi_1 = inf u1: the weight's symmetry check takes inf - inf
+@example(command="gamma", mutation=(("structure", "xi_1"), "1e308*1e308*u1"))
+@example(command="rank-stats", mutation=(("structure", "xi_1"), "1e308*1e308*u1"))
 def test_one_key_mutations_of_the_custom_config_end_cleanly(command, mutation):
     (section, key), value = mutation
     cfg = configparser.ConfigParser(interpolation=None)

@@ -207,16 +207,21 @@ def test_atom_times_outside_the_window_are_named_by_path_and_row(monkeypatch):
     import lentparticle.poisson_measure as pm
 
     class Late:
-        """A stream whose uniform times all land past the horizon."""
+        """A stream whose first draw, its uniform times, all land past the
+        horizon: each of those uniforms is moved up by 1."""
 
         def __init__(self, g):
-            self.g = g
+            self.g, self.first = g, True
 
         def __getattr__(self, name):
             return getattr(self.g, name)
 
-        def uniform(self, lo, hi, n):
-            return self.g.uniform(lo, hi, n) + hi
+        def random(self, *args, out=None):
+            draw = self.g.random(*args, out=out)
+            if self.first:
+                draw += 1.0
+                self.first = False
+            return draw
 
     real = pm.stream
     monkeypatch.setattr(pm, "stream", lambda seed, *domain: (
@@ -228,25 +233,30 @@ def test_atom_times_outside_the_window_are_named_by_path_and_row(monkeypatch):
 
 class _Wrapped:
     """A stream that passes every call through to ``g``, but changes the
-    result of the first call of ``name`` with ``change``."""
+    result of call ``at`` (counted from 0) of ``name`` with ``change``; a
+    draw into an ``out`` array returns that array, so a change in place
+    reaches it."""
 
-    def __init__(self, g, name, change):
-        self.g, self.name, self.change = g, name, change
+    def __init__(self, g, name, change, at=0):
+        self.g, self.name, self.change, self.skip = g, name, change, at
 
     def __getattr__(self, name):
         draw = getattr(self.g, name)
         if name != self.name or self.change is None:
             return draw
+        if self.skip:
+            self.skip -= 1
+            return draw
         change, self.change = self.change, None
-        return lambda *args: change(draw(*args))
+        return lambda *args, **kwargs: change(draw(*args, **kwargs))
 
 
-def _wrap_one_stream(monkeypatch, seed, name, change):
+def _wrap_one_stream(monkeypatch, seed, name, change, at=0):
     import lentparticle.poisson_measure as pm
 
     real = pm.stream
     monkeypatch.setattr(pm, "stream", lambda s, *domain: (
-        _Wrapped(real(s, *domain), name, change) if s == seed else real(s, *domain)))
+        _Wrapped(real(s, *domain), name, change, at) if s == seed else real(s, *domain)))
 
 
 def _only_one_path_changed(batch, seeds, model, horizon, changed):
@@ -262,14 +272,18 @@ def _only_one_path_changed(batch, seeds, model, horizon, changed):
 
 
 class _Scripted:
-    """A stream whose ``random`` calls return the given arrays in turn."""
+    """A stream whose ``random`` calls return the given arrays in turn, or
+    write them into ``out``."""
 
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def random(self, n):
-        out = self.draws.pop(0)
-        assert out.shape == (n,)
+    def random(self, n=None, out=None):
+        draw = self.draws.pop(0)
+        assert draw.shape == ((n,) if out is None else out.shape)
+        if out is None:
+            return draw
+        out[...] = draw
         return out
 
 
@@ -282,7 +296,8 @@ def test_a_path_with_tied_times_redraws_them_on_its_own_stream(monkeypatch):
         t[1] = t[0]
         return t
 
-    _wrap_one_stream(monkeypatch, tied, "uniform", tie)
+    # the first random call of the stream draws its times
+    _wrap_one_stream(monkeypatch, tied, "random", tie)
     batch = simulate_configurations(model, horizon, seeds)
     # a fresh stream: its count, the discarded times, the redrawn times and
     # then the draws of its marks
@@ -307,8 +322,9 @@ def test_a_zero_uniform_is_redrawn_before_its_stream_draws_again(monkeypatch):
         v[1] = 0.0
         return v
 
-    # the first random call of the power-law sampler draws the magnitudes
-    _wrap_one_stream(monkeypatch, zeroed, "random", zero)
+    # the second random call of the stream, after its times, is the first
+    # of the power-law sampler: the magnitudes
+    _wrap_one_stream(monkeypatch, zeroed, "random", zero, at=1)
     batch = simulate_configurations(model, horizon, seeds)
     # a fresh stream: its count and times, the magnitude draws with the
     # zeroed one replaced by the next draw, and then the sign draws

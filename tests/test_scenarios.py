@@ -741,8 +741,6 @@ def test_sweep_takes_the_flow_products_of_equal_runs_in_one_product_each(monkeyp
 
 
 def test_sweep_checks_the_levels_sharing_coefficients_in_one_call(monkeypatch):
-    import dataclasses
-
     import lentparticle.sde_engine as engine
 
     calls, check = [], engine._check_r_conditions
@@ -752,11 +750,13 @@ def test_sweep_checks_the_levels_sharing_coefficients_in_one_call(monkeypatch):
         return check(coeffs, t, *args)
 
     monkeypatch.setattr(engine, "_check_r_conditions", counted)
-    scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
-    levels = _area_sweep(scenario)
-    scenario.sweep_gammas(levels)
-    # the three levels hold the same c, dx_c and eta: one call over all their jumps
-    assert calls == [sum(config.n_atoms for configs, _ in levels for config in configs)]
+    # the three levels of each open sweep (levy-area-1 and -2, doleans) hold
+    # the same c, dx_c and eta: one call over all their jumps
+    for scenario, eps in _open_sweeps():
+        calls.clear()
+        levels = _area_sweep(scenario, levels=eps)
+        scenario.sweep_gammas(levels)
+        assert calls == [sum(config.n_atoms for configs, _ in levels for config in configs)]
 
 
 @pytest.mark.parametrize("below,level", [(0.02, 2), (0.04, 1)])
@@ -1071,13 +1071,17 @@ def test_polar_sampler_has_the_bits_of_sixty_newton_steps(a, n):
 
 
 class _FixedDraws:
-    """Stands in for a generator: each ``random`` call returns the next array."""
+    """Stands in for a generator: each ``random`` call returns the next array,
+    or writes it into ``out``."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
 
-    def random(self, n):
-        return self.draws.pop(0)
+    def random(self, n=None, out=None):
+        if out is None:
+            return self.draws.pop(0)
+        out[...] = self.draws.pop(0)
+        return out
 
 
 def _newton_cases(a):
@@ -1096,7 +1100,7 @@ def _newton_cases(a):
 def test_polar_sampler_newton_exits(monkeypatch):
     # the steps taken are counted by the sine calls (one more draws the mark)
     sine, calls = np.sin, []
-    monkeypatch.setattr(np, "sin", lambda x: calls.append(1) or sine(x))
+    monkeypatch.setattr(np, "sin", lambda x, **out: calls.append(1) or sine(x, **out))
     model = polar_levy_model(0.02, 0.5)
     cases = _newton_cases(0.5)
     assert set(cases) == {(1, 0), (1, 1), (2, 0), (2, 1)}
