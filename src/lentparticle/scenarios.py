@@ -424,11 +424,12 @@ def _exponential(marks: np.ndarray, first_moment: float, t: float) -> tuple[floa
 
 # the pair's coefficients, the same objects at every level, so that a sweep's
 # levels share their calls; each fills a preallocated output: on batches this
-# small, stacking columns costs more than the arithmetic
-def _doleans_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    out = np.empty((u.shape[0], 2))
+# small, stacking columns costs more than the arithmetic.  c and the
+# compensator fill the solve's own buffer when given one (writes_out)
+def _doleans_c(t: np.ndarray, x: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
+    out = np.empty((u.shape[0], 2)) if out is None else out
     out[:, 0] = u[:, 0]
-    out[:, 1] = x[:, 1] * u[:, 0]
+    np.multiply(x[:, 1], u[:, 0], out=out[:, 1])
     return out
 
 
@@ -445,10 +446,11 @@ def _doleans_du_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 # the compensator pair at first moment m1, one value or one per row
-def _doleans_comp(t: np.ndarray, x: np.ndarray, m1: float | np.ndarray) -> np.ndarray:
-    out = np.empty((x.shape[0], 2))
+def _doleans_comp(t: np.ndarray, x: np.ndarray, m1: float | np.ndarray,
+                  out=None) -> np.ndarray:
+    out = np.empty((x.shape[0], 2)) if out is None else out
     out[:, 0] = m1
-    out[:, 1] = x[:, 1] * m1
+    np.multiply(x[:, 1], m1, out=out[:, 1])
     return out
 
 
@@ -462,6 +464,7 @@ def _doleans_dcomp(t: np.ndarray, x: np.ndarray, m1: float | np.ndarray) -> np.n
 # compensator's once per batch size and the jump's once per chunk
 _doleans_dcomp.reads_time = _doleans_dcomp.reads_state = False
 _doleans_dx_c.reads_time = _doleans_dx_c.reads_state = False
+_doleans_c.writes_out = _doleans_comp.writes_out = True
 
 
 @dataclass(frozen=True)
@@ -544,10 +547,10 @@ class DoleansPairFunctional(MarkFunctional):
 # ---------------------------------------------------------------------------
 
 # as the doleans pair's: module-level, each filling a preallocated output
-def _area_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    out = np.empty((u.shape[0], 3))
+def _area_c(t: np.ndarray, x: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
+    out = np.empty((u.shape[0], 3)) if out is None else out
     out[:, :2] = u
-    out[:, 2] = x[:, 0] * u[:, 1] - x[:, 1] * u[:, 0]
+    np.subtract(np.multiply(x[:, 0], u[:, 1], out=out[:, 2]), x[:, 1] * u[:, 0], out=out[:, 2])
     return out
 
 
@@ -565,10 +568,11 @@ def _area_du_c(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 # the compensator pair at first moment m1, ``(2,)`` or one per row
-def _area_comp(t: np.ndarray, x: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    out = np.empty((x.shape[0], 3))
+def _area_comp(t: np.ndarray, x: np.ndarray, m1: np.ndarray, out=None) -> np.ndarray:
+    out = np.empty((x.shape[0], 3)) if out is None else out
     out[:, :2] = m1
-    out[:, 2] = x[:, 0] * m1[..., 1] - x[:, 1] * m1[..., 0]
+    np.subtract(np.multiply(x[:, 0], m1[..., 1], out=out[:, 2]), x[:, 1] * m1[..., 0],
+                out=out[:, 2])
     return out
 
 
@@ -580,6 +584,7 @@ def _area_dcomp(t: np.ndarray, x: np.ndarray, m1: np.ndarray) -> np.ndarray:
 
 _area_dcomp.reads_time = _area_dcomp.reads_state = False
 _area_dx_c.reads_time = _area_dx_c.reads_state = False
+_area_c.writes_out = _area_comp.writes_out = True
 
 
 # one function for every level, so that a sweep checks its levels in one call

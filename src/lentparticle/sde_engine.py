@@ -28,35 +28,19 @@ K and Kbar to the same pass.  It solves one configuration or a sequence of
 them, advancing every path of a sequence in one loop over batched arrays; the
 coefficients evaluate batches of points (see :class:`CoefficientSet`).  Right
 limits are stored on every grid row, left limits only on jump rows, where
-they differ.  The standing assumptions on ``c`` are checked once per chunk
-of paths, over all the jumps it took, from the stored left limits.  The same
-loop solves several groups of paths, each with its own coefficients and
-model, in one batch, storing only the rows the Gamma of a path reads: the
-truncation levels of a rank sweep (``Scenario.sweep_gammas``).  Groups whose
-compensator pair is bound to the same two functions, the levels differing by
-a parameter, share one drift call per stage, and groups holding the same
-``c`` and ``dx_c`` share their calls at a jump row.  A ``dx_compensator``
-that reports ``reads_time = False`` and ``reads_state = False``, as the
-shipped ones do, is called once per segment, a run of rows over which the
-same paths advance, not at every stage, and a ``dx_c`` that reports both is
-called once per chunk over all its jumps; when every group's does, each
-jump's matrix ``I + dx_c``, and the first of them that is singular, are
-taken once per chunk too, so that a jump row makes one ``c`` call, one K
-product and one solve.  The batch is held component-major, X, the rows of K
-and the rows of Kbar each one block over the paths, so that where every
-group's x-Jacobian is one such matrix and the groups advance as many paths,
-a stage's flow products are one matrix product per group.  A segment steps
-in buffers allocated as it starts, each stage writing its velocity into
-them in place.  The assumption checks of groups holding the same ``c``,
-``dx_c`` and ``eta`` are one call, and their norm bounds are settled without
-an SVD wherever a cheap upper bound of the 2-norm already lies below ``eta``.
+they differ.  The same loop solves several groups of paths, each with its
+own coefficients and model, in one batch, storing only the rows the Gamma
+of a path reads: the truncation levels of a rank sweep
+(``Scenario.sweep_gammas``).  :func:`_integrate` says which calls the
+groups share, which x-Jacobians it takes once per segment or chunk, and
+how each chunk steps in one workspace allocated as it starts.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Sequence
 
@@ -136,6 +120,10 @@ class CoefficientSet:
       promises a result that depends on the mark alone; with flows a solve
       calls it once over all the jumps of a chunk of paths.  A callable
       without the attributes may read both.
+    * A ``c`` or ``compensator`` whose attribute ``writes_out`` is ``True``
+      takes a keyword ``out``, a ``(P, d)`` array that aliases neither ``x``
+      nor ``u``, writes its result there and returns it: a solve then hands
+      it its own buffers, unchecked, where it would allocate and check.
     * ``eta(u)``, ``(P,)``, is the dominating function used by the
       assumption validators; when absent only invertibility of ``I + dx_c``
       is enforced.
@@ -164,21 +152,18 @@ class _Bound:
     """``fn(t, x, p)`` bound to one group's parameter ``p`` and called as
     ``(t, x)``: groups whose compensator pair is bound to the same two
     functions share one call, ``p`` stacked per row (:func:`_integrate`).
-    It reports the ``reads_time`` and ``reads_state`` of ``fn``."""
+    It reports the ``reads_time``, ``reads_state`` and ``writes_out`` of ``fn``."""
 
     fn: Callable
     p: float | np.ndarray
 
-    def __call__(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.fn(t, x, self.p)
+    def __call__(self, t: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+        return self.fn(t, x, self.p) if out is None else self.fn(t, x, self.p, out=out)
 
-    @property
-    def reads_time(self) -> bool:
-        return getattr(self.fn, "reads_time", True)
-
-    @property
-    def reads_state(self) -> bool:
-        return getattr(self.fn, "reads_state", True)
+    def __getattr__(self, name: str):
+        if name in ("reads_time", "reads_state", "writes_out"):
+            return getattr(self.fn, name)
+        raise AttributeError(name)
 
 
 def _state_free(fn) -> bool:
@@ -199,21 +184,20 @@ def _shape_checked(name: str, out, shape: tuple, where: Callable[[], str] = str)
 def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: bool):
     """One closure ``(t, x, out=None) -> (v, a)`` over a batch of points: the
     between-jump velocity ``v = b - integral c k du``, ``(n, d)``, written into
-    ``out`` when given, and with ``flows`` its x-Jacobian ``a``, ``(n, d, d)``,
-    else ``None``, each part shape-checked inline, since the solve calls it at
-    every stage.  Without ``dx_drift``, a ``dx_compensator`` that reports
-    ``reads_time = False`` and ``reads_state = False`` is called, checked and
-    negated once per number of points ``n``, and ``a`` is that array (callers
-    only read it).  A missing compensator or ``dx_compensator`` comes from one
-    :class:`MarkQuadrature` pass over all points, one integral of ``(c,
-    dx_c)`` per point, kept keyed on ``(t, x)``, or on ``x`` alone when ``c``
-    and ``dx_c`` report ``reads_time = False``, so that it runs once per
-    distinct state; one that is not finite is refused naming its state.  The
-    result of the last call is kept too (callers only read it), under the same
-    key unless a drift or compensator is given, which may read t and is then
-    called again at each new ``(t, x)`` with the kept integrals: a stage whose
-    state has not moved costs one key comparison and a copy into ``out``.
-    """
+    ``out`` when given, by a compensator that writes out unchecked, and with
+    ``flows`` its x-Jacobian ``a``, ``(n, d, d)``, else ``None``, each part
+    shape-checked inline.  Without ``dx_drift``, a state-free ``dx_compensator``
+    is called, checked and negated once per number of points ``n``, and ``a`` is
+    that array (callers only read it).  A missing compensator or
+    ``dx_compensator`` comes from one :class:`MarkQuadrature` pass over all
+    points, one integral of ``(c, dx_c)`` per point, kept keyed on ``(t, x)``,
+    or on ``x`` alone when ``c`` and ``dx_c`` report ``reads_time = False``, so
+    that it runs once per distinct state; one that is not finite is refused
+    naming its state.  The result of the last call is kept too (callers only
+    read it), under the same key unless a drift or compensator is given, which
+    may read t and is then called again at each new ``(t, x)`` with the kept
+    integrals: a stage whose state has not moved costs one key comparison and a
+    copy into ``out``."""
     d, c, dx_c = coeffs.dim, coeffs.c, coeffs.dx_c
     comp, dx_comp = coeffs.compensator, coeffs.dx_compensator
 
@@ -223,6 +207,8 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
             if b.shape != shape:
                 _shape_checked(drift_name, b, shape)
         if comp is not None:
+            if out is not None and drift is None and getattr(comp, "writes_out", False):
+                return np.negative(comp(t, x, out=out), out=out)
             k = np.asarray(comp(t, x))
             if k.shape != shape:
                 _shape_checked(comp_name, k, shape)
@@ -285,21 +271,12 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
 
 def _bound_pair(coeffs: CoefficientSet) -> tuple | None:
     """The two functions a set's compensator pair is bound to when the set
-    has no other drift, else ``None``."""
+    has no other drift and its ``dx_compensator`` is state-free, else ``None``."""
     comp, dx_comp = coeffs.compensator, coeffs.dx_compensator
-    if coeffs.drift is None and isinstance(comp, _Bound) and isinstance(dx_comp, _Bound):
+    if coeffs.drift is None and isinstance(comp, _Bound) and isinstance(dx_comp, _Bound) \
+            and _state_free(dx_comp):
         return comp.fn, dx_comp.fn
     return None
-
-
-def _stacked_drift(sets: Sequence[CoefficientSet], counts: np.ndarray, flows: bool):
-    """The :func:`_effective_drift` of ``counts`` rows of each of ``sets``,
-    whose compensator pairs are bound to the same two functions: one call of
-    each, with each set's parameter on each of its rows."""
-    rows = lambda f: _Bound(getattr(sets[0], f).fn,
-                            np.repeat([getattr(coeffs, f).p for coeffs in sets], counts, axis=0))
-    return _effective_drift(replace(sets[0], compensator=rows("compensator"),
-                                    dx_compensator=rows("dx_compensator")), None, flows)
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -493,13 +470,15 @@ class _Buffer:
     of ``n / runs`` consecutive paths, the K rows of each run as one ``(d, n /
     runs d)`` matrix and its Kbar rows as ``d`` matrices of ``(n / runs,
     d)``, or with one run per path each path's K and Kbar, ``(n, d, d)``, all
-    strided views of the batch."""
+    strided views of the batch, the array the contiguous head of ``base``,
+    by default its own, else a flat buffer of a chunk's workspace."""
 
-    __slots__ = ("array", "x", "k", "kbar")
+    __slots__ = ("base", "array", "x", "k", "kbar")
 
-    def __init__(self, shape: tuple, runs: int | None):
+    def __init__(self, shape: tuple, runs: int | None, base: np.ndarray | None = None):
         n, d = shape[1:]
-        self.array = array = np.empty(shape)
+        self.base = np.empty(math.prod(shape)) if base is None else base
+        self.array = array = self.base[:math.prod(shape)].reshape(shape)
         self.x = array[0]
         if runs is not None:
             self.k = array[1:d + 1].reshape(d, runs, -1).transpose(1, 0, 2)
@@ -655,15 +634,17 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     contiguous block and a run's K rows one matrix.  A path drops out of the
     batch after its last row, so the loop goes by segments, stretches of
     rows over which the same paths advance, each path between its own grid
-    times.  A segment steps in a workspace allocated as it starts, every
-    stage writing its velocity into its buffers (:func:`_rk4_step`):
-    the drift once per live run into the X rows, or once for consecutive
-    runs whose compensator pairs, all their drift, are bound to the same two
-    functions, each run's parameter on its rows; and the products of the
-    flows in two calls over the batch (:func:`_flow_products`), run by run
-    while every live run's x-Jacobian is one matrix (no ``dx_drift``, a
-    state-free ``dx_compensator``) and the live runs hold the same number of
-    paths, at least two, else path by path.
+    times.  The chunk's workspace is allocated once, for all its paths, and
+    a segment steps in views of their first ``n`` paths, every stage
+    writing its velocity into them in place (:func:`_rk4_step`): one call
+    per live run's :func:`_effective_drift`, or one for consecutive runs
+    bound to the same compensator pair (:func:`_bound_pair`), each run's
+    parameter on its rows, with its x-Jacobian taken once per segment; and
+    the products of the flows in two calls over the batch
+    (:func:`_flow_products`), run by run while every live run's
+    x-Jacobian is one matrix (no ``dx_drift``, a state-free
+    ``dx_compensator``) and the live runs hold the same number of paths, at
+    least two, else path by path.
 
     Every jump's time and mark are gathered once, in event order.  With
     flows a ``dx_c`` that reads neither time nor state (:func:`_state_free`)
@@ -671,9 +652,10 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     run's is, so is each jump's matrix ``I + dx_c``, with the first event
     whose matrix LAPACK finds singular.  At a jump row ``c`` (and with flows
     any other ``dx_c``) is called once for the jumping paths of consecutive
-    runs holding the same two, and the jump update, the finite-state check,
-    the K product and the Kbar solve (one call of the ``np.linalg.solve``
-    kernel) act once on all of them.  With ``validate``, the coefficient
+    runs holding the same two, a ``c`` that writes out into the chunk's jump
+    block, and the jump update, the finite-state check, the K product and
+    the Kbar solve (one call of the ``np.linalg.solve`` kernel) act once on
+    all of them in that block.  With ``validate``, the coefficient
     assumptions of consecutive runs holding the same ``c``, ``dx_c`` and
     ``eta`` are checked in one call over every jump they took, run after
     run, from the stored left limits, after the loop or, when the loop
@@ -731,11 +713,17 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     # consecutive runs share a jump row's calls when they hold the same c and
     # dx_c, an assumption check when they also hold the same eta, and a
     # stage's drift call when their compensator pairs, all their drift, are
-    # bound to the same two functions
+    # bound to the same two functions, with each run's parameters repeated
+    # over its paths
     jump_groups = grouped(lambda coeffs: (coeffs.c, coeffs.dx_c))
     jump_bounds = bounds[[ks[0] for ks in jump_groups] + [len(runs)]]
     check_groups = grouped(lambda coeffs: (coeffs.c, coeffs.dx_c, coeffs.eta))
-    drift_groups = grouped(lambda coeffs: _bound_pair(coeffs) or object())
+    drift_groups = [(ks, pair, pair and [np.repeat(
+        [getattr(runs[k][0], f).p for k in ks], [lengths[k] for k in ks], axis=0)
+        for f in ("compensator", "dx_compensator")])
+        for ks in grouped(lambda coeffs: _bound_pair(coeffs) or object())
+        for pair in [_bound_pair(runs[ks[0]][0])]]
+    writes = [getattr(coeffs.c, "writes_out", False) for coeffs, *_ in runs]
     # a run's between-jump x-Jacobian is one matrix without dx_drift and with
     # a state-free dx_compensator, as in _effective_drift
     constant = [c.dx_drift is None and _state_free(c.dx_compensator) for c, *_ in runs]
@@ -763,58 +751,72 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
                 matrices.transpose(0, 2, 1), signature="d->d")).all(axis=(1, 2)))
         k = _first_singular(matrices[suspects])
         singular_at = n_jumps if k is None else int(suspects[k])
-    # the drift of a lone live group, else each group's; where the flow
-    # products go run by run, the first batch row of each live run, and the
-    # runs' matrices, the same at every stage of a segment; else with flows
-    # and several drifts, the segment's buffer of one x-Jacobian per path
-    single, live_runs, run_starts, blocks, per_path = None, [], None, [None], None
+
+    on_path = lambda e: f"on path {named[event_paths[e]]}"
+    singular = lambda e: (f"jump update I + dx_c singular at (t={event_times[e]}, "
+                          f"u={event_marks[e]}) {on_path(e)}")
+
+    # the chunk's workspace for all its paths: the seven RK4 buffers, the step
+    # factors, with flows one x-Jacobian per path and the rows awaiting the
+    # fold, and the block of the widest jump row
+    shape = (1 + 2 * d if flows else 1, n_paths, d)
+    ws = [_Buffer(shape, None, base) for base in np.empty((7, math.prod(shape)))]
+    spans = np.empty((3, n_paths, d))
+    held_rows = np.empty((_FOLD_ROWS,) + shape) if flows else None
+    per_path = np.empty((n_paths, d, d)) if flows else None
+    jump_block = np.empty((int((ends - starts).max(initial=0)),) + shape[::2])
+    # each live drift group's rows (None for all), drift or bound compensator,
+    # its parameter on those rows and whether it writes out; the x-Jacobian of
+    # each path, else by run the first row of each live run and their matrices
+    calls, a, run_starts, blocks = [], None, None, [None]
 
     def rhs(t: np.ndarray, src: _Buffer, dst: _Buffer) -> None:
-        if single is not None:
-            a = single(t, src.x, out=dst.x)[1]
-        else:
-            a = per_path
-            for drift, s in live_runs:
-                a_s = drift(t[s], src.x[s], out=dst.x[s])[1]
+        for s, fn, p, writes_out in calls:
+            ts, x, v = (t, src.x, dst.x) if s is None else (t[s], src.x[s], dst.x[s])
+            if p is None:  # the run's _effective_drift
+                a_s = fn(ts, x, out=v)[1]
                 if flows:
-                    a[s] = a_s
+                    np.copyto(a if s is None else a[s], a_s)
+            else:
+                np.negative(fn(ts, x, p, out=v) if writes_out else
+                            _shape_checked("compensator", fn(ts, x, p), v.shape), out=v)
         if flows:
-            if run_starts is not None:
-                if blocks[0] is None:
-                    blocks[0] = a[run_starts]
-                a = blocks[0]
-            _flow_products(a, src, dst)
+            if run_starts is not None and blocks[0] is None:
+                blocks[0] = a[run_starts]
+            _flow_products(a if run_starts is None else blocks[0], src, dst)
 
     def jump(e0: int, e1: int, batch: np.ndarray, prior: np.ndarray) -> np.ndarray:
-        """The right limits of the paths ``batch`` at jumps ``e0`` to ``e1``
-        from their left limits ``prior``, one path's block per entry."""
-        t, u, x_left = event_times[e0:e1], event_marks[e0:e1], prior[:, 0].copy()
-        where = lambda k: f"on path {named[batch[k]]}"
-        singular = lambda k: f"jump update I + dx_c singular at (t={t[k]}, u={u[k]}) {where(k)}"
-        block, jump_matrix = np.empty_like(prior), matrices[e0:e1] if flows else None
+        """The right limits of the paths ``batch`` at jumps ``e0`` to ``e1``, one
+        path's block per entry of the chunk's jump block, from their left limits ``prior``."""
+        t, u, block = event_times[e0:e1], event_marks[e0:e1], jump_block[:e1 - e0]
+        jump_matrix = matrices[e0:e1] if flows else None
         cuts = [0, batch.shape[0]] if len(jump_groups) == 1 \
             else np.searchsorted(batch, jump_bounds).tolist()
         for ks, lo, hi in zip(jump_groups, cuts, cuts[1:]):
             if hi > lo:
-                coeffs = runs[ks[0]][0]
-                point, shape = (t[lo:hi], x_left[lo:hi], u[lo:hi]), (hi - lo, d)
-                at_first = lambda lo=lo: f" at t = {t[lo]} {where(lo)}"
+                coeffs, size = runs[ks[0]][0], block[lo:hi, 0]
+                # a c that writes out reads the left limits where they lie
+                x_left = prior[lo:hi, 0] if writes[ks[0]] else prior[lo:hi, 0].copy()
+                point, shape = (t[lo:hi], x_left, u[lo:hi]), (hi - lo, d)
                 if flows and not tables:
                     slope = slopes[e0 + lo:e0 + hi] if free[ks[0]] else _shape_checked(
-                        "dx_c", np.asarray(coeffs.dx_c(*point), dtype=float), (*shape, d), at_first)
+                        "dx_c", np.asarray(coeffs.dx_c(*point), dtype=float), (*shape, d),
+                        lambda: f" at t = {t[lo]} {on_path(e0 + lo)}")
                     np.add(eye, slope, out=jump_matrix[lo:hi])
-                size = np.asarray(coeffs.c(*point), dtype=float)
-                np.add(x_left[lo:hi], _shape_checked("c", size, shape, at_first),
-                       out=block[lo:hi, 0])
+                np.add(x_left, coeffs.c(*point, out=size) if writes[ks[0]] else _shape_checked(
+                    "c", np.asarray(coeffs.c(*point), dtype=float), shape,
+                    lambda: f" at t = {t[lo]} {on_path(e0 + lo)}"), out=size)
         if not np.isfinite(block[:, 0]).all():
             k = _first(~np.isfinite(block[:, 0]).all(axis=1))
-            raise NumericError(f"jump update produced non-finite state at t = {t[k]} {where(k)}")
+            raise NumericError(f"jump update produced non-finite state at t = {t[k]} "
+                               f"{on_path(e0 + k)}")
         if flows:
             np.matmul(jump_matrix, prior[:, k_rows], out=block[:, k_rows])
             if not tables:
-                block[:, kb_rows] = _solve_right(prior[:, kb_rows], jump_matrix, singular)
+                block[:, kb_rows] = _solve_right(prior[:, kb_rows], jump_matrix,
+                                                 lambda k: singular(e0 + k))
             elif e0 <= singular_at < e1:
-                raise ModelError(singular(singular_at - e0))
+                raise ModelError(singular(singular_at))
             else:  # Kbar a^{-1} as the transpose of a^{-T} Kbar^T
                 _umath_linalg.solve(jump_matrix.transpose(0, 2, 1),
                                     prior[:, kb_rows].transpose(0, 2, 1), signature="dd->d",
@@ -843,7 +845,6 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
             np.abs(gap, out=gap)
             np.maximum.at(worst, live, gap.max(axis=0).reshape(live.shape[0], -1).max(axis=1))
 
-    shape = (1 + 2 * d if flows else 1, n_paths, d)
     right = np.empty(((n_jumps + n_paths,) if rows else (n_paths, m_max)) + shape[::2])
     left = np.empty((n_jumps,) + shape[::2])
     y = np.zeros(shape)
@@ -874,25 +875,28 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
             seg_factors = factors[:, start - 1:stop - 1, cols]
             cuts = np.searchsorted(live, bounds)
             counts = np.diff(cuts)
-            live_runs = []
-            for group in drift_groups:
-                ks = [k for k in group if counts[k]]  # its live runs
-                if ks:
-                    drift = runs[ks[0]][1] if len(ks) == 1 else _stacked_drift(
-                        [runs[k][0] for k in ks], counts[ks], flows)
-                    live_runs.append((drift, slice(cuts[ks[0]], cuts[ks[-1] + 1])))
-            single = live_runs[0][0] if len(live_runs) == 1 else None
             ks = np.flatnonzero(counts)  # the live runs: by run when all hold as many paths, 2+
             by_run = np.ptp(counts[ks]) == 0 < counts[ks[0]] - 1 and all(constant[k] for k in ks)
             run_starts, blocks = cuts[ks] if flows and by_run else None, [None]
-            # the segment's workspace (_rk4_step), holding the live paths' state,
-            # and with flows its rows not yet folded into worst
-            ws = [_Buffer((shape[0], n, d), None if not flows else ks.size if by_run else n)
-                  for _ in range(7)]
-            steps = np.empty((3, n, d))
-            held = np.empty((_FOLD_ROWS, shape[0], n, d)) if flows else None
-            per_path = np.empty((n, d, d)) if flows and single is None else None
+            # the segment's workspace: the state compressed out of the buffer
+            # holding it into the spare one, whose places then swap
+            ws = [_Buffer((shape[0], n, d), None if not flows else ks.size if by_run else n,
+                          buffer.base) for buffer in (ws[1], ws[0], *ws[2:])]
             np.compress(keep, y, axis=1, out=ws[0].array)
+            steps, held = spans[:, :n], held_rows[:, :, :n] if flows else None
+            a, calls = per_path[:n] if flows else None, []
+            for group, pair, params in drift_groups:
+                lo, hi = cuts[group[0]], cuts[group[-1] + 1]
+                whole, mine = None if hi - lo == n else slice(lo, hi), live[lo:hi] - bounds[group[0]]
+                if hi > lo and pair is None:
+                    calls.append((whole, runs[group[0]][1], None, False))
+                elif hi > lo:  # with flows its state-free x-Jacobian, once per segment
+                    if flows:
+                        np.negative(_shape_checked("dx_compensator", pair[1](
+                            seg_times[0, lo:hi], ws[0].x[lo:hi], params[1][mine]),
+                            (hi - lo, d, d)), out=a[lo:hi])
+                    calls.append((whole, pair[0], params[0][mine],
+                                  getattr(pair[0], "writes_out", False)))
             for i in range(start, stop):
                 r = i - start
                 if n == 1:

@@ -121,6 +121,35 @@ _QUADRATURE_CALLERS = {"sde_engine.py:_effective_drift",
 # the functions that may open a stream per path in a loop
 _STREAM_LOOPS = {"poisson_measure.py:_simulate_table", "rng.py:_sub_seeds"}
 
+def _declared(tree: ast.AST, attr: str, value) -> set[str]:
+    """The names that ``tree`` gives ``name.attr = value``, chained or not."""
+    return {target.value.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant) and node.value.value is value
+            for target in node.targets if isinstance(target, ast.Attribute)
+            and target.attr == attr and isinstance(target.value, ast.Name)}
+
+
+def _out_writer_duties(tree: ast.AST) -> set[str]:
+    """The functions that a ``CoefficientSet`` of ``tree`` binds as its
+    compensator (``compensator=_Bound(fn, p)``) or ships as its ``c`` beside
+    a ``dx_c`` declared state-free: a solve calls each of them every stage or
+    jump row, so each must write into the solve's buffer."""
+    free = _declared(tree, "reads_time", False) & _declared(tree, "reads_state", False)
+    duties = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) == "CoefficientSet":
+            fields = {keyword.arg: keyword.value for keyword in node.keywords}
+            comp, c = fields.get("compensator"), fields.get("c")
+            if isinstance(comp, ast.Call) and _called(comp) == "_Bound" \
+                    and isinstance(comp.args[0], ast.Name):
+                duties.add(comp.args[0].id)
+            if isinstance(c, ast.Name) and getattr(fields.get("dx_c"), "id", None) in free:
+                duties.add(c.id)
+    return duties
+
+
+_SCENARIOS = ast.parse((_PACKAGE / "scenarios.py").read_text())
+
 # rule -> (names, which use of one breaks it, given the name, its module, its
 # scope, whether a loop encloses it and whether it is called, what the use is,
 # what to do instead); each batched entry point does the work of a loop in one
@@ -199,6 +228,14 @@ _RULES = {
         lambda name, module, scope, in_loop, called: True,
         "a matmul operand that swaps its last two axes",
         "multiply by a contiguous copy, or fill the transpose next to the matrix"),
+    # a shipped family's coefficients write into the solve's buffers; one
+    # without writes_out would fall back to an allocating call
+    "shipped coefficients write out": (
+        _out_writer_duties(_SCENARIOS),
+        lambda name, module, scope, in_loop, called:
+            module == "scenarios.py" and name not in _declared(_SCENARIOS, "writes_out", True),
+        "a shipped compensator or c that does not declare writes_out",
+        "take an out array, write into it and declare fn.writes_out = True"),
     # the sharps of a block of draw sets, and of one draw set, come from one kernel
     "one randomised-gradient kernel": (
         {"einsum"},
@@ -270,6 +307,19 @@ def test_one_randomised_gradient_kernel():
 
 def test_one_flow_product_per_stage():
     _assert_holds("one flow product per stage")
+
+
+def test_shipped_coefficients_write_out():
+    assert _out_writer_duties(_SCENARIOS)  # the shipped families are found
+    _assert_holds("shipped coefficients write out")
+
+
+def test_an_undeclared_out_writer_is_found():
+    tree = ast.parse("f.reads_time = f.reads_state = False\ng.writes_out = True\n"
+                     "CoefficientSet(c=g, dx_c=f, compensator=_Bound(h, 1.0))\n"
+                     "CoefficientSet(c=k, dx_c=m, compensator=b)\n")
+    assert _out_writer_duties(tree) == {"g", "h"}
+    assert _out_writer_duties(tree) - _declared(tree, "writes_out", True) == {"h"}
 
 
 def test_contiguous_stacked_products():

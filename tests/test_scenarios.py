@@ -1455,3 +1455,55 @@ def test_generator_check_cos():
     assert rep.passed
     assert rep.standard_error > 0
     assert abs(rep.residual) <= rep.threshold
+
+
+# every shipped coefficient that writes into a given output: its state
+# dimension and the shapes of its third argument (mark or first moment) at n rows
+_OUT_WRITERS = {
+    "_area_c": (3, lambda n: [(n, 2)]),
+    "_area_comp": (3, lambda n: [(2,), (n, 2)]),
+    "_doleans_c": (2, lambda n: [(n, 1)]),
+    "_doleans_comp": (2, lambda n: [(), (n,)]),
+}
+_EDGE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _out_calls(draw):
+    from hypothesis.extra.numpy import arrays
+
+    name = draw(st.sampled_from(sorted(_OUT_WRITERS)))
+    dim, shapes = _OUT_WRITERS[name]
+    n = draw(st.one_of(st.just(1), st.integers(2, 6)))
+    third = draw(arrays(float, draw(st.sampled_from(shapes(n))), elements=_EDGE_VALUES))
+    return name, np.zeros(n), draw(arrays(float, (n, dim), elements=_EDGE_VALUES)), third
+
+
+def test_the_out_writers_are_the_shipped_ones():
+    import inspect
+
+    import lentparticle.scenarios as scenarios
+
+    assert {name for name, fn in vars(scenarios).items()
+            if inspect.isfunction(fn) and getattr(fn, "writes_out", False)} == set(_OUT_WRITERS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(call=_out_calls())
+def test_out_writers_give_the_bytes_and_warnings_of_the_allocating_call(call):
+    import lentparticle.scenarios as scenarios
+
+    name, t, x, third = call
+
+    def run(**out):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = getattr(scenarios, name)(t, x, third, **out)
+        return value, [(w.category, str(w.message)) for w in caught]
+
+    want, warned = run()
+    buffer = np.full(want.shape, np.nan)
+    got, got_warned = run(out=buffer)
+    assert got is buffer and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got_warned == warned
