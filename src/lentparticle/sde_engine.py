@@ -120,10 +120,12 @@ class CoefficientSet:
       promises a result that depends on the mark alone; with flows a solve
       calls it once over all the jumps of a chunk of paths.  A callable
       without the attributes may read both.
-    * A ``c`` or ``compensator`` whose attribute ``writes_out`` is ``True``
-      takes a keyword ``out``, a ``(P, d)`` array that aliases neither ``x``
-      nor ``u``, writes its result there and returns it: a solve then hands
-      it its own buffers, unchecked, where it would allocate and check.
+    * A ``c`` whose attribute ``writes_out`` is ``True`` takes a keyword
+      ``out``, a ``(P, d)`` array that aliases neither ``x`` nor ``u``,
+      writes its result there and returns it: at a jump row a solve then
+      hands it the row's block, unchecked, where it would allocate and
+      check.  The functions the shipped compensators are bound to declare
+      it too, and write into a stage's velocity buffer.
     * ``eta(u)``, ``(P,)``, is the dominating function used by the
       assumption validators; when absent only invertibility of ``I + dx_c``
       is enforced.
@@ -157,8 +159,8 @@ class _Bound:
     fn: Callable
     p: float | np.ndarray
 
-    def __call__(self, t: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-        return self.fn(t, x, self.p) if out is None else self.fn(t, x, self.p, out=out)
+    def __call__(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.fn(t, x, self.p)
 
     def __getattr__(self, name: str):
         if name in ("reads_time", "reads_state", "writes_out"):
@@ -184,20 +186,21 @@ def _shape_checked(name: str, out, shape: tuple, where: Callable[[], str] = str)
 def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: bool):
     """One closure ``(t, x, out=None) -> (v, a)`` over a batch of points: the
     between-jump velocity ``v = b - integral c k du``, ``(n, d)``, written into
-    ``out`` when given, by a compensator that writes out unchecked, and with
-    ``flows`` its x-Jacobian ``a``, ``(n, d, d)``, else ``None``, each part
-    shape-checked inline.  Without ``dx_drift``, a state-free ``dx_compensator``
-    is called, checked and negated once per number of points ``n``, and ``a`` is
-    that array (callers only read it).  A missing compensator or
-    ``dx_compensator`` comes from one :class:`MarkQuadrature` pass over all
-    points, one integral of ``(c, dx_c)`` per point, kept keyed on ``(t, x)``,
-    or on ``x`` alone when ``c`` and ``dx_c`` report ``reads_time = False``, so
-    that it runs once per distinct state; one that is not finite is refused
-    naming its state.  The result of the last call is kept too (callers only
-    read it), under the same key unless a drift or compensator is given, which
-    may read t and is then called again at each new ``(t, x)`` with the kept
-    integrals: a stage whose state has not moved costs one key comparison and a
-    copy into ``out``."""
+    ``out`` when given, and with ``flows`` its x-Jacobian ``a``, ``(n, d, d)``,
+    else ``None``, each part shape-checked inline, since the solve calls it at
+    every stage.  Without ``dx_drift``, a ``dx_compensator`` that reports
+    ``reads_time = False`` and ``reads_state = False`` is called, checked and
+    negated once per number of points ``n``, and ``a`` is that array (callers
+    only read it).  A missing compensator or ``dx_compensator`` comes from one
+    :class:`MarkQuadrature` pass over all points, one integral of ``(c,
+    dx_c)`` per point, kept keyed on ``(t, x)``, or on ``x`` alone when ``c``
+    and ``dx_c`` report ``reads_time = False``, so that it runs once per
+    distinct state; one that is not finite is refused naming its state.  The
+    result of the last call is kept too (callers only read it), under the same
+    key unless a drift or compensator is given, which may read t and is then
+    called again at each new ``(t, x)`` with the kept integrals: a stage whose
+    state has not moved costs one key comparison and a copy into ``out``.
+    """
     d, c, dx_c = coeffs.dim, coeffs.c, coeffs.dx_c
     comp, dx_comp = coeffs.compensator, coeffs.dx_compensator
 
@@ -207,8 +210,6 @@ def _effective_drift(coeffs: CoefficientSet, model: TruncatedLevyModel, flows: b
             if b.shape != shape:
                 _shape_checked(drift_name, b, shape)
         if comp is not None:
-            if out is not None and drift is None and getattr(comp, "writes_out", False):
-                return np.negative(comp(t, x, out=out), out=out)
             k = np.asarray(comp(t, x))
             if k.shape != shape:
                 _shape_checked(comp_name, k, shape)
@@ -765,25 +766,28 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     held_rows = np.empty((_FOLD_ROWS,) + shape) if flows else None
     per_path = np.empty((n_paths, d, d)) if flows else None
     jump_block = np.empty((int((ends - starts).max(initial=0)),) + shape[::2])
-    # each live drift group's rows (None for all), drift or bound compensator,
-    # its parameter on those rows and whether it writes out; the x-Jacobian of
-    # each path, else by run the first row of each live run and their matrices
-    calls, a, run_starts, blocks = [], None, None, [None]
+    # the _effective_drift of a lone live run that is not bound, whose
+    # x-Jacobian a stage takes as returned, else each live drift group's rows
+    # (None for all), drift or bound compensator, its parameter on those rows
+    # and whether it writes out, with the x-Jacobian of each path; where the
+    # products go by run, the first row of each live run and their matrices
+    single, calls, a, run_starts, blocks = None, [], None, None, [None]
 
     def rhs(t: np.ndarray, src: _Buffer, dst: _Buffer) -> None:
+        jac = a if single is None else single(t, src.x, out=dst.x)[1]
         for s, fn, p, writes_out in calls:
             ts, x, v = (t, src.x, dst.x) if s is None else (t[s], src.x[s], dst.x[s])
-            if p is None:  # the run's _effective_drift
-                a_s = fn(ts, x, out=v)[1]
-                if flows:
-                    np.copyto(a if s is None else a[s], a_s)
-            else:
+            if p is not None:
                 np.negative(fn(ts, x, p, out=v) if writes_out else
                             _shape_checked("compensator", fn(ts, x, p), v.shape), out=v)
+            elif flows:  # a run's _effective_drift
+                a[s] = fn(ts, x, out=v)[1]
+            else:
+                fn(ts, x, out=v)
         if flows:
             if run_starts is not None and blocks[0] is None:
-                blocks[0] = a[run_starts]
-            _flow_products(a if run_starts is None else blocks[0], src, dst)
+                blocks[0] = jac[run_starts]
+            _flow_products(jac if run_starts is None else blocks[0], src, dst)
 
     def jump(e0: int, e1: int, batch: np.ndarray, prior: np.ndarray) -> np.ndarray:
         """The right limits of the paths ``batch`` at jumps ``e0`` to ``e1``, one
@@ -897,6 +901,7 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
                             (hi - lo, d, d)), out=a[lo:hi])
                     calls.append((whole, pair[0], params[0][mine],
                                   getattr(pair[0], "writes_out", False)))
+            single = calls.pop()[1] if len(calls) == 1 and calls[0][2] is None else None
             for i in range(start, stop):
                 r = i - start
                 if n == 1:
