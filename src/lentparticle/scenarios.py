@@ -81,6 +81,7 @@ from .sde_engine import (
     CoefficientSet,
     Trajectory,
     _Bound,
+    _jump_set,
     _shape_checked,
     _solve_chunks,
     solve_sde,
@@ -820,9 +821,11 @@ class Scenario:
             for configs, truncation in levels:
                 model = self.model(truncation)
                 groups.append((self.make_coeffs(model), model, configs))
+            shared = all(_jump_set(coeffs) == _jump_set(groups[0][0]) for coeffs, *_ in groups)
             out = [np.zeros((len(configs), self.dim, self.dim)) for *_, configs in groups]
-            for chunk in _solve_chunks(groups, self.x0, self.step, t, validate=True, flows=True,
-                                       rows=True):
+            chunks = _solve_chunks(groups, self.x0, self.step, t, validate=True, flows=True,
+                                   rows=True) if shared else ()
+            for chunk in chunks:
                 parts = chunk[0]
                 stacks = _chunk_gammas([groups[g][0] for g, *_ in parts], self.bottom, chunk)
                 for (g, start, part), stack in zip(parts, stacks):
@@ -833,7 +836,8 @@ class Scenario:
                 for level in levels:
                     self.sweep_gammas([level], t)
             raise
-        return out
+        # levels whose jump coefficients differ are solved one at a time
+        return out if shared else [self.sweep_gammas([level], t)[0] for level in levels]
 
     def _sweep_table(self, table: tuple, truncations: Sequence[float]) -> list[np.ndarray]:
         """:meth:`sweep_gammas` at ``eval_time`` of the levels ``(restrict(configs,

@@ -29,11 +29,12 @@ them, advancing every path of a sequence in one loop over batched arrays; the
 coefficients evaluate batches of points (see :class:`CoefficientSet`).  Right
 limits are stored on every grid row, left limits only on jump rows, where
 they differ.  The same loop solves several groups of paths, each with its
-own coefficients and model, in one batch, storing only the rows the Gamma
-of a path reads: the truncation levels of a rank sweep
-(``Scenario.sweep_gammas``).  :func:`_integrate` says which calls the
-groups share, which x-Jacobians it takes once per segment or chunk, and
-how each chunk steps in one workspace allocated as it starts.
+own model and drift but all with one jump coefficient set, in one batch,
+storing only the rows the Gamma of a path reads: the truncation levels of a
+rank sweep (``Scenario.sweep_gammas``).  Every path of a chunk steps on
+every row, by zero past its last, in one workspace allocated as the chunk
+starts; :func:`_integrate` says which calls the groups share and which
+x-Jacobians it takes once per chunk.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,11 +111,13 @@ class CoefficientSet:
       part (at its state alone when no drift or compensator is given), so
       every callable must be pure.  The shipped scenarios bind theirs to
       functions of ``(t, x, p)`` at each level's first moment ``p``, so that
-      the levels of a sweep share one call per stage.
+      the levels of a sweep share one call per stage.  A sweep solves its
+      levels in one batch when they hold equal ``dim``, ``c``, ``dx_c``,
+      ``du_c`` and ``eta``, as the shipped levels do, else one at a time.
     * A ``dx_compensator`` whose attributes ``reads_time`` and
       ``reads_state`` are both ``False`` promises the same matrix at every
-      point; without ``dx_drift`` a solve calls it once per number of paths
-      still advancing, not at every stage, and takes the flow products of a
+      point; without ``dx_drift`` a solve calls it once per chunk of paths,
+      not at every stage, and takes the flow products of a
       batch of paths as one matrix product.  A ``dx_c`` that reports both
       promises a result that depends on the mark alone; with flows a solve
       calls it once over all the jumps of a chunk of paths.  A callable
@@ -278,6 +280,11 @@ def _bound_pair(coeffs: CoefficientSet) -> tuple | None:
             and _state_free(dx_comp):
         return comp.fn, dx_comp.fn
     return None
+
+
+def _jump_set(coeffs: CoefficientSet) -> tuple:
+    """The jump coefficients that the groups of one batch share."""
+    return coeffs.dim, coeffs.c, coeffs.dx_c, coeffs.du_c, coeffs.eta
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -465,22 +472,19 @@ def _regular_grid(horizon: float, step: float) -> np.ndarray:
 
 
 class _Buffer:
-    """One ``(1 [+ 2d], n, d)`` array of a segment's workspace, component-major
+    """One ``(1 [+ 2d], n, d)`` array of a chunk's workspace, component-major
     as the batch, with the views of it that the flow products read and write
     (:func:`_flow_products`): X, and with ``runs`` x-Jacobians, one per run
     of ``n / runs`` consecutive paths, the K rows of each run as one ``(d, n /
     runs d)`` matrix and its Kbar rows as ``d`` matrices of ``(n / runs,
     d)``, or with one run per path each path's K and Kbar, ``(n, d, d)``, all
-    strided views of the batch, the array the contiguous head of ``base``,
-    by default its own, else a flat buffer of a chunk's workspace."""
+    strided views of ``array``, which must be contiguous."""
 
-    __slots__ = ("base", "array", "x", "k", "kbar")
+    __slots__ = ("array", "x", "k", "kbar")
 
-    def __init__(self, shape: tuple, runs: int | None, base: np.ndarray | None = None):
-        n, d = shape[1:]
-        self.base = np.empty(math.prod(shape)) if base is None else base
-        self.array = array = self.base[:math.prod(shape)].reshape(shape)
-        self.x = array[0]
+    def __init__(self, array: np.ndarray, runs: int | None):
+        n, d = array.shape[1:]
+        self.array, self.x = array, array[0]
         if runs is not None:
             self.k = array[1:d + 1].reshape(d, runs, -1).transpose(1, 0, 2)
             kbar = array[d + 1:]
@@ -488,7 +492,7 @@ class _Buffer:
 
 
 def _rk4_step(rhs, ws: list, t0, half, t1, h, half_h, sixth_h) -> None:
-    """One classical RK4 step of the state held in ``ws``, a segment's
+    """One classical RK4 step of the state held in ``ws``, a chunk's
     workspace of seven :class:`_Buffer`: the state, a spare buffer, a stage
     buffer and the four stage velocities.  It steps from ``t0`` over ``half =
     t0 + h/2`` to ``t1 = t0 + h`` into the spare buffer, which then takes the
@@ -514,7 +518,7 @@ def _rk4_step(rhs, ws: list, t0, half, t1, h, half_h, sixth_h) -> None:
     ws[:2] = spare, state
 
 
-# the rows of a segment held for one fold of |K Kbar - I| (_integrate)
+# the rows held for one fold of |K Kbar - I| (_integrate)
 _FOLD_ROWS = 8
 
 
@@ -628,63 +632,59 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     ``runs`` holds, for each group's run of the chunk's paths in chunk order,
     ``(coeffs, drift, first, n)``: its coefficients, its :func:`_effective_drift`
     closure, the index of its first path in its group and its number of
-    paths.  ``stacked`` comes from :func:`_stack_grids`, so the batch holds
-    the runs one after another, each longest grid first.  The batch is
-    component-major: ``(1, P, d)`` holding X, or with ``flows`` ``(1 + 2d,
-    P, d)`` holding X, the rows of K and the rows of Kbar, so that X is one
-    contiguous block and a run's K rows one matrix.  A path drops out of the
-    batch after its last row, so the loop goes by segments, stretches of
-    rows over which the same paths advance, each path between its own grid
-    times.  The chunk's workspace is allocated once, for all its paths, and
-    a segment steps in views of their first ``n`` paths, every stage
-    writing its velocity into them in place (:func:`_rk4_step`): one call
-    per live run's :func:`_effective_drift`, or one for consecutive runs
-    bound to the same compensator pair (:func:`_bound_pair`), each run's
-    parameter on its rows, with its x-Jacobian taken once per segment; and
+    paths; the runs share one jump coefficient set (:func:`_jump_set`), which
+    the jump rows and the checks take from the first.  ``stacked`` comes from
+    :func:`_stack_grids`, so the batch holds the runs one after another, each
+    longest grid first.  The batch is component-major: ``(1, P, d)`` holding
+    X, or with ``flows`` ``(1 + 2d, P, d)`` holding X, the rows of K and the
+    rows of Kbar, so that X is one contiguous block and a run's K rows one
+    matrix.  Every path steps on every row: past its last row its grid is
+    padded with its last time, so its steps are 0, which change at most the
+    sign of a zero, and its last row is stored where it is reached.  The
+    chunk's workspace is allocated once, and every stage writes its velocity
+    into it in place (:func:`_rk4_step`): one call of the compensator every
+    run is bound to (:func:`_bound_pair`), each run's parameter on its rows,
+    with its x-Jacobian taken once per chunk, else one call per run's
+    :func:`_effective_drift`, a lone run's x-Jacobian taken as returned; and
     the products of the flows in two calls over the batch
-    (:func:`_flow_products`), run by run while every live run's
-    x-Jacobian is one matrix (no ``dx_drift``, a state-free
-    ``dx_compensator``) and the live runs hold the same number of paths, at
-    least two, else path by path.
+    (:func:`_flow_products`), run by run when every run's x-Jacobian is one
+    matrix (no ``dx_drift``, a state-free ``dx_compensator``) and the runs
+    hold the same number of paths, at least two, else path by path.
 
     Every jump's time and mark are gathered once, in event order.  With
     flows a ``dx_c`` that reads neither time nor state (:func:`_state_free`)
-    is called once over all the jumps of the runs holding it, and when every
-    run's is, so is each jump's matrix ``I + dx_c``, with the first event
-    whose matrix LAPACK finds singular.  At a jump row ``c`` (and with flows
-    any other ``dx_c``) is called once for the jumping paths of consecutive
-    runs holding the same two, a ``c`` that writes out into the chunk's jump
-    block, and the jump update, the finite-state check, the K product and
-    the Kbar solve (one call of the ``np.linalg.solve`` kernel) act once on
-    all of them in that block.  With ``validate``, the coefficient
-    assumptions of consecutive runs holding the same ``c``, ``dx_c`` and
-    ``eta`` are checked in one call over every jump they took, run after
-    run, from the stored left limits, after the loop or, when the loop
-    raises, over the jumps taken so far before the error propagates.  The X
-    entries of every stage never read the flow entries, so X is the same bit
-    for bit with and without flows, and every operation acts on each path
-    alone, so a path's rows do not depend on the rest of the batch.  Errors
-    name a path by its index in its group.
+    is called once over all the jumps, and so is each jump's matrix ``I +
+    dx_c``, with the first event whose matrix LAPACK finds singular.  At a
+    jump row ``c`` (and with flows any other ``dx_c``) is called once for
+    the jumping paths, a ``c`` that writes out into the chunk's jump block,
+    and the jump update, the finite-state check, the K product and the Kbar
+    solve (one call of the ``np.linalg.solve`` kernel) act once on all of
+    them in that block.  With ``validate``, the coefficient assumptions are
+    checked in one call over every jump taken, run after run, each run's in
+    event order, from the stored left limits, after the loop or, when the
+    loop raises, over the jumps taken so far before the error propagates.
+    The X entries of every stage never read the flow entries, so X is the
+    same bit for bit with and without flows, and every operation acts on
+    each path alone, so a path's rows do not depend on the rest of the
+    batch.  Errors name a path by its index in its group.
 
     Returns, in batch order, the right limits: on every row, ``(P, m_max, 1
     [+ 2d], d)``, or with ``rows`` at the jump rows followed by each path's
     last row, ``(J + P, 1 [+ 2d], d)``; the left limits at the jumps, ``(J, 1
     [+ 2d], d)``, the jumps of a path consecutive in row order; and with
     ``flows`` each run's largest ``|K Kbar - I|`` over the rows of its paths,
-    folded in every ``_FOLD_ROWS`` rows of a segment and at its end, else
-    zeros.
+    folded in every ``_FOLD_ROWS`` rows and at the last, else zeros.
     """
-    d = x0.shape[0]
+    d, coeffs = x0.shape[0], runs[0][0]
     order, sizes, times, is_jump, _, marks = stacked
     n_paths, m_max = times.shape
     lengths = [n for *_, n in runs]
     bounds = np.cumsum([0] + lengths)
     # each batch row's path, by its index in its group
     named = order + np.repeat([first - b for (_, _, first, _), b in zip(runs, bounds)], lengths)
-    # the paths that leave the batch at each row, and the rows where any does
+    # the paths whose last row each row is
     grid_sizes = sizes[order]
-    leaving = {int(m): np.flatnonzero(grid_sizes == m) for m in np.unique(grid_sizes)[:-1]}
-    changes = sorted({1, *leaving}) + [m_max]
+    ending = {int(m) - 1: np.flatnonzero(grid_sizes == m) for m in np.unique(grid_sizes)}
     # per row, the start, midpoint and end time and the step of every path
     by_row = np.ascontiguousarray(times.T)
     # the step, its half and its sixth for every row and path; a row's are
@@ -707,44 +707,23 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     n_jumps = event_rows.shape[0]
     k_rows, kb_rows = slice(1, d + 1), slice(d + 1, 2 * d + 1)
     eye = np.eye(d)
+    on_path = lambda e: f"on path {named[event_paths[e]]}"
+    singular = lambda e: (f"jump update I + dx_c singular at (t={event_times[e]}, "
+                          f"u={event_marks[e]}) {on_path(e)}")
+    writes = getattr(coeffs.c, "writes_out", False)
 
-    def grouped(key) -> list[list[int]]:
-        return [list(ks) for _, ks in groupby(range(len(runs)), lambda k: key(runs[k][0]))]
-
-    # consecutive runs share a jump row's calls when they hold the same c and
-    # dx_c, an assumption check when they also hold the same eta, and a
-    # stage's drift call when their compensator pairs, all their drift, are
-    # bound to the same two functions, with each run's parameters repeated
-    # over its paths
-    jump_groups = grouped(lambda coeffs: (coeffs.c, coeffs.dx_c))
-    jump_bounds = bounds[[ks[0] for ks in jump_groups] + [len(runs)]]
-    check_groups = grouped(lambda coeffs: (coeffs.c, coeffs.dx_c, coeffs.eta))
-    drift_groups = [(ks, pair, pair and [np.repeat(
-        [getattr(runs[k][0], f).p for k in ks], [lengths[k] for k in ks], axis=0)
-        for f in ("compensator", "dx_compensator")])
-        for ks in grouped(lambda coeffs: _bound_pair(coeffs) or object())
-        for pair in [_bound_pair(runs[ks[0]][0])]]
-    writes = [getattr(coeffs.c, "writes_out", False) for coeffs, *_ in runs]
-    # a run's between-jump x-Jacobian is one matrix without dx_drift and with
-    # a state-free dx_compensator, as in _effective_drift
-    constant = [c.dx_drift is None and _state_free(c.dx_compensator) for c, *_ in runs]
-    # with flows, each state-free dx_c over all the jumps of its runs, in one
-    # call, refused before the loop when malformed
-    free = [flows and _state_free(coeffs.dx_c) for coeffs, *_ in runs]
+    # the jump tables: with flows and a state-free dx_c, its slopes at all
+    # the jumps in one call, refused before the loop when malformed, and each
+    # jump's matrix I + dx_c, with the first event whose matrix LAPACK finds
+    # singular as the solve factors it; with another dx_c, each at its row
+    tables = flows and _state_free(coeffs.dx_c)
     slopes = np.empty((n_jumps, d, d)) if flows else None
-    for ks, lo, hi in zip(jump_groups, jump_bounds, jump_bounds[1:]):
-        mine = np.flatnonzero((event_paths >= lo) & (event_paths < hi))
-        if free[ks[0]] and mine.size:
-            slope = runs[ks[0]][0].dx_c(event_times[mine], np.zeros((mine.size, d)),
-                                        event_marks[mine])
-            slopes[mine] = _shape_checked("dx_c", np.asarray(slope, dtype=float), (mine.size, d, d),
-                                          lambda: f" at t = {event_times[mine[0]]} on path "
-                                                  f"{named[event_paths[mine[0]]]}")
-    # the jump tables: with flows each jump's matrix I + dx_c, all of them
-    # here when every dx_c is state-free, with the first event whose matrix
-    # LAPACK finds singular as the solve factors it, else each at its row
-    tables = flows and all(free)
-    matrices = eye + slopes if tables else np.empty((n_jumps, d, d)) if flows else None
+    if tables and n_jumps:
+        slopes[:] = _shape_checked(
+            "dx_c", np.asarray(coeffs.dx_c(event_times, np.zeros((n_jumps, d)), event_marks),
+                               dtype=float), (n_jumps, d, d),
+            lambda: f" at t = {event_times[0]} {on_path(0)}")
+    matrices = eye + slopes if tables else slopes
     singular_at = None
     if tables:
         with np.errstate(all="ignore"):
@@ -753,63 +732,65 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
         k = _first_singular(matrices[suspects])
         singular_at = n_jumps if k is None else int(suspects[k])
 
-    on_path = lambda e: f"on path {named[event_paths[e]]}"
-    singular = lambda e: (f"jump update I + dx_c singular at (t={event_times[e]}, "
-                          f"u={event_marks[e]}) {on_path(e)}")
+    # one drift call per stage when every run is bound to the same
+    # compensator pair, its parameters repeated over each run's paths; the
+    # flow products by run when every run's x-Jacobian is one matrix, as in
+    # _effective_drift, and the runs hold as many paths, at least two
+    pair = _bound_pair(coeffs)
+    if any(_bound_pair(c) != pair for c, *_ in runs):
+        pair = None
+    p, dx_p = (pair and np.repeat([getattr(c, f).p for c, *_ in runs], lengths, axis=0)
+               for f in ("compensator", "dx_compensator"))
+    writes_comp = pair is not None and getattr(pair[0], "writes_out", False)
+    by_run = flows and min(lengths) == max(lengths) > 1 and all(
+        c.dx_drift is None and _state_free(c.dx_compensator) for c, *_ in runs)
+    run_slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
-    # the chunk's workspace for all its paths: the seven RK4 buffers, the step
-    # factors, with flows one x-Jacobian per path and the rows awaiting the
-    # fold, and the block of the widest jump row
+    # the chunk's workspace: the seven RK4 buffers, the step factors, with
+    # flows one x-Jacobian per path and the rows awaiting the fold, and the
+    # block of the widest jump row
     shape = (1 + 2 * d if flows else 1, n_paths, d)
-    ws = [_Buffer(shape, None, base) for base in np.empty((7, math.prod(shape)))]
-    spans = np.empty((3, n_paths, d))
-    held_rows = np.empty((_FOLD_ROWS,) + shape) if flows else None
-    per_path = np.empty((n_paths, d, d)) if flows else None
+    ws = [_Buffer(array, (len(runs) if by_run else n_paths) if flows else None)
+          for array in np.empty((7,) + shape)]
+    steps = np.empty((3, n_paths, d))
+    held = np.empty((_FOLD_ROWS,) + shape) if flows else None
+    a = np.empty((n_paths, d, d)) if flows else None
     jump_block = np.empty((int((ends - starts).max(initial=0)),) + shape[::2])
-    # the _effective_drift of a lone live run that is not bound, whose
-    # x-Jacobian a stage takes as returned, else each live drift group's rows
-    # (None for all), drift or bound compensator, its parameter on those rows
-    # and whether it writes out, with the x-Jacobian of each path; where the
-    # products go by run, the first row of each live run and their matrices
-    single, calls, a, run_starts, blocks = None, [], None, None, [None]
+    blocks = [None]  # with the products by run, each run's x-Jacobian
 
     def rhs(t: np.ndarray, src: _Buffer, dst: _Buffer) -> None:
-        jac = a if single is None else single(t, src.x, out=dst.x)[1]
-        for s, fn, p, writes_out in calls:
-            ts, x, v = (t, src.x, dst.x) if s is None else (t[s], src.x[s], dst.x[s])
-            if p is not None:
-                np.negative(fn(ts, x, p, out=v) if writes_out else
-                            _shape_checked("compensator", fn(ts, x, p), v.shape), out=v)
-            elif flows:  # a run's _effective_drift
-                a[s] = fn(ts, x, out=v)[1]
-            else:
-                fn(ts, x, out=v)
+        jac = a
+        if pair is not None:
+            v = dst.x
+            np.negative(pair[0](t, src.x, p, out=v) if writes_comp else
+                        _shape_checked("compensator", pair[0](t, src.x, p), v.shape), out=v)
+        elif len(runs) == 1:
+            jac = runs[0][1](t, src.x, out=dst.x)[1]
+        else:
+            for (_, drift, _, _), s in zip(runs, run_slices):
+                jac_s = drift(t[s], src.x[s], out=dst.x[s])[1]
+                if flows:
+                    a[s] = jac_s
         if flows:
-            if run_starts is not None and blocks[0] is None:
-                blocks[0] = jac[run_starts]
-            _flow_products(jac if run_starts is None else blocks[0], src, dst)
+            if by_run and blocks[0] is None:
+                blocks[0] = jac[bounds[:-1]]
+            _flow_products(blocks[0] if by_run else jac, src, dst)
 
-    def jump(e0: int, e1: int, batch: np.ndarray, prior: np.ndarray) -> np.ndarray:
-        """The right limits of the paths ``batch`` at jumps ``e0`` to ``e1``, one
-        path's block per entry of the chunk's jump block, from their left limits ``prior``."""
+    def jump(e0: int, e1: int, prior: np.ndarray) -> np.ndarray:
+        """The right limits of the paths that jump at events ``e0`` to ``e1``,
+        one path's block per entry of the chunk's jump block, from their left
+        limits ``prior``."""
         t, u, block = event_times[e0:e1], event_marks[e0:e1], jump_block[:e1 - e0]
         jump_matrix = matrices[e0:e1] if flows else None
-        cuts = [0, batch.shape[0]] if len(jump_groups) == 1 \
-            else np.searchsorted(batch, jump_bounds).tolist()
-        for ks, lo, hi in zip(jump_groups, cuts, cuts[1:]):
-            if hi > lo:
-                coeffs, size = runs[ks[0]][0], block[lo:hi, 0]
-                # a c that writes out reads the left limits where they lie
-                x_left = prior[lo:hi, 0] if writes[ks[0]] else prior[lo:hi, 0].copy()
-                point, shape = (t[lo:hi], x_left, u[lo:hi]), (hi - lo, d)
-                if flows and not tables:
-                    slope = slopes[e0 + lo:e0 + hi] if free[ks[0]] else _shape_checked(
-                        "dx_c", np.asarray(coeffs.dx_c(*point), dtype=float), (*shape, d),
-                        lambda: f" at t = {t[lo]} {on_path(e0 + lo)}")
-                    np.add(eye, slope, out=jump_matrix[lo:hi])
-                np.add(x_left, coeffs.c(*point, out=size) if writes[ks[0]] else _shape_checked(
-                    "c", np.asarray(coeffs.c(*point), dtype=float), shape,
-                    lambda: f" at t = {t[lo]} {on_path(e0 + lo)}"), out=size)
+        # a c that writes out reads the left limits where they lie
+        x_left = prior[:, 0] if writes else prior[:, 0].copy()
+        point, where = (t, x_left, u), lambda: f" at t = {t[0]} {on_path(e0)}"
+        if flows and not tables:
+            np.add(eye, _shape_checked("dx_c", np.asarray(coeffs.dx_c(*point), dtype=float),
+                                       (e1 - e0, d, d), where), out=jump_matrix)
+        np.add(x_left, coeffs.c(*point, out=block[:, 0]) if writes else _shape_checked(
+            "c", np.asarray(coeffs.c(*point), dtype=float), (e1 - e0, d), where),
+            out=block[:, 0])
         if not np.isfinite(block[:, 0]).all():
             k = _first(~np.isfinite(block[:, 0]).all(axis=1))
             raise NumericError(f"jump update produced non-finite state at t = {t[k]} "
@@ -828,113 +809,65 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
         return block
 
     def check(taken: int) -> None:
-        """The coefficient assumptions at the first ``taken`` jumps."""
+        """The coefficient assumptions at the first ``taken`` jumps, run after
+        run, each run's in event order."""
         paths = event_paths[:taken]
-        for ks in check_groups:
-            # the group's jumps, run after run, each run's in event order
-            mine = np.concatenate([np.flatnonzero((paths >= bounds[k]) & (paths < bounds[k + 1]))
-                                   for k in ks])
-            if mine.size:
-                _check_r_conditions(runs[ks[0]][0], event_times[mine], left[event_slots[mine], 0],
-                                    event_marks[mine], lambda j: f"on path {named[paths[mine[j]]]}",
-                                    slopes[mine] if free[ks[0]] else None)
+        mine = np.argsort(np.searchsorted(bounds, paths, side="right"), kind="stable")
+        _check_r_conditions(coeffs, event_times[mine], left[event_slots[mine], 0],
+                            event_marks[mine], lambda j: f"on path {named[paths[mine[j]]]}",
+                            slopes[mine] if tables else None)
 
     worst = np.zeros(n_paths)  # each batch row's largest |K Kbar - I|
 
     def fold(states: np.ndarray) -> None:
-        """Fold rows ``(rows, 1 + 2d, n, d)`` of the live paths into ``worst``."""
+        """Fold rows ``(rows, 1 + 2d, P, d)`` into ``worst``."""
         with np.errstate(all="ignore"):
             gap = states[:, k_rows].transpose(0, 2, 1, 3) @ states[:, kb_rows].transpose(0, 2, 1, 3)
             gap -= eye
             np.abs(gap, out=gap)
-            np.maximum.at(worst, live, gap.max(axis=0).reshape(live.shape[0], -1).max(axis=1))
+            np.maximum(worst, gap.max(axis=0).reshape(n_paths, -1).max(axis=1), out=worst)
 
     right = np.empty(((n_jumps + n_paths,) if rows else (n_paths, m_max)) + shape[::2])
     left = np.empty((n_jumps,) + shape[::2])
-    y = np.zeros(shape)
+    y = ws[0].array
     y[0] = x0
     if flows:
         y[k_rows] = y[kb_rows] = eye[:, None]
+        if pair is not None:  # the bound x-Jacobian, once per chunk
+            np.negative(_shape_checked("dx_compensator", pair[1](by_row[0], ws[0].x, dx_p),
+                                       (n_paths, d, d)), out=a)
     if not rows:
         right[:, 0] = y.transpose(1, 0, 2)
-    # the batch rows still advancing, and the ones of them the next segment keeps
-    live, keep = np.arange(n_paths), np.ones(n_paths, dtype=bool)
     taken, error = 0, None  # jumps reached by the loop, in event order
     try:
-        for start, stop in zip(changes, changes[1:]):
-            gone = leaving.get(start)
-            if gone is not None:
-                at = np.searchsorted(live, gone)
+        for i in range(1, m_max):
+            if n_paths == 1:
+                h, half_h, sixth_h = factors[:, i - 1, 0]
+            else:
+                np.copyto(steps, factors[:, i - 1, :, None])
+                h, half_h, sixth_h = steps
+            _rk4_step(rhs, ws, by_row[i - 1], halves[i - 1], by_row[i], h, half_h, sixth_h)
+            y = ws[0].array
+            if not np.isfinite(y).all():
+                k = _first(~np.isfinite(y).all(axis=(0, 2)))
+                raise NumericError(f"integration produced non-finite state at t = {times[k, i]} "
+                                   f"on path {named[k]}")
+            event = jumpers.get(i)
+            if event is not None:
+                e0, taken, batch, slots = event
+                # each path's block, gathered from and written to a view
+                left[slots] = prior = y.transpose(1, 0, 2)[batch]
+                y.transpose(1, 0, 2)[batch] = after = jump(e0, taken, prior)
                 if rows:
-                    right[n_jumps + gone] = y[:, at].transpose(1, 0, 2)
-                keep = np.ones(live.shape[0], dtype=bool)
-                keep[at] = False
-                live = live[keep]
-            # rows start to stop - 1 advance the same paths: their times, as
-            # a view while they are a prefix of the batch
-            n = live.shape[0]
-            prefix = live[-1] == n - 1
-            cols = slice(0, n) if prefix else live
-            seg_times, seg_halves = by_row[start - 1:stop, cols], halves[start - 1:stop - 1, cols]
-            seg_factors = factors[:, start - 1:stop - 1, cols]
-            cuts = np.searchsorted(live, bounds)
-            counts = np.diff(cuts)
-            ks = np.flatnonzero(counts)  # the live runs: by run when all hold as many paths, 2+
-            by_run = np.ptp(counts[ks]) == 0 < counts[ks[0]] - 1 and all(constant[k] for k in ks)
-            run_starts, blocks = cuts[ks] if flows and by_run else None, [None]
-            # the segment's workspace: the state compressed out of the buffer
-            # holding it into the spare one, whose places then swap
-            ws = [_Buffer((shape[0], n, d), None if not flows else ks.size if by_run else n,
-                          buffer.base) for buffer in (ws[1], ws[0], *ws[2:])]
-            np.compress(keep, y, axis=1, out=ws[0].array)
-            steps, held = spans[:, :n], held_rows[:, :, :n] if flows else None
-            a, calls = per_path[:n] if flows else None, []
-            for group, pair, params in drift_groups:
-                lo, hi = cuts[group[0]], cuts[group[-1] + 1]
-                whole, mine = None if hi - lo == n else slice(lo, hi), live[lo:hi] - bounds[group[0]]
-                if hi > lo and pair is None:
-                    calls.append((whole, runs[group[0]][1], None, False))
-                elif hi > lo:  # with flows its state-free x-Jacobian, once per segment
-                    if flows:
-                        np.negative(_shape_checked("dx_compensator", pair[1](
-                            seg_times[0, lo:hi], ws[0].x[lo:hi], params[1][mine]),
-                            (hi - lo, d, d)), out=a[lo:hi])
-                    calls.append((whole, pair[0], params[0][mine],
-                                  getattr(pair[0], "writes_out", False)))
-            single = calls.pop()[1] if len(calls) == 1 and calls[0][2] is None else None
-            for i in range(start, stop):
-                r = i - start
-                if n == 1:
-                    h, half_h, sixth_h = seg_factors[:, r, 0]
-                else:
-                    np.copyto(steps, seg_factors[:, r, :, None])
-                    h, half_h, sixth_h = steps
-                _rk4_step(rhs, ws, seg_times[r], seg_halves[r], seg_times[r + 1], h, half_h,
-                          sixth_h)
-                y = ws[0].array
-                if not np.isfinite(y).all():
-                    k = live[_first(~np.isfinite(y).all(axis=(0, 2)))]
-                    raise NumericError(
-                        f"integration produced non-finite state at t = {times[k, i]} "
-                        f"on path {named[k]}"
-                    )
-                event = jumpers.get(i)
-                if event is not None:
-                    e0, taken, batch, slots = event
-                    at = batch if prefix else np.searchsorted(live, batch)
-                    # each path's block, gathered from and written to a view
-                    left[slots] = prior = y.transpose(1, 0, 2)[at]
-                    y.transpose(1, 0, 2)[at] = after = jump(e0, taken, batch, prior)
-                    if rows:
-                        right[slots] = after
-                if not rows:
-                    right[cols, i] = y.transpose(1, 0, 2)
-                if flows:
-                    held[r % _FOLD_ROWS] = y
-                    if r % _FOLD_ROWS == _FOLD_ROWS - 1 or i == stop - 1:
-                        fold(held[:r % _FOLD_ROWS + 1])
-        if rows:
-            right[n_jumps + live] = y.transpose(1, 0, 2)
+                    right[slots] = after
+            if not rows:
+                right[:, i] = y.transpose(1, 0, 2)
+            elif i in ending:
+                right[n_jumps + ending[i]] = y[:, ending[i]].transpose(1, 0, 2)
+            if flows:
+                held[(i - 1) % _FOLD_ROWS] = y
+                if i % _FOLD_ROWS == 0 or i == m_max - 1:
+                    fold(held[:(i - 1) % _FOLD_ROWS + 1])
     except Exception as caught:
         error = caught
     # an assumption violated at a jump already taken wins over a later error
@@ -973,8 +906,8 @@ def _trajectories(coeffs: CoefficientSet, chunk: tuple, flows: bool) -> list[Tra
 def _solve_chunks(groups: Sequence[tuple], x0: np.ndarray, step: float, horizon: float | None,
                   validate: bool, flows: bool, rows: bool = False):
     """:func:`solve_sde` of groups of paths, ``[(coeffs, model, configs),
-    ...]``, each group with its own coefficients, model, drift and
-    validation, all in one batch: yields one chunk of paths at a time as
+    ...]``, each group with its own model and drift but all with one jump
+    coefficient set (:func:`_jump_set`), in one batch: yields one chunk of paths at a time as
     ``(parts, stacked, right, left)``, the run of each group's paths it holds
     (:func:`_chunks`), its grids (:func:`_stack_grids`) and its stored limits
     (:func:`_integrate`, with ``rows`` only the rows the Gamma of a path
@@ -983,10 +916,12 @@ def _solve_chunks(groups: Sequence[tuple], x0: np.ndarray, step: float, horizon:
     order, after the last chunk, at the caller of the function that consumes
     the chunks."""
     groups = [(coeffs, model, list(configs)) for coeffs, model, configs in groups]
+    coeffs = groups[0][0]
+    if any(_jump_set(other) != _jump_set(coeffs) for other, *_ in groups):
+        raise InputError("the groups of a batch must share one jump coefficient set")
     x0 = np.asarray(x0, dtype=float)
-    for coeffs, _, _ in groups:
-        if x0.shape != (coeffs.dim,):
-            raise InputError(f"x0 must have shape ({coeffs.dim},), got {x0.shape}")
+    if x0.shape != (coeffs.dim,):
+        raise InputError(f"x0 must have shape ({coeffs.dim},), got {x0.shape}")
     if not np.isfinite(x0).all():
         raise InputError(f"x0 must be finite, got {x0.tolist()}")
     drifts = [_effective_drift(coeffs, model, flows) for coeffs, model, _ in groups]

@@ -236,6 +236,13 @@ _RULES = {
             module == "scenarios.py" and name not in _declared(_SCENARIOS, "writes_out", True),
         "a shipped compensator or c that does not declare writes_out",
         "take an out array, write into it and declare fn.writes_out = True"),
+    # every path of a chunk steps on every row, by zero past its last, so the
+    # RK4 loop never drops finished paths out of the batch and its workspace
+    "no batch compaction in the RK4 loop": (
+        {"compress"},
+        lambda name, module, scope, in_loop, called: called and module == "sde_engine.py",
+        "a compress call in sde_engine.py",
+        "step every path of a chunk on every row, by zero past its last"),
     # the sharps of a block of draw sets, and of one draw set, come from one kernel
     "one randomised-gradient kernel": (
         {"einsum"},
@@ -320,6 +327,18 @@ def test_an_undeclared_out_writer_is_found():
                      "CoefficientSet(c=k, dx_c=m, compensator=b)\n")
     assert _out_writer_duties(tree) == {"g", "h"}
     assert _out_writer_duties(tree) - _declared(tree, "writes_out", True) == {"h"}
+
+
+def test_no_batch_compaction_in_the_rk4_loop():
+    _assert_holds("no batch compaction in the RK4 loop")
+
+
+def test_a_batch_compaction_is_found():
+    names, breaks, *_ = _RULES["no batch compaction in the RK4 loop"]
+    tree = ast.parse("for i in range(start, stop):\n"
+                     "    np.compress(keep, y, axis=1, out=ws[0].array)\n")
+    assert [line for name, line, in_loop, called, scope in _uses(tree) if name in names
+            and breaks(name, "sde_engine.py", scope, in_loop, called)] == [2]
 
 
 def test_contiguous_stacked_products():

@@ -731,13 +731,12 @@ def test_sweep_takes_the_flow_products_of_equal_runs_in_one_product_each(monkeyp
     monkeypatch.setattr(engine, "_stack_grids", recorded)
     scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
     scenario.sweep_gammas(_area_sweep(scenario, n_paths=32))
-    [(_, sizes, _, _, _, _)] = grids  # one chunk of three levels of 32 paths
-    # two products per stage; while every path advances, one per level for
-    # the K rows and one per level and row of Kbar: 3 (1 + 3) BLAS calls
-    assert len(products) == 2 * stages[0]
-    equal = 4 * (sizes.min() - 1)
-    assert 0 < equal < stages[0]
-    assert products[:2 * equal] == [3, 9] * equal
+    [(_, sizes, times, _, _, _)] = grids  # one chunk of three levels of 32 paths
+    # two products per stage of every row, past a path's last row too: one
+    # per level for the K rows and one per level and row of Kbar, 3 (1 + 3)
+    # BLAS calls
+    assert stages[0] == 4 * (times.shape[1] - 1) and np.unique(sizes).size > 1
+    assert products == [3, 9] * stages[0]
 
 
 def test_sweep_checks_the_levels_sharing_coefficients_in_one_call(monkeypatch):
@@ -813,7 +812,7 @@ def test_sweep_takes_the_jump_jacobian_once_per_chunk(monkeypatch):
     assert calls == [sum(config.n_atoms for configs, _ in levels for config in configs)]
 
 
-def test_sweep_takes_the_constant_jacobian_once_per_segment_and_no_svd(monkeypatch):
+def test_sweep_takes_the_constant_jacobian_once_per_chunk_and_no_svd(monkeypatch):
     import dataclasses
     import functools
 
@@ -843,8 +842,8 @@ def test_sweep_takes_the_constant_jacobian_once_per_segment_and_no_svd(monkeypat
     scenario = dataclasses.replace(get_scenario("levy-area-1"), closed_form_gamma=None)
     scenario.sweep_gammas(_area_sweep(scenario, n_paths=32))
     [(_, sizes, times, is_jump, _, _)] = grids  # one chunk of all three levels
-    # every live segment ends where its shortest path does
-    assert 1 < len(calls) <= np.unique(sizes).size < times.shape[1] - 1
+    # one call at the chunk's width, though its paths end at different rows
+    assert calls == [sizes.shape[0]] and np.unique(sizes).size > 1
     # every jump of every level was checked, each inverse jump update
     # settled by a bound below eta
     assert is_jump.any() and svd_rows == []
@@ -910,6 +909,60 @@ def test_sweep_gammas_raise_the_error_of_the_first_failing_level():
                                          r"\(t=0\.014024288592026646, "
                                          r"u=\[ 0\.43893151 -0\.13684833\]\) on path 1$"):
         scenario.sweep_gammas(levels)
+
+
+def test_sweep_solves_levels_with_different_jump_sets_one_at_a_time(monkeypatch):
+    import lentparticle.scenarios as scenarios
+    import lentparticle.sde_engine as engine
+
+    dx_c, eta = scenarios._area_dx_c, scenarios._area_eta
+    # objects of their own that compute what the shipped ones do, so every
+    # check passes but the levels no longer share one jump coefficient set
+    scenario = _area_by_level({0.05: {"eta": lambda u: eta(u)},
+                               0.02: {"dx_c": lambda t, x, u: dx_c(t, x, u)}})
+    levels = _area_sweep(scenario)
+    alone = [scenario.gammas(configs, eps) for configs, eps in levels]
+    shared = _area_by_level({}).sweep_gammas(levels)
+    widths, solve = [], scenarios._solve_chunks
+
+    def counted(groups, *args, **kwargs):
+        widths.append(len(groups))
+        return solve(groups, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "_solve_chunks", counted)
+    swept = scenario.sweep_gammas(levels)
+    assert widths == [1, 1, 1]
+    for got, want, batched in zip(swept, alone, shared):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes() == batched.tobytes()
+    # the engine refuses such levels as one batch
+    groups = [(scenario.make_coeffs(scenario.model(eps)), scenario.model(eps), configs)
+              for configs, eps in levels]
+    with pytest.raises(InputError, match="^the groups of a batch must share one jump "):
+        next(engine._solve_chunks(groups, scenario.x0, scenario.step, None, True, True, True))
+
+
+# sha256 of the raw bytes of the three Gamma stacks of each open sweep
+# (_open_sweeps), one after another, at seeds 5 and 6, as the solve of the
+# levels in one batch gave them when each path left the batch after its last row
+_SWEEP_DIGESTS = {
+    ("levy-area-1", 5): "5d88a0ee53c4e48d9f9272fdbc0844da0d4bd531de7145790b4a218c22ca8b01",
+    ("levy-area-1", 6): "b67b50d273bc11a692140bd3977c11a5d2c393828c121d005f59d68955f5484a",
+    ("levy-area-2", 5): "98f2ba9d968dca95577a2211fec4df2765739e881b38a3809804628d1f30db21",
+    ("levy-area-2", 6): "42963b054c8d9974bbb0cce5bf647ac554917c68cb479a830fd0a20f92da8fee",
+    ("doleans", 5): "7fc90c996ea49362f7d2158dcebecca5647a7a127f6b3c8993303fc34c8851f8",
+    ("doleans", 6): "2fa9946a6361191eb7cf31e0a73f4d7143c525afa48a21bc85ef8834bb039bd3",
+}
+
+
+def test_sweep_gammas_keep_their_bits():
+    import hashlib
+
+    for scenario, levels in _open_sweeps()[:3]:
+        for seed in (5, 6):
+            digest = hashlib.sha256()
+            for stack in scenario.sweep_gammas(_area_sweep(scenario, seed=seed, levels=levels)):
+                digest.update(stack.tobytes())
+            assert digest.hexdigest() == _SWEEP_DIGESTS[scenario.name, seed], (scenario.name, seed)
 
 
 # node-aligned atom times: the regular grid of step 0.02 has these nodes on

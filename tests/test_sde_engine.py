@@ -668,7 +668,7 @@ def test_flow_products_by_run_have_the_bits_of_each_path():
                     per_path = np.repeat(blocks, n, axis=0)
                     k, kbar = _old_layout_products(per_path, y)
                     for a in (blocks, per_path):  # by run (one-path runs: by path), by path
-                        src, dst = _Buffer(y.shape, a.shape[0]), _Buffer(y.shape, a.shape[0])
+                        src, dst = (_Buffer(np.empty(y.shape), a.shape[0]) for _ in range(2))
                         src.array[...], dst.array[...] = y, np.nan
                         _flow_products(a, src, dst)
                         out, case = dst.array, (d, runs, n, shape, a.shape[0])
@@ -874,15 +874,15 @@ def _assert_norm_verdicts(rng, d: int, nilpotent: float) -> None:
 
 def test_constant_compensator_jacobian_is_called_once_per_batch_size():
     # dX = X u dN with the closed-form compensator m X: its x-Jacobian read
-    # once per number of live paths when it reports reading neither t nor x,
-    # and at every RK4 stage when it reports reading x; the bits are the same
+    # once per chunk when it reports reading neither t nor x, and at every
+    # RK4 stage of every row when it reports reading x, at the chunk's width
+    # also past a path's last row; the bits are the same
     model, m = _uniform_model(), 0.4
     configs = [simulate(model, horizon=1.0, seed=s) for s in (1, 2, 3, 4)]
     base = linear_1d(compensate=m)
     want = solve_sde(base, model, configs, x0=np.array([1.0]), step=0.05, flows=True)
     sizes = np.array([traj.times.shape[0] for traj in want])
-    ends = np.unique(sizes)  # each live segment ends where the shortest live path does
-    assert ends.size > 1
+    assert np.unique(sizes).size > 1  # one chunk of paths of different lengths
     for reads_state in (False, True):
         calls = []
 
@@ -895,18 +895,13 @@ def test_constant_compensator_jacobian_is_called_once_per_batch_size():
         got = solve_sde(coeffs, model, configs, x0=np.array([1.0]), step=0.05, flows=True)
         for a, b in zip(want, got):
             assert _same_bits(a.flow, b.flow) and _same_bits(a.inverse_flow, b.inverse_flow)
-        live = [int((sizes >= end).sum()) for end in ends]
-        if reads_state:
-            rows = np.diff(np.concatenate([[1], ends]))
-            assert calls == [n for n, k in zip(live, rows) for _ in range(4 * k)]
-        else:
-            assert calls == live
+        assert calls == [4] * (4 * (sizes.max() - 1) if reads_state else 1)
     # a Jacobian that reads t is called at every stage too
     calls.clear()
     dx_compensator.reads_time, dx_compensator.reads_state = True, False
     solve_sde(dataclasses.replace(base, dx_compensator=dx_compensator), model, configs,
               x0=np.array([1.0]), step=0.05, flows=True)
-    assert len(calls) == 4 * (sizes.max() - 1)
+    assert calls == [4] * (4 * (sizes.max() - 1))
 
 
 def test_same_row_violations_name_the_first_path_with_its_first_condition():
@@ -1104,7 +1099,7 @@ def test_workspace_stepper_has_the_bits_of_the_allocating_step(case):
                 assert _same_bits(got, states), (case, flows, rows)
 
 
-def test_workspace_allocates_per_segment_and_jump_row_not_per_stage(monkeypatch):
+def test_workspace_allocates_per_chunk_not_per_row_or_stage(monkeypatch):
     import types
 
     import lentparticle.sde_engine as engine
@@ -1119,6 +1114,8 @@ def test_workspace_allocates_per_segment_and_jump_row_not_per_stage(monkeypatch)
     counting.empty = lambda *args, **kwargs: calls.append("empty") or np.empty(*args, **kwargs)
     counting.empty_like = lambda *args, **kwargs: calls.append("like") or np.empty_like(
         *args, **kwargs)
+    counting.compress = lambda *args, **kwargs: calls.append("compress") or np.compress(
+        *args, **kwargs)
 
     def recorded(*args):
         grids.append(stack(*args))
@@ -1129,13 +1126,42 @@ def test_workspace_allocates_per_segment_and_jump_row_not_per_stage(monkeypatch)
     groups, x0 = _area_levels([32, 32, 32])
     list(engine._solve_chunks(groups, x0, 0.0025, None, True, True, True))
     [(_, sizes, times, is_jump, _, _)] = grids  # one chunk of three levels of 32 paths
-    segments, jump_rows = np.unique(sizes).size, np.count_nonzero(is_jump.any(axis=0))
+    lengths, jump_rows = np.unique(sizes).size, np.count_nonzero(is_jump.any(axis=0))
     # per chunk the empty start of its jump times (_stack_grids), the dx_c
     # slopes, the right and left limits, and its workspace at the chunk's
     # width: the seven RK4 buffers as one array, the step factors, one
     # x-Jacobian per path, the rows awaiting the fold and the block of the
-    # widest jump row; a segment steps in views of them and a jump row writes
-    # into that block, so neither allocates
-    assert segments > 1 and jump_rows > 1 and times.shape[1] > 2
+    # widest jump row; every row steps all the chunk's paths in that
+    # workspace, those past their last row too, so no row compacts the
+    # batch, and a jump row writes into that block
+    assert lengths > 1 and jump_rows > 1 and times.shape[1] > 2
     assert calls.count("empty") == 9
-    assert calls.count("like") == 0
+    assert calls.count("like") == calls.count("compress") == 0
+
+
+@pytest.mark.parametrize("flows", [False, True])
+def test_a_finished_path_keeps_the_row_it_reached(flows):
+    import lentparticle.sde_engine as engine
+
+    # X stays (-0.0, -0.0) up to a jump at the horizon that leaves X_1 = -0.0
+    # with the velocity X_2 = u > 0: a zero step past that row would turn
+    # X_1 into +0.0, so the row is kept as the path reaches it
+    coeffs = _shape_case(c=lambda t, x, u: np.column_stack([np.full(len(u), -0.0), u[:, 0]]),
+                         dx_c=_constant(np.zeros((2, 2))),
+                         drift=lambda t, x: np.column_stack([x[:, 1], np.full(len(x), -0.0)]),
+                         dx_drift=_constant([[0.0, 1.0], [0.0, 0.0]]))
+    model, x0 = _uniform_model(), np.array([-0.0, -0.0])
+    short, longer = _config([1.0], [0.3]), _config([0.25, 0.55, 0.77], [0.2, 0.4, 0.1])
+    alone = solve_sde(coeffs, model, short, x0, 0.1, flows=flows)
+    assert np.signbit(alone.states[-1, 0]) and alone.states[-1, 1] == 0.3
+    first, together = solve_sde(coeffs, model, [longer, short], x0, 0.1, flows=flows)
+    assert first.times.shape[0] > together.times.shape[0]  # so it steps past its last row
+    for name in ("states", "jump_states_left", "flow", "inverse_flow"):
+        got, want = getattr(together, name), getattr(alone, name)
+        assert got is want is None or _same_bits(got, want), name
+    # and the last row that a sweep's Gamma reads
+    [(_, (order, *_), right, _)] = engine._solve_chunks([(coeffs, model, [longer, short])], x0,
+                                                        0.1, None, True, flows, True)
+    last = [alone.states[-1:]] + ([alone.flow[-1], alone.inverse_flow[-1]] if flows else [])
+    assert order.tolist() == [0, 1]  # the longer grid first
+    assert _same_bits(right[-1], np.concatenate(last))
