@@ -31,6 +31,7 @@ assembly possible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,6 +62,13 @@ def _per_mark(values, n: int, what: str, dtype=float, error=StructureError) -> n
     return values
 
 
+def _put_rows(dst: np.ndarray, idx, src) -> None:
+    """``dst[idx] = src`` on the rows of a C-contiguous ``dst``, to the same bytes, each row
+    one void record: advanced indexing copies a row of several values element by element."""
+    row = np.dtype(f"V{dst.itemsize * math.prod(dst.shape[1:])}")
+    np.frombuffer(dst, row)[idx] = np.frombuffer(np.ascontiguousarray(src, dst.dtype), row)
+
+
 @dataclass(frozen=True)
 class BottomStructure:
     """Mark-space carre du champ ``(O, xi, psi, k)`` on batches of marks.
@@ -89,11 +97,13 @@ class BottomStructure:
             raise InputError(f"marks must have shape (n, {r}), got {marks.shape}")
         out = np.zeros((marks.shape[0], r, r))
         rows = np.flatnonzero(_per_mark(self.support(marks), marks.shape[0], "support", bool))
-        p = _per_mark(self.psi(marks[rows]), rows.size, "psi")
-        rows, p = rows[p != 0.0], p[p != 0.0]
+        u = np.take(marks, rows, axis=0)
+        p = _per_mark(self.psi(u), rows.size, "psi")
+        if not p.all():
+            rows, p, u = rows[p != 0.0], p[p != 0.0], np.compress(p != 0.0, u, axis=0)
         if not rows.size:
             return out
-        k = _per_mark(self.density(marks[rows]), rows.size, "density")
+        k = _per_mark(self.density(u), rows.size, "density")
         bad = np.flatnonzero(k == 0.0)
         if bad.size:
             # psi <= k forces psi = 0 here; a nonzero psi is a broken structure
@@ -105,7 +115,7 @@ class BottomStructure:
         if bad.size:
             i = bad[0]
             raise StructureError(f"psi(u) = {p[i]} exceeds k(u) = {k[i]} at mark {rows[i]}")
-        xi = np.asarray(self.xi(marks[rows]), dtype=float)
+        xi = np.asarray(self.xi(u), dtype=float)
         if xi.shape != (rows.size, r, r):
             raise StructureError(
                 f"xi(u) must have shape ({r}, {r}), got {xi.shape[1:]} at mark {rows[0]}"
@@ -129,7 +139,7 @@ class BottomStructure:
         with np.errstate(over="ignore"):
             w = np.multiply(entries, p / k, out=entries)
             half = np.add(np.take(w, swap, axis=0, out=scratch), w, out=scratch)
-            out.reshape(-1, r * r)[rows] = np.multiply(half, 0.5, out=half).T
+            _put_rows(out, rows, np.multiply(half.T, 0.5, order="C"))
         return out
 
     def factor(self, marks: np.ndarray) -> np.ndarray:

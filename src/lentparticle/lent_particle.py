@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bottom_structure import BottomStructure, gamma_matrix
+from .bottom_structure import BottomStructure, _put_rows, gamma_matrix
 from .errors import FunctionalError, InputError, StateError, StructureError
 from .poisson_measure import (
     JumpConfiguration,
@@ -363,7 +363,7 @@ def _path_sums(terms: np.ndarray, counts) -> np.ndarray:
     padded = np.zeros((max(int(counts.max(initial=0)), 1), counts.size) + terms.shape[1:])
     # term i, atom a of path p, goes to the flat slot a P + p
     shift = np.repeat(np.arange(counts.size) - counts.size * (np.cumsum(counts) - counts), counts)
-    padded.reshape((-1,) + terms.shape[1:])[counts.size * np.arange(len(terms)) + shift] = terms
+    _put_rows(padded.reshape(-1, *terms.shape[1:]), counts.size * np.arange(len(terms)) + shift, terms)
     return padded.sum(axis=0) + 0.0
 
 

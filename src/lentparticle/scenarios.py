@@ -50,7 +50,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bottom_structure import BottomStructure, _square_norms, intro_1d, isotropic, psi_over_k
+from .bottom_structure import (BottomStructure, _put_rows, _square_norms, intro_1d, isotropic,
+                               psi_over_k)
 from .errors import (
     ConvergenceWarning,
     DomainError,
@@ -628,7 +629,7 @@ def _area_closed_path(times: np.ndarray, marks: np.ndarray, counts: np.ndarray, 
     # each atom's flat index in grid, by which the padded arrays are written
     cell = np.arange(path.size) + np.repeat(width * np.arange(counts.size) - np.cumsum(counts)
                                             + counts, counts)
-    ends = np.arange(counts.size), 2 * counts + 1
+    ends = 2 * width * np.arange(counts.size) + 2 * counts + 1  # each path's last row
     # each path's atom times, then t: dt is the interval before each atom
     # and the last one up to t, and 0 on the padding
     grid = np.full((counts.size, width), float(t))
@@ -636,15 +637,16 @@ def _area_closed_path(times: np.ndarray, marks: np.ndarray, counts: np.ndarray, 
     dt = np.diff(grid, axis=1, prepend=0.0)
     steps = np.zeros((counts.size, 2 * width, 2))
     steps[:, 1::2] = -(m1 * dt[:, :, None])
-    steps.reshape(-1, 2)[2 * cell + 2] = marks
+    _put_rows(steps.reshape(-1, 2), 2 * cell + 2, marks)
     x = np.add.accumulate(steps, axis=1)
     # integral of X over each interval (linear path, exact trapezoid)
     avg = 0.5 * (x[:, 0::2] + x[:, 1::2])
     terms = np.zeros(steps.shape[:2])
     terms[:, 1::2] = -m1[1] * (avg[:, :, 0] * dt) + m1[0] * (avg[:, :, 1] * dt)
-    lefts = x.reshape(-1, 2)[2 * cell + 1]
+    lefts = np.take(x.reshape(-1, 2), 2 * cell + 1, axis=0)
     terms.reshape(-1)[2 * cell + 2] = lefts[:, 0] * marks[:, 1] - lefts[:, 1] * marks[:, 0]
-    return np.column_stack([x[ends], np.add.accumulate(terms, axis=1)[ends]]), path, lefts
+    return np.column_stack([np.take(x.reshape(-1, 2), ends, axis=0),
+                            np.add.accumulate(terms, axis=1).reshape(-1)[ends]]), path, lefts
 
 
 def area_closed_gamma(times: np.ndarray, marks: np.ndarray, counts: np.ndarray, w: np.ndarray,
@@ -664,9 +666,10 @@ def area_closed_gamma(times: np.ndarray, marks: np.ndarray, counts: np.ndarray, 
     curve.
     """
     v, path, lefts = _area_closed_path(times, marks, counts, m1, t)
-    live, u = w.any(axis=(1, 2)), marks
+    # an atom is live when any of its four weights is nonzero: its flags read as one word
+    live, u = np.frombuffer(w != 0.0, np.uint32) != 0, marks
     if not live.all():
-        w, u, lefts, path = w[live], marks[live], lefts[live], path[live]
+        w, u, lefts, path = (np.compress(live, a, axis=0) for a in (w, marks, lefts, path))
     a_t = v[path, 1] - u[:, 1] - 2.0 * lefts[:, 1]
     b_t = v[path, 0] - u[:, 0] - 2.0 * lefts[:, 0]
     n = a_t.size
@@ -692,8 +695,8 @@ def area_closed_gamma(times: np.ndarray, marks: np.ndarray, counts: np.ndarray, 
 # ---------------------------------------------------------------------------
 
 # A closed form pads every path of a chunk to the chunk's longest atom list,
-# and a chunk holds at most this many padded atoms, at most 39 floats each
-# at once for the levy-area form: about 510 KB.
+# and a chunk holds at most this many padded atoms, at most 45 floats each at
+# once for the levy-area form, as _path_sums pads its terms: about 590 KB.
 _CLOSED_CHUNK_ATOMS = 2 ** 16 // 40
 
 
@@ -759,8 +762,8 @@ class Scenario:
         times, marks, counts = table
         keep = self.restrict_mask(marks, truncation)
         path = np.repeat(np.arange(len(counts)), counts)
-        return _split(times[keep], marks[keep], np.bincount(path[keep], minlength=len(counts)),
-                      horizons)
+        return _split(times[keep], np.compress(keep, marks, axis=0),
+                      np.bincount(path[keep], minlength=len(counts)), horizons)
 
     def pipeline(self, config: JumpConfiguration, truncation: float | None = None,
                  t: float | None = None) -> tuple[TruncatedLevyModel, CoefficientSet, Trajectory]:
@@ -863,7 +866,7 @@ class Scenario:
         times, marks, counts = table
         up = (times <= t) & np.logical_or.reduce([keep for keep, _ in levels])
         path = np.repeat(np.arange(len(counts)), counts)[up]
-        times, marks = times[up], marks[up]
+        times, marks = times[up], np.compress(up, marks, axis=0)
         rows = [np.flatnonzero(keep[up]) for keep, _ in levels]
         try:
             weights = self.bottom.weight(marks)
@@ -880,8 +883,9 @@ class Scenario:
             for chunk in _closed_chunks(kept):
                 n = kept[chunk]
                 mine = at[np.repeat(starts[chunk] - (np.cumsum(n) - n), n) + np.arange(n.sum())]
-                out[-1][chunk] = self.closed_form_gamma(times[mine], marks[mine], n, weights[mine],
-                                                        model, t)
+                out[-1][chunk] = self.closed_form_gamma(
+                    times[mine], np.take(marks, mine, axis=0), n, np.take(weights, mine, axis=0),
+                    model, t)
         return out
 
 

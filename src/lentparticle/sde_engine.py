@@ -336,25 +336,24 @@ def _spectral_norms(matrices: np.ndarray, rows: np.ndarray, eta: np.ndarray) -> 
 
 
 def _check_r_conditions(coeffs: CoefficientSet, t: np.ndarray, x: np.ndarray,
-                        u: np.ndarray, where: Callable[[int], str], dxc=None) -> None:
+                        u: np.ndarray, where: Callable[[int], str], tables=None) -> None:
     """Spot-check the standing coefficient assumptions at a batch of points.
 
     Every condition is evaluated over the whole batch.  Raises
     :class:`ModelError` at the first offending row ``k``, naming the first
     condition it violates in the order ``dx_c`` finite, ``|dx_c| <= eta``,
     ``|c(t, 0, u)| <= eta``, ``I + dx_c`` invertible, ``|(I + dx_c)^{-1}| <=
-    eta``, and through ``where(k)`` its path or point.  ``dxc`` is ``dx_c``
-    at the points, already shape-checked, or ``None`` to call it here.
+    eta``, and through ``where(k)`` its path or point.  ``tables`` is ``(dx_c,
+    inverses of I + dx_c)`` at the points, shape-checked, or ``None`` to compute both.
     """
     d, n = coeffs.dim, t.shape[0]
-    dxc = _shape_checked("dx_c", np.asarray(coeffs.dx_c(t, x, u), dtype=float), (n, d, d),
-                         lambda: f" {where(0)}") if dxc is None else dxc
+    dxc, inv = tables or (_shape_checked("dx_c", np.asarray(coeffs.dx_c(t, x, u), dtype=float),
+                                         (n, d, d), lambda: f" {where(0)}"), None)
     finite = np.isfinite(dxc).all(axis=(1, 2))
     m = np.eye(d) + np.where(finite[:, None, None], dxc, 0.0)
-    # np.linalg.inv raises when any matrix of the stack is singular; its
-    # kernel fills those inverses with NaN instead
-    with np.errstate(all="ignore"):
-        inv = _umath_linalg.inv(m, signature="d->d")
+    if inv is None:  # the kernel of np.linalg.inv fills a singular one's inverse with NaN
+        with np.errstate(all="ignore"):
+            inv = _umath_linalg.inv(m, signature="d->d")
     invertible = np.isfinite(inv).all(axis=(1, 2))
 
     eta = None if coeffs.eta is None else np.asarray(coeffs.eta(u), dtype=float)
@@ -538,8 +537,8 @@ def _chunks(groups: list[list[JumpConfiguration]], horizon: float | None, step: 
     * its workspace, per path seven ``block`` for the RK4 step
       (:func:`_rk4_step`) and ``3 dim`` for the step factors, and with
       ``flows`` one x-Jacobian and ``_FOLD_ROWS`` rows awaiting the fold;
-    * per jump its time and mark, and with ``flows`` its ``dx_c`` slopes and
-      its jump matrix;
+    * per jump its time and mark, and with ``flows`` its ``dx_c`` slopes, its
+      jump matrix and its inverse;
     * its stored limits: its right limits on every padded row (paths x
       longest grid x ``block``) and its left limits at the jumps (jumps x
       ``block``), or with ``rows`` only its last rows (paths x ``block``)
@@ -550,7 +549,7 @@ def _chunks(groups: list[list[JumpConfiguration]], horizon: float | None, step: 
     per_row = _GRID_VALUES + (0 if rows else block)
     per_path = (7 + (_FOLD_ROWS if flows else 0) + rows) * block + 3 * dim \
         + (dim * dim if flows else 0)
-    per_jump = (2 if rows else 1) * block + 1 + (2 * dim * dim if flows else 0)
+    per_jump = (2 if rows else 1) * block + 1 + (3 * dim * dim if flows else 0)
     parts, nodes, counts, longest, at_jumps = [], None, [], 0, 0
     for g, configs in enumerate(groups):
         for i, config in enumerate(configs):
@@ -699,7 +698,7 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
     jump_paths, jump_rows = np.nonzero(is_jump)
     event_slots = np.lexsort((jump_paths, jump_rows))
     event_paths, event_rows = jump_paths[event_slots], jump_rows[event_slots]
-    event_times, event_marks = times[event_paths, event_rows], marks[event_slots]
+    event_times, event_marks = times[event_paths, event_rows], np.take(marks, event_slots, axis=0)
     rows_with_jumps, starts = np.unique(event_rows, return_index=True)
     ends = np.append(starts[1:], event_rows.shape[0])
     jumpers = {row: (a, b, event_paths[a:b], event_slots[a:b])
@@ -712,10 +711,10 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
                           f"u={event_marks[e]}) {on_path(e)}")
     writes = getattr(coeffs.c, "writes_out", False)
 
-    # the jump tables: with flows and a state-free dx_c, its slopes at all
-    # the jumps in one call, refused before the loop when malformed, and each
-    # jump's matrix I + dx_c, with the first event whose matrix LAPACK finds
-    # singular as the solve factors it; with another dx_c, each at its row
+    # the jump tables: with flows and a state-free dx_c, its slopes at all the
+    # jumps in one call, refused before the loop when malformed, each jump's
+    # matrix I + dx_c and its inverse, which the check reads where dx_c is
+    # finite, and the first event np.linalg.inv finds singular; else at its row
     tables = flows and _state_free(coeffs.dx_c)
     slopes = np.empty((n_jumps, d, d)) if flows else None
     if tables and n_jumps:
@@ -724,11 +723,11 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
                                dtype=float), (n_jumps, d, d),
             lambda: f" at t = {event_times[0]} {on_path(0)}")
     matrices = eye + slopes if tables else slopes
-    singular_at = None
+    singular_at = inverses = None
     if tables:
         with np.errstate(all="ignore"):
-            suspects = np.flatnonzero(~np.isfinite(_umath_linalg.inv(
-                matrices.transpose(0, 2, 1), signature="d->d")).all(axis=(1, 2)))
+            inverses = _umath_linalg.inv(matrices, signature="d->d")
+        suspects = np.flatnonzero(~np.isfinite(inverses).all(axis=(1, 2)))
         k = _first_singular(matrices[suspects])
         singular_at = n_jumps if k is None else int(suspects[k])
 
@@ -814,8 +813,10 @@ def _integrate(runs: Sequence[tuple], stacked: tuple, x0: np.ndarray, flows: boo
         paths = event_paths[:taken]
         mine = np.argsort(np.searchsorted(bounds, paths, side="right"), kind="stable")
         _check_r_conditions(coeffs, event_times[mine], left[event_slots[mine], 0],
-                            event_marks[mine], lambda j: f"on path {named[paths[mine[j]]]}",
-                            slopes[mine] if tables else None)
+                            np.take(event_marks, mine, axis=0),
+                            lambda j: f"on path {named[paths[mine[j]]]}",
+                            (np.take(slopes, mine, axis=0), np.take(inverses, mine, axis=0))
+                            if tables else None)
 
     worst = np.zeros(n_paths)  # each batch row's largest |K Kbar - I|
 

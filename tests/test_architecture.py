@@ -56,13 +56,36 @@ def _swaps_last_axes(node: ast.AST) -> bool:
 _SWAPPED_OPERAND = "a matmul operand with its last two axes swapped"
 
 
+def _indexes_rows(node: ast.AST) -> bool:
+    """Whether ``node`` is ``x.reshape(...)[index]``, with an index that is not
+    all slices, of a reshape that may keep two or more axes: any but a single
+    literal size.  numpy copies the rows of such a reshape element by element."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+            and _called(node.value) == "reshape"):
+        return False
+    args = node.value.args
+    size = args[0] if len(args) == 1 else None
+    if isinstance(size, ast.Tuple) and len(size.elts) == 1:
+        size = size.elts[0]
+    if isinstance(size, ast.UnaryOp):
+        size = size.operand
+    parts = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return not isinstance(size, ast.Constant) and not all(
+        isinstance(part, ast.Slice) or getattr(part, "value", None) is Ellipsis for part in parts)
+
+
+# the name _uses gives a load from or store to such a subscript
+_ROW_INDEX = "an advanced index into the rows of a reshape"
+
+
 def _uses(node: ast.AST, in_loop: bool = False, scope: tuple = ()):
     """``(name, line, in_loop, called, scope)`` for every name the code under
     ``node`` calls, reads or imports: the function of a call (``called``), a
     name, an attribute, the last part of an imported name, the full dotted
     name of an absolute import (its module too, for ``from ... import``), and
     :data:`_SWAPPED_OPERAND` for a product with a swapped operand (as a
-    call); ``in_loop`` when a loop or comprehension encloses it, and
+    call) and :data:`_ROW_INDEX` for an advanced index into the rows of a
+    reshape; ``in_loop`` when a loop or comprehension encloses it, and
     ``scope`` the class and function definitions that enclose it,
     outermost first."""
     in_loop = in_loop or isinstance(node, _LOOPS)
@@ -73,6 +96,8 @@ def _uses(node: ast.AST, in_loop: bool = False, scope: tuple = ()):
                 node.args if isinstance(node, ast.Call) and _called(node) == "matmul" else [])
     if any(_swaps_last_axes(operand) for operand in operands):
         yield _SWAPPED_OPERAND, node.lineno, in_loop, True, scope
+    if _indexes_rows(node):
+        yield _ROW_INDEX, node.lineno, in_loop, False, scope
     if isinstance(node, ast.Name):
         yield node.id, node.lineno, in_loop, False, scope
     elif isinstance(node, ast.Attribute):
@@ -236,6 +261,15 @@ _RULES = {
             module == "scenarios.py" and name not in _declared(_SCENARIOS, "writes_out", True),
         "a shipped compensator or c that does not declare writes_out",
         "take an out array, write into it and declare fn.writes_out = True"),
+    # numpy copies a row of several values by advanced indexing element by
+    # element; np.take, np.compress and bottom_structure._put_rows move each
+    # row whole, to the same bytes
+    "rows move whole": (
+        {_ROW_INDEX},
+        lambda name, module, scope, in_loop, called:
+            f"{module}:{_outermost(scope)}" != "bottom_structure.py:_put_rows",
+        "an advanced index into the rows of a reshape that keeps two or more axes",
+        "gather with np.take or np.compress along axis 0, scatter with _put_rows"),
     # every path of a chunk steps on every row, by zero past its last, so the
     # RK4 loop never drops finished paths out of the batch and its workspace
     "no batch compaction in the RK4 loop": (
@@ -339,6 +373,27 @@ def test_a_batch_compaction_is_found():
                      "    np.compress(keep, y, axis=1, out=ws[0].array)\n")
     assert [line for name, line, in_loop, called, scope in _uses(tree) if name in names
             and breaks(name, "sde_engine.py", scope, in_loop, called)] == [2]
+
+
+def test_rows_move_whole():
+    _assert_holds("rows move whole")
+
+
+def test_a_row_index_into_a_reshape_is_found():
+    # the forms the rule replaced in scenarios._area_closed_path,
+    # BottomStructure.weight and lent_particle._path_sums, a load that
+    # indexes two axes, and ones it allows: one axis, and slices
+    tree = ast.parse("steps.reshape(-1, 2)[2 * cell + 2] = marks\n"
+                     "lefts = x.reshape(-1, 2)[2 * cell + 1]\n"
+                     "out.reshape(-1, r * r)[rows] = np.multiply(half, 0.5, out=half).T\n"
+                     "padded.reshape((-1,) + terms.shape[1:])"
+                     "[counts.size * np.arange(len(terms)) + shift] = terms\n"
+                     "a.reshape(n, 3)[k, 0]\n"
+                     "grid.reshape(-1)[cell] = times\n"
+                     "a.reshape((-1,))[k]\n"
+                     "a.reshape(-1, 2)[:, 1::2]\n"
+                     "a.reshape(n, 3)[..., :2]\n")
+    assert [line for name, line, *_ in _uses(tree) if name == _ROW_INDEX] == [1, 2, 3, 4, 5]
 
 
 def test_contiguous_stacked_products():

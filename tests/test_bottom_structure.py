@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from lentparticle.bottom_structure import (
     BottomStructure,
+    _put_rows,
     from_expressions,
     gamma_matrix,
     intro_1d,
@@ -310,3 +311,46 @@ def test_weight_refuses_the_marks_the_stacked_check_refused(r, data):
                     psi=lambda marks: np.full(len(marks), 3.0), r=r, xi=lambda marks: xi)
     assert _outcome(lambda: bs.weight(np.ones((n, r)))) == _outcome(
         lambda: _stacked_weight(xi, 3.0 / 4.0))
+
+
+# float64 bit patterns: ordinary values, signed zeros, infinities, and NaNs of
+# either sign with any payload, quiet or signalling
+_BITS = st.one_of(
+    st.floats(allow_nan=False).map(lambda v: int(np.float64(v).view(np.uint64))),
+    st.sampled_from([0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000]),
+    st.tuples(st.booleans(), st.integers(1, 2 ** 52 - 1)).map(
+        lambda nan: nan[0] << 63 | 0x7FF0000000000000 | nan[1]))
+
+
+def _bit_array(data, shape):
+    bits = data.draw(st.lists(_BITS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_put_rows_stores_the_bytes_of_an_advanced_index(data):
+    # rows of 1 to 21 values, as (values,) or (rows, columns); a destination
+    # of 0 to 8 rows and a duplicate-free index of 0 to all of them; a source
+    # given whole or as a strided view
+    width = data.draw(st.integers(1, 21))
+    columns = data.draw(st.sampled_from([c for c in range(1, width + 1) if width % c == 0]))
+    row = (width,) if columns == width else (width // columns, columns)
+    n = data.draw(st.integers(0, 8))
+    idx = np.array(data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))], dtype=int)
+    dst, src = _bit_array(data, (n,) + row), _bit_array(data, (len(idx),) + row)
+    if data.draw(st.booleans()):
+        src = np.asfortranarray(src)
+    want, got = dst.copy(), dst.copy()
+    want[idx] = src
+    _put_rows(got, idx, src)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,idx", [(0, []), (3, []), (1, [0]), (5, [3])])
+def test_put_rows_takes_an_empty_index_no_rows_and_one_row(n, idx):
+    dst = np.arange(n * 6, dtype=float).reshape(n, 2, 3)
+    want, src = dst.copy(), -np.arange(len(idx) * 6, dtype=float).reshape(len(idx), 2, 3)
+    want[idx] = src
+    _put_rows(dst, np.array(idx, dtype=int), src)
+    assert dst.tobytes() == want.tobytes()

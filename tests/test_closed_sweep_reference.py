@@ -1,9 +1,12 @@
 """The closed-form rank sweep's batch draw and per-atom products against the
 code they replaced, kept here as the reference: per-path ``uniform`` and
 ``random(n)`` draws concatenated, the Newton steps on fresh arrays, padded
-arrays written through ``(path, atom)`` index pairs, and ``J W J^T`` with a
-strided ``J^T``.  The new code must give the same bytes."""
+arrays written through ``(path, atom)`` index pairs, ``J W J^T`` with a
+strided ``J^T``, and rows of marks, weights and left limits gathered and
+scattered by advanced indexing.  The new code must give the same bytes."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +17,7 @@ from lentparticle.lent_particle import _path_sums
 from lentparticle.poisson_measure import _simulate_table
 from lentparticle.rng import DOMAIN_ATOMS, path_seeds
 from lentparticle.scenarios import (
+    _closed_chunks,
     area_closed_gamma,
     doleans_closed_gamma,
     get_scenario,
@@ -269,3 +273,135 @@ def test_a_strided_operand_gives_the_bits_of_a_contiguous_one():
         left = jac @ w
         assert (left @ jac.transpose(0, 2, 1)).tobytes() == (
             left @ jac.transpose(0, 2, 1).copy()).tobytes()
+
+
+# ------------------------------------------- rows moved by advanced indexing
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _ref_flat_area_closed_path(times, marks, counts, m1, t):
+    # the padded arrays written and read through flat indices of their rows
+    width = int(counts.max(initial=0)) + 1
+    path = np.repeat(np.arange(counts.size), counts)
+    cell = np.arange(path.size) + np.repeat(width * np.arange(counts.size) - np.cumsum(counts)
+                                            + counts, counts)
+    ends = np.arange(counts.size), 2 * counts + 1
+    grid = np.full((counts.size, width), float(t))
+    grid.reshape(-1)[cell] = times
+    dt = np.diff(grid, axis=1, prepend=0.0)
+    steps = np.zeros((counts.size, 2 * width, 2))
+    steps[:, 1::2] = -(m1 * dt[:, :, None])
+    steps.reshape(-1, 2)[2 * cell + 2] = marks
+    x = np.add.accumulate(steps, axis=1)
+    avg = 0.5 * (x[:, 0::2] + x[:, 1::2])
+    terms = np.zeros(steps.shape[:2])
+    terms[:, 1::2] = -m1[1] * (avg[:, :, 0] * dt) + m1[0] * (avg[:, :, 1] * dt)
+    lefts = x.reshape(-1, 2)[2 * cell + 1]
+    terms.reshape(-1)[2 * cell + 2] = lefts[:, 0] * marks[:, 1] - lefts[:, 1] * marks[:, 0]
+    return np.column_stack([x[ends], np.add.accumulate(terms, axis=1)[ends]]), path, lefts
+
+
+def _ref_weight(bs, marks):
+    # BottomStructure.weight on valid marks, each callable given its own
+    # gather, the result scattered by advanced indexing
+    r = bs.mark_dimension
+    out = np.zeros((marks.shape[0], r, r))
+    rows = np.flatnonzero(bs.support(marks))
+    p = np.asarray(bs.psi(marks[rows]), dtype=float)
+    rows, p = rows[p != 0.0], p[p != 0.0]
+    if not rows.size:
+        return out
+    k = np.asarray(bs.density(marks[rows]), dtype=float)
+    entries = np.asarray(bs.xi(marks[rows]), dtype=float).reshape(-1, r * r).T
+    swap = np.arange(r * r).reshape(r, r).T.ravel()
+    with np.errstate(over="ignore"):
+        w = entries * (p / k)
+        out.reshape(-1, r * r)[rows] = ((w[swap] + w) * 0.5).T
+    return out
+
+
+def _ref_closed_gammas(scenario, table, levels, t):
+    # Scenario._closed_gammas with its atoms, marks and weights gathered by
+    # advanced indexing
+    times, marks, counts = table
+    up = (times <= t) & np.logical_or.reduce([keep for keep, _ in levels])
+    path = np.repeat(np.arange(len(counts)), counts)[up]
+    times, marks = times[up], marks[up]
+    weights = scenario.bottom.weight(marks)
+    out = []
+    for keep, truncation in levels:
+        at = np.flatnonzero(keep[up])
+        model = scenario.model(truncation)
+        kept = np.bincount(path[at], minlength=len(counts))
+        starts = np.cumsum(kept) - kept
+        out.append(np.zeros((len(counts), scenario.dim, scenario.dim)))
+        for chunk in _closed_chunks(kept):
+            n = kept[chunk]
+            mine = at[np.repeat(starts[chunk] - (np.cumsum(n) - n), n) + np.arange(n.sum())]
+            out[-1][chunk] = scenario.closed_form_gamma(times[mine], marks[mine], n,
+                                                        weights[mine], model, t)
+    return out
+
+
+def _sweep_tables(name):
+    """Each seed's atom table at the scenario's default truncation, the levels
+    of it kept at 4, 2 and 1 times that truncation, and a time before the
+    horizon and at it."""
+    scenario = get_scenario(name)
+    eps = scenario.default_truncation
+    for seed in _SEEDS:
+        table = _simulate_table(scenario.model(), scenario.horizon, path_seeds(seed, _N_PATHS))
+        levels = [(scenario.restrict_mask(table[1], f * eps), f * eps) for f in (4, 2, 1)]
+        for t in (0.6 * scenario.eval_time, scenario.eval_time):
+            yield scenario, table, levels, t
+
+
+@pytest.mark.parametrize("name", ["levy-area-1", "levy-area-2"])
+def test_area_closed_path_has_the_bits_of_the_flat_indexed_code(name):
+    import lentparticle.scenarios as scenarios
+
+    got, want = [], []
+    for scenario, (times, marks, counts), _, t in _sweep_tables(name):
+        up = times <= t
+        path = np.repeat(np.arange(len(counts)), counts)[up]
+        cut = times[up], marks[up], np.bincount(path, minlength=len(counts))
+        m1 = np.array([0.3, -0.7])
+        got += scenarios._area_closed_path(*cut, m1, t)
+        want += _ref_flat_area_closed_path(*cut, m1, t)
+    assert _digest(got) == _digest(want)
+
+
+def _psi_zeroes_some(bs):
+    # the structure with psi zeroed on every third supported mark
+    def psi(marks):
+        p = np.array(bs.psi(marks), dtype=float)
+        p[::3] = 0.0
+        return p
+
+    return dataclasses.replace(bs, psi=psi)
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLERS))
+def test_weight_has_the_bits_of_the_advanced_indexed_code(name):
+    got, want = [], []
+    for scenario, (times, marks, counts), *_ in _sweep_tables(name):
+        for bs in (scenario.bottom, _psi_zeroes_some(scenario.bottom)):
+            got.append(bs.weight(marks))
+            want.append(_ref_weight(bs, marks))
+    assert _digest(got) == _digest(want)
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLERS))
+def test_closed_gammas_have_the_bits_of_the_advanced_indexed_gathers(name):
+    got, want = [], []
+    for scenario, table, levels, t in _sweep_tables(name):
+        got += scenario._closed_gammas(table, levels, t)
+        want += _ref_closed_gammas(scenario, table, levels, t)
+    assert _digest(got) == _digest(want)

@@ -533,10 +533,10 @@ def test_gammas_frees_each_chunk_before_the_next(monkeypatch):
 
     # about 440 rows of about 7 grid values and 354 values (the last row of
     # 21 and the workspace of 15 rows of 21, a Jacobian and the step factors)
-    # per path, plus 63 per atom (both limits at the jump, its time, mark,
-    # slopes and jump matrix): a pair takes 11,002 to 11,935 floats, two
-    # paths per chunk
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", 12000)
+    # per path, plus 72 per atom (both limits at the jump, its time, mark,
+    # slopes, jump matrix and its inverse): a pair takes 11,587 to 12,637
+    # floats and three paths at least 18,235, two paths per chunk
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", 13000)
     monkeypatch.setattr(engine, "_integrate", tracked)
     matrices = scenario.gammas(configs)
     assert len(solved) == 2 * 3
@@ -612,7 +612,7 @@ def _wobble(strength):
     return {"drift": drift, "dx_drift": dx_drift}
 
 
-@pytest.mark.parametrize("chunk_values", [None, 13000])
+@pytest.mark.parametrize("chunk_values", [None, 14000])
 def test_sweep_gammas_have_the_bits_of_each_level_alone(monkeypatch, chunk_values):
     import hashlib
 
@@ -628,7 +628,7 @@ def test_sweep_gammas_have_the_bits_of_each_level_alone(monkeypatch, chunk_value
     if chunk_values is not None:
         # about 3,000 to 3,500 floats per path for the grid arrays, 170 (a
         # doleans path) or 354 (an area path) for its last row and workspace,
-        # and 30 or 63 per atom: two to four paths per chunk
+        # and 34 or 72 per atom: two to four paths per chunk
         monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
     for scenario, truncations in _open_sweeps():
         levels = _area_sweep(scenario, levels=truncations)
